@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle
@@ -26,13 +27,18 @@ from .unitscalar import UnitScalar
 
 P_INT_RESIDUAL_TOL = 1e-6
 
+_BELOW_TWO_PI = math.nextafter(2 * math.pi, 0.0)
+
 
 def cut_arg(z: complex) -> float:
     """Argument of ``z`` in ``[0, 2 pi)``."""
     if z == 0:
         raise DomainError("argument of 0 is undefined")
     phi = cmath.phase(z)  # (-pi, pi]
-    return phi if phi >= 0 else phi + 2 * math.pi
+    if phi >= 0:
+        return phi
+    # just below the cut, phi + 2 pi can round up to 2 pi; keep it on this side
+    return min(phi + 2 * math.pi, _BELOW_TWO_PI)
 
 
 def plog(z: complex) -> complex:
@@ -91,12 +97,23 @@ def assoc_scalar(
     _check_nested_region(z1, z2)
     p12 = p_int(z1, z2)
     p2 = p_int(z2, z2 - z1)
-    exponent = (
-        -p12 * cocycle.b(a1, a2)
-        + p2 * cocycle.b(a1, a3)
-        - cocycle.f(a1, a2, a3).exponent
-    )
-    return UnitScalar(exponent)
+    g = cocycle.group
+    num = assoc_numerator(cocycle, p12, p2, g.index(a1), g.index(a2), g.index(a3))
+    return UnitScalar(Fraction(int(num), cocycle.denom))
+
+
+def assoc_numerator(cocycle: AbelianCocycle, p12: int, p2: int, i1, i2, i3):
+    """Exponent numerator over ``cocycle.denom`` of the ``assoc_scalar`` formula
+
+        -p12 * b(a1, a2) + p2 * b(a1, a3) - F(a1, a2, a3)
+
+    at enumeration indices ``(i1, i2, i3)``, reduced to ``[0, denom)``.  The
+    indices may be integers or broadcastable index arrays.
+    """
+    w, f = cocycle.omega_num, cocycle.f_num
+    b12 = w[i1, i2] + w[i2, i1]
+    b13 = w[i1, i3] + w[i3, i1]
+    return (-p12 * b12 + p2 * b13 - f[i1, i2, i3]) % cocycle.denom
 
 
 @dataclass(frozen=True)
@@ -112,7 +129,7 @@ class PathPolyline:
         if any(w == 0 for w in pts):
             raise StructuralError("waypoints must avoid the origin")
         for a, b in zip(pts, pts[1:]):
-            if _segment_origin_distance(a, b) <= 0.0:
+            if _segment_hits_origin(a, b):
                 raise StructuralError(f"segment {a} -> {b} passes through the origin")
         object.__setattr__(self, "waypoints", pts)
 
@@ -130,13 +147,17 @@ class PathPolyline:
         return PathPolyline(self.waypoints + other.waypoints[1:])
 
 
-def _segment_origin_distance(a: complex, b: complex) -> float:
-    d = b - a
-    if d == 0:
-        return abs(a)
-    t = -(a.real * d.real + a.imag * d.imag) / (abs(d) ** 2)
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d)
+def _segment_hits_origin(a: complex, b: complex) -> bool:
+    """Whether the segment from ``a`` to ``b`` passes through 0, decided
+    exactly on the float coordinates: no squared length can underflow, and
+    no rounding lets a segment through the origin pass as clear of it."""
+    # equal exact products round to equal floats, so a finite nonzero float
+    # cross product proves that a and b are not collinear with 0
+    cross = a.real * b.imag - a.imag * b.real
+    if cross != 0 and math.isfinite(cross):
+        return False
+    ax, ay, bx, by = (Fraction(x) for x in (a.real, a.imag, b.real, b.imag))
+    return ax * by == ay * bx and ax * bx + ay * by <= 0
 
 
 def winding(path: PathPolyline) -> int:
@@ -163,8 +184,18 @@ def transport_scalar(
 ) -> UnitScalar:
     """Parallel-transport scalar ``(Omega(a1,a2) Omega(a2,a1))^{-p}`` for the
     path's branch-correction integer ``p``, as exact exponent arithmetic."""
-    p = winding(path)
-    return UnitScalar(-p * cocycle.b(a1, a2))
+    g = cocycle.group
+    num = transport_numerator(cocycle, winding(path), g.index(a1), g.index(a2))
+    return UnitScalar(Fraction(int(num), cocycle.denom))
+
+
+def transport_numerator(cocycle: AbelianCocycle, p: int, i1, i2):
+    """Exponent numerator over ``cocycle.denom`` of ``-p * b(a1, a2)``, the
+    transport formula for winding ``p``, at enumeration indices ``(i1, i2)``,
+    reduced to ``[0, denom)``.  The indices may be integers or broadcastable
+    index arrays."""
+    w = cocycle.omega_num
+    return (-p * (w[i1, i2] + w[i2, i1])) % cocycle.denom
 
 
 def clockwise_unit_loop() -> PathPolyline:

@@ -12,13 +12,19 @@ Structure morphisms:
 
 The coherence suite checks pentagon, triangle, both hexagons, the snake
 identities, balancing and twist-duality as honest matrix equations, and
-doubles every scalar identity as exact exponent arithmetic.
+doubles every scalar identity as exact exponent arithmetic.  Associators and
+braidings read only the grade and dimension of each object, so pentagon,
+triangle, hexagons, balancing and double-braiding are evaluated once per
+distinct ``(grade, dim)`` signature of a catalog tuple; ``checked`` still
+counts catalog tuples, and witnesses are the first failing tuple in
+``product`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -239,7 +245,11 @@ class TwistedCategory:
     ) -> CoherenceReport:
         """Matrix-level coherence checks over all catalog tuples up to the
         dimension cap, with exact exponent checks wherever both sides are
-        unit scalars."""
+        unit scalars.
+
+        Each identity built from associators and braidings is evaluated once
+        per distinct ``(grade, dim)`` signature; ``checked`` still counts the
+        catalog tuples it covers."""
         tol = self.matrix_tol if tol is None else tol
         checks = [
             self._check_pentagon_matrices(tol, max_word_dim),
@@ -253,15 +263,42 @@ class TwistedCategory:
         ]
         return CoherenceReport(tuple(checks))
 
-    def _iter_tuples(self, arity: int, max_word_dim: int):
+    def _sweep(
+        self,
+        axiom: str,
+        arity: int,
+        evaluate,
+        tol: float,
+        *,
+        max_word_dim: int | None = None,
+        detail: str = "",
+    ) -> AxiomCheck:
+        """One identity over all catalog tuples of ``arity`` in ``product`` order.
+
+        ``evaluate(*objs)`` returns ``(max deviation, exact parts hold)``.  The
+        structure maps read only the grade and dim of each slot, so it runs
+        once per distinct ``(grade, dim)`` signature; ``checked`` still counts
+        catalog tuples and the witness is the first failing tuple.  Tuples
+        whose word dimension exceeds ``max_word_dim`` are skipped.
+        """
+        checked, witness, max_err, results = 0, None, 0.0, {}
+        signature = {m: (m.grade, m.dim) for m in self.catalog}
         for objs in product(self.catalog, repeat=arity):
-            if int(np.prod([m.dim for m in objs])) <= max_word_dim:
-                yield objs
+            key = tuple(signature[m] for m in objs)
+            if key not in results:
+                capped = max_word_dim is not None and prod(m.dim for m in objs) > max_word_dim
+                results[key] = None if capped else evaluate(*objs)
+            if results[key] is None:
+                continue
+            err, exact = results[key]
+            checked += 1
+            max_err = max(max_err, err)
+            if (err > tol or not exact) and witness is None:
+                witness = tuple(m.label for m in objs)
+        return AxiomCheck(axiom, witness is None, checked, witness, max_err, detail=detail)
 
     def _check_pentagon_matrices(self, tol: float, max_word_dim: int) -> AxiomCheck:
-        checked, witness, max_err = 0, None, 0.0
-        for m1, m2, m3, m4 in self._iter_tuples(4, max_word_dim):
-            checked += 1
+        def evaluate(m1, m2, m3, m4):
             lhs = self.associator((m1, m2), (m3,), (m4,)).matrix @ self.associator(
                 (m1,), (m2,), (m3, m4)
             ).matrix
@@ -270,31 +307,22 @@ class TwistedCategory:
                 @ self.associator((m1,), (m2, m3), (m4,)).matrix
                 @ np.kron(np.eye(m1.dim), self.associator((m2,), (m3,), (m4,)).matrix)
             )
-            err = float(np.abs(lhs - rhs).max())
-            max_err = max(max_err, err)
-            if err > tol and witness is None:
-                witness = tuple(m.label for m in (m1, m2, m3, m4))
-        return AxiomCheck("pentagon(matrices)", witness is None, checked, witness, max_err)
+            return float(np.abs(lhs - rhs).max()), True
+
+        return self._sweep("pentagon(matrices)", 4, evaluate, tol, max_word_dim=max_word_dim)
 
     def _check_triangle(self, tol: float) -> AxiomCheck:
-        checked, witness, max_err = 0, None, 0.0
-        for m1, m2 in product(self.catalog, repeat=2):
-            checked += 1
+        def evaluate(m1, m2):
             mat = self.associator((m1,), (self.unit,), (m2,)).matrix
-            err = float(np.abs(mat - np.eye(m1.dim * m2.dim)).max())
-            max_err = max(max_err, err)
-            if err > tol and witness is None:
-                witness = (m1.label, m2.label)
-        return AxiomCheck("triangle", witness is None, checked, witness, max_err)
+            return float(np.abs(mat - np.eye(m1.dim * m2.dim)).max()), True
+
+        return self._sweep("triangle", 2, evaluate, tol)
 
     def _check_hexagon_matrices(self, tol: float, max_word_dim: int) -> list[AxiomCheck]:
-        checked = 0
-        witness1 = witness2 = None
-        err1 = err2 = 0.0
-        for x, y, z in self._iter_tuples(3, max_word_dim):
-            checked += 1
-            ax = self.associator
-            br = self.braiding
+        ax = self.associator
+        br = self.braiding
+
+        def hexagon1(x, y, z):
             # braid X past Y (x) Z:  A_{Y,Z,X}^{-1} R_{X,YZ} A_{X,Y,Z}^{-1}
             #                     == (1_Y (x) R_{X,Z}) A_{Y,X,Z}^{-1} (R_{X,Y} (x) 1_Z)
             lhs = (
@@ -307,10 +335,9 @@ class TwistedCategory:
                 @ np.linalg.inv(ax((y,), (x,), (z,)).matrix)
                 @ np.kron(br((x,), (y,)).matrix, np.eye(z.dim))
             )
-            e = float(np.abs(lhs - rhs).max())
-            err1 = max(err1, e)
-            if e > tol and witness1 is None:
-                witness1 = (x.label, y.label, z.label)
+            return float(np.abs(lhs - rhs).max()), True
+
+        def hexagon2(x, y, z):
             # braid X (x) Y past Z:  A_{Z,X,Y} R_{XY,Z} A_{X,Y,Z}
             #                     == (R_{X,Z} (x) 1_Y) A_{X,Z,Y} (1_X (x) R_{Y,Z})
             lhs = (
@@ -323,13 +350,11 @@ class TwistedCategory:
                 @ ax((x,), (z,), (y,)).matrix
                 @ np.kron(np.eye(x.dim), br((y,), (z,)).matrix)
             )
-            e = float(np.abs(lhs - rhs).max())
-            err2 = max(err2, e)
-            if e > tol and witness2 is None:
-                witness2 = (x.label, y.label, z.label)
+            return float(np.abs(lhs - rhs).max()), True
+
         return [
-            AxiomCheck("hexagon-1(matrices)", witness1 is None, checked, witness1, err1),
-            AxiomCheck("hexagon-2(matrices)", witness2 is None, checked, witness2, err2),
+            self._sweep("hexagon-1(matrices)", 3, hexagon1, tol, max_word_dim=max_word_dim),
+            self._sweep("hexagon-2(matrices)", 3, hexagon2, tol, max_word_dim=max_word_dim),
         ]
 
     def _check_snakes(self, tol: float) -> AxiomCheck:
@@ -356,9 +381,8 @@ class TwistedCategory:
 
     def _check_balancing(self, tol: float) -> AxiomCheck:
         """theta_{MN} = R_{N,M} R_{M,N} (theta_M (x) theta_N), matrices and exponents."""
-        checked, witness, max_err = 0, None, 0.0
-        for m, n in product(self.catalog, repeat=2):
-            checked += 1
+
+        def evaluate(m, n):
             lhs_exp = self.twist((m, n)).exponent
             rhs_exp = (
                 UnitScalar(-self.cocycle.b(m.grade, n.grade)).exponent
@@ -371,13 +395,10 @@ class TwistedCategory:
                 * self.twist(m).to_complex()
                 * self.twist(n).to_complex()
             )
-            err = float(np.abs(lhs - rhs).max())
-            max_err = max(max_err, err)
-            if (lhs_exp != rhs_exp or err > tol) and witness is None:
-                witness = (m.label, n.label)
-        return AxiomCheck(
-            "balancing", witness is None, checked, witness, max_err,
-            detail="checked as matrices and as exact exponents",
+            return float(np.abs(lhs - rhs).max()), lhs_exp == rhs_exp
+
+        return self._sweep(
+            "balancing", 2, evaluate, tol, detail="checked as matrices and as exact exponents"
         )
 
     def _check_twist_dual(self) -> AxiomCheck:
@@ -397,9 +418,8 @@ class TwistedCategory:
 
     def _check_double_braiding(self, tol: float) -> AxiomCheck:
         """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, matrices and exponents."""
-        checked, witness, max_err = 0, None, 0.0
-        for m, n in product(self.catalog, repeat=2):
-            checked += 1
+
+        def evaluate(m, n):
             scalar = UnitScalar(-self.cocycle.b(m.grade, n.grade))
             mat = self.double_braiding(m, n)
             err = float(np.abs(mat - scalar.to_complex() * np.eye(m.dim * n.dim)).max())
@@ -407,10 +427,9 @@ class TwistedCategory:
                 -self.omega_scalar(m.grade, n.grade).exponent
                 - self.omega_scalar(n.grade, m.grade).exponent
             ) % 1 == scalar.exponent
-            max_err = max(max_err, err)
-            if (err > tol or not exact) and witness is None:
-                witness = (m.label, n.label)
-        return AxiomCheck("double-braiding", witness is None, checked, witness, max_err)
+            return err, exact
+
+        return self._sweep("double-braiding", 2, evaluate, tol)
 
     def _check_naturality(self, *, tol: float, seed: int) -> AxiomCheck:
         """Structure morphisms commute with sampled intertwiners."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,10 +147,13 @@ class CategorySpec:
     grading: FinAbGroup
     cocycle_config: dict
     max_spin: int = 10
+    _cocycle: AbelianCocycle | None = field(default=None, init=False, repr=False)
 
     def build_cocycle(self) -> AbelianCocycle:
-        """Construct (and thereby validate) the cocycle."""
-        return _cocycle_from_config(self.grading, self.cocycle_config, self.name)
+        """Construct (and thereby validate) the cocycle; built once per spec."""
+        if self._cocycle is None:
+            self._cocycle = _cocycle_from_config(self.grading, self.cocycle_config, self.name)
+        return self._cocycle
 
     def build_category(self) -> TwistedCategory:
         """Construct the full twisted category; finite-group mode only."""
@@ -162,8 +165,10 @@ class CategorySpec:
         embedding = CentralEmbedding(
             self.grading, tuple(int(i) for i in self.raw["central_embedding"])
         )
+        # build_cocycle validated it; the trivial builder's zero tables need no check
         return TwistedCategory(
-            group, cocycle, embedding, irreps, complete=bool(self.raw.get("complete", True))
+            group, cocycle, embedding, irreps,
+            complete=bool(self.raw.get("complete", True)), validate=False,
         )
 
 

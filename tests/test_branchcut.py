@@ -1,5 +1,7 @@
 import cmath
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,15 +10,19 @@ from hypothesis import strategies as st
 
 from twistcat.branchcut import (
     PathPolyline,
+    assoc_numerator,
     assoc_scalar,
     clockwise_unit_loop,
+    cut_arg,
     p_int,
     plog,
+    transport_numerator,
     transport_scalar,
     winding,
 )
 from twistcat.cocycle import build_cyclic
 from twistcat.errors import DomainError, StructuralError
+from twistcat.unitscalar import UnitScalar
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,12 @@ def test_plog_examples():
     assert abs(plog(-1j) - 1.5j * math.pi) <= 1e-15
     # just below the positive real axis the argument is close to 2 pi
     assert plog(1 - 1e-9j).imag > 6.28
+
+
+def test_cut_arg_stays_below_two_pi():
+    # phase(z) + 2 pi rounds up to exactly 2 pi this close below the cut
+    value = cut_arg(1 - 1e-17j)
+    assert math.pi < value < 2 * math.pi
 
 
 def test_plog_zero_rejected():
@@ -86,6 +98,22 @@ def test_path_through_origin_rejected():
         PathPolyline((1, -1))
     with pytest.raises(StructuralError):
         PathPolyline((1, 0, 1j))
+
+
+def test_diagonal_path_through_origin_rejected():
+    # a rounded projection onto this segment misses the origin by about 1e-16
+    with pytest.raises(StructuralError, match="origin"):
+        PathPolyline((1 + 1j, -1 - 1j))
+
+
+def test_tiny_segment_across_the_cut():
+    # the squared length of this segment underflows to 0
+    path = PathPolyline((1 + 1e-300j, 1 - 1e-300j))
+    assert winding(path) == 1
+    # here the float cross product underflows too; the exact test decides
+    assert winding(PathPolyline((1e-200 + 1e-200j, 1e-200 - 1e-200j))) == 1
+    with pytest.raises(StructuralError, match="origin"):
+        PathPolyline((1e-200 + 1e-200j, -1e-200 - 1e-200j))
 
 
 def test_concatenation_additivity():
@@ -165,3 +193,30 @@ def test_random_real_sweep_matches_f_inverse(lattice):
                     assert assoc_scalar(lattice, r1, r2, a1, a2, a3) == lattice.f(
                         a1, a2, a3
                     ).inverse()
+
+
+@pytest.mark.parametrize("p12, p2", [(0, 0), (1, 0), (0, -1), (-1, 1)])
+def test_assoc_numerator_broadcast_matches_exponent_formula(p12, p2):
+    cocycle = build_cyclic(4, 1)
+    g = cocycle.group
+    idx = np.arange(g.order)
+    table = assoc_numerator(
+        cocycle, p12, p2, idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    )
+    for a1, a2, a3 in product(g.elements(), repeat=3):
+        want = UnitScalar(
+            -p12 * cocycle.b(a1, a2) + p2 * cocycle.b(a1, a3) - cocycle.f(a1, a2, a3).exponent
+        )
+        got = table[g.index(a1), g.index(a2), g.index(a3)]
+        assert UnitScalar(Fraction(int(got), cocycle.denom)) == want
+
+
+@pytest.mark.parametrize("p", [0, 1, -2])
+def test_transport_numerator_broadcast_matches_exponent_formula(p):
+    cocycle = build_cyclic(4, 1)
+    g = cocycle.group
+    idx = np.arange(g.order)
+    table = transport_numerator(cocycle, p, idx[:, None], idx[None, :])
+    for a1, a2 in product(g.elements(), repeat=2):
+        got = table[g.index(a1), g.index(a2)]
+        assert UnitScalar(Fraction(int(got), cocycle.denom)) == UnitScalar(-p * cocycle.b(a1, a2))

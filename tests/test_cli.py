@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from twistcat import cli
+from twistcat import cli, cocycle, modcat
 from twistcat.errors import StructuralError
-from twistcat.specio import load_spec, parse_matrix_entry
+from twistcat.specio import BUNDLED_FIXTURES, load_spec, parse_matrix_entry
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -127,6 +130,39 @@ def test_monodromy_path(capsys):
     out = capsys.readouterr().out
     assert "winding 1" in out
     assert "transport exponent 1/2" in out
+
+
+def test_monodromy_path_with_tiny_segment(capsys):
+    # the segment's squared length underflows; it must not crash the command
+    code = run_cli(
+        "monodromy", "--spec", "z2-lattice-on-z4",
+        "--path", "1,1e-300; 1,-1e-300", "--grades", "0|0",
+    )
+    assert code == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "winding 1" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name", BUNDLED_FIXTURES)
+def test_verify_report_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    run_cli("verify", "--spec", name, "--seed", "0", "--out", str(out))
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_verify_validates_cocycle_once(monkeypatch, capsys):
+    calls = []
+    original = cocycle.validate_cocycle
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(cocycle, "validate_cocycle", counting)
+    monkeypatch.setattr(modcat, "validate_cocycle", counting)
+    assert run_cli("verify", "--spec", "z2-lattice-on-z4") == 0
+    assert len(calls) == 1
 
 
 def test_parse_matrix_entry():

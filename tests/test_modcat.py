@@ -215,3 +215,122 @@ def test_word_helpers(lattice_cat):
     assert lattice_cat.word_dim(word) == 1
     assert lattice_cat.word_grade(word) == (0,)
     assert lattice_cat.word_labels(word) == (odd[0].label, odd[1].label)
+
+
+def _reference_identities(cat):
+    """Each signature-collapsed identity of the suite as a plain per-tuple
+    function returning (max deviation, exact parts hold)."""
+    ax, br, eye, kron = cat.associator, cat.braiding, np.eye, np.kron
+
+    def dev(lhs, rhs):
+        return float(np.abs(lhs - rhs).max())
+
+    def pentagon(m1, m2, m3, m4):
+        lhs = ax((m1, m2), (m3,), (m4,)).matrix @ ax((m1,), (m2,), (m3, m4)).matrix
+        rhs = (
+            kron(ax((m1,), (m2,), (m3,)).matrix, eye(m4.dim))
+            @ ax((m1,), (m2, m3), (m4,)).matrix
+            @ kron(eye(m1.dim), ax((m2,), (m3,), (m4,)).matrix)
+        )
+        return dev(lhs, rhs), True
+
+    def triangle(m1, m2):
+        return dev(ax((m1,), (cat.unit,), (m2,)).matrix, eye(m1.dim * m2.dim)), True
+
+    def hexagon1(x, y, z):
+        inv = np.linalg.inv
+        lhs = inv(ax((y,), (z,), (x,)).matrix) @ br((x,), (y, z)).matrix @ inv(
+            ax((x,), (y,), (z,)).matrix
+        )
+        rhs = (
+            kron(eye(y.dim), br((x,), (z,)).matrix)
+            @ inv(ax((y,), (x,), (z,)).matrix)
+            @ kron(br((x,), (y,)).matrix, eye(z.dim))
+        )
+        return dev(lhs, rhs), True
+
+    def hexagon2(x, y, z):
+        lhs = ax((z,), (x,), (y,)).matrix @ br((x, y), (z,)).matrix @ ax((x,), (y,), (z,)).matrix
+        rhs = (
+            kron(br((x,), (z,)).matrix, eye(y.dim))
+            @ ax((x,), (z,), (y,)).matrix
+            @ kron(eye(x.dim), br((y,), (z,)).matrix)
+        )
+        return dev(lhs, rhs), True
+
+    def balancing(m, n):
+        b = cat.cocycle.b(m.grade, n.grade)
+        exact = cat.twist((m, n)).exponent == (
+            UnitScalar(-b).exponent + cat.twist(m).exponent + cat.twist(n).exponent
+        ) % 1
+        lhs = cat.twist((m, n)).to_complex() * eye(m.dim * n.dim)
+        rhs = cat.double_braiding(m, n) * cat.twist(m).to_complex() * cat.twist(n).to_complex()
+        return dev(lhs, rhs), exact
+
+    def double_braiding(m, n):
+        scalar = UnitScalar(-cat.cocycle.b(m.grade, n.grade))
+        exact = (
+            -cat.omega_scalar(m.grade, n.grade).exponent
+            - cat.omega_scalar(n.grade, m.grade).exponent
+        ) % 1 == scalar.exponent
+        err = dev(cat.double_braiding(m, n), scalar.to_complex() * eye(m.dim * n.dim))
+        return err, exact
+
+    return {
+        "pentagon(matrices)": (4, pentagon),
+        "triangle": (2, triangle),
+        "hexagon-1(matrices)": (3, hexagon1),
+        "hexagon-2(matrices)": (3, hexagon2),
+        "balancing": (2, balancing),
+        "double-braiding": (2, double_braiding),
+    }
+
+
+def test_signature_collapse_matches_per_tuple_sweep():
+    # z4 graded by Z/2 at element 2: four irreps, two (grade, dim) signatures.
+    # Corrupt F(1,1,1) (hexagons), F(1,0,1) (pentagon, triangle) and
+    # Omega(1,0) (balancing) so that witnesses come from repeated signatures.
+    group, reps = builtin_catalog("z4")
+    lattice = build_cyclic(2, 3)
+    f_num = lattice.f_num.copy()
+    f_num[1, 1, 1] = 0
+    f_num[1, 0, 1] = 1
+    omega_num = lattice.omega_num.copy()
+    omega_num[1, 0] = 1
+    broken = AbelianCocycle(lattice.group, f_num, omega_num, lattice.denom)
+    cat = TwistedCategory(
+        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
+    )
+    k = len(cat.catalog)
+    assert len({(m.grade, m.dim) for m in cat.catalog}) < k
+    checks = {c.axiom: c for c in cat.coherence_suite().checks}
+    for axiom, (arity, identity) in _reference_identities(cat).items():
+        witness, max_err = None, 0.0
+        for objs in product(cat.catalog, repeat=arity):
+            err, exact = identity(*objs)
+            max_err = max(max_err, err)
+            if (err > cat.matrix_tol or not exact) and witness is None:
+                witness = tuple(m.label for m in objs)
+        check = checks[axiom]
+        assert check.checked == k**arity, axiom
+        assert check.witness == witness, axiom
+        assert check.max_error == max_err, axiom
+        assert check.passed == (witness is None), axiom
+    failing = {a for a, c in checks.items() if not c.passed}
+    assert {
+        "pentagon(matrices)", "triangle", "hexagon-1(matrices)", "hexagon-2(matrices)",
+        "balancing",
+    } <= failing
+
+
+def test_word_dim_cap_skips_tuples(q8_cat):
+    report = q8_cat.coherence_suite(max_word_dim=4)
+    checks = {c.axiom: c for c in report.checks}
+    for axiom, arity in (("pentagon(matrices)", 4), ("hexagon-1(matrices)", 3)):
+        within = sum(
+            1
+            for objs in product(q8_cat.catalog, repeat=arity)
+            if np.prod([m.dim for m in objs]) <= 4
+        )
+        assert 0 < checks[axiom].checked == within < len(q8_cat.catalog) ** arity
+    assert report.passed
