@@ -56,6 +56,14 @@ class StructureMorphism:
     target: tuple[str, ...]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices without its n-dimensional set-up: the same
+    elementwise products in the same layout, so the same values bit for bit."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def flip_matrix(d1: int, d2: int) -> np.ndarray:
     """Permutation matrix sending coordinate (i, j) of V1 (x) V2 to (j, i)."""
     cols = np.arange(d1 * d2)
@@ -101,6 +109,11 @@ class TwistedCategory:
         self.embedding = embedding
         self.grading = cocycle.group
         self.matrix_tol = matrix_tol
+        # complex F^-1 and Omega^-1 by grades, filled on first use: every
+        # structure map reads one, and each costs Fraction arithmetic and a
+        # cos/sin to compute
+        self._f_inv: dict[tuple[GroupElt, GroupElt, GroupElt], complex] = {}
+        self._omega_inv: dict[tuple[GroupElt, GroupElt], complex] = {}
 
         catalog = []
         for label, rep in irreps.items():
@@ -163,29 +176,46 @@ class TwistedCategory:
     def omega_scalar(self, a1: GroupElt, a2: GroupElt) -> UnitScalar:
         return self.cocycle.omega(a1, a2)
 
+    # The matrices of associators and braidings read only the grade and the
+    # dimension of each word; the coherence sweeps call these directly.
+
+    def _assoc_matrix(self, a1: GroupElt, a2: GroupElt, a3: GroupElt, d: int) -> np.ndarray:
+        key = (a1, a2, a3)
+        scalar = self._f_inv.get(key)
+        if scalar is None:
+            scalar = self._f_inv[key] = self.f_scalar(a1, a2, a3).inverse().to_complex()
+        return scalar * np.eye(d)
+
+    def _braid_matrix(self, a1: GroupElt, d1: int, a2: GroupElt, d2: int) -> np.ndarray:
+        key = (a1, a2)
+        scalar = self._omega_inv.get(key)
+        if scalar is None:
+            scalar = self._omega_inv[key] = self.omega_scalar(a1, a2).inverse().to_complex()
+        return scalar * flip_matrix(d1, d2)
+
+    def _twist_scalar(self, a: GroupElt) -> UnitScalar:
+        return self.omega_scalar(a, a).inverse()
+
     def associator(self, m1, m2, m3) -> StructureMorphism:
         """``F(a1,a2,a3)^{-1}`` times the identity on the flattened triple space."""
         a = tuple(self.word_grade(m) for m in (m1, m2, m3))
         d = self.word_dim(m1) * self.word_dim(m2) * self.word_dim(m3)
-        scalar = self.f_scalar(*a).inverse().to_complex()
         labels = self.word_labels(m1) + self.word_labels(m2) + self.word_labels(m3)
-        return StructureMorphism(scalar * np.eye(d), labels, labels)
+        return StructureMorphism(self._assoc_matrix(*a, d), labels, labels)
 
     def braiding(self, m1, m2) -> StructureMorphism:
         """``Omega(a1,a2)^{-1}`` times the flip onto the reversed word."""
         a1, a2 = self.word_grade(m1), self.word_grade(m2)
         d1, d2 = self.word_dim(m1), self.word_dim(m2)
-        scalar = self.omega_scalar(a1, a2).inverse().to_complex()
         return StructureMorphism(
-            scalar * flip_matrix(d1, d2),
+            self._braid_matrix(a1, d1, a2, d2),
             self.word_labels(m1) + self.word_labels(m2),
             self.word_labels(m2) + self.word_labels(m1),
         )
 
     def twist(self, m) -> UnitScalar:
         """The ribbon scalar ``Omega(a, a)^{-1}`` on a grade-a object."""
-        a = self.word_grade(m)
-        return self.omega_scalar(a, a).inverse()
+        return self._twist_scalar(self.word_grade(m))
 
     def evaluation(self, m) -> StructureMorphism:
         """Row vector on M* (x) M: ``(f', v) -> F(a,-a,a)^{-1} f'(v)``."""
@@ -275,19 +305,20 @@ class TwistedCategory:
     ) -> AxiomCheck:
         """One identity over all catalog tuples of ``arity`` in ``product`` order.
 
-        ``evaluate(*objs)`` returns ``(max deviation, exact parts hold)``.  The
-        structure maps read only the grade and dim of each slot, so it runs
-        once per distinct ``(grade, dim)`` signature; ``checked`` still counts
-        catalog tuples and the witness is the first failing tuple.  Tuples
-        whose word dimension exceeds ``max_word_dim`` are skipped.
+        ``evaluate(*sigs)`` gets the ``(grade, dim)`` signature of each slot,
+        which is all that associators and braidings read, and returns
+        ``(max deviation, exact parts hold)``.  It runs once per distinct
+        signature tuple; ``checked`` still counts catalog tuples and the
+        witness is the first failing tuple.  Tuples whose word dimension
+        exceeds ``max_word_dim`` are skipped.
         """
         checked, witness, max_err, results = 0, None, 0.0, {}
         signature = {m: (m.grade, m.dim) for m in self.catalog}
         for objs in product(self.catalog, repeat=arity):
             key = tuple(signature[m] for m in objs)
             if key not in results:
-                capped = max_word_dim is not None and prod(m.dim for m in objs) > max_word_dim
-                results[key] = None if capped else evaluate(*objs)
+                capped = max_word_dim is not None and prod(d for _, d in key) > max_word_dim
+                results[key] = None if capped else evaluate(*key)
             if results[key] is None:
                 continue
             err, exact = results[key]
@@ -298,57 +329,55 @@ class TwistedCategory:
         return AxiomCheck(axiom, witness is None, checked, witness, max_err, detail=detail)
 
     def _check_pentagon_matrices(self, tol: float, max_word_dim: int) -> AxiomCheck:
-        def evaluate(m1, m2, m3, m4):
-            lhs = self.associator((m1, m2), (m3,), (m4,)).matrix @ self.associator(
-                (m1,), (m2,), (m3, m4)
-            ).matrix
+        ax, add = self._assoc_matrix, self.grading.add
+
+        def evaluate(s1, s2, s3, s4):
+            (a1, d1), (a2, d2), (a3, d3), (a4, d4) = s1, s2, s3, s4
+            d = d1 * d2 * d3 * d4
+            lhs = ax(add(a1, a2), a3, a4, d) @ ax(a1, a2, add(a3, a4), d)
             rhs = (
-                np.kron(self.associator((m1,), (m2,), (m3,)).matrix, np.eye(m4.dim))
-                @ self.associator((m1,), (m2, m3), (m4,)).matrix
-                @ np.kron(np.eye(m1.dim), self.associator((m2,), (m3,), (m4,)).matrix)
+                _kron(ax(a1, a2, a3, d1 * d2 * d3), np.eye(d4))
+                @ ax(a1, add(a2, a3), a4, d)
+                @ _kron(np.eye(d1), ax(a2, a3, a4, d2 * d3 * d4))
             )
             return float(np.abs(lhs - rhs).max()), True
 
         return self._sweep("pentagon(matrices)", 4, evaluate, tol, max_word_dim=max_word_dim)
 
     def _check_triangle(self, tol: float) -> AxiomCheck:
-        def evaluate(m1, m2):
-            mat = self.associator((m1,), (self.unit,), (m2,)).matrix
-            return float(np.abs(mat - np.eye(m1.dim * m2.dim)).max()), True
+        def evaluate(s1, s2):
+            (a1, d1), (a2, d2) = s1, s2
+            mat = self._assoc_matrix(a1, self.unit.grade, a2, d1 * self.unit.dim * d2)
+            return float(np.abs(mat - np.eye(d1 * d2)).max()), True
 
         return self._sweep("triangle", 2, evaluate, tol)
 
     def _check_hexagon_matrices(self, tol: float, max_word_dim: int) -> list[AxiomCheck]:
-        ax = self.associator
-        br = self.braiding
+        ax, br, add, inv = self._assoc_matrix, self._braid_matrix, self.grading.add, np.linalg.inv
 
-        def hexagon1(x, y, z):
+        def hexagon1(sx, sy, sz):
             # braid X past Y (x) Z:  A_{Y,Z,X}^{-1} R_{X,YZ} A_{X,Y,Z}^{-1}
             #                     == (1_Y (x) R_{X,Z}) A_{Y,X,Z}^{-1} (R_{X,Y} (x) 1_Z)
-            lhs = (
-                np.linalg.inv(ax((y,), (z,), (x,)).matrix)
-                @ br((x,), (y, z)).matrix
-                @ np.linalg.inv(ax((x,), (y,), (z,)).matrix)
-            )
+            (x, dx), (y, dy), (z, dz) = sx, sy, sz
+            d = dx * dy * dz
+            lhs = inv(ax(y, z, x, d)) @ br(x, dx, add(y, z), dy * dz) @ inv(ax(x, y, z, d))
             rhs = (
-                np.kron(np.eye(y.dim), br((x,), (z,)).matrix)
-                @ np.linalg.inv(ax((y,), (x,), (z,)).matrix)
-                @ np.kron(br((x,), (y,)).matrix, np.eye(z.dim))
+                _kron(np.eye(dy), br(x, dx, z, dz))
+                @ inv(ax(y, x, z, d))
+                @ _kron(br(x, dx, y, dy), np.eye(dz))
             )
             return float(np.abs(lhs - rhs).max()), True
 
-        def hexagon2(x, y, z):
+        def hexagon2(sx, sy, sz):
             # braid X (x) Y past Z:  A_{Z,X,Y} R_{XY,Z} A_{X,Y,Z}
             #                     == (R_{X,Z} (x) 1_Y) A_{X,Z,Y} (1_X (x) R_{Y,Z})
-            lhs = (
-                ax((z,), (x,), (y,)).matrix
-                @ br((x, y), (z,)).matrix
-                @ ax((x,), (y,), (z,)).matrix
-            )
+            (x, dx), (y, dy), (z, dz) = sx, sy, sz
+            d = dx * dy * dz
+            lhs = ax(z, x, y, d) @ br(add(x, y), dx * dy, z, dz) @ ax(x, y, z, d)
             rhs = (
-                np.kron(br((x,), (z,)).matrix, np.eye(y.dim))
-                @ ax((x,), (z,), (y,)).matrix
-                @ np.kron(np.eye(x.dim), br((y,), (z,)).matrix)
+                _kron(br(x, dx, z, dz), np.eye(dy))
+                @ ax(x, z, y, d)
+                @ _kron(np.eye(dx), br(y, dy, z, dz))
             )
             return float(np.abs(lhs - rhs).max()), True
 
@@ -368,11 +397,11 @@ class TwistedCategory:
             coev = self.coevaluation(m).matrix  # d^2 x 1, into M (x) M*
             # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
             mid_inv = self.f_scalar(a, neg, a).to_complex()  # A^{-1} scalar
-            snake_m = mid_inv * (np.kron(np.eye(d), ev) @ np.kron(coev, np.eye(d)))
+            snake_m = mid_inv * (_kron(np.eye(d), ev) @ _kron(coev, np.eye(d)))
             err = float(np.abs(snake_m - np.eye(d)).max())
             # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
             mid = self.f_scalar(neg, a, neg).inverse().to_complex()
-            snake_dual = mid * (np.kron(ev, np.eye(d)) @ np.kron(np.eye(d), coev))
+            snake_dual = mid * (_kron(ev, np.eye(d)) @ _kron(np.eye(d), coev))
             err = max(err, float(np.abs(snake_dual - np.eye(d)).max()))
             max_err = max(max_err, err)
             if err > tol and witness is None:
@@ -382,18 +411,22 @@ class TwistedCategory:
     def _check_balancing(self, tol: float) -> AxiomCheck:
         """theta_{MN} = R_{N,M} R_{M,N} (theta_M (x) theta_N), matrices and exponents."""
 
-        def evaluate(m, n):
-            lhs_exp = self.twist((m, n)).exponent
+        br, theta = self._braid_matrix, self._twist_scalar
+
+        def evaluate(s1, s2):
+            (a1, d1), (a2, d2) = s1, s2
+            theta12 = theta(self.grading.add(a1, a2))
+            lhs_exp = theta12.exponent
             rhs_exp = (
-                UnitScalar(-self.cocycle.b(m.grade, n.grade)).exponent
-                + self.twist(m).exponent
-                + self.twist(n).exponent
+                UnitScalar(-self.cocycle.b(a1, a2)).exponent
+                + theta(a1).exponent
+                + theta(a2).exponent
             ) % 1
-            lhs = self.twist((m, n)).to_complex() * np.eye(m.dim * n.dim)
+            lhs = theta12.to_complex() * np.eye(d1 * d2)
             rhs = (
-                self.double_braiding(m, n)
-                * self.twist(m).to_complex()
-                * self.twist(n).to_complex()
+                (br(a2, d2, a1, d1) @ br(a1, d1, a2, d2))
+                * theta(a1).to_complex()
+                * theta(a2).to_complex()
             )
             return float(np.abs(lhs - rhs).max()), lhs_exp == rhs_exp
 
@@ -419,13 +452,15 @@ class TwistedCategory:
     def _check_double_braiding(self, tol: float) -> AxiomCheck:
         """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, matrices and exponents."""
 
-        def evaluate(m, n):
-            scalar = UnitScalar(-self.cocycle.b(m.grade, n.grade))
-            mat = self.double_braiding(m, n)
-            err = float(np.abs(mat - scalar.to_complex() * np.eye(m.dim * n.dim)).max())
+        br = self._braid_matrix
+
+        def evaluate(s1, s2):
+            (a1, d1), (a2, d2) = s1, s2
+            scalar = UnitScalar(-self.cocycle.b(a1, a2))
+            mat = br(a2, d2, a1, d1) @ br(a1, d1, a2, d2)
+            err = float(np.abs(mat - scalar.to_complex() * np.eye(d1 * d2)).max())
             exact = (
-                -self.omega_scalar(m.grade, n.grade).exponent
-                - self.omega_scalar(n.grade, m.grade).exponent
+                -self.omega_scalar(a1, a2).exponent - self.omega_scalar(a2, a1).exponent
             ) % 1 == scalar.exponent
             return err, exact
 
@@ -452,15 +487,15 @@ class TwistedCategory:
                     checked += 1
                     # braiding naturality in the first slot:
                     # R_{M3,Y} (f (x) 1_Y) == (1_Y (x) f) R_{M1M2,Y}
-                    lhs = self.braiding((m3,), (y,)).matrix @ np.kron(f, np.eye(y.dim))
-                    rhs = np.kron(np.eye(y.dim), f) @ self.braiding((m1, m2), (y,)).matrix
+                    lhs = self.braiding((m3,), (y,)).matrix @ _kron(f, np.eye(y.dim))
+                    rhs = _kron(np.eye(y.dim), f) @ self.braiding((m1, m2), (y,)).matrix
                     err = float(np.abs(lhs - rhs).max())
                     # associator naturality in the first slot
-                    lhs2 = self.associator((m3,), (y,), (y,)).matrix @ np.kron(
+                    lhs2 = self.associator((m3,), (y,), (y,)).matrix @ _kron(
                         f, np.eye(y.dim * y.dim)
                     )
                     rhs2 = (
-                        np.kron(f, np.eye(y.dim * y.dim))
+                        _kron(f, np.eye(y.dim * y.dim))
                         @ self.associator((m1, m2), (y,), (y,)).matrix
                     )
                     err = max(err, float(np.abs(lhs2 - rhs2).max()))

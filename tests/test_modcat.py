@@ -286,11 +286,13 @@ def _reference_identities(cat):
     }
 
 
-def test_signature_collapse_matches_per_tuple_sweep():
-    # z4 graded by Z/2 at element 2: four irreps, two (grade, dim) signatures.
+@pytest.mark.parametrize("name", ["z4", "q8"])
+def test_signature_collapse_matches_per_tuple_sweep(name):
+    # z4 and q8 graded by Z/2 at their central element 2: two (grade, dim)
+    # signatures each, all one-dimensional in z4, dims 1 and 2 in q8.
     # Corrupt F(1,1,1) (hexagons), F(1,0,1) (pentagon, triangle) and
     # Omega(1,0) (balancing) so that witnesses come from repeated signatures.
-    group, reps = builtin_catalog("z4")
+    group, reps = builtin_catalog(name)
     lattice = build_cyclic(2, 3)
     f_num = lattice.f_num.copy()
     f_num[1, 1, 1] = 0
