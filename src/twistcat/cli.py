@@ -96,21 +96,29 @@ def _integral_matrix(values: np.ndarray, tol: float) -> list[list[int]]:
     return [[int(x) for x in row] for row in rounded]
 
 
-def _fusion_tables(cat: TwistedCategory, tol: float) -> dict:
+def _fusion_table(cat: TwistedCategory) -> dict:
     table = fusionring.fusion_table(cat)
+    return {
+        "labels": list(table.labels),
+        "dims": list(table.dims),
+        "coefficients": table.to_dict(),
+    }
+
+
+def _smatrix_table(cat: TwistedCategory, tol: float) -> dict:
     smatrix = np.array(
         [[cat.s_entry(m, n) for n in cat.catalog] for m in cat.catalog], dtype=np.complex128
     )
     return {
-        "fusion": {
-            "labels": list(table.labels),
-            "dims": list(table.dims),
-            "coefficients": table.to_dict(),
-        },
-        "smatrix": {
-            "labels": [m.label for m in cat.catalog],
-            "entries": _integral_matrix(smatrix, tol),
-        },
+        "labels": [m.label for m in cat.catalog],
+        "entries": _integral_matrix(smatrix, tol),
+    }
+
+
+def _su2_smatrix_table(smatrix: np.ndarray) -> dict:
+    return {
+        "labels": [f"V({n})" for n in range(len(smatrix))],
+        "entries": [[int(x) for x in row] for row in smatrix],
     }
 
 
@@ -118,24 +126,23 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     rng = np.random.default_rng(seed)
     order, denom = cocycle.group.order, cocycle.denom
     idx = np.arange(order)
-    # F^-1 at every grade triple, as exponent numerators over denom
-    want = (-cocycle.f_num) % denom
-    n_pairs, bad = 200, 0
+    # On positive reals p = 0, where the scalar reduces to F^-1 for every
+    # cocycle: this check fails only if p_int leaves 0 there, or if the p = 0
+    # assoc_numerator formula differs from F^-1.  It cannot detect a bad cocycle.
+    n_pairs, nonzero_p = 200, 0
     for _ in range(n_pairs):
         r1 = float(rng.uniform(0.1, 10.0))
         r2 = float(rng.uniform(0.5 * r1, r1))
         p12 = branchcut.p_int(r1, r2)
         p2 = branchcut.p_int(r2, r2 - r1)
         if p12 != 0 or p2 != 0:
-            bad += 1
-            continue
-        got = branchcut.assoc_numerator(
-            cocycle, p12, p2, idx[:, None, None], idx[None, :, None], idx[None, None, :]
-        )
-        bad += int(np.count_nonzero(got != want))
+            nonzero_p += 1
+    at_zero = branchcut.assoc_numerator(
+        cocycle, 0, 0, idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    )
     report.add(
         "monodromy-positive-reals",
-        bad == 0,
+        nonzero_p == 0 and np.array_equal(at_zero, (-cocycle.f_num) % denom),
         f"{n_pairs} seeded admissible pairs: p = 0 and scalar = F^-1 exactly",
     )
     p = branchcut.winding(branchcut.clockwise_unit_loop())
@@ -193,7 +200,8 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) ->
     )
 
     _verify_monodromy(cocycle, report, seed)
-    report.tables.update(_fusion_tables(cat, tol))
+    report.tables["fusion"] = _fusion_table(cat)
+    report.tables["smatrix"] = _smatrix_table(cat, tol)
 
 
 def _verify_su2(spec: CategorySpec, report: Report, seed: int, tol: float) -> None:
@@ -230,10 +238,7 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int, tol: float) -> No
     )
 
     _verify_monodromy(cocycle, report, seed)
-    report.tables["smatrix"] = {
-        "labels": [f"V({n})" for n in range(max_spin + 1)],
-        "entries": [[int(x) for x in row] for row in smatrix],
-    }
+    report.tables["smatrix"] = _su2_smatrix_table(smatrix)
     report.tables["fusion"] = {
         f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n).spins]
         for m in range(min(max_spin, 6) + 1)
@@ -263,16 +268,10 @@ def cmd_fusion(args) -> int:
         }
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")
     else:
-        cat = spec.build_category()
-        table = fusionring.fusion_table(cat)
-        report.tables["fusion"] = {
-            "labels": list(table.labels),
-            "dims": list(table.dims),
-            "coefficients": table.to_dict(),
-        }
+        fusion = report.tables["fusion"] = _fusion_table(spec.build_category())
         report.add(
             "fusion-table", True,
-            f"{len(table.labels)}^3 character-sum coefficients, invariants verified",
+            f"{len(fusion['labels'])}^3 character-sum coefficients, invariants verified",
         )
     _emit(report, args)
     return EXIT_OK
@@ -283,12 +282,10 @@ def cmd_smatrix(args) -> int:
         if args.max_spin is None:
             raise StructuralError("smatrix needs --spec or --su2 with --max-spin")
         cocycle = build_cyclic(2, args.cocycle_param)
-        smatrix = fusionring.su2_smatrix(args.max_spin, cocycle)
         report = Report(f"su2(s={args.cocycle_param})", "-", args.seed)
-        report.tables["smatrix"] = {
-            "labels": [f"V({n})" for n in range(args.max_spin + 1)],
-            "entries": [[int(x) for x in row] for row in smatrix],
-        }
+        report.tables["smatrix"] = _su2_smatrix_table(
+            fusionring.su2_smatrix(args.max_spin, cocycle)
+        )
         report.add("smatrix", True, f"exact integer entries up to spin {args.max_spin}")
         _emit(report, args)
         return EXIT_OK
@@ -297,21 +294,10 @@ def cmd_smatrix(args) -> int:
     if spec.mode == "su2":
         cocycle = spec.build_cocycle()
         max_spin = args.max_spin if args.max_spin is not None else spec.max_spin
-        smatrix = fusionring.su2_smatrix(max_spin, cocycle)
-        report.tables["smatrix"] = {
-            "labels": [f"V({n})" for n in range(max_spin + 1)],
-            "entries": [[int(x) for x in row] for row in smatrix],
-        }
+        report.tables["smatrix"] = _su2_smatrix_table(fusionring.su2_smatrix(max_spin, cocycle))
         report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
     else:
-        cat = spec.build_category()
-        values = np.array(
-            [[cat.s_entry(m, n) for n in cat.catalog] for m in cat.catalog]
-        )
-        report.tables["smatrix"] = {
-            "labels": [m.label for m in cat.catalog],
-            "entries": _integral_matrix(values, args.tolerance),
-        }
+        report.tables["smatrix"] = _smatrix_table(spec.build_category(), args.tolerance)
         report.add("smatrix", True, "double-braiding traces, integral within tolerance")
     _emit(report, args)
     return EXIT_OK

@@ -68,6 +68,29 @@ def parse_matrix_entry(text: str) -> complex:
         raise StructuralError(f"cannot parse matrix entry {text!r}") from exc
 
 
+def _field(config, key: str, path: str):
+    """``config[key]``, or a ``StructuralError`` naming the missing spec field."""
+    if not isinstance(config, dict) or key not in config:
+        raise StructuralError(f"spec field {path!r} is missing")
+    return config[key]
+
+
+def _as_int(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise StructuralError(f"spec field {path!r} must be an integer, got {value!r}") from None
+
+
+def _as_exponent(value, path: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise StructuralError(
+            f"spec field {path!r} must be a rational exponent, got {value!r}"
+        ) from None
+
+
 def _parse_element_key(key: str, group: FinAbGroup, arity: int):
     parts = key.split("|")
     if len(parts) != arity:
@@ -79,20 +102,22 @@ def _cocycle_from_config(grading: FinAbGroup, config: dict, name: str) -> Abelia
     if "builder" in config:
         builder = config["builder"]
         if builder == "cyclic":
-            if grading.factors != (int(config["n"]),):
+            n = _as_int(_field(config, "n", "cocycle.n"), "cocycle.n")
+            s = _as_int(_field(config, "s", "cocycle.s"), "cocycle.s")
+            if grading.factors != (n,):
                 raise StructuralError("cyclic builder requires grading_group [n]")
-            return build_cyclic(int(config["n"]), int(config["s"]))
+            return build_cyclic(n, s)
         if builder == "trivial":
             return AbelianCocycle.trivial(grading, name=name)
         raise StructuralError(f"unknown cocycle builder {builder!r}")
     if "tables" in config:
         tables = config["tables"]
         f_given = {
-            _parse_element_key(k, grading, 3): Fraction(v)
+            _parse_element_key(k, grading, 3): _as_exponent(v, f"cocycle.tables.f.{k}")
             for k, v in tables.get("f", {}).items()
         }
         omega_given = {
-            _parse_element_key(k, grading, 2): Fraction(v)
+            _parse_element_key(k, grading, 2): _as_exponent(v, f"cocycle.tables.omega.{k}")
             for k, v in tables.get("omega", {}).items()
         }
         elts = list(grading.elements())
@@ -205,7 +230,14 @@ def load_spec(spec: str | Path) -> CategorySpec:
         raise StructuralError(f"unknown mode {mode!r}")
     if "grading_group" not in raw:
         raise StructuralError("spec is missing 'grading_group'")
-    grading = FinAbGroup(tuple(int(n) for n in raw["grading_group"]))
+    factors = raw["grading_group"]
+    if not isinstance(factors, list):
+        raise StructuralError(
+            f"spec field 'grading_group' must be a list of integers, got {factors!r}"
+        )
+    grading = FinAbGroup(
+        tuple(_as_int(n, f"grading_group[{i}]") for i, n in enumerate(factors))
+    )
     if "cocycle" not in raw:
         raise StructuralError("spec is missing 'cocycle'")
     name = raw.get("name", path.stem)
@@ -213,6 +245,11 @@ def load_spec(spec: str | Path) -> CategorySpec:
         for key in ("group", "irreps", "central_embedding"):
             if key not in raw:
                 raise StructuralError(f"finite-group spec is missing {key!r}")
+        if raw["irreps"] != "builtin":
+            # build_category reports a StructuralError as a failed verdict, so
+            # a malformed irreps field must be rejected here
+            for key in ("generators", "list"):
+                _field(raw["irreps"], key, f"irreps.{key}")
     return CategorySpec(
         name=name,
         mode=mode,

@@ -5,7 +5,7 @@ import pytest
 
 from twistcat import cli, cocycle, modcat
 from twistcat.errors import StructuralError
-from twistcat.specio import BUNDLED_FIXTURES, load_spec, parse_matrix_entry
+from twistcat.specio import BUNDLED_FIXTURES, fixture_path, load_spec, parse_matrix_entry
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -151,6 +151,24 @@ def test_verify_report_matches_golden(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+_TABLE_REPORTS = {
+    f"{command}/{name}.json": (command, "--spec", name)
+    for command in ("fusion", "smatrix")
+    for name in BUNDLED_FIXTURES
+    if name != "z2-lattice-on-z4-broken"  # exits 1 before any report is written
+}
+_TABLE_REPORTS["smatrix/su2-max-spin-10-s3.json"] = (
+    "smatrix", "--su2", "--max-spin", "10", "--cocycle-param", "3",
+)
+
+
+@pytest.mark.parametrize("golden", sorted(_TABLE_REPORTS))
+def test_table_report_matches_golden(golden, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli(*_TABLE_REPORTS[golden], "--seed", "0", "--out", str(out)) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
 def test_verify_validates_cocycle_once(monkeypatch, capsys):
     calls = []
     original = cocycle.validate_cocycle
@@ -250,3 +268,24 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
     for verdict in payload["verdicts"]:
         assert verdict["check"] in human
         assert verdict["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"cocycle": {"builder": "cyclic", "s": 3}}, "cocycle.n"),
+        ({"irreps": {"generators": [1]}}, "irreps.list"),
+        ({"grading_group": "x"}, "grading_group"),
+        ({"cocycle": {"tables": {"f": {"1|1|1": "1/0"}}}}, "cocycle.tables.f.1|1|1"),
+    ],
+    ids=["cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator"],
+)
+@pytest.mark.parametrize("command", ["verify", "fusion"])
+def test_malformed_spec_field_is_parse_error(changes, field, command, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**spec, **changes}), encoding="utf-8")
+    assert run_cli(command, "--spec", str(path)) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(field) in err

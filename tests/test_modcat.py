@@ -325,14 +325,44 @@ def test_signature_collapse_matches_per_tuple_sweep(name):
     } <= failing
 
 
-def test_word_dim_cap_skips_tuples(q8_cat):
-    report = q8_cat.coherence_suite(max_word_dim=4)
-    checks = {c.axiom: c for c in report.checks}
-    for axiom, arity in (("pentagon(matrices)", 4), ("hexagon-1(matrices)", 3)):
-        within = sum(
-            1
-            for objs in product(q8_cat.catalog, repeat=arity)
-            if np.prod([m.dim for m in objs]) <= 4
-        )
-        assert 0 < checks[axiom].checked == within < len(q8_cat.catalog) ** arity
-    assert report.passed
+@pytest.mark.parametrize(
+    "n, s, corrupt_f, corrupt_omega",
+    [
+        (3, 1, (1, 2, 1), None),
+        (3, 1, (2, 0, 1), None),
+        (3, 1, None, (1, 2)),
+        (3, 1, (2, 2, 2), (2, 1)),
+        (6, 5, None, (1, 2)),
+        (6, 5, (2, 0, 1), (4, 3)),
+    ],
+)
+def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(n, s, corrupt_f, corrupt_omega):
+    # Z/n graded by Z/n: every irrep has its own grade, and the corrupted
+    # Omega is not symmetric, so swapped Omega(x, y) / Omega(y, x) would show.
+    # The dense reference rounds, so max_error agrees to 1e-12, not bit for bit.
+    group, reps = builtin_catalog(f"z{n}")
+    good = build_cyclic(n, s)
+    f_num, omega_num = good.f_num.copy(), good.omega_num.copy()
+    if corrupt_f is not None:
+        f_num[corrupt_f] += 1
+    if corrupt_omega is not None:
+        omega_num[corrupt_omega] += 1
+    broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
+    cat = TwistedCategory(
+        group, broken, CentralEmbedding(broken.group, (1,)), reps, validate=False
+    )
+    assert len({m.grade for m in cat.catalog}) == n
+    checks = {c.axiom: c for c in cat.coherence_suite().checks}
+    for axiom, (arity, identity) in _reference_identities(cat).items():
+        witness, max_err = None, 0.0
+        for objs in product(cat.catalog, repeat=arity):
+            err, exact = identity(*objs)
+            max_err = max(max_err, err)
+            if (err > cat.matrix_tol or not exact) and witness is None:
+                witness = tuple(m.label for m in objs)
+        check = checks[axiom]
+        assert check.checked == n**arity, axiom
+        assert check.witness == witness, axiom
+        assert check.passed == (witness is None), axiom
+        assert abs(check.max_error - max_err) <= 1e-12, axiom
+    assert not all(c.passed for c in checks.values())
