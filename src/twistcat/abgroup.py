@@ -104,17 +104,9 @@ class FinAbGroup:
     @cached_property
     def add_index_table(self) -> np.ndarray:
         """``(order, order)`` table of ``index(a + b)``, used by vectorized checks."""
-        elts = list(self.elements())
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        for i, a in enumerate(elts):
-            for j, b in enumerate(elts):
-                table[i, j] = self.index(self.add(a, b))
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def neg_index_table(self) -> np.ndarray:
-        table = np.array([self.index(self.neg(a)) for a in self.elements()], dtype=np.int64)
+        digits = np.unravel_index(np.arange(self.order), self.factors)
+        sums = tuple((d[:, None] + d[None, :]) % n for d, n in zip(digits, self.factors))
+        table = np.ravel_multi_index(sums, self.factors).astype(np.int64, copy=False)
         table.setflags(write=False)
         return table
 

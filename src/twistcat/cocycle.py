@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Mapping
 
@@ -161,67 +162,67 @@ class AbelianCocycle:
         omega_entries: Mapping[tuple[GroupElt, GroupElt], UnitScalar | Fraction | str | int],
         *,
         name: str = "",
-        validate: bool = True,
     ) -> AbelianCocycle:
         """Build a cocycle from total tables of exponents; validates eagerly.
 
-        Raises ``StructuralError`` if an entry is missing and ``CocycleError``
-        (carrying the report) if any axiom fails.
+        Every element tuple must have an entry: a ``UnitScalar``, or anything
+        ``Fraction`` accepts, read mod 1.  Raises ``StructuralError`` naming
+        the first missing key in lexicographic order, and ``CocycleError``
+        (carrying the report) if any axiom fails.  Spec files give sparse
+        tables and reach the same array builder without the totality check.
         """
-        m = group.order
-        if m > MAX_TABLE_ORDER:
-            raise StructuralError(
-                f"group order {m} exceeds the table-cocycle cap {MAX_TABLE_ORDER}"
-            )
-
-        def exponent_of(value) -> Fraction:
-            if isinstance(value, UnitScalar):
-                return value.exponent
-            return Fraction(value) % 1
-
+        _check_table_order(group)
         elts = list(group.elements())
-        f_exp = {}
-        for a1 in elts:
-            for a2 in elts:
-                for a3 in elts:
-                    key = (a1, a2, a3)
-                    if key not in f_entries:
-                        raise StructuralError(f"missing F entry at {key}")
-                    f_exp[key] = exponent_of(f_entries[key])
-        w_exp = {}
-        for a1 in elts:
-            for a2 in elts:
-                key = (a1, a2)
-                if key not in omega_entries:
-                    raise StructuralError(f"missing Omega entry at {key}")
-                w_exp[key] = exponent_of(omega_entries[key])
-
-        denom = lcm(1, *(x.denominator for x in f_exp.values()),
-                    *(x.denominator for x in w_exp.values()))
-        f_num = np.zeros((m, m, m), dtype=np.int64)
-        for (a1, a2, a3), x in f_exp.items():
-            f_num[group.index(a1), group.index(a2), group.index(a3)] = x.numerator * (
-                denom // x.denominator
-            )
-        omega_num = np.zeros((m, m), dtype=np.int64)
-        for (a1, a2), x in w_exp.items():
-            omega_num[group.index(a1), group.index(a2)] = x.numerator * (denom // x.denominator)
-
-        cocycle = cls(group, f_num, omega_num, denom, name=name)
-        if validate:
-            report = validate_cocycle(cocycle)
-            if not report.passed:
-                first = report.failures()[0]
-                raise CocycleError(
-                    f"cocycle tables violate the {first.axiom} axiom at {first.witness}",
-                    report=report,
-                )
-        return cocycle
+        for label, entries, arity in (("F", f_entries, 3), ("Omega", omega_entries, 2)):
+            missing = next((key for key in product(elts, repeat=arity) if key not in entries), None)
+            if missing is not None:
+                raise StructuralError(f"missing {label} entry at {missing}")
+        return _from_exponents(group, f_entries, omega_entries, name)
 
     @classmethod
     def trivial(cls, group: FinAbGroup, *, name: str = "trivial") -> AbelianCocycle:
+        _check_table_order(group)
         m = group.order
         return cls(group, np.zeros((m, m, m), np.int64), np.zeros((m, m), np.int64), 1, name=name)
+
+
+def _check_table_order(group: FinAbGroup) -> None:
+    if group.order > MAX_TABLE_ORDER:
+        raise StructuralError(
+            f"group order {group.order} exceeds the table-cocycle cap {MAX_TABLE_ORDER}"
+        )
+
+
+def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mapping,
+                    name: str) -> AbelianCocycle:
+    """Build and validate a cocycle from sparse exponent maps keyed by element
+    tuples; an omitted key means exponent 0.  Raises ``CocycleError``
+    (carrying the report) if any axiom fails."""
+    _check_table_order(group)
+
+    def exponents(entries: Mapping) -> dict:
+        return {
+            key: value.exponent if isinstance(value, UnitScalar) else Fraction(value) % 1
+            for key, value in entries.items()
+        }
+
+    f_exp, w_exp = exponents(f_entries), exponents(omega_entries)
+    denom = lcm(1, *(x.denominator for x in f_exp.values()),
+                *(x.denominator for x in w_exp.values()))
+    m = group.order
+    f_num, omega_num = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+    for table, exps in ((f_num, f_exp), (omega_num, w_exp)):
+        for key, x in exps.items():
+            table[tuple(group.index(a) for a in key)] = x.numerator * (denom // x.denominator)
+
+    cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
+    report = validate_cocycle(cocycle)
+    if not report.passed:
+        first = report.failures()[0]
+        raise CocycleError(
+            f"cocycle tables violate the {first.axiom} axiom at {first.witness}", report=report
+        )
+    return cocycle
 
 
 def build_cyclic(n: int, s: int) -> AbelianCocycle:

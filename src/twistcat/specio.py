@@ -35,7 +35,7 @@ import numpy as np
 
 from .abgroup import FinAbGroup
 from .catalogs import builtin_catalog
-from .cocycle import AbelianCocycle, build_cyclic
+from .cocycle import AbelianCocycle, _from_exponents, build_cyclic
 from .errors import StructuralError
 from .grouprep import CentralEmbedding, FiniteGroup, MatrixRep, rep_from_generators
 from .modcat import TwistedCategory
@@ -91,14 +91,34 @@ def _as_exponent(value, path: str) -> Fraction:
         ) from None
 
 
-def _parse_element_key(key: str, group: FinAbGroup, arity: int):
-    parts = key.split("|")
-    if len(parts) != arity:
-        raise StructuralError(f"table key {key!r} must have {arity} elements joined by '|'")
-    return tuple(group.element([int(r) for r in part.split(",")]) for part in parts)
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructuralError(f"spec field {path!r} must be an object, got {value!r}")
+    return value
 
 
-def _cocycle_from_config(grading: FinAbGroup, config: dict, name: str) -> AbelianCocycle:
+def _int_list(value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise StructuralError(f"spec field {path!r} must be a list of integers, got {value!r}")
+    return tuple(_as_int(n, f"{path}[{i}]") for i, n in enumerate(value))
+
+
+def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
+    """Sparse ``{element tuple: exponent}`` map of one ``cocycle.tables`` entry."""
+    path = f"cocycle.tables.{key}"
+    entries = {}
+    for text, value in _object(tables.get(key, {}), path).items():
+        parts = text.split("|")
+        if len(parts) != arity:
+            raise StructuralError(f"table key {text!r} must have {arity} elements joined by '|'")
+        where = f"{path}.{text}"
+        elts = tuple(group.element([_as_int(r, where) for r in part.split(",")]) for part in parts)
+        entries[elts] = _as_exponent(value, where)
+    return entries
+
+
+def _cocycle_from_config(grading: FinAbGroup, config, name: str) -> AbelianCocycle:
+    config = _object(config, "cocycle")
     if "builder" in config:
         builder = config["builder"]
         if builder == "cyclic":
@@ -111,26 +131,11 @@ def _cocycle_from_config(grading: FinAbGroup, config: dict, name: str) -> Abelia
             return AbelianCocycle.trivial(grading, name=name)
         raise StructuralError(f"unknown cocycle builder {builder!r}")
     if "tables" in config:
-        tables = config["tables"]
-        f_given = {
-            _parse_element_key(k, grading, 3): _as_exponent(v, f"cocycle.tables.f.{k}")
-            for k, v in tables.get("f", {}).items()
-        }
-        omega_given = {
-            _parse_element_key(k, grading, 2): _as_exponent(v, f"cocycle.tables.omega.{k}")
-            for k, v in tables.get("omega", {}).items()
-        }
-        elts = list(grading.elements())
-        f_total = {
-            (a, b, c): f_given.get((a, b, c), Fraction(0))
-            for a in elts
-            for b in elts
-            for c in elts
-        }
-        omega_total = {
-            (a, b): omega_given.get((a, b), Fraction(0)) for a in elts for b in elts
-        }
-        return AbelianCocycle.from_tables(grading, f_total, omega_total, name=name)
+        tables = _object(config["tables"], "cocycle.tables")
+        return _from_exponents(
+            grading, _parse_table(tables, "f", grading, 3), _parse_table(tables, "omega", grading, 2),
+            name,
+        )
     raise StructuralError("cocycle config needs either 'builder' or 'tables'")
 
 
@@ -171,6 +176,7 @@ class CategorySpec:
     raw: dict
     grading: FinAbGroup
     cocycle_config: dict
+    embedding: tuple[int, ...] = ()
     max_spin: int = 10
     _cocycle: AbelianCocycle | None = field(default=None, init=False, repr=False)
 
@@ -187,9 +193,7 @@ class CategorySpec:
         cocycle = self.build_cocycle()
         group, builtin_reps = _group_from_config(self.raw["group"])
         irreps = _irreps_from_config(group, self.raw["irreps"], builtin_reps)
-        embedding = CentralEmbedding(
-            self.grading, tuple(int(i) for i in self.raw["central_embedding"])
-        )
+        embedding = CentralEmbedding(self.grading, self.embedding)
         # build_cocycle validated it; the trivial builder's zero tables need no check
         return TwistedCategory(
             group, cocycle, embedding, irreps,
@@ -230,26 +234,25 @@ def load_spec(spec: str | Path) -> CategorySpec:
         raise StructuralError(f"unknown mode {mode!r}")
     if "grading_group" not in raw:
         raise StructuralError("spec is missing 'grading_group'")
-    factors = raw["grading_group"]
-    if not isinstance(factors, list):
-        raise StructuralError(
-            f"spec field 'grading_group' must be a list of integers, got {factors!r}"
-        )
-    grading = FinAbGroup(
-        tuple(_as_int(n, f"grading_group[{i}]") for i, n in enumerate(factors))
-    )
+    grading = FinAbGroup(_int_list(raw["grading_group"], "grading_group"))
     if "cocycle" not in raw:
         raise StructuralError("spec is missing 'cocycle'")
     name = raw.get("name", path.stem)
+    embedding = ()
     if mode == "finite-group":
         for key in ("group", "irreps", "central_embedding"):
             if key not in raw:
                 raise StructuralError(f"finite-group spec is missing {key!r}")
+        # build_category reports a StructuralError as a failed verdict, so
+        # malformed group, irreps and embedding fields must be rejected here
+        _object(raw["group"], "group")
         if raw["irreps"] != "builtin":
-            # build_category reports a StructuralError as a failed verdict, so
-            # a malformed irreps field must be rejected here
             for key in ("generators", "list"):
                 _field(raw["irreps"], key, f"irreps.{key}")
+            for i, item in enumerate(raw["irreps"]["list"]):
+                for key in ("label", "matrices"):
+                    _field(item, key, f"irreps.list[{i}].{key}")
+        embedding = _int_list(raw["central_embedding"], "central_embedding")
     return CategorySpec(
         name=name,
         mode=mode,
@@ -257,5 +260,6 @@ def load_spec(spec: str | Path) -> CategorySpec:
         raw=raw,
         grading=grading,
         cocycle_config=raw["cocycle"],
-        max_spin=int(raw.get("max_spin", 10)),
+        embedding=embedding,
+        max_spin=_as_int(raw.get("max_spin", 10), "max_spin"),
     )

@@ -66,8 +66,12 @@ def test_neg_is_inverse(factors, data):
     assert g.add(a, g.neg(a)) == g.zero
 
 
-def test_add_index_table_matches_elementwise():
-    g = FinAbGroup((3, 2))
+@pytest.mark.parametrize(
+    "factors", [(1,), (7,), (3, 2), (2, 2, 2), (4, 6)], ids=["1", "7", "3x2", "2x2x2", "4x6"]
+)
+def test_add_index_table_matches_elementwise(factors):
+    g = FinAbGroup(factors)
+    assert g.add_index_table.shape == (g.order, g.order)
     for a in g.elements():
         for b in g.elements():
             assert g.add_index_table[g.index(a), g.index(b)] == g.index(g.add(a, b))

@@ -277,8 +277,23 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
         ({"irreps": {"generators": [1]}}, "irreps.list"),
         ({"grading_group": "x"}, "grading_group"),
         ({"cocycle": {"tables": {"f": {"1|1|1": "1/0"}}}}, "cocycle.tables.f.1|1|1"),
+        ({"cocycle": 5}, "cocycle"),
+        ({"cocycle": {"tables": 5}}, "cocycle.tables"),
+        ({"cocycle": {"tables": {"f": [["1|1|1", "1/2"]]}}}, "cocycle.tables.f"),
+        ({"cocycle": {"tables": {"f": {"a|1|1": "1/2"}}}}, "cocycle.tables.f.a|1|1"),
+        ({"group": 5}, "group"),
+        (
+            {"irreps": {"generators": [1], "list": [{"label": "chi0"}]}},
+            "irreps.list[0].matrices",
+        ),
+        ({"central_embedding": "x"}, "central_embedding"),
+        ({"mode": "su2", "max_spin": "x"}, "max_spin"),
     ],
-    ids=["cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator"],
+    ids=[
+        "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
+        "cocycle-number", "tables-number", "f-table-list", "non-integer-residue",
+        "group-number", "irrep-without-matrices", "embedding-string", "max-spin-string",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])
 def test_malformed_spec_field_is_parse_error(changes, field, command, tmp_path, capsys):
@@ -289,3 +304,20 @@ def test_malformed_spec_field_is_parse_error(changes, field, command, tmp_path, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert repr(field) in err
+
+
+def test_trivial_builder_above_table_cap_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    spec.update(grading_group=[300], cocycle={"builder": "trivial"})
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_PARSE
+    assert "exceeds the table-cocycle cap" in capsys.readouterr().err
+
+
+def test_table_spec_report_matches_golden(tmp_path, capsys):
+    # F and Omega given as sparse exponents over 2, 3, 4 and 6, some unreduced
+    out = tmp_path / "report.json"
+    spec = GOLDEN_DIR / "specs" / "z4-coboundary-tables.json"
+    assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / "z4-coboundary-tables.json").read_bytes()

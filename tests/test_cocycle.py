@@ -168,3 +168,9 @@ def test_cyclic_family_matches_quadratic_parameterization():
 def test_order_cap():
     with pytest.raises(StructuralError):
         build_cyclic(300, 1)
+
+
+@pytest.mark.parametrize("factors", [(257,), (3, 100)], ids=["257", "3x100"])
+def test_trivial_order_cap(factors):
+    with pytest.raises(StructuralError, match="exceeds the table-cocycle cap"):
+        AbelianCocycle.trivial(FinAbGroup(factors))
