@@ -2,15 +2,15 @@
 """Sweep the cyclic-cocycle family and report validation counts and timing.
 
 For each n up to --max-n, builds the twisted cocycle on Z/n for every
-0 <= s < n^2 and runs the exhaustive pentagon/hexagon/normalization checks
-in exact integer arithmetic.  Also prints, per n, how many distinct
-quadratic forms the family realizes.
+0 <= s < n^2.  Construction runs the exhaustive pentagon/hexagon/normalization
+checks in exact integer arithmetic and raises on any violation.  Also prints,
+per n, how many distinct quadratic forms the family realizes.
 """
 
 import argparse
 import time
 
-from twistcat.cocycle import build_cyclic, validate_cocycle
+from twistcat.cocycle import build_cyclic
 
 
 def main() -> None:
@@ -25,8 +25,6 @@ def main() -> None:
         forms = set()
         for s in range(n * n):
             cocycle = build_cyclic(n, s)
-            report = validate_cocycle(cocycle)
-            assert report.passed, report.describe()
             forms.add(cocycle.q((1 % n,)))
             grand_total += 1
         dt = time.monotonic() - t0

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle
 from .errors import ConsistencyError, DomainError, StructuralError
@@ -195,7 +197,9 @@ def transport_numerator(cocycle: AbelianCocycle, p: int, i1, i2):
     reduced to ``[0, denom)``.  The indices may be integers or broadcastable
     index arrays."""
     w = cocycle.omega_num
-    return (-p * (w[i1, i2] + w[i2, i1])) % cocycle.denom
+    # the winding is unbounded, so p * b can pass int64: multiply exactly
+    b = np.asarray(w[i1, i2] + w[i2, i1]).astype(object)
+    return np.asarray((-p * b) % cocycle.denom, dtype=np.int64)
 
 
 def clockwise_unit_loop() -> PathPolyline:

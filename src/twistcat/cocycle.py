@@ -3,8 +3,12 @@
 Tables are stored as integer exponent numerators over one common
 denominator, so every axiom check below is exact integer arithmetic mod
 that denominator; no tolerances anywhere.  The pentagon is checked over
-all of ``A^4`` and both hexagons over ``A^3``; validation is eager at
-construction because every downstream formula assumes the axioms.
+all of ``A^4``, one ``|A|^3`` slab per first argument in the narrowest
+integer dtype that holds ``5 * denom``, and both hexagons over ``A^3``;
+validation is eager at construction because every downstream formula
+assumes the axioms.  Every exponent expression in this module, ``modcat``
+and ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
+``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ from .errors import CocycleError, StructuralError
 from .unitscalar import UnitScalar
 
 MAX_TABLE_ORDER = 256  # exhaustive pentagon checking is O(|A|^4)
-
-# chunk the leading axis of the A^4 sweep so memory stays bounded
-_CHUNK_CELLS = 1 << 22
+MAX_DENOM = 2**60  # 5 * MAX_DENOM < 2**63: exponent sums cannot overflow int64
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,7 @@ class AbelianCocycle:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        _check_denom(self.denom)
         m = self.group.order
         f = np.ascontiguousarray(np.asarray(self.f_num, dtype=np.int64) % self.denom)
         w = np.ascontiguousarray(np.asarray(self.omega_num, dtype=np.int64) % self.denom)
@@ -167,7 +170,8 @@ class AbelianCocycle:
 
         Every element tuple must have an entry: a ``UnitScalar``, or anything
         ``Fraction`` accepts, read mod 1.  Raises ``StructuralError`` naming
-        the first missing key in lexicographic order, and ``CocycleError``
+        the first missing key in lexicographic order or when the common
+        denominator exceeds ``MAX_DENOM``, and ``CocycleError``
         (carrying the report) if any axiom fails.  Spec files give sparse
         tables and reach the same array builder without the totality check.
         """
@@ -193,11 +197,17 @@ def _check_table_order(group: FinAbGroup) -> None:
         )
 
 
+def _check_denom(denom: int) -> None:
+    if denom > MAX_DENOM:
+        raise StructuralError(f"cocycle denominator {denom} exceeds the cap MAX_DENOM = 2**60")
+
+
 def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mapping,
                     name: str) -> AbelianCocycle:
     """Build and validate a cocycle from sparse exponent maps keyed by element
-    tuples; an omitted key means exponent 0.  Raises ``CocycleError``
-    (carrying the report) if any axiom fails."""
+    tuples; an omitted key means exponent 0.  Raises ``StructuralError`` if
+    the common denominator exceeds ``MAX_DENOM``, before allocating, and
+    ``CocycleError`` (carrying the report) if any axiom fails."""
     _check_table_order(group)
 
     def exponents(entries: Mapping) -> dict:
@@ -209,6 +219,7 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
     f_exp, w_exp = exponents(f_entries), exponents(omega_entries)
     denom = lcm(1, *(x.denominator for x in f_exp.values()),
                 *(x.denominator for x in w_exp.values()))
+    _check_denom(denom)
     m = group.order
     f_num, omega_num = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
     for table, exps in ((f_num, f_exp), (omega_num, w_exp)):
@@ -274,22 +285,29 @@ def _first_witness(mask: np.ndarray, group: FinAbGroup, offset0: int = 0) -> tup
 
 def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
     g, m, L = c.group, c.group.order, c.denom
-    F, S = c.f_num, g.add_index_table
-    chunk = max(1, _CHUNK_CELLS // max(1, m**3))
-    witness = None
-    for i0 in range(0, m, chunk):
-        i1 = np.arange(i0, min(i0 + chunk, m))
-        a1 = i1[:, None, None, None]
-        a2 = np.arange(m)[None, :, None, None]
-        a3 = np.arange(m)[None, None, :, None]
-        a4 = np.arange(m)[None, None, None, :]
-        lhs = F[a1, a2, a3] + F[a1, S[a2, a3], a4] + np.broadcast_to(F[None, :, :, :], (len(i1), m, m, m))
-        rhs = F[a1, a2, S[a3, a4]] + F[S[a1, a2], a3, a4]
-        bad = (lhs - rhs) % L != 0
-        if bad.any():
-            witness = _first_witness(bad, g, offset0=i0)
-            break
-    return AxiomCheck("pentagon", witness is None, m**4, witness)
+    # Entries lie in [0, L), so every partial sum below lies in (-2L, 3L),
+    # well inside a dtype that holds 5L.
+    dtype = np.int16 if 5 * L < 2**15 else np.int32 if 5 * L < 2**31 else np.int64
+    F, S = c.f_num.astype(dtype), g.add_index_table
+    # One |A|^3 slab [a2, a3, a4] per first argument a1 = i, in order, so the
+    # first nonzero cell of the first failing slab is the lexicographically
+    # first failing tuple:
+    #   F(i,a2,a3) + F(i,a2+a3,a4) + F(a2,a3,a4) - F(i,a2,a3+a4) - F(i+a2,a3,a4)
+    for i in range(m):
+        F1 = F[i]
+        d = F1[S]
+        d += F1[:, :, None]
+        d += F
+        # np.take lays its result out in C order; F1[:, S] puts the S axes
+        # outermost in memory, and reading that in C order is slow
+        d -= np.take(F1, S, axis=1)
+        d -= F[S[i]]
+        # d mod L, as d - L * (d // L): numpy's floor_divide has a fast path
+        # for a scalar divisor and remainder does not
+        d -= L * (d // L)
+        if d.any():
+            return AxiomCheck("pentagon", False, m**4, _first_witness(d[None], g, offset0=i))
+    return AxiomCheck("pentagon", True, m**4)
 
 
 def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:

@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .abgroup import GroupElt
-from .cocycle import _CHUNK_CELLS, AbelianCocycle, AxiomCheck, CoherenceReport, validate_cocycle
+from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport, validate_cocycle
 from .errors import CocycleError, StructuralError
 from .grouprep import (
     CentralEmbedding,
@@ -42,6 +42,10 @@ from .grouprep import (
     validate_irrep,
 )
 from .unitscalar import UnitScalar
+
+# chunk the first slot of an exponent check so memory stays bounded
+_CHUNK_CELLS = 1 << 22
+
 
 @dataclass(frozen=True, eq=False)
 class StructureMorphism:

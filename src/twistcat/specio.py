@@ -97,6 +97,12 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise StructuralError(f"spec field {path!r} must be a list, got {value!r}")
+    return value
+
+
 def _int_list(value, path: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise StructuralError(f"spec field {path!r} must be a list of integers, got {value!r}")
@@ -104,16 +110,29 @@ def _int_list(value, path: str) -> tuple[int, ...]:
 
 
 def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
-    """Sparse ``{element tuple: exponent}`` map of one ``cocycle.tables`` entry."""
+    """Sparse ``{element tuple: exponent}`` map of one ``cocycle.tables`` entry.
+
+    Key parts and exponent strings repeat across a table, so each distinct one
+    is parsed once; a key that reduces to an earlier one overrides it."""
     path = f"cocycle.tables.{key}"
+    elements: dict[str, tuple] = {}
+    exponents: dict[str, Fraction] = {}
     entries = {}
     for text, value in _object(tables.get(key, {}), path).items():
         parts = text.split("|")
         if len(parts) != arity:
             raise StructuralError(f"table key {text!r} must have {arity} elements joined by '|'")
         where = f"{path}.{text}"
-        elts = tuple(group.element([_as_int(r, where) for r in part.split(",")]) for part in parts)
-        entries[elts] = _as_exponent(value, where)
+        for part in parts:
+            if part not in elements:
+                elements[part] = group.element([_as_int(r, where) for r in part.split(",")])
+        if isinstance(value, str):
+            if value not in exponents:
+                exponents[value] = _as_exponent(value, where)
+            exponent = exponents[value]
+        else:  # a JSON number, or a value _as_exponent rejects
+            exponent = _as_exponent(value, where)
+        entries[tuple(elements[part] for part in parts)] = exponent
     return entries
 
 
@@ -245,13 +264,22 @@ def load_spec(spec: str | Path) -> CategorySpec:
                 raise StructuralError(f"finite-group spec is missing {key!r}")
         # build_category reports a StructuralError as a failed verdict, so
         # malformed group, irreps and embedding fields must be rejected here
-        _object(raw["group"], "group")
-        if raw["irreps"] != "builtin":
-            for key in ("generators", "list"):
-                _field(raw["irreps"], key, f"irreps.{key}")
-            for i, item in enumerate(raw["irreps"]["list"]):
+        group = _object(raw["group"], "group")
+        if "builtin" in group:
+            if not isinstance(group["builtin"], str):
+                raise StructuralError(
+                    f"spec field 'group.builtin' must be a string, got {group['builtin']!r}"
+                )
+        elif "table" in group:
+            for i, row in enumerate(_list(group["table"], "group.table")):
+                _int_list(row, f"group.table[{i}]")
+        irreps = raw["irreps"]
+        if irreps != "builtin":
+            _int_list(_field(irreps, "generators", "irreps.generators"), "irreps.generators")
+            for i, item in enumerate(_list(_field(irreps, "list", "irreps.list"), "irreps.list")):
                 for key in ("label", "matrices"):
                     _field(item, key, f"irreps.list[{i}].{key}")
+                _list(item["matrices"], f"irreps.list[{i}].matrices")
         embedding = _int_list(raw["central_embedding"], "central_embedding")
     return CategorySpec(
         name=name,

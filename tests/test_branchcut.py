@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twistcat.abgroup import FinAbGroup
 from twistcat.branchcut import (
     PathPolyline,
     assoc_numerator,
@@ -20,7 +21,7 @@ from twistcat.branchcut import (
     transport_scalar,
     winding,
 )
-from twistcat.cocycle import build_cyclic
+from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import DomainError, StructuralError
 from twistcat.unitscalar import UnitScalar
 
@@ -220,3 +221,19 @@ def test_transport_numerator_broadcast_matches_exponent_formula(p):
     for a1, a2 in product(g.elements(), repeat=2):
         got = table[g.index(a1), g.index(a2)]
         assert UnitScalar(Fraction(int(got), cocycle.denom)) == UnitScalar(-p * cocycle.b(a1, a2))
+
+
+@pytest.mark.parametrize("p", [1, 9, -(10**6)])
+def test_transport_numerator_exact_for_large_windings(p):
+    # Omega(1, 2) = 1/q and Omega(2, 1) = -1/q: the numerators sum to q, so
+    # p * b passed int64 at p = 9 and the transport came out 1488, not 0
+    g, q = FinAbGroup((3,)), 2**60 - 93
+    w = np.zeros((3, 3), dtype=np.int64)
+    w[1, 2], w[2, 1] = 1, q - 1
+    cocycle = AbelianCocycle(g, np.zeros((3, 3, 3), dtype=np.int64), w, q)
+    idx = np.arange(3)
+    table = transport_numerator(cocycle, p, idx[:, None], idx[None, :])
+    assert table.dtype == np.int64
+    exact = [[(-p * (int(w[i, j]) + int(w[j, i]))) % q for j in range(3)] for i in range(3)]
+    assert table.tolist() == exact
+    assert int(transport_numerator(cocycle, p, 1, 2)) == 0

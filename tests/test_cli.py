@@ -288,11 +288,21 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
         ),
         ({"central_embedding": "x"}, "central_embedding"),
         ({"mode": "su2", "max_spin": "x"}, "max_spin"),
+        ({"irreps": {"generators": [1], "list": 5}}, "irreps.list"),
+        ({"irreps": {"generators": 5, "list": []}}, "irreps.generators"),
+        (
+            {"irreps": {"generators": [1], "list": [{"label": "chi0", "matrices": 5}]}},
+            "irreps.list[0].matrices",
+        ),
+        ({"group": {"builtin": 5}}, "group.builtin"),
+        ({"group": {"table": [[0, 1], [1, "x"]]}}, "group.table[1][1]"),
     ],
     ids=[
         "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
         "cocycle-number", "tables-number", "f-table-list", "non-integer-residue",
         "group-number", "irrep-without-matrices", "embedding-string", "max-spin-string",
+        "irreps-list-number", "generators-number", "matrices-number", "builtin-number",
+        "group-table-string-entry",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])
@@ -313,6 +323,16 @@ def test_trivial_builder_above_table_cap_is_parse_error(tmp_path, capsys):
     path.write_text(json.dumps(spec), encoding="utf-8")
     assert run_cli("verify", "--spec", str(path)) == cli.EXIT_PARSE
     assert "exceeds the table-cocycle cap" in capsys.readouterr().err
+
+
+def test_table_denominator_above_cap_is_parse_error(tmp_path, capsys):
+    # this exponent used to raise OverflowError while filling the int64 tables
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    spec["cocycle"] = {"tables": {"f": {"1|1|1": "1/18446744073709551629"}}}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_PARSE
+    assert "exceeds the cap MAX_DENOM" in capsys.readouterr().err
 
 
 def test_table_spec_report_matches_golden(tmp_path, capsys):

@@ -1,11 +1,20 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
-from twistcat.cocycle import AbelianCocycle, build_cyclic, validate_cocycle
+from twistcat.cocycle import (
+    MAX_DENOM,
+    AbelianCocycle,
+    _check_pentagon,
+    build_cyclic,
+    validate_cocycle,
+)
 from twistcat.errors import CocycleError, StructuralError
 
 
@@ -174,3 +183,92 @@ def test_order_cap():
 def test_trivial_order_cap(factors):
     with pytest.raises(StructuralError, match="exceeds the table-cocycle cap"):
         AbelianCocycle.trivial(FinAbGroup(factors))
+
+
+def _coboundary_tables(group, q):
+    """Total ``(F, Omega) = (d phi, phi(a, b) - phi(b, a))``, a valid cocycle,
+    for the normalized 2-cochain ``phi(a, b) = (1 + 2 i j) / q`` on nonzero
+    elements with indices ``i``, ``j``."""
+    elts, add = list(group.elements()), group.add
+    phi = {
+        (a, b): Fraction(1 + 2 * group.index(a) * group.index(b), q) if a != group.zero != b else 0
+        for a in elts
+        for b in elts
+    }
+    f = {
+        (a, b, c): phi[b, c] - phi[add(a, b), c] + phi[a, add(b, c)] - phi[a, b]
+        for a, b, c in product(elts, repeat=3)
+    }
+    return f, {(a, b): phi[a, b] - phi[b, a] for a in elts for b in elts}
+
+
+def test_denominator_at_cap_validates():
+    # 5 * denom is above 2**31 here, so the pentagon runs in int64
+    g = FinAbGroup((3,))
+    assert AbelianCocycle.from_tables(g, *_coboundary_tables(g, MAX_DENOM)).denom == MAX_DENOM
+
+
+@pytest.mark.parametrize("q", [MAX_DENOM + 1, 2**62 + 135], ids=["cap+1", "2**62+135"])
+def test_denominator_above_cap_rejected(q):
+    # 2**62 + 135 used to wrap F + F + F in int64 and fail a valid cocycle
+    g = FinAbGroup((3,))
+    with pytest.raises(StructuralError, match="exceeds the cap MAX_DENOM"):
+        AbelianCocycle.from_tables(g, *_coboundary_tables(g, q))
+    with pytest.raises(StructuralError, match="exceeds the cap MAX_DENOM"):
+        AbelianCocycle(g, np.zeros((3, 3, 3), np.int64), np.zeros((3, 3), np.int64), q)
+
+
+def _reference_pentagon(c):
+    """Per-tuple pentagon over A^4: ``(passed, first failing tuple)``."""
+    g, L = c.group, c.denom
+    F, S = c.f_num.tolist(), g.add_index_table.tolist()
+    for i, j, k, l in product(range(g.order), repeat=4):
+        d = F[i][j][k] + F[i][S[j][k]][l] + F[j][k][l] - F[i][j][S[k][l]] - F[S[i][j]][k][l]
+        if d % L:
+            return False, tuple(g.element_at(x) for x in (i, j, k, l))
+    return True, None
+
+
+# (bound, round up): 5 * denom just inside or just past the int16 and int32 casts
+DENOM_BOUNDS = [
+    (1, True),
+    ((2**15 - 1) // 5, False),
+    (2**15 // 5 + 1, True),
+    ((2**31 - 1) // 5, False),
+    (2**31 // 5 + 1, True),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, round_up", DENOM_BOUNDS, ids=["small", "int16", "int32-low", "int32", "int64"]
+)
+@settings(max_examples=10, deadline=None)
+@given(
+    factors=st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(lambda f: prod(f) <= 12),
+    twists=st.lists(st.integers(0, 287), min_size=3, max_size=3),
+    steps=st.integers(0, 3),
+    shifts=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pentagon_matches_per_tuple_reference(
+    bound, round_up, factors, twists, steps, shifts, seed
+):
+    """A valid F (pulled-back cyclic cocycles plus a coboundary) over a
+    denominator near a dtype bound, with up to two entries shifted."""
+    g = FinAbGroup(tuple(factors))
+    m, rng = g.order, np.random.default_rng(seed)
+    base = lcm(*(n * gcd(n, 2) for n in factors))
+    L = bound + (-bound) % base + steps * base if round_up else bound - bound % base - steps * base
+    digits = np.unravel_index(np.arange(m), factors)
+    f = np.zeros((m, m, m), dtype=np.int64)
+    for n, s, x in zip(factors, twists, digits):
+        cyc = build_cyclic(n, s)
+        f += cyc.f_num[np.ix_(x, x, x)] * (L // cyc.denom)
+    phi, S, a = rng.integers(0, L, size=(m, m)), g.add_index_table, np.arange(m)
+    f += phi[None, :, :] - phi[S] + phi[a[:, None, None], S[None]] - phi[:, :, None]
+    for _ in range(shifts):
+        f[tuple(rng.integers(0, m, size=3))] += rng.integers(1, L)
+    c = AbelianCocycle(g, f, np.zeros((m, m), dtype=np.int64), L)
+    check = _check_pentagon(c)
+    assert check.checked == m**4
+    assert (check.passed, check.witness) == _reference_pentagon(c)
