@@ -8,6 +8,7 @@ error, 3 internal numerical inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -389,11 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all verification suites on a spec")
     _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_fusion = sub.add_parser("fusion", help="emit the fusion table")
     _add_common(p_fusion)
-    p_fusion.set_defaults(func=cmd_fusion)
 
     p_smatrix = sub.add_parser("smatrix", help="emit the S-matrix")
     _add_common(p_smatrix, spec_required=False)
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cocycle-param", type=int, default=3,
         help="twist parameter s of the Z/2 cocycle in --su2 mode",
     )
-    p_smatrix.set_defaults(func=cmd_smatrix)
 
     p_mono = sub.add_parser("monodromy", help="branch integers and transport scalars")
     _add_common(p_mono)
@@ -417,15 +415,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--grades", required=True,
         help="grades joined by '|' (three for --z1/--z2, two for --path)",
     )
-    p_mono.set_defaults(func=cmd_monodromy)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # resolved per call rather than stored in the cached parser, so the
+    # module's current command functions always run
+    commands = {
+        "verify": cmd_verify, "fusion": cmd_fusion, "smatrix": cmd_smatrix,
+        "monodromy": cmd_monodromy,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (StructuralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

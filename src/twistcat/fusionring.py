@@ -1,10 +1,11 @@
 """Fusion coefficients for finite-group categories and the Z/2-graded
 SU(2) fusion ring at the Grothendieck level (labels, grades, dimensions).
 
-Finite-group coefficients are character sums ``N^c_ab = dim hom(Ma (x) Mb, Mc)``;
-the SU(2) ring uses the Clebsch-Gordan rule with grade ``n mod 2``, no
-infinite-dimensional matrices anywhere.  S-matrix entries are raw traces,
-with no global normalization factor.
+Finite-group coefficients are character sums ``N^c_ab = dim hom(Ma (x) Mb, Mc)``,
+read from the category's one character-sum table; the SU(2) ring uses the
+Clebsch-Gordan rule with grade ``n mod 2``, no infinite-dimensional matrices
+anywhere.  S-matrix entries are raw traces, with no global normalization
+factor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .cocycle import AbelianCocycle
 from .errors import ConsistencyError, StructuralError
-from .grouprep import hom_dim
 from .modcat import TwistedCategory
 
 
@@ -94,16 +94,8 @@ def fusion_table(cat: TwistedCategory) -> FusionTable:
     if not cat.complete:
         raise StructuralError("fusion tables require a complete irrep catalog")
     members = cat.catalog
-    n = len(members)
-    coeff = np.empty((n, n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                coeff[a, b, c] = hom_dim(
-                    cat.group, members[a].character, members[b].character, members[c].character
-                )
     table = FusionTable(
-        tuple(m.label for m in members), tuple(m.dim for m in members), coeff
+        tuple(m.label for m in members), tuple(m.dim for m in members), cat.hom_dims
     )
     unit_candidates = [
         m.label for m in members if m.dim == 1 and np.allclose(m.character, 1.0)
@@ -170,11 +162,14 @@ def su2_smatrix(max_spin: int, cocycle: AbelianCocycle) -> np.ndarray:
     """The ``(max_spin+1) x (max_spin+1)`` integer S-matrix."""
     if not 0 <= max_spin <= 64:
         raise StructuralError("max_spin must be between 0 and 64")
-    out = np.empty((max_spin + 1, max_spin + 1), dtype=np.int64)
-    for m in range(max_spin + 1):
-        for n in range(max_spin + 1):
-            out[m, n] = su2_smatrix_entry(m, n, cocycle)
-    return out
+    # the sign depends only on the grades m mod 2, n mod 2; the table holds the
+    # grades that occur, filled in the order the entries would reach them
+    grades = range(min(max_spin, 1) + 1)
+    signs = np.array(
+        [[_z2_pair_sign(cocycle, g1, g2) for g2 in grades] for g1 in grades], dtype=np.int64
+    )
+    spins = np.arange(max_spin + 1, dtype=np.int64)
+    return signs[np.ix_(spins % 2, spins % 2)] * np.outer(spins + 1, spins + 1)
 
 
 def su2_cat_dim_scalar(n: int, cocycle: AbelianCocycle) -> Fraction:

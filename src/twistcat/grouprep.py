@@ -258,6 +258,35 @@ def hom_dim(
     return int(rounded)
 
 
+def hom_dim_table(
+    group: FiniteGroup, characters, *, integer_tol: float = INTEGER_TOL
+) -> np.ndarray:
+    """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` for all triples of a list of
+    per-class characters, as one character sum; read-only int64.
+
+    Applies ``hom_dim``'s check to every cell and raises its
+    ``ConsistencyError`` for the first bad cell in C order.
+    """
+    shape = (len(characters), group.num_classes)
+    chars = np.asarray(characters if shape[0] else np.zeros(shape), dtype=np.complex128)
+    if chars.shape != shape:
+        raise StructuralError("characters must be per-class vectors on the same group")
+    vals = np.einsum("g,ag,bg,cg->abc", group.class_sizes, chars, chars, chars.conj())
+    vals /= group.order
+    rounded = np.round(vals.real)
+    bad = (
+        (np.abs(vals.real - rounded) > integer_tol)
+        | (np.abs(vals.imag) > integer_tol)
+        | (rounded < 0)
+    )
+    if bad.any():
+        val = complex(vals[tuple(np.argwhere(bad)[0])])
+        raise ConsistencyError(f"character sum {val} is not a nonnegative integer")
+    table = rounded.astype(np.int64)
+    table.setflags(write=False)
+    return table
+
+
 def tensor_rep(m1: MatrixRep, m2: MatrixRep) -> MatrixRep:
     """Elementwise Kronecker product; composite index (i, j) -> i * d2 + j."""
     if m1.group is not m2.group:

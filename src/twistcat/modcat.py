@@ -2,6 +2,9 @@
 
 Tensor words are flattened to a single row-major index space, so rebracketing
 is the identity and associators are pure scalars times the identity matrix.
+Every structure map is fixed by its words' grades and dimensions alone, so a
+word reduces to ``(grade index, dim)``: grade indices are summed through the
+grading group's ``add_index_table`` and dims multiply as plain integers.
 Structure morphisms:
 
     associator   F(a1, a2, a3)^{-1} * I
@@ -18,11 +21,19 @@ identities, the double braiding (the matrix ``s_entry`` traces) and
 naturality against sampled intertwiners stay matrix equations checked within
 a tolerance; twist-duality is exact.  ``checked`` counts catalog tuples, and
 witnesses are the first failing tuple in ``product`` order.
+
+Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
+complex numbers through one memo per category, keyed by the exponent
+numerator mod the cocycle denominator and filled by ``UnitScalar.to_complex``.
+Identity and flip matrices are cached per category, read-only.  The
+multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog triples come from one
+character-sum table, which fusion tables and the naturality spot checks share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -37,7 +48,7 @@ from .grouprep import (
     MatrixRep,
     dual_rep,
     grade_of,
-    hom_dim,
+    hom_dim_table,
     intertwiner_basis,
     validate_irrep,
 )
@@ -52,8 +63,6 @@ class StructureMorphism:
     """A structure map as an explicit matrix between flattened tensor words."""
 
     matrix: np.ndarray
-    source: tuple[str, ...]
-    target: tuple[str, ...]
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,11 +118,17 @@ class TwistedCategory:
         self.embedding = embedding
         self.grading = cocycle.group
         self.matrix_tol = matrix_tol
-        # complex F^-1 and Omega^-1 by grades, filled on first use: every
-        # structure map reads one, and each costs Fraction arithmetic and a
-        # cos/sin to compute
-        self._f_inv: dict[tuple[GroupElt, GroupElt, GroupElt], complex] = {}
-        self._omega_inv: dict[tuple[GroupElt, GroupElt], complex] = {}
+        # grade indices: the zero grade has index 0, sums go through the add
+        # table and negatives through the column of 0 in each row
+        self._index = dict(zip(self.grading.elements(), range(self.grading.order)))
+        add = self.grading.add_index_table
+        self._add: list[list[int]] = add.tolist()
+        self._neg: list[int] = np.argmin(add, axis=1).tolist()
+        # e^{2 pi i num/denom} by num mod denom, filled on first use; every
+        # structure scalar reads it.  Read-only identity and flip matrices.
+        self._units: dict[int, complex] = {}
+        self._eyes: dict[int, np.ndarray] = {}
+        self._flips: dict[tuple[int, int], np.ndarray] = {}
 
         catalog = []
         for label, rep in irreps.items():
@@ -156,17 +171,79 @@ class TwistedCategory:
             return (obj,)
         return tuple(obj)
 
+    def _grade_index(self, a: GroupElt) -> int:
+        try:
+            return self._index[a]
+        except (KeyError, TypeError):  # not a reduced tuple: index() checks it
+            return self.grading.index(a)
+
+    def _word(self, obj) -> tuple[int, int]:
+        """A catalog member or a tensor word of them as ``(grade index, dim)``."""
+        if isinstance(obj, GradedIrrep):
+            return self._grade_index(obj.grade), obj.dim
+        grade, dim, add = 0, 1, self._add
+        for m in obj:
+            grade = add[grade][self._grade_index(m.grade)]
+            dim *= m.dim
+        return grade, dim
+
     def word_dim(self, obj) -> int:
-        return int(np.prod([m.dim for m in self._as_word(obj)], initial=1))
+        return self._word(obj)[1]
 
     def word_grade(self, obj) -> GroupElt:
-        grade = self.grading.zero
-        for m in self._as_word(obj):
-            grade = self.grading.add(grade, m.grade)
-        return grade
+        return self.grading.element_at(self._word(obj)[0])
 
     def word_labels(self, obj) -> tuple[str, ...]:
         return tuple(m.label for m in self._as_word(obj))
+
+    # -- scalars and matrices by grade index --------------------------------------
+
+    def _unit(self, num) -> complex:
+        """``e^{2 pi i num / denom}`` for an integer exponent numerator."""
+        num = int(num) % self.cocycle.denom
+        value = self._units.get(num)
+        if value is None:
+            value = self._units[num] = UnitScalar.from_exponent(
+                num, self.cocycle.denom
+            ).to_complex()
+        return value
+
+    def _f_inv(self, a1: int, a2: int, a3: int) -> complex:
+        return self._unit(-self.cocycle.f_num[a1, a2, a3])
+
+    def _omega_inv(self, a1: int, a2: int) -> complex:
+        return self._unit(-self.cocycle.omega_num[a1, a2])
+
+    def _eye(self, d: int) -> np.ndarray:
+        eye = self._eyes.get(d)
+        if eye is None:
+            eye = self._eyes[d] = np.eye(d)
+            eye.setflags(write=False)
+        return eye
+
+    def _flip(self, d1: int, d2: int) -> np.ndarray:
+        flip = self._flips.get((d1, d2))
+        if flip is None:
+            flip = self._flips[d1, d2] = flip_matrix(d1, d2)
+            flip.setflags(write=False)
+        return flip
+
+    def _braid_matrix(self, a1: int, d1: int, a2: int, d2: int) -> np.ndarray:
+        return self._omega_inv(a1, a2) * self._flip(d1, d2)
+
+    def _double_braiding(self, a1: int, d1: int, a2: int, d2: int) -> np.ndarray:
+        return self._braid_matrix(a2, d2, a1, d1) @ self._braid_matrix(a1, d1, a2, d2)
+
+    def _cat_trace(self, a: int, f: np.ndarray) -> complex:
+        neg = self._neg[a]
+        theta = self._omega_inv(a, a)
+        braid = self._omega_inv(a, neg)
+        evaluation = self._f_inv(a, neg, a)
+        # i_M is vec(I); ((theta f) (x) 1) vec(I) = vec(theta f); the braiding
+        # transposes the matrix picture; evaluation contracts the diagonal.
+        x = theta * f
+        x = braid * x.T
+        return complex(evaluation * np.trace(x))
 
     # -- structure morphisms ----------------------------------------------------
 
@@ -178,48 +255,28 @@ class TwistedCategory:
 
     def associator(self, m1, m2, m3) -> StructureMorphism:
         """``F(a1,a2,a3)^{-1}`` times the identity on the flattened triple space."""
-        key = tuple(self.word_grade(m) for m in (m1, m2, m3))
-        scalar = self._f_inv.get(key)
-        if scalar is None:
-            scalar = self._f_inv[key] = self.f_scalar(*key).inverse().to_complex()
-        d = self.word_dim(m1) * self.word_dim(m2) * self.word_dim(m3)
-        labels = self.word_labels(m1) + self.word_labels(m2) + self.word_labels(m3)
-        return StructureMorphism(scalar * np.eye(d), labels, labels)
+        (a1, d1), (a2, d2), (a3, d3) = self._word(m1), self._word(m2), self._word(m3)
+        return StructureMorphism(self._f_inv(a1, a2, a3) * self._eye(d1 * d2 * d3))
 
     def braiding(self, m1, m2) -> StructureMorphism:
         """``Omega(a1,a2)^{-1}`` times the flip onto the reversed word."""
-        key = (self.word_grade(m1), self.word_grade(m2))
-        scalar = self._omega_inv.get(key)
-        if scalar is None:
-            scalar = self._omega_inv[key] = self.omega_scalar(*key).inverse().to_complex()
-        return StructureMorphism(
-            scalar * flip_matrix(self.word_dim(m1), self.word_dim(m2)),
-            self.word_labels(m1) + self.word_labels(m2),
-            self.word_labels(m2) + self.word_labels(m1),
-        )
+        return StructureMorphism(self._braid_matrix(*self._word(m1), *self._word(m2)))
 
     def twist(self, m) -> UnitScalar:
         """The ribbon scalar ``Omega(a, a)^{-1}`` on a grade-a object."""
-        a = self.word_grade(m)
-        return self.omega_scalar(a, a).inverse()
+        a = self._word(m)[0]
+        return UnitScalar.from_exponent(-int(self.cocycle.omega_num[a, a]), self.cocycle.denom)
 
     def evaluation(self, m) -> StructureMorphism:
         """Row vector on M* (x) M: ``(f', v) -> F(a,-a,a)^{-1} f'(v)``."""
-        a = self.word_grade(m)
-        d = self.word_dim(m)
-        scalar = self.f_scalar(a, self.grading.neg(a), a).inverse().to_complex()
-        vec = scalar * np.eye(d).reshape(1, d * d)  # entry at (j, i) is delta_ji
-        labels = self.word_labels(m)
-        dual = tuple(lab + "*" for lab in labels)
-        return StructureMorphism(vec, dual + labels, ())
+        a, d = self._word(m)
+        # entry at (j, i) is delta_ji
+        return StructureMorphism(self._f_inv(a, self._neg[a], a) * self._eye(d).reshape(1, d * d))
 
     def coevaluation(self, m) -> StructureMorphism:
         """Column vector into M (x) M*: ``1 -> sum_i e_i (x) e_i'``."""
-        d = self.word_dim(m)
-        vec = np.eye(d).reshape(d * d, 1)
-        labels = self.word_labels(m)
-        dual = tuple(lab + "*" for lab in labels)
-        return StructureMorphism(vec, (), labels + dual)
+        d = self._word(m)[1]
+        return StructureMorphism(np.eye(d).reshape(d * d, 1))
 
     # -- trace, dimension, S-matrix ---------------------------------------------
 
@@ -229,30 +286,29 @@ class TwistedCategory:
         The middle arrows act by reshaping instead of materializing the
         ``d^2 x d^2`` permutation matrix; the composite is the same linear map.
         """
-        a = self.word_grade(m)
-        d = self.word_dim(m)
+        a, d = self._word(m)
         f = np.asarray(f, dtype=np.complex128)
         if f.shape != (d, d):
             raise StructuralError(f"endomorphism must be {d} x {d}, got {f.shape}")
-        theta = self.twist(m).to_complex()
-        braid = self.omega_scalar(a, self.grading.neg(a)).inverse().to_complex()
-        evaluation = self.f_scalar(a, self.grading.neg(a), a).inverse().to_complex()
-        # i_M is vec(I); ((theta f) (x) 1) vec(I) = vec(theta f); the braiding
-        # transposes the matrix picture; evaluation contracts the diagonal.
-        x = theta * f
-        x = braid * x.T
-        return complex(evaluation * np.trace(x))
+        return self._cat_trace(a, f)
 
     def cat_dim(self, m) -> complex:
-        return self.cat_trace(m, np.eye(self.word_dim(m)))
+        return self.cat_trace(m, self._eye(self.word_dim(m)))
 
     def double_braiding(self, m1, m2) -> np.ndarray:
         """``R_{M2,M1} . R_{M1,M2}`` as a matrix on the flattened pair."""
-        return self.braiding(m2, m1).matrix @ self.braiding(m1, m2).matrix
+        return self._double_braiding(*self._word(m1), *self._word(m2))
 
     def s_entry(self, m1, m2) -> complex:
         """Categorical trace of the double braiding on M1 (x) M2."""
-        return self.cat_trace((m1, m2), self.double_braiding(m1, m2))
+        (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
+        return self._cat_trace(self._add[a1][a2], self._double_braiding(a1, d1, a2, d2))
+
+    @cached_property
+    def hom_dims(self) -> np.ndarray:
+        """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` over catalog positions,
+        read-only, from one character-sum table."""
+        return hom_dim_table(self.group, [m.character for m in self.catalog])
 
     # -- coherence suite -----------------------------------------------------------
 
@@ -345,88 +401,88 @@ class TwistedCategory:
         )
 
     def _check_snakes(self, tol: float) -> AxiomCheck:
-        checked, witness, max_err = 0, None, 0.0
+        witness, max_err = None, 0.0
         for m in self.catalog:
-            checked += 1
-            a = m.grade
-            neg = self.grading.neg(a)
-            d = m.dim
-            ev = self.evaluation(m).matrix  # 1 x d^2, on M* (x) M
-            coev = self.coevaluation(m).matrix  # d^2 x 1, into M (x) M*
+            a, d = self._word(m)
+            neg, eye = self._neg[a], self._eye(d)
+            ev = self._f_inv(a, neg, a) * eye.reshape(1, d * d)  # e_M on M* (x) M
+            coev = eye.reshape(d * d, 1)  # i_M into M (x) M*
             # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
-            mid_inv = self.f_scalar(a, neg, a).to_complex()  # A^{-1} scalar
-            snake_m = mid_inv * (_kron(np.eye(d), ev) @ _kron(coev, np.eye(d)))
-            err = float(np.abs(snake_m - np.eye(d)).max())
+            mid_inv = self._unit(self.cocycle.f_num[a, neg, a])  # A^{-1} scalar
+            snake_m = mid_inv * (_kron(eye, ev) @ _kron(coev, eye))
+            err = float(np.abs(snake_m - eye).max())
             # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
-            mid = self.f_scalar(neg, a, neg).inverse().to_complex()
-            snake_dual = mid * (_kron(ev, np.eye(d)) @ _kron(np.eye(d), coev))
-            err = max(err, float(np.abs(snake_dual - np.eye(d)).max()))
+            snake_dual = self._f_inv(neg, a, neg) * (_kron(ev, eye) @ _kron(eye, coev))
+            err = max(err, float(np.abs(snake_dual - eye).max()))
             max_err = max(max_err, err)
             if err > tol and witness is None:
                 witness = (m.label,)
-        return AxiomCheck("snake", witness is None, checked, witness, max_err)
+        return AxiomCheck("snake", witness is None, len(self.catalog), witness, max_err)
 
     def _check_twist_dual(self) -> AxiomCheck:
-        checked, witness = 0, None
+        W, witness = self.cocycle.omega_num, None
         for m in self.catalog:
-            checked += 1
-            a, neg = m.grade, self.grading.neg(m.grade)
-            if self.cocycle.q(a) != self.cocycle.q(neg) and witness is None:
+            # q(a) = Omega(a, a); numerators are reduced mod denom, so compare them
+            a = self._word(m)[0]
+            neg = self._neg[a]
+            if W[a, a] != W[neg, neg] and witness is None:
                 witness = (m.label,)
         unit_ok = self.twist(self.unit).is_one
         if not unit_ok and witness is None:
             witness = (self.unit.label,)
         return AxiomCheck(
-            "twist-dual", witness is None, checked, witness,
+            "twist-dual", witness is None, len(self.catalog), witness,
             detail="theta_{M*} = theta_M exactly, and theta of the unit is 1",
         )
 
     def _check_double_braiding(self, tol: float) -> AxiomCheck:
         """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, the matrix ``s_entry`` traces."""
-        checked, witness, max_err = 0, None, 0.0
-        for m, n in product(self.catalog, repeat=2):
-            checked += 1
-            scalar = UnitScalar(-self.cocycle.b(m.grade, n.grade)).to_complex()
-            err = float(
-                np.abs(self.double_braiding(m, n) - scalar * np.eye(m.dim * n.dim)).max()
-            )
+        W, witness, max_err = self.cocycle.omega_num, None, 0.0
+        words = [self._word(m) for m in self.catalog]
+        for (m, (a1, d1)), (n, (a2, d2)) in product(zip(self.catalog, words), repeat=2):
+            scalar = self._unit(-(W[a1, a2] + W[a2, a1]))
+            braided = self._double_braiding(a1, d1, a2, d2)
+            err = float(np.abs(braided - scalar * self._eye(d1 * d2)).max())
             max_err = max(max_err, err)
             if err > tol and witness is None:
                 witness = (m.label, n.label)
-        return AxiomCheck("double-braiding", witness is None, checked, witness, max_err)
+        return AxiomCheck(
+            "double-braiding", witness is None, len(words) ** 2, witness, max_err
+        )
 
     def _check_naturality(self, *, tol: float, seed: int) -> AxiomCheck:
         """Structure morphisms commute with sampled intertwiners."""
         rng = np.random.default_rng(seed)
-        triples = []
-        for m1, m2, m3 in product(self.catalog, repeat=3):
-            if self.grading.add(m1.grade, m2.grade) != m3.grade:
-                continue
-            n = hom_dim(self.group, m1.character, m2.character, m3.character)
-            if n > 0:
-                triples.append((m1, m2, m3, n))
+        words = [self._word(m) for m in self.catalog]
+        grades = np.array([a for a, _ in words], dtype=np.int64)
+        # catalog triples (m1, m2, m3) in product order with a1 + a2 = a3 and
+        # a nonzero hom(M1 (x) M2, M3)
+        sums = self.grading.add_index_table[np.ix_(grades, grades)]
+        triples = np.argwhere((sums[:, :, None] == grades) & (self.hom_dims > 0))
         checked, witness, max_err = 0, None, 0.0
-        if triples:
+        if len(triples):
             picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
             for t in sorted(int(i) for i in picks):
-                m1, m2, m3, n = triples[t]
-                basis = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=n)
+                i, j, l = (int(x) for x in triples[t])
+                m1, m2, m3 = self.catalog[i], self.catalog[j], self.catalog[l]
+                basis = intertwiner_basis(
+                    m1.rep, m2.rep, m3.rep, expected=int(self.hom_dims[i, j, l])
+                )
                 f = basis[0]  # m3.dim x (m1.dim * m2.dim)
-                for y in self.catalog:
+                (a1, d1), (a2, d2), (a3, d3) = words[i], words[j], words[l]
+                a12, d12 = self._add[a1][a2], d1 * d2
+                for y, (ay, dy) in zip(self.catalog, words):
                     checked += 1
+                    eye_y = self._eye(dy)
                     # braiding naturality in the first slot:
                     # R_{M3,Y} (f (x) 1_Y) == (1_Y (x) f) R_{M1M2,Y}
-                    lhs = self.braiding((m3,), (y,)).matrix @ _kron(f, np.eye(y.dim))
-                    rhs = _kron(np.eye(y.dim), f) @ self.braiding((m1, m2), (y,)).matrix
+                    lhs = self._braid_matrix(a3, d3, ay, dy) @ _kron(f, eye_y)
+                    rhs = _kron(eye_y, f) @ self._braid_matrix(a12, d12, ay, dy)
                     err = float(np.abs(lhs - rhs).max())
                     # associator naturality in the first slot
-                    lhs2 = self.associator((m3,), (y,), (y,)).matrix @ _kron(
-                        f, np.eye(y.dim * y.dim)
-                    )
-                    rhs2 = (
-                        _kron(f, np.eye(y.dim * y.dim))
-                        @ self.associator((m1, m2), (y,), (y,)).matrix
-                    )
+                    f_yy = _kron(f, self._eye(dy * dy))
+                    lhs2 = (self._f_inv(a3, ay, ay) * self._eye(d3 * dy * dy)) @ f_yy
+                    rhs2 = f_yy @ (self._f_inv(a12, ay, ay) * self._eye(d12 * dy * dy))
                     err = max(err, float(np.abs(lhs2 - rhs2).max()))
                     max_err = max(max_err, err)
                     if err > tol and witness is None:

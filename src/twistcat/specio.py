@@ -82,6 +82,13 @@ def _as_int(value, path: str) -> int:
         raise StructuralError(f"spec field {path!r} must be an integer, got {value!r}") from None
 
 
+def _strict_int(value, path: str) -> int:
+    """A JSON integer; unlike ``_as_int``, no string, float or boolean."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructuralError(f"spec field {path!r} must be an integer, got {value!r}")
+    return value
+
+
 def _as_exponent(value, path: str) -> Fraction:
     try:
         return Fraction(value)
@@ -141,8 +148,8 @@ def _cocycle_from_config(grading: FinAbGroup, config, name: str) -> AbelianCocyc
     if "builder" in config:
         builder = config["builder"]
         if builder == "cyclic":
-            n = _as_int(_field(config, "n", "cocycle.n"), "cocycle.n")
-            s = _as_int(_field(config, "s", "cocycle.s"), "cocycle.s")
+            n = _strict_int(_field(config, "n", "cocycle.n"), "cocycle.n")
+            s = _strict_int(_field(config, "s", "cocycle.s"), "cocycle.s")
             if grading.factors != (n,):
                 raise StructuralError("cyclic builder requires grading_group [n]")
             return build_cyclic(n, s)
@@ -196,6 +203,7 @@ class CategorySpec:
     grading: FinAbGroup
     cocycle_config: dict
     embedding: tuple[int, ...] = ()
+    complete: bool = True
     max_spin: int = 10
     _cocycle: AbelianCocycle | None = field(default=None, init=False, repr=False)
 
@@ -216,7 +224,7 @@ class CategorySpec:
         # build_cocycle validated it; the trivial builder's zero tables need no check
         return TwistedCategory(
             group, cocycle, embedding, irreps,
-            complete=bool(self.raw.get("complete", True)), validate=False,
+            complete=self.complete, validate=False,
         )
 
 
@@ -257,7 +265,9 @@ def load_spec(spec: str | Path) -> CategorySpec:
     if "cocycle" not in raw:
         raise StructuralError("spec is missing 'cocycle'")
     name = raw.get("name", path.stem)
-    embedding = ()
+    if not isinstance(name, str):
+        raise StructuralError(f"spec field 'name' must be a string, got {name!r}")
+    embedding, complete = (), True
     if mode == "finite-group":
         for key in ("group", "irreps", "central_embedding"):
             if key not in raw:
@@ -281,6 +291,9 @@ def load_spec(spec: str | Path) -> CategorySpec:
                     _field(item, key, f"irreps.list[{i}].{key}")
                 _list(item["matrices"], f"irreps.list[{i}].matrices")
         embedding = _int_list(raw["central_embedding"], "central_embedding")
+        complete = raw.get("complete", True)
+        if not isinstance(complete, bool):
+            raise StructuralError(f"spec field 'complete' must be true or false, got {complete!r}")
     return CategorySpec(
         name=name,
         mode=mode,
@@ -289,5 +302,6 @@ def load_spec(spec: str | Path) -> CategorySpec:
         grading=grading,
         cocycle_config=raw["cocycle"],
         embedding=embedding,
+        complete=complete,
         max_spin=_as_int(raw.get("max_spin", 10), "max_spin"),
     )

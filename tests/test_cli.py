@@ -296,13 +296,19 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
         ),
         ({"group": {"builtin": 5}}, "group.builtin"),
         ({"group": {"table": [[0, 1], [1, "x"]]}}, "group.table[1][1]"),
+        ({"complete": "no"}, "complete"),
+        ({"cocycle": {"builder": "cyclic", "n": "2", "s": 3}}, "cocycle.n"),
+        ({"cocycle": {"builder": "cyclic", "n": 2, "s": "3"}}, "cocycle.s"),
+        ({"cocycle": {"builder": "cyclic", "n": True, "s": 3}}, "cocycle.n"),
+        ({"name": 5}, "name"),
     ],
     ids=[
         "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
         "cocycle-number", "tables-number", "f-table-list", "non-integer-residue",
         "group-number", "irrep-without-matrices", "embedding-string", "max-spin-string",
         "irreps-list-number", "generators-number", "matrices-number", "builtin-number",
-        "group-table-string-entry",
+        "group-table-string-entry", "complete-string", "cyclic-n-string", "cyclic-s-string",
+        "cyclic-n-boolean", "name-number",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])
@@ -341,3 +347,13 @@ def test_table_spec_report_matches_golden(tmp_path, capsys):
     spec = GOLDEN_DIR / "specs" / "z4-coboundary-tables.json"
     assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / "z4-coboundary-tables.json").read_bytes()
+
+
+def test_nonabelian_table_spec_report_matches_golden(tmp_path, capsys):
+    # D_5 as a relabelled multiplication table with two-dimensional e(p/q)
+    # irreps, graded by Z/2 at the identity: no bundled fixture is nonabelian
+    # and given by a table
+    out = tmp_path / "report.json"
+    spec = GOLDEN_DIR / "specs" / "d5-table-z2.json"
+    assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / "d5-table-z2.json").read_bytes()

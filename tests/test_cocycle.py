@@ -4,7 +4,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
@@ -243,6 +243,8 @@ DENOM_BOUNDS = [
     "bound, round_up", DENOM_BOUNDS, ids=["small", "int16", "int32-low", "int32", "int64"]
 )
 @settings(max_examples=10, deadline=None)
+# the trivial group at bound 1 has L = 1, where no shift is nonzero mod L
+@example(factors=[1], twists=[0, 0, 0], steps=0, shifts=1, seed=0)
 @given(
     factors=st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(lambda f: prod(f) <= 12),
     twists=st.lists(st.integers(0, 287), min_size=3, max_size=3),
@@ -266,7 +268,7 @@ def test_pentagon_matches_per_tuple_reference(
         f += cyc.f_num[np.ix_(x, x, x)] * (L // cyc.denom)
     phi, S, a = rng.integers(0, L, size=(m, m)), g.add_index_table, np.arange(m)
     f += phi[None, :, :] - phi[S] + phi[a[:, None, None], S[None]] - phi[:, :, None]
-    for _ in range(shifts):
+    for _ in range(shifts if L > 1 else 0):
         f[tuple(rng.integers(0, m, size=3))] += rng.integers(1, L)
     c = AbelianCocycle(g, f, np.zeros((m, m), dtype=np.int64), L)
     check = _check_pentagon(c)

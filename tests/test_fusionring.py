@@ -126,6 +126,34 @@ def test_su2_smatrix_low_spin_block():
     assert np.array_equal(s, np.array(expected))
 
 
+@pytest.mark.parametrize("max_spin", [0, 1, 13, 64])
+def test_su2_smatrix_matches_entrywise(max_spin):
+    for s in range(8):
+        cocycle = build_cyclic(2, s)
+        out = su2_smatrix(max_spin, cocycle)
+        expected = np.array(
+            [[su2_smatrix_entry(m, n, cocycle) for n in range(max_spin + 1)]
+             for m in range(max_spin + 1)],
+            dtype=np.int64,
+        )
+        assert out.dtype == np.int64
+        assert np.array_equal(out, expected)
+
+
+def test_su2_smatrix_rejects_bad_spins_and_forms():
+    lattice = build_cyclic(2, 3)
+    for max_spin in (-1, 65):
+        with pytest.raises(StructuralError, match="max_spin"):
+            su2_smatrix(max_spin, lattice)
+    # Omega(1, 1) = e(1/8) gives b(1, 1) = 1/4; only odd spins reach it
+    quarter = AbelianCocycle(
+        FinAbGroup((2,)), np.zeros((2, 2, 2), np.int64), np.array([[0, 0], [0, 1]]), 8
+    )
+    assert np.array_equal(su2_smatrix(0, quarter), [[1]])
+    with pytest.raises(ConsistencyError, match="not half-integral"):
+        su2_smatrix(1, quarter)
+
+
 def test_su2_needs_z2_cocycle():
     with pytest.raises(StructuralError):
         su2_smatrix_entry(1, 1, build_cyclic(3, 1))

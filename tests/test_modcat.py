@@ -1,12 +1,16 @@
+import dataclasses
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
+from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, build_cyclic
-from twistcat.errors import CocycleError, StructuralError
-from twistcat.grouprep import CentralEmbedding
+from twistcat.errors import CocycleError, ConsistencyError, StructuralError
+from twistcat.fusionring import fusion_table
+from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
 from twistcat.unitscalar import UnitScalar
 
@@ -366,3 +370,170 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(n, s, corrupt_
         assert check.passed == (witness is None), axiom
         assert abs(check.max_error - max_err) <= 1e-12, axiom
     assert not all(c.passed for c in checks.values())
+
+
+def _dense_reference(cat, tol, seed):
+    """The snake, double-braiding and naturality checks, S entries, categorical
+    dimensions and fusion coefficients built the dense way: words by tuple
+    arithmetic, one ``UnitScalar`` per scalar, fresh ``np.eye``/``flip_matrix``,
+    ``np.kron`` and ``hom_dim`` per triple."""
+    g, c = cat.grading, cat.cocycle
+
+    def grade(word):
+        a = g.zero
+        for m in word:
+            a = g.add(a, m.grade)
+        return a
+
+    def dim(word):
+        return int(np.prod([m.dim for m in word], initial=1))
+
+    def f_inv(*grades):
+        return c.f(*grades).inverse().to_complex()
+
+    def braid(w1, w2):
+        return c.omega(grade(w1), grade(w2)).inverse().to_complex() * flip_matrix(
+            dim(w1), dim(w2)
+        )
+
+    def assoc(w1, w2, w3):
+        return f_inv(grade(w1), grade(w2), grade(w3)) * np.eye(dim(w1) * dim(w2) * dim(w3))
+
+    def double(m, n):
+        return braid((n,), (m,)) @ braid((m,), (n,))
+
+    def trace(word, f):
+        a = grade(word)
+        theta = c.omega(a, a).inverse().to_complex()
+        braid_scalar = c.omega(a, g.neg(a)).inverse().to_complex()
+        x = theta * np.asarray(f, dtype=np.complex128)
+        x = braid_scalar * x.T
+        return complex(f_inv(a, g.neg(a), a) * np.trace(x))
+
+    checks = {}
+    witness, max_err = None, 0.0
+    for m in cat.catalog:
+        a, neg, d = m.grade, g.neg(m.grade), m.dim
+        ev = f_inv(a, neg, a) * np.eye(d).reshape(1, d * d)
+        coev = np.eye(d).reshape(d * d, 1)
+        snake_m = c.f(a, neg, a).to_complex() * (np.kron(np.eye(d), ev) @ np.kron(coev, np.eye(d)))
+        err = float(np.abs(snake_m - np.eye(d)).max())
+        snake_dual = f_inv(neg, a, neg) * (np.kron(ev, np.eye(d)) @ np.kron(np.eye(d), coev))
+        err = max(err, float(np.abs(snake_dual - np.eye(d)).max()))
+        max_err = max(max_err, err)
+        if err > tol and witness is None:
+            witness = (m.label,)
+    checks["snake"] = (len(cat.catalog), witness, max_err.hex())
+
+    witness, max_err = None, 0.0
+    for m, n in product(cat.catalog, repeat=2):
+        scalar = UnitScalar(-c.b(m.grade, n.grade)).to_complex()
+        err = float(np.abs(double(m, n) - scalar * np.eye(m.dim * n.dim)).max())
+        max_err = max(max_err, err)
+        if err > tol and witness is None:
+            witness = (m.label, n.label)
+    checks["double-braiding"] = (len(cat.catalog) ** 2, witness, max_err.hex())
+
+    triples = []
+    for m1, m2, m3 in product(cat.catalog, repeat=3):
+        if g.add(m1.grade, m2.grade) == m3.grade:
+            n = hom_dim(cat.group, m1.character, m2.character, m3.character)
+            if n > 0:
+                triples.append((m1, m2, m3, n))
+    rng = np.random.default_rng(seed)
+    checked, witness, max_err = 0, None, 0.0
+    picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
+    for t in sorted(int(i) for i in picks):
+        m1, m2, m3, n = triples[t]
+        f = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=n)[0]
+        for y in cat.catalog:
+            checked += 1
+            lhs = braid((m3,), (y,)) @ np.kron(f, np.eye(y.dim))
+            rhs = np.kron(np.eye(y.dim), f) @ braid((m1, m2), (y,))
+            err = float(np.abs(lhs - rhs).max())
+            lhs2 = assoc((m3,), (y,), (y,)) @ np.kron(f, np.eye(y.dim * y.dim))
+            rhs2 = np.kron(f, np.eye(y.dim * y.dim)) @ assoc((m1, m2), (y,), (y,))
+            err = max(err, float(np.abs(lhs2 - rhs2).max()))
+            max_err = max(max_err, err)
+            if err > tol and witness is None:
+                witness = (m1.label, m2.label, m3.label, y.label)
+    checks["naturality(spot-checks)"] = (checked, witness, max_err.hex())
+
+    members = cat.catalog
+    return {
+        "checks": checks,
+        "braiding": {
+            (m.label, n.label): braid((m,), (n,)) for m, n in product(members, repeat=2)
+        },
+        "associator": {
+            (m.label, n.label, y.label): assoc((m,), (n,), (y,))
+            for m, n, y in product(members, repeat=3)
+        },
+        "s_entry": {
+            (m.label, n.label): trace((m, n), double(m, n)) for m, n in product(members, repeat=2)
+        },
+        "cat_dim": {m.label: trace((m,), np.eye(m.dim)) for m in members},
+        "fusion": np.array(
+            [[[hom_dim(cat.group, a.character, b.character, d.character) for d in members]
+              for b in members] for a in members]
+        ),
+    }
+
+
+def _asymmetric_z3():
+    # Z/3 graded by Z/3: -a != a, so Omega(a, -a) and Omega(-a, a) differ
+    # once Omega(1, 2) is shifted; F(1, 2, 1) shifted makes the snake fail
+    group, reps = builtin_catalog("z3")
+    good = build_cyclic(3, 1)
+    f_num, omega_num = good.f_num.copy(), good.omega_num.copy()
+    f_num[1, 2, 1] += 1
+    omega_num[1, 2] += 1
+    broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
+    return TwistedCategory(
+        group, broken, CentralEmbedding(broken.group, (1,)), reps, validate=False
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["z2-lattice-on-z4", "super-on-z4", "s3-trivial-grading", "q8-z2", "asymmetric-z3"]
+)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_index_paths_match_dense_reference(name, seed, categories):
+    cat = _asymmetric_z3() if name == "asymmetric-z3" else categories[name]
+    ref = _dense_reference(cat, cat.matrix_tol, seed)
+    checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
+    for axiom, expected in ref["checks"].items():
+        c = checks[axiom]
+        assert (c.checked, c.witness, c.max_error.hex()) == expected, axiom
+        assert c.passed == (expected[1] is None), axiom
+    by_label = {m.label: m for m in cat.catalog}
+    for (a, b), matrix in ref["braiding"].items():
+        assert np.array_equal(cat.braiding(by_label[a], by_label[b]).matrix, matrix), (a, b)
+    for (a, b, d), matrix in ref["associator"].items():
+        got = cat.associator(by_label[a], by_label[b], by_label[d]).matrix
+        assert np.array_equal(got, matrix), (a, b, d)
+    for (a, b), value in ref["s_entry"].items():
+        assert cat.s_entry(by_label[a], by_label[b]) == value, (a, b)
+    for a, value in ref["cat_dim"].items():
+        assert cat.cat_dim(by_label[a]) == value, a
+    assert np.array_equal(cat.hom_dims, ref["fusion"])
+    assert np.array_equal(fusion_table(cat).coefficients, ref["fusion"])
+    if name == "asymmetric-z3":
+        assert not checks["snake"].passed
+
+
+def test_non_integral_characters_raise_like_hom_dim():
+    group, reps = builtin_catalog("s3")
+    cocycle = AbelianCocycle.trivial(FinAbGroup((1,)))
+    cat = TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (0,)), reps)
+    fake = dataclasses.replace(cat.catalog[-1], character=0.5 * cat.catalog[-1].character)
+    cat.catalog = cat.catalog[:-1] + (fake,)
+    with pytest.raises(ConsistencyError) as ref:
+        for a, b, d in product(cat.catalog, repeat=3):
+            hom_dim(group, a.character, b.character, d.character)
+    for compute in (lambda: cat.hom_dims, lambda: cat.coherence_suite()):
+        with pytest.raises(ConsistencyError) as got:
+            compute()
+        pattern = r"character sum \((.*)\) is not a nonnegative integer"
+        want = complex(re.fullmatch(pattern, str(ref.value)).group(1))
+        assert abs(complex(re.fullmatch(pattern, str(got.value)).group(1)) - want) <= 1e-12
