@@ -14,13 +14,15 @@ import math
 import numpy as np
 
 from .errors import StructuralError
-from .grouprep import FiniteGroup, MatrixRep
+from .grouprep import MAX_GROUP_ORDER, FiniteGroup, MatrixRep
 
 
 def cyclic_group(n: int) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     """Z/n with its n one-dimensional characters ``g -> e^{2 pi i k/n}``."""
     if n < 1:
         raise StructuralError("cyclic order must be >= 1")
+    if n > MAX_GROUP_ORDER:
+        raise StructuralError(f"cyclic order {n} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     group = FiniteGroup(table, element_names=[f"g^{a}" for a in range(n)])

@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from .errors import (
     StructuralError,
 )
 from .modcat import TwistedCategory
-from .specio import CategorySpec, load_spec
+from .specio import CategorySpec, load_spec, parse_element
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -305,17 +306,20 @@ def cmd_smatrix(args) -> int:
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise StructuralError(f"expected 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 2 or not all(map(math.isfinite, parts)):
+        raise StructuralError(f"expected a finite point 're,im', got {text!r}")
+    return complex(*parts)
 
 
 def _parse_grades(text: str, spec: CategorySpec, count: int):
     parts = text.split("|")
     if len(parts) != count:
         raise StructuralError(f"expected {count} grades joined by '|', got {text!r}")
-    return tuple(spec.grading.element([int(x) for x in p.split(",")]) for p in parts)
+    return tuple(parse_element(p, spec.grading, "each --grades entry") for p in parts)
 
 
 def cmd_monodromy(args) -> int:
@@ -433,6 +437,10 @@ def main(argv=None) -> int:
         "monodromy": cmd_monodromy,
     }
     try:
+        if args.seed < 0:
+            raise StructuralError(f"--seed must be nonnegative, got {args.seed}")
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise StructuralError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return commands[args.command](args)
     except (StructuralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

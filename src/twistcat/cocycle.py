@@ -262,8 +262,9 @@ def build_cyclic(n: int, s: int) -> AbelianCocycle:
     a = np.arange(n, dtype=np.int64)
     carry_term = a[:, None] + a[None, :]
     carry_term = carry_term - carry_term % n  # n * carry(b, c), values in {0, n}
-    f_num = (s * a[:, None, None] * carry_term[None, :, :]) % d
-    omega_num = (s * a[:, None] * a[None, :]) % d
+    t = s % d  # same tables, and fits int64 whatever s is
+    f_num = (t * a[:, None, None] * carry_term[None, :, :]) % d
+    omega_num = (t * a[:, None] * a[None, :]) % d
     cocycle = AbelianCocycle(group, f_num, omega_num, d, name=f"cyclic(n={n}, s={s})")
     report = validate_cocycle(cocycle)
     if not report.passed:  # would be an implementation bug, not bad input

@@ -22,6 +22,10 @@ from .errors import ConsistencyError, GradingError, RepresentationError, Structu
 MATRIX_TOL = 1e-9
 INTEGER_TOL = 1e-6
 INTERTWINER_TOL = 1e-8
+#: Largest finite group built, checked before any order-sized table exists.
+#: An abelian group of this order has as many irreps, and the fusion
+#: associativity check holds two ``k^4`` int64 arrays for ``k`` irreps.
+MAX_GROUP_ORDER = 64
 
 
 class FiniteGroup:
@@ -86,6 +90,10 @@ class FiniteGroup:
                         elements.add(q)
                         new.append(q)
             frontier = new
+            if len(elements) > MAX_GROUP_ORDER:
+                raise StructuralError(
+                    f"permutation group has more than MAX_GROUP_ORDER = {MAX_GROUP_ORDER} elements"
+                )
         ordered = sorted(elements)
         index = {p: i for i, p in enumerate(ordered)}
         n = len(ordered)
@@ -178,6 +186,9 @@ def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrice
     gen_mats = [np.asarray(m, dtype=np.complex128) for m in generator_matrices]
     if len(gens) != len(gen_mats) or not gens:
         raise StructuralError("need one matrix per generator index")
+    for g in gens:
+        if not 0 <= g < group.order:
+            raise StructuralError(f"generator index {g} is not an element index of the group")
     d = gen_mats[0].shape[0]
     if any(m.shape != (d, d) for m in gen_mats):
         raise StructuralError("generator matrices must share one square shape")

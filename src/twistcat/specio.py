@@ -21,6 +21,11 @@ A spec file is a UTF-8 JSON document with a versioned schema:
     }
 
 su2 mode replaces group/irreps/embedding with {"max_spin": N}.
+
+``load_spec`` alone reads the JSON, checking each field's type and shape once
+and naming a bad field's JSON path.  Integer fields are JSON integers, matrix
+entries are strings, a ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.
+Group axioms, irreps and the embedding are checked when the category is built.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from .abgroup import FinAbGroup
 from .catalogs import builtin_catalog
 from .cocycle import AbelianCocycle, _from_exponents, build_cyclic
 from .errors import StructuralError
-from .grouprep import CentralEmbedding, FiniteGroup, MatrixRep, rep_from_generators
+from .grouprep import MAX_GROUP_ORDER, CentralEmbedding, FiniteGroup, rep_from_generators
 from .modcat import TwistedCategory
+from .unitscalar import UnitScalar
 
 SCHEMA_VERSION = 1
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -52,68 +58,62 @@ BUNDLED_FIXTURES = (
 )
 
 _ENTRY_EXP = re.compile(r"^e\((?P<frac>-?\d+(/\d+)?)\)$")
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
 def parse_matrix_entry(text: str) -> complex:
     """Parse ``"a+bi"`` decimal entries or ``"e(p/q)"`` roots of unity."""
     text = text.strip().replace(" ", "")
     m = _ENTRY_EXP.match(text)
-    if m:
-        from .unitscalar import UnitScalar
-
-        return UnitScalar(Fraction(m.group("frac"))).to_complex()
     try:
+        if m:
+            return UnitScalar(Fraction(m.group("frac"))).to_complex()
         return complex(text.replace("i", "j"))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"cannot parse matrix entry {text!r}") from exc
 
 
-def _field(config, key: str, path: str):
-    """``config[key]``, or a ``StructuralError`` naming the missing spec field."""
-    if not isinstance(config, dict) or key not in config:
-        raise StructuralError(f"spec field {path!r} is missing")
-    return config[key]
-
-
-def _as_int(value, path: str) -> int:
+def parse_element(text: str, group: FinAbGroup, what: str) -> tuple[int, ...]:
+    """The element of ``group`` written as residues joined by ``,``, e.g. ``"1,0"``."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise StructuralError(f"spec field {path!r} must be an integer, got {value!r}") from None
+        residues = [int(r) for r in text.split(",")]
+    except ValueError:
+        residues = []
+    if len(residues) != group.rank:
+        raise StructuralError(f"{what} must be residues of {group} joined by ',', got {text!r}")
+    return group.element(residues)
 
 
-def _strict_int(value, path: str) -> int:
-    """A JSON integer; unlike ``_as_int``, no string, float or boolean."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise StructuralError(f"spec field {path!r} must be an integer, got {value!r}")
+def _bad(path: str, expected: str, value) -> StructuralError:
+    got = "nothing" if value is None else repr(value)
+    return StructuralError(f"spec field {path!r} must be {expected}, got {got}")
+
+
+def _typed(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise _bad(path, _KINDS[kind], value)
     return value
 
 
-def _as_exponent(value, path: str) -> Fraction:
+def _parse_int(value, path: str, bound: range | None = None) -> int:
+    """A JSON integer (no string, float or boolean), inside ``bound`` if given."""
+    if type(value) is not int:
+        raise _bad(path, "an integer", value)
+    if bound is not None and value not in bound:
+        raise _bad(path, f"an integer in [{bound.start}, {bound.stop})", value)
+    return value
+
+
+def _parse_ints(value, path: str, bound: range | None = None) -> tuple[int, ...]:
+    items = _typed(value, list, path)
+    return tuple(_parse_int(x, f"{path}[{i}]", bound) for i, x in enumerate(items))
+
+
+def _parse_exponent(value, path: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise StructuralError(
-            f"spec field {path!r} must be a rational exponent, got {value!r}"
-        ) from None
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise StructuralError(f"spec field {path!r} must be an object, got {value!r}")
-    return value
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise StructuralError(f"spec field {path!r} must be a list, got {value!r}")
-    return value
-
-
-def _int_list(value, path: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise StructuralError(f"spec field {path!r} must be a list of integers, got {value!r}")
-    return tuple(_as_int(n, f"{path}[{i}]") for i, n in enumerate(value))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise _bad(path, "a rational exponent", value) from None
 
 
 def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
@@ -123,85 +123,109 @@ def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
     is parsed once; a key that reduces to an earlier one overrides it."""
     path = f"cocycle.tables.{key}"
     elements: dict[str, tuple] = {}
-    exponents: dict[str, Fraction] = {}
+    exponents: dict = {}
     entries = {}
-    for text, value in _object(tables.get(key, {}), path).items():
+    for text, value in _typed(tables.get(key, {}), dict, path).items():
+        where = f"{path}.{text}"
         parts = text.split("|")
         if len(parts) != arity:
-            raise StructuralError(f"table key {text!r} must have {arity} elements joined by '|'")
-        where = f"{path}.{text}"
+            raise StructuralError(f"spec field {where!r} must key {arity} elements joined by '|'")
         for part in parts:
             if part not in elements:
-                elements[part] = group.element([_as_int(r, where) for r in part.split(",")])
-        if isinstance(value, str):
-            if value not in exponents:
-                exponents[value] = _as_exponent(value, where)
-            exponent = exponents[value]
-        else:  # a JSON number, or a value _as_exponent rejects
-            exponent = _as_exponent(value, where)
-        entries[tuple(elements[part] for part in parts)] = exponent
+                elements[part] = parse_element(part, group, f"spec field {where!r}")
+        if not isinstance(value, str) or value not in exponents:  # a string is parsed once
+            exponents[value] = _parse_exponent(value, where)
+        entries[tuple(elements[part] for part in parts)] = exponents[value]
     return entries
 
 
-def _cocycle_from_config(grading: FinAbGroup, config, name: str) -> AbelianCocycle:
-    config = _object(config, "cocycle")
+def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
+    """``("cyclic", n, s)``, ``("trivial",)`` or ``("tables", f, omega)``."""
+    config = _typed(config, dict, "cocycle")
     if "builder" in config:
         builder = config["builder"]
         if builder == "cyclic":
-            n = _strict_int(_field(config, "n", "cocycle.n"), "cocycle.n")
-            s = _strict_int(_field(config, "s", "cocycle.s"), "cocycle.s")
-            if grading.factors != (n,):
-                raise StructuralError("cyclic builder requires grading_group [n]")
-            return build_cyclic(n, s)
+            n = _parse_int(config.get("n"), "cocycle.n")
+            return "cyclic", n, _parse_int(config.get("s"), "cocycle.s")
         if builder == "trivial":
-            return AbelianCocycle.trivial(grading, name=name)
-        raise StructuralError(f"unknown cocycle builder {builder!r}")
+            return ("trivial",)
+        raise _bad("cocycle.builder", "'cyclic' or 'trivial'", builder)
     if "tables" in config:
-        tables = _object(config["tables"], "cocycle.tables")
-        return _from_exponents(
-            grading, _parse_table(tables, "f", grading, 3), _parse_table(tables, "omega", grading, 2),
-            name,
-        )
-    raise StructuralError("cocycle config needs either 'builder' or 'tables'")
+        tables = _typed(config["tables"], dict, "cocycle.tables")
+        f = _parse_table(tables, "f", grading, 3)
+        return "tables", f, _parse_table(tables, "omega", grading, 2)
+    raise _bad("cocycle", "an object with 'builder' or 'tables'", config)
 
 
-def _group_from_config(config: dict) -> tuple[FiniteGroup, dict[str, MatrixRep] | None]:
+def _parse_group(config) -> tuple:
+    """``("builtin", name)``, ``("table", rows)`` or ``("permutations", generators)``."""
+    config = _typed(config, dict, "group")
     if "builtin" in config:
-        group, reps = builtin_catalog(config["builtin"])
-        return group, reps
+        return "builtin", _typed(config["builtin"], str, "group.builtin")
     if "table" in config:
-        return FiniteGroup(np.asarray(config["table"], dtype=np.int64)), None
+        rows = _typed(config["table"], list, "group.table")
+        if not 1 <= len(rows) <= MAX_GROUP_ORDER:  # the group order cap, before any allocation
+            raise _bad("group.table", f"a list of 1 to {MAX_GROUP_ORDER} rows", len(rows))
+        table = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(rows):
+                raise _bad(f"group.table[{i}]", f"a list of {len(rows)} element indices", row)
+            table.append(_parse_ints(row, f"group.table[{i}]", range(len(rows))))
+        return "table", np.array(table, dtype=np.int64)
     if "permutation_generators" in config:
-        return FiniteGroup.from_permutations(config["permutation_generators"]), None
-    raise StructuralError("group config needs 'builtin', 'table' or 'permutation_generators'")
+        path = "group.permutation_generators"
+        gens = _typed(config["permutation_generators"], list, path)
+        return "permutations", tuple(_parse_ints(g, f"{path}[{i}]") for i, g in enumerate(gens))
+    raise _bad("group", "an object with 'builtin', 'table' or 'permutation_generators'", config)
 
 
-def _irreps_from_config(group: FiniteGroup, config, builtin_reps) -> dict[str, MatrixRep]:
+def _parse_matrix(value, path: str) -> np.ndarray:
+    """A square matrix of ``parse_matrix_entry`` strings."""
+    if not isinstance(value, list) or not value:
+        raise _bad(path, "a non-empty list of rows", value)
+    entries = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != len(value):
+            raise _bad(f"{path}[{i}]", f"a list of {len(value)} entries", row)
+        for j, text in enumerate(row):
+            where = f"{path}[{i}][{j}]"
+            text = _typed(text, str, where)
+            try:
+                entries.append(parse_matrix_entry(text))
+            except StructuralError as exc:
+                raise StructuralError(f"spec field {where!r}: {exc}") from None
+    return np.array(entries, dtype=np.complex128).reshape(len(value), len(value))
+
+
+def _parse_irreps(config) -> tuple | None:
+    """``None`` for ``"builtin"``, else generator indices and ``{label: matrices}``."""
     if config == "builtin":
-        if builtin_reps is None:
-            raise StructuralError("'irreps': 'builtin' requires a builtin group")
-        return builtin_reps
-    generators = [int(g) for g in config["generators"]]
+        return None
+    if not isinstance(config, dict):
+        raise _bad("irreps", "'builtin' or an object", config)
+    generators = _parse_ints(config.get("generators"), "irreps.generators")
     reps = {}
-    for item in config["list"]:
-        mats = [
-            np.array([[parse_matrix_entry(x) for x in row] for row in mat])
-            for mat in item["matrices"]
-        ]
-        reps[item["label"]] = rep_from_generators(group, generators, mats)
-    return reps
+    for i, item in enumerate(_typed(config.get("list"), list, "irreps.list")):
+        path = f"irreps.list[{i}]"
+        label = _typed(_typed(item, dict, path).get("label"), str, f"{path}.label")
+        if label in reps:
+            raise _bad(f"{path}.label", "a label not used before", label)
+        mats = _typed(item.get("matrices"), list, f"{path}.matrices")
+        reps[label] = [_parse_matrix(m, f"{path}.matrices[{j}]") for j, m in enumerate(mats)]
+    return generators, reps
 
 
 @dataclass
 class CategorySpec:
-    """A parsed spec file plus the constructed objects it describes."""
+    """The typed fields of a spec file; builds the objects they describe."""
 
     name: str
     mode: str
     path: Path | None
-    raw: dict
     grading: FinAbGroup
-    cocycle_config: dict
+    cocycle_source: tuple  # what _parse_cocycle returns
+    group_source: tuple = ()  # what _parse_group returns
+    irrep_source: tuple | None = None  # what _parse_irreps returns
     embedding: tuple[int, ...] = ()
     complete: bool = True
     max_spin: int = 10
@@ -210,7 +234,15 @@ class CategorySpec:
     def build_cocycle(self) -> AbelianCocycle:
         """Construct (and thereby validate) the cocycle; built once per spec."""
         if self._cocycle is None:
-            self._cocycle = _cocycle_from_config(self.grading, self.cocycle_config, self.name)
+            kind, *args = self.cocycle_source
+            if kind == "cyclic":
+                if self.grading.factors != (args[0],):
+                    raise StructuralError("cyclic builder requires grading_group [n]")
+                self._cocycle = build_cyclic(*args)
+            elif kind == "trivial":
+                self._cocycle = AbelianCocycle.trivial(self.grading, name=self.name)
+            else:
+                self._cocycle = _from_exponents(self.grading, *args, self.name)
         return self._cocycle
 
     def build_category(self) -> TwistedCategory:
@@ -218,8 +250,17 @@ class CategorySpec:
         if self.mode != "finite-group":
             raise StructuralError(f"spec {self.name!r} has no finite-group category")
         cocycle = self.build_cocycle()
-        group, builtin_reps = _group_from_config(self.raw["group"])
-        irreps = _irreps_from_config(group, self.raw["irreps"], builtin_reps)
+        kind, value = self.group_source
+        if kind == "builtin":
+            group, irreps = builtin_catalog(value)
+        else:
+            build = FiniteGroup if kind == "table" else FiniteGroup.from_permutations
+            group, irreps = build(value), None
+        if self.irrep_source is not None:
+            gens, matrices = self.irrep_source
+            irreps = {label: rep_from_generators(group, gens, m) for label, m in matrices.items()}
+        elif irreps is None:
+            raise StructuralError("'irreps': 'builtin' requires a builtin group")
         embedding = CentralEmbedding(self.grading, self.embedding)
         # build_cocycle validated it; the trivial builder's zero tables need no check
         return TwistedCategory(
@@ -246,62 +287,27 @@ def resolve_spec_path(spec: str | Path) -> Path:
 
 
 def load_spec(spec: str | Path) -> CategorySpec:
+    """Read a spec file, checking each field's type and shape once."""
     path = resolve_spec_path(spec)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge or deep literals
         raise StructuralError(f"spec file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise StructuralError("spec file must contain a JSON object")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise StructuralError(f"unsupported schema_version {version!r}")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise _bad("schema_version", str(SCHEMA_VERSION), version)
     mode = raw.get("mode", "finite-group")
     if mode not in ("finite-group", "su2"):
-        raise StructuralError(f"unknown mode {mode!r}")
-    if "grading_group" not in raw:
-        raise StructuralError("spec is missing 'grading_group'")
-    grading = FinAbGroup(_int_list(raw["grading_group"], "grading_group"))
-    if "cocycle" not in raw:
-        raise StructuralError("spec is missing 'cocycle'")
-    name = raw.get("name", path.stem)
-    if not isinstance(name, str):
-        raise StructuralError(f"spec field 'name' must be a string, got {name!r}")
-    embedding, complete = (), True
+        raise _bad("mode", "'finite-group' or 'su2'", mode)
+    grading = FinAbGroup(_parse_ints(raw.get("grading_group"), "grading_group"))
+    name = _typed(raw.get("name", path.stem), str, "name")
+    spec = CategorySpec(name, mode, path, grading, _parse_cocycle(raw.get("cocycle"), grading))
+    spec.max_spin = _parse_int(raw.get("max_spin", 10), "max_spin")
     if mode == "finite-group":
-        for key in ("group", "irreps", "central_embedding"):
-            if key not in raw:
-                raise StructuralError(f"finite-group spec is missing {key!r}")
-        # build_category reports a StructuralError as a failed verdict, so
-        # malformed group, irreps and embedding fields must be rejected here
-        group = _object(raw["group"], "group")
-        if "builtin" in group:
-            if not isinstance(group["builtin"], str):
-                raise StructuralError(
-                    f"spec field 'group.builtin' must be a string, got {group['builtin']!r}"
-                )
-        elif "table" in group:
-            for i, row in enumerate(_list(group["table"], "group.table")):
-                _int_list(row, f"group.table[{i}]")
-        irreps = raw["irreps"]
-        if irreps != "builtin":
-            _int_list(_field(irreps, "generators", "irreps.generators"), "irreps.generators")
-            for i, item in enumerate(_list(_field(irreps, "list", "irreps.list"), "irreps.list")):
-                for key in ("label", "matrices"):
-                    _field(item, key, f"irreps.list[{i}].{key}")
-                _list(item["matrices"], f"irreps.list[{i}].matrices")
-        embedding = _int_list(raw["central_embedding"], "central_embedding")
-        complete = raw.get("complete", True)
-        if not isinstance(complete, bool):
-            raise StructuralError(f"spec field 'complete' must be true or false, got {complete!r}")
-    return CategorySpec(
-        name=name,
-        mode=mode,
-        path=path,
-        raw=raw,
-        grading=grading,
-        cocycle_config=raw["cocycle"],
-        embedding=embedding,
-        complete=complete,
-        max_spin=_as_int(raw.get("max_spin", 10), "max_spin"),
-    )
+        spec.group_source = _parse_group(raw.get("group"))
+        spec.irrep_source = _parse_irreps(raw.get("irreps"))
+        spec.embedding = _parse_ints(raw.get("central_embedding"), "central_embedding")
+        spec.complete = _typed(raw.get("complete", True), bool, "complete")
+    return spec

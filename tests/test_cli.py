@@ -38,6 +38,19 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
     assert run_cli("verify", "--spec", str(bad)) == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff{}", b'{"schema_version": 1' + b"0" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "integer-literal-too-long", "nested-too-deep"],
+)
+def test_unreadable_spec_is_parse_error(data, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert run_cli("verify", "--spec", str(bad)) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: spec file ")
+
+
 def test_wrong_schema_version(tmp_path):
     spec = tmp_path / "v2.json"
     spec.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")
@@ -270,6 +283,35 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
         assert verdict["status"] == "pass"
 
 
+# the two-element group as a multiplication table, graded by Z/2 at its
+# non-identity element; merged into the z2-lattice-on-z4 fixture it verifies
+Z2_TABLE = {
+    "group": {"table": [[0, 1], [1, 0]]},
+    "irreps": {
+        "generators": [1],
+        "list": [
+            {"label": "even", "matrices": [[["1"]]]},
+            {"label": "odd", "matrices": [[["-1"]]]},
+        ],
+    },
+    "central_embedding": [1],
+}
+
+
+def _z2_table_irrep(**item):
+    """``Z2_TABLE`` with fields of its first irrep replaced."""
+    first = {"label": "even", "matrices": [[["1"]]], **item}
+    odd = Z2_TABLE["irreps"]["list"][1]
+    return {**Z2_TABLE, "irreps": {"generators": [1], "list": [first, odd]}}
+
+
+def test_z2_table_spec_verifies(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**spec, **Z2_TABLE}), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize(
     "changes, field",
     [
@@ -301,6 +343,25 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
         ({"cocycle": {"builder": "cyclic", "n": 2, "s": "3"}}, "cocycle.s"),
         ({"cocycle": {"builder": "cyclic", "n": True, "s": 3}}, "cocycle.n"),
         ({"name": 5}, "name"),
+        (_z2_table_irrep(matrices=[[[1]]]), "irreps.list[0].matrices[0][0][0]"),
+        ({**Z2_TABLE, "group": {"table": [[0, 1], [1]]}}, "group.table[1]"),
+        ({**Z2_TABLE, "group": {"table": [[0, 1], [1, 10**30]]}}, "group.table[1][1]"),
+        ({**Z2_TABLE, "group": {"permutation_generators": 5}}, "group.permutation_generators"),
+        (_z2_table_irrep(label=5), "irreps.list[0].label"),
+        (_z2_table_irrep(matrices=[5]), "irreps.list[0].matrices[0]"),
+        ({"cocycle": {"tables": {"f": {"1|1|1": float("inf")}}}}, "cocycle.tables.f.1|1|1"),
+        (_z2_table_irrep(matrices=[["1"]]), "irreps.list[0].matrices[0][0]"),
+        ({"grading_group": ["2"]}, "grading_group[0]"),
+        ({"central_embedding": ["2"]}, "central_embedding[0]"),
+        ({"mode": "su2", "max_spin": "3"}, "max_spin"),
+        ({"mode": "su2", "max_spin": 3.7}, "max_spin"),
+        ({"schema_version": 1.0}, "schema_version"),
+        (_z2_table_irrep(label="odd"), "irreps.list[1].label"),
+        (_z2_table_irrep(matrices=[[["one"]]]), "irreps.list[0].matrices[0][0][0]"),
+        ({"group": {}}, "group"),
+        ({**Z2_TABLE, "group": {"table": [[0, 1]]}}, "group.table[0]"),
+        ({**Z2_TABLE, "group": {"table": [[0, 1], [1, 2]]}}, "group.table[1][1]"),
+        ({**Z2_TABLE, "group": {"table": [list(range(65))] * 65}}, "group.table"),
     ],
     ids=[
         "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
@@ -309,6 +370,13 @@ def test_human_and_machine_verdicts_agree(tmp_path, capsys):
         "irreps-list-number", "generators-number", "matrices-number", "builtin-number",
         "group-table-string-entry", "complete-string", "cyclic-n-string", "cyclic-s-string",
         "cyclic-n-boolean", "name-number",
+        "matrix-entry-number", "group-table-ragged", "group-table-huge-entry",
+        "permutation-generators-number", "irrep-label-number", "matrix-number",
+        "table-exponent-infinity", "matrix-row-string", "grading-group-string-entry",
+        "embedding-string-entry", "max-spin-numeric-string", "max-spin-float",
+        "schema-version-float", "irrep-label-repeated", "matrix-entry-unparseable",
+        "group-empty", "group-table-not-square", "group-table-entry-out-of-range",
+        "group-table-above-order-cap",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])
@@ -357,3 +425,51 @@ def test_nonabelian_table_spec_report_matches_golden(tmp_path, capsys):
     spec = GOLDEN_DIR / "specs" / "d5-table-z2.json"
     assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / "d5-table-z2.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {**Z2_TABLE, "irreps": {**Z2_TABLE["irreps"], "generators": [-1]}},
+        {**Z2_TABLE, "irreps": {**Z2_TABLE["irreps"], "generators": [99]}},
+        {"group": {"builtin": "z65"}},
+        {**Z2_TABLE, "group": {"permutation_generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}},
+    ],
+    ids=["generator-index-negative", "generator-index-too-large", "builtin-above-cap", "s5"],
+)
+def test_bad_group_or_generators_fail_irreps_valid(changes, tmp_path, capsys):
+    # -1 used to pass as the last element and 99 raised IndexError; the
+    # groups above MAX_GROUP_ORDER are refused before their tables are built
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**spec, **changes}), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL  irreps-valid: " in out
+    assert "element index" in out or "MAX_GROUP_ORDER" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monodromy", "--z1", "x,0", "--z2", "1,0", "--grades", "1|1|1"],
+        ["monodromy", "--z1", "3,0", "--z2", "2,0", "--grades", "a|1|1"],
+        ["monodromy", "--z1", "3,0", "--z2", "nan,0", "--grades", "1|1|1"],
+        ["monodromy", "--path", "1,0; x,1", "--grades", "1|1"],
+        ["monodromy", "--path", "1,0; inf,1", "--grades", "1|1"],
+        ["monodromy", "--path", "1,0; 0,1", "--grades", "1,0|1"],
+        ["verify", "--seed", "-3"],
+        ["verify", "--tolerance", "-1"],
+        ["verify", "--tolerance", "nan"],
+        ["verify", "--tolerance", "inf"],
+    ],
+    ids=[
+        "z1-unparseable", "grades-unparseable", "z2-nan", "path-unparseable", "path-infinite",
+        "grades-wrong-rank", "seed-negative", "tolerance-negative", "tolerance-nan",
+        "tolerance-infinite",
+    ],
+)
+def test_bad_cli_argument_is_parse_error(argv, capsys):
+    assert run_cli(*argv, "--spec", "z2-lattice-on-z4") == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")

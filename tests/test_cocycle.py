@@ -274,3 +274,12 @@ def test_pentagon_matches_per_tuple_reference(
     check = _check_pentagon(c)
     assert check.checked == m**4
     assert (check.passed, check.witness) == _reference_pentagon(c)
+
+
+@pytest.mark.parametrize("s", [10**30, -(10**30) - 1, 2**63])
+def test_build_cyclic_reduces_huge_twist(s):
+    # s and s + d give the same tables, so a twist beyond int64 is reduced first
+    n = 4
+    c, ref = build_cyclic(n, s), build_cyclic(n, s % 8)
+    assert np.array_equal(c.f_num, ref.f_num) and np.array_equal(c.omega_num, ref.omega_num)
+    assert c.name == f"cyclic(n={n}, s={s})"

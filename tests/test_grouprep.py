@@ -12,6 +12,7 @@ from twistcat.errors import (
     StructuralError,
 )
 from twistcat.grouprep import (
+    MAX_GROUP_ORDER,
     CentralEmbedding,
     FiniteGroup,
     MatrixRep,
@@ -243,3 +244,19 @@ def test_non_unitary_rep_warns_but_validates(s3):
     with pytest.warns(UserWarning, match="not unitary"):
         chars = validate_irrep(skewed)
     assert np.allclose(chars, [2.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("index", [-1, 2, 99])
+def test_rep_from_generators_rejects_index_outside_group(index):
+    group, _ = cyclic_group(2)
+    with pytest.raises(StructuralError, match=f"generator index {index} is not an element index"):
+        rep_from_generators(group, [index], [[[-1]]])
+
+
+def test_group_order_cap():
+    # only the rejection path: nothing of the refused order is allocated
+    with pytest.raises(StructuralError, match="exceeds MAX_GROUP_ORDER = 64"):
+        cyclic_group(MAX_GROUP_ORDER + 1)
+    s5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    with pytest.raises(StructuralError, match="more than MAX_GROUP_ORDER = 64 elements"):
+        FiniteGroup.from_permutations(s5)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twistcat.abgroup import FinAbGroup
 from twistcat.cocycle import AbelianCocycle, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError
-from twistcat.specio import CategorySpec
+from twistcat.specio import CategorySpec, _parse_cocycle
 
 GROUPS = [(n,) for n in range(1, 13)] + [
     (a, b) for a in range(2, 7) for b in range(2, 7) if a * b <= 12
@@ -99,7 +99,7 @@ def test_table_spec_path_matches_given_exponents(drawn):
             exps[elts] = Fraction(value) % 1
     denom = lcm(1, *(x.denominator for exps in expected.values() for x in exps.values()))
 
-    spec = CategorySpec("h", "finite-group", None, {}, group, {"tables": tables})
+    spec = CategorySpec("h", "finite-group", None, group, _parse_cocycle({"tables": tables}, group))
     try:
         c = spec.build_cocycle()
     except CocycleError as exc:
