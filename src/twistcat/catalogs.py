@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 
@@ -147,6 +148,8 @@ def builtin_catalog(name: str) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     key = name.lower()
     if key in _BUILTIN_BUILDERS:
         return _BUILTIN_BUILDERS[key]()
-    if key.startswith("z") and key[1:].isdigit():
+    # ASCII digits only, and few enough that int() is cheap; the order cap
+    # is checked by cyclic_group
+    if re.fullmatch(r"z[0-9]{1,6}", key):
         return cyclic_group(int(key[1:]))
     raise StructuralError(f"unknown builtin group {name!r}; use zN, s3, d4 or q8")

@@ -2,13 +2,17 @@
 
 Tables are stored as integer exponent numerators over one common
 denominator, so every axiom check below is exact integer arithmetic mod
-that denominator; no tolerances anywhere.  The pentagon is checked over
-all of ``A^4``, one ``|A|^3`` slab per first argument in the narrowest
-integer dtype that holds ``5 * denom``, and both hexagons over ``A^3``;
-validation is eager at construction because every downstream formula
-assumes the axioms.  Every exponent expression in this module, ``modcat``
-and ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
-``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
+that denominator; no tolerances anywhere.  All checks run in the narrowest
+integer dtype that holds ``5 * denom``.  The pentagon is checked over all of
+``A^4``, one ``|A|^3`` slab per first argument, reading ``F(a1, a2, a3+a4)``
+through a strided window over a wrap-padded copy of ``F``; both hexagons are
+summed in place over all of ``A^3`` from transposed views of ``F``.
+Validation is eager at construction because every downstream formula
+assumes the axioms, and each builder keeps its report on the cocycle so
+that nothing validates twice.  Every exponent expression in this module,
+``modcat`` and ``branchcut.assoc_numerator`` has magnitude below
+``5 * denom``, so ``denom`` is capped at ``MAX_DENOM`` to keep int64
+arithmetic exact.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .abgroup import FinAbGroup, GroupElt
 from .errors import CocycleError, StructuralError
@@ -27,6 +32,7 @@ from .unitscalar import UnitScalar
 
 MAX_TABLE_ORDER = 256  # exhaustive pentagon checking is O(|A|^4)
 MAX_DENOM = 2**60  # 5 * MAX_DENOM < 2**63: exponent sums cannot overflow int64
+_NORMALIZATION_DETAIL = "F on identity slices and Omega(.,0), Omega(0,.)"
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,8 @@ class AbelianCocycle:
     omega_num: np.ndarray
     denom: int
     name: str = field(default="", compare=False)
+    #: the builder's validation report, so that no later reader validates again
+    report: CoherenceReport | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_denom(self.denom)
@@ -187,7 +195,21 @@ class AbelianCocycle:
     def trivial(cls, group: FinAbGroup, *, name: str = "trivial") -> AbelianCocycle:
         _check_table_order(group)
         m = group.order
-        return cls(group, np.zeros((m, m, m), np.int64), np.zeros((m, m), np.int64), 1, name=name)
+        cocycle = cls(group, np.zeros((m, m, m), np.int64), np.zeros((m, m), np.int64), 1, name=name)
+        # every axiom holds on all-zero tables: the report validate_cocycle
+        # would give, without running the kernels
+        report = CoherenceReport((
+            AxiomCheck("pentagon", True, m**4),
+            AxiomCheck("hexagon-1", True, m**3),
+            AxiomCheck("hexagon-2", True, m**3),
+            AxiomCheck("normalization", True, m**3, detail=_NORMALIZATION_DETAIL),
+        ))
+        return _keep_report(cocycle, report)
+
+
+def _keep_report(cocycle: AbelianCocycle, report: CoherenceReport) -> AbelianCocycle:
+    object.__setattr__(cocycle, "report", report)
+    return cocycle
 
 
 def _check_table_order(group: FinAbGroup) -> None:
@@ -206,25 +228,38 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
                     name: str) -> AbelianCocycle:
     """Build and validate a cocycle from sparse exponent maps keyed by element
     tuples; an omitted key means exponent 0.  Raises ``StructuralError`` if
-    the common denominator exceeds ``MAX_DENOM``, before allocating, and
-    ``CocycleError`` (carrying the report) if any axiom fails."""
+    the common denominator exceeds ``MAX_DENOM``, before allocating, or if a
+    key is not a tuple of reduced elements, and ``CocycleError`` (carrying the
+    report) if any axiom fails."""
     _check_table_order(group)
+    # Values repeat across a table: each distinct one is reduced mod 1 once,
+    # and each entry keeps the position of its exponent in `exponents`.  The
+    # memo is keyed by identity, because a parsed spec holds one Fraction per
+    # distinct exponent and hashing a Fraction costs about as much as reducing
+    # it; the memo holds each value, so no other value can take its id.
+    memo: dict[int, tuple] = {}
+    exponents: list[Fraction] = []
 
-    def exponents(entries: Mapping) -> dict:
-        return {
-            key: value.exponent if isinstance(value, UnitScalar) else Fraction(value) % 1
-            for key, value in entries.items()
-        }
+    def positions(entries: Mapping) -> np.ndarray:
+        out = []
+        for value in entries.values():
+            hit = memo.get(id(value))
+            if hit is None:
+                hit = memo[id(value)] = (len(exponents), value)
+                exponents.append(
+                    value.exponent if isinstance(value, UnitScalar) else Fraction(value) % 1
+                )
+            out.append(hit[0])
+        return np.array(out, dtype=np.intp)
 
-    f_exp, w_exp = exponents(f_entries), exponents(omega_entries)
-    denom = lcm(1, *(x.denominator for x in f_exp.values()),
-                *(x.denominator for x in w_exp.values()))
+    f_pos, w_pos = positions(f_entries), positions(omega_entries)
+    denom = lcm(1, *{x.denominator for x in exponents})
     _check_denom(denom)
+    numerators = np.array([x.numerator * (denom // x.denominator) for x in exponents], np.int64)
     m = group.order
     f_num, omega_num = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
-    for table, exps in ((f_num, f_exp), (omega_num, w_exp)):
-        for key, x in exps.items():
-            table[tuple(group.index(a) for a in key)] = x.numerator * (denom // x.denominator)
+    for table, entries, pos in ((f_num, f_entries, f_pos), (omega_num, omega_entries, w_pos)):
+        table[tuple(_key_indices(group, list(entries), table.ndim).T)] = numerators[pos]
 
     cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
     report = validate_cocycle(cocycle)
@@ -233,7 +268,32 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
         raise CocycleError(
             f"cocycle tables violate the {first.axiom} axiom at {first.witness}", report=report
         )
-    return cocycle
+    return _keep_report(cocycle, report)
+
+
+def _key_indices(group: FinAbGroup, keys: list, arity: int) -> np.ndarray:
+    """``(len(keys), arity)`` enumeration indices of keys of ``arity`` elements.
+
+    Keys are turned into digits and raveled in one step.  If that finds any
+    key that is not ``arity`` reduced elements, ``FinAbGroup.index`` goes over
+    the keys in order and raises on the first bad element, as it names it."""
+    try:
+        digits = np.array(keys)
+    except ValueError:  # ragged keys
+        digits = None
+    if (
+        digits is not None
+        and digits.shape == (len(keys), arity, group.rank)
+        and digits.dtype.kind in "iu"
+        and (digits >= 0).all()
+        and (digits < group.factors).all()
+    ):
+        return np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)), group.factors)
+    rows = [[group.index(a) for a in key] for key in keys]
+    for key, row in zip(keys, rows):
+        if len(row) != arity:
+            raise StructuralError(f"table key {key} does not have {arity} elements")
+    return np.array(rows, dtype=np.int64).reshape(len(keys), arity)
 
 
 def build_cyclic(n: int, s: int) -> AbelianCocycle:
@@ -259,19 +319,20 @@ def build_cyclic(n: int, s: int) -> AbelianCocycle:
         raise StructuralError(f"cyclic order {n} exceeds the table cap {MAX_TABLE_ORDER}")
     group = FinAbGroup((n,))
     d = n * gcd(n, 2)
-    a = np.arange(n, dtype=np.int64)
-    carry_term = a[:, None] + a[None, :]
-    carry_term = carry_term - carry_term % n  # n * carry(b, c), values in {0, n}
     t = s % d  # same tables, and fits int64 whatever s is
-    f_num = (t * a[:, None, None] * carry_term[None, :, :]) % d
-    omega_num = (t * a[:, None] * a[None, :]) % d
-    cocycle = AbelianCocycle(group, f_num, omega_num, d, name=f"cyclic(n={n}, s={s})")
+    a = np.arange(n, dtype=np.int64)
+    # F(a, b, c) = r[a] if b + c >= n else 0: the one |A|^3 allocation
+    r = t * n * a % d
+    cocycle = AbelianCocycle(
+        group, r[:, None, None] * (a[:, None] + a[None, :] >= n), t * a[:, None] * a[None, :] % d,
+        d, name=f"cyclic(n={n}, s={s})",
+    )
     report = validate_cocycle(cocycle)
     if not report.passed:  # would be an implementation bug, not bad input
         raise AssertionError(
             f"build_cyclic({n}, {s}) produced an invalid cocycle:\n{report.describe()}"
         )
-    return cocycle
+    return _keep_report(cocycle, report)
 
 
 # -- validation ----------------------------------------------------------------
@@ -284,56 +345,94 @@ def _first_witness(mask: np.ndarray, group: FinAbGroup, offset0: int = 0) -> tup
     return tuple(group.element_at(int(i)) for i in idx)
 
 
+def _narrow_dtype(denom: int) -> type:
+    """The narrowest integer dtype that holds ``5 * denom``.
+
+    Table entries lie in ``[0, denom)`` and every partial sum of an axiom
+    below lies in ``(-4 * denom, 3 * denom)``."""
+    return np.int16 if 5 * denom < 2**15 else np.int32 if 5 * denom < 2**31 else np.int64
+
+
+def _reduce(d: np.ndarray, q: np.ndarray, L: int) -> None:
+    """``d`` mod ``L`` in place, as ``d - L * (d // L)`` through the buffer ``q``:
+    numpy's floor_divide has a fast path for a scalar divisor, remainder has not."""
+    np.floor_divide(d, L, out=q)
+    q *= L
+    d -= q
+
+
+def _sum_window(F: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """Read-only view ``V`` with ``V[i, j, b, c] = F[i, j, b + c]``.
+
+    ``b`` and ``c`` are each spelled as one axis per invariant factor.  Each
+    factor axis of ``F``'s last argument is wrap-padded by ``n - 1``, so that
+    the digit ``b_k + c_k`` of the sum sits at ``b_k + c_k`` without a ``mod``;
+    ``b_k`` and ``c_k`` then step along the same padded axis."""
+    m = F.shape[0]
+    P = F.reshape((m, m) + factors)
+    for axis, n in enumerate(factors, start=2):
+        if n > 1:
+            head = (slice(None),) * axis + (slice(n - 1),)
+            P = np.concatenate([P, P[head]], axis=axis)
+    return as_strided(P, (m, m) + factors + factors, P.strides + P.strides[2:], writeable=False)
+
+
 def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
     g, m, L = c.group, c.group.order, c.denom
-    # Entries lie in [0, L), so every partial sum below lies in (-2L, 3L),
-    # well inside a dtype that holds 5L.
-    dtype = np.int16 if 5 * L < 2**15 else np.int32 if 5 * L < 2**31 else np.int64
-    F, S = c.f_num.astype(dtype), g.add_index_table
-    # One |A|^3 slab [a2, a3, a4] per first argument a1 = i, in order, so the
+    F, S = c.f_num.astype(_narrow_dtype(L)), g.add_index_table
+    V = _sum_window(F, g.factors)
+    d, q = np.empty_like(F), np.empty_like(F)
+    d_digits = d.reshape(V.shape[1:])  # d with a3 and a4 split into digits
+    # One |A|^3 slab d[a2, a3, a4] per first argument a1 = i, in order, so the
     # first nonzero cell of the first failing slab is the lexicographically
-    # first failing tuple:
-    #   F(i,a2,a3) + F(i,a2+a3,a4) + F(a2,a3,a4) - F(i,a2,a3+a4) - F(i+a2,a3,a4)
+    # first failing tuple.  Every term is a row gather, a broadcast or the
+    # window V.  np.take with mode="raise" writes through a temporary copy of
+    # out; the indices are in range, so mode="clip" changes no value.
     for i in range(m):
-        F1 = F[i]
-        d = F1[S]
-        d += F1[:, :, None]
-        d += F
-        # np.take lays its result out in C order; F1[:, S] puts the S axes
-        # outermost in memory, and reading that in C order is slow
-        d -= np.take(F1, S, axis=1)
-        d -= F[S[i]]
-        # d mod L, as d - L * (d // L): numpy's floor_divide has a fast path
-        # for a scalar divisor and remainder does not
-        d -= L * (d // L)
-        if d.any():
+        G = F[i]
+        np.take(G, S, axis=0, out=d, mode="clip")  # F(i, a2+a3, a4)
+        d += G[:, :, None]  # F(i, a2, a3)
+        d += F  # F(a2, a3, a4)
+        d_digits -= V[i]  # F(i, a2, a3+a4)
+        d -= np.take(F, S[i], axis=0, out=q, mode="clip")  # F(i+a2, a3, a4)
+        _reduce(d, q, L)
+        if np.count_nonzero(d):
             return AxiomCheck("pentagon", False, m**4, _first_witness(d[None], g, offset0=i))
     return AxiomCheck("pentagon", True, m**4)
 
 
 def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
     g, m, L = c.group, c.group.order, c.denom
-    F, W, S = c.f_num, c.omega_num, g.add_index_table
-    a3_row = np.arange(m)[None, None, :]
-    # all arrays below are indexed [a1, a2, a3]
-    f_312 = np.einsum("kij->ijk", F)  # F(a3, a1, a2)
-    f_132 = np.einsum("ikj->ijk", F)  # F(a1, a3, a2)
-    f_231 = np.einsum("jki->ijk", F)  # F(a2, a3, a1)
-    f_213 = np.einsum("jik->ijk", F)  # F(a2, a1, a3)
-    w_12 = W[:, :, None]
-    w_13 = W[:, None, :]
-    w_23 = W[None, :, :]
-    w_sum12_3 = W[S[:, :, None], a3_row]  # Omega(a1+a2, a3)
-    w_1_sum23 = W[np.arange(m)[:, None, None], S[None, :, :]]  # Omega(a1, a2+a3)
+    dtype = _narrow_dtype(L)
+    F, W, S = c.f_num.astype(dtype), c.omega_num.astype(dtype), g.add_index_table
+    h = np.empty((2, m, m, m), dtype)
+    h1, h2 = h
+    # Each hexagon is summed in place over all of A^3, reading F and Omega
+    # through transposed and broadcast views.  The layout of each sum puts the
+    # pair of arguments that Omega reads as a sum on its two outer axes, so
+    # that term is a row gather.
 
-    # F(a1,a2,a3) Omega(a1+a2,a3) F(a3,a1,a2) = Omega(a2,a3) F(a1,a3,a2) Omega(a1,a3)
-    bad1 = (F + w_sum12_3 + f_312 - w_23 - f_132 - w_13) % L != 0
-    w1 = _first_witness(bad1, g) if bad1.any() else None
+    # F(a1,a2,a3) Omega(a1+a2,a3) F(a3,a1,a2) = Omega(a2,a3) F(a1,a3,a2) Omega(a1,a3),
+    # h1 indexed [a1, a2, a3]
+    np.take(W, S, axis=0, out=h1, mode="clip")  # Omega(a1+a2, a3)
+    h1 += F
+    h1 += F.transpose(1, 2, 0)  # F(a3, a1, a2)
+    h1 -= W[None, :, :]  # Omega(a2, a3)
+    h1 -= F.transpose(0, 2, 1)  # F(a1, a3, a2)
+    h1 -= W[:, None, :]  # Omega(a1, a3)
 
-    # F(a1,a2,a3)^-1 Omega(a1,a2+a3) F(a2,a3,a1)^-1 = Omega(a1,a2) F(a2,a1,a3)^-1 Omega(a1,a3)
-    bad2 = (-F + w_1_sum23 - f_231 - w_12 + f_213 - w_13) % L != 0
-    w2 = _first_witness(bad2, g) if bad2.any() else None
+    # F(a1,a2,a3)^-1 Omega(a1,a2+a3) F(a2,a3,a1)^-1 = Omega(a1,a2) F(a2,a1,a3)^-1 Omega(a1,a3),
+    # h2 indexed [a2, a3, a1]
+    np.take(W.T, S, axis=0, out=h2, mode="clip")  # Omega(a1, a2+a3)
+    h2 -= F.transpose(1, 2, 0)  # F(a1, a2, a3)
+    h2 -= F  # F(a2, a3, a1)
+    h2 -= W.T[:, None, :]  # Omega(a1, a2)
+    h2 += F.transpose(0, 2, 1)  # F(a2, a1, a3)
+    h2 -= W.T[None, :, :]  # Omega(a1, a3)
 
+    _reduce(h, np.empty_like(h), L)
+    w1 = _first_witness(h1, g) if np.count_nonzero(h1) else None
+    w2 = _first_witness(h2.transpose(2, 0, 1), g) if np.count_nonzero(h2) else None
     return [
         AxiomCheck("hexagon-1", w1 is None, m**3, w1),
         AxiomCheck("hexagon-2", w2 is None, m**3, w2),
@@ -342,26 +441,16 @@ def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
 
 def _check_normalization(c: AbelianCocycle) -> AxiomCheck:
     g, m = c.group, c.group.order
+    # entries are reduced and the identity is element 0 of the enumeration
     F, W = c.f_num, c.omega_num
-    zero = g.index(g.zero)
-    bad = (
-        (F[:, :, zero] % c.denom != 0)[:, :, None]
-        | (F[:, zero, :] % c.denom != 0)[:, None, :]
-        | (F[zero, :, :] % c.denom != 0)[None, :, :]
-    )
-    witness = _first_witness(bad, g) if bad.any() else None
-    omega_ok = (W[:, zero] % c.denom == 0).all() and (W[zero, :] % c.denom == 0).all()
-    if witness is None and not omega_ok:
-        if (W[:, zero] % c.denom).any():
-            i = int(np.flatnonzero(W[:, zero] % c.denom)[0])
-            witness = (g.element_at(i), g.zero)
-        else:
-            i = int(np.flatnonzero(W[zero, :] % c.denom)[0])
-            witness = (g.zero, g.element_at(i))
-    return AxiomCheck(
-        "normalization", witness is None and omega_ok, m**3,
-        witness, detail="F on identity slices and Omega(.,0), Omega(0,.)",
-    )
+    witness = None
+    if np.count_nonzero(F[:, :, 0]) or np.count_nonzero(F[:, 0]) or np.count_nonzero(F[0]):
+        witness = _first_witness((F[:, :, :1] != 0) | (F[:, :1, :] != 0) | (F[:1] != 0), g)
+    elif np.count_nonzero(W[:, 0]):
+        witness = (g.element_at(int(np.flatnonzero(W[:, 0])[0])), g.zero)
+    elif np.count_nonzero(W[0]):
+        witness = (g.zero, g.element_at(int(np.flatnonzero(W[0])[0])))
+    return AxiomCheck("normalization", witness is None, m**3, witness, detail=_NORMALIZATION_DETAIL)
 
 
 def validate_cocycle(c: AbelianCocycle) -> CoherenceReport:

@@ -19,6 +19,8 @@ from .cocycle import AbelianCocycle
 from .errors import ConsistencyError, StructuralError
 from .modcat import TwistedCategory
 
+MAX_SPIN = 64  # the largest spin of an su2 S-matrix or fusion table
+
 
 @dataclass(frozen=True, eq=False)
 class FusionTable:
@@ -160,8 +162,8 @@ def su2_smatrix_entry(m: int, n: int, cocycle: AbelianCocycle) -> int:
 
 def su2_smatrix(max_spin: int, cocycle: AbelianCocycle) -> np.ndarray:
     """The ``(max_spin+1) x (max_spin+1)`` integer S-matrix."""
-    if not 0 <= max_spin <= 64:
-        raise StructuralError("max_spin must be between 0 and 64")
+    if not 0 <= max_spin <= MAX_SPIN:
+        raise StructuralError(f"max_spin must be between 0 and {MAX_SPIN}")
     # the sign depends only on the grades m mod 2, n mod 2; the table holds the
     # grades that occur, filled in the order the entries would reach them
     grades = range(min(max_spin, 1) + 1)

@@ -85,7 +85,8 @@ def flip_matrix(d1: int, d2: int) -> np.ndarray:
 class TwistedCategory:
     """A finite group with a complete graded irrep catalog and a cocycle.
 
-    Validates everything eagerly: the cocycle axioms, irreducibility and the
+    Validates everything eagerly: the cocycle axioms (through the report the
+    cocycle's builder kept, if it kept one), irreducibility and the
     homomorphism property of every catalog member, centrality of the grading
     embedding, the declared grades, and (for complete catalogs) the
     sum-of-squares identity ``sum dim^2 = |G|``.
@@ -106,7 +107,7 @@ class TwistedCategory:
             raise StructuralError("embedding and cocycle must share the grading group")
         embedding.validate(group)
         if validate:
-            cocycle_report = validate_cocycle(cocycle)
+            cocycle_report = cocycle.report or validate_cocycle(cocycle)  # a builder's, if kept
             if not cocycle_report.passed:
                 first = cocycle_report.failures()[0]
                 raise CocycleError(

@@ -20,7 +20,7 @@ A spec file is a UTF-8 JSON document with a versioned schema:
       "complete": true
     }
 
-su2 mode replaces group/irreps/embedding with {"max_spin": N}.
+su2 mode replaces group/irreps/embedding with {"max_spin": N}, 0 <= N <= 64.
 
 ``load_spec`` alone reads the JSON, checking each field's type and shape once
 and naming a bad field's JSON path.  Integer fields are JSON integers, matrix
@@ -42,6 +42,7 @@ from .abgroup import FinAbGroup
 from .catalogs import builtin_catalog
 from .cocycle import AbelianCocycle, _from_exponents, build_cyclic
 from .errors import StructuralError
+from .fusionring import MAX_SPIN
 from .grouprep import MAX_GROUP_ORDER, CentralEmbedding, FiniteGroup, rep_from_generators
 from .modcat import TwistedCategory
 from .unitscalar import UnitScalar
@@ -262,11 +263,7 @@ class CategorySpec:
         elif irreps is None:
             raise StructuralError("'irreps': 'builtin' requires a builtin group")
         embedding = CentralEmbedding(self.grading, self.embedding)
-        # build_cocycle validated it; the trivial builder's zero tables need no check
-        return TwistedCategory(
-            group, cocycle, embedding, irreps,
-            complete=self.complete, validate=False,
-        )
+        return TwistedCategory(group, cocycle, embedding, irreps, complete=self.complete)
 
 
 def fixture_path(name: str) -> Path:
@@ -304,7 +301,7 @@ def load_spec(spec: str | Path) -> CategorySpec:
     grading = FinAbGroup(_parse_ints(raw.get("grading_group"), "grading_group"))
     name = _typed(raw.get("name", path.stem), str, "name")
     spec = CategorySpec(name, mode, path, grading, _parse_cocycle(raw.get("cocycle"), grading))
-    spec.max_spin = _parse_int(raw.get("max_spin", 10), "max_spin")
+    spec.max_spin = _parse_int(raw.get("max_spin", 10), "max_spin", range(0, MAX_SPIN + 1))
     if mode == "finite-group":
         spec.group_source = _parse_group(raw.get("group"))
         spec.irrep_source = _parse_irreps(raw.get("irreps"))

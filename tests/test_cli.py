@@ -362,6 +362,8 @@ def test_z2_table_spec_verifies(tmp_path, capsys):
         ({**Z2_TABLE, "group": {"table": [[0, 1]]}}, "group.table[0]"),
         ({**Z2_TABLE, "group": {"table": [[0, 1], [1, 2]]}}, "group.table[1][1]"),
         ({**Z2_TABLE, "group": {"table": [list(range(65))] * 65}}, "group.table"),
+        ({"mode": "su2", "max_spin": 65}, "max_spin"),
+        ({"mode": "su2", "max_spin": -1}, "max_spin"),
     ],
     ids=[
         "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
@@ -376,7 +378,7 @@ def test_z2_table_spec_verifies(tmp_path, capsys):
         "embedding-string-entry", "max-spin-numeric-string", "max-spin-float",
         "schema-version-float", "irrep-label-repeated", "matrix-entry-unparseable",
         "group-empty", "group-table-not-square", "group-table-entry-out-of-range",
-        "group-table-above-order-cap",
+        "group-table-above-order-cap", "max-spin-above-cap", "max-spin-negative",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])
@@ -447,6 +449,19 @@ def test_bad_group_or_generators_fail_irreps_valid(changes, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL  irreps-valid: " in out
     assert "element index" in out or "MAX_GROUP_ORDER" in out
+
+
+@pytest.mark.parametrize("name", ["z\u00b2", "z" + "7" * 5000], ids=["superscript", "long"])
+def test_malformed_builtin_name_is_structural(name, tmp_path, capsys):
+    # both passed str.isdigit and then raised ValueError from int()
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**spec, "group": {"builtin": name}}), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_VALIDATION
+    assert "FAIL  irreps-valid: unknown builtin group" in capsys.readouterr().out
+    assert run_cli("fusion", "--spec", str(path)) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: unknown builtin group")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -11,6 +12,7 @@ from twistcat.abgroup import FinAbGroup
 from twistcat.cocycle import (
     MAX_DENOM,
     AbelianCocycle,
+    _check_hexagons,
     _check_pentagon,
     build_cyclic,
     validate_cocycle,
@@ -73,6 +75,37 @@ def test_from_tables_missing_entry():
     del om[((1,), (1,))]
     with pytest.raises(StructuralError, match="missing Omega"):
         AbelianCocycle.from_tables(g, f, om)
+
+
+def test_from_tables_unreduced_key():
+    # the vectorized key check falls back to FinAbGroup.index to name the element
+    g = FinAbGroup((4,))
+    elts = list(g.elements())
+    f = {key: Fraction(0) for key in product(elts, repeat=3)}
+    om = {key: Fraction(0) for key in product(elts, repeat=2)}
+    f[(5,), (0,), (0,)] = Fraction(1, 2)
+    with pytest.raises(StructuralError, match=re.escape("(5,) is not a reduced element of Z/4")):
+        AbelianCocycle.from_tables(g, f, om)
+    del f[(5,), (0,), (0,)]
+    f[(1,), (1,)] = Fraction(1, 2)
+    with pytest.raises(StructuralError, match=re.escape("table key ((1,), (1,)) does not have 3")):
+        AbelianCocycle.from_tables(g, f, om)
+
+
+def test_builders_keep_their_report():
+    g = FinAbGroup((2,))
+    elts = list(g.elements())
+    tables = (
+        {key: Fraction(0) for key in product(elts, repeat=3)},
+        {(a, b): Fraction(a[0] * b[0], 2) for a, b in product(elts, repeat=2)},
+    )
+    for c in (build_cyclic(6, 5), AbelianCocycle.from_tables(g, *tables)):
+        assert c.report == validate_cocycle(c) and c.report.passed
+    # the trivial builder states its report without running the kernels
+    for factors in [(1,), (3,), (2, 2)]:
+        c = AbelianCocycle.trivial(FinAbGroup(factors))
+        assert c.report == validate_cocycle(c)
+    assert AbelianCocycle(g, np.zeros((2, 2, 2)), np.zeros((2, 2)), 1).report is None
 
 
 def test_hexagon_failure_witness():
@@ -274,6 +307,66 @@ def test_pentagon_matches_per_tuple_reference(
     check = _check_pentagon(c)
     assert check.checked == m**4
     assert (check.passed, check.witness) == _reference_pentagon(c)
+
+
+def _reference_hexagons(c):
+    """Per-tuple hexagons over A^3: ``(passed, first failing tuple)`` for each."""
+    g, L = c.group, c.denom
+    F, W, S = c.f_num.tolist(), c.omega_num.tolist(), g.add_index_table.tolist()
+    first = [None, None]
+    for i, j, k in product(range(g.order), repeat=3):
+        hexagons = (
+            F[i][j][k] + W[S[i][j]][k] + F[k][i][j] - W[j][k] - F[i][k][j] - W[i][k],
+            -F[i][j][k] + W[i][S[j][k]] - F[j][k][i] - W[i][j] + F[j][i][k] - W[i][k],
+        )
+        for n, h in enumerate(hexagons):
+            if h % L and first[n] is None:
+                first[n] = tuple(g.element_at(x) for x in (i, j, k))
+    return [(w is None, w) for w in first]
+
+
+@pytest.mark.parametrize(
+    "bound, round_up", DENOM_BOUNDS, ids=["small", "int16", "int32-low", "int32", "int64"]
+)
+@settings(max_examples=10, deadline=None)
+@example(factors=[1], twists=[0, 0, 0], bichar=[0] * 9, steps=0, shifts=[1, 1], seed=0)
+@given(
+    factors=st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(lambda f: prod(f) <= 12),
+    twists=st.lists(st.integers(0, 287), min_size=3, max_size=3),
+    bichar=st.lists(st.integers(0, 11), min_size=9, max_size=9),
+    steps=st.integers(0, 3),
+    shifts=st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hexagons_match_per_tuple_reference(
+    bound, round_up, factors, twists, bichar, steps, shifts, seed
+):
+    """A valid (F, Omega) (pulled-back cyclic cocycles, a bicharacter on
+    Omega and a coboundary) over a denominator near a dtype bound, with up to
+    two entries of F and of Omega shifted."""
+    g = FinAbGroup(tuple(factors))
+    m, rng = g.order, np.random.default_rng(seed)
+    base = lcm(*(n * gcd(n, 2) for n in factors))
+    L = bound + (-bound) % base + steps * base if round_up else bound - bound % base - steps * base
+    digits = np.unravel_index(np.arange(m), factors)
+    f, w = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+    for n, s, x in zip(factors, twists, digits):
+        cyc = build_cyclic(n, s)
+        f += cyc.f_num[np.ix_(x, x, x)] * (L // cyc.denom)
+        w += cyc.omega_num[np.ix_(x, x)] * (L // cyc.denom)
+    for p, (n_p, x_p) in enumerate(zip(factors, digits)):
+        for q, (n_q, x_q) in enumerate(zip(factors, digits)):
+            w += bichar[3 * p + q] * x_p[:, None] * x_q[None, :] * (L // gcd(n_p, n_q))
+    phi, S, a = rng.integers(0, L, size=(m, m)), g.add_index_table, np.arange(m)
+    f += phi[None, :, :] - phi[S] + phi[a[:, None, None], S[None]] - phi[:, :, None]
+    w += phi - phi.T
+    for table, count in zip((f, w), shifts):
+        for _ in range(count if L > 1 else 0):
+            table[tuple(rng.integers(0, m, size=table.ndim))] += rng.integers(1, L)
+    c = AbelianCocycle(g, f, w, L)
+    checks = _check_hexagons(c)
+    assert [check.checked for check in checks] == [m**3, m**3]
+    assert [(check.passed, check.witness) for check in checks] == _reference_hexagons(c)
 
 
 @pytest.mark.parametrize("s", [10**30, -(10**30) - 1, 2**63])

@@ -9,6 +9,7 @@ from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
+from twistcat import modcat
 from twistcat.fusionring import fusion_table
 from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
@@ -50,6 +51,18 @@ def test_braiding_scalars(lattice_cat, s3_cat):
     # symmetric category: plain flip on the 2-dimensional object
     w = s3_cat["standard"]
     assert np.allclose(s3_cat.braiding(w, w).matrix, flip_matrix(2, 2))
+
+
+def test_category_reuses_the_builders_report(monkeypatch):
+    group, reps = builtin_catalog("z4")
+    real, calls = modcat.validate_cocycle, []
+    monkeypatch.setattr(modcat, "validate_cocycle", lambda c: calls.append(c) or real(c))
+    kept = build_cyclic(2, 3)
+    TwistedCategory(group, kept, CentralEmbedding(kept.group, (2,)), reps)
+    assert calls == []
+    bare = AbelianCocycle(kept.group, kept.f_num, kept.omega_num, kept.denom)
+    TwistedCategory(group, bare, CentralEmbedding(bare.group, (2,)), reps)
+    assert calls == [bare]
 
 
 def test_braiding_super():
