@@ -11,11 +11,11 @@ puts ``1 - z2/z1`` in the right half plane).  Path winding is normalized so
 that the clockwise unit loop has winding +1, which makes the transport
 scalar ``(Omega(a1,a2) Omega(a2,a1))^{-p}`` of that loop equal the composite
 of the two braidings, the loop identity that fixes the sign convention.
+Both integers are exact sign tests on the float coordinates, with no tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,23 +24,21 @@ import numpy as np
 
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle
-from .errors import ConsistencyError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .unitscalar import UnitScalar
-
-P_INT_RESIDUAL_TOL = 1e-6
 
 _BELOW_TWO_PI = math.nextafter(2 * math.pi, 0.0)
 
 
 def cut_arg(z: complex) -> float:
-    """Argument of ``z`` in ``[0, 2 pi)``."""
+    """Argument of ``z`` in ``[0, 2 pi)``; ``z`` is below the cut exactly when
+    ``Im z < 0``, so an imaginary part ``-0.0`` lies on the cut."""
     if z == 0:
         raise DomainError("argument of 0 is undefined")
-    phi = cmath.phase(z)  # (-pi, pi]
-    if phi >= 0:
-        return phi
-    # just below the cut, phi + 2 pi can round up to 2 pi; keep it on this side
-    return min(phi + 2 * math.pi, _BELOW_TWO_PI)
+    if z.imag >= 0:
+        return math.atan2(abs(z.imag), z.real)  # abs: atan2(-0.0, x < 0) is -pi
+    # just below the cut, the angle + 2 pi can round up to 2 pi; keep it on this side
+    return min(math.atan2(z.imag, z.real) + 2 * math.pi, _BELOW_TWO_PI)
 
 
 def plog(z: complex) -> complex:
@@ -50,33 +48,39 @@ def plog(z: complex) -> complex:
     return complex(math.log(abs(z)), cut_arg(z))
 
 
+def _cross_sign(a: complex, b: complex) -> int:
+    """Exact sign of ``Re a Im b - Im a Re b``, or of ``Im(b/a)``, for finite a, b."""
+    x, y = a.real * b.imag, a.imag * b.real
+    if x != y:
+        # rounding is monotone, so unequal rounded products order as the exact ones
+        return 1 if x > y else -1
+    if (a.real == 0 or b.imag == 0) and (a.imag == 0 or b.real == 0):
+        return 0
+    exact = Fraction(a.real) * Fraction(b.imag) - Fraction(a.imag) * Fraction(b.real)
+    return (exact > 0) - (exact < 0)
+
+
+def _modulus(z: complex) -> float:
+    """``|z|``; ``inf`` past the float range, where ``abs`` raises."""
+    return math.hypot(z.real, z.imag)
+
+
 def p_int(z1: complex, z2: complex) -> int:
     """The integer in ``log(z1 - z2) = log z1 + log(1 - z2/z1) + 2 pi i p``.
 
-    Requires ``|z1| > |z2| > 0`` and ``z1 != z2``.  The pre-rounding residual
-    must be below ``1e-6`` or a consistency error is raised.
+    Requires ``|z1| > |z2| > 0``.  Decided exactly on the float coordinates,
+    with no tolerance (below the cut means ``Im < 0``): ``p = 1`` when
+    ``Im(z2/z1) > 0``, ``z1`` is not below and ``z1 - z2`` is; ``p = -1`` when
+    ``Im(z2/z1) < 0``, ``z1`` is below and ``z1 - z2`` is not; else ``p = 0``.
     """
-    if not abs(z1) > abs(z2):
-        raise DomainError(f"need |z1| > |z2|: |{z1}| = {abs(z1)} <= |{z2}| = {abs(z2)}")
-    if z2 == 0:
-        raise DomainError("need |z2| > 0")
-    if z1 == z2:
-        raise DomainError("need z1 != z2")
-    w = plog(z1 - z2) - plog(z1) - cmath.log(1 - z2 / z1)
-    p = round(w.imag / (2 * math.pi))
-    residual = abs(w - 2j * math.pi * p)
-    if residual > P_INT_RESIDUAL_TOL:
-        raise ConsistencyError(f"branch mismatch residual {residual:.2e} at ({z1}, {z2})")
-    return int(p)
-
-
-def _check_nested_region(z1: complex, z2: complex) -> None:
-    if not abs(z1) > abs(z2):
-        raise DomainError(f"region violated: |z1| = {abs(z1)} <= |z2| = {abs(z2)}")
-    if not abs(z2) > abs(z1 - z2):
-        raise DomainError(f"region violated: |z2| = {abs(z2)} <= |z1 - z2| = {abs(z1 - z2)}")
-    if z1 == z2:
-        raise DomainError("region violated: |z1 - z2| = 0")
+    if not _modulus(z1) > _modulus(z2) > 0:
+        raise DomainError(f"need |z1| > |z2| > 0, got z1 = {z1}, z2 = {z2}")
+    # z1 - z2 is below exactly when z1.imag < z2.imag
+    if z2.imag > z1.imag >= 0:
+        return int(_cross_sign(z1, z2) > 0)
+    if z2.imag <= z1.imag < 0:
+        return -int(_cross_sign(z1, z2) < 0)
+    return 0
 
 
 def assoc_scalar(
@@ -96,7 +100,8 @@ def assoc_scalar(
 
     Exact: the two integer exponents weight the bilinear-form lifts.
     """
-    _check_nested_region(z1, z2)
+    if not _modulus(z1) > _modulus(z2) > _modulus(z1 - z2):
+        raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
     p12 = p_int(z1, z2)
     p2 = p_int(z2, z2 - z1)
     g = cocycle.group
@@ -151,34 +156,28 @@ class PathPolyline:
 
 def _segment_hits_origin(a: complex, b: complex) -> bool:
     """Whether the segment from ``a`` to ``b`` passes through 0, decided
-    exactly on the float coordinates: no squared length can underflow, and
-    no rounding lets a segment through the origin pass as clear of it."""
-    # equal exact products round to equal floats, so a finite nonzero float
-    # cross product proves that a and b are not collinear with 0
-    cross = a.real * b.imag - a.imag * b.real
-    if cross != 0 and math.isfinite(cross):
-        return False
-    ax, ay, bx, by = (Fraction(x) for x in (a.real, a.imag, b.real, b.imag))
-    return ax * by == ay * bx and ax * bx + ay * by <= 0
+    exactly on the float coordinates: ``a`` and ``b`` are collinear with 0
+    and not on one ray from it."""
+    # the dot product of a and b is the cross product of a and i b
+    return _cross_sign(a, b) == 0 and _cross_sign(a, complex(-b.imag, b.real)) <= 0
 
 
 def winding(path: PathPolyline) -> int:
-    """Branch-correction integer of the path, relative to the positive-real cut.
-
-    Tracking the argument continuously along the path, the branch of log at
-    the start determined by the fixed branch at the end is
-    ``plog(start) + 2 pi i winding``.  Each straight segment off the origin
-    subtends less than pi, so its principal argument increment is exact.
-    Sign convention: the clockwise unit loop has winding +1.
+    """Branch-correction integer of the path, relative to the positive-real cut:
+    the branch of log at the start that continues along the path to the fixed
+    branch at the end is ``plog(start) + 2 pi i winding``.  Counted exactly,
+    with no tolerance, as the segments that go from on or above the real axis
+    to below it (``Im < 0``) across its positive half, minus those that go
+    back; such a segment turns clockwise about 0 going down, counterclockwise
+    going up.  So the clockwise unit loop has winding +1.
     """
-    total = 0.0
+    total = 0
     for a, b in zip(path.waypoints, path.waypoints[1:]):
-        total += cmath.phase(b / a)
-    raw = (cut_arg(path.end) - cut_arg(path.start) - total) / (2 * math.pi)
-    p = round(raw)
-    if abs(raw - p) > P_INT_RESIDUAL_TOL:
-        raise ConsistencyError(f"winding accumulation {raw} is not an integer")
-    return int(p)
+        if b.imag < 0 <= a.imag and _cross_sign(a, b) < 0:
+            total += 1
+        elif a.imag < 0 <= b.imag and _cross_sign(a, b) > 0:
+            total -= 1
+    return total
 
 
 def transport_scalar(

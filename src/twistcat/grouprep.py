@@ -333,11 +333,13 @@ def intertwiner_basis(
     prod = tensor_rep(m1, m2)
     d_in, d_out = prod.dim, m3.dim
 
-    # row-major vec: vec(A T B) = (A kron B^T) vec(T)
-    proj = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
-    for g in range(group.order):
-        proj += np.kron(m3.matrices[g], prod.matrices[group.inv(g)].T)
-    proj /= group.order
+    # row-major vec: vec(A T B) = (A kron B^T) vec(T), and B^T = dual(g) for
+    # B = (rho1 (x) rho2)(g^{-1}); all |G| Kronecker factors in one product
+    n, dim = group.order, d_out * d_in
+    dual = dual_rep(prod).matrices
+    kron = m3.matrices[:, :, None, :, None] * dual[:, None, :, None, :]
+    proj = kron.reshape(n, dim, dim).sum(axis=0)
+    proj /= n
 
     idem_err = float(np.abs(proj @ proj - proj).max())
     if idem_err > tol:

@@ -5,11 +5,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
 from twistcat.branchcut import (
+    _BELOW_TWO_PI,
     PathPolyline,
     assoc_numerator,
     assoc_scalar,
@@ -50,6 +51,26 @@ def test_cut_arg_stays_below_two_pi():
     assert math.pi < value < 2 * math.pi
 
 
+@pytest.mark.parametrize(
+    "z, want",
+    [
+        (3 - 5e-324j, _BELOW_TWO_PI),
+        (complex(-1, -0.0), math.pi),
+        (complex(3, -0.0), 0.0),
+    ],
+    ids=["subnormal-below", "negative-zero-on-negative-axis", "negative-zero-on-positive-axis"],
+)
+def test_cut_arg_at_the_cut(z, want):
+    # Im z < 0 is below the cut; -0.0 is on it, like +0.0
+    assert cut_arg(z) == want
+
+
+def test_cut_arg_subnormal_imaginary_part():
+    # cmath.phase raised OverflowError here, its result underflowing
+    assert 0 <= cut_arg(3 + 5e-324j) < 2 * math.pi
+    assert plog(3 + 5e-324j).imag == cut_arg(3 + 5e-324j)
+
+
 def test_plog_zero_rejected():
     with pytest.raises(DomainError):
         plog(0)
@@ -78,6 +99,81 @@ def test_p_int_stability():
         p = p_int(z1, z2)
         for da, db in [(1e-10, -1e-10), (-1e-10, 1e-10), (1e-10j, 1e-10j)]:
             assert p_int(z1 + da, z2 + db) == p
+
+
+def _p_int_reference(z1, z2):
+    """p by rounding the float logarithms, where the sides are clear."""
+    w = plog(z1 - z2) - plog(z1) - cmath.log(1 - z2 / z1)
+    return round(w.imag / (2 * math.pi))
+
+
+def _winding_reference(points):
+    """Winding by summing float phases, where no segment nears 0."""
+    total = sum(cmath.phase(b / a) for a, b in zip(points, points[1:]))
+    return round((cut_arg(points[-1]) - cut_arg(points[0]) - total) / (2 * math.pi))
+
+
+def _off_the_axis(z):
+    return abs(z.imag) > 1e-6 * abs(z)
+
+
+_POINTS = st.builds(
+    complex, st.floats(-100, 100, allow_nan=False), st.floats(-100, 100, allow_nan=False)
+)
+
+
+@settings(max_examples=200)
+@given(_POINTS, _POINTS)
+def test_p_int_matches_log_reference(z1, z2):
+    if abs(z1) < abs(z2):
+        z1, z2 = z2, z1
+    assume(abs(z1) > abs(z2) > 0)
+    assume(all(_off_the_axis(z) for z in (z1, z2, z1 - z2)))
+    assert p_int(z1, z2) == _p_int_reference(z1, z2)
+
+
+@settings(max_examples=200)
+@given(st.lists(_POINTS, min_size=1, max_size=6))
+def test_winding_matches_phase_reference(points):
+    assume(all(_off_the_axis(z) for z in points))
+    # a segment near 0 has a phase near +-pi, where the float reference is unreliable
+    assume(all(
+        abs((b / a).imag) > 1e-6 * abs(b / a) or (b / a).real > 0
+        for a, b in zip(points, points[1:])
+    ))
+    assert winding(PathPolyline(tuple(points))) == _winding_reference(points)
+
+
+@pytest.mark.parametrize(
+    "z1, z2, want",
+    [
+        (2, 1 + 1e-300j, 1),  # z1 on the positive axis, z1 - z2 just below it
+        (2, 1 - 1e-300j, 0),
+        (complex(3, -0.0), 2 + 0.5j, 1),  # -0.0 is on the axis, not below it
+        (2 + 1j, 1 + 1j, 0),  # z1 - z2 exactly on the positive axis
+        (2 - 1j, 1 - 1j, -1),
+        (3 + 0.5j, complex(2, 0.5), 0),
+        (7 - 5e-324j, (7 - 5e-324j) - 10, -1),  # subnormal cross products
+        (7 + 5e-324j, (7 + 5e-324j) - 10, 0),
+    ],
+)
+def test_p_int_on_the_cut(z1, z2, want):
+    assert p_int(z1, z2) == want
+
+
+@pytest.mark.parametrize(
+    "points, want",
+    [
+        ((complex(1, -0.0), -1j), 1),  # -0.0 starts on the axis, like +0.0
+        ((1 - 1j, complex(1, -0.0)), -1),
+        ((-1 - 1j, complex(-1, -0.0)), 0),  # up across the negative axis
+        ((3 + 1e-300j, 3 - 5e-324j), 1),
+        ((1e308 + 1e308j, -1e308 + 1e308j), 0),  # cross products overflow
+        ((1e308 + 1e308j, 1e308 - 1e308j), 1),
+    ],
+)
+def test_winding_on_the_cut(points, want):
+    assert winding(PathPolyline(points)) == want
 
 
 def test_winding_examples():

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcat import cli, cocycle, modcat
 from twistcat.errors import StructuralError
@@ -155,6 +157,73 @@ def test_monodromy_path_with_tiny_segment(capsys):
     captured = capsys.readouterr()
     assert "winding 1" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "where, grades, code, want",
+    [
+        (["--z1", "10,0", "--z2", "7,-5e-324"], "1|1|1", 0, "p_z2_z2-z1 = -1"),
+        (["--path", "3,1e-300 3,-5e-324"], "1|1", 0, "winding 1,"),
+        (["--path", "1e308,1e308 -1e308,1e308"], "1|1", 0, "winding 0,"),
+        (["--z1", "1e308,1e308", "--z2", "1e308,0"], "1|1|1", 1, "region |z1| > |z2| > |z1 - z2|"),
+    ],
+    ids=["subnormal-point", "subnormal-path", "huge-path", "huge-points-outside-region"],
+)
+def test_monodromy_at_the_float_extremes(where, grades, code, want, capsys):
+    # the float logarithms raised OverflowError, ValueError or exited 3 here
+    assert run_cli("monodromy", "--spec", "z2-lattice-on-z4", *where, "--grades", grades) == code
+    captured = capsys.readouterr()
+    assert want in captured.out
+    assert captured.err == ""
+
+
+_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]),
+)
+_POINT_TEXT = st.builds(lambda x, y: f"{x!r},{y!r}", _COORDS, _COORDS)
+_POINT_ARGS = st.one_of(
+    st.builds(
+        lambda z1, z2: [f"--z1={z1}", f"--z2={z2}", "--grades=1|1|1"], _POINT_TEXT, _POINT_TEXT
+    ),
+    st.builds(
+        lambda path: [f"--path={' '.join(path)}", "--grades=1|1"],
+        st.lists(_POINT_TEXT, min_size=1, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POINT_ARGS)
+def test_monodromy_point_fuzz(argv):
+    # '=' keeps argparse from reading a leading '-' as an option
+    code = cli.main(["monodromy", "--spec", "z2-lattice-on-z4", *argv])
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_PARSE)
+
+
+@pytest.mark.parametrize(
+    "source, kept, dim_squares",
+    [
+        (fixture_path("z2-lattice-on-z4"), None, 4),
+        (GOLDEN_DIR / "specs" / "d5-table-z2.json", 3, 6),
+    ],
+    ids=["all-irreps", "one-irrep-dropped"],
+)
+def test_verify_incomplete_catalog(source, kept, dim_squares, tmp_path, capsys):
+    # the order identity used to raise StructuralError and discard every verdict
+    spec = json.loads(source.read_text(encoding="utf-8"))
+    spec["complete"] = False
+    if kept is not None:
+        spec["irreps"]["list"] = spec["irreps"]["list"][:kept]
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path), "--out", str(out)) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    verdicts = {v["check"]: v for v in report["verdicts"]}
+    assert "group-order-identity" not in verdicts
+    assert verdicts["irreps-valid"]["detail"].endswith(f"sum of dim^2 = {dim_squares}")
+    assert set(report["tables"]) == {"smatrix"}
+    assert run_cli("fusion", "--spec", str(path)) == cli.EXIT_PARSE
 
 
 @pytest.mark.parametrize("name", BUNDLED_FIXTURES)
