@@ -60,9 +60,14 @@ def _cross_sign(a: complex, b: complex) -> int:
     return (exact > 0) - (exact < 0)
 
 
-def _modulus(z: complex) -> float:
-    """``|z|``; ``inf`` past the float range, where ``abs`` raises."""
-    return math.hypot(z.real, z.imag)
+def _moduli(*points: complex) -> list[float]:
+    """``|z|`` of each finite point, all at half scale when one passes the
+    float range, so they compare without overflow.  Halving can take a
+    subnormal modulus to 0: test a point for 0 on the point itself."""
+    moduli = [math.hypot(z.real, z.imag) for z in points]
+    if math.inf in moduli:
+        moduli = [math.hypot(0.5 * z.real, 0.5 * z.imag) for z in points]
+    return moduli
 
 
 def p_int(z1: complex, z2: complex) -> int:
@@ -73,7 +78,8 @@ def p_int(z1: complex, z2: complex) -> int:
     ``Im(z2/z1) > 0``, ``z1`` is not below and ``z1 - z2`` is; ``p = -1`` when
     ``Im(z2/z1) < 0``, ``z1`` is below and ``z1 - z2`` is not; else ``p = 0``.
     """
-    if not _modulus(z1) > _modulus(z2) > 0:
+    m1, m2 = _moduli(z1, z2)
+    if not (m1 > m2 and z2 != 0):
         raise DomainError(f"need |z1| > |z2| > 0, got z1 = {z1}, z2 = {z2}")
     # z1 - z2 is below exactly when z1.imag < z2.imag
     if z2.imag > z1.imag >= 0:
@@ -100,7 +106,8 @@ def assoc_scalar(
 
     Exact: the two integer exponents weight the bilinear-form lifts.
     """
-    if not _modulus(z1) > _modulus(z2) > _modulus(z1 - z2):
+    m1, m2, m12 = _moduli(z1, z2, z1 - z2)
+    if not m1 > m2 > m12:
         raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
     p12 = p_int(z1, z2)
     p2 = p_int(z2, z2 - z1)

@@ -1,9 +1,12 @@
 """Built-in groups with complete irreducible catalogs: Z/n, S3, D4, Q8.
 
 Each builder returns ``(FiniteGroup, {label: MatrixRep})`` with the full set
-of irreducibles, in a fixed deterministic order.  Users supply anything else
-through spec files (multiplication table or permutation generators, plus
-per-generator irrep matrices).
+of irreducibles, in a fixed deterministic order.  Z/n's characters are closed
+forms.  The S3, D4 and Q8 irreps are given as generator matrices, one matrix
+per generator as in spec files, and extended to the whole group by
+``rep_from_generators``, which replays one walk of the group for all of them.
+Users supply anything else through spec files (multiplication table or
+permutation generators, plus per-generator irrep matrices).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import StructuralError
-from .grouprep import MAX_GROUP_ORDER, FiniteGroup, MatrixRep
+from .grouprep import MAX_GROUP_ORDER, FiniteGroup, MatrixRep, rep_from_generators
 
 
 def cyclic_group(n: int) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
@@ -37,103 +40,68 @@ def cyclic_group(n: int) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     return group, reps
 
 
-def _two_gen_group(order_r: int, r_mat, s_mat, twist: int, names):
-    """Group with elements r^a s^b, s^2 central relation via ``twist``:
-    (a1,b1)(a2,b2) = (a1 + (-1)^{b1} a2 + twist*b1*b2, b1 + b2).
+def _generated(group: FiniteGroup, generators, irreps: dict) -> dict[str, MatrixRep]:
+    """``{label: (one matrix per generator)}`` extended to the whole group."""
+    return {label: rep_from_generators(group, generators, mats) for label, mats in irreps.items()}
+
+
+def _two_gen_group(order_r: int, twist: int, names) -> FiniteGroup:
+    """Group with elements r^a s^b at index ``a + order_r * b``, so r is
+    element 1 and s is element ``order_r``, and s^2 central relation via
+    ``twist``: (a1,b1)(a2,b2) = (a1 + (-1)^{b1} a2 + twist*b1*b2, b1 + b2).
 
     twist = 0 gives the dihedral relation s^2 = 1; twist = order_r // 2 gives
     the quaternion relation s^2 = r^{order_r/2}.
     """
-    n = 2 * order_r
-
-    def mul(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        sign = -1 if b1 else 1
-        return ((a1 + sign * a2 + twist * b1 * b2) % order_r, (b1 + b2) % 2)
-
-    elements = [(a, b) for b in range(2) for a in range(order_r)]
-    index = {e: i for i, e in enumerate(elements)}
-    table = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            table[i, j] = index[mul(x, y)]
-    group = FiniteGroup(table, element_names=[names(a, b) for a, b in elements])
-
-    two_dim = np.empty((n, 2, 2), dtype=np.complex128)
-    r_mat = np.asarray(r_mat, dtype=np.complex128)
-    s_mat = np.asarray(s_mat, dtype=np.complex128)
-    for i, (a, b) in enumerate(elements):
-        two_dim[i] = np.linalg.matrix_power(r_mat, a) @ np.linalg.matrix_power(s_mat, b)
-    two_dim[index[(0, 0)]] = np.eye(2)
-
-    return group, elements, index, two_dim
+    b, a = np.divmod(np.arange(2 * order_r), order_r)
+    a_prod = a[:, None] + (1 - 2 * b[:, None]) * a[None, :] + twist * b[:, None] * b[None, :]
+    table = a_prod % order_r + order_r * ((b[:, None] + b[None, :]) % 2)
+    return FiniteGroup(table, element_names=[names(x, y) for x, y in zip(a, b)])
 
 
 def dihedral4_group() -> tuple[FiniteGroup, dict[str, MatrixRep]]:
-    """D4 of order 8: four one-dimensional irreps and one two-dimensional."""
-    rot = [[0, -1], [1, 0]]
-    refl = [[1, 0], [0, -1]]
-    group, elements, _, two_dim = _two_gen_group(
-        4, rot, refl, twist=0, names=lambda a, b: f"r^{a}" + ("s" if b else "")
-    )
-    reps = {}
-    for u, v, label in [(1, 1, "trivial"), (1, -1, "sign-s"), (-1, 1, "sign-r"), (-1, -1, "sign-rs")]:
-        mats = np.array([[[complex(u**a * v**b)]] for a, b in elements])
-        reps[label] = MatrixRep(group, mats)
-    reps["standard"] = MatrixRep(group, two_dim)
-    return group, reps
+    """D4 of order 8: four one-dimensional irreps and one two-dimensional,
+    given on the rotation r and the reflection s."""
+    group = _two_gen_group(4, 0, names=lambda a, b: f"r^{a}" + ("s" if b else ""))
+    return group, _generated(group, (1, 4), {
+        "trivial": ([[1]], [[1]]),
+        "sign-s": ([[1]], [[-1]]),
+        "sign-r": ([[-1]], [[1]]),
+        "sign-rs": ([[-1]], [[-1]]),
+        "standard": ([[0, -1], [1, 0]], [[1, 0], [0, -1]]),
+    })
 
 
 def quaternion_group() -> tuple[FiniteGroup, dict[str, MatrixRep]]:
-    """Q8: elements i^a j^b; four one-dimensional irreps and the spin irrep."""
-    i_mat = [[1j, 0], [0, -1j]]
-    j_mat = [[0, -1], [1, 0]]
+    """Q8: elements i^a j^b; four one-dimensional irreps and the spin irrep,
+    given on i and j."""
 
     def name(a, b):
         base = {0: "1", 1: "i", 2: "-1", 3: "-i"}[a]
         return base if b == 0 else ("j" if a == 0 else f"{base}*j")
 
-    group, elements, _, two_dim = _two_gen_group(4, i_mat, j_mat, twist=2, names=name)
-    reps = {}
-    for u, v, label in [(1, 1, "trivial"), (1, -1, "sign-j"), (-1, 1, "sign-i"), (-1, -1, "sign-k")]:
-        mats = np.array([[[complex(u**a * v**b)]] for a, b in elements])
-        reps[label] = MatrixRep(group, mats)
-    reps["spin"] = MatrixRep(group, two_dim)
-    return group, reps
+    group = _two_gen_group(4, 2, names=name)
+    return group, _generated(group, (1, 4), {
+        "trivial": ([[1]], [[1]]),
+        "sign-j": ([[1]], [[-1]]),
+        "sign-i": ([[-1]], [[1]]),
+        "sign-k": ([[-1]], [[-1]]),
+        "spin": ([[1j, 0], [0, -1j]], [[0, -1], [1, 0]]),
+    })
 
 
 def symmetric3_group() -> tuple[FiniteGroup, dict[str, MatrixRep]]:
-    """S3 as permutations of three letters: trivial, sign, and standard irreps."""
-    group = FiniteGroup.from_permutations([(1, 2, 0), (1, 0, 2)])
-    perms = group.element_names
-
-    def parity(p) -> int:
-        inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j])
-        return (-1) ** inversions
-
-    trivial = MatrixRep(group, np.ones((6, 1, 1), dtype=np.complex128))
-    sign = MatrixRep(group, np.array([[[complex(parity(p))]] for p in perms]))
-
+    """S3 as permutations of three letters: trivial, sign, and standard irreps,
+    given on the 3-cycle (1, 2, 0) and the transposition (1, 0, 2); the
+    standard irrep is their geometric action on the plane."""
+    cycle, swap = (1, 2, 0), (1, 0, 2)
+    group = FiniteGroup.from_permutations([cycle, swap])
     c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-    rot = np.array([[c, -s], [s, c]])
-    refl = np.array([[1.0, 0.0], [0.0, -1.0]])
-    # decompose each permutation as rot^a refl^b over the geometric action
-    rep_of = {}
-    for a in range(3):
-        for b in range(2):
-            base = (1, 2, 0)
-            p = (0, 1, 2)
-            for _ in range(a):
-                p = tuple(p[base[i]] for i in range(3))
-            if b:
-                swap = (1, 0, 2)
-                p = tuple(p[swap[i]] for i in range(3))
-            rep_of[p] = np.linalg.matrix_power(rot, a) @ np.linalg.matrix_power(refl, b)
-    std = np.stack([rep_of[p] for p in perms]).astype(np.complex128)
-    std[list(perms).index((0, 1, 2))] = np.eye(2)
-    standard = MatrixRep(group, std)
-    return group, {"trivial": trivial, "sign": sign, "standard": standard}
+    return group, _generated(group, [group.element_names.index(p) for p in (cycle, swap)], {
+        "trivial": ([[1]], [[1]]),
+        "sign": ([[1]], [[-1]]),
+        "standard": ([[c, -s], [s, c]], [[1, 0], [0, -1]]),
+    })
 
 
 _BUILTIN_BUILDERS = {

@@ -284,27 +284,24 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
-    if args.spec is None:
-        if args.max_spin is None:
-            raise StructuralError("smatrix needs --spec or --su2 with --max-spin")
-        cocycle = build_cyclic(2, args.cocycle_param)
+    # either --spec, or --su2 with --max-spin
+    if args.su2 == (args.spec is not None) or (args.su2 and args.max_spin is None):
+        raise StructuralError("smatrix needs --spec or --su2 with --max-spin, not both")
+    if args.su2:
+        cocycle, max_spin = build_cyclic(2, args.cocycle_param), args.max_spin
         report = Report(f"su2(s={args.cocycle_param})", "-", args.seed)
-        report.tables["smatrix"] = _su2_smatrix_table(
-            fusionring.su2_smatrix(args.max_spin, cocycle)
-        )
-        report.add("smatrix", True, f"exact integer entries up to spin {args.max_spin}")
-        _emit(report, args)
-        return EXIT_OK
-    spec = load_spec(args.spec)
-    report = Report(spec.name, _digest(spec.path), args.seed)
-    if spec.mode == "su2":
-        cocycle = spec.build_cocycle()
-        max_spin = args.max_spin if args.max_spin is not None else spec.max_spin
-        report.tables["smatrix"] = _su2_smatrix_table(fusionring.su2_smatrix(max_spin, cocycle))
-        report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
     else:
-        report.tables["smatrix"] = _smatrix_table(spec.build_category(), args.tolerance)
-        report.add("smatrix", True, "double-braiding traces, integral within tolerance")
+        spec = load_spec(args.spec)
+        report = Report(spec.name, _digest(spec.path), args.seed)
+        if spec.mode != "su2":
+            report.tables["smatrix"] = _smatrix_table(spec.build_category(), args.tolerance)
+            report.add("smatrix", True, "double-braiding traces, integral within tolerance")
+            _emit(report, args)
+            return EXIT_OK
+        cocycle = spec.build_cocycle()
+        max_spin = spec.max_spin if args.max_spin is None else args.max_spin
+    report.tables["smatrix"] = _su2_smatrix_table(fusionring.su2_smatrix(max_spin, cocycle))
+    report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
     _emit(report, args)
     return EXIT_OK
 
@@ -405,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_smatrix = sub.add_parser("smatrix", help="emit the S-matrix")
     _add_common(p_smatrix, spec_required=False)
-    p_smatrix.add_argument("--su2", action="store_true", help="symbolic graded SU(2) mode")
+    p_smatrix.add_argument(
+        "--su2", action="store_true",
+        help="symbolic graded SU(2) mode, with --max-spin and without --spec",
+    )
     p_smatrix.add_argument("--max-spin", type=int, default=None)
     p_smatrix.add_argument(
         "--cocycle-param", type=int, default=3,
@@ -414,11 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mono = sub.add_parser("monodromy", help="branch integers and transport scalars")
     _add_common(p_mono)
-    p_mono.add_argument("--z1", default=None, help="first insertion point as 're,im'")
-    p_mono.add_argument("--z2", default=None, help="second insertion point as 're,im'")
+    # argparse reads a separate argument that starts with '-' as an option
+    p_mono.add_argument(
+        "--z1", default=None,
+        help="first insertion point as 're,im'; write --z1=-3,0 for a negative real part",
+    )
+    p_mono.add_argument(
+        "--z2", default=None,
+        help="second insertion point as 're,im'; write --z2=-2,0 for a negative real part",
+    )
     p_mono.add_argument(
         "--path", default=None,
-        help="polyline waypoints 're,im' separated by spaces or ';', as one argument",
+        help="polyline waypoints 're,im' separated by spaces or ';', as one argument; "
+        "write --path=-1,0;... when it starts with '-'",
     )
     p_mono.add_argument(
         "--grades", required=True,

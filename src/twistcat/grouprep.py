@@ -2,22 +2,32 @@
 character sums, intertwiner bases, and grading by a central copy of the dual
 grading group.
 
-Numerical conventions: matrix identities are enforced to ``1e-9``, character
-sums are rounded to integers with residual at most ``1e-6``; both are
-configurable per call.  Composite tensor indices are always row-major,
+Numerical conventions, fixed module constants: matrix identities are enforced
+to ``MATRIX_TOL = 1e-9``, character sums are rounded to integers with
+residual at most ``INTEGER_TOL = 1e-6``, and intertwiners are checked to
+``INTERTWINER_TOL = 1e-8``.  Every check is written ``not err <= tol``, so a
+NaN deviation fails it.  A representation built from generator matrices
+replays one breadth-first walk of the group per generator list.  Grades are
+read from the generator images: each dual generator's residue comes from the
+angle of one diagonal entry of its image, which must be that scalar times
+the identity.  Composite tensor indices are always row-major,
 ``(i, j) -> i * d2 + j``, matching ``numpy.kron``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .abgroup import FinAbGroup, GroupElt
 from .errors import ConsistencyError, GradingError, RepresentationError, StructuralError
+from .unitscalar import UnitScalar
 
 MATRIX_TOL = 1e-9
 INTEGER_TOL = 1e-6
@@ -68,6 +78,7 @@ class FiniteGroup:
         for a in range(n):  # (ab)c == a(bc) for all b, c at once
             if not np.array_equal(table[table[a]], table[a][table]):
                 raise StructuralError(f"table is not associative at element {a}")
+        self._walks: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
 
     @classmethod
     def from_permutations(cls, generators) -> FiniteGroup:
@@ -106,6 +117,28 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
+    def generator_walk(self, generators: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+        """Breadth-first walk from the identity by right multiplication with
+        ``generators``: one ``(b, a, k)`` per element reached, with
+        ``b = a * generators[k]``, in the order reached.  Taken once per
+        generator tuple and kept, so every representation built on the same
+        generators replays the same walk."""
+        walk = self._walks.get(generators)
+        if walk is None:
+            columns = [self.table[:, g].tolist() for g in generators]
+            seen = [False] * self.order
+            seen[self.identity] = True
+            reached, steps = [self.identity], []
+            for a in reached:  # grows while it is read: a queue
+                for k, column in enumerate(columns):
+                    b = column[a]
+                    if not seen[b]:
+                        seen[b] = True
+                        reached.append(b)
+                        steps.append((b, a, k))
+            walk = self._walks[generators] = tuple(steps)
+        return walk
+
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
@@ -129,15 +162,6 @@ class FiniteGroup:
                 seen[x] = True
             classes.append(tuple(sorted(orbit)))
         return tuple(classes)
-
-    @cached_property
-    def class_of(self) -> np.ndarray:
-        out = np.empty(self.order, dtype=np.int64)
-        for c, members in enumerate(self.conjugacy_classes):
-            for x in members:
-                out[x] = c
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -181,8 +205,9 @@ class MatrixRep:
 
 
 def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrices) -> MatrixRep:
-    """Extend matrices on generators to the whole group by shortest-word products."""
-    gens = [int(g) for g in generator_indices]
+    """Extend matrices on generators to the whole group by shortest-word
+    products, replaying the group's walk for these generator indices."""
+    gens = tuple(int(g) for g in generator_indices)
     gen_mats = [np.asarray(m, dtype=np.complex128) for m in generator_matrices]
     if len(gens) != len(gen_mats) or not gens:
         raise StructuralError("need one matrix per generator index")
@@ -192,28 +217,17 @@ def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrice
     d = gen_mats[0].shape[0]
     if any(m.shape != (d, d) for m in gen_mats):
         raise StructuralError("generator matrices must share one square shape")
-    mats = np.full((group.order, d, d), np.nan, dtype=np.complex128)
-    mats[group.identity] = np.eye(d)
-    known = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g, mg in zip(gens, gen_mats):
-                b = group.mul(a, g)
-                if b not in known:
-                    mats[b] = mats[a] @ mg
-                    known.add(b)
-                    new.append(b)
-        frontier = new
-    if len(known) != group.order:
+    walk = group.generator_walk(gens)
+    if len(walk) + 1 != group.order:
         raise StructuralError("generator indices do not generate the group")
+    mats = np.empty((group.order, d, d), dtype=np.complex128)
+    mats[group.identity] = np.eye(d)
+    for b, a, k in walk:
+        np.matmul(mats[a], gen_mats[k], out=mats[b])
     return MatrixRep(group, mats)
 
 
-def validate_irrep(
-    rep: MatrixRep, *, matrix_tol: float = MATRIX_TOL
-) -> np.ndarray:
+def validate_irrep(rep: MatrixRep) -> np.ndarray:
     """Check the homomorphism property on all pairs and irreducibility.
 
     Returns the character as a per-conjugacy-class complex vector.  Unitarity
@@ -225,7 +239,7 @@ def validate_irrep(
     for a in range(group.order):
         prod = np.einsum("ij,njk->nik", mats[a], mats)
         err = np.abs(prod - mats[group.table[a]]).max()
-        if err > matrix_tol:
+        if not err <= MATRIX_TOL:
             raise RepresentationError(
                 f"not a homomorphism: |rho(a)rho(b) - rho(ab)| = {err:.2e} at a={a}"
             )
@@ -234,12 +248,12 @@ def validate_irrep(
     chars = np.empty(group.num_classes, dtype=np.complex128)
     for c, members in enumerate(group.conjugacy_classes):
         vals = traces[list(members)]
-        if np.abs(vals - vals[0]).max() > matrix_tol:
+        if not np.abs(vals - vals[0]).max() <= MATRIX_TOL:
             raise RepresentationError(f"character not constant on conjugacy class {c}")
         chars[c] = vals[0]
 
     norm = float(np.sum(group.class_sizes * np.abs(chars) ** 2).real) / group.order
-    if abs(norm - 1.0) > matrix_tol:
+    if not abs(norm - 1.0) <= MATRIX_TOL:
         raise RepresentationError(f"<chi, chi> = {norm:.6f}, representation is not irreducible")
 
     unit_err = max(
@@ -250,28 +264,19 @@ def validate_irrep(
     return chars
 
 
-def hom_dim(
-    group: FiniteGroup,
-    chi1: np.ndarray,
-    chi2: np.ndarray,
-    chi3: np.ndarray,
-    *,
-    integer_tol: float = INTEGER_TOL,
-) -> int:
+def hom_dim(group: FiniteGroup, chi1: np.ndarray, chi2: np.ndarray, chi3: np.ndarray) -> int:
     """``dim hom(M1 (x) M2, M3) = (1/|G|) sum_g chi1(g) chi2(g) conj(chi3(g))``."""
     chi1, chi2, chi3 = (np.asarray(c, dtype=np.complex128) for c in (chi1, chi2, chi3))
     if not chi1.shape == chi2.shape == chi3.shape == (group.num_classes,):
         raise StructuralError("characters must be per-class vectors on the same group")
     val = complex(np.sum(group.class_sizes * chi1 * chi2 * np.conj(chi3))) / group.order
-    rounded = round(val.real)
-    if abs(val.real - rounded) > integer_tol or abs(val.imag) > integer_tol or rounded < 0:
+    rounded = float(np.rint(val.real))  # a NaN stays NaN, where round() raises
+    if not (abs(val.real - rounded) <= INTEGER_TOL and abs(val.imag) <= INTEGER_TOL) or rounded < 0:
         raise ConsistencyError(f"character sum {val} is not a nonnegative integer")
     return int(rounded)
 
 
-def hom_dim_table(
-    group: FiniteGroup, characters, *, integer_tol: float = INTEGER_TOL
-) -> np.ndarray:
+def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
     """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` for all triples of a list of
     per-class characters, as one character sum; read-only int64.
 
@@ -285,11 +290,8 @@ def hom_dim_table(
     vals = np.einsum("g,ag,bg,cg->abc", group.class_sizes, chars, chars, chars.conj())
     vals /= group.order
     rounded = np.round(vals.real)
-    bad = (
-        (np.abs(vals.real - rounded) > integer_tol)
-        | (np.abs(vals.imag) > integer_tol)
-        | (rounded < 0)
-    )
+    bad = ~((np.abs(vals.real - rounded) <= INTEGER_TOL) & (np.abs(vals.imag) <= INTEGER_TOL))
+    bad |= rounded < 0
     if bad.any():
         val = complex(vals[tuple(np.argwhere(bad)[0])])
         raise ConsistencyError(f"character sum {val} is not a nonnegative integer")
@@ -318,7 +320,6 @@ def intertwiner_basis(
     m2: MatrixRep,
     m3: MatrixRep,
     *,
-    tol: float = INTERTWINER_TOL,
     expected: int | None = None,
 ) -> list[np.ndarray]:
     """Basis of ``hom(M1 (x) M2, M3)`` via the group-averaging projector.
@@ -342,7 +343,7 @@ def intertwiner_basis(
     proj /= n
 
     idem_err = float(np.abs(proj @ proj - proj).max())
-    if idem_err > tol:
+    if not idem_err <= INTERTWINER_TOL:
         raise ConsistencyError(f"averaging projector not idempotent: {idem_err:.2e}")
 
     if expected is None:
@@ -364,7 +365,7 @@ def intertwiner_basis(
             float(np.abs(m3.matrices[g] @ t - t @ prod.matrices[g]).max())
             for g in range(group.order)
         )
-        if err > tol:
+        if not err <= INTERTWINER_TOL:
             raise ConsistencyError(f"projector output is not an intertwiner: {err:.2e}")
         basis.append(t)
     return basis
@@ -400,34 +401,27 @@ class CentralEmbedding:
                 )
 
 
-def grade_of(
-    rep: MatrixRep,
-    embedding: CentralEmbedding,
-    *,
-    matrix_tol: float = MATRIX_TOL,
-) -> GroupElt:
+def grade_of(rep: MatrixRep, embedding: CentralEmbedding) -> GroupElt:
     """The unique grade by which the central dual copy acts on an irreducible.
 
-    Searches the grading group for the alpha with
-    ``rho(iota(chi)) = chi(alpha) * I`` for every dual generator ``chi``.
+    The grade ``alpha`` has ``rho(iota(chi_i)) = e^{2 pi i alpha_i / n_i} * I``
+    for the i-th dual generator ``chi_i``: its residue is read off the angle
+    of one diagonal entry of that image, and the whole image is checked
+    against that one scalar.
     """
-    grading = embedding.grading
     eye = np.eye(rep.dim)
-    matches = []
-    for alpha in grading.elements():
-        ok = True
-        for chi, img in zip(grading.dual_generators(), embedding.images):
-            scalar = grading.pairing(chi, alpha).to_complex()
-            if np.abs(rep.matrices[img] - scalar * eye).max() > matrix_tol:
-                ok = False
-                break
-        if ok:
-            matches.append(alpha)
-    if len(matches) != 1:
-        raise GradingError(
-            f"central embedding acts with {len(matches)} candidate grades; expected exactly 1"
-        )
-    return matches[0]
+    residues = []
+    for img, n in zip(embedding.images, embedding.grading.factors):
+        image = rep.matrices[img]
+        turns = cmath.phase(image[0, 0]) * n / (2 * math.pi)
+        residue = round(turns) % n if math.isfinite(turns) else 0
+        scalar = UnitScalar(Fraction(residue, n)).to_complex()
+        if not np.abs(image - scalar * eye).max() <= MATRIX_TOL:
+            raise GradingError(
+                "central embedding acts with 0 candidate grades; expected exactly 1"
+            )
+        residues.append(residue)
+    return tuple(residues)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,6 +42,7 @@ from .abgroup import GroupElt
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport, validate_cocycle
 from .errors import CocycleError, StructuralError
 from .grouprep import (
+    MATRIX_TOL,
     CentralEmbedding,
     FiniteGroup,
     GradedIrrep,
@@ -100,7 +101,6 @@ class TwistedCategory:
         irreps: dict[str, MatrixRep],
         *,
         complete: bool = True,
-        matrix_tol: float = 1e-9,
         validate: bool = True,
     ):
         if embedding.grading != cocycle.group:
@@ -118,7 +118,6 @@ class TwistedCategory:
         self.cocycle = cocycle
         self.embedding = embedding
         self.grading = cocycle.group
-        self.matrix_tol = matrix_tol
         # grade indices: the zero grade has index 0, sums go through the add
         # table and negatives through the column of 0 in each row
         self._index = dict(zip(self.grading.elements(), range(self.grading.order)))
@@ -135,8 +134,8 @@ class TwistedCategory:
         for label, rep in irreps.items():
             if rep.group is not group:
                 raise StructuralError(f"irrep {label!r} lives on a different group")
-            character = validate_irrep(rep, matrix_tol=matrix_tol)
-            grade = grade_of(rep, embedding, matrix_tol=matrix_tol)
+            character = validate_irrep(rep)
+            grade = grade_of(rep, embedding)
             catalog.append(GradedIrrep(label, rep, grade, character))
         self.catalog: tuple[GradedIrrep, ...] = tuple(catalog)
         self.complete = complete
@@ -313,7 +312,7 @@ class TwistedCategory:
 
     # -- coherence suite -----------------------------------------------------------
 
-    def coherence_suite(self, *, tol: float | None = None, seed: int = 0) -> CoherenceReport:
+    def coherence_suite(self, *, tol: float = MATRIX_TOL, seed: int = 0) -> CoherenceReport:
         """The coherence checks over all catalog tuples.
 
         Pentagon, triangle, both hexagons and balancing compose only
@@ -324,7 +323,6 @@ class TwistedCategory:
         snakes, double-braiding and naturality are matrix equations checked
         within ``tol`` (naturality within at least ``1e-8``); twist-duality is
         exact.  ``checked`` counts catalog tuples."""
-        tol = self.matrix_tol if tol is None else tol
         F, W = self.cocycle.f_num, self.cocycle.omega_num
         S = self.grading.add_index_table
         e = self.grading.index(self.unit.grade)

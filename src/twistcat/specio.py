@@ -30,6 +30,7 @@ Group axioms, irreps and the embedding are checked when the category is built.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from dataclasses import dataclass, field
@@ -63,15 +64,19 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or fal
 
 
 def parse_matrix_entry(text: str) -> complex:
-    """Parse ``"a+bi"`` decimal entries or ``"e(p/q)"`` roots of unity."""
+    """Parse ``"a+bi"`` decimal entries or ``"e(p/q)"`` roots of unity; the
+    value must be finite, so ``"nan"``, ``"inf"`` and ``"1e999"`` are refused."""
     text = text.strip().replace(" ", "")
     m = _ENTRY_EXP.match(text)
     try:
         if m:
             return UnitScalar(Fraction(m.group("frac"))).to_complex()
-        return complex(text.replace("i", "j"))
+        value = complex(text.replace("i", "j"))
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"cannot parse matrix entry {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise StructuralError(f"matrix entry {text!r} is not finite")
+    return value
 
 
 def parse_element(text: str, group: FinAbGroup, what: str) -> tuple[int, ...]:

@@ -17,6 +17,14 @@ from fractions import Fraction
 #: represented by their unique rational lift in [0, 1).
 RationalMod1 = Fraction
 
+#: Exact values at the four axis points, which ``to_complex`` returns with no rounding.
+_AXIS_VALUES = {
+    Fraction(0): 1 + 0j,
+    Fraction(1, 4): 1j,
+    Fraction(1, 2): -1 + 0j,
+    Fraction(3, 4): -1j,
+}
+
 
 def mod1(x: Fraction | int | str) -> Fraction:
     """Canonical representative of a rational number mod 1, in [0, 1)."""
@@ -63,16 +71,10 @@ class UnitScalar:
 
     def to_complex(self) -> complex:
         """Floating-point value ``e^{2*pi*i*exponent}``, accurate to machine precision."""
-        # exact values for the four axis points avoid any rounding at all
-        table = {
-            Fraction(0): 1 + 0j,
-            Fraction(1, 4): 1j,
-            Fraction(1, 2): -1 + 0j,
-            Fraction(3, 4): -1j,
-        }
-        if self.exponent in table:
-            return table[self.exponent]
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
+        value = _AXIS_VALUES.get(self.exponent)
+        if value is None:
+            value = cmath.exp(2j * cmath.pi * float(self.exponent))
+        return value
 
     def __str__(self) -> str:
         return str(self.exponent)

@@ -84,6 +84,23 @@ def test_su2_smatrix_values(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-spin", "3"],
+        ["--spec", "q8-z2", "--su2", "--max-spin", "3"],
+        ["--spec", "su2-lattice", "--su2", "--max-spin", "3"],
+    ],
+    ids=["no-spec-without-su2", "su2-with-finite-spec", "su2-with-su2-spec"],
+)
+def test_smatrix_takes_spec_or_su2_not_both(argv, capsys):
+    # the spec-less call printed the SU(2) table, and --su2 with --spec was ignored
+    assert run_cli("smatrix", *argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: smatrix needs --spec or --su2 with --max-spin, not both\n"
+
+
 def test_finite_smatrix_integral(tmp_path):
     out = tmp_path / "s.json"
     assert run_cli("smatrix", "--spec", "q8-z2", "--out", str(out)) == 0
@@ -166,8 +183,15 @@ def test_monodromy_path_with_tiny_segment(capsys):
         (["--path", "3,1e-300 3,-5e-324"], "1|1", 0, "winding 1,"),
         (["--path", "1e308,1e308 -1e308,1e308"], "1|1", 0, "winding 0,"),
         (["--z1", "1e308,1e308", "--z2", "1e308,0"], "1|1|1", 1, "region |z1| > |z2| > |z1 - z2|"),
+        (
+            ["--z1", "1.7e308,1.7e308", "--z2", "1.6e308,1.6e308"], "1|1|1", 0,
+            "p_z1_z2 = 0, p_z2_z2-z1 = 0",
+        ),
     ],
-    ids=["subnormal-point", "subnormal-path", "huge-path", "huge-points-outside-region"],
+    ids=[
+        "subnormal-point", "subnormal-path", "huge-path", "huge-points-outside-region",
+        "moduli-past-the-float-range",
+    ],
 )
 def test_monodromy_at_the_float_extremes(where, grades, code, want, capsys):
     # the float logarithms raised OverflowError, ValueError or exited 3 here
@@ -175,6 +199,20 @@ def test_monodromy_at_the_float_extremes(where, grades, code, want, capsys):
     captured = capsys.readouterr()
     assert want in captured.out
     assert captured.err == ""
+
+
+def test_monodromy_negative_point_needs_equals_sign(capsys):
+    argv = ["monodromy", "--spec", "z2-lattice-on-z4", "--grades", "1|1|1"]
+    assert run_cli(*argv, "--z1=-3,0", "--z2=-2,0") == cli.EXIT_OK
+    assert "p_z1_z2 = 0, p_z2_z2-z1 = 0" in capsys.readouterr().out
+    # given as a separate argument, argparse reads '-3,0' as an option
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--z1", "-3,0", "--z2", "-2,0")
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli("monodromy", "--help")
+    assert "--z1=-3,0" in capsys.readouterr().out
 
 
 _COORDS = st.one_of(
@@ -433,6 +471,9 @@ def test_z2_table_spec_verifies(tmp_path, capsys):
         ({**Z2_TABLE, "group": {"table": [list(range(65))] * 65}}, "group.table"),
         ({"mode": "su2", "max_spin": 65}, "max_spin"),
         ({"mode": "su2", "max_spin": -1}, "max_spin"),
+        (_z2_table_irrep(matrices=[[["nan"]]]), "irreps.list[0].matrices[0][0][0]"),
+        (_z2_table_irrep(matrices=[[["inf"]]]), "irreps.list[0].matrices[0][0][0]"),
+        (_z2_table_irrep(matrices=[[["1e999"]]]), "irreps.list[0].matrices[0][0][0]"),
     ],
     ids=[
         "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
@@ -448,6 +489,7 @@ def test_z2_table_spec_verifies(tmp_path, capsys):
         "schema-version-float", "irrep-label-repeated", "matrix-entry-unparseable",
         "group-empty", "group-table-not-square", "group-table-entry-out-of-range",
         "group-table-above-order-cap", "max-spin-above-cap", "max-spin-negative",
+        "matrix-entry-nan", "matrix-entry-inf", "matrix-entry-overflow",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])

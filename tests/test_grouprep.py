@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from twistcat.grouprep import (
     dual_rep,
     grade_of,
     hom_dim,
+    hom_dim_table,
     intertwiner_basis,
     rep_from_generators,
     tensor_rep,
     validate_irrep,
 )
+from twistcat.specio import load_spec
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +263,149 @@ def test_group_order_cap():
     s5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
     with pytest.raises(StructuralError, match="more than MAX_GROUP_ORDER = 64 elements"):
         FiniteGroup.from_permutations(s5)
+
+
+def _power(group, x, k):
+    out = group.identity
+    for _ in range(k):
+        out = group.mul(out, x)
+    return out
+
+
+def _rs_closed_forms(name, r_name, s_name, r_mat, s_mat, signs):
+    """Each element r^a s^b of a two-generator builtin with its image
+    ``R^a S^b`` under the 2-dim irrep and ``u^a v^b`` under each 1-dim one."""
+    group, _ = builtin_catalog(name)
+    r, s = (group.element_names.index(x) for x in (r_name, s_name))
+    expected = {label: np.empty((group.order, 1, 1), dtype=complex) for label in signs}
+    two_dim = np.empty((group.order, 2, 2), dtype=complex)
+    for a, b in product(range(4), range(2)):
+        g = group.mul(_power(group, r, a), _power(group, s, b))
+        two_dim[g] = np.linalg.matrix_power(r_mat, a) @ np.linalg.matrix_power(s_mat, b)
+        for label, (u, v) in signs.items():
+            expected[label][g] = u**a * v**b
+    return expected, two_dim
+
+
+def _builtin_closed_forms(name):
+    if name == "d4":
+        signs = {"trivial": (1, 1), "sign-s": (1, -1), "sign-r": (-1, 1), "sign-rs": (-1, -1)}
+        rot, refl = np.array([[0, -1], [1, 0]]), np.diag([1, -1])
+        expected, standard = _rs_closed_forms(name, "r^1", "r^0s", rot, refl, signs)
+        return {**expected, "standard": standard}
+    if name == "q8":
+        signs = {"trivial": (1, 1), "sign-j": (1, -1), "sign-i": (-1, 1), "sign-k": (-1, -1)}
+        i_mat, j_mat = np.diag([1j, -1j]), np.array([[0, -1], [1, 0]])
+        expected, spin = _rs_closed_forms(name, "i", "j", i_mat, j_mat, signs)
+        return {**expected, "spin": spin}
+    # S3 acts on the plane by permuting the vertices v_k of a triangle: the
+    # matrix M_p has M_p v_k = v_{p[k]}; the 3-cycle turns by 2 pi / 3
+    group, _ = builtin_catalog(name)
+    angles = 2 * np.pi * (np.arange(3) + 1) / 3
+    vertices = np.array([np.cos(angles), np.sin(angles)])
+    perms = [list(p) for p in group.element_names]
+    return {
+        "trivial": np.ones((6, 1, 1)),
+        "sign": np.array([[[np.linalg.det(np.eye(3)[:, p])]] for p in perms]),
+        "standard": np.array([vertices[:, p] @ np.linalg.pinv(vertices) for p in perms]),
+    }
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8"])
+def test_builtin_irreps_match_closed_forms(name):
+    _, reps = builtin_catalog(name)
+    expected = _builtin_closed_forms(name)
+    assert list(reps) == list(expected)
+    for label, rep in reps.items():
+        assert np.abs(rep.matrices - expected[label]).max() <= 1e-12, label
+
+
+def _grades_by_search(rep, embedding):
+    """Every alpha of the grading group with ``rho(iota(chi)) = chi(alpha) I``
+    for each dual generator ``chi``, by trying them all."""
+    grading, eye = embedding.grading, np.eye(rep.dim)
+    return [
+        alpha
+        for alpha in grading.elements()
+        if all(
+            np.abs(rep.matrices[img] - grading.pairing(chi, alpha).to_complex() * eye).max()
+            <= 1e-9
+            for chi, img in zip(grading.dual_generators(), embedding.images)
+        )
+    ]
+
+
+def _assert_grade_matches_search(rep, embedding):
+    matches = _grades_by_search(rep, embedding)
+    if len(matches) == 1:
+        assert grade_of(rep, embedding) == matches[0]
+    else:
+        with pytest.raises(GradingError):
+            grade_of(rep, embedding)
+    return matches
+
+
+def _builtin_embeddings(group):
+    """Each central element as the image of Z/n, for n its order and twice it."""
+    for img in group.center:
+        k = group.element_order(img)
+        for n in (k, 2 * k):
+            yield CentralEmbedding(FinAbGroup((n,)), (img,))
+    center = group.center
+    for a, b in product(center, center):
+        yield CentralEmbedding(
+            FinAbGroup((group.element_order(a), group.element_order(b))), (a, b)
+        )
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "z4", "z6", "z8", "s3", "d4", "q8"])
+def test_grade_of_matches_search_on_builtins(name):
+    group, reps = builtin_catalog(name)
+    graded = 0
+    for embedding in _builtin_embeddings(group):
+        for rep in reps.values():
+            graded += len(_assert_grade_matches_search(rep, embedding)) == 1
+    assert graded > 0
+
+
+def test_grade_of_matches_search_on_golden_catalogs(categories):
+    golden = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+    for cat in [*categories.values(), *(load_spec(path).build_category() for path in golden)]:
+        for m in cat.catalog:
+            assert _assert_grade_matches_search(m.rep, cat.embedding) == [m.grade]
+
+
+def test_grade_of_rejects_what_search_rejects(s3):
+    z4, chis = cyclic_group(4)
+    # reducible, chi1 + chi0: g^2 acts by diag(-1, 1), no scalar
+    mixed = MatrixRep(z4, np.stack([np.diag([chi[0, 0], 1]) for chi in chis["chi1"].matrices]))
+    group, reps = s3
+    swap = group.element_names.index((1, 0, 2))
+    cases = [
+        (mixed, CentralEmbedding(FinAbGroup((2,)), (2,))),
+        # g acts by i, which is no square root of 1
+        (chis["chi1"], CentralEmbedding(FinAbGroup((2,)), (1,))),
+        # a non-central image acts by diag(1, -1) on the standard irrep
+        (reps["standard"], CentralEmbedding(FinAbGroup((2,)), (swap,))),
+    ]
+    _, d4 = builtin_catalog("d4")
+    # a rotation by a quarter turn has zero diagonal entries
+    cases.append((d4["standard"], CentralEmbedding(FinAbGroup((4,)), (1,))))
+    for rep, embedding in cases:
+        assert _assert_grade_matches_search(rep, embedding) == []
+
+
+def test_non_finite_entries_fail_every_check():
+    group, reps = cyclic_group(4)
+    mats = reps["chi1"].matrices.copy()
+    mats[2] = np.nan
+    with pytest.raises(RepresentationError):
+        validate_irrep(MatrixRep(group, mats))
+    with pytest.raises(GradingError):
+        grade_of(MatrixRep(group, mats), CentralEmbedding(FinAbGroup((2,)), (2,)))
+    chars = np.array([validate_irrep(r) for r in reps.values()])
+    chars[1, 2] = np.nan
+    with pytest.raises(ConsistencyError):
+        hom_dim_table(group, chars)
+    with pytest.raises(ConsistencyError):
+        hom_dim(group, chars[1], chars[1], chars[2])

@@ -328,7 +328,7 @@ def test_signature_collapse_matches_per_tuple_sweep(name):
         for objs in product(cat.catalog, repeat=arity):
             err, exact = identity(*objs)
             max_err = max(max_err, err)
-            if (err > cat.matrix_tol or not exact) and witness is None:
+            if (err > modcat.MATRIX_TOL or not exact) and witness is None:
                 witness = tuple(m.label for m in objs)
         check = checks[axiom]
         assert check.checked == k**arity, axiom
@@ -375,7 +375,7 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(n, s, corrupt_
         for objs in product(cat.catalog, repeat=arity):
             err, exact = identity(*objs)
             max_err = max(max_err, err)
-            if (err > cat.matrix_tol or not exact) and witness is None:
+            if (err > modcat.MATRIX_TOL or not exact) and witness is None:
                 witness = tuple(m.label for m in objs)
         check = checks[axiom]
         assert check.checked == n**arity, axiom
@@ -513,7 +513,7 @@ def _asymmetric_z3():
 @pytest.mark.parametrize("seed", [0, 5])
 def test_index_paths_match_dense_reference(name, seed, categories):
     cat = _asymmetric_z3() if name == "asymmetric-z3" else categories[name]
-    ref = _dense_reference(cat, cat.matrix_tol, seed)
+    ref = _dense_reference(cat, modcat.MATRIX_TOL, seed)
     checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
     for axiom, expected in ref["checks"].items():
         c = checks[axiom]
