@@ -12,6 +12,7 @@ permutation generators, plus per-generator irrep matrices).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 
@@ -111,13 +112,22 @@ _BUILTIN_BUILDERS = {
 }
 
 
-def builtin_catalog(name: str) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
-    """Look up a builtin by name; ``zN`` (for example ``z4``) is the cyclic family."""
+def builtin_builder(name: str):
+    """The builder of the builtin named ``name``: ``zN`` (for example ``z4``,
+    ``1 <= N <= MAX_GROUP_ORDER``) is the cyclic family, ``s3``, ``d4`` and
+    ``q8`` the others.  Raises ``StructuralError`` for any other name."""
     key = name.lower()
-    if key in _BUILTIN_BUILDERS:
-        return _BUILTIN_BUILDERS[key]()
-    # ASCII digits only, and few enough that int() is cheap; the order cap
-    # is checked by cyclic_group
-    if re.fullmatch(r"z[0-9]{1,6}", key):
-        return cyclic_group(int(key[1:]))
-    raise StructuralError(f"unknown builtin group {name!r}; use zN, s3, d4 or q8")
+    # ASCII digits only, and few enough that int() is cheap
+    if re.fullmatch(r"z[0-9]{1,6}", key) and 1 <= int(key[1:]) <= MAX_GROUP_ORDER:
+        return functools.partial(cyclic_group, int(key[1:]))
+    if key not in _BUILTIN_BUILDERS:
+        raise StructuralError(
+            f"unknown builtin group {name[:40]!r}; use zN with 1 <= N <= {MAX_GROUP_ORDER},"
+            " s3, d4 or q8"
+        )
+    return _BUILTIN_BUILDERS[key]
+
+
+def builtin_catalog(name: str) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
+    """Build the builtin named ``name``; see ``builtin_builder``."""
+    return builtin_builder(name)()

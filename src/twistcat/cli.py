@@ -222,11 +222,8 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int, tol: float) -> No
     max_spin = spec.max_spin
     smatrix = fusionring.su2_smatrix(max_spin, cocycle)
     sym = bool(np.array_equal(smatrix, smatrix.T))
-    mags = all(
-        abs(int(smatrix[m, n])) == (m + 1) * (n + 1)
-        for m in range(max_spin + 1)
-        for n in range(max_spin + 1)
-    )
+    dims = np.arange(1, max_spin + 2)
+    mags = bool(np.array_equal(np.abs(smatrix), np.outer(dims, dims)))
     report.add("smatrix-symmetric", sym, f"spins up to {max_spin}")
     report.add("smatrix-magnitude", mags, "|S_mn| = (m+1)(n+1) for all entries")
 

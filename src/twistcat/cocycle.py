@@ -2,17 +2,19 @@
 
 Tables are stored as integer exponent numerators over one common
 denominator, so every axiom check below is exact integer arithmetic mod
-that denominator; no tolerances anywhere.  All checks run in the narrowest
-integer dtype that holds ``5 * denom``.  The pentagon is checked over all of
-``A^4``, one ``|A|^3`` slab per first argument, reading ``F(a1, a2, a3+a4)``
-through a strided window over a wrap-padded copy of ``F``; both hexagons are
-summed in place over all of ``A^3`` from transposed views of ``F``.
-Validation is eager at construction because every downstream formula
-assumes the axioms, and each builder keeps its report on the cocycle so
-that nothing validates twice.  Every exponent expression in this module,
-``modcat`` and ``branchcut.assoc_numerator`` has magnitude below
-``5 * denom``, so ``denom`` is capped at ``MAX_DENOM`` to keep int64
-arithmetic exact.
+that denominator; no tolerances anywhere.  ``pentagon_slabs`` and
+``hexagon_residues`` are the only kernels of the pentagon and hexagon
+formulas: ``validate_cocycle`` scans their residues over all of ``A^4`` and
+``A^3``, and ``modcat``'s coherence suite reads them at a catalog's grades.
+They run in the narrowest integer dtype that holds ``5 * denom``; the
+pentagon reads ``F(a1, a2, a3+a4)`` through a strided window over a
+wrap-padded copy of ``F``, one ``|A|^3`` slab per first argument, and the
+hexagons sum transposed views of ``F`` in place.  Validation is eager at
+construction because every downstream formula assumes the axioms, and each
+builder keeps its report on the cocycle so that nothing validates twice.
+Every exponent expression here, in ``modcat``'s balancing check and in
+``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
+``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -377,18 +379,20 @@ def _sum_window(F: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     return as_strided(P, (m, m) + factors + factors, P.strides + P.strides[2:], writeable=False)
 
 
-def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
-    g, m, L = c.group, c.group.order, c.denom
+def pentagon_slabs(c: AbelianCocycle, rows: Iterable[int]) -> Iterator[np.ndarray]:
+    """The pentagon residue mod ``denom`` in the narrow dtype: for each ``a1``
+    in ``rows``, in order, the slab ``d[a2, a3, a4]``.  Every slab is the same
+    buffer, overwritten by the next."""
+    g, L = c.group, c.denom
     F, S = c.f_num.astype(_narrow_dtype(L)), g.add_index_table
     V = _sum_window(F, g.factors)
     d, q = np.empty_like(F), np.empty_like(F)
     d_digits = d.reshape(V.shape[1:])  # d with a3 and a4 split into digits
-    # One |A|^3 slab d[a2, a3, a4] per first argument a1 = i, in order, so the
-    # first nonzero cell of the first failing slab is the lexicographically
-    # first failing tuple.  Every term is a row gather, a broadcast or the
-    # window V.  np.take with mode="raise" writes through a temporary copy of
-    # out; the indices are in range, so mode="clip" changes no value.
-    for i in range(m):
+    # F(a1,a2,a3) F(a1,a2+a3,a4) F(a2,a3,a4) = F(a1+a2,a3,a4) F(a1,a2,a3+a4).
+    # Every term is a row gather, a broadcast or the window V.  np.take with
+    # mode="raise" writes through a temporary copy of out; the indices are in
+    # range, so mode="clip" changes no value.
+    for i in rows:
         G = F[i]
         np.take(G, S, axis=0, out=d, mode="clip")  # F(i, a2+a3, a4)
         d += G[:, :, None]  # F(i, a2, a3)
@@ -396,15 +400,24 @@ def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
         d_digits -= V[i]  # F(i, a2, a3+a4)
         d -= np.take(F, S[i], axis=0, out=q, mode="clip")  # F(i+a2, a3, a4)
         _reduce(d, q, L)
+        yield d
+
+
+def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
+    g, m = c.group, c.group.order
+    # slabs come in a1 order: the first failing cell is the lexicographic first
+    for i, d in enumerate(pentagon_slabs(c, range(m))):
         if np.count_nonzero(d):
             return AxiomCheck("pentagon", False, m**4, _first_witness(d[None], g, offset0=i))
     return AxiomCheck("pentagon", True, m**4)
 
 
-def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
-    g, m, L = c.group, c.group.order, c.denom
+def hexagon_residues(c: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]:
+    """Both hexagon residues mod ``denom`` over all of ``A^3``, in the narrow
+    dtype, each indexed ``[a1, a2, a3]``."""
+    m, L, S = c.group.order, c.denom, c.group.add_index_table
     dtype = _narrow_dtype(L)
-    F, W, S = c.f_num.astype(dtype), c.omega_num.astype(dtype), g.add_index_table
+    F, W = c.f_num.astype(dtype), c.omega_num.astype(dtype)
     h = np.empty((2, m, m, m), dtype)
     h1, h2 = h
     # Each hexagon is summed in place over all of A^3, reading F and Omega
@@ -413,7 +426,7 @@ def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
     # that term is a row gather.
 
     # F(a1,a2,a3) Omega(a1+a2,a3) F(a3,a1,a2) = Omega(a2,a3) F(a1,a3,a2) Omega(a1,a3),
-    # h1 indexed [a1, a2, a3]
+    # h1 laid out [a1, a2, a3]
     np.take(W, S, axis=0, out=h1, mode="clip")  # Omega(a1+a2, a3)
     h1 += F
     h1 += F.transpose(1, 2, 0)  # F(a3, a1, a2)
@@ -422,7 +435,7 @@ def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
     h1 -= W[:, None, :]  # Omega(a1, a3)
 
     # F(a1,a2,a3)^-1 Omega(a1,a2+a3) F(a2,a3,a1)^-1 = Omega(a1,a2) F(a2,a1,a3)^-1 Omega(a1,a3),
-    # h2 indexed [a2, a3, a1]
+    # h2 laid out [a2, a3, a1]
     np.take(W.T, S, axis=0, out=h2, mode="clip")  # Omega(a1, a2+a3)
     h2 -= F.transpose(1, 2, 0)  # F(a1, a2, a3)
     h2 -= F  # F(a2, a3, a1)
@@ -431,8 +444,14 @@ def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
     h2 -= W.T[None, :, :]  # Omega(a1, a3)
 
     _reduce(h, np.empty_like(h), L)
+    return h1, h2.transpose(2, 0, 1)
+
+
+def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
+    g, m = c.group, c.group.order
+    h1, h2 = hexagon_residues(c)
     w1 = _first_witness(h1, g) if np.count_nonzero(h1) else None
-    w2 = _first_witness(h2.transpose(2, 0, 1), g) if np.count_nonzero(h2) else None
+    w2 = _first_witness(h2, g) if np.count_nonzero(h2) else None
     return [
         AxiomCheck("hexagon-1", w1 is None, m**3, w1),
         AxiomCheck("hexagon-2", w2 is None, m**3, w2),

@@ -46,6 +46,8 @@ class FiniteGroup:
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise StructuralError(f"multiplication table must be square, got {table.shape}")
         n = table.shape[0]
+        if n > MAX_GROUP_ORDER:
+            raise StructuralError(f"group order {n} exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
         if n == 0 or table.min() < 0 or table.max() >= n:
             raise StructuralError("table entries must be element indices in range")
         self.table = table
@@ -57,27 +59,28 @@ class FiniteGroup:
         if len(self.element_names) != n:
             raise StructuralError("element_names length does not match order")
 
-        identities = [
-            e
-            for e in range(n)
-            if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))
-        ]
+        elements = np.arange(n)
+        identities = np.flatnonzero(
+            (table == elements).all(axis=1) & (table.T == elements).all(axis=1)
+        )
         if len(identities) != 1:
             raise StructuralError("table has no (or no unique) identity element")
-        self.identity = identities[0]
+        self.identity = e = int(identities[0])
 
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(table[a] == self.identity)
-            if len(hits) != 1 or table[hits[0], a] != self.identity:
-                raise StructuralError(f"element {a} has no two-sided inverse")
-            inv[a] = hits[0]
+        hits = table == e
+        inv = np.argmax(hits, axis=1)
+        bad = (hits.sum(axis=1) != 1) | (table[inv, elements] != e)
+        if bad.any():
+            raise StructuralError(f"element {int(np.argmax(bad))} has no two-sided inverse")
         self.inverse = inv
         self.inverse.setflags(write=False)
 
-        for a in range(n):  # (ab)c == a(bc) for all b, c at once
-            if not np.array_equal(table[table[a]], table[a][table]):
-                raise StructuralError(f"table is not associative at element {a}")
+        # (ab)c == a(bc) for all a, b, c: two n^3 gathers, kept small by the dtype
+        narrow = table.astype(np.min_scalar_type(n - 1))
+        left, right = narrow[table], narrow[:, table]  # [a, b, c] is (ab)c and a(bc)
+        if not np.array_equal(left, right):
+            a = int(np.flatnonzero(left != right)[0]) // (n * n)
+            raise StructuralError(f"table is not associative at element {a}")
         self._walks: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
 
     @classmethod

@@ -16,7 +16,9 @@ Structure morphisms:
 Associators and braidings are unit scalars times identities and flips, so
 the coherence suite checks pentagon, triangle, both hexagons and balancing
 as exact identities between cocycle exponents, in integer arithmetic mod the
-cocycle denominator, once per tuple of distinct catalog grades.  The snake
+cocycle denominator, once per tuple of distinct catalog grades.  Pentagon,
+triangle and hexagons are the cocycle axioms at those grades, read from the
+residues of ``cocycle``'s kernels and its normalization slice.  The snake
 identities, the double braiding (the matrix ``s_entry`` traces) and
 naturality against sampled intertwiners stay matrix equations checked within
 a tolerance; twist-duality is exact.  ``checked`` counts catalog tuples, and
@@ -33,13 +35,14 @@ character-sum table, which fusion tables and the naturality spot checks share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
 
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport, validate_cocycle
+from .cocycle import hexagon_residues, pentagon_slabs
 from .errors import CocycleError, StructuralError
 from .grouprep import (
     MATRIX_TOL,
@@ -54,9 +57,6 @@ from .grouprep import (
     validate_irrep,
 )
 from .unitscalar import UnitScalar
-
-# chunk the first slot of an exponent check so memory stays bounded
-_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +165,6 @@ class TwistedCategory:
 
     # -- word helpers ---------------------------------------------------------
 
-    @staticmethod
-    def _as_word(obj) -> tuple[GradedIrrep, ...]:
-        if isinstance(obj, GradedIrrep):
-            return (obj,)
-        return tuple(obj)
-
     def _grade_index(self, a: GroupElt) -> int:
         try:
             return self._index[a]
@@ -189,12 +183,6 @@ class TwistedCategory:
 
     def word_dim(self, obj) -> int:
         return self._word(obj)[1]
-
-    def word_grade(self, obj) -> GroupElt:
-        return self.grading.element_at(self._word(obj)[0])
-
-    def word_labels(self, obj) -> tuple[str, ...]:
-        return tuple(m.label for m in self._as_word(obj))
 
     # -- scalars and matrices by grade index --------------------------------------
 
@@ -246,12 +234,6 @@ class TwistedCategory:
         return complex(evaluation * np.trace(x))
 
     # -- structure morphisms ----------------------------------------------------
-
-    def f_scalar(self, a1: GroupElt, a2: GroupElt, a3: GroupElt) -> UnitScalar:
-        return self.cocycle.f(a1, a2, a3)
-
-    def omega_scalar(self, a1: GroupElt, a2: GroupElt) -> UnitScalar:
-        return self.cocycle.omega(a1, a2)
 
     def associator(self, m1, m2, m3) -> StructureMorphism:
         """``F(a1,a2,a3)^{-1}`` times the identity on the flattened triple space."""
@@ -318,79 +300,62 @@ class TwistedCategory:
         Pentagon, triangle, both hexagons and balancing compose only
         associators and braidings, which are unit scalars times identities and
         flips, so each is checked as an exact identity between cocycle
-        exponents at the catalog's grades; ``tol`` does not apply to them and
-        a failure reports its deviation ``|e^{2 pi i delta} - 1|``.  The
-        snakes, double-braiding and naturality are matrix equations checked
-        within ``tol`` (naturality within at least ``1e-8``); twist-duality is
-        exact.  ``checked`` counts catalog tuples."""
-        F, W = self.cocycle.f_num, self.cocycle.omega_num
-        S = self.grading.add_index_table
-        e = self.grading.index(self.unit.grade)
-
-        # Each numerator is the exponent of lhs / rhs over cocycle.denom, with
-        # A = F^-1 for every associator and R = Omega^-1 for every braiding.
-        def pentagon(a, b, c, d):
-            # A_{ab,c,d} A_{a,b,cd} == (A_{a,b,c} (x) 1) A_{a,bc,d} (1 (x) A_{b,c,d})
-            return F[a, b, c] + F[a, S[b, c], d] + F[b, c, d] - F[S[a, b], c, d] - F[a, b, S[c, d]]
-
-        def triangle(a, b):
-            # A_{a,1,b} == 1
-            return -F[a, e, b]
-
-        def hexagon1(x, y, z):
-            # A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == (1 (x) R_{x,z}) A_{y,x,z}^-1 (R_{x,y} (x) 1)
-            return F[y, z, x] - W[x, S[y, z]] + F[x, y, z] + W[x, z] - F[y, x, z] + W[x, y]
-
-        def hexagon2(x, y, z):
-            # A_{z,x,y} R_{xy,z} A_{x,y,z} == (R_{x,z} (x) 1) A_{x,z,y} (1 (x) R_{y,z})
-            return -F[z, x, y] - W[S[x, y], z] - F[x, y, z] + W[x, z] + F[x, z, y] + W[y, z]
-
-        def balancing(a, b):
-            # theta_{ab} == R_{b,a} R_{a,b} (theta_a (x) theta_b), theta_a = Omega(a,a)^-1
-            return -W[S[a, b], S[a, b]] + W[b, a] + W[a, b] + W[a, a] + W[b, b]
-
-        check = self._exponent_check
+        exponents at the catalog's grades: pentagon and hexagons read the
+        cocycle's own residues, the triangle reads ``F(a, 0, b)``.  ``tol``
+        does not apply to them and a failure reports its deviation
+        ``|e^{2 pi i delta} - 1|``.  The snakes, double-braiding and
+        naturality are matrix equations checked within ``tol`` (naturality
+        within at least ``1e-8``); twist-duality is exact.  ``checked`` counts
+        catalog tuples."""
+        c = self.cocycle
+        first: dict[int, str] = {}  # distinct grade index -> first catalog label
+        for m in self.catalog:
+            first.setdefault(self._grade_index(m.grade), m.label)
+        g = np.array(list(first), dtype=np.intp)
+        ix2, ix3 = np.ix_(g, g), np.ix_(g, g, g)
+        # theta_{ab} == R_{b,a} R_{a,b} (theta_a (x) theta_b), theta_a = Omega(a,a)^-1
+        W, q, ab = c.omega_num[ix2], c.omega_num.diagonal(), self.grading.add_index_table[ix2]
+        balancing = (W + W.T + q[g][:, None] + q[g] - q[ab]) % c.denom
+        # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
+        # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
+        hexagon2, hexagon1 = hexagon_residues(c)
+        check = partial(self._residue_check, labels=list(first.values()))
         checks = [
-            check("pentagon(matrices)", 4, pentagon),
-            check("triangle", 2, triangle),
-            check("hexagon-1(matrices)", 3, hexagon1),
-            check("hexagon-2(matrices)", 3, hexagon2),
+            check("pentagon(matrices)", 4, (d[ix3][None] for d in pentagon_slabs(c, g))),
+            check("triangle", 2, [c.f_num[:, 0, :][ix2]]),
+            check("hexagon-1(matrices)", 3, [hexagon1[ix3]]),
+            check("hexagon-2(matrices)", 3, [hexagon2[ix3]]),
             self._check_snakes(tol),
             # the detail is part of verify reports, which stay byte-identical
-            check("balancing", 2, balancing, detail="checked as matrices and as exact exponents"),
+            check("balancing", 2, [balancing], detail="checked as matrices and as exact exponents"),
             self._check_twist_dual(),
             self._check_double_braiding(tol),
             self._check_naturality(tol=max(tol, 1e-8), seed=seed),
         ]
         return CoherenceReport(tuple(checks))
 
-    def _exponent_check(self, axiom: str, arity: int, numerator, detail: str = "") -> AxiomCheck:
-        """A unit-scalar identity over all catalog tuples of ``arity``, exactly.
+    def _residue_check(
+        self, axiom: str, arity: int, residues, labels: list[str], detail: str = ""
+    ) -> AxiomCheck:
+        """An exponent identity over all catalog tuples of ``arity``.
 
-        ``numerator(*slots)`` gets one broadcastable array of grade indices
-        per slot and returns the exponent numerator of lhs / rhs.  It runs on
-        the distinct catalog grades in order of first appearance, chunked on
-        the first slot, so its first nonzero cell in C order, read as the
-        first catalog member of each grade, is the first failing catalog tuple
-        in ``product`` order.
+        ``residues`` are arrays of residues mod the cocycle denominator over
+        tuples of the distinct catalog grades, in order of first appearance,
+        that stacked along their first axis make the whole ``k^arity`` array.
+        ``labels`` names the first catalog member of each grade, so the first
+        nonzero cell in C order is the first failing catalog tuple in
+        ``product`` order.
         """
-        first: dict[GroupElt, str] = {}
-        for m in self.catalog:
-            first.setdefault(m.grade, m.label)
-        labels = list(first.values())
-        grades = np.array([self.grading.index(a) for a in first], dtype=np.int64)
-        k, denom = len(grades), self.cocycle.denom
-        chunk = max(1, _CHUNK_CELLS // max(1, k ** (arity - 1)))
-        witness, defects = None, set()
-        for i0 in range(0, k, chunk):
-            delta = numerator(*np.ix_(grades[i0 : i0 + chunk], *[grades] * (arity - 1))) % denom
-            bad = np.flatnonzero(delta)
-            if bad.size == 0:
-                continue
-            if witness is None:
-                first_bad = np.unravel_index(bad[0], delta.shape)
-                witness = (labels[i0 + first_bad[0]],) + tuple(labels[i] for i in first_bad[1:])
-            defects.update(np.unique(delta.reshape(-1)[bad]).tolist())
+        witness, defects, offset = None, set(), 0
+        for r in residues:
+            bad = np.flatnonzero(r)
+            if bad.size:
+                if witness is None:
+                    i, *rest = np.unravel_index(bad[0], r.shape)
+                    witness = tuple(labels[j] for j in (offset + i, *rest))
+                defects.update(np.unique(r.reshape(-1)[bad]).tolist())
+            offset += len(r)
+        denom = self.cocycle.denom
         max_err = max(
             (abs(UnitScalar.from_exponent(d, denom).to_complex() - 1) for d in defects),
             default=0.0,

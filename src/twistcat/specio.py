@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .abgroup import FinAbGroup
-from .catalogs import builtin_catalog
+from .catalogs import builtin_builder, builtin_catalog
 from .cocycle import AbelianCocycle, _from_exponents, build_cyclic
 from .errors import StructuralError
 from .fusionring import MAX_SPIN
@@ -167,7 +167,12 @@ def _parse_group(config) -> tuple:
     """``("builtin", name)``, ``("table", rows)`` or ``("permutations", generators)``."""
     config = _typed(config, dict, "group")
     if "builtin" in config:
-        return "builtin", _typed(config["builtin"], str, "group.builtin")
+        name = _typed(config["builtin"], str, "group.builtin")
+        try:
+            builtin_builder(name)
+        except StructuralError as exc:
+            raise StructuralError(f"spec field 'group.builtin': {exc}") from None
+        return "builtin", name
     if "table" in config:
         rows = _typed(config["table"], list, "group.table")
         if not 1 <= len(rows) <= MAX_GROUP_ORDER:  # the group order cap, before any allocation

@@ -62,12 +62,34 @@ def test_q8_structure(q8):
 
 
 def test_non_associative_table_rejected():
-    with pytest.raises(StructuralError):
-        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    # a loop of order 5: 0 is the identity and every element its own inverse,
+    # which no group of order 5 allows
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(StructuralError, match="table is not associative at element 1"):
+        FiniteGroup(loop)
+
+
+@pytest.mark.parametrize(
+    "table, element",
+    [
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 1),  # 1 * 2 = 0 but 2 * 1 = 1
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 2]], 2),  # no 0 in row 2
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 1]], 1),  # two 0s in row 1
+    ],
+)
+def test_missing_inverse_rejected(table, element):
+    with pytest.raises(StructuralError, match=f"element {element} has no two-sided inverse"):
+        FiniteGroup(table)
+
+
+def test_table_above_order_cap_rejected():
+    # checked before the n^3 associativity gathers
+    with pytest.raises(StructuralError, match="group order 65 exceeds MAX_GROUP_ORDER"):
+        FiniteGroup(np.zeros((65, 65), dtype=np.int64))
 
 
 def test_missing_identity_rejected():
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"table has no \(or no unique\) identity element"):
         FiniteGroup([[0, 0], [0, 0]])
     # identity not at index 0 is fine
     assert FiniteGroup([[1, 0], [0, 1]]).identity == 1

@@ -222,7 +222,7 @@ def test_snake_composites_are_identity(categories):
             coev = cat.coevaluation(m).matrix
             left = np.kron(np.eye(d), ev)
             right = np.kron(coev, np.eye(d))
-            snake = cat.f_scalar(a, neg, a).to_complex() * (left @ right)
+            snake = cat.cocycle.f(a, neg, a).to_complex() * (left @ right)
             assert np.abs(snake - np.eye(d)).max() <= 1e-9
 
 
@@ -230,8 +230,8 @@ def test_word_helpers(lattice_cat):
     odd = [m for m in lattice_cat.catalog if m.grade == (1,)]
     word = (odd[0], odd[1])
     assert lattice_cat.word_dim(word) == 1
-    assert lattice_cat.word_grade(word) == (0,)
-    assert lattice_cat.word_labels(word) == (odd[0].label, odd[1].label)
+    # the word has grade 0: its twist is 1, while an odd object's is not
+    assert lattice_cat.twist(word).is_one and not lattice_cat.twist(odd[0]).is_one
 
 
 def _reference_identities(cat):
@@ -287,8 +287,8 @@ def _reference_identities(cat):
     def double_braiding(m, n):
         scalar = UnitScalar(-cat.cocycle.b(m.grade, n.grade))
         exact = (
-            -cat.omega_scalar(m.grade, n.grade).exponent
-            - cat.omega_scalar(n.grade, m.grade).exponent
+            -cat.cocycle.omega(m.grade, n.grade).exponent
+            - cat.cocycle.omega(n.grade, m.grade).exponent
         ) % 1 == scalar.exponent
         err = dev(cat.double_braiding(m, n), scalar.to_complex() * eye(m.dim * n.dim))
         return err, exact
@@ -343,21 +343,34 @@ def test_signature_collapse_matches_per_tuple_sweep(name):
 
 
 @pytest.mark.parametrize(
-    "n, s, corrupt_f, corrupt_omega",
+    "n, s, corrupt_f, corrupt_omega, image, dropped",
     [
-        (3, 1, (1, 2, 1), None),
-        (3, 1, (2, 0, 1), None),
-        (3, 1, None, (1, 2)),
-        (3, 1, (2, 2, 2), (2, 1)),
-        (6, 5, None, (1, 2)),
-        (6, 5, (2, 0, 1), (4, 3)),
+        (3, 1, (1, 2, 1), None, 1, None),
+        (3, 1, (2, 0, 1), None, 1, None),
+        (3, 1, None, (1, 2), 1, None),
+        (3, 1, (2, 2, 2), (2, 1), 1, None),
+        (6, 5, None, (1, 2), 1, None),
+        (6, 5, (2, 0, 1), (4, 3), 1, None),
+        # grades first appear as 0, 3, 2, 1 and 0, 5, 4, 3, 2, 1
+        (4, 1, (1, 2, 1), (3, 2), 3, None),
+        (6, 5, (2, 0, 1), (4, 3), 5, None),
+        # grades 0, 1, 3: grade 2 is missing from the catalog
+        (4, 1, (3, 1, 3), (1, 3), 1, "chi2"),
+    ],
+    ids=[
+        "3-1-corrupt_f0-None", "3-1-corrupt_f1-None", "3-1-None-corrupt_omega2",
+        "3-1-corrupt_f3-corrupt_omega3", "6-5-None-corrupt_omega4",
+        "6-5-corrupt_f5-corrupt_omega5", "z4-image-3", "z6-image-5", "z4-without-chi2",
     ],
 )
-def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(n, s, corrupt_f, corrupt_omega):
+def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(
+    n, s, corrupt_f, corrupt_omega, image, dropped
+):
     # Z/n graded by Z/n: every irrep has its own grade, and the corrupted
     # Omega is not symmetric, so swapped Omega(x, y) / Omega(y, x) would show.
     # The dense reference rounds, so max_error agrees to 1e-12, not bit for bit.
     group, reps = builtin_catalog(f"z{n}")
+    reps = {label: rep for label, rep in reps.items() if label != dropped}
     good = build_cyclic(n, s)
     f_num, omega_num = good.f_num.copy(), good.omega_num.copy()
     if corrupt_f is not None:
@@ -366,9 +379,11 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(n, s, corrupt_
         omega_num[corrupt_omega] += 1
     broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
     cat = TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (1,)), reps, validate=False
+        group, broken, CentralEmbedding(broken.group, (image,)), reps,
+        complete=dropped is None, validate=False,
     )
-    assert len({m.grade for m in cat.catalog}) == n
+    k = len(cat.catalog)
+    assert len({m.grade for m in cat.catalog}) == k
     checks = {c.axiom: c for c in cat.coherence_suite().checks}
     for axiom, (arity, identity) in _reference_identities(cat).items():
         witness, max_err = None, 0.0
@@ -378,7 +393,7 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(n, s, corrupt_
             if (err > modcat.MATRIX_TOL or not exact) and witness is None:
                 witness = tuple(m.label for m in objs)
         check = checks[axiom]
-        assert check.checked == n**arity, axiom
+        assert check.checked == k**arity, axiom
         assert check.witness == witness, axiom
         assert check.passed == (witness is None), axiom
         assert abs(check.max_error - max_err) <= 1e-12, axiom
