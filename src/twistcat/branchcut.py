@@ -89,6 +89,35 @@ def p_int(z1: complex, z2: complex) -> int:
     return 0
 
 
+def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
+    """``(p(z1, z2), p(z2, z2 - z1))`` on the region ``|z1| > |z2| > |z1 - z2| > 0``.
+
+    Neither the region test nor the second integer rounds ``z1 - z2``: when
+    that difference passes the float range the moduli are compared at half
+    scale, and ``p(z2, z2 - z1)`` is decided on ``z1`` and ``z2`` alone.  Its
+    cross sign ``Im(conj(z2) (z2 - z1))`` equals that of ``(z1, z2)``, its
+    second point is not below the cut exactly when ``z2`` is not, and the
+    difference of its points, ``z1``, is below exactly when ``Im z1 < 0``.
+    """
+    diff = z1 - z2
+    if math.isinf(diff.real) or math.isinf(diff.imag):
+        # each point then has a coordinate above 1e292 in magnitude, so
+        # halving a subnormal one cannot move a modulus
+        m1, m2, m12 = _moduli(0.5 * z1, 0.5 * z2, 0.5 * z1 - 0.5 * z2)
+    else:
+        m1, m2, m12 = _moduli(z1, z2, diff)
+    if not m1 > m2 > m12:
+        raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
+    p12 = p_int(z1, z2)
+    if z1.imag < 0 <= z2.imag:
+        p2 = int(_cross_sign(z1, z2) > 0)
+    elif z2.imag < 0 <= z1.imag:
+        p2 = -int(_cross_sign(z1, z2) < 0)
+    else:
+        p2 = 0
+    return p12, p2
+
+
 def assoc_scalar(
     cocycle: AbelianCocycle,
     z1: complex,
@@ -106,11 +135,7 @@ def assoc_scalar(
 
     Exact: the two integer exponents weight the bilinear-form lifts.
     """
-    m1, m2, m12 = _moduli(z1, z2, z1 - z2)
-    if not m1 > m2 > m12:
-        raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
-    p12 = p_int(z1, z2)
-    p2 = p_int(z2, z2 - z1)
+    p12, p2 = branch_integers(z1, z2)
     g = cocycle.group
     num = assoc_numerator(cocycle, p12, p2, g.index(a1), g.index(a2), g.index(a3))
     return UnitScalar(Fraction(int(num), cocycle.denom))

@@ -108,12 +108,9 @@ def _fusion_table(cat: TwistedCategory) -> dict:
 
 
 def _smatrix_table(cat: TwistedCategory, tol: float) -> dict:
-    smatrix = np.array(
-        [[cat.s_entry(m, n) for n in cat.catalog] for m in cat.catalog], dtype=np.complex128
-    )
     return {
         "labels": [m.label for m in cat.catalog],
-        "entries": _integral_matrix(smatrix, tol),
+        "entries": _integral_matrix(cat.s_matrix(), tol),
     }
 
 
@@ -132,9 +129,12 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     # cocycle: this check fails only if p_int leaves 0 there, or if the p = 0
     # assoc_numerator formula differs from F^-1.  It cannot detect a bad cocycle.
     n_pairs, nonzero_p = 200, 0
-    for _ in range(n_pairs):
-        r1 = float(rng.uniform(0.1, 10.0))
-        r2 = float(rng.uniform(0.5 * r1, r1))
+    # in one call, bit for bit the alternating draws of rng.uniform(0.1, 10.0)
+    # for r1 and rng.uniform(0.5 * r1, r1) for r2
+    u = rng.random(2 * n_pairs)
+    r1s = 0.1 + (10.0 - 0.1) * u[0::2]
+    r2s = 0.5 * r1s + (r1s - 0.5 * r1s) * u[1::2]
+    for r1, r2 in zip(r1s.tolist(), r2s.tolist()):
         p12 = branchcut.p_int(r1, r2)
         p2 = branchcut.p_int(r2, r2 - r1)
         if p12 != 0 or p2 != 0:
@@ -346,8 +346,7 @@ def cmd_monodromy(args) -> int:
             grades = _parse_grades(args.grades, spec, 3)
             # assoc_scalar checks the nested region before either p is taken
             scalar = branchcut.assoc_scalar(cocycle, z1, z2, *grades)
-            p12 = branchcut.p_int(z1, z2)
-            p2 = branchcut.p_int(z2, z2 - z1)
+            p12, p2 = branchcut.branch_integers(z1, z2)
             report.tables["monodromy"] = {
                 "p_z1_z2": p12,
                 "p_z2_z2-z1": p2,

@@ -21,8 +21,12 @@ triangle and hexagons are the cocycle axioms at those grades, read from the
 residues of ``cocycle``'s kernels and its normalization slice.  The snake
 identities, the double braiding (the matrix ``s_entry`` traces) and
 naturality against sampled intertwiners stay matrix equations checked within
-a tolerance; twist-duality is exact.  ``checked`` counts catalog tuples, and
-witnesses are the first failing tuple in ``product`` order.
+a tolerance, each evaluated once per distinct ``(grade index, dim)``
+signature (per signature pair for the double braiding, per signature of the
+last object for naturality) and read back once per catalog tuple; the S
+table likewise traces each distinct signature pair once.  Twist-duality is
+exact.  ``checked`` counts catalog tuples, and witnesses are the first
+failing tuple in ``product`` order.
 
 Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
 complex numbers through one memo per category, keyed by the exponent
@@ -286,6 +290,18 @@ class TwistedCategory:
         (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
         return self._cat_trace(self._add[a1][a2], self._double_braiding(a1, d1, a2, d2))
 
+    def s_matrix(self) -> np.ndarray:
+        """``s_entry`` over all pairs of catalog members, in catalog order.
+        Each distinct pair of ``(grade index, dim)`` signatures is traced once."""
+        words = [self._word(m) for m in self.catalog]
+        first = {}  # signature -> first member with it
+        for m, w in zip(self.catalog, words):
+            first.setdefault(w, m)
+        entries = {
+            (v, w): self.s_entry(first[v], first[w]) for v, w in product(first, repeat=2)
+        }
+        return np.array([[entries[v, w] for w in words] for v in words], dtype=np.complex128)
+
     @cached_property
     def hom_dims(self) -> np.ndarray:
         """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` over catalog positions,
@@ -305,8 +321,9 @@ class TwistedCategory:
         does not apply to them and a failure reports its deviation
         ``|e^{2 pi i delta} - 1|``.  The snakes, double-braiding and
         naturality are matrix equations checked within ``tol`` (naturality
-        within at least ``1e-8``); twist-duality is exact.  ``checked`` counts
-        catalog tuples."""
+        within at least ``1e-8``), each computed once per distinct
+        ``(grade index, dim)`` signature and read back once per catalog
+        tuple; twist-duality is exact.  ``checked`` counts catalog tuples."""
         c = self.cocycle
         first: dict[int, str] = {}  # distinct grade index -> first catalog label
         for m in self.catalog:
@@ -365,23 +382,24 @@ class TwistedCategory:
         )
 
     def _check_snakes(self, tol: float) -> AxiomCheck:
-        witness, max_err = None, 0.0
-        for m in self.catalog:
-            a, d = self._word(m)
-            neg, eye = self._neg[a], self._eye(d)
-            ev = self._f_inv(a, neg, a) * eye.reshape(1, d * d)  # e_M on M* (x) M
-            coev = eye.reshape(d * d, 1)  # i_M into M (x) M*
-            # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
-            mid_inv = self._unit(self.cocycle.f_num[a, neg, a])  # A^{-1} scalar
-            snake_m = mid_inv * (_kron(eye, ev) @ _kron(coev, eye))
-            err = float(np.abs(snake_m - eye).max())
-            # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
-            snake_dual = self._f_inv(neg, a, neg) * (_kron(ev, eye) @ _kron(eye, coev))
-            err = max(err, float(np.abs(snake_dual - eye).max()))
-            max_err = max(max_err, err)
-            if err > tol and witness is None:
-                witness = (m.label,)
-        return AxiomCheck("snake", witness is None, len(self.catalog), witness, max_err)
+        words = [self._word(m) for m in self.catalog]
+        errs = {w: self._snake_error(*w) for w in dict.fromkeys(words)}
+        return _catalog_pass(
+            "snake", (((m.label,), errs[w]) for m, w in zip(self.catalog, words)), tol
+        )
+
+    def _snake_error(self, a: int, d: int) -> float:
+        """Deviation of both snake composites from the identity at signature ``(a, d)``."""
+        neg, eye = self._neg[a], self._eye(d)
+        ev = self._f_inv(a, neg, a) * eye.reshape(1, d * d)  # e_M on M* (x) M
+        coev = eye.reshape(d * d, 1)  # i_M into M (x) M*
+        # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
+        mid_inv = self._unit(self.cocycle.f_num[a, neg, a])  # A^{-1} scalar
+        snake_m = mid_inv * (_kron(eye, ev) @ _kron(coev, eye))
+        err = float(np.abs(snake_m - eye).max())
+        # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
+        snake_dual = self._f_inv(neg, a, neg) * (_kron(ev, eye) @ _kron(eye, coev))
+        return max(err, float(np.abs(snake_dual - eye).max()))
 
     def _check_twist_dual(self) -> AxiomCheck:
         W, witness = self.cocycle.omega_num, None
@@ -401,18 +419,19 @@ class TwistedCategory:
 
     def _check_double_braiding(self, tol: float) -> AxiomCheck:
         """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, the matrix ``s_entry`` traces."""
-        W, witness, max_err = self.cocycle.omega_num, None, 0.0
+        W = self.cocycle.omega_num
         words = [self._word(m) for m in self.catalog]
-        for (m, (a1, d1)), (n, (a2, d2)) in product(zip(self.catalog, words), repeat=2):
+        errs = {}
+        for v, w in product(dict.fromkeys(words), repeat=2):
+            (a1, d1), (a2, d2) = v, w
             scalar = self._unit(-(W[a1, a2] + W[a2, a1]))
             braided = self._double_braiding(a1, d1, a2, d2)
-            err = float(np.abs(braided - scalar * self._eye(d1 * d2)).max())
-            max_err = max(max_err, err)
-            if err > tol and witness is None:
-                witness = (m.label, n.label)
-        return AxiomCheck(
-            "double-braiding", witness is None, len(words) ** 2, witness, max_err
+            errs[v, w] = float(np.abs(braided - scalar * self._eye(d1 * d2)).max())
+        rows = (
+            ((m.label, n.label), errs[v, w])
+            for (m, v), (n, w) in product(zip(self.catalog, words), repeat=2)
         )
+        return _catalog_pass("double-braiding", rows, tol)
 
     def _check_naturality(self, *, tol: float, seed: int) -> AxiomCheck:
         """Structure morphisms commute with sampled intertwiners."""
@@ -423,7 +442,7 @@ class TwistedCategory:
         # a nonzero hom(M1 (x) M2, M3)
         sums = self.grading.add_index_table[np.ix_(grades, grades)]
         triples = np.argwhere((sums[:, :, None] == grades) & (self.hom_dims > 0))
-        checked, witness, max_err = 0, None, 0.0
+        rows = []
         if len(triples):
             picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
             for t in sorted(int(i) for i in picks):
@@ -435,8 +454,8 @@ class TwistedCategory:
                 f = basis[0]  # m3.dim x (m1.dim * m2.dim)
                 (a1, d1), (a2, d2), (a3, d3) = words[i], words[j], words[l]
                 a12, d12 = self._add[a1][a2], d1 * d2
-                for y, (ay, dy) in zip(self.catalog, words):
-                    checked += 1
+                errs = {}
+                for ay, dy in dict.fromkeys(words):
                     eye_y = self._eye(dy)
                     # braiding naturality in the first slot:
                     # R_{M3,Y} (f (x) 1_Y) == (1_Y (x) f) R_{M1M2,Y}
@@ -447,11 +466,21 @@ class TwistedCategory:
                     f_yy = _kron(f, self._eye(dy * dy))
                     lhs2 = (self._f_inv(a3, ay, ay) * self._eye(d3 * dy * dy)) @ f_yy
                     rhs2 = f_yy @ (self._f_inv(a12, ay, ay) * self._eye(d12 * dy * dy))
-                    err = max(err, float(np.abs(lhs2 - rhs2).max()))
-                    max_err = max(max_err, err)
-                    if err > tol and witness is None:
-                        witness = (m1.label, m2.label, m3.label, y.label)
-        return AxiomCheck(
-            "naturality(spot-checks)", witness is None, checked, witness, max_err,
-            detail=f"seed={seed}",
-        )
+                    errs[ay, dy] = max(err, float(np.abs(lhs2 - rhs2).max()))
+                labels = (m1.label, m2.label, m3.label)
+                rows += (((*labels, y.label), errs[w]) for y, w in zip(self.catalog, words))
+        return _catalog_pass("naturality(spot-checks)", rows, tol, detail=f"seed={seed}")
+
+
+def _catalog_pass(axiom: str, rows, tol: float, detail: str = "") -> AxiomCheck:
+    """A matrix identity over catalog tuples from ``(labels, error)`` rows in
+    ``product`` order: each error is computed once per distinct signature and
+    read here once per tuple, so ``checked`` counts tuples, the witness is the
+    first failing tuple and ``max_error`` the largest error."""
+    checked, witness, max_err = 0, None, 0.0
+    for labels, err in rows:
+        checked += 1
+        max_err = max(max_err, err)
+        if err > tol and witness is None:
+            witness = labels
+    return AxiomCheck(axiom, witness is None, checked, witness, max_err, detail=detail)

@@ -14,6 +14,7 @@ from twistcat.branchcut import (
     PathPolyline,
     assoc_numerator,
     assoc_scalar,
+    branch_integers,
     clockwise_unit_loop,
     cut_arg,
     p_int,
@@ -275,6 +276,37 @@ def test_assoc_scalar_nontrivial_branch(lattice):
     value = assoc_scalar(lattice, z1, z2, (1,), (1,), (1,))
     # e^{-2 pi i b(1,1)} * F(1,1,1)^{-1} = (-1)(-1) = 1
     assert value.is_one
+
+
+def test_branch_integers_match_p_int_of_the_float_difference():
+    # on ordinary points, rounding z2 - z1 decides nothing: the same integers
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(2000):
+        z1 = complex(*rng.uniform(-10, 10, 2))
+        u = complex(rng.uniform(0.5, 1), rng.uniform(-0.9, 0.9))  # z2 / z1
+        z2 = z1 * u
+        if not abs(z1) > abs(z2) > abs(z1 - z2) > 0:
+            continue
+        want = (p_int(z1, z2), p_int(z2, z2 - z1))
+        assert branch_integers(z1, z2) == want
+        seen.add(want)
+    assert {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)} <= seen
+
+
+def test_branch_integers_do_not_round_the_difference():
+    # Im(z2 - z1) rounds to Im z2, which hides that z1 = z2 - (z2 - z1) is
+    # below the cut; the exact p(z2, z2 - z1) is 1
+    z1, z2 = 2 - 1e-300j, 1.5 + 1j
+    assert (z2 - z1).imag == z2.imag
+    assert p_int(z2, z2 - z1) == 0
+    assert branch_integers(z1, z2) == (0, 1)
+    # the difference passes the float range; the region holds at half scale
+    z1, z2 = 0.9e308 + 1.795e308j, -1.08e308 + 1.67e308j
+    assert math.isinf((z1 - z2).real)
+    assert branch_integers(z1, z2) == (0, 0)
+    with pytest.raises(DomainError, match="region"):
+        branch_integers(z2, z1)
 
 
 def test_random_real_sweep_matches_f_inverse(lattice):

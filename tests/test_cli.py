@@ -187,10 +187,14 @@ def test_monodromy_path_with_tiny_segment(capsys):
             ["--z1", "1.7e308,1.7e308", "--z2", "1.6e308,1.6e308"], "1|1|1", 0,
             "p_z1_z2 = 0, p_z2_z2-z1 = 0",
         ),
+        (
+            ["--z1=0.9e308,1.795e308", "--z2=-1.08e308,1.67e308"], "1|1|1", 0,
+            "p_z1_z2 = 0, p_z2_z2-z1 = 0",
+        ),
     ],
     ids=[
         "subnormal-point", "subnormal-path", "huge-path", "huge-points-outside-region",
-        "moduli-past-the-float-range",
+        "moduli-past-the-float-range", "difference-past-the-float-range",
     ],
 )
 def test_monodromy_at_the_float_extremes(where, grades, code, want, capsys):
@@ -542,6 +546,29 @@ def test_nonabelian_table_spec_report_matches_golden(tmp_path, capsys):
     spec = GOLDEN_DIR / "specs" / "d5-table-z2.json"
     assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / "d5-table-z2.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["d4-centre-z2", "q8-identity-z2"])
+def test_repeated_signature_report_matches_golden(name, tmp_path, capsys):
+    # builtin d4 graded by its centre and q8 graded at the identity: several
+    # irreps share a (grade, dim) signature, so the self-checks evaluate each
+    # identity once per signature and read it back once per catalog tuple
+    out = tmp_path / "report.json"
+    spec = GOLDEN_DIR / "specs" / f"{name}.json"
+    assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_irrep_above_the_dimension_bound_fails_irreps_valid(tmp_path, capsys):
+    # a 2-dim rep of Z/2 (reducible, but a homomorphism): no irrep has
+    # dim^2 > |G|, and the bound is checked before the batched products
+    path = tmp_path / "spec.json"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    changes = _z2_table_irrep(matrices=[[["1", "0"], ["0", "-1"]]])
+    path.write_text(json.dumps({**spec, **changes}), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL  irreps-valid: dimension 2 is too large for an irrep: 2^2 > |G| = 2" in out
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from pathlib import Path
 
@@ -124,6 +125,47 @@ def test_non_homomorphism_rejected(s3):
     mats[3] = np.eye(2)
     with pytest.raises(RepresentationError, match="not a homomorphism"):
         validate_irrep(MatrixRep(group, mats))
+
+
+def test_homomorphism_check_names_the_lowest_failing_element():
+    # Z/6 relabelled so that 2Z/6 takes indices 0..2, with a 2-dim rep
+    # multiplied on the right by I + E, E nilpotent, on the odd residues:
+    # every a outside 2Z/6 fails, and a=4 by the most
+    residues = [0, 2, 4, 1, 3, 5]
+    index = {r: i for i, r in enumerate(residues)}
+    group = FiniteGroup([[index[(x + y) % 6] for y in residues] for x in residues])
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    skew = np.array([[1.0, 0.1], [0.0, 1.0]])
+    mats = np.array([
+        rot @ np.diag(np.exp([2j * np.pi * r / 6, -2j * np.pi * r / 6])) @ rot.T
+        @ (skew if r % 2 else np.eye(2))
+        for r in residues
+    ])
+    mats[group.identity] = np.eye(2)
+    errs = [  # the per-element loop
+        float(np.abs(mats[a] @ mats - mats[group.table[a]]).max()) for a in range(group.order)
+    ]
+    assert [a for a, err in enumerate(errs) if not err <= 1e-9] == [3, 4, 5]
+    assert max(errs) == errs[4] > errs[3]
+    with pytest.raises(RepresentationError, match=rf"= {errs[3]:.2e} at a=3$"):
+        validate_irrep(MatrixRep(group, mats))
+
+
+def test_intertwiner_check_fails_on_a_corrupted_factor(s3):
+    # rho1 scaled by i at g^-1 and rho3 by -i at g leave every term
+    # rho3(h) (x) (rho1 (x) rho2)(h^-1)^T of the projector as it was, so it
+    # keeps its rank; only the per-element intertwiner check can fail
+    group, reps = s3
+    w, g = reps["standard"], 3
+    m1, m3 = w.matrices.copy(), w.matrices.copy()
+    m1[group.inv(g)] *= 1j
+    m3[g] *= -1j
+    t = intertwiner_basis(w, w, w, expected=1)[0]
+    prod = tensor_rep(MatrixRep(group, m1), w).matrices
+    err = max(float(np.abs(m3[h] @ t - t @ prod[h]).max()) for h in range(group.order))
+    assert err > 1e-8
+    with pytest.raises(ConsistencyError, match="not an intertwiner"):
+        intertwiner_basis(MatrixRep(group, m1), w, MatrixRep(group, m3), expected=1)
 
 
 def test_hom_dim_s3(s3):
@@ -266,7 +308,8 @@ def test_non_unitary_rep_warns_but_validates(s3):
     mats = np.stack([conj @ m @ inv for m in reps["standard"].matrices])
     mats[group.identity] = np.eye(2)
     skewed = MatrixRep(group, mats)
-    with pytest.warns(UserWarning, match="not unitary"):
+    deviation = max(float(np.abs(m @ m.conj().T - np.eye(2)).max()) for m in mats)
+    with pytest.warns(UserWarning, match=re.escape(f"not unitary (deviation {deviation:.2e})")):
         chars = validate_irrep(skewed)
     assert np.allclose(chars, [2.0, 0.0, -1.0])
 

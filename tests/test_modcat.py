@@ -565,3 +565,157 @@ def test_non_integral_characters_raise_like_hom_dim():
         pattern = r"character sum \((.*)\) is not a nonnegative integer"
         want = complex(re.fullmatch(pattern, str(ref.value)).group(1))
         assert abs(complex(re.fullmatch(pattern, str(got.value)).group(1)) - want) <= 1e-12
+
+
+def _per_tuple_self_checks(cat, tol, seed):
+    """The snake, double-braiding and naturality checks as per-tuple loops:
+    one error per member, per pair and per ``y``, through the category's own
+    helpers and ``modcat._kron`` read at call time, so a mutation of either
+    reaches both this reference and the suite."""
+    kron = lambda a, b: modcat._kron(a, b)  # noqa: E731
+    words = [cat._word(m) for m in cat.catalog]
+    out = {}
+
+    witness, max_err = None, 0.0
+    for m, (a, d) in zip(cat.catalog, words):
+        neg, eye = cat._neg[a], cat._eye(d)
+        ev = cat._f_inv(a, neg, a) * eye.reshape(1, d * d)
+        coev = eye.reshape(d * d, 1)
+        snake_m = cat._unit(cat.cocycle.f_num[a, neg, a]) * (kron(eye, ev) @ kron(coev, eye))
+        err = float(np.abs(snake_m - eye).max())
+        snake_dual = cat._f_inv(neg, a, neg) * (kron(ev, eye) @ kron(eye, coev))
+        err = max(err, float(np.abs(snake_dual - eye).max()))
+        max_err = max(max_err, err)
+        if err > tol and witness is None:
+            witness = (m.label,)
+    out["snake"] = (len(words), witness, max_err)
+
+    W, witness, max_err = cat.cocycle.omega_num, None, 0.0
+    for (m, (a1, d1)), (n, (a2, d2)) in product(zip(cat.catalog, words), repeat=2):
+        scalar = cat._unit(-(W[a1, a2] + W[a2, a1]))
+        braided = cat._double_braiding(a1, d1, a2, d2)
+        err = float(np.abs(braided - scalar * cat._eye(d1 * d2)).max())
+        max_err = max(max_err, err)
+        if err > tol and witness is None:
+            witness = (m.label, n.label)
+    out["double-braiding"] = (len(words) ** 2, witness, max_err)
+
+    rng = np.random.default_rng(seed)
+    grades = np.array([a for a, _ in words], dtype=np.int64)
+    sums = cat.grading.add_index_table[np.ix_(grades, grades)]
+    triples = np.argwhere((sums[:, :, None] == grades) & (cat.hom_dims > 0))
+    checked, witness, max_err = 0, None, 0.0
+    picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
+    for t in sorted(int(i) for i in picks):
+        i, j, l = (int(x) for x in triples[t])
+        m1, m2, m3 = cat.catalog[i], cat.catalog[j], cat.catalog[l]
+        f = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=int(cat.hom_dims[i, j, l]))[0]
+        (a1, d1), (a2, d2), (a3, d3) = words[i], words[j], words[l]
+        a12, d12 = cat._add[a1][a2], d1 * d2
+        for y, (ay, dy) in zip(cat.catalog, words):
+            checked += 1
+            eye_y = cat._eye(dy)
+            lhs = cat._braid_matrix(a3, d3, ay, dy) @ kron(f, eye_y)
+            rhs = kron(eye_y, f) @ cat._braid_matrix(a12, d12, ay, dy)
+            err = float(np.abs(lhs - rhs).max())
+            f_yy = kron(f, cat._eye(dy * dy))
+            lhs2 = (cat._f_inv(a3, ay, ay) * cat._eye(d3 * dy * dy)) @ f_yy
+            rhs2 = f_yy @ (cat._f_inv(a12, ay, ay) * cat._eye(d12 * dy * dy))
+            err = max(err, float(np.abs(lhs2 - rhs2).max()))
+            max_err = max(max_err, err)
+            if err > tol and witness is None:
+                witness = (m1.label, m2.label, m3.label, y.label)
+    out["naturality(spot-checks)"] = (checked, witness, max_err)
+    return out
+
+
+# builtin catalogs with repeated (grade, dim) signatures: (name, embedding
+# image, grading order); image 0 is the identity, which grades every irrep 0
+_REPEATED_SIGNATURES = [
+    ("s3", 0, 2), ("d4", 2, 2), ("d4", 0, 2), ("q8", 2, 2), ("q8", 0, 2),
+    ("z6", 3, 2), ("z6", 2, 3), ("z6", 0, 2),
+]
+
+
+def _graded_builtin(name, image, n, cocycle=None):
+    group, reps = builtin_catalog(name)
+    cocycle = cocycle or build_cyclic(n, 3 if n == 2 else 1)
+    return TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (image,)), reps)
+
+
+def _coboundary_twisted_z3():
+    """The cyclic Z/3 cocycle twisted by the normalized cochain phi(1, 2) = 1/4:
+    F += phi(b,c) - phi(a+b,c) + phi(a,b+c) - phi(a,b), Omega += phi(a,b) - phi(b,a).
+    Cyclic F(a, -a, a) is 1 on Z/3 and +-1 on Z/2; here it is -i and i."""
+    good = build_cyclic(3, 1)
+    q = np.lcm(good.denom, 4)
+    phi = np.zeros((3, 3), dtype=np.int64)
+    phi[1, 2] = q // 4
+    a, s = np.arange(3), good.group.add_index_table
+    f = (
+        good.f_num * (q // good.denom) + phi[None, :, :] - phi[s[:, :, None], a[None, None, :]]
+        + phi[a[:, None, None], s[None, :, :]] - phi[:, :, None]
+    )
+    omega = good.omega_num * (q // good.denom) + phi - phi.T
+    return AbelianCocycle(good.group, f % q, omega % q, int(q))
+
+
+def _assert_self_checks_match(cat, seed, failing=None):
+    checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
+    for axiom, (checked, witness, max_err) in _per_tuple_self_checks(
+        cat, modcat.MATRIX_TOL, seed
+    ).items():
+        c = checks[axiom]
+        assert (c.checked, c.witness, c.max_error) == (checked, witness, max_err), axiom
+        assert c.passed == (witness is None), axiom
+    if failing is not None:
+        assert not checks[failing].passed
+        return checks[failing].witness
+
+
+@pytest.mark.parametrize("name, image, n", _REPEATED_SIGNATURES)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_self_checks_collapse_to_signatures(name, image, n, seed):
+    cat = _graded_builtin(name, image, n)
+    words = [cat._word(m) for m in cat.catalog]
+    assert len(set(words)) < len(words)
+    _assert_self_checks_match(cat, seed)
+    per_pair = np.array([[cat.s_entry(m, n) for n in cat.catalog] for m in cat.catalog])
+    assert np.array_equal(cat.s_matrix(), per_pair)
+
+
+@pytest.mark.parametrize(
+    "mutation, failing, name, image, n, seed",
+    [
+        ("evaluation-not-inverted", "snake", "z6", 2, 3, 0),
+        ("identity-read-as-diag(1..d)", "snake", "s3", 0, 2, 0),
+        ("rolled-flip", "double-braiding", "q8", 2, 2, 0),
+        ("rolled-flip", "double-braiding", "d4", 0, 2, 0),
+        ("transposed-flip", "naturality(spot-checks)", "q8", 2, 2, 5),
+        ("swapped-kron", "naturality(spot-checks)", "d4", 2, 2, 5),
+        ("swapped-kron", "naturality(spot-checks)", "s3", 0, 2, 0),
+    ],
+)
+def test_collapsed_self_checks_catch_mutations(
+    mutation, failing, name, image, n, seed, monkeypatch
+):
+    # each self-check fails on its mutation, on a catalog with repeated
+    # signatures, with the witness and error of the per-tuple loops
+    flip, kron = modcat.flip_matrix, modcat._kron
+    if mutation == "rolled-flip":  # a permutation the flip back does not undo
+        monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: np.roll(flip(d1, d2), 1, 0))
+    elif mutation == "transposed-flip":
+        monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: flip(d1, d2).T)
+    elif mutation == "swapped-kron":
+        monkeypatch.setattr(modcat, "_kron", lambda a, b: kron(b, a))
+    elif mutation == "identity-read-as-diag(1..d)":  # fails on 2-dim members only
+        diag = lambda self, d: np.diag(np.arange(1.0, d + 1))  # noqa: E731
+        monkeypatch.setattr(TwistedCategory, "_eye", diag)
+    elif mutation == "evaluation-not-inverted":  # F(a, -a, a) where its inverse belongs
+        monkeypatch.setattr(
+            TwistedCategory, "_f_inv", lambda self, *a: self._unit(self.cocycle.f_num[a])
+        )
+    cat = _graded_builtin(name, image, n, _coboundary_twisted_z3() if n == 3 else None)
+    words = [cat._word(m) for m in cat.catalog]
+    assert len(set(words)) < len(words)
+    assert _assert_self_checks_match(cat, seed, failing) is not None
