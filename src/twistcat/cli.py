@@ -1,5 +1,5 @@
-"""Command-line interface: verification suites, fusion tables, S-matrices,
-and monodromy scalars, with deterministic machine-readable reports.
+"""Command-line interface: verification suites, fusion tables, exact S
+tables and monodromy scalars, with deterministic machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 validation failure, 2 parse/structural
 error, 3 internal numerical inconsistency.
@@ -14,6 +14,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -90,14 +92,6 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _integral_matrix(values: np.ndarray, tol: float) -> list[list[int]]:
-    rounded = np.round(values.real).astype(np.int64)
-    err = float(np.abs(values - rounded).max())
-    if err > tol:
-        raise ConsistencyError(f"matrix entries deviate from integers by {err:.2e}")
-    return [[int(x) for x in row] for row in rounded]
-
-
 def _fusion_table(cat: TwistedCategory) -> dict:
     table = fusionring.fusion_table(cat)
     return {
@@ -107,17 +101,26 @@ def _fusion_table(cat: TwistedCategory) -> dict:
     }
 
 
-def _smatrix_table(cat: TwistedCategory, tol: float) -> dict:
-    return {
-        "labels": [m.label for m in cat.catalog],
-        "entries": _integral_matrix(cat.s_matrix(), tol),
-    }
+def _smatrix_table(labels: list[str], num: np.ndarray, mag: np.ndarray, denom: int) -> dict:
+    """An exact ``fusionring.s_table`` as JSON.  An entry whose root of unity is
+    +-1 is the plain integer ``+-d_i d_j``; any other is
+    ``{"exponent": "p/q", "magnitude": d_i d_j}`` with ``p/q`` in [0, 1)."""
+    entries = np.where(num == 0, mag, -mag).tolist()
+    for i, j in np.argwhere(2 * num % denom).tolist():
+        entries[i][j] = {"exponent": str(Fraction(num[i, j], denom)), "magnitude": int(mag[i, j])}
+    return {"labels": labels, "entries": entries}
 
 
-def _su2_smatrix_table(smatrix: np.ndarray) -> dict:
+def _catalog_smatrix_table(cat: TwistedCategory) -> dict:
+    grades = [cat.grading.index(m.grade) for m in cat.catalog]
+    num, mag = fusionring.s_table(cat.cocycle, grades, [m.dim for m in cat.catalog])
+    return _smatrix_table([m.label for m in cat.catalog], num, mag, cat.cocycle.denom)
+
+
+def _su2_fusion_table(pairs) -> dict:
     return {
-        "labels": [f"V({n})" for n in range(len(smatrix))],
-        "entries": [[int(x) for x in row] for row in smatrix],
+        f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n).spins]
+        for m, n in pairs
     }
 
 
@@ -207,10 +210,10 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) ->
     _verify_monodromy(cocycle, report, seed)
     if cat.complete:
         report.tables["fusion"] = _fusion_table(cat)
-    report.tables["smatrix"] = _smatrix_table(cat, tol)
+    report.tables["smatrix"] = _catalog_smatrix_table(cat)
 
 
-def _verify_su2(spec: CategorySpec, report: Report, seed: int, tol: float) -> None:
+def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
     try:
         cocycle = spec.build_cocycle()
     except CocycleError as exc:
@@ -220,17 +223,16 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int, tol: float) -> No
     report.add("cocycle-axioms", True, f"|A| = {cocycle.group.order}")
 
     max_spin = spec.max_spin
-    smatrix = fusionring.su2_smatrix(max_spin, cocycle)
-    sym = bool(np.array_equal(smatrix, smatrix.T))
+    num, mag = fusionring.su2_s_table(fusionring.su2_spins(max_spin), cocycle)
+    sym = bool(np.array_equal(num, num.T) and np.array_equal(mag, mag.T))
     dims = np.arange(1, max_spin + 2)
-    mags = bool(np.array_equal(np.abs(smatrix), np.outer(dims, dims)))
+    mags = bool(np.array_equal(mag, np.outer(dims, dims)))
     report.add("smatrix-symmetric", sym, f"spins up to {max_spin}")
     report.add("smatrix-magnitude", mags, "|S_mn| = (m+1)(n+1) for all entries")
 
+    spins = range(max_spin + 1)
     fusion_ok = all(
-        fusionring.su2_tensor(m, n).dim == (m + 1) * (n + 1)
-        for m in range(max_spin + 1)
-        for n in range(max_spin + 1)
+        fusionring.su2_tensor(m, n).dim == (m + 1) * (n + 1) for m, n in product(spins, spins)
     )
     report.add("fusion-dimension-rule", fusion_ok, "Clebsch-Gordan dimensions add up")
 
@@ -241,19 +243,19 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int, tol: float) -> No
     )
 
     _verify_monodromy(cocycle, report, seed)
-    report.tables["smatrix"] = _su2_smatrix_table(smatrix)
-    report.tables["fusion"] = {
-        f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n).spins]
-        for m in range(min(max_spin, 6) + 1)
-        for n in range(m + 1)
-    }
+    labels = [f"V({n})" for n in range(max_spin + 1)]
+    report.tables["smatrix"] = _smatrix_table(labels, num, mag, cocycle.denom)
+    pairs = ((m, n) for m in range(min(max_spin, 6) + 1) for n in range(m + 1))
+    report.tables["fusion"] = _su2_fusion_table(pairs)
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise StructuralError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     spec = load_spec(args.spec)
     report = Report(spec.name, _digest(spec.path), args.seed)
     if spec.mode == "su2":
-        _verify_su2(spec, report, args.seed, args.tolerance)
+        _verify_su2(spec, report, args.seed)
     else:
         _verify_finite(spec, report, args.seed, args.tolerance)
     _emit(report, args)
@@ -264,11 +266,7 @@ def cmd_fusion(args) -> int:
     spec = load_spec(args.spec)
     report = Report(spec.name, _digest(spec.path), args.seed)
     if spec.mode == "su2":
-        report.tables["fusion"] = {
-            f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n).spins]
-            for m in range(spec.max_spin + 1)
-            for n in range(spec.max_spin + 1)
-        }
+        report.tables["fusion"] = _su2_fusion_table(product(range(spec.max_spin + 1), repeat=2))
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")
     else:
         fusion = report.tables["fusion"] = _fusion_table(spec.build_category())
@@ -285,20 +283,21 @@ def cmd_smatrix(args) -> int:
     if args.su2 == (args.spec is not None) or (args.su2 and args.max_spin is None):
         raise StructuralError("smatrix needs --spec or --su2 with --max-spin, not both")
     if args.su2:
-        cocycle, max_spin = build_cyclic(2, args.cocycle_param), args.max_spin
+        spec, cocycle = None, build_cyclic(2, args.cocycle_param)
         report = Report(f"su2(s={args.cocycle_param})", "-", args.seed)
     else:
         spec = load_spec(args.spec)
         report = Report(spec.name, _digest(spec.path), args.seed)
-        if spec.mode != "su2":
-            report.tables["smatrix"] = _smatrix_table(spec.build_category(), args.tolerance)
-            report.add("smatrix", True, "double-braiding traces, integral within tolerance")
-            _emit(report, args)
-            return EXIT_OK
-        cocycle = spec.build_cocycle()
+    if spec is None or spec.mode == "su2":
+        cocycle = cocycle if spec is None else spec.build_cocycle()
         max_spin = spec.max_spin if args.max_spin is None else args.max_spin
-    report.tables["smatrix"] = _su2_smatrix_table(fusionring.su2_smatrix(max_spin, cocycle))
-    report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
+        num, mag = fusionring.su2_s_table(fusionring.su2_spins(max_spin), cocycle)
+        labels = [f"V({n})" for n in range(max_spin + 1)]
+        report.tables["smatrix"] = _smatrix_table(labels, num, mag, cocycle.denom)
+        report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
+    else:
+        report.tables["smatrix"] = _catalog_smatrix_table(spec.build_category())
+        report.add("smatrix", True, "exact entries d_i d_j e(-b(a_i, a_j)) from the cocycle")
     _emit(report, args)
     return EXIT_OK
 
@@ -378,9 +377,6 @@ def _add_common(parser: argparse.ArgumentParser, *, spec_required: bool = True) 
     )
     parser.add_argument("--out", default=None, help="write machine-readable JSON report here")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    parser.add_argument(
-        "--tolerance", type=float, default=1e-9, help="tolerance for matrix-level checks"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,6 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all verification suites on a spec")
     _add_common(p_verify)
+    p_verify.add_argument(
+        "--tolerance", type=float, default=1e-9, help="tolerance for matrix-level checks"
+    )
 
     p_fusion = sub.add_parser("fusion", help="emit the fusion table")
     _add_common(p_fusion)
@@ -448,8 +447,6 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise StructuralError(f"--seed must be nonnegative, got {args.seed}")
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise StructuralError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return commands[args.command](args)
     except (StructuralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

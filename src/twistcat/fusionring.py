@@ -4,8 +4,8 @@ SU(2) fusion ring at the Grothendieck level (labels, grades, dimensions).
 Finite-group coefficients are character sums ``N^c_ab = dim hom(Ma (x) Mb, Mc)``,
 read from the category's one character-sum table; the SU(2) ring uses the
 Clebsch-Gordan rule with grade ``n mod 2``, no infinite-dimensional matrices
-anywhere.  S-matrix entries are raw traces, with no global normalization
-factor.
+anywhere.  ``s_table`` reads both S tables exactly from the cocycle's ``Omega``
+numerators and the dimensions, with no float trace and no normalization factor.
 """
 
 from __future__ import annotations
@@ -140,16 +140,38 @@ def su2_tensor(m: int, n: int) -> SU2Object:
     return SU2Object(tuple(range(abs(m - n), m + n + 1, 2)))
 
 
-def _z2_pair_sign(cocycle: AbelianCocycle, g1: int, g2: int) -> int:
-    """``e^{-2 pi i b(g1, g2)}`` for grades in Z/2; always exactly +-1."""
+def s_table(cocycle: AbelianCocycle, grades, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Exact unnormalized S entries ``mag e^{2 pi i num / denom}`` of objects with
+    grade indices ``grades`` and dimensions ``dims``: ``num`` is ``-b(a_i, a_j)``
+    in ``[0, denom)``, ``b`` the polarization of ``q(a) = Omega(a, a)``, and ``mag``
+    is ``d_i d_j``.  For a valid cocycle this is the categorical trace of the
+    double braiding on ``Mi (x) Mj``."""
+    W = cocycle.omega_num[np.ix_(grades, grades)]
+    return -(W + W.T) % cocycle.denom, np.outer(dims, dims).astype(np.int64)
+
+
+def su2_spins(max_spin: int) -> np.ndarray:
+    """The spins ``0 .. max_spin`` of an S-matrix."""
+    if not 0 <= max_spin <= MAX_SPIN:
+        raise StructuralError(f"max_spin must be between 0 and {MAX_SPIN}")
+    return np.arange(max_spin + 1)
+
+
+def su2_s_table(spins, cocycle: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]:
+    """``s_table`` of the ``V(n)``, ``n`` in ``spins``: grade ``n mod 2``, dimension ``n + 1``."""
     if cocycle.group.factors != (2,):
         raise StructuralError("the graded SU(2) ring needs a cocycle on Z/2")
-    b = cocycle.b((g1 % 2,), (g2 % 2,))
-    if b == 0:
-        return 1
-    if b == Fraction(1, 2):
-        return -1
-    raise ConsistencyError(f"bilinear form value {b} is not half-integral")
+    spins = np.asarray(spins, dtype=np.int64)
+    return s_table(cocycle, spins % 2, spins + 1)
+
+
+def _su2_integers(spins, cocycle: AbelianCocycle) -> np.ndarray:
+    """``su2_s_table`` as integers; every root of unity must be +-1."""
+    num, mag = su2_s_table(spins, cocycle)
+    if (bad := 2 * num % cocycle.denom).any():
+        b = Fraction(-int(num[bad != 0][0]), cocycle.denom) % 1
+        raise ConsistencyError(f"bilinear form value {b} is not half-integral")
+    return np.where(num == 0, mag, -mag)
 
 
 def su2_smatrix_entry(m: int, n: int, cocycle: AbelianCocycle) -> int:
@@ -157,21 +179,12 @@ def su2_smatrix_entry(m: int, n: int, cocycle: AbelianCocycle) -> int:
     times ``(m+1)(n+1)``, as an exact integer."""
     if m < 0 or n < 0:
         raise StructuralError("spins must be nonnegative")
-    return _z2_pair_sign(cocycle, m, n) * (m + 1) * (n + 1)
+    return int(_su2_integers([m, n], cocycle)[0, 1])
 
 
 def su2_smatrix(max_spin: int, cocycle: AbelianCocycle) -> np.ndarray:
     """The ``(max_spin+1) x (max_spin+1)`` integer S-matrix."""
-    if not 0 <= max_spin <= MAX_SPIN:
-        raise StructuralError(f"max_spin must be between 0 and {MAX_SPIN}")
-    # the sign depends only on the grades m mod 2, n mod 2; the table holds the
-    # grades that occur, filled in the order the entries would reach them
-    grades = range(min(max_spin, 1) + 1)
-    signs = np.array(
-        [[_z2_pair_sign(cocycle, g1, g2) for g2 in grades] for g1 in grades], dtype=np.int64
-    )
-    spins = np.arange(max_spin + 1, dtype=np.int64)
-    return signs[np.ix_(spins % 2, spins % 2)] * np.outer(spins + 1, spins + 1)
+    return _su2_integers(su2_spins(max_spin), cocycle)
 
 
 def su2_cat_dim_scalar(n: int, cocycle: AbelianCocycle) -> Fraction:

@@ -24,9 +24,9 @@ naturality against sampled intertwiners stay matrix equations checked within
 a tolerance, each evaluated once per distinct ``(grade index, dim)``
 signature (per signature pair for the double braiding, per signature of the
 last object for naturality) and read back once per catalog tuple; the S
-table likewise traces each distinct signature pair once.  Twist-duality is
-exact.  ``checked`` counts catalog tuples, and witnesses are the first
-failing tuple in ``product`` order.
+table is read exactly from the cocycle by ``fusionring.s_table``, not traced.
+Twist-duality is exact.  ``checked`` counts catalog tuples, and witnesses are
+the first failing tuple in ``product`` order.
 
 Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
 complex numbers through one memo per category, keyed by the exponent
@@ -264,7 +264,7 @@ class TwistedCategory:
         d = self._word(m)[1]
         return StructureMorphism(np.eye(d).reshape(d * d, 1))
 
-    # -- trace, dimension, S-matrix ---------------------------------------------
+    # -- trace, dimension, S entry -----------------------------------------------
 
     def cat_trace(self, m, f: np.ndarray) -> complex:
         """Categorical trace: ``e_M . R_{M,M*} . ((theta f) (x) 1) . i_M``.
@@ -286,21 +286,10 @@ class TwistedCategory:
         return self._double_braiding(*self._word(m1), *self._word(m2))
 
     def s_entry(self, m1, m2) -> complex:
-        """Categorical trace of the double braiding on M1 (x) M2."""
+        """Categorical trace of the double braiding on M1 (x) M2: the float
+        reference for ``fusionring.s_table``'s exact entries."""
         (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
         return self._cat_trace(self._add[a1][a2], self._double_braiding(a1, d1, a2, d2))
-
-    def s_matrix(self) -> np.ndarray:
-        """``s_entry`` over all pairs of catalog members, in catalog order.
-        Each distinct pair of ``(grade index, dim)`` signatures is traced once."""
-        words = [self._word(m) for m in self.catalog]
-        first = {}  # signature -> first member with it
-        for m, w in zip(self.catalog, words):
-            first.setdefault(w, m)
-        entries = {
-            (v, w): self.s_entry(first[v], first[w]) for v, w in product(first, repeat=2)
-        }
-        return np.array([[entries[v, w] for w in words] for v in words], dtype=np.complex128)
 
     @cached_property
     def hom_dims(self) -> np.ndarray:

@@ -1,6 +1,9 @@
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -631,3 +634,124 @@ def test_bad_cli_argument_is_parse_error(argv, capsys):
     assert run_cli(*argv, "--spec", "z2-lattice-on-z4") == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["smatrix"], ["fusion"], ["monodromy", "--z1=3,0", "--z2=2,0", "--grades=1|1|1"]],
+    ids=["smatrix", "fusion", "monodromy"],
+)
+def test_tolerance_is_a_verify_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--spec", "q8-z2", "--tolerance", "1e-9")
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+def _cyclic_spec(n, s):
+    """Builtin Z/n graded by Z/n through 1, with the cyclic cocycle."""
+    return {
+        "schema_version": 1, "name": f"z{n}-cyclic-s{s}", "mode": "finite-group",
+        "grading_group": [n], "cocycle": {"builder": "cyclic", "n": n, "s": s},
+        "group": {"builtin": f"z{n}"}, "irreps": "builtin",
+        # Z/1 has no element 1; its only element generates it
+        "central_embedding": [1 % n], "complete": True,
+    }
+
+
+def _run_spec(command, spec, tmp_path):
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = run_cli(command, "--spec", str(path), "--out", str(out))
+    return code, (json.loads(out.read_text()) if code in (0, 1) else None), path
+
+
+def _entry_exponent(entry):
+    """An S entry's root-of-unity exponent in [0, 1)."""
+    if isinstance(entry, int):
+        return Fraction(0) if entry > 0 else Fraction(1, 2)
+    return Fraction(entry["exponent"])
+
+
+@pytest.mark.parametrize("n, s", [(4, 1), (8, 2)])
+@pytest.mark.parametrize("command", ["verify", "smatrix"])
+def test_non_integral_s_entries_are_emitted_exactly(command, n, s, tmp_path, capsys):
+    # both used to exit 3: "matrix entries deviate from integers by 1.00e+00"
+    code, report, _ = _run_spec(command, _cyclic_spec(n, s), tmp_path)
+    assert code == cli.EXIT_OK
+    entries = report["tables"]["smatrix"]["entries"]
+    # b(1, 1) = 2 s / (2 n), so the exponent of S(1, 1) is -s / n
+    assert entries[1][1] == {"exponent": str(Fraction(-s, n) % 1), "magnitude": 1}
+
+
+def test_cyclic_sweep_verifies_with_exact_s_exponents(tmp_path, capsys):
+    for n in range(1, 9):
+        for s in range(n * math.gcd(n, 2)):
+            code, report, path = _run_spec("verify", _cyclic_spec(n, s), tmp_path)
+            assert code == cli.EXIT_OK, (n, s)
+            cat = load_spec(path).build_category()
+            c, g = cat.cocycle, cat.grading
+            grades = [m.grade for m in cat.catalog]
+            want = [
+                [(c.q(g.add(a1, a2)) - c.q(a1) - c.q(a2)) * -1 % 1 for a2 in grades]
+                for a1 in grades
+            ]
+            entries = report["tables"]["smatrix"]["entries"]
+            assert [[_entry_exponent(e) for e in row] for row in entries] == want, (n, s)
+
+
+def _table_spec(n, f_num, omega_num, denom, name):
+    """Builtin Z/n graded by Z/n through 1, with the cocycle given as tables."""
+    def entries(table):
+        return {
+            "|".join(map(str, key)): f"{int(v)}/{denom}"
+            for key, v in np.ndenumerate(table) if v
+        }
+    spec = _cyclic_spec(n, 0)
+    spec.update(name=name, cocycle={"tables": {"f": entries(f_num), "omega": entries(omega_num)}})
+    return spec
+
+
+def _add_coboundary(c, phi, q):
+    """Twist ``c`` by the normalized 2-cochain ``phi / q`` (zero on the row and
+    column of 0): F += phi(b,c) - phi(a+b,c) + phi(a,b+c) - phi(a,b) and
+    Omega += phi(a,b) - phi(b,a)."""
+    big = math.lcm(c.denom, q)
+    p = phi * (big // q)
+    a, s = np.arange(len(p)), c.group.add_index_table
+    f = (
+        c.f_num * (big // c.denom) + p[None, :, :] - p[s[:, :, None], a[None, None, :]]
+        + p[a[:, None, None], s[None, :, :]] - p[:, :, None]
+    )
+    return f % big, (c.omega_num * (big // c.denom) + p - p.T) % big, big
+
+
+@st.composite
+def _twisted_cyclic(draw):
+    n = draw(st.integers(1, 6))
+    s = draw(st.integers(0, n * math.gcd(n, 2) - 1))
+    q = draw(st.integers(2, 12))
+    phi = np.zeros((n, n), dtype=np.int64)
+    phi[1:, 1:] = np.array(
+        draw(st.lists(st.integers(0, q - 1), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2)),
+        dtype=np.int64,
+    ).reshape(n - 1, n - 1)
+    return n, s, phi, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_cyclic())
+def test_coboundary_leaves_verdicts_and_tables_unchanged(tmp_path_factory, case):
+    n, s, phi, q = case
+    tmp_path = tmp_path_factory.mktemp("coboundary")
+    base = cocycle.build_cyclic(n, s)
+    results = []
+    for name, (f, w, denom) in [
+        ("class", (base.f_num, base.omega_num, base.denom)),
+        ("twisted", _add_coboundary(base, phi, q)),
+    ]:
+        code, report, _ = _run_spec("verify", _table_spec(n, f, w, denom, name), tmp_path)
+        statuses = [(v["check"], v["status"]) for v in report["verdicts"]]
+        results.append((code, statuses, report["tables"]))
+    assert results[0][0] == cli.EXIT_OK
+    assert results[0] == results[1]

@@ -10,7 +10,7 @@ from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
 from twistcat import modcat
-from twistcat.fusionring import fusion_table
+from twistcat.fusionring import fusion_table, s_table
 from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
 from twistcat.unitscalar import UnitScalar
@@ -680,8 +680,25 @@ def test_self_checks_collapse_to_signatures(name, image, n, seed):
     words = [cat._word(m) for m in cat.catalog]
     assert len(set(words)) < len(words)
     _assert_self_checks_match(cat, seed)
-    per_pair = np.array([[cat.s_entry(m, n) for n in cat.catalog] for m in cat.catalog])
-    assert np.array_equal(cat.s_matrix(), per_pair)
+
+
+@pytest.mark.parametrize(
+    "name, image, n, make_cocycle",
+    [(name, image, n, None) for name, image, n in _REPEATED_SIGNATURES]
+    + [
+        # the two cyclic classes whose S entries are not +-d_i d_j
+        ("z4", 1, 4, lambda: build_cyclic(4, 1)),
+        ("z8", 1, 8, lambda: build_cyclic(8, 2)),
+        ("z6", 2, 3, _coboundary_twisted_z3),
+    ],
+)
+def test_exact_s_table_matches_traces(name, image, n, make_cocycle):
+    cat = _graded_builtin(name, image, n, make_cocycle and make_cocycle())
+    grades = [cat.grading.index(m.grade) for m in cat.catalog]
+    num, mag = s_table(cat.cocycle, grades, [m.dim for m in cat.catalog])
+    exact = mag * np.exp(2j * np.pi * num / cat.cocycle.denom)
+    traced = np.array([[cat.s_entry(m, k) for k in cat.catalog] for m in cat.catalog])
+    assert np.abs(exact - traced).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
