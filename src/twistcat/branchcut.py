@@ -12,6 +12,8 @@ that the clockwise unit loop has winding +1, which makes the transport
 scalar ``(Omega(a1,a2) Omega(a2,a1))^{-p}`` of that loop equal the composite
 of the two braidings, the loop identity that fixes the sign convention.
 Both integers are exact sign tests on the float coordinates, with no tolerance.
+``_branch`` decides every branch integer, and ``branch_integers`` is the one
+path to both integers of the nested region; the numerators read ``b_num``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ def _moduli(*points: complex) -> list[float]:
     return moduli
 
 
+def _branch(z1: complex, z2: complex, first_below: bool, diff_below: bool) -> int:
+    """The branch integer of a pair with the cross sign of ``(z1, z2)``: ``1`` if it is
+    positive, the difference is below the cut and the first point is not, ``-1`` in the
+    mirrored case, else ``0``."""
+    if diff_below and not first_below:
+        return int(_cross_sign(z1, z2) > 0)
+    if first_below and not diff_below:
+        return -int(_cross_sign(z1, z2) < 0)
+    return 0
+
+
 def p_int(z1: complex, z2: complex) -> int:
     """The integer in ``log(z1 - z2) = log z1 + log(1 - z2/z1) + 2 pi i p``.
 
@@ -81,12 +94,7 @@ def p_int(z1: complex, z2: complex) -> int:
     m1, m2 = _moduli(z1, z2)
     if not (m1 > m2 and z2 != 0):
         raise DomainError(f"need |z1| > |z2| > 0, got z1 = {z1}, z2 = {z2}")
-    # z1 - z2 is below exactly when z1.imag < z2.imag
-    if z2.imag > z1.imag >= 0:
-        return int(_cross_sign(z1, z2) > 0)
-    if z2.imag <= z1.imag < 0:
-        return -int(_cross_sign(z1, z2) < 0)
-    return 0
+    return _branch(z1, z2, z1.imag < 0, z1.imag < z2.imag)  # z1 - z2 is below iff Im z1 < Im z2
 
 
 def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
@@ -108,14 +116,8 @@ def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
         m1, m2, m12 = _moduli(z1, z2, diff)
     if not m1 > m2 > m12:
         raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
-    p12 = p_int(z1, z2)
-    if z1.imag < 0 <= z2.imag:
-        p2 = int(_cross_sign(z1, z2) > 0)
-    elif z2.imag < 0 <= z1.imag:
-        p2 = -int(_cross_sign(z1, z2) < 0)
-    else:
-        p2 = 0
-    return p12, p2
+    p12 = _branch(z1, z2, z1.imag < 0, z1.imag < z2.imag)
+    return p12, _branch(z1, z2, z2.imag < 0, z1.imag < 0)
 
 
 def assoc_scalar(
@@ -149,10 +151,8 @@ def assoc_numerator(cocycle: AbelianCocycle, p12: int, p2: int, i1, i2, i3):
     at enumeration indices ``(i1, i2, i3)``, reduced to ``[0, denom)``.  The
     indices may be integers or broadcastable index arrays.
     """
-    w, f = cocycle.omega_num, cocycle.f_num
-    b12 = w[i1, i2] + w[i2, i1]
-    b13 = w[i1, i3] + w[i3, i1]
-    return (-p12 * b12 + p2 * b13 - f[i1, i2, i3]) % cocycle.denom
+    b = cocycle.b_num
+    return (-p12 * b[i1, i2] + p2 * b[i1, i3] - cocycle.f_num[i1, i2, i3]) % cocycle.denom
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,8 @@ def transport_numerator(cocycle: AbelianCocycle, p: int, i1, i2):
     transport formula for winding ``p``, at enumeration indices ``(i1, i2)``,
     reduced to ``[0, denom)``.  The indices may be integers or broadcastable
     index arrays."""
-    w = cocycle.omega_num
     # the winding is unbounded, so p * b can pass int64: multiply exactly
-    b = np.asarray(w[i1, i2] + w[i2, i1]).astype(object)
+    b = np.asarray(cocycle.b_num[i1, i2]).astype(object)
     return np.asarray((-p * b) % cocycle.denom, dtype=np.int64)
 
 

@@ -117,6 +117,13 @@ def _catalog_smatrix_table(cat: TwistedCategory) -> dict:
     return _smatrix_table([m.label for m in cat.catalog], num, mag, cat.cocycle.denom)
 
 
+def _su2_smatrix_table(cocycle: AbelianCocycle, max_spin: int) -> tuple:
+    """The SU(2) ring's exact S table up to ``max_spin`` as JSON, with its ``num`` and ``mag``."""
+    num, mag = fusionring.su2_s_table(fusionring.su2_spins(max_spin), cocycle)
+    labels = [f"V({n})" for n in range(max_spin + 1)]
+    return _smatrix_table(labels, num, mag, cocycle.denom), num, mag
+
+
 def _su2_fusion_table(pairs) -> dict:
     return {
         f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n).spins]
@@ -129,8 +136,8 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     order, denom = cocycle.group.order, cocycle.denom
     idx = np.arange(order)
     # On positive reals p = 0, where the scalar reduces to F^-1 for every
-    # cocycle: this check fails only if p_int leaves 0 there, or if the p = 0
-    # assoc_numerator formula differs from F^-1.  It cannot detect a bad cocycle.
+    # cocycle: this check fails only if branch_integers leaves 0 there, or if the
+    # p = 0 assoc_numerator formula differs from F^-1; it cannot detect a bad cocycle.
     n_pairs, nonzero_p = 200, 0
     # in one call, bit for bit the alternating draws of rng.uniform(0.1, 10.0)
     # for r1 and rng.uniform(0.5 * r1, r1) for r2
@@ -138,9 +145,7 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     r1s = 0.1 + (10.0 - 0.1) * u[0::2]
     r2s = 0.5 * r1s + (r1s - 0.5 * r1s) * u[1::2]
     for r1, r2 in zip(r1s.tolist(), r2s.tolist()):
-        p12 = branchcut.p_int(r1, r2)
-        p2 = branchcut.p_int(r2, r2 - r1)
-        if p12 != 0 or p2 != 0:
+        if branchcut.branch_integers(r1, r2) != (0, 0):
             nonzero_p += 1
     at_zero = branchcut.assoc_numerator(
         cocycle, 0, 0, idx[:, None, None], idx[None, :, None], idx[None, None, :]
@@ -152,21 +157,27 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     )
     p = branchcut.winding(branchcut.clockwise_unit_loop())
     transport = branchcut.transport_numerator(cocycle, p, idx[:, None], idx[None, :])
-    double = (-cocycle.omega_num - cocycle.omega_num.T) % denom
     report.add(
         "monodromy-loop-identity",
-        np.array_equal(transport, double),
+        np.array_equal(transport, -cocycle.b_num % denom),
         "clockwise unit loop transport equals the composed braiding scalars "
         f"for all {order ** 2} grade pairs",
     )
 
 
-def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) -> None:
+def _checked_cocycle(spec: CategorySpec, report: Report) -> AbelianCocycle | None:
+    """The spec's cocycle, or ``None`` after adding the failing ``cocycle-axioms`` verdict."""
     try:
-        cocycle = spec.build_cocycle()
+        return spec.build_cocycle()
     except CocycleError as exc:
         detail = "; ".join(c.describe() for c in exc.report.failures()) if exc.report else str(exc)
         report.add("cocycle-axioms", False, detail)
+        return None
+
+
+def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) -> None:
+    cocycle = _checked_cocycle(spec, report)
+    if cocycle is None:
         return
     counts = f"|A| = {cocycle.group.order}, pentagon tuples = {cocycle.group.order ** 4}"
     report.add("cocycle-axioms", True, counts)
@@ -214,16 +225,13 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) ->
 
 
 def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
-    try:
-        cocycle = spec.build_cocycle()
-    except CocycleError as exc:
-        detail = "; ".join(c.describe() for c in exc.report.failures()) if exc.report else str(exc)
-        report.add("cocycle-axioms", False, detail)
+    cocycle = _checked_cocycle(spec, report)
+    if cocycle is None:
         return
     report.add("cocycle-axioms", True, f"|A| = {cocycle.group.order}")
 
     max_spin = spec.max_spin
-    num, mag = fusionring.su2_s_table(fusionring.su2_spins(max_spin), cocycle)
+    table, num, mag = _su2_smatrix_table(cocycle, max_spin)
     sym = bool(np.array_equal(num, num.T) and np.array_equal(mag, mag.T))
     dims = np.arange(1, max_spin + 2)
     mags = bool(np.array_equal(mag, np.outer(dims, dims)))
@@ -243,8 +251,7 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
     )
 
     _verify_monodromy(cocycle, report, seed)
-    labels = [f"V({n})" for n in range(max_spin + 1)]
-    report.tables["smatrix"] = _smatrix_table(labels, num, mag, cocycle.denom)
+    report.tables["smatrix"] = table
     pairs = ((m, n) for m in range(min(max_spin, 6) + 1) for n in range(m + 1))
     report.tables["fusion"] = _su2_fusion_table(pairs)
 
@@ -279,21 +286,21 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
-    # either --spec, or --su2 with --max-spin
+    # either --spec, or --su2 with --max-spin; the SU(2) options need --su2
     if args.su2 == (args.spec is not None) or (args.su2 and args.max_spin is None):
         raise StructuralError("smatrix needs --spec or --su2 with --max-spin, not both")
+    if not args.su2 and (args.max_spin is not None or args.cocycle_param is not None):
+        raise StructuralError("smatrix takes --max-spin and --cocycle-param with --su2 only")
     if args.su2:
-        spec, cocycle = None, build_cyclic(2, args.cocycle_param)
-        report = Report(f"su2(s={args.cocycle_param})", "-", args.seed)
+        s = 3 if args.cocycle_param is None else args.cocycle_param
+        cocycle, max_spin = build_cyclic(2, s), args.max_spin
+        report = Report(f"su2(s={s})", "-", args.seed)
     else:
         spec = load_spec(args.spec)
+        cocycle, max_spin = spec.build_cocycle(), spec.max_spin
         report = Report(spec.name, _digest(spec.path), args.seed)
-    if spec is None or spec.mode == "su2":
-        cocycle = cocycle if spec is None else spec.build_cocycle()
-        max_spin = spec.max_spin if args.max_spin is None else args.max_spin
-        num, mag = fusionring.su2_s_table(fusionring.su2_spins(max_spin), cocycle)
-        labels = [f"V({n})" for n in range(max_spin + 1)]
-        report.tables["smatrix"] = _smatrix_table(labels, num, mag, cocycle.denom)
+    if args.su2 or spec.mode == "su2":
+        report.tables["smatrix"] = _su2_smatrix_table(cocycle, max_spin)[0]
         report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
     else:
         report.tables["smatrix"] = _catalog_smatrix_table(spec.build_category())
@@ -403,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_smatrix.add_argument("--max-spin", type=int, default=None)
     p_smatrix.add_argument(
-        "--cocycle-param", type=int, default=3,
-        help="twist parameter s of the Z/2 cocycle in --su2 mode",
+        "--cocycle-param", type=int, default=None,
+        help="twist parameter s of the Z/2 cocycle in --su2 mode (default 3)",
     )
 
     p_mono = sub.add_parser("monodromy", help="branch integers and transport scalars")

@@ -15,6 +15,11 @@ builder keeps its report on the cocycle so that nothing validates twice.
 Every exponent expression here, in ``modcat``'s balancing check and in
 ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
 ``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
+
+``b_num`` holds ``b(a1, a2) = Omega(a1, a2) + Omega(a2, a1)``, the polarization
+of ``q(a) = Omega(a, a)``, once: ``b``, ``fusionring.s_table``, ``modcat``'s
+balancing and double braiding, ``branchcut``'s numerators and ``verify``'s loop
+identity read it.  Spec tables reach ``_from_exponents`` keyed by index tuples.
 """
 
 from __future__ import annotations
@@ -101,8 +106,9 @@ class AbelianCocycle:
     """Total tables ``F: A^3 -> roots of unity`` and ``Omega: A^2 -> roots of unity``.
 
     ``f_num[i, j, k]`` is the exponent numerator of ``F`` at the elements with
-    enumeration indices ``(i, j, k)``; likewise ``omega_num`` for ``Omega``.
-    All numerators are reduced mod ``denom``.
+    enumeration indices ``(i, j, k)``; likewise ``omega_num`` for ``Omega``
+    and ``b_num`` for the braiding form ``b``.  All numerators are reduced
+    mod ``denom``, and every table is read-only.
     """
 
     group: FinAbGroup
@@ -112,6 +118,8 @@ class AbelianCocycle:
     name: str = field(default="", compare=False)
     #: the builder's validation report, so that no later reader validates again
     report: CoherenceReport | None = field(default=None, init=False, compare=False, repr=False)
+    #: numerators of b(a1, a2) = Omega(a1, a2) + Omega(a2, a1)
+    b_num: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_denom(self.denom)
@@ -122,10 +130,9 @@ class AbelianCocycle:
             raise StructuralError(
                 f"table shapes {f.shape}, {w.shape} do not match group order {m}"
             )
-        f.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "f_num", f)
-        object.__setattr__(self, "omega_num", w)
+        for name, table in (("f_num", f), ("omega_num", w), ("b_num", (w + w.T) % self.denom)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     # -- scalar accessors ---------------------------------------------------
 
@@ -151,8 +158,7 @@ class AbelianCocycle:
         form from Q/Z to Q used by the monodromy formulas.
         """
         g = self.group
-        i, j = g.index(a1), g.index(a2)
-        return Fraction(int(self.omega_num[i, j]) + int(self.omega_num[j, i]), self.denom) % 1
+        return Fraction(int(self.b_num[g.index(a1), g.index(a2)]), self.denom)
 
     def comm_factor(self, a1: GroupElt, a2: GroupElt, a3: GroupElt) -> UnitScalar:
         """``F(a1,a2,a3) * Omega(a1,a2) * F(a2,a1,a3)^{-1}``.
@@ -183,15 +189,24 @@ class AbelianCocycle:
         the first missing key in lexicographic order or when the common
         denominator exceeds ``MAX_DENOM``, and ``CocycleError``
         (carrying the report) if any axiom fails.  Spec files give sparse
-        tables and reach the same array builder without the totality check.
+        tables keyed by enumeration indices and reach the same array builder
+        without the totality check.
         """
         _check_table_order(group)
         elts = list(group.elements())
-        for label, entries, arity in (("F", f_entries, 3), ("Omega", omega_entries, 2)):
+        tables = (("F", f_entries, 3), ("Omega", omega_entries, 2))
+        for label, entries, arity in tables:
             missing = next((key for key in product(elts, repeat=arity) if key not in entries), None)
             if missing is not None:
                 raise StructuralError(f"missing {label} entry at {missing}")
-        return _from_exponents(group, f_entries, omega_entries, name)
+        indexed = []
+        for _, entries, arity in tables:
+            # FinAbGroup.index names the first unreduced element of any key
+            indexed.append({tuple(map(group.index, key)): v for key, v in entries.items()})
+            bad = next((key for key in entries if len(key) != arity), None)
+            if bad is not None:
+                raise StructuralError(f"table key {bad} does not have {arity} elements")
+        return _from_exponents(group, *indexed, name)
 
     @classmethod
     def trivial(cls, group: FinAbGroup, *, name: str = "trivial") -> AbelianCocycle:
@@ -228,11 +243,11 @@ def _check_denom(denom: int) -> None:
 
 def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mapping,
                     name: str) -> AbelianCocycle:
-    """Build and validate a cocycle from sparse exponent maps keyed by element
-    tuples; an omitted key means exponent 0.  Raises ``StructuralError`` if
-    the common denominator exceeds ``MAX_DENOM``, before allocating, or if a
-    key is not a tuple of reduced elements, and ``CocycleError`` (carrying the
-    report) if any axiom fails."""
+    """Build and validate a cocycle from sparse exponent maps keyed by tuples
+    of enumeration indices; an omitted key means exponent 0.  Raises
+    ``StructuralError`` if the common denominator exceeds ``MAX_DENOM``,
+    before allocating, and ``CocycleError`` (carrying the report) if any axiom
+    fails."""
     _check_table_order(group)
     # Values repeat across a table: each distinct one is reduced mod 1 once,
     # and each entry keeps the position of its exponent in `exponents`.  The
@@ -261,7 +276,8 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
     m = group.order
     f_num, omega_num = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
     for table, entries, pos in ((f_num, f_entries, f_pos), (omega_num, omega_entries, w_pos)):
-        table[tuple(_key_indices(group, list(entries), table.ndim).T)] = numerators[pos]
+        keys = np.array(list(entries), dtype=np.intp).reshape(-1, table.ndim)
+        table[tuple(keys.T)] = numerators[pos]
 
     cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
     report = validate_cocycle(cocycle)
@@ -271,31 +287,6 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
             f"cocycle tables violate the {first.axiom} axiom at {first.witness}", report=report
         )
     return _keep_report(cocycle, report)
-
-
-def _key_indices(group: FinAbGroup, keys: list, arity: int) -> np.ndarray:
-    """``(len(keys), arity)`` enumeration indices of keys of ``arity`` elements.
-
-    Keys are turned into digits and raveled in one step.  If that finds any
-    key that is not ``arity`` reduced elements, ``FinAbGroup.index`` goes over
-    the keys in order and raises on the first bad element, as it names it."""
-    try:
-        digits = np.array(keys)
-    except ValueError:  # ragged keys
-        digits = None
-    if (
-        digits is not None
-        and digits.shape == (len(keys), arity, group.rank)
-        and digits.dtype.kind in "iu"
-        and (digits >= 0).all()
-        and (digits < group.factors).all()
-    ):
-        return np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)), group.factors)
-    rows = [[group.index(a) for a in key] for key in keys]
-    for key, row in zip(keys, rows):
-        if len(row) != arity:
-            raise StructuralError(f"table key {key} does not have {arity} elements")
-    return np.array(rows, dtype=np.int64).reshape(len(keys), arity)
 
 
 def build_cyclic(n: int, s: int) -> AbelianCocycle:

@@ -146,8 +146,8 @@ def s_table(cocycle: AbelianCocycle, grades, dims) -> tuple[np.ndarray, np.ndarr
     in ``[0, denom)``, ``b`` the polarization of ``q(a) = Omega(a, a)``, and ``mag``
     is ``d_i d_j``.  For a valid cocycle this is the categorical trace of the
     double braiding on ``Mi (x) Mj``."""
-    W = cocycle.omega_num[np.ix_(grades, grades)]
-    return -(W + W.T) % cocycle.denom, np.outer(dims, dims).astype(np.int64)
+    num = -cocycle.b_num[np.ix_(grades, grades)] % cocycle.denom
+    return num, np.outer(dims, dims).astype(np.int64)
 
 
 def su2_spins(max_spin: int) -> np.ndarray:

@@ -320,8 +320,8 @@ class TwistedCategory:
         g = np.array(list(first), dtype=np.intp)
         ix2, ix3 = np.ix_(g, g), np.ix_(g, g, g)
         # theta_{ab} == R_{b,a} R_{a,b} (theta_a (x) theta_b), theta_a = Omega(a,a)^-1
-        W, q, ab = c.omega_num[ix2], c.omega_num.diagonal(), self.grading.add_index_table[ix2]
-        balancing = (W + W.T + q[g][:, None] + q[g] - q[ab]) % c.denom
+        q, ab = c.omega_num.diagonal(), self.grading.add_index_table[ix2]
+        balancing = (c.b_num[ix2] + q[g][:, None] + q[g] - q[ab]) % c.denom
         # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
         # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
         hexagon2, hexagon1 = hexagon_residues(c)
@@ -408,12 +408,12 @@ class TwistedCategory:
 
     def _check_double_braiding(self, tol: float) -> AxiomCheck:
         """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, the matrix ``s_entry`` traces."""
-        W = self.cocycle.omega_num
+        b = self.cocycle.b_num
         words = [self._word(m) for m in self.catalog]
         errs = {}
         for v, w in product(dict.fromkeys(words), repeat=2):
             (a1, d1), (a2, d2) = v, w
-            scalar = self._unit(-(W[a1, a2] + W[a2, a1]))
+            scalar = self._unit(-b[a1, a2])
             braided = self._double_braiding(a1, d1, a2, d2)
             errs[v, w] = float(np.abs(braided - scalar * self._eye(d1 * d2)).max())
         rows = (

@@ -26,6 +26,7 @@ su2 mode replaces group/irreps/embedding with {"max_spin": N}, 0 <= N <= 64.
 and naming a bad field's JSON path.  Integer fields are JSON integers, matrix
 entries are strings, a ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.
 Group axioms, irreps and the embedding are checked when the category is built.
+Cocycle table keys are stored as tuples of element enumeration indices.
 """
 
 from __future__ import annotations
@@ -123,12 +124,13 @@ def _parse_exponent(value, path: str) -> Fraction:
 
 
 def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
-    """Sparse ``{element tuple: exponent}`` map of one ``cocycle.tables`` entry.
+    """Sparse ``{index tuple: exponent}`` map of one ``cocycle.tables`` entry,
+    each key part read as the enumeration index of its element.
 
     Key parts and exponent strings repeat across a table, so each distinct one
     is parsed once; a key that reduces to an earlier one overrides it."""
     path = f"cocycle.tables.{key}"
-    elements: dict[str, tuple] = {}
+    indices: dict[str, int] = {}
     exponents: dict = {}
     entries = {}
     for text, value in _typed(tables.get(key, {}), dict, path).items():
@@ -137,11 +139,11 @@ def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
         if len(parts) != arity:
             raise StructuralError(f"spec field {where!r} must key {arity} elements joined by '|'")
         for part in parts:
-            if part not in elements:
-                elements[part] = parse_element(part, group, f"spec field {where!r}")
+            if part not in indices:
+                indices[part] = group.index(parse_element(part, group, f"spec field {where!r}"))
         if not isinstance(value, str) or value not in exponents:  # a string is parsed once
             exponents[value] = _parse_exponent(value, where)
-        entries[tuple(elements[part] for part in parts)] = exponents[value]
+        entries[tuple(indices[part] for part in parts)] = exponents[value]
     return entries
 
 

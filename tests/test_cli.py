@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcat import cli, cocycle, modcat
+from twistcat import branchcut, cli, cocycle, modcat
 from twistcat.errors import StructuralError
 from twistcat.specio import BUNDLED_FIXTURES, fixture_path, load_spec, parse_matrix_entry
 
@@ -102,6 +102,48 @@ def test_smatrix_takes_spec_or_su2_not_both(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: smatrix needs --spec or --su2 with --max-spin, not both\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spec", "q8-z2", "--max-spin", "3", "--cocycle-param", "1"],
+        ["--spec", "su2-lattice", "--max-spin", "3", "--cocycle-param", "1"],
+        ["--spec", "q8-z2", "--cocycle-param", "1"],
+        ["--spec", "su2-lattice", "--max-spin", "3"],
+    ],
+    ids=["finite-spec-both", "su2-spec-both", "finite-spec-param", "su2-spec-max-spin"],
+)
+def test_smatrix_su2_options_need_su2(argv, capsys):
+    # each exited 0: the options were ignored, or --max-spin overrode the
+    # spec's max_spin
+    assert run_cli("smatrix", *argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: smatrix takes --max-spin and --cocycle-param with --su2 only\n"
+
+
+def test_smatrix_su2_cocycle_param(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    # s = 2 is the fermionic sign cocycle: b(1, 1) = 0, so no entry is negative
+    assert run_cli("smatrix", "--su2", "--max-spin", "2", "--cocycle-param", "2",
+                   "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["spec"] == "su2(s=2)"
+    assert payload["tables"]["smatrix"]["entries"] == [[1, 2, 3], [2, 4, 6], [3, 6, 9]]
+    # without the option, s is 3
+    assert run_cli("smatrix", "--su2", "--max-spin", "2", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["spec"] == "su2(s=3)"
+
+
+def test_verify_takes_branch_integers_from_the_monodromy_path(monkeypatch, capsys):
+    # verify's positive-real pairs read branch_integers, as the monodromy
+    # command does, not a second p_int path on the rounded difference
+    monkeypatch.setattr(branchcut, "branch_integers", lambda z1, z2: (1, 0))
+    assert run_cli("verify", "--spec", "q8-z2") == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL  monodromy-positive-reals" in out
+    assert "1 FAILED" in out
 
 
 def test_finite_smatrix_integral(tmp_path):
@@ -755,3 +797,62 @@ def test_coboundary_leaves_verdicts_and_tables_unchanged(tmp_path_factory, case)
         results.append((code, statuses, report["tables"]))
     assert results[0][0] == cli.EXIT_OK
     assert results[0] == results[1]
+
+
+def _zn_table_spec(n, s, label, order):
+    """Z/n as a group table with the irreps ``chi_k = e(k/n)`` on the generator,
+    graded by Z/2 through ``n/2`` (so ``chi_k`` has grade ``k mod 2``) with the
+    cyclic cocycle ``s``.  Element ``i`` is written as ``label[i]``, and the
+    irreps are listed in ``order``."""
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[label[i]][label[j]] = label[(i + j) % n]
+    return {
+        "schema_version": 1, "name": f"z{n}-table", "mode": "finite-group",
+        "grading_group": [2], "cocycle": {"builder": "cyclic", "n": 2, "s": s},
+        "group": {"table": table},
+        "irreps": {
+            "generators": [label[1]],
+            "list": [{"label": f"chi{k}", "matrices": [[[f"e({k}/{n})"]]]} for k in order],
+        },
+        "central_embedding": [label[n // 2]], "complete": True,
+    }
+
+
+@st.composite
+def _relabelled_zn(draw):
+    n = 2 * draw(st.integers(1, 4))
+    s = draw(st.integers(0, 3))
+    return n, s, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relabelled_zn())
+def test_relabelling_leaves_verdicts_and_permutes_tables(tmp_path_factory, case):
+    n, s, label, order = case
+    tmp_path = tmp_path_factory.mktemp("relabel")
+    results = []
+    for spec in [
+        _zn_table_spec(n, s, range(n), range(n)),
+        _zn_table_spec(n, s, label, range(n)),  # element labels permuted
+        _zn_table_spec(n, s, range(n), order),  # irreps listed in another order
+    ]:
+        code, report, _ = _run_spec("verify", spec, tmp_path)
+        statuses = [(v["check"], v["status"]) for v in report["verdicts"]]
+        results.append((code, statuses, report["tables"]))
+    assert results[0][0] == cli.EXIT_OK
+    assert results[1] == results[0]
+    (_, statuses, tables), (code, reordered_statuses, reordered) = results[0], results[2]
+    assert (code, reordered_statuses) == (cli.EXIT_OK, statuses)
+    labels = [f"chi{k}" for k in order]
+    fusion, smatrix = tables["fusion"], tables["smatrix"]
+    assert reordered["fusion"] == {
+        "labels": labels,
+        "dims": [fusion["dims"][k] for k in order],
+        "coefficients": fusion["coefficients"],  # keyed by label
+    }
+    assert reordered["smatrix"] == {
+        "labels": labels,
+        "entries": [[smatrix["entries"][i][j] for j in order] for i in order],
+    }

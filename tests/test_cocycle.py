@@ -78,7 +78,7 @@ def test_from_tables_missing_entry():
 
 
 def test_from_tables_unreduced_key():
-    # the vectorized key check falls back to FinAbGroup.index to name the element
+    # FinAbGroup.index names an unreduced element before any key's arity is checked
     g = FinAbGroup((4,))
     elts = list(g.elements())
     f = {key: Fraction(0) for key in product(elts, repeat=3)}
