@@ -49,7 +49,7 @@ from .grouprep import (
     tensor_rep,
     validate_irrep,
 )
-from .modcat import StructureMorphism, TwistedCategory, flip_matrix
+from .modcat import TwistedCategory, flip_matrix
 from .specio import CategorySpec, fixture_path, load_spec
 from .unitscalar import ONE, RationalMod1, UnitScalar
 
@@ -78,7 +78,6 @@ __all__ = [
     "RepresentationError",
     "SU2Object",
     "StructuralError",
-    "StructureMorphism",
     "TwistedCategory",
     "UnitScalar",
     "assoc_scalar",

@@ -112,8 +112,8 @@ def _smatrix_table(labels: list[str], num: np.ndarray, mag: np.ndarray, denom: i
 
 
 def _catalog_smatrix_table(cat: TwistedCategory) -> dict:
-    grades = [cat.grading.index(m.grade) for m in cat.catalog]
-    num, mag = fusionring.s_table(cat.cocycle, grades, [m.dim for m in cat.catalog])
+    grades, dims = [a for a, _ in cat.words], [d for _, d in cat.words]
+    num, mag = fusionring.s_table(cat.cocycle, grades, dims)
     return _smatrix_table([m.label for m in cat.catalog], num, mag, cat.cocycle.denom)
 
 
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise StructuralError(f"--seed must be nonnegative, got {args.seed}")
         return commands[args.command](args)
-    except (StructuralError, FileNotFoundError) as exc:
+    except (StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CocycleError, RepresentationError, GradingError, DomainError) as exc:

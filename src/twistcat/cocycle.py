@@ -38,6 +38,9 @@ from .errors import CocycleError, StructuralError
 from .unitscalar import UnitScalar
 
 MAX_TABLE_ORDER = 256  # exhaustive pentagon checking is O(|A|^4)
+# the kernels give each invariant factor its own array axes, and numpy allows
+# 64; no group of order at most MAX_TABLE_ORDER needs more than 8 factors above 1
+MAX_TABLE_FACTORS = 8
 MAX_DENOM = 2**60  # 5 * MAX_DENOM < 2**63: exponent sums cannot overflow int64
 _NORMALIZATION_DETAIL = "F on identity slices and Omega(.,0), Omega(0,.)"
 
@@ -233,6 +236,10 @@ def _check_table_order(group: FinAbGroup) -> None:
     if group.order > MAX_TABLE_ORDER:
         raise StructuralError(
             f"group order {group.order} exceeds the table-cocycle cap {MAX_TABLE_ORDER}"
+        )
+    if group.rank > MAX_TABLE_FACTORS:
+        raise StructuralError(
+            f"{group.rank} invariant factors exceed the table-cocycle cap {MAX_TABLE_FACTORS}"
         )
 
 

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcat import branchcut, cli, cocycle, modcat
+from twistcat.catalogs import builtin_catalog
+from twistcat.cocycle import AbelianCocycle
 from twistcat.errors import StructuralError
+from twistcat.grouprep import CentralEmbedding
 from twistcat.specio import BUNDLED_FIXTURES, fixture_path, load_spec, parse_matrix_entry
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -54,6 +57,29 @@ def test_unreadable_spec_is_parse_error(data, tmp_path, capsys):
     assert run_cli("verify", "--spec", str(bad)) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: spec file ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--spec", "q8-z2"],
+        ["fusion", "--spec", "q8-z2"],
+        ["smatrix", "--spec", "q8-z2"],
+        ["monodromy", "--spec", "q8-z2", "--z1", "3,0", "--z2", "2,0", "--grades", "1|1|1"],
+    ],
+    ids=["verify", "fusion", "smatrix", "monodromy"],
+)
+def test_directory_as_out_is_parse_error(argv, tmp_path, capsys):
+    # the report is printed before the write fails; this used to end in a traceback
+    assert run_cli(*argv, "--out", str(tmp_path)) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_directory_as_spec_is_parse_error(tmp_path, capsys):
+    assert run_cli("verify", "--spec", str(tmp_path)) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_wrong_schema_version(tmp_path):
@@ -293,8 +319,9 @@ def test_monodromy_point_fuzz(argv):
     [
         (fixture_path("z2-lattice-on-z4"), None, 4),
         (GOLDEN_DIR / "specs" / "d5-table-z2.json", 3, 6),
+        (GOLDEN_DIR / "specs" / "d5-table-z2.json", 0, 0),
     ],
-    ids=["all-irreps", "one-irrep-dropped"],
+    ids=["all-irreps", "one-irrep-dropped", "no-irreps"],
 )
 def test_verify_incomplete_catalog(source, kept, dim_squares, tmp_path, capsys):
     # the order identity used to raise StructuralError and discard every verdict
@@ -565,6 +592,37 @@ def test_trivial_builder_above_table_cap_is_parse_error(tmp_path, capsys):
     assert "exceeds the table-cocycle cap" in capsys.readouterr().err
 
 
+def _z2_spec_with_factors(factors, cocycle):
+    """Builtin Z/2 graded by the given invariant factors, the last through 1."""
+    return {
+        "schema_version": 1, "name": "z2-many-factors", "mode": "finite-group",
+        "grading_group": factors, "cocycle": cocycle,
+        "group": {"builtin": "z2"}, "irreps": "builtin",
+        "central_embedding": [0] * (len(factors) - 1) + [1 % factors[-1]], "complete": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "cocycle_field", [{"builder": "trivial"}, {"tables": {}}], ids=["trivial", "tables"]
+)
+@pytest.mark.parametrize("count", [9, 32, 70])
+@pytest.mark.parametrize("command", ["verify", "fusion"])
+def test_more_invariant_factors_than_the_cap_is_parse_error(
+    command, count, cocycle_field, tmp_path, capsys
+):
+    # 32 factors of 1 keep the order at 1, but used to crash the kernels
+    # with more than numpy's 64 array dimensions
+    code, _, _ = _run_spec(command, _z2_spec_with_factors([1] * count, cocycle_field), tmp_path)
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"error: {count} invariant factors exceed the table-cocycle cap 8\n"
+
+
+def test_eight_invariant_factors_verify(tmp_path, capsys):
+    spec = _z2_spec_with_factors([1] * 7 + [2], {"builder": "trivial"})
+    assert _run_spec("verify", spec, tmp_path)[0] == cli.EXIT_OK
+
+
 def test_table_denominator_above_cap_is_parse_error(tmp_path, capsys):
     # this exponent used to raise OverflowError while filling the int64 tables
     path = tmp_path / "spec.json"
@@ -797,6 +855,25 @@ def test_coboundary_leaves_verdicts_and_tables_unchanged(tmp_path_factory, case)
         results.append((code, statuses, report["tables"]))
     assert results[0][0] == cli.EXIT_OK
     assert results[0] == results[1]
+
+
+def test_twist_is_minus_q_and_coboundary_invariant():
+    # Z/n graded by Z/n through 1: chi_k has grade k, and build_cyclic's closed
+    # form gives q(k) = s k^2 / d with d = n gcd(n, 2), so theta = e(-s k^2 / d)
+    rng = np.random.default_rng(0)
+    for n in range(1, 9):
+        group, reps = builtin_catalog(f"z{n}")
+        d = n * math.gcd(n, 2)
+        for s in range(d):
+            base = cocycle.build_cyclic(n, s)
+            phi = np.zeros((n, n), dtype=np.int64)
+            phi[1:, 1:] = rng.integers(0, 12, size=(n - 1, n - 1))
+            twisted = AbelianCocycle(base.group, *_add_coboundary(base, phi, 12))
+            for c in (base, twisted):
+                cat = modcat.TwistedCategory(group, c, CentralEmbedding(c.group, (1 % n,)), reps)
+                for m in cat.catalog:
+                    (k,) = m.grade
+                    assert cat.twist(m).exponent == Fraction(-s * k * k, d) % 1, (n, s, k)
 
 
 def _zn_table_spec(n, s, label, order):

@@ -27,16 +27,16 @@ def test_flip_matrix_moves_coordinates():
 def test_associator_scalars(lattice_cat, q8_cat):
     odd = [m for m in lattice_cat.catalog if m.grade == (1,)]
     mor = lattice_cat.associator(odd[0], odd[0], odd[1])
-    assert np.allclose(mor.matrix, -np.eye(1))
+    assert np.allclose(mor, -np.eye(1))
     # any slot with grade zero gives the identity
     even = [m for m in lattice_cat.catalog if m.grade == (0,)]
     mor = lattice_cat.associator(even[0], odd[0], odd[1])
-    assert np.allclose(mor.matrix, np.eye(1))
+    assert np.allclose(mor, np.eye(1))
     # three odd two-dimensional objects: -1 times the identity on 8 dimensions
     spin = q8_cat["spin"]
     mor = q8_cat.associator(spin, spin, spin)
-    assert mor.matrix.shape == (8, 8)
-    assert np.allclose(mor.matrix, -np.eye(8))
+    assert mor.shape == (8, 8)
+    assert np.allclose(mor, -np.eye(8))
 
 
 def test_braiding_scalars(lattice_cat, s3_cat):
@@ -44,13 +44,13 @@ def test_braiding_scalars(lattice_cat, s3_cat):
     even = [m for m in lattice_cat.catalog if m.grade == (0,)]
     # grade zero on either side: plain flip
     mor = lattice_cat.braiding(even[0], odd[0])
-    assert np.allclose(mor.matrix, flip_matrix(1, 1))
+    assert np.allclose(mor, flip_matrix(1, 1))
     # odd (x) odd with Omega(1,1) = -i: scalar Omega^{-1} = i
     mor = lattice_cat.braiding(odd[0], odd[1])
-    assert np.allclose(mor.matrix, 1j * flip_matrix(1, 1))
+    assert np.allclose(mor, 1j * flip_matrix(1, 1))
     # symmetric category: plain flip on the 2-dimensional object
     w = s3_cat["standard"]
-    assert np.allclose(s3_cat.braiding(w, w).matrix, flip_matrix(2, 2))
+    assert np.allclose(s3_cat.braiding(w, w), flip_matrix(2, 2))
 
 
 def test_category_reuses_the_builders_report(monkeypatch):
@@ -71,7 +71,7 @@ def test_braiding_super():
     cat = TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (2,)), reps)
     odd = [m for m in cat.catalog if m.grade == (1,)]
     mor = cat.braiding(odd[0], odd[1])
-    assert np.allclose(mor.matrix, -flip_matrix(1, 1))
+    assert np.allclose(mor, -flip_matrix(1, 1))
 
 
 def test_twist_values(lattice_cat):
@@ -85,10 +85,10 @@ def test_twist_values(lattice_cat):
 def test_evaluation_scaled_by_f(lattice_cat, q8_cat):
     even = [m for m in lattice_cat.catalog if m.grade == (0,)]
     ev = lattice_cat.evaluation(even[0])
-    assert np.allclose(ev.matrix, np.eye(1).reshape(1, 1))
+    assert np.allclose(ev, np.eye(1).reshape(1, 1))
     spin = q8_cat["spin"]  # odd: F(1,1,1)^{-1} = -1 scales the pairing
     ev = q8_cat.evaluation(spin)
-    assert np.allclose(ev.matrix, -np.eye(2).reshape(1, 4))
+    assert np.allclose(ev, -np.eye(2).reshape(1, 4))
 
 
 def test_cat_trace_basics(s3_cat):
@@ -171,6 +171,13 @@ def test_coherence_suite_passes(categories):
         assert max(c.max_error for c in report.checks) <= 1e-9
 
 
+def test_nan_tolerance_fails_every_matrix_check(q8_cat):
+    # a NaN tolerance used to pass the matrix checks, which tested err > tol
+    report = q8_cat.coherence_suite(tol=float("nan"))
+    failing = {c.axiom for c in report.checks if not c.passed}
+    assert failing == {"snake", "double-braiding", "naturality(spot-checks)"}
+
+
 def test_coherence_suite_catches_corrupt_f():
     # corrupt F(1,1,1) to +1 while keeping Omega: hexagons fail with a witness
     group, reps = builtin_catalog("z4")
@@ -218,8 +225,8 @@ def test_snake_composites_are_identity(categories):
         for m in cat.catalog:
             d = m.dim
             a, neg = m.grade, g.neg(m.grade)
-            ev = cat.evaluation(m).matrix
-            coev = cat.coevaluation(m).matrix
+            ev = cat.evaluation(m)
+            coev = cat.coevaluation(m)
             left = np.kron(np.eye(d), ev)
             right = np.kron(coev, np.eye(d))
             snake = cat.cocycle.f(a, neg, a).to_complex() * (left @ right)
@@ -243,35 +250,35 @@ def _reference_identities(cat):
         return float(np.abs(lhs - rhs).max())
 
     def pentagon(m1, m2, m3, m4):
-        lhs = ax((m1, m2), (m3,), (m4,)).matrix @ ax((m1,), (m2,), (m3, m4)).matrix
+        lhs = ax((m1, m2), (m3,), (m4,)) @ ax((m1,), (m2,), (m3, m4))
         rhs = (
-            kron(ax((m1,), (m2,), (m3,)).matrix, eye(m4.dim))
-            @ ax((m1,), (m2, m3), (m4,)).matrix
-            @ kron(eye(m1.dim), ax((m2,), (m3,), (m4,)).matrix)
+            kron(ax((m1,), (m2,), (m3,)), eye(m4.dim))
+            @ ax((m1,), (m2, m3), (m4,))
+            @ kron(eye(m1.dim), ax((m2,), (m3,), (m4,)))
         )
         return dev(lhs, rhs), True
 
     def triangle(m1, m2):
-        return dev(ax((m1,), (cat.unit,), (m2,)).matrix, eye(m1.dim * m2.dim)), True
+        return dev(ax((m1,), (cat.unit,), (m2,)), eye(m1.dim * m2.dim)), True
 
     def hexagon1(x, y, z):
         inv = np.linalg.inv
-        lhs = inv(ax((y,), (z,), (x,)).matrix) @ br((x,), (y, z)).matrix @ inv(
-            ax((x,), (y,), (z,)).matrix
+        lhs = inv(ax((y,), (z,), (x,))) @ br((x,), (y, z)) @ inv(
+            ax((x,), (y,), (z,))
         )
         rhs = (
-            kron(eye(y.dim), br((x,), (z,)).matrix)
-            @ inv(ax((y,), (x,), (z,)).matrix)
-            @ kron(br((x,), (y,)).matrix, eye(z.dim))
+            kron(eye(y.dim), br((x,), (z,)))
+            @ inv(ax((y,), (x,), (z,)))
+            @ kron(br((x,), (y,)), eye(z.dim))
         )
         return dev(lhs, rhs), True
 
     def hexagon2(x, y, z):
-        lhs = ax((z,), (x,), (y,)).matrix @ br((x, y), (z,)).matrix @ ax((x,), (y,), (z,)).matrix
+        lhs = ax((z,), (x,), (y,)) @ br((x, y), (z,)) @ ax((x,), (y,), (z,))
         rhs = (
-            kron(br((x,), (z,)).matrix, eye(y.dim))
-            @ ax((x,), (z,), (y,)).matrix
-            @ kron(eye(x.dim), br((y,), (z,)).matrix)
+            kron(br((x,), (z,)), eye(y.dim))
+            @ ax((x,), (z,), (y,))
+            @ kron(eye(x.dim), br((y,), (z,)))
         )
         return dev(lhs, rhs), True
 
@@ -536,9 +543,9 @@ def test_index_paths_match_dense_reference(name, seed, categories):
         assert c.passed == (expected[1] is None), axiom
     by_label = {m.label: m for m in cat.catalog}
     for (a, b), matrix in ref["braiding"].items():
-        assert np.array_equal(cat.braiding(by_label[a], by_label[b]).matrix, matrix), (a, b)
+        assert np.array_equal(cat.braiding(by_label[a], by_label[b]), matrix), (a, b)
     for (a, b, d), matrix in ref["associator"].items():
-        got = cat.associator(by_label[a], by_label[b], by_label[d]).matrix
+        got = cat.associator(by_label[a], by_label[b], by_label[d])
         assert np.array_equal(got, matrix), (a, b, d)
     for (a, b), value in ref["s_entry"].items():
         assert cat.s_entry(by_label[a], by_label[b]) == value, (a, b)
