@@ -25,7 +25,7 @@ def main() -> None:
         forms = set()
         for s in range(n * n):
             cocycle = build_cyclic(n, s)
-            forms.add(cocycle.q((1 % n,)))
+            forms.add(int(cocycle.omega_num[1 % n, 1 % n]))  # q(1), over one denominator
             grand_total += 1
         dt = time.monotonic() - t0
         print(

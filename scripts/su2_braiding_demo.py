@@ -8,12 +8,21 @@ ribbon structures on the same fusion ring.
 
 import argparse
 
+import numpy as np
+
 from twistcat.cocycle import build_cyclic
-from twistcat.fusionring import su2_smatrix, su2_tensor
+from twistcat.fusionring import su2_s_table, su2_spins, su2_tensor
+from twistcat.unitscalar import UnitScalar
 
 
-def print_matrix(title, matrix):
+def inverse_omega(cocycle, m, n):
+    return UnitScalar.from_exponent(-int(cocycle.omega_num[m, n]), cocycle.denom).to_complex()
+
+
+def print_smatrix(title, max_spin, cocycle):
     print(title)
+    num, mag = su2_s_table(su2_spins(max_spin), cocycle)
+    matrix = np.where(num == 0, mag, -mag)  # a Z/2 cocycle's S entries are +-d_i d_j
     width = max(len(str(int(x))) for row in matrix for x in row)
     for row in matrix:
         print("  " + " ".join(f"{int(x):{width}d}" for x in row))
@@ -29,24 +38,18 @@ def main() -> None:
     lattice = build_cyclic(2, args.twist_param)
     trivial = build_cyclic(2, 0)
 
-    print_matrix(
-        f"twisted S-matrix (s = {args.twist_param}), spins 0..{args.max_spin}:",
-        su2_smatrix(args.max_spin, lattice),
-    )
-    print_matrix(
-        f"unmodified S-matrix, spins 0..{args.max_spin}:",
-        su2_smatrix(args.max_spin, trivial),
-    )
+    spins = f"spins 0..{args.max_spin}:"
+    print_smatrix(f"twisted S-matrix (s = {args.twist_param}), {spins}", args.max_spin, lattice)
+    print_smatrix(f"unmodified S-matrix, {spins}", args.max_spin, trivial)
 
     print("braiding scalar on V(m) (x) V(n) (value of Omega(m mod 2, n mod 2)^-1):")
     for m in range(2):
         for n in range(2):
-            scalar = lattice.omega((m,), (n,)).inverse()
-            print(f"  parities ({m},{n}): {scalar.to_complex()}")
+            print(f"  parities ({m},{n}): {inverse_omega(lattice, m, n)}")
     print()
     print("twist on parity-a objects (Omega(a,a)^-1):")
     for a in range(2):
-        print(f"  parity {a}: {lattice.omega((a,), (a,)).inverse().to_complex()}")
+        print(f"  parity {a}: {inverse_omega(lattice, a, a)}")
     print()
     print("sample fusion rules:")
     for m, n in [(1, 1), (2, 3), (4, 4)]:

@@ -2,12 +2,11 @@
 abelian 3-cocycles, with exact cocycle arithmetic, matrix-level coherence
 suites, fusion rules, S-matrices, and branch-cut monodromy scalars."""
 
-from .abgroup import DualChar, FinAbGroup, GroupElt
+from .abgroup import FinAbGroup, GroupElt
 from .branchcut import (
     PathPolyline,
     assoc_scalar,
     clockwise_unit_loop,
-    p_int,
     plog,
     transport_scalar,
     winding,
@@ -32,8 +31,6 @@ from .fusionring import (
     SU2Object,
     fusion_table,
     group_order_identity,
-    su2_smatrix,
-    su2_smatrix_entry,
     su2_tensor,
 )
 from .grouprep import (
@@ -51,7 +48,7 @@ from .grouprep import (
 )
 from .modcat import TwistedCategory, flip_matrix
 from .specio import CategorySpec, fixture_path, load_spec
-from .unitscalar import ONE, RationalMod1, UnitScalar
+from .unitscalar import UnitScalar
 
 __version__ = "0.1.0"
 
@@ -64,7 +61,6 @@ __all__ = [
     "CoherenceReport",
     "ConsistencyError",
     "DomainError",
-    "DualChar",
     "FinAbGroup",
     "FiniteGroup",
     "FusionTable",
@@ -72,9 +68,7 @@ __all__ = [
     "GradingError",
     "GroupElt",
     "MatrixRep",
-    "ONE",
     "PathPolyline",
-    "RationalMod1",
     "RepresentationError",
     "SU2Object",
     "StructuralError",
@@ -92,11 +86,8 @@ __all__ = [
     "hom_dim",
     "intertwiner_basis",
     "load_spec",
-    "p_int",
     "plog",
     "rep_from_generators",
-    "su2_smatrix",
-    "su2_smatrix_entry",
     "su2_tensor",
     "tensor_rep",
     "transport_scalar",

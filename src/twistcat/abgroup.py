@@ -1,15 +1,12 @@
-"""Finite abelian groups in invariant-factor form, with the dual-group pairing.
+"""Finite abelian groups in invariant-factor form.
 
 A group is ``Z/n_1 x ... x Z/n_k`` and an element is a tuple of reduced
-residues.  The dual group of characters is canonically identified with the
-group itself: the character with residues ``t`` sends ``alpha`` to the root
-of unity with exponent ``sum_i t_i * alpha_i / n_i`` mod 1.
+residues, enumerated in lexicographic (mixed-radix) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
@@ -17,11 +14,8 @@ from math import lcm, prod
 import numpy as np
 
 from .errors import StructuralError
-from .unitscalar import UnitScalar
 
 GroupElt = tuple[int, ...]
-#: Dual characters use the same residue tuples as group elements.
-DualChar = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -76,10 +70,6 @@ class FinAbGroup:
         self.check(a)
         return tuple((-x) % n for x, n in zip(a, self.factors))
 
-    def scale(self, k: int, a: GroupElt) -> GroupElt:
-        self.check(a)
-        return tuple((k * x) % n for x, n in zip(a, self.factors))
-
     def elements(self):
         """All elements in lexicographic order (the canonical enumeration)."""
         return (tuple(t) for t in product(*(range(n) for n in self.factors)))
@@ -109,28 +99,6 @@ class FinAbGroup:
         table = np.ravel_multi_index(sums, self.factors).astype(np.int64, copy=False)
         table.setflags(write=False)
         return table
-
-    def pairing_exponent(self, chi: DualChar, alpha: GroupElt) -> Fraction:
-        """Exponent of ``chi(alpha)``: ``sum_i t_i * alpha_i / n_i`` mod 1."""
-        self.check(chi), self.check(alpha)
-        total = sum(
-            (Fraction(t * a, n) for t, a, n in zip(chi, alpha, self.factors)),
-            Fraction(0),
-        )
-        return total % 1
-
-    def pairing(self, chi: DualChar, alpha: GroupElt) -> UnitScalar:
-        """Evaluate the dual character ``chi`` on ``alpha``."""
-        return UnitScalar(self.pairing_exponent(chi, alpha))
-
-    def dual_generators(self) -> list[DualChar]:
-        """One generator per invariant factor: the standard basis tuples."""
-        gens = []
-        for i in range(self.rank):
-            g = [0] * self.rank
-            g[i] = 1 % self.factors[i]
-            gens.append(tuple(g))
-        return gens
 
     def __str__(self) -> str:
         return " x ".join(f"Z/{n}" for n in self.factors)

@@ -83,20 +83,6 @@ def _branch(z1: complex, z2: complex, first_below: bool, diff_below: bool) -> in
     return 0
 
 
-def p_int(z1: complex, z2: complex) -> int:
-    """The integer in ``log(z1 - z2) = log z1 + log(1 - z2/z1) + 2 pi i p``.
-
-    Requires ``|z1| > |z2| > 0``.  Decided exactly on the float coordinates,
-    with no tolerance (below the cut means ``Im < 0``): ``p = 1`` when
-    ``Im(z2/z1) > 0``, ``z1`` is not below and ``z1 - z2`` is; ``p = -1`` when
-    ``Im(z2/z1) < 0``, ``z1`` is below and ``z1 - z2`` is not; else ``p = 0``.
-    """
-    m1, m2 = _moduli(z1, z2)
-    if not (m1 > m2 and z2 != 0):
-        raise DomainError(f"need |z1| > |z2| > 0, got z1 = {z1}, z2 = {z2}")
-    return _branch(z1, z2, z1.imag < 0, z1.imag < z2.imag)  # z1 - z2 is below iff Im z1 < Im z2
-
-
 def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
     """``(p(z1, z2), p(z2, z2 - z1))`` on the region ``|z1| > |z2| > |z1 - z2| > 0``.
 
@@ -171,19 +157,6 @@ class PathPolyline:
             if _segment_hits_origin(a, b):
                 raise StructuralError(f"segment {a} -> {b} passes through the origin")
         object.__setattr__(self, "waypoints", pts)
-
-    @property
-    def start(self) -> complex:
-        return self.waypoints[0]
-
-    @property
-    def end(self) -> complex:
-        return self.waypoints[-1]
-
-    def concatenate(self, other: PathPolyline) -> PathPolyline:
-        if self.end != other.start:
-            raise StructuralError("paths can only be concatenated end-to-start")
-        return PathPolyline(self.waypoints + other.waypoints[1:])
 
 
 def _segment_hits_origin(a: complex, b: complex) -> bool:

@@ -17,7 +17,7 @@ Every exponent expression here, in ``modcat``'s balancing check and in
 ``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
 
 ``b_num`` holds ``b(a1, a2) = Omega(a1, a2) + Omega(a2, a1)``, the polarization
-of ``q(a) = Omega(a, a)``, once: ``b``, ``fusionring.s_table``, ``modcat``'s
+of ``q(a) = Omega(a, a)``, once: ``fusionring.s_table``, ``modcat``'s
 balancing and double braiding, ``branchcut``'s numerators and ``verify``'s loop
 identity read it.  Spec tables reach ``_from_exponents`` keyed by index tuples.
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
@@ -82,27 +81,6 @@ class CoherenceReport:
     def describe(self) -> str:
         return "\n".join(c.describe() for c in self.checks)
 
-    def to_dict(self) -> dict:
-        def witness_json(w):
-            if w is None:
-                return None
-            return [list(x) if isinstance(x, tuple) else x for x in w]
-
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "axiom": c.axiom,
-                    "passed": c.passed,
-                    "checked": c.checked,
-                    "witness": witness_json(c.witness),
-                    "max_error": c.max_error,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class AbelianCocycle:
@@ -149,67 +127,7 @@ class AbelianCocycle:
         g = self.group
         return UnitScalar(Fraction(int(self.omega_num[g.index(a1), g.index(a2)]), self.denom))
 
-    def q(self, a: GroupElt) -> Fraction:
-        """Exponent of ``Omega(a, a)``, in [0, 1): the quadratic form."""
-        i = self.group.index(a)
-        return Fraction(int(self.omega_num[i, i]), self.denom) % 1
-
-    def b(self, a1: GroupElt, a2: GroupElt) -> Fraction:
-        """Exponent of ``Omega(a1, a2) * Omega(a2, a1)``, in [0, 1).
-
-        The returned representative is also the fixed lift of the bilinear
-        form from Q/Z to Q used by the monodromy formulas.
-        """
-        g = self.group
-        return Fraction(int(self.b_num[g.index(a1), g.index(a2)]), self.denom)
-
-    def comm_factor(self, a1: GroupElt, a2: GroupElt, a3: GroupElt) -> UnitScalar:
-        """``F(a1,a2,a3) * Omega(a1,a2) * F(a2,a1,a3)^{-1}``.
-
-        The commutation factor weighting the reversed product of two graded
-        operators against a third grade.
-        """
-        g = self.group
-        i, j, k = g.index(a1), g.index(a2), g.index(a3)
-        num = int(self.f_num[i, j, k]) + int(self.omega_num[i, j]) - int(self.f_num[j, i, k])
-        return UnitScalar(Fraction(num, self.denom))
-
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_tables(
-        cls,
-        group: FinAbGroup,
-        f_entries: Mapping[tuple[GroupElt, GroupElt, GroupElt], UnitScalar | Fraction | str | int],
-        omega_entries: Mapping[tuple[GroupElt, GroupElt], UnitScalar | Fraction | str | int],
-        *,
-        name: str = "",
-    ) -> AbelianCocycle:
-        """Build a cocycle from total tables of exponents; validates eagerly.
-
-        Every element tuple must have an entry: a ``UnitScalar``, or anything
-        ``Fraction`` accepts, read mod 1.  Raises ``StructuralError`` naming
-        the first missing key in lexicographic order or when the common
-        denominator exceeds ``MAX_DENOM``, and ``CocycleError``
-        (carrying the report) if any axiom fails.  Spec files give sparse
-        tables keyed by enumeration indices and reach the same array builder
-        without the totality check.
-        """
-        _check_table_order(group)
-        elts = list(group.elements())
-        tables = (("F", f_entries, 3), ("Omega", omega_entries, 2))
-        for label, entries, arity in tables:
-            missing = next((key for key in product(elts, repeat=arity) if key not in entries), None)
-            if missing is not None:
-                raise StructuralError(f"missing {label} entry at {missing}")
-        indexed = []
-        for _, entries, arity in tables:
-            # FinAbGroup.index names the first unreduced element of any key
-            indexed.append({tuple(map(group.index, key)): v for key, v in entries.items()})
-            bad = next((key for key in entries if len(key) != arity), None)
-            if bad is not None:
-                raise StructuralError(f"table key {bad} does not have {arity} elements")
-        return _from_exponents(group, *indexed, name)
 
     @classmethod
     def trivial(cls, group: FinAbGroup, *, name: str = "trivial") -> AbelianCocycle:
@@ -250,8 +168,8 @@ def _check_denom(denom: int) -> None:
 
 def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mapping,
                     name: str) -> AbelianCocycle:
-    """Build and validate a cocycle from sparse exponent maps keyed by tuples
-    of enumeration indices; an omitted key means exponent 0.  Raises
+    """Build and validate a cocycle from sparse maps of ``Fraction`` exponents
+    keyed by tuples of enumeration indices; an omitted key means exponent 0.  Raises
     ``StructuralError`` if the common denominator exceeds ``MAX_DENOM``,
     before allocating, and ``CocycleError`` (carrying the report) if any axiom
     fails."""
@@ -270,9 +188,7 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
             hit = memo.get(id(value))
             if hit is None:
                 hit = memo[id(value)] = (len(exponents), value)
-                exponents.append(
-                    value.exponent if isinstance(value, UnitScalar) else Fraction(value) % 1
-                )
+                exponents.append(value % 1)
             out.append(hit[0])
         return np.array(out, dtype=np.intp)
 

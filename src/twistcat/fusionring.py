@@ -40,12 +40,6 @@ class FusionTable:
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
 
-    def coefficient(self, a: str, b: str, c: str) -> int:
-        la = self.labels.index(a)
-        lb = self.labels.index(b)
-        lc = self.labels.index(c)
-        return int(self.coefficients[la, lb, lc])
-
     def check_invariants(self, unit_label: str) -> None:
         """Commutativity, unit row, and the dimension rule
         ``sum_c N^c_ab d_c = d_a d_b`` (a violation signals an incomplete catalog)."""
@@ -129,8 +123,6 @@ class SU2Object:
     def dim(self) -> int:
         return sum(n + 1 for n in self.spins)
 
-    def grades(self) -> tuple[int, ...]:
-        return tuple(n % 2 for n in self.spins)
 
 
 def su2_tensor(m: int, n: int) -> SU2Object:
@@ -163,28 +155,6 @@ def su2_s_table(spins, cocycle: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]
         raise StructuralError("the graded SU(2) ring needs a cocycle on Z/2")
     spins = np.asarray(spins, dtype=np.int64)
     return s_table(cocycle, spins % 2, spins + 1)
-
-
-def _su2_integers(spins, cocycle: AbelianCocycle) -> np.ndarray:
-    """``su2_s_table`` as integers; every root of unity must be +-1."""
-    num, mag = su2_s_table(spins, cocycle)
-    if (bad := 2 * num % cocycle.denom).any():
-        b = Fraction(-int(num[bad != 0][0]), cocycle.denom) % 1
-        raise ConsistencyError(f"bilinear form value {b} is not half-integral")
-    return np.where(num == 0, mag, -mag)
-
-
-def su2_smatrix_entry(m: int, n: int, cocycle: AbelianCocycle) -> int:
-    """Unnormalized S-matrix entry: the double-braiding scalar on the grades
-    times ``(m+1)(n+1)``, as an exact integer."""
-    if m < 0 or n < 0:
-        raise StructuralError("spins must be nonnegative")
-    return int(_su2_integers([m, n], cocycle)[0, 1])
-
-
-def su2_smatrix(max_spin: int, cocycle: AbelianCocycle) -> np.ndarray:
-    """The ``(max_spin+1) x (max_spin+1)`` integer S-matrix."""
-    return _su2_integers(su2_spins(max_spin), cocycle)
 
 
 def su2_cat_dim_scalar(n: int, cocycle: AbelianCocycle) -> Fraction:

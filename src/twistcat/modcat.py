@@ -25,11 +25,11 @@ flips, so pentagon, triangle, both hexagons, balancing and twist-duality are
 exact identities between cocycle exponents, residues mod the cocycle
 denominator at the catalog's grades; pentagon, triangle and hexagons are the
 cocycle axioms there, read from ``cocycle``'s kernels and its normalization
-slice.  The snake identities, the double braiding (the matrix ``s_entry``
-traces) and naturality against sampled intertwiners stay matrix equations
-checked within a tolerance, per distinct word (per word pair for the double
-braiding, per sampled triple and word for naturality); the S table is read
-exactly from the cocycle by ``fusionring.s_table``, not traced.
+slice.  The snake identities, the double braiding (whose ``cat_trace`` is
+an S entry) and naturality against sampled intertwiners stay matrix
+equations checked within a tolerance, per distinct word (per word pair for
+the double braiding, per sampled triple and word for naturality); the S
+table is read exactly from the cocycle by ``fusionring.s_table``, not traced.
 
 Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
 complex numbers through one memo per category, keyed by the exponent
@@ -267,7 +267,7 @@ class TwistedCategory:
         d = self._word(m)[1]
         return np.eye(d).reshape(d * d, 1)
 
-    # -- trace, dimension, S entry -----------------------------------------------
+    # -- trace and dimension -----------------------------------------------------
 
     def cat_trace(self, m, f: np.ndarray) -> complex:
         """Categorical trace: ``e_M . R_{M,M*} . ((theta f) (x) 1) . i_M``.
@@ -283,16 +283,6 @@ class TwistedCategory:
 
     def cat_dim(self, m) -> complex:
         return self.cat_trace(m, self._eye(self.word_dim(m)))
-
-    def double_braiding(self, m1, m2) -> np.ndarray:
-        """``R_{M2,M1} . R_{M1,M2}`` as a matrix on the flattened pair."""
-        return self._double_braiding(*self._word(m1), *self._word(m2))
-
-    def s_entry(self, m1, m2) -> complex:
-        """Categorical trace of the double braiding on M1 (x) M2: the float
-        reference for ``fusionring.s_table``'s exact entries."""
-        (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
-        return self._cat_trace(self._add[a1][a2], self._double_braiding(a1, d1, a2, d2))
 
     @cached_property
     def hom_dims(self) -> np.ndarray:
@@ -403,8 +393,8 @@ class TwistedCategory:
         return max(err, float(np.abs(snake_dual - eye).max()))
 
     def _double_braiding_errors(self, words: list[tuple[int, int]]) -> np.ndarray:
-        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, the matrix ``s_entry``
-        traces, over pairs of ``words``."""
+        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose ``cat_trace`` is an
+        S entry, over pairs of ``words``."""
         b = self.cocycle.b_num
         errs = np.zeros((len(words), len(words)))
         for (i, (a1, d1)), (j, (a2, d2)) in product(enumerate(words), repeat=2):

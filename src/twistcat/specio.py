@@ -117,9 +117,12 @@ def _parse_ints(value, path: str, bound: range | None = None) -> tuple[int, ...]
 
 
 def _parse_exponent(value, path: str) -> Fraction:
+    """A JSON string ``"p/q"`` or a JSON integer; a boolean or float is refused."""
+    if type(value) is not int and not isinstance(value, str):
+        raise _bad(path, "a rational exponent", value)
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError):
         raise _bad(path, "a rational exponent", value) from None
 
 

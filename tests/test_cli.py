@@ -15,6 +15,8 @@ from twistcat.errors import StructuralError
 from twistcat.grouprep import CentralEmbedding
 from twistcat.specio import BUNDLED_FIXTURES, fixture_path, load_spec, parse_matrix_entry
 
+import oracles
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -164,7 +166,7 @@ def test_smatrix_su2_cocycle_param(tmp_path, capsys):
 
 def test_verify_takes_branch_integers_from_the_monodromy_path(monkeypatch, capsys):
     # verify's positive-real pairs read branch_integers, as the monodromy
-    # command does, not a second p_int path on the rounded difference
+    # command does, not a second path to p on the rounded difference
     monkeypatch.setattr(branchcut, "branch_integers", lambda z1, z2: (1, 0))
     assert run_cli("verify", "--spec", "q8-z2") == cli.EXIT_VALIDATION
     out = capsys.readouterr().out
@@ -583,6 +585,22 @@ def test_malformed_spec_field_is_parse_error(changes, field, command, tmp_path, 
     assert repr(field) in err
 
 
+@pytest.mark.parametrize("value", [True, False, 0.5, 0.1], ids=["true", "false", "0.5", "0.1"])
+@pytest.mark.parametrize("table, key", [("f", "1|1|1"), ("omega", "1|1")])
+def test_table_exponent_boolean_or_float_is_parse_error(table, key, value, tmp_path, capsys):
+    # Fraction reads true as 1 and 0.1 as 3602879701896397/36028797018963968
+    tables = {"f": {"1|1|1": "1/2", "0|1|1": 3}, "omega": {"1|1": "3/4", "1|0": -2}}
+    spec = {"schema_version": 1, "mode": "su2", "grading_group": [2]}
+    spec["cocycle"] = {"tables": tables}
+    assert _run_spec("smatrix", spec, tmp_path)[0] == cli.EXIT_OK  # strings and integers
+    tables[table][key] = value
+    assert _run_spec("smatrix", spec, tmp_path)[0] == cli.EXIT_PARSE
+    field = f"cocycle.tables.{table}.{key}"
+    assert capsys.readouterr().err == (
+        f"error: spec field {field!r} must be a rational exponent, got {value!r}\n"
+    )
+
+
 def test_trivial_builder_above_table_cap_is_parse_error(tmp_path, capsys):
     path = tmp_path / "spec.json"
     spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
@@ -790,12 +808,8 @@ def test_cyclic_sweep_verifies_with_exact_s_exponents(tmp_path, capsys):
             code, report, path = _run_spec("verify", _cyclic_spec(n, s), tmp_path)
             assert code == cli.EXIT_OK, (n, s)
             cat = load_spec(path).build_category()
-            c, g = cat.cocycle, cat.grading
             grades = [m.grade for m in cat.catalog]
-            want = [
-                [(c.q(g.add(a1, a2)) - c.q(a1) - c.q(a2)) * -1 % 1 for a2 in grades]
-                for a1 in grades
-            ]
+            want = [[-oracles.b(cat.cocycle, a1, a2) % 1 for a2 in grades] for a1 in grades]
             entries = report["tables"]["smatrix"]["entries"]
             assert [[_entry_exponent(e) for e in row] for row in entries] == want, (n, s)
 

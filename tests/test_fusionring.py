@@ -14,8 +14,8 @@ from twistcat.fusionring import (
     fusion_table,
     group_order_identity,
     su2_cat_dim_scalar,
-    su2_smatrix,
-    su2_smatrix_entry,
+    su2_s_table,
+    su2_spins,
     su2_tensor,
 )
 from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
@@ -24,14 +24,18 @@ from twistcat.modcat import TwistedCategory
 spins = st.integers(min_value=0, max_value=30)
 
 
+def su2_integers(spins, cocycle):
+    """``su2_s_table`` as the integers ``+-d_i d_j``, read as ``cli`` reads a +-1 entry."""
+    num, mag = su2_s_table(spins, cocycle)
+    return np.where(num == 0, mag, -mag)
+
+
 def test_s3_fusion_table(s3_cat):
-    table = fusion_table(s3_cat)
+    table = fusion_table(s3_cat).to_dict()
     w = "standard"
-    assert table.coefficient(w, w, "trivial") == 1
-    assert table.coefficient(w, w, "sign") == 1
-    assert table.coefficient(w, w, w) == 1
-    assert table.coefficient("sign", "sign", "trivial") == 1
-    assert table.coefficient("trivial", w, w) == 1
+    assert table[w][w] == {"trivial": 1, "sign": 1, w: 1}
+    assert table["sign"]["sign"] == {"trivial": 1}
+    assert table["trivial"][w] == {w: 1}
 
 
 def test_cyclic_fusion_is_group_law():
@@ -40,18 +44,14 @@ def test_cyclic_fusion_is_group_law():
     cat = TwistedCategory(
         group, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)), reps
     )
-    table = fusion_table(cat)
+    table = fusion_table(cat).to_dict()
     for a, b in product(range(5), repeat=2):
-        for c in range(5):
-            expected = 1 if (a + b) % 5 == c else 0
-            assert table.coefficient(f"chi{a}", f"chi{b}", f"chi{c}") == expected
+        assert table[f"chi{a}"][f"chi{b}"] == {f"chi{(a + b) % 5}": 1}
 
 
 def test_q8_fusion_spin_squared(q8_cat):
-    table = fusion_table(q8_cat)
-    for label in ["trivial", "sign-i", "sign-j", "sign-k"]:
-        assert table.coefficient("spin", "spin", label) == 1
-    assert table.coefficient("spin", "spin", "spin") == 0
+    table = fusion_table(q8_cat).to_dict()
+    assert table["spin"]["spin"] == dict.fromkeys(["trivial", "sign-i", "sign-j", "sign-k"], 1)
 
 
 def test_fusion_matches_projector_ranks(s3_cat, q8_cat):
@@ -99,21 +99,21 @@ def test_su2_tensor_dimension(m, n):
 @given(spins, spins)
 def test_su2_tensor_grades(m, n):
     obj = su2_tensor(m, n)
-    assert all(g == (m + n) % 2 for g in obj.grades())
+    assert all(k % 2 == (m + n) % 2 for k in obj.spins)
 
 
 def test_su2_smatrix_entries():
     lattice = build_cyclic(2, 3)
-    assert su2_smatrix_entry(1, 1, lattice) == -4
-    assert su2_smatrix_entry(0, 5, lattice) == 6
-    assert su2_smatrix_entry(3, 5, lattice) == -24  # (-1)^{15} * 4 * 6
+    assert su2_integers([1, 1], lattice)[0, 1] == -4
+    assert su2_integers([0, 5], lattice)[0, 1] == 6
+    assert su2_integers([3, 5], lattice)[0, 1] == -24  # (-1)^{15} * 4 * 6
     trivial = build_cyclic(2, 0)
-    assert su2_smatrix_entry(3, 5, trivial) == 24
+    assert su2_integers([3, 5], trivial)[0, 1] == 24
 
 
 def test_su2_smatrix_symmetry_and_magnitude():
     lattice = build_cyclic(2, 3)
-    s = su2_smatrix(6, lattice)
+    s = su2_integers(su2_spins(6), lattice)
     assert np.array_equal(s, s.T)
     for m, n in product(range(7), repeat=2):
         assert abs(int(s[m, n])) == (m + 1) * (n + 1)
@@ -121,18 +121,18 @@ def test_su2_smatrix_symmetry_and_magnitude():
 
 def test_su2_smatrix_low_spin_block():
     lattice = build_cyclic(2, 3)
-    s = su2_smatrix(3, lattice)
+    s = su2_integers(su2_spins(3), lattice)
     expected = [[1, 2, 3, 4], [2, -4, 6, -8], [3, 6, 9, 12], [4, -8, 12, -16]]
     assert np.array_equal(s, np.array(expected))
 
 
 @pytest.mark.parametrize("max_spin", [0, 1, 13, 64])
 def test_su2_smatrix_matches_entrywise(max_spin):
+    # b(1, 1) = s / 2 on Z/2, so S_mn = (-1)^{s m n} (m + 1)(n + 1)
     for s in range(8):
-        cocycle = build_cyclic(2, s)
-        out = su2_smatrix(max_spin, cocycle)
+        out = su2_integers(su2_spins(max_spin), build_cyclic(2, s))
         expected = np.array(
-            [[su2_smatrix_entry(m, n, cocycle) for n in range(max_spin + 1)]
+            [[(-1) ** (s * m * n) * (m + 1) * (n + 1) for n in range(max_spin + 1)]
              for m in range(max_spin + 1)],
             dtype=np.int64,
         )
@@ -141,22 +141,20 @@ def test_su2_smatrix_matches_entrywise(max_spin):
 
 
 def test_su2_smatrix_rejects_bad_spins_and_forms():
-    lattice = build_cyclic(2, 3)
     for max_spin in (-1, 65):
         with pytest.raises(StructuralError, match="max_spin"):
-            su2_smatrix(max_spin, lattice)
-    # Omega(1, 1) = e(1/8) gives b(1, 1) = 1/4; only odd spins reach it
+            su2_spins(max_spin)
+    # Omega(1, 1) = e(1/8) gives b(1, 1) = 1/4; only odd spins reach it, as e(-1/4)
     quarter = AbelianCocycle(
         FinAbGroup((2,)), np.zeros((2, 2, 2), np.int64), np.array([[0, 0], [0, 1]]), 8
     )
-    assert np.array_equal(su2_smatrix(0, quarter), [[1]])
-    with pytest.raises(ConsistencyError, match="not half-integral"):
-        su2_smatrix(1, quarter)
+    num, mag = su2_s_table(su2_spins(1), quarter)
+    assert num.tolist() == [[0, 0], [0, 6]] and mag.tolist() == [[1, 2], [2, 4]]
 
 
 def test_su2_needs_z2_cocycle():
     with pytest.raises(StructuralError):
-        su2_smatrix_entry(1, 1, build_cyclic(3, 1))
+        su2_s_table([1, 1], build_cyclic(3, 1))
 
 
 def test_su2_cat_dim_scalar_trivial_for_valid_cocycles():

@@ -28,6 +28,9 @@ from twistcat.grouprep import (
     validate_irrep,
 )
 from twistcat.specio import load_spec
+from twistcat.unitscalar import UnitScalar
+
+from oracles import pairing
 
 
 @pytest.fixture(scope="module")
@@ -387,15 +390,17 @@ def test_builtin_irreps_match_closed_forms(name):
 
 def _grades_by_search(rep, embedding):
     """Every alpha of the grading group with ``rho(iota(chi)) = chi(alpha) I``
-    for each dual generator ``chi``, by trying them all."""
+    for each dual generator ``chi``, a standard basis tuple, by trying them all."""
     grading, eye = embedding.grading, np.eye(rep.dim)
+    generators = [tuple(int(i == j) for j in range(grading.rank)) for i in range(grading.rank)]
     return [
         alpha
         for alpha in grading.elements()
         if all(
-            np.abs(rep.matrices[img] - grading.pairing(chi, alpha).to_complex() * eye).max()
-            <= 1e-9
-            for chi, img in zip(grading.dual_generators(), embedding.images)
+            np.abs(
+                rep.matrices[img] - UnitScalar(pairing(grading, chi, alpha)).to_complex() * eye
+            ).max() <= 1e-9
+            for chi, img in zip(generators, embedding.images)
         )
     ]
 

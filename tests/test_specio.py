@@ -109,7 +109,7 @@ def test_table_spec_path_matches_given_exponents(drawn):
                 table[tuple(group.index(a) for a in elts)] = x.numerator * (denom // x.denominator)
         report = validate_cocycle(AbelianCocycle(group, f_num, omega_num, denom))
         assert broken and not report.passed
-        assert exc.report.to_dict() == report.to_dict()
+        assert exc.report == report
         first = report.failures()[0]
         assert str(exc) == f"cocycle tables violate the {first.axiom} axiom at {first.witness}"
         return
