@@ -43,7 +43,6 @@ from .grouprep import (
     hom_dim,
     intertwiner_basis,
     rep_from_generators,
-    tensor_rep,
     validate_irrep,
 )
 from .modcat import TwistedCategory, flip_matrix
@@ -89,7 +88,6 @@ __all__ = [
     "plog",
     "rep_from_generators",
     "su2_tensor",
-    "tensor_rep",
     "transport_scalar",
     "validate_cocycle",
     "validate_irrep",

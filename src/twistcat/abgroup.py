@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class FinAbGroup:
     def zero(self) -> GroupElt:
         return (0,) * self.rank
 
-    @property
-    def exponent(self) -> int:
-        return lcm(*self.factors)
-
     def element(self, residues) -> GroupElt:
         """Reduce arbitrary integer residues to the canonical tuple."""
         residues = tuple(int(r) for r in residues)
@@ -61,10 +57,6 @@ class FinAbGroup:
         if len(a) != self.rank or any(not 0 <= r < n for r, n in zip(a, self.factors)):
             raise StructuralError(f"{a} is not a reduced element of {self}")
         return a
-
-    def add(self, a: GroupElt, b: GroupElt) -> GroupElt:
-        self.check(a), self.check(b)
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
 
     def neg(self, a: GroupElt) -> GroupElt:
         self.check(a)

@@ -30,6 +30,8 @@ from .errors import DomainError, StructuralError
 from .unitscalar import UnitScalar
 
 _BELOW_TWO_PI = math.nextafter(2 * math.pi, 0.0)
+#: Relative gap under which two rounded moduli may be out of exact order.
+_NEAR_TIE = 8 * math.ulp(1.0)
 
 
 def cut_arg(z: complex) -> float:
@@ -86,6 +88,9 @@ def _branch(z1: complex, z2: complex, first_below: bool, diff_below: bool) -> in
 def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
     """``(p(z1, z2), p(z2, z2 - z1))`` on the region ``|z1| > |z2| > |z1 - z2| > 0``.
 
+    The region is decided on the float moduli where each compared pair is
+    apart by more than their rounding error, and otherwise exactly, on the
+    squared moduli of the float points and their exact difference.
     Neither the region test nor the second integer rounds ``z1 - z2``: when
     that difference passes the float range the moduli are compared at half
     scale, and ``p(z2, z2 - z1)`` is decided on ``z1`` and ``z2`` alone.  Its
@@ -100,7 +105,13 @@ def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
         m1, m2, m12 = _moduli(0.5 * z1, 0.5 * z2, 0.5 * z1 - 0.5 * z2)
     else:
         m1, m2, m12 = _moduli(z1, z2, diff)
-    if not m1 > m2 > m12:
+    inside = m1 > m2 > m12
+    # a rounded modulus is within a few ulps of the exact one, so a finite
+    # near tie is decided on the exact squared moduli of the float points
+    if math.isfinite(m1) and any(abs(x - y) <= _NEAR_TIE * x for x, y in ((m1, m2), (m2, m12))):
+        x1, y1, x2, y2 = (Fraction(v) for v in (z1.real, z1.imag, z2.real, z2.imag))
+        inside = x1 * x1 + y1 * y1 > x2 * x2 + y2 * y2 > (x1 - x2) ** 2 + (y1 - y2) ** 2
+    if not inside:
         raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
     p12 = _branch(z1, z2, z1.imag < 0, z1.imag < z2.imag)
     return p12, _branch(z1, z2, z2.imag < 0, z1.imag < 0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -309,15 +310,6 @@ def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
     return table
 
 
-def tensor_rep(m1: MatrixRep, m2: MatrixRep) -> MatrixRep:
-    """Elementwise Kronecker product; composite index (i, j) -> i * d2 + j."""
-    if m1.group is not m2.group:
-        raise StructuralError("tensor factors must share one group")
-    n, d1, d2 = m1.group.order, m1.dim, m2.dim
-    mats = np.einsum("nij,nkl->nikjl", m1.matrices, m2.matrices).reshape(n, d1 * d2, d1 * d2)
-    return MatrixRep(m1.group, mats)
-
-
 def dual_rep(m: MatrixRep) -> MatrixRep:
     """Dual (contragredient) representation ``g -> rho(g^{-1})^T``."""
     mats = m.matrices[m.group.inverse].transpose(0, 2, 1)
@@ -325,56 +317,103 @@ def dual_rep(m: MatrixRep) -> MatrixRep:
 
 
 def intertwiner_basis(
-    m1: MatrixRep,
-    m2: MatrixRep,
-    m3: MatrixRep,
+    m1: MatrixRep | Sequence[MatrixRep],
+    m2: MatrixRep | Sequence[MatrixRep],
+    m3: MatrixRep | Sequence[MatrixRep],
     *,
-    expected: int | None = None,
-) -> list[np.ndarray]:
+    expected: int | Sequence[int | None] | None = None,
+) -> list:
     """Basis of ``hom(M1 (x) M2, M3)`` via the group-averaging projector.
 
     The projector ``P(T) = (1/|G|) sum_g rho3(g) T (rho1 (x) rho2)(g^{-1})``
     acts on d3 x (d1 d2) matrices; its fixed space is the intertwiner space.
     The rank must equal the character-sum dimension exactly.
-    """
-    if not (m1.group is m2.group is m3.group):
-        raise StructuralError("all three representations must share one group")
-    group = m1.group
-    prod = tensor_rep(m1, m2)
-    d_in, d_out = prod.dim, m3.dim
 
+    ``m1``, ``m2`` and ``m3`` may instead be equal-length sequences of
+    representations, one triple per position, with ``expected`` ``None`` or a
+    sequence of ranks; the result is then one basis per triple.  The triples
+    that share a group and a dimension signature ``(d1, d2, d3)`` are one
+    stack, evaluated by one projector sum, one batched SVD and one batched
+    intertwiner check.  Each item runs the same elementwise products, ``svd``
+    and ``matmul`` kernels on the same operands as a triple on its own, so a
+    single triple is the one-item stack and its basis and errors do not
+    depend on the other triples.  A failing triple raises its first error in
+    the order the checks run for it; of several, the first triple's.
+    """
+    if isinstance(m1, MatrixRep):
+        return intertwiner_basis([m1], [m2], [m3], expected=[expected])[0]
+    triples = list(zip(m1, m2, m3, strict=True))
+    expected = [None] * len(triples) if expected is None else list(expected)
+    stacks: dict[tuple, list[int]] = {}
+    for t, (r1, r2, r3) in enumerate(triples):
+        if not (r1.group is r2.group is r3.group):
+            raise StructuralError("all three representations must share one group")
+        stacks.setdefault((r1.group, r1.dim, r2.dim, r3.dim), []).append(t)
+    bases: list = [None] * len(triples)
+    for items in stacks.values():
+        outcomes = _intertwiner_stack([triples[t] for t in items], [expected[t] for t in items])
+        for t, outcome in zip(items, outcomes):
+            bases[t] = outcome
+    for outcome in bases:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return bases
+
+
+def _intertwiner_stack(triples, expected) -> list:
+    """Per triple of one stack, its basis or the error it raises."""
+    group = triples[0][0].group
+    n = group.order
+    rho1, rho2, rho3 = (np.array([t[k].matrices for t in triples]) for k in range(3))
+    d_in, d_out = rho1.shape[-1] * rho2.shape[-1], rho3.shape[-1]
+    dim = d_out * d_in
+    outcomes: list = [None] * len(triples)
+
+    # (rho1 (x) rho2)(g), elementwise Kronecker products with composite index
+    # (i, j) -> i * d2 + j
+    prod = np.einsum("tnij,tnkl->tnikjl", rho1, rho2).reshape(len(triples), n, d_in, d_in)
     # row-major vec: vec(A T B) = (A kron B^T) vec(T), and B^T = dual(g) for
     # B = (rho1 (x) rho2)(g^{-1}); all |G| Kronecker factors in one product
-    n, dim = group.order, d_out * d_in
-    dual = dual_rep(prod).matrices
-    kron = m3.matrices[:, :, None, :, None] * dual[:, None, :, None, :]
-    proj = kron.reshape(n, dim, dim).sum(axis=0)
+    dual = np.ascontiguousarray(prod[:, group.inverse].swapaxes(-1, -2))
+    kron = rho3[:, :, :, None, :, None] * dual[:, :, None, :, None, :]
+    proj = kron.reshape(len(triples), n, dim, dim).sum(axis=1)
     proj /= n
 
-    idem_err = float(np.abs(proj @ proj - proj).max())
-    if not idem_err <= INTERTWINER_TOL:
-        raise ConsistencyError(f"averaging projector not idempotent: {idem_err:.2e}")
-
-    if expected is None:
-        chi1 = validate_irrep(m1)
-        chi2 = validate_irrep(m2)
-        chi3 = validate_irrep(m3)
-        expected = hom_dim(group, chi1, chi2, chi3)
+    idem_err = np.abs(proj @ proj - proj).max(axis=(1, 2))
+    for i in np.flatnonzero(~(idem_err <= INTERTWINER_TOL)).tolist():
+        outcomes[i] = ConsistencyError(f"averaging projector not idempotent: {idem_err[i]:.2e}")
+        proj[i] = 0  # its SVD is not read; zeros keep the stacked SVD finite
+    for i, (r1, r2, r3) in enumerate(triples):
+        if outcomes[i] is None and expected[i] is None:
+            try:
+                chi1, chi2, chi3 = validate_irrep(r1), validate_irrep(r2), validate_irrep(r3)
+                expected[i] = hom_dim(group, chi1, chi2, chi3)
+            except (RepresentationError, ConsistencyError) as err:
+                outcomes[i] = err
 
     u, sing, _ = np.linalg.svd(proj)
-    rank = int(np.sum(sing > 0.5))
-    if rank != expected:
-        raise ConsistencyError(
-            f"projector rank {rank} does not match character dimension {expected}"
-        )
-    basis = []
-    for i in range(rank):
-        t = u[:, i].reshape(d_out, d_in)
-        err = float(np.abs(m3.matrices @ t - t @ prod.matrices).max())
-        if not err <= INTERTWINER_TOL:
-            raise ConsistencyError(f"projector output is not an intertwiner: {err:.2e}")
-        basis.append(t)
-    return basis
+    ranks = np.sum(sing > 0.5, axis=1)
+    # the first r columns of u as d_out x d_in views, strided as a single
+    # triple's, each checked against every group element
+    r = int(ranks.max())
+    basis = u[:, :, :r].swapaxes(1, 2).reshape(len(triples), r, d_out, d_in)
+    t = basis[:, :, None]
+    errs = np.abs(rho3[:, None] @ t - t @ prod[:, None]).max(axis=(2, 3, 4))
+    bad = ~(errs <= INTERTWINER_TOL) & (np.arange(r) < ranks[:, None])
+    failing = bad.any(axis=1).tolist()
+    for i, rank in enumerate(ranks.tolist()):
+        if outcomes[i] is not None:
+            continue
+        if rank != expected[i]:
+            outcomes[i] = ConsistencyError(
+                f"projector rank {rank} does not match character dimension {expected[i]}"
+            )
+        elif failing[i]:
+            err = errs[i, np.argmax(bad[i])]
+            outcomes[i] = ConsistencyError(f"projector output is not an intertwiner: {err:.2e}")
+        else:
+            outcomes[i] = list(basis[i, :rank])
+    return outcomes
 
 
 @dataclass(frozen=True)

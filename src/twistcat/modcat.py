@@ -27,22 +27,36 @@ denominator at the catalog's grades; pentagon, triangle and hexagons are the
 cocycle axioms there, read from ``cocycle``'s kernels and its normalization
 slice.  The snake identities, the double braiding (whose ``cat_trace`` is
 an S entry) and naturality against sampled intertwiners stay matrix
-equations checked within a tolerance, per distinct word (per word pair for
-the double braiding, per sampled triple and word for naturality); the S
-table is read exactly from the cocycle by ``fusionring.s_table``, not traced.
+equations checked within a tolerance; the S table is read exactly from the
+cocycle by ``fusionring.s_table``, not traced.
+
+The matrix checks are evaluated as stacks, one per dimension signature: the
+snakes once per word dim, the double braiding once per pair of word dims,
+and naturality once per ``(d3, d1 d2)`` of the sampled triples and word dim
+``dy``, whose intertwiner bases ``grouprep.intertwiner_basis`` builds as
+one stack per ``(d1, d2, d3)``.  The suite sorts the distinct words by dim,
+so each dim's words are one slice of a stack, and reads each stack's unit
+scalars from tables filled once per suite at the catalog's grades.  A stack
+item multiplies, ``_kron``-s and ``matmul``-s the same operands in the same
+layout as a loop over words, pairs and triples would, and numpy runs every
+item of a stacked ``matmul`` or ``svd`` through the kernel it runs on the
+matrix alone, so every error, and with it every report, is bit for bit the
+one those loops give.
 
 Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
 complex numbers through one memo per category, keyed by the exponent
-numerator mod the cocycle denominator and filled by ``UnitScalar.to_complex``.
-Identity and flip matrices are cached per category, read-only.  The
-multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog triples come from one
-character-sum table, which fusion tables and the naturality spot checks share.
+numerator mod the cocycle denominator and filled by
+``unitscalar.root_of_unity``; an array of numerators reads an array of
+scalars through it.  Identity and flip matrices are cached per category,
+read-only.  The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog
+triples come from one character-sum table, which fusion tables and the
+naturality spot checks share.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -62,15 +76,26 @@ from .grouprep import (
     intertwiner_basis,
     validate_irrep,
 )
-from .unitscalar import UnitScalar
+from .unitscalar import UnitScalar, root_of_unity
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices without its n-dimensional set-up: the same
-    elementwise products in the same layout, so the same values bit for bit."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+    """``np.kron`` of the last two axes of ``a`` and ``b``, over their
+    broadcast leading (stack) axes, without ``np.kron``'s n-dimensional
+    set-up: per stack item the same elementwise products in the same layout
+    as ``np.kron`` of the two matrices, so the same values bit for bit."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
+def _spans(keys: list) -> list[tuple]:
+    """``(key, slice)`` for each run of equal ``keys``."""
+    spans, start = [], 0
+    for key, run in groupby(keys):
+        stop = start + len(list(run))
+        spans.append((key, slice(start, stop)))
+        start = stop
+    return spans
 
 
 def flip_matrix(d1: int, d2: int) -> np.ndarray:
@@ -193,20 +218,27 @@ class TwistedCategory:
 
     # -- scalars and matrices by grade index --------------------------------------
 
-    def _unit(self, num) -> complex:
-        """``e^{2 pi i num / denom}`` for an integer exponent numerator."""
-        num = int(num) % self.cocycle.denom
-        value = self._units.get(num)
+    def _unit(self, num):
+        """``e^{2 pi i num / denom}`` for an integer exponent numerator; for
+        an integer array, a complex array of the same shape, each distinct
+        numerator read through the memo."""
+        units, denom = self._units, self.cocycle.denom
+        if np.ndim(num):
+            nums = np.asarray(num) % denom
+            flat = nums.ravel().tolist()
+            for k in set(flat).difference(units):
+                self._unit(k)
+            return np.array([units[k] for k in flat], dtype=np.complex128).reshape(nums.shape)
+        num = int(num) % denom
+        value = units.get(num)
         if value is None:
-            value = self._units[num] = UnitScalar.from_exponent(
-                num, self.cocycle.denom
-            ).to_complex()
+            value = units[num] = root_of_unity(num, denom)
         return value
 
-    def _f_inv(self, a1: int, a2: int, a3: int) -> complex:
+    def _f_inv(self, a1, a2, a3):
         return self._unit(-self.cocycle.f_num[a1, a2, a3])
 
-    def _omega_inv(self, a1: int, a2: int) -> complex:
+    def _omega_inv(self, a1, a2):
         return self._unit(-self.cocycle.omega_num[a1, a2])
 
     def _eye(self, d: int) -> np.ndarray:
@@ -225,9 +257,6 @@ class TwistedCategory:
 
     def _braid_matrix(self, a1: int, d1: int, a2: int, d2: int) -> np.ndarray:
         return self._omega_inv(a1, a2) * self._flip(d1, d2)
-
-    def _double_braiding(self, a1: int, d1: int, a2: int, d2: int) -> np.ndarray:
-        return self._braid_matrix(a2, d2, a1, d1) @ self._braid_matrix(a1, d1, a2, d2)
 
     def _cat_trace(self, a: int, f: np.ndarray) -> complex:
         neg = self._neg[a]
@@ -306,7 +335,12 @@ class TwistedCategory:
         reports its deviation ``|e^{2 pi i delta} - 1|``.  The snakes,
         double-braiding and naturality are matrix equations that fail where
         ``not error <= tol`` (naturality within at least ``1e-8``), so a NaN
-        error or tolerance fails them.  ``checked`` counts catalog tuples."""
+        error or tolerance fails them.  Each is evaluated as one stacked
+        product per dimension signature (word dim, pair of word dims, or
+        sampled triples' ``(d3, d1 d2)`` with word dim), whose items run the
+        kernels a per-word, per-pair or per-triple loop would, so their
+        errors are that loop's bit for bit.  ``checked`` counts catalog
+        tuples."""
         c = self.cocycle
         g = np.array(list(self._grade_labels), dtype=np.intp)
         grade_labels = list(self._grade_labels.values())
@@ -320,24 +354,33 @@ class TwistedCategory:
         # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
         # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
         hexagon2, hexagon1 = hexagon_residues(c)
+        # the matrix checks run on the distinct words in order of dim, so the
+        # words of one dim are one slice of each stack; back is the
+        # permutation to first-appearance order
+        by_dim = sorted(range(len(words)), key=lambda w: words[w][1])
+        a = np.array([words[w][0] for w in by_dim], dtype=np.intp)
+        spans = _spans([words[w][1] for w in by_dim])
+        back = sorted(range(len(words)), key=by_dim.__getitem__)
         exact = partial(self._verdict, labels=grade_labels)
         matrix = partial(self._verdict, labels=word_labels, tol=tol)
-        rows, naturality = self._naturality_errors(words, seed)
+        rows, naturality = self._naturality_errors(spans, a, seed)
         checks = [
             exact("pentagon(matrices)", 4, (d[ix3][None] for d in pentagon_slabs(c, g))),
             exact("triangle", 2, [c.f_num[:, 0, :][ix2]]),
             exact("hexagon-1(matrices)", 3, [hexagon1[ix3]]),
             exact("hexagon-2(matrices)", 3, [hexagon2[ix3]]),
-            matrix("snake", 1, [np.array([self._snake_error(*w) for w in words])]),
+            matrix("snake", 1, [self._snake_errors(spans, a)[back]]),
             # the detail is part of verify reports, which stay byte-identical
             exact("balancing", 2, [balancing], detail="checked as matrices and as exact exponents"),
             self._verdict(
                 "twist-dual", 1, twist_dual, [*grade_labels, self.unit.label],
                 detail="theta_{M*} = theta_M exactly, and theta of the unit is 1",
             ),
-            matrix("double-braiding", 2, [self._double_braiding_errors(words)]),
             matrix(
-                "naturality(spot-checks)", 2, [naturality], tol=max(tol, 1e-8), rows=rows,
+                "double-braiding", 2, [self._double_braiding_errors(spans, a)[np.ix_(back, back)]]
+            ),
+            matrix(
+                "naturality(spot-checks)", 2, [naturality[:, back]], tol=max(tol, 1e-8), rows=rows,
                 detail=f"seed={seed}",
             ),
         ]
@@ -379,61 +422,80 @@ class TwistedCategory:
         checked = (k if rows is None else len(rows)) * k ** (arity - 1)
         return AxiomCheck(axiom, witness is None, checked, witness, worst, detail=detail)
 
-    def _snake_error(self, a: int, d: int) -> float:
-        """Deviation of both snake composites from the identity at signature ``(a, d)``."""
-        neg, eye = self._neg[a], self._eye(d)
-        ev = self._f_inv(a, neg, a) * eye.reshape(1, d * d)  # e_M on M* (x) M
-        coev = eye.reshape(d * d, 1)  # i_M into M (x) M*
-        # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
-        mid_inv = self._unit(self.cocycle.f_num[a, neg, a])  # A^{-1} scalar
-        snake_m = mid_inv * (_kron(eye, ev) @ _kron(coev, eye))
-        err = float(np.abs(snake_m - eye).max())
-        # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
-        snake_dual = self._f_inv(neg, a, neg) * (_kron(ev, eye) @ _kron(eye, coev))
-        return max(err, float(np.abs(snake_dual - eye).max()))
-
-    def _double_braiding_errors(self, words: list[tuple[int, int]]) -> np.ndarray:
-        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose ``cat_trace`` is an
-        S entry, over pairs of ``words``."""
-        b = self.cocycle.b_num
-        errs = np.zeros((len(words), len(words)))
-        for (i, (a1, d1)), (j, (a2, d2)) in product(enumerate(words), repeat=2):
-            braided = self._double_braiding(a1, d1, a2, d2)
-            errs[i, j] = np.abs(braided - self._unit(-b[a1, a2]) * self._eye(d1 * d2)).max()
+    def _snake_errors(self, spans: list, a: np.ndarray) -> np.ndarray:
+        """Deviation of both snake composites from the identity, per word of
+        grade index ``a``, one stack per span of words of one dim."""
+        neg = np.asarray(self._neg, dtype=np.intp)[a]
+        ev_scalar = self._f_inv(a, neg, a)[:, None, None]
+        mid_inv = self._unit(self.cocycle.f_num[a, neg, a])[:, None, None]  # A_{M,M*,M}^{-1}
+        dual_scalar = self._f_inv(neg, a, neg)[:, None, None]
+        errs = np.full(len(a), np.nan)  # every cell is written once
+        for d, s in spans:
+            eye = self._eye(d)
+            ev = ev_scalar[s] * eye.reshape(1, d * d)  # e_M on M* (x) M
+            coev = eye.reshape(d * d, 1)  # i_M into M (x) M*
+            # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
+            snake_m = mid_inv[s] * (_kron(eye, ev) @ _kron(coev, eye))
+            # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
+            snake_dual = dual_scalar[s] * (_kron(ev, eye) @ _kron(eye, coev))
+            errs[s] = np.maximum(
+                np.abs(snake_m - eye).max(axis=(1, 2)), np.abs(snake_dual - eye).max(axis=(1, 2))
+            )
         return errs
 
-    def _naturality_errors(
-        self, words: list[tuple[int, int]], seed: int
-    ) -> tuple[list, np.ndarray]:
+    def _double_braiding_errors(self, spans: list, a: np.ndarray) -> np.ndarray:
+        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose ``cat_trace`` is an
+        S entry, over pairs of words of grade index ``a``, one stack per pair
+        of spans."""
+        braid = self._omega_inv(a[:, None], a)[..., None, None]  # [i, j]: Omega(a_i, a_j)^-1
+        back = np.ascontiguousarray(braid.swapaxes(0, 1))  # [i, j]: Omega(a_j, a_i)^-1
+        double = self._unit(-self.cocycle.b_num[a[:, None], a])[..., None, None]
+        errs = np.full((len(a), len(a)), np.nan)  # every cell is written once
+        for (d1, s1), (d2, s2) in product(spans, repeat=2):
+            braided = (back[s1, s2] * self._flip(d2, d1)) @ (braid[s1, s2] * self._flip(d1, d2))
+            errs[s1, s2] = np.abs(braided - double[s1, s2] * self._eye(d1 * d2)).max(axis=(2, 3))
+        return errs
+
+    def _naturality_errors(self, spans: list, a: np.ndarray, seed: int) -> tuple[list, np.ndarray]:
         """Structure morphisms against intertwiners of up to 8 seeded catalog
-        triples: the triples' labels, and per triple the error at each of
-        ``words`` as the object ``Y``."""
+        triples: the triples' labels, and per triple the error at each word
+        of grade index ``a`` as the object ``Y``, one stack per span of
+        triples of one ``(d3, d1 d2)`` and span of words."""
         rng = np.random.default_rng(seed)
-        grades = np.array([a for a, _ in self.words], dtype=np.int64)
+        grades = np.array([g for g, _ in self.words], dtype=np.int64)
         # catalog triples (m1, m2, m3) in product order with a1 + a2 = a3 and
         # a nonzero hom(M1 (x) M2, M3)
         sums = self.grading.add_index_table[np.ix_(grades, grades)]
         triples = np.argwhere((sums[:, :, None] == grades) & (self.hom_dims > 0))
         picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
-        rows, errs = [], np.zeros((len(picks), len(words)))
-        for row, t in enumerate(sorted(int(i) for i in picks)):
-            i, j, l = (int(x) for x in triples[t])
-            m1, m2, m3 = self.catalog[i], self.catalog[j], self.catalog[l]
-            rows.append((m1.label, m2.label, m3.label))
-            basis = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=int(self.hom_dims[i, j, l]))
-            f = basis[0]  # m3.dim x (m1.dim * m2.dim)
-            (a1, d1), (a2, d2), (a3, d3) = self.words[i], self.words[j], self.words[l]
-            a12, d12 = self._add[a1][a2], d1 * d2
-            for col, (ay, dy) in enumerate(words):
+        chosen = triples[sorted(picks.tolist())].tolist()
+        members = [[self.catalog[x] for x in t] for t in chosen]
+        bases = intertwiner_basis(
+            *([t[k].rep for t in members] for k in range(3)),
+            expected=[int(self.hom_dims[i, j, l]) for i, j, l in chosen],
+        )
+        # the triples in order of (d3, d1 d2); a1 + a2 = a3, so M1 (x) M2
+        # braids and associates by M3's scalars
+        shape = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
+        by_shape = sorted(range(len(chosen)), key=shape.__getitem__)
+        a3 = np.array([grades[chosen[r][2]] for r in by_shape], dtype=np.intp)[:, None]
+        braid = self._omega_inv(a3, a)[..., None, None]
+        assoc = self._f_inv(a3, a, a)[..., None, None]
+        errs = np.full((len(chosen), len(a)), np.nan)  # every cell is written once
+        for (d3, d12), s in _spans([shape[r] for r in by_shape]):
+            f = np.array([bases[r][0] for r in by_shape[s]])[:, None]  # d3 x d12 each
+            for dy, w in spans:
                 eye_y = self._eye(dy)
                 # braiding naturality in the first slot:
                 # R_{M3,Y} (f (x) 1_Y) == (1_Y (x) f) R_{M1M2,Y}
-                lhs = self._braid_matrix(a3, d3, ay, dy) @ _kron(f, eye_y)
-                rhs = _kron(eye_y, f) @ self._braid_matrix(a12, d12, ay, dy)
-                err = float(np.abs(lhs - rhs).max())
+                lhs = (braid[s, w] * self._flip(d3, dy)) @ _kron(f, eye_y)
+                rhs = _kron(eye_y, f) @ (braid[s, w] * self._flip(d12, dy))
                 # associator naturality in the first slot
                 f_yy = _kron(f, self._eye(dy * dy))
-                lhs2 = (self._f_inv(a3, ay, ay) * self._eye(d3 * dy * dy)) @ f_yy
-                rhs2 = f_yy @ (self._f_inv(a12, ay, ay) * self._eye(d12 * dy * dy))
-                errs[row, col] = max(err, float(np.abs(lhs2 - rhs2).max()))
-        return rows, errs
+                lhs2 = (assoc[s, w] * self._eye(d3 * dy * dy)) @ f_yy
+                rhs2 = f_yy @ (assoc[s, w] * self._eye(d12 * dy * dy))
+                errs[s, w] = np.maximum(
+                    np.abs(lhs - rhs).max(axis=(2, 3)), np.abs(lhs2 - rhs2).max(axis=(2, 3))
+                )
+        rows = [tuple(m.label for m in t) for t in members]
+        return rows, errs[sorted(range(len(chosen)), key=by_shape.__getitem__)]

@@ -61,6 +61,7 @@ BUNDLED_FIXTURES = (
 )
 
 _ENTRY_EXP = re.compile(r"^e\((?P<frac>-?\d+(/\d+)?)\)$")
+_EXPONENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # a table exponent string
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
@@ -117,8 +118,11 @@ def _parse_ints(value, path: str, bound: range | None = None) -> tuple[int, ...]
 
 
 def _parse_exponent(value, path: str) -> Fraction:
-    """A JSON string ``"p/q"`` or a JSON integer; a boolean or float is refused."""
-    if type(value) is not int and not isinstance(value, str):
+    """A JSON string ``"p/q"`` or ``"p"`` of ASCII digits with an optional
+    sign, or a JSON integer.  Anything else, such as a boolean, a float or a
+    string in decimal or exponent notation, is refused before ``Fraction``
+    can expand it."""
+    if type(value) is not int and not (isinstance(value, str) and _EXPONENT.fullmatch(value)):
         raise _bad(path, "a rational exponent", value)
     try:
         return Fraction(value)

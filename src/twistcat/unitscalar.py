@@ -13,13 +13,21 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: Exact values at the four axis points, which ``to_complex`` returns with no rounding.
-_AXIS_VALUES = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(3, 4): -1j,
-}
+#: Exact values at the four axis points, exponents 0, 1/4, 1/2 and 3/4,
+#: which ``root_of_unity`` returns with no rounding.
+_AXIS_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def root_of_unity(num: int, denom: int) -> complex:
+    """Floating-point value of ``e^{2*pi*i*num/denom}``, accurate to machine
+    precision and exact at the four axis points, for a positive ``denom``.
+    The exponent is reduced mod 1 and divided exactly once (integer true
+    division rounds correctly), so every fraction of one value gives one
+    result."""
+    num %= denom
+    if 4 * num % denom == 0:
+        return _AXIS_VALUES[4 * num // denom]
+    return cmath.exp(2j * cmath.pi * (num / denom))
 
 
 @dataclass(frozen=True)
@@ -37,10 +45,7 @@ class UnitScalar:
 
     def to_complex(self) -> complex:
         """Floating-point value ``e^{2*pi*i*exponent}``, accurate to machine precision."""
-        value = _AXIS_VALUES.get(self.exponent)
-        if value is None:
-            value = cmath.exp(2j * cmath.pi * float(self.exponent))
-        return value
+        return root_of_unity(self.exponent.numerator, self.exponent.denominator)
 
     def __str__(self) -> str:
         return str(self.exponent)

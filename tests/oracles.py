@@ -2,6 +2,33 @@
 from its definition rather than from the code under test."""
 
 from fractions import Fraction
+from itertools import count
+
+import numpy as np
+
+from twistcat.grouprep import MatrixRep
+
+
+def add(group, a, b):
+    """``a + b`` in ``Z/n_1 x ... x Z/n_k``: both summands checked as reduced
+    elements, then residues added componentwise mod each ``n_i``."""
+    group.check(a), group.check(b)
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.factors))
+
+
+def exponent(group) -> int:
+    """The least ``m >= 1`` with ``m a = 0`` for every element ``a``."""
+    elements = list(group.elements())
+    return next(
+        m for m in count(1)
+        if all(m * x % n == 0 for a in elements for x, n in zip(a, group.factors))
+    )
+
+
+def tensor_rep(m1, m2):
+    """The tensor product representation ``g -> rho1(g) kron rho2(g)``, with
+    composite index ``(i, j) -> i * d2 + j``."""
+    return MatrixRep(m1.group, np.array([np.kron(a, b) for a, b in zip(m1.matrices, m2.matrices)]))
 
 
 def q(cocycle, a) -> Fraction:
@@ -12,7 +39,7 @@ def q(cocycle, a) -> Fraction:
 
 def b(cocycle, a1, a2) -> Fraction:
     """The polarization ``b(a1, a2) = q(a1 + a2) - q(a1) - q(a2)``, in [0, 1)."""
-    return (q(cocycle, cocycle.group.add(a1, a2)) - q(cocycle, a1) - q(cocycle, a2)) % 1
+    return (q(cocycle, add(cocycle.group, a1, a2)) - q(cocycle, a1) - q(cocycle, a2)) % 1
 
 
 def pairing(group, chi, alpha) -> Fraction:

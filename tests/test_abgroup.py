@@ -8,21 +8,21 @@ from hypothesis import strategies as st
 from twistcat.abgroup import FinAbGroup
 from twistcat.errors import StructuralError
 
-from oracles import pairing
+from oracles import add, exponent, pairing
 
 small_factor_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
 
 def test_elt_add_examples():
-    assert FinAbGroup((2,)).add((1,), (1,)) == (0,)
-    assert FinAbGroup((4,)).add((3,), (2,)) == (1,)
-    assert FinAbGroup((2, 3)).add((1, 2), (1, 2)) == (0, 1)
+    assert add(FinAbGroup((2,)), (1,), (1,)) == (0,)
+    assert add(FinAbGroup((4,)), (3,), (2,)) == (1,)
+    assert add(FinAbGroup((2, 3)), (1, 2), (1, 2)) == (0, 1)
 
 
 def test_shape_mismatch_is_structural():
     g = FinAbGroup((2, 3))
     with pytest.raises(StructuralError):
-        g.add((1,), (1, 2))
+        add(g, (1,), (1, 2))
     with pytest.raises(StructuralError):
         g.check((1, 5))
 
@@ -40,8 +40,8 @@ def test_pairing_bimultiplicative_exhaustive():
         g = FinAbGroup(factors)
         assert g.order <= 64
         for chi, a, b in product(g.elements(), g.elements(), g.elements()):
-            assert pairing(g, chi, g.add(a, b)) == (pairing(g, chi, a) + pairing(g, chi, b)) % 1
-            assert pairing(g, g.add(chi, a), b) == (pairing(g, chi, b) + pairing(g, a, b)) % 1
+            assert pairing(g, chi, add(g, a, b)) == (pairing(g, chi, a) + pairing(g, chi, b)) % 1
+            assert pairing(g, add(g, chi, a), b) == (pairing(g, chi, b) + pairing(g, a, b)) % 1
 
 
 def test_pairing_nondegenerate():
@@ -64,7 +64,7 @@ def test_index_round_trip(factors, data):
 def test_neg_is_inverse(factors, data):
     g = FinAbGroup(tuple(factors))
     a = g.element_at(data.draw(st.integers(min_value=0, max_value=g.order - 1)))
-    assert g.add(a, g.neg(a)) == g.zero
+    assert add(g, a, g.neg(a)) == g.zero
 
 
 @pytest.mark.parametrize(
@@ -75,7 +75,7 @@ def test_add_index_table_matches_elementwise(factors):
     assert g.add_index_table.shape == (g.order, g.order)
     for a in g.elements():
         for b in g.elements():
-            assert g.add_index_table[g.index(a), g.index(b)] == g.index(g.add(a, b))
+            assert g.add_index_table[g.index(a), g.index(b)] == g.index(add(g, a, b))
 
 
 def test_invalid_factors_rejected():
@@ -89,5 +89,5 @@ def test_dual_generators_and_exponent():
     # the standard basis tuples generate the dual: e_i takes alpha to alpha_i / n_i
     g = FinAbGroup((4, 2))
     assert [pairing(g, e, (3, 1)) for e in [(1, 0), (0, 1)]] == [Fraction(3, 4), Fraction(1, 2)]
-    assert g.exponent == 4
-    assert FinAbGroup((1,)).exponent == 1
+    assert exponent(g) == 4
+    assert exponent(FinAbGroup((1,))) == 1

@@ -94,6 +94,25 @@ def test_p_int_region_errors():
             branch_integers(z1, z2)
 
 
+def test_region_is_exact_where_rounded_moduli_tie():
+    # |z2| and |z1 - z2| round to one float, but |z2|^2 - |z1 - z2|^2 is
+    # about 3.2e-17 in exact arithmetic on the float coordinates
+    z1 = 0.6348972536069077 + 0.8618282925955817j
+    z2 = z1 * (0.5 + 0.8618282925955817j)
+    assert math.hypot(z2.real, z2.imag) == math.hypot((z1 - z2).real, (z1 - z2).imag)
+    assert _in_region(z1, z2)
+    assert branch_integers(z1, z2) == (_p_int_reference(z1, z2), _p_int_reference(z2, z2 - z1))
+    with pytest.raises(DomainError, match="region"):
+        branch_integers(z1, z1 - z2)  # the same tie, the other way round
+    # here the rounded z1 - z2 has the smaller modulus, the exact one the larger:
+    # |z2|^2 - |z1 - z2|^2 is about -1.2e-13
+    z1 = 61.75 + 2.728813641457071j
+    z2 = z1 * (0.5 + 0.5j)
+    assert abs(z2) > abs(z1 - z2) and not _in_region(z1, z2)
+    with pytest.raises(DomainError, match="region"):
+        branch_integers(z1, z2)
+
+
 @given(st.floats(min_value=0.02, max_value=100.0), st.floats(min_value=0.501, max_value=0.999))
 def test_p_int_positive_reals(r1, frac):
     assert branch_integers(r1, frac * r1) == (0, 0)
@@ -123,6 +142,13 @@ def _off_the_axis(z):
     return abs(z.imag) > 1e-6 * abs(z)
 
 
+def _in_region(z1, z2):
+    """``|z1| > |z2| > |z1 - z2| > 0`` in exact arithmetic on the float
+    coordinates, the region ``branch_integers`` decides."""
+    x1, y1, x2, y2 = (Fraction(v) for v in (z1.real, z1.imag, z2.real, z2.imag))
+    return x1 * x1 + y1 * y1 > x2 * x2 + y2 * y2 > (x1 - x2) ** 2 + (y1 - y2) ** 2 > 0
+
+
 _POINTS = st.builds(
     complex, st.floats(-100, 100, allow_nan=False), st.floats(-100, 100, allow_nan=False)
 )
@@ -132,7 +158,7 @@ _POINTS = st.builds(
 @given(_POINTS, st.builds(complex, st.floats(0.5, 1), st.floats(-0.87, 0.87)))
 def test_p_int_matches_log_reference(z1, u):
     z2 = z1 * u  # |u| < 1 and |1 - u| < |u| put (z1, z2) in the nested region
-    assume(abs(z1) > abs(z2) > abs(z1 - z2) > 0)
+    assume(_in_region(z1, z2))
     assume(all(_off_the_axis(z) for z in (z1, z2, z1 - z2)))
     want = (_p_int_reference(z1, z2), _p_int_reference(z2, z2 - z1))
     assert branch_integers(z1, z2) == want

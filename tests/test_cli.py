@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcat import branchcut, cli, cocycle, modcat
+from twistcat import branchcut, cli, cocycle, modcat, specio
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle
 from twistcat.errors import StructuralError
@@ -599,6 +599,39 @@ def test_table_exponent_boolean_or_float_is_parse_error(table, key, value, tmp_p
     assert capsys.readouterr().err == (
         f"error: spec field {field!r} must be a rational exponent, got {value!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e-1000000", "1e10000000", "0.5", "1/2 ", "1_0", "\u0663/\u0664", "inf", "1/-2"],
+    ids=["tiny-exponent-notation", "huge-exponent-notation", "decimal", "trailing-space",
+         "underscore", "non-ascii-digits", "infinity", "negative-denominator"],
+)
+@pytest.mark.parametrize("command", ["verify", "smatrix"])
+def test_table_exponent_outside_p_over_q_is_refused_before_fraction(
+    command, value, tmp_path, capsys, monkeypatch
+):
+    # exponent notation used to reach Fraction: "1e10000000" took seconds to
+    # expand, and "1e-1000000" ended in a traceback with exit 1
+    parsed = []
+
+    def fraction(*args):
+        parsed.extend(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(specio, "Fraction", fraction)
+    tables = {"f": {"1|1|1": "1/2"}, "omega": {"1|1": "3/4", "1|0": value}}
+    if command == "verify":
+        spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    else:
+        spec = {"schema_version": 1, "mode": "su2", "grading_group": [2]}
+    spec["cocycle"] = {"tables": tables}
+    assert _run_spec(command, spec, tmp_path)[0] == cli.EXIT_PARSE
+    field = "cocycle.tables.omega.1|0"
+    assert capsys.readouterr().err == (
+        f"error: spec field {field!r} must be a rational exponent, got {value!r}\n"
+    )
+    assert value not in parsed and "3/4" in parsed  # the entries before it were read
 
 
 def test_trivial_builder_above_table_cap_is_parse_error(tmp_path, capsys):

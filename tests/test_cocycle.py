@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -144,7 +145,7 @@ def test_quadratic_form_law(n, s):
     g = c.group
     for a in g.elements():
         qa = oracles.q(c, a)
-        for k in range(g.exponent):
+        for k in range(oracles.exponent(g)):
             assert oracles.q(c, g.element([k * x for x in a])) == (k * k * qa) % 1
 
 
@@ -157,7 +158,8 @@ def test_polarization_and_biadditivity(n, s):
             assert _b_num(c, a1, a2) == oracles.b(c, a1, a2)
             assert _b_num(c, a1, a2) == _b_num(c, a2, a1)
             for a3 in g.elements():
-                assert _b_num(c, g.add(a1, a3), a2) == (_b_num(c, a1, a2) + _b_num(c, a3, a2)) % 1
+                left = _b_num(c, oracles.add(g, a1, a3), a2)
+                assert left == (_b_num(c, a1, a2) + _b_num(c, a3, a2)) % 1
 
 
 @pytest.mark.parametrize("n,s", [(2, 3), (4, 1), (5, 3), (7, 2), (12, 11)])
@@ -207,7 +209,7 @@ def _coboundary_tables(group, q):
     """Total ``(F, Omega) = (d phi, phi(a, b) - phi(b, a))``, a valid cocycle,
     for the normalized 2-cochain ``phi(a, b) = (1 + 2 i j) / q`` on nonzero
     elements with indices ``i``, ``j``."""
-    elts, add = list(group.elements()), group.add
+    elts, add = list(group.elements()), partial(oracles.add, group)
     phi = {
         (a, b): Fraction(1 + 2 * group.index(a) * group.index(b), q) if a != group.zero != b else 0
         for a in elts

@@ -24,13 +24,12 @@ from twistcat.grouprep import (
     hom_dim_table,
     intertwiner_basis,
     rep_from_generators,
-    tensor_rep,
     validate_irrep,
 )
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar
 
-from oracles import pairing
+from oracles import add, pairing, tensor_rep
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +170,46 @@ def test_intertwiner_check_fails_on_a_corrupted_factor(s3):
         intertwiner_basis(MatrixRep(group, m1), w, MatrixRep(group, m3), expected=1)
 
 
+@pytest.mark.parametrize("name", ["s3", "d4", "q8"])
+def test_intertwiner_stacks_match_single_triples(name):
+    # every triple with a nonzero hom space, in one call: stacks of several
+    # signatures, each basis bit for bit the one-triple call's
+    group, reps = builtin_catalog(name)
+    chars = {k: validate_irrep(r) for k, r in reps.items()}
+    triples = [
+        (reps[a], reps[b], reps[c]) for a, b, c in product(reps, repeat=3)
+        if hom_dim(group, chars[a], chars[b], chars[c])
+    ]
+    assert len({(r1.dim, r2.dim, r3.dim) for r1, r2, r3 in triples}) > 1
+    stacked = intertwiner_basis(*([t[k] for t in triples] for k in range(3)))
+    for t, basis in zip(triples, stacked, strict=True):
+        single = intertwiner_basis(*t)
+        assert len(basis) == len(single) > 0
+        assert all(np.array_equal(x, y) for x, y in zip(basis, single))
+
+
+def test_intertwiner_stack_raises_its_first_failing_triple(s3):
+    # a failing triple raises the error it raises on its own, and of several
+    # failing triples in different stacks, the first in sequence order
+    group, reps = s3
+    w, g = reps["standard"], 3
+    m1, m3 = w.matrices.copy(), w.matrices.copy()
+    m1[group.inv(g)] *= 1j
+    m3[g] *= -1j
+    corrupted = (MatrixRep(group, m1), w, MatrixRep(group, m3), 1)  # fails the intertwiner check
+    wrong_rank = (w, w, reps["trivial"], 2)  # a rank-1 projector, another stack
+    good = (w, w, w, 1)
+    for triples, match in [
+        ([good, corrupted, wrong_rank], "not an intertwiner"),
+        ([wrong_rank, good, corrupted], "projector rank 1 does not match character dimension 2"),
+    ]:
+        with pytest.raises(ConsistencyError, match=match):
+            intertwiner_basis(
+                *([t[k] for t in triples] for k in range(3)), expected=[t[3] for t in triples]
+            )
+    assert len(intertwiner_basis(*([t[k] for t in [good, good]] for k in range(3)))) == 2
+
+
 def test_hom_dim_s3(s3):
     group, reps = s3
     chars = {k: validate_irrep(r) for k, r in reps.items()}
@@ -299,7 +338,7 @@ def test_grade_additivity_and_duality():
     emb = CentralEmbedding(grading, (2,))
     g1 = grade_of(reps["chi1"], emb)
     g3 = grade_of(reps["chi3"], emb)
-    assert grade_of(tensor_rep(reps["chi1"], reps["chi3"]), emb) == grading.add(g1, g3)
+    assert grade_of(tensor_rep(reps["chi1"], reps["chi3"]), emb) == add(grading, g1, g3)
     assert grade_of(tensor_rep(reps["chi1"], reps["chi2"]), emb) == (1,)
     assert grade_of(dual_rep(reps["chi1"]), emb) == grading.neg(g1)
 

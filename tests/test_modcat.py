@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import re
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -151,7 +153,7 @@ def test_balancing_scalar_identity(categories):
         g = c.group
         for a, b in product(g.elements(), repeat=2):
             b_ab = Fraction(int(c.b_num[g.index(a), g.index(b)]), c.denom)
-            lhs = (-oracles.q(c, g.add(a, b))) % 1
+            lhs = (-oracles.q(c, oracles.add(g, a, b))) % 1
             rhs = (-b_ab - oracles.q(c, a) - oracles.q(c, b)) % 1
             assert lhs == rhs
 
@@ -421,7 +423,7 @@ def _dense_reference(cat, tol, seed):
     def grade(word):
         a = g.zero
         for m in word:
-            a = g.add(a, m.grade)
+            a = oracles.add(g, a, m.grade)
         return a
 
     def dim(word):
@@ -477,7 +479,7 @@ def _dense_reference(cat, tol, seed):
 
     triples = []
     for m1, m2, m3 in product(cat.catalog, repeat=3):
-        if g.add(m1.grade, m2.grade) == m3.grade:
+        if oracles.add(g, m1.grade, m2.grade) == m3.grade:
             n = hom_dim(cat.group, m1.character, m2.character, m3.character)
             if n > 0:
                 triples.append((m1, m2, m3, n))
@@ -584,34 +586,39 @@ def _per_tuple_self_checks(cat, tol, seed):
     """The snake, double-braiding and naturality checks as per-tuple loops:
     one error per member, per pair and per ``y``, through the category's own
     helpers and ``modcat._kron`` read at call time, so a mutation of either
-    reaches both this reference and the suite."""
+    reaches both this reference and the suite.  Per check: ``checked``, the
+    witness, the largest error and the array of every catalog tuple's error;
+    and the catalog positions of the sampled triples."""
     kron = lambda a, b: modcat._kron(a, b)  # noqa: E731
     words = [cat._word(m) for m in cat.catalog]
+    k = len(words)
     out = {}
 
-    witness, max_err = None, 0.0
-    for m, (a, d) in zip(cat.catalog, words):
+    witness, max_err, cells = None, 0.0, np.zeros(k)
+    for x, (m, (a, d)) in enumerate(zip(cat.catalog, words)):
         neg, eye = cat._neg[a], cat._eye(d)
         ev = cat._f_inv(a, neg, a) * eye.reshape(1, d * d)
         coev = eye.reshape(d * d, 1)
         snake_m = cat._unit(cat.cocycle.f_num[a, neg, a]) * (kron(eye, ev) @ kron(coev, eye))
         err = float(np.abs(snake_m - eye).max())
         snake_dual = cat._f_inv(neg, a, neg) * (kron(ev, eye) @ kron(eye, coev))
-        err = max(err, float(np.abs(snake_dual - eye).max()))
+        err = cells[x] = max(err, float(np.abs(snake_dual - eye).max()))
         max_err = max(max_err, err)
         if err > tol and witness is None:
             witness = (m.label,)
-    out["snake"] = (len(words), witness, max_err)
+    out["snake"] = (k, witness, max_err, cells)
 
-    W, witness, max_err = cat.cocycle.omega_num, None, 0.0
-    for (m, (a1, d1)), (n, (a2, d2)) in product(zip(cat.catalog, words), repeat=2):
+    W, witness, max_err, cells = cat.cocycle.omega_num, None, 0.0, np.zeros((k, k))
+    for (x, (m, (a1, d1))), (z, (n, (a2, d2))) in product(
+        enumerate(zip(cat.catalog, words)), repeat=2
+    ):
         scalar = cat._unit(-(W[a1, a2] + W[a2, a1]))
-        braided = cat._double_braiding(a1, d1, a2, d2)
-        err = float(np.abs(braided - scalar * cat._eye(d1 * d2)).max())
+        braided = cat._braid_matrix(a2, d2, a1, d1) @ cat._braid_matrix(a1, d1, a2, d2)
+        err = cells[x, z] = float(np.abs(braided - scalar * cat._eye(d1 * d2)).max())
         max_err = max(max_err, err)
         if err > tol and witness is None:
             witness = (m.label, n.label)
-    out["double-braiding"] = (len(words) ** 2, witness, max_err)
+    out["double-braiding"] = (k**2, witness, max_err, cells)
 
     rng = np.random.default_rng(seed)
     grades = np.array([a for a, _ in words], dtype=np.int64)
@@ -619,13 +626,14 @@ def _per_tuple_self_checks(cat, tol, seed):
     triples = np.argwhere((sums[:, :, None] == grades) & (cat.hom_dims > 0))
     checked, witness, max_err = 0, None, 0.0
     picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
-    for t in sorted(int(i) for i in picks):
-        i, j, l = (int(x) for x in triples[t])
+    sampled = [tuple(int(x) for x in triples[t]) for t in sorted(int(i) for i in picks)]
+    cells = np.zeros((len(sampled), k))
+    for row, (i, j, l) in enumerate(sampled):
         m1, m2, m3 = cat.catalog[i], cat.catalog[j], cat.catalog[l]
         f = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=int(cat.hom_dims[i, j, l]))[0]
         (a1, d1), (a2, d2), (a3, d3) = words[i], words[j], words[l]
         a12, d12 = cat._add[a1][a2], d1 * d2
-        for y, (ay, dy) in zip(cat.catalog, words):
+        for col, (y, (ay, dy)) in enumerate(zip(cat.catalog, words)):
             checked += 1
             eye_y = cat._eye(dy)
             lhs = cat._braid_matrix(a3, d3, ay, dy) @ kron(f, eye_y)
@@ -634,12 +642,12 @@ def _per_tuple_self_checks(cat, tol, seed):
             f_yy = kron(f, cat._eye(dy * dy))
             lhs2 = (cat._f_inv(a3, ay, ay) * cat._eye(d3 * dy * dy)) @ f_yy
             rhs2 = f_yy @ (cat._f_inv(a12, ay, ay) * cat._eye(d12 * dy * dy))
-            err = max(err, float(np.abs(lhs2 - rhs2).max()))
+            err = cells[row, col] = max(err, float(np.abs(lhs2 - rhs2).max()))
             max_err = max(max_err, err)
             if err > tol and witness is None:
                 witness = (m1.label, m2.label, m3.label, y.label)
-    out["naturality(spot-checks)"] = (checked, witness, max_err)
-    return out
+    out["naturality(spot-checks)"] = (checked, witness, max_err, cells)
+    return out, sampled
 
 
 # builtin catalogs with repeated (grade, dim) signatures: (name, embedding
@@ -650,21 +658,20 @@ _REPEATED_SIGNATURES = [
 ]
 
 
-def _graded_builtin(name, image, n, cocycle=None):
+def _graded_builtin(name, image, n, cocycle=None, category=TwistedCategory):
     group, reps = builtin_catalog(name)
     cocycle = cocycle or build_cyclic(n, 3 if n == 2 else 1)
-    return TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (image,)), reps)
+    return category(group, cocycle, CentralEmbedding(cocycle.group, (image,)), reps)
 
 
-def _coboundary_twisted_z3():
-    """The cyclic Z/3 cocycle twisted by the normalized cochain phi(1, 2) = 1/4:
-    F += phi(b,c) - phi(a+b,c) + phi(a,b+c) - phi(a,b), Omega += phi(a,b) - phi(b,a).
-    Cyclic F(a, -a, a) is 1 on Z/3 and +-1 on Z/2; here it is -i and i."""
-    good = build_cyclic(3, 1)
-    q = np.lcm(good.denom, 4)
-    phi = np.zeros((3, 3), dtype=np.int64)
-    phi[1, 2] = q // 4
-    a, s = np.arange(3), good.group.add_index_table
+def _coboundary_twisted(good, phi):
+    """``good`` twisted by the normalized integer cochain ``phi`` over the
+    cocycle denominator ``q``: F += phi(b,c) - phi(a+b,c) + phi(a,b+c) - phi(a,b),
+    Omega += phi(a,b) - phi(b,a)."""
+    phi, phi_denom = phi
+    q = np.lcm(good.denom, phi_denom)
+    phi = phi * (q // phi_denom)
+    a, s = np.arange(good.group.order), good.group.add_index_table
     f = (
         good.f_num * (q // good.denom) + phi[None, :, :] - phi[s[:, :, None], a[None, None, :]]
         + phi[a[:, None, None], s[None, :, :]] - phi[:, :, None]
@@ -673,26 +680,78 @@ def _coboundary_twisted_z3():
     return AbelianCocycle(good.group, f % q, omega % q, int(q))
 
 
+def _coboundary_twisted_z3():
+    """The cyclic Z/3 cocycle twisted by the normalized cochain phi(1, 2) = 1/4.
+    Cyclic F(a, -a, a) is 1 on Z/3 and +-1 on Z/2; here it is -i and i."""
+    phi = np.zeros((3, 3), dtype=np.int64)
+    phi[1, 2] = 1
+    return _coboundary_twisted(build_cyclic(3, 1), (phi, 4))
+
+
+def _coboundary_twisted_zn(n):
+    """The monodromy-verify benchmark's cocycle on Z/n: a cyclic class whose
+    form b takes values in {0, 1/2}, twisted by a seeded normalized cochain
+    over 6, so every F and Omega entry varies."""
+    phi = np.random.default_rng(n).integers(0, 6, size=(n, n))
+    phi[0, :] = phi[:, 0] = 0
+    return _coboundary_twisted(build_cyclic(n, {3: 0, 4: 2, 5: 0}[n]), (phi, 6))
+
+
 def _assert_self_checks_match(cat, seed, failing=None):
+    """The suite's snake, double-braiding and naturality verdicts equal the
+    per-tuple loops', and so does every error it computed, bit for bit, read
+    back per catalog tuple from its distinct words.  Returns the sampled
+    triples and the failing check's witness."""
+    arrays, verdict = {}, cat._verdict
+
+    def spy(axiom, arity, values, *args, **kwargs):  # the suite's arrays, per check
+        arrays[axiom] = values = list(values)
+        return verdict(axiom, arity, values, *args, **kwargs)
+
+    cat._verdict = spy
     checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
-    for axiom, (checked, witness, max_err) in _per_tuple_self_checks(
-        cat, modcat.MATRIX_TOL, seed
-    ).items():
+    ref, sampled = _per_tuple_self_checks(cat, modcat.MATRIX_TOL, seed)
+    distinct = list(cat._word_labels)
+    of = np.array([distinct.index(cat._word(m)) for m in cat.catalog], dtype=np.intp)
+    for axiom, (checked, witness, max_err, cells) in ref.items():
         c = checks[axiom]
         assert (c.checked, c.witness, c.max_error) == (checked, witness, max_err), axiom
         assert c.passed == (witness is None), axiom
+        (got,) = arrays[axiom]
+        if axiom == "naturality(spot-checks)":  # rows are sampled triples
+            got = got[:, of]
+        else:
+            got = got[np.ix_(*[of] * got.ndim)]
+        assert np.array_equal(got, cells), axiom
     if failing is not None:
         assert not checks[failing].passed
-        return checks[failing].witness
+        return sampled, checks[failing].witness
+    return sampled, None
 
 
-@pytest.mark.parametrize("name, image, n", _REPEATED_SIGNATURES)
+# the monodromy-verify shape: Z/n graded by Z/n through its generator, so
+# every word is 1-dim and distinct, under a coboundary-twisted table cocycle
+_MONODROMY_SHAPES = [("z3", 1, 3), ("z4", 1, 4), ("z5", 1, 5)]
+
+
+@pytest.mark.parametrize("name, image, n", _REPEATED_SIGNATURES + _MONODROMY_SHAPES)
 @pytest.mark.parametrize("seed", [0, 5])
 def test_self_checks_collapse_to_signatures(name, image, n, seed):
-    cat = _graded_builtin(name, image, n)
+    monodromy = (name, image, n) in _MONODROMY_SHAPES
+    cat = _graded_builtin(name, image, n, _coboundary_twisted_zn(n) if monodromy else None)
     words = [cat._word(m) for m in cat.catalog]
-    assert len(set(words)) < len(words)
-    _assert_self_checks_match(cat, seed)
+    if monodromy:  # distinct words, all in one stack per check
+        assert len(set(words)) == len(words) > len({d for _, d in words}) == 1
+    else:
+        assert len(set(words)) < len(words)
+    sampled, _ = _assert_self_checks_match(cat, seed)
+    # some intertwiner stack holds several sampled triples; at seed 5 on d4
+    # and q8 at the identity, one stack of (1, 2, 2) triples
+    signatures = [tuple(cat.catalog[x].dim for x in t) for t in sampled]
+    shared = {sig for sig in signatures if signatures.count(sig) > 1}
+    assert shared
+    if (name, image, seed) in {("d4", 0, 5), ("q8", 0, 5)}:
+        assert (1, 2, 2) in shared
 
 
 @pytest.mark.parametrize(
@@ -731,21 +790,62 @@ def test_collapsed_self_checks_catch_mutations(
 ):
     # each self-check fails on its mutation, on a catalog with repeated
     # signatures, with the witness and error of the per-tuple loops
-    flip, kron = modcat.flip_matrix, modcat._kron
-    if mutation == "rolled-flip":  # a permutation the flip back does not undo
-        monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: np.roll(flip(d1, d2), 1, 0))
-    elif mutation == "transposed-flip":
-        monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: flip(d1, d2).T)
-    elif mutation == "swapped-kron":
-        monkeypatch.setattr(modcat, "_kron", lambda a, b: kron(b, a))
-    elif mutation == "identity-read-as-diag(1..d)":  # fails on 2-dim members only
-        diag = lambda self, d: np.diag(np.arange(1.0, d + 1))  # noqa: E731
-        monkeypatch.setattr(TwistedCategory, "_eye", diag)
-    elif mutation == "evaluation-not-inverted":  # F(a, -a, a) where its inverse belongs
-        monkeypatch.setattr(
-            TwistedCategory, "_f_inv", lambda self, *a: self._unit(self.cocycle.f_num[a])
-        )
+    _inject(mutation, monkeypatch, modcat)
     cat = _graded_builtin(name, image, n, _coboundary_twisted_z3() if n == 3 else None)
     words = [cat._word(m) for m in cat.catalog]
     assert len(set(words)) < len(words)
-    assert _assert_self_checks_match(cat, seed, failing) is not None
+    assert _assert_self_checks_match(cat, seed, failing)[1] is not None
+
+
+def _inject(mutation, monkeypatch, module):
+    """Patch one fault into ``module``, a ``modcat``, for the rest of a test."""
+    flip, kron = module.flip_matrix, module._kron
+    if mutation == "rolled-flip":  # a permutation the flip back does not undo
+        monkeypatch.setattr(module, "flip_matrix", lambda d1, d2: np.roll(flip(d1, d2), 1, 0))
+    elif mutation == "transposed-flip":
+        monkeypatch.setattr(module, "flip_matrix", lambda d1, d2: flip(d1, d2).T)
+    elif mutation == "swapped-kron":
+        monkeypatch.setattr(module, "_kron", lambda a, b: kron(b, a))
+    elif mutation == "identity-read-as-diag(1..d)":  # fails on 2-dim members only
+        diag = lambda self, d: np.diag(np.arange(1.0, d + 1))  # noqa: E731
+        monkeypatch.setattr(module.TwistedCategory, "_eye", diag)
+    elif mutation == "evaluation-not-inverted":  # F(a, -a, a) where its inverse belongs
+        monkeypatch.setattr(
+            module.TwistedCategory, "_f_inv", lambda self, *a: self._unit(self.cocycle.f_num[a])
+        )
+
+
+def _mutant_modcat(old, new):
+    """``modcat`` with one source line replaced, loaded as a fresh module of
+    the package."""
+    source = inspect.getsource(modcat)
+    assert source.count(old) == 1
+    module = types.ModuleType("twistcat._mutant_modcat")
+    module.__package__ = "twistcat"
+    exec(compile(source.replace(old, new), modcat.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new, fault, name, image, n, seed",
+    [
+        # a naturality stack's errors written to its triples in reverse order
+        ("errs[s, w] =", "errs[s, w][::-1] =", "rolled-flip", "s3", 0, 2, 0),
+        # a snake stack's errors written to its words in reverse order
+        ("errs[s] =", "errs[s][::-1] =", "evaluation-not-inverted", "z6", 2, 3, 0),
+        # a double-braiding stack's errors written to its second words in reverse order
+        ("errs[s1, s2] =", "errs[s1, s2][:, ::-1] =", None, "z6", 2, 3, 0),
+    ],
+    ids=["naturality-triples", "snake-words", "double-braiding-words"],
+)
+def test_reference_catches_errors_written_to_the_wrong_stack_item(
+    old, new, fault, name, image, n, seed, monkeypatch
+):
+    cocycle = _coboundary_twisted_z3() if n == 3 else None
+    _inject(fault, monkeypatch, modcat)
+    _assert_self_checks_match(_graded_builtin(name, image, n, cocycle), seed)  # errors that vary
+    mutant = _mutant_modcat(old, new)
+    _inject(fault, monkeypatch, mutant)
+    cat = _graded_builtin(name, image, n, cocycle, category=mutant.TwistedCategory)
+    with pytest.raises(AssertionError):
+        _assert_self_checks_match(cat, seed)
