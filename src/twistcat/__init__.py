@@ -30,7 +30,6 @@ from .fusionring import (
     FusionTable,
     SU2Object,
     fusion_table,
-    group_order_identity,
     su2_tensor,
 )
 from .grouprep import (
@@ -38,7 +37,6 @@ from .grouprep import (
     FiniteGroup,
     GradedIrrep,
     MatrixRep,
-    dual_rep,
     grade_of,
     hom_dim,
     intertwiner_basis,
@@ -76,12 +74,10 @@ __all__ = [
     "assoc_scalar",
     "build_cyclic",
     "clockwise_unit_loop",
-    "dual_rep",
     "fixture_path",
     "flip_matrix",
     "fusion_table",
     "grade_of",
-    "group_order_identity",
     "hom_dim",
     "intertwiner_basis",
     "load_spec",

@@ -92,5 +92,12 @@ class FinAbGroup:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def neg_index_table(self) -> np.ndarray:
+        """``index(-a)`` by ``index(a)``: the column of 0 in each row of ``add_index_table``."""
+        table = np.argmin(self.add_index_table, axis=1)
+        table.setflags(write=False)
+        return table
+
     def __str__(self) -> str:
         return " x ".join(f"Z/{n}" for n in self.factors)

@@ -34,7 +34,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .abgroup import FinAbGroup, GroupElt
 from .errors import CocycleError, StructuralError
-from .unitscalar import UnitScalar
 
 MAX_TABLE_ORDER = 256  # exhaustive pentagon checking is O(|A|^4)
 # the kernels give each invariant factor its own array axes, and numpy allows
@@ -114,18 +113,6 @@ class AbelianCocycle:
         for name, table in (("f_num", f), ("omega_num", w), ("b_num", (w + w.T) % self.denom)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-
-    # -- scalar accessors ---------------------------------------------------
-
-    def f(self, a1: GroupElt, a2: GroupElt, a3: GroupElt) -> UnitScalar:
-        g = self.group
-        return UnitScalar(
-            Fraction(int(self.f_num[g.index(a1), g.index(a2), g.index(a3)]), self.denom)
-        )
-
-    def omega(self, a1: GroupElt, a2: GroupElt) -> UnitScalar:
-        g = self.group
-        return UnitScalar(Fraction(int(self.omega_num[g.index(a1), g.index(a2)]), self.denom))
 
     # -- constructors ---------------------------------------------------------
 

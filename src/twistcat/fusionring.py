@@ -5,13 +5,13 @@ Finite-group coefficients are character sums ``N^c_ab = dim hom(Ma (x) Mb, Mc)``
 read from the category's one character-sum table; the SU(2) ring uses the
 Clebsch-Gordan rule with grade ``n mod 2``, no infinite-dimensional matrices
 anywhere.  ``s_table`` reads both S tables exactly from the cocycle's ``Omega``
-numerators and the dimensions, with no float trace and no normalization factor.
+numerators and the dimensions, with no float trace and no normalization factor,
+and ``dim_exponents`` reads the categorical dimensions of both the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,9 +93,8 @@ def fusion_table(cat: TwistedCategory) -> FusionTable:
     table = FusionTable(
         tuple(m.label for m in members), tuple(m.dim for m in members), cat.hom_dims
     )
-    unit_candidates = [
-        m.label for m in members if m.dim == 1 and np.allclose(m.character, 1.0)
-    ]
+    trivial = np.isclose(np.array([m.character for m in members]), 1.0).all(axis=1)
+    unit_candidates = [m.label for m, t in zip(members, trivial) if m.dim == 1 and t]
     if not unit_candidates:
         raise StructuralError("catalog has no trivial representation to act as unit")
     table.check_invariants(unit_candidates[0])
@@ -157,38 +156,12 @@ def su2_s_table(spins, cocycle: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]
     return s_table(cocycle, spins % 2, spins + 1)
 
 
-def su2_cat_dim_scalar(n: int, cocycle: AbelianCocycle) -> Fraction:
-    """Exponent of the categorical-dimension prefactor
-    ``(Omega(a,a) Omega(a,-a) F(a,-a,a))^{-1}`` at grade ``a = n mod 2``;
-    zero for every valid cocycle, so categorical and ordinary dimensions agree."""
-    g = cocycle.group
-    a = ((n % 2) % g.factors[0],)
-    neg = g.neg(a)
-    total = (
-        cocycle.omega(a, a).exponent
-        + cocycle.omega(a, neg).exponent
-        + cocycle.f(a, neg, a).exponent
-    )
-    return (-total) % 1
-
-
-def group_order_identity(cat: TwistedCategory) -> int:
-    """``sum_chi (cat dim M_chi) (cat dim M_chi*)``, which must equal ``|G|``.
-
-    Both factors are computed through the categorical trace composite; the
-    dual is traced as the grade-negated object of the same dimension.
-    """
-    if not cat.complete:
-        raise StructuralError("the order identity requires a complete catalog")
-    total = 0 + 0j
-    for m in cat.catalog:
-        dim_m = cat.cat_trace(m, np.eye(m.dim))
-        dual = cat.dual_object(m)
-        dim_dual = cat.cat_trace(dual, np.eye(dual.dim))
-        total += dim_m * dim_dual
-    expected = cat.group.order
-    if abs(total - expected) > 1e-6:
-        raise ConsistencyError(
-            f"sum of (dim)(dim*) = {total} does not match group order {expected}"
-        )
-    return int(round(total.real))
+def dim_exponents(cocycle: AbelianCocycle) -> np.ndarray:
+    """Per grade index ``a``, the numerator ``x_a`` in ``[0, denom)`` of
+    ``-(Omega(a, a) + Omega(a, -a) + F(a, -a, a))``: a grade-``a`` object of
+    dimension ``d`` has categorical dimension ``d e^{2 pi i x_a / denom}``,
+    the trace ``e_M R_{M,M*} (theta (x) 1) i_M`` of its identity.  For a valid
+    cocycle ``x`` is zero (hexagon-2 at ``(a, a, -a)`` with ``Omega(a, 0) = 0``)."""
+    a, neg = np.arange(cocycle.group.order), cocycle.group.neg_index_table
+    w, f = cocycle.omega_num, cocycle.f_num
+    return -(w[a, a] + w[a, neg] + f[a, neg, a]) % cocycle.denom

@@ -310,12 +310,6 @@ def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
     return table
 
 
-def dual_rep(m: MatrixRep) -> MatrixRep:
-    """Dual (contragredient) representation ``g -> rho(g^{-1})^T``."""
-    mats = m.matrices[m.group.inverse].transpose(0, 2, 1)
-    return MatrixRep(m.group, mats)
-
-
 def intertwiner_basis(
     m1: MatrixRep | Sequence[MatrixRep],
     m2: MatrixRep | Sequence[MatrixRep],

@@ -25,10 +25,12 @@ flips, so pentagon, triangle, both hexagons, balancing and twist-duality are
 exact identities between cocycle exponents, residues mod the cocycle
 denominator at the catalog's grades; pentagon, triangle and hexagons are the
 cocycle axioms there, read from ``cocycle``'s kernels and its normalization
-slice.  The snake identities, the double braiding (whose ``cat_trace`` is
-an S entry) and naturality against sampled intertwiners stay matrix
-equations checked within a tolerance; the S table is read exactly from the
-cocycle by ``fusionring.s_table``, not traced.
+slice.  The snake identities, the double braiding (whose categorical
+trace is an S entry) and naturality against sampled intertwiners stay
+matrix equations checked within a tolerance.  Nothing here takes a
+categorical trace: the S table and the categorical dimensions are read
+exactly from the cocycle by ``fusionring.s_table`` and
+``fusionring.dim_exponents``.
 
 The matrix checks are evaluated as stacks, one per dimension signature: the
 snakes once per word dim, the double braiding once per pair of word dims,
@@ -70,7 +72,6 @@ from .grouprep import (
     FiniteGroup,
     GradedIrrep,
     MatrixRep,
-    dual_rep,
     grade_of,
     hom_dim_table,
     intertwiner_basis,
@@ -142,12 +143,9 @@ class TwistedCategory:
         self.cocycle = cocycle
         self.embedding = embedding
         self.grading = cocycle.group
-        # grade indices: the zero grade has index 0, sums go through the add
-        # table and negatives through the column of 0 in each row
+        # grade indices: the zero grade has index 0 and sums go through the add table
         self._index = dict(zip(self.grading.elements(), range(self.grading.order)))
-        add = self.grading.add_index_table
-        self._add: list[list[int]] = add.tolist()
-        self._neg: list[int] = np.argmin(add, axis=1).tolist()
+        self._add: list[list[int]] = self.grading.add_index_table.tolist()
         # e^{2 pi i num/denom} by num mod denom, filled on first use; every
         # structure scalar reads it.  Read-only identity and flip matrices.
         self._units: dict[int, complex] = {}
@@ -189,12 +187,6 @@ class TwistedCategory:
                 return m
         raise KeyError(label)
 
-    def dual_object(self, m: GradedIrrep) -> GradedIrrep:
-        """The contragredient of a catalog member: grade negates, character conjugates."""
-        return GradedIrrep(
-            m.label + "*", dual_rep(m.rep), self.grading.neg(m.grade), np.conj(m.character)
-        )
-
     # -- word helpers ---------------------------------------------------------
 
     def _grade_index(self, a: GroupElt) -> int:
@@ -212,9 +204,6 @@ class TwistedCategory:
             grade = add[grade][self._grade_index(m.grade)]
             dim *= m.dim
         return grade, dim
-
-    def word_dim(self, obj) -> int:
-        return self._word(obj)[1]
 
     # -- scalars and matrices by grade index --------------------------------------
 
@@ -258,17 +247,6 @@ class TwistedCategory:
     def _braid_matrix(self, a1: int, d1: int, a2: int, d2: int) -> np.ndarray:
         return self._omega_inv(a1, a2) * self._flip(d1, d2)
 
-    def _cat_trace(self, a: int, f: np.ndarray) -> complex:
-        neg = self._neg[a]
-        theta = self._omega_inv(a, a)
-        braid = self._omega_inv(a, neg)
-        evaluation = self._f_inv(a, neg, a)
-        # i_M is vec(I); ((theta f) (x) 1) vec(I) = vec(theta f); the braiding
-        # transposes the matrix picture; evaluation contracts the diagonal.
-        x = theta * f
-        x = braid * x.T
-        return complex(evaluation * np.trace(x))
-
     # -- structure morphisms ----------------------------------------------------
 
     def associator(self, m1, m2, m3) -> np.ndarray:
@@ -288,30 +266,16 @@ class TwistedCategory:
     def evaluation(self, m) -> np.ndarray:
         """Row vector on M* (x) M: ``(f', v) -> F(a,-a,a)^{-1} f'(v)``."""
         a, d = self._word(m)
+        neg = self.grading.neg_index_table[a]
         # entry at (j, i) is delta_ji
-        return self._f_inv(a, self._neg[a], a) * self._eye(d).reshape(1, d * d)
+        return self._f_inv(a, neg, a) * self._eye(d).reshape(1, d * d)
 
     def coevaluation(self, m) -> np.ndarray:
         """Column vector into M (x) M*: ``1 -> sum_i e_i (x) e_i'``."""
         d = self._word(m)[1]
         return np.eye(d).reshape(d * d, 1)
 
-    # -- trace and dimension -----------------------------------------------------
-
-    def cat_trace(self, m, f: np.ndarray) -> complex:
-        """Categorical trace: ``e_M . R_{M,M*} . ((theta f) (x) 1) . i_M``.
-
-        The middle arrows act by reshaping instead of materializing the
-        ``d^2 x d^2`` permutation matrix; the composite is the same linear map.
-        """
-        a, d = self._word(m)
-        f = np.asarray(f, dtype=np.complex128)
-        if f.shape != (d, d):
-            raise StructuralError(f"endomorphism must be {d} x {d}, got {f.shape}")
-        return self._cat_trace(a, f)
-
-    def cat_dim(self, m) -> complex:
-        return self.cat_trace(m, self._eye(self.word_dim(m)))
+    # -- multiplicities ---------------------------------------------------------
 
     @cached_property
     def hom_dims(self) -> np.ndarray:
@@ -350,7 +314,7 @@ class TwistedCategory:
         q, ab = c.omega_num.diagonal(), self.grading.add_index_table[ix2]
         balancing = (c.b_num[ix2] + q[g][:, None] + q[g] - q[ab]) % c.denom
         # theta_{M*} == theta_M at each grade; the unit's cell is q(0), theta_1 == 1
-        twist_dual = [(q[g] - q[np.asarray(self._neg, dtype=np.intp)[g]]) % c.denom, q[:1]]
+        twist_dual = [(q[g] - q[self.grading.neg_index_table[g]]) % c.denom, q[:1]]
         # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
         # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
         hexagon2, hexagon1 = hexagon_residues(c)
@@ -425,7 +389,7 @@ class TwistedCategory:
     def _snake_errors(self, spans: list, a: np.ndarray) -> np.ndarray:
         """Deviation of both snake composites from the identity, per word of
         grade index ``a``, one stack per span of words of one dim."""
-        neg = np.asarray(self._neg, dtype=np.intp)[a]
+        neg = self.grading.neg_index_table[a]
         ev_scalar = self._f_inv(a, neg, a)[:, None, None]
         mid_inv = self._unit(self.cocycle.f_num[a, neg, a])[:, None, None]  # A_{M,M*,M}^{-1}
         dual_scalar = self._f_inv(neg, a, neg)[:, None, None]
@@ -444,8 +408,8 @@ class TwistedCategory:
         return errs
 
     def _double_braiding_errors(self, spans: list, a: np.ndarray) -> np.ndarray:
-        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose ``cat_trace`` is an
-        S entry, over pairs of words of grade index ``a``, one stack per pair
+        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose categorical trace is
+        an S entry, over pairs of words of grade index ``a``, one stack per pair
         of spans."""
         braid = self._omega_inv(a[:, None], a)[..., None, None]  # [i, j]: Omega(a_i, a_j)^-1
         back = np.ascontiguousarray(braid.swapaxes(0, 1))  # [i, j]: Omega(a_j, a_i)^-1

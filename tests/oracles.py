@@ -6,7 +6,8 @@ from itertools import count
 
 import numpy as np
 
-from twistcat.grouprep import MatrixRep
+from twistcat.grouprep import GradedIrrep, MatrixRep
+from twistcat.unitscalar import root_of_unity
 
 
 def add(group, a, b):
@@ -47,6 +48,54 @@ def pairing(group, chi, alpha) -> Fraction:
     return sum(Fraction(t * x, n) for t, x, n in zip(chi, alpha, group.factors)) % 1
 
 
+def f(cocycle, a1, a2, a3) -> Fraction:
+    """``F(a1, a2, a3)`` as an exponent in [0, 1), read from its numerator."""
+    g = cocycle.group
+    return Fraction(int(cocycle.f_num[g.index(a1), g.index(a2), g.index(a3)]), cocycle.denom)
+
+
+def omega(cocycle, a1, a2) -> Fraction:
+    """``Omega(a1, a2)`` as an exponent in [0, 1), read from its numerator."""
+    g = cocycle.group
+    return Fraction(int(cocycle.omega_num[g.index(a1), g.index(a2)]), cocycle.denom)
+
+
+def dual_rep(m):
+    """The contragredient representation ``g -> rho(g^-1)^T``."""
+    group = m.group
+    return MatrixRep(group, np.array([m.matrices[group.inverse[g]].T for g in range(group.order)]))
+
+
+def dual(cat, m):
+    """The contragredient of a catalog member: grade negated, character conjugated."""
+    grade = cat.grading.neg(m.grade)
+    return GradedIrrep(m.label + "*", dual_rep(m.rep), grade, np.conj(m.character))
+
+
+def cat_trace(cat, m, f) -> complex:
+    """The categorical trace ``e_M . R_{M,M*} . ((theta f) (x) 1) . i_M`` of an
+    endomorphism ``f`` of a catalog member or tensor word ``M``, composed as
+    dense matrices from the category's structure maps; ``M*`` is the reversed
+    word of contragredients."""
+    word = m if isinstance(m, tuple) else (m,)
+    dual_word = tuple(dual(cat, x) for x in reversed(word))
+    theta_f = cat.twist(word).to_complex() * np.asarray(f, dtype=np.complex128)
+    middle = cat.braiding(word, dual_word) @ np.kron(theta_f, np.eye(len(theta_f)))
+    return complex((cat.evaluation(word) @ middle @ cat.coevaluation(word))[0, 0])
+
+
 def s_trace(cat, m, n) -> complex:
     """The categorical trace of the double braiding on ``M (x) N``: a float S entry."""
-    return cat.cat_trace((m, n), cat.braiding(n, m) @ cat.braiding(m, n))
+    return cat_trace(cat, (m, n), cat.braiding(n, m) @ cat.braiding(m, n))
+
+
+def dim_sum(cat, x) -> complex:
+    """``sum_M (dim M)(dim M*)`` over the catalog, where a grade-``a`` object
+    of dimension ``d`` has categorical dimension ``d e^{2 pi i x[a] / denom}``
+    and ``M*`` has grade ``-a`` and dimension ``d``."""
+    g, denom = cat.grading, cat.cocycle.denom
+    return sum(
+        m.dim * root_of_unity(int(x[g.index(m.grade)]), denom)
+        * m.dim * root_of_unity(int(x[g.index(g.neg(m.grade))]), denom)
+        for m in cat.catalog
+    )

@@ -74,6 +74,7 @@ def test_add_index_table_matches_elementwise(factors):
     g = FinAbGroup(factors)
     assert g.add_index_table.shape == (g.order, g.order)
     for a in g.elements():
+        assert add(g, a, g.element_at(int(g.neg_index_table[g.index(a)]))) == g.zero
         for b in g.elements():
             assert g.add_index_table[g.index(a), g.index(b)] == g.index(add(g, a, b))
 

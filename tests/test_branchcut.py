@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
@@ -128,7 +128,9 @@ def test_p_int_stability():
 
 def _p_int_reference(z1, z2):
     """p by rounding the float logarithms, where the sides are clear."""
-    w = plog(z1 - z2) - plog(z1) - cmath.log(1 - z2 / z1)
+    # (z1 - z2) / z1 is 1 - z2 / z1, without the cancellation that rounds
+    # 1 - z2 / z1 to 0 when z2 / z1 rounds to 1
+    w = plog(z1 - z2) - plog(z1) - cmath.log((z1 - z2) / z1)
     return round(w.imag / (2 * math.pi))
 
 
@@ -156,6 +158,7 @@ _POINTS = st.builds(
 
 @settings(max_examples=200)
 @given(_POINTS, st.builds(complex, st.floats(0.5, 1), st.floats(-0.87, 0.87)))
+@example(11 + 13j, 0.9999999999999999)  # z2 / z1 rounds to 1
 def test_p_int_matches_log_reference(z1, u):
     z2 = z1 * u  # |u| < 1 and |1 - u| < |u| put (z1, z2) in the nested region
     assume(_in_region(z1, z2))
@@ -294,13 +297,13 @@ def test_loop_identity_all_grades(lattice, super_cocycle):
         for a1 in g.elements():
             for a2 in g.elements():
                 transport = transport_scalar(cocycle, loop, a1, a2)
-                composed = -cocycle.omega(a1, a2).exponent - cocycle.omega(a2, a1).exponent
+                composed = -oracles.omega(cocycle, a1, a2) - oracles.omega(cocycle, a2, a1)
                 assert transport == UnitScalar(composed)
 
 
 def test_assoc_scalar_positive_reals(lattice):
     value = assoc_scalar(lattice, 3, 2, (1,), (1,), (1,))
-    assert value == UnitScalar(-lattice.f((1,), (1,), (1,)).exponent)
+    assert value == UnitScalar(-oracles.f(lattice, (1,), (1,), (1,)))
     assert value.to_complex() == -1
     trivial = build_cyclic(2, 0)
     assert assoc_scalar(trivial, 3, 2, (1,), (1,), (1,)).exponent == 0
@@ -366,7 +369,7 @@ def test_random_real_sweep_matches_f_inverse(lattice):
         for a1 in grades:
             for a2 in grades:
                 for a3 in grades:
-                    want = UnitScalar(-lattice.f(a1, a2, a3).exponent)
+                    want = UnitScalar(-oracles.f(lattice, a1, a2, a3))
                     assert assoc_scalar(lattice, r1, r2, a1, a2, a3) == want
 
 
@@ -380,7 +383,7 @@ def test_assoc_numerator_broadcast_matches_exponent_formula(p12, p2):
     )
     for a1, a2, a3 in product(g.elements(), repeat=3):
         b = partial(oracles.b, cocycle)
-        want = UnitScalar(-p12 * b(a1, a2) + p2 * b(a1, a3) - cocycle.f(a1, a2, a3).exponent)
+        want = UnitScalar(-p12 * b(a1, a2) + p2 * b(a1, a3) - oracles.f(cocycle, a1, a2, a3))
         got = table[g.index(a1), g.index(a2), g.index(a3)]
         assert UnitScalar(Fraction(int(got), cocycle.denom)) == want
 

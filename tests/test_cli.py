@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcat import branchcut, cli, cocycle, modcat, specio
+from twistcat import branchcut, cli, cocycle, fusionring, modcat, specio
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle
 from twistcat.errors import StructuralError
 from twistcat.grouprep import CentralEmbedding
 from twistcat.specio import BUNDLED_FIXTURES, fixture_path, load_spec, parse_matrix_entry
+from twistcat.unitscalar import UnitScalar
 
 import oracles
 
@@ -172,6 +173,19 @@ def test_verify_takes_branch_integers_from_the_monodromy_path(monkeypatch, capsy
     out = capsys.readouterr().out
     assert "FAIL  monodromy-positive-reals" in out
     assert "1 FAILED" in out
+
+
+def test_verify_reads_categorical_dimensions_from_dim_exponents(monkeypatch, capsys):
+    # both dimension verdicts of a catalog, and the su2 one, read the exact
+    # exponents: a nonzero table fails them, and nothing else
+    monkeypatch.setattr(fusionring, "dim_exponents", lambda c: np.ones(c.group.order, np.int64))
+    assert run_cli("verify", "--spec", "q8-z2") == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL  group-order-identity" in out and "FAIL  categorical-dimensions" in out
+    assert "2 FAILED" in out
+    assert run_cli("verify", "--spec", "su2-lattice") == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL  categorical-dimensions" in out and "1 FAILED" in out
 
 
 def test_finite_smatrix_integral(tmp_path):
@@ -455,7 +469,7 @@ def test_spec_with_cocycle_tables(tmp_path):
     path.write_text(json.dumps(spec), encoding="utf-8")
     assert run_cli("verify", "--spec", str(path)) == 0
     cocycle = load_spec(path).build_cocycle()
-    assert cocycle.omega((1,), (1,)).to_complex() == -1j
+    assert UnitScalar(oracles.omega(cocycle, (1,), (1,))).to_complex() == -1j
 
 
 def test_human_and_machine_verdicts_agree(tmp_path, capsys):

@@ -20,6 +20,7 @@ from twistcat.cocycle import (
 )
 from twistcat.errors import CocycleError, StructuralError
 from twistcat.specio import CategorySpec, _parse_cocycle
+from twistcat.unitscalar import UnitScalar
 
 import oracles
 
@@ -49,17 +50,18 @@ def super_cocycle():
 
 
 def test_lattice_cocycle_values(lattice):
-    assert lattice.f((1,), (1,), (1,)).to_complex() == -1
-    assert lattice.omega((1,), (1,)).to_complex() == -1j
+    assert UnitScalar(oracles.f(lattice, (1,), (1,), (1,))).to_complex() == -1
+    assert UnitScalar(oracles.omega(lattice, (1,), (1,))).to_complex() == -1j
     for a, b, c in product([(0,), (1,)], repeat=3):
         if (a, b, c) != ((1,), (1,), (1,)):
-            assert lattice.f(a, b, c).exponent == 0
+            assert oracles.f(lattice, a, b, c) == 0
 
 
 def test_super_cocycle_values(super_cocycle):
     assert (super_cocycle.f_num == 0).all()
     for i1, i2 in product([0, 1], repeat=2):
-        assert super_cocycle.omega((i1,), (i2,)).to_complex() == (-1) ** (i1 * i2)
+        value = UnitScalar(oracles.omega(super_cocycle, (i1,), (i2,))).to_complex()
+        assert value == (-1) ** (i1 * i2)
 
 
 def test_trivial_cocycle_passes():
@@ -82,13 +84,13 @@ def test_from_tables_accepts_super():
     f = {(a, b, c): Fraction(0) for a in elts for b in elts for c in elts}
     om = {(a, b): Fraction(a[0] * b[0], 2) for a in elts for b in elts}
     c = _spec_cocycle(g, {"f": _table(f), "omega": _table(om)})
-    assert c.omega((1,), (1,)).to_complex() == -1
+    assert UnitScalar(oracles.omega(c, (1,), (1,))).to_complex() == -1
 
 
 def test_from_tables_unreduced_key():
     # a key part is reduced to its element; a key must name one element per argument
     g = FinAbGroup((2,))
-    assert _spec_cocycle(g, {"omega": {"3|1": "1/2"}}).omega((1,), (1,)).exponent == Fraction(1, 2)
+    assert oracles.omega(_spec_cocycle(g, {"omega": {"3|1": "1/2"}}), (1,), (1,)) == Fraction(1, 2)
     with pytest.raises(StructuralError, match=re.escape("'cocycle.tables.f.1|1' must key 3")):
         _spec_cocycle(g, {"f": {"1|1": "1/2"}})
 
@@ -169,7 +171,7 @@ def test_rigidity_identity(n, s):
     g = c.group
     for a in g.elements():
         na = g.neg(a)
-        assert (c.f(na, a, na).exponent + c.f(a, na, a).exponent) % 1 == 0
+        assert (oracles.f(c, na, a, na) + oracles.f(c, a, na, a)) % 1 == 0
 
 
 @pytest.mark.parametrize("n,s", [(2, 1), (3, 2), (4, 3), (8, 5), (11, 6)])

@@ -1,4 +1,6 @@
 from itertools import product
+from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,20 +8,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
-from twistcat.catalogs import cyclic_group
+from twistcat.catalogs import builtin_catalog, cyclic_group
 from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import ConsistencyError, StructuralError
 from twistcat.fusionring import (
     FusionTable,
+    dim_exponents,
     fusion_table,
-    group_order_identity,
-    su2_cat_dim_scalar,
     su2_s_table,
     su2_spins,
     su2_tensor,
 )
 from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
 from twistcat.modcat import TwistedCategory
+from twistcat.specio import load_spec
+from twistcat.unitscalar import root_of_unity
+
+import oracles
+
+GOLDEN_SPECS = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+FINITE_FIXTURES = ("z2-lattice-on-z4", "super-on-z4", "s3-trivial-grading", "q8-z2")
 
 spins = st.integers(min_value=0, max_value=30)
 
@@ -157,11 +165,11 @@ def test_su2_needs_z2_cocycle():
         su2_s_table([1, 1], build_cyclic(3, 1))
 
 
-def test_su2_cat_dim_scalar_trivial_for_valid_cocycles():
+def test_su2_dim_exponents_vanish_for_valid_cocycles():
     for s in range(4):
         c = build_cyclic(2, s)
-        assert su2_cat_dim_scalar(0, c) == 0
-        assert su2_cat_dim_scalar(1, c) == 0
+        assert dim_exponents(c)[0] == 0
+        assert dim_exponents(c)[1] == 0
 
 
 def test_group_order_identity(categories):
@@ -172,7 +180,7 @@ def test_group_order_identity(categories):
         "q8-z2": 8,
     }
     for name, cat in categories.items():
-        assert group_order_identity(cat) == expected[name]
+        assert oracles.dim_sum(cat, dim_exponents(cat.cocycle)) == expected[name]
 
 
 def test_group_order_identity_trivial_group():
@@ -181,4 +189,50 @@ def test_group_order_identity_trivial_group():
     cat = TwistedCategory(
         group, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)), reps
     )
-    assert group_order_identity(cat) == 1
+    assert oracles.dim_sum(cat, dim_exponents(cat.cocycle)) == 1
+
+
+def _lattice_with_shifted_f():
+    """The rank-one lattice cocycle with ``F(1, 1, 1)`` moved off its value, unvalidated."""
+    lattice = build_cyclic(2, 3)
+    f_num = lattice.f_num.copy()
+    f_num[1, 1, 1] += 1
+    return AbelianCocycle(lattice.group, f_num, lattice.omega_num, lattice.denom)
+
+
+def _shifted_lattice_on_z4():
+    group, reps = builtin_catalog("z4")
+    broken = _lattice_with_shifted_f()
+    return TwistedCategory(
+        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [*FINITE_FIXTURES, *(p.name for p in GOLDEN_SPECS), "shifted-lattice-on-z4"]
+)
+def test_dim_exponents_match_the_dense_trace(spec, categories):
+    if spec == "shifted-lattice-on-z4":
+        cat = _shifted_lattice_on_z4()
+    elif spec in categories:
+        cat = categories[spec]
+    else:
+        cat = load_spec(next(p for p in GOLDEN_SPECS if p.name == spec)).build_category()
+    x, denom, g = dim_exponents(cat.cocycle), cat.cocycle.denom, cat.grading
+    for m in cat.catalog:
+        for obj in (m, oracles.dual(cat, m)):  # grades a and -a
+            trace = oracles.cat_trace(cat, obj, np.eye(obj.dim)) / obj.dim
+            assert abs(trace - root_of_unity(int(x[g.index(obj.grade)]), denom)) <= 1e-12, obj.label
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dim_exponents_vanish_on_every_cyclic_class(n):
+    for s in range(n * gcd(n, 2)):
+        assert not dim_exponents(build_cyclic(n, s)).any(), s
+
+
+def test_dim_exponents_read_a_shifted_f():
+    # lattice: -(Omega(1,1) + Omega(1,1) + F(1,1,1)) = -(3 + 3 + 2) = 0 mod 4;
+    # with F(1,1,1) = 3/4 it is -9 = 3 mod 4
+    assert dim_exponents(build_cyclic(2, 3)).tolist() == [0, 0]
+    assert dim_exponents(_lattice_with_shifted_f()).tolist() == [0, 3]

@@ -18,7 +18,6 @@ from twistcat.grouprep import (
     CentralEmbedding,
     FiniteGroup,
     MatrixRep,
-    dual_rep,
     grade_of,
     hom_dim,
     hom_dim_table,
@@ -29,7 +28,7 @@ from twistcat.grouprep import (
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar
 
-from oracles import add, pairing, tensor_rep
+from oracles import add, dual_rep, pairing, tensor_rep
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,8 @@ ALLOWED = {  # public names kept without a reader in src/, each with its reason
     "associator": "a structure map the modcat docstring defines; the suite checks its exponents",
     "braiding": "a structure map the modcat docstring defines; an S entry traces two of them",
     "coevaluation": "a structure map the modcat docstring defines; the snakes inline it",
+    "evaluation": "a structure map the modcat docstring defines; the snakes inline it and "
+    "the trace oracle composes it",
 }
 
 
