@@ -2,9 +2,10 @@
 """Sweep the cyclic-cocycle family and report validation counts and timing.
 
 For each n up to --max-n, builds the twisted cocycle on Z/n for every
-0 <= s < n^2.  Construction runs the exhaustive pentagon/hexagon/normalization
-checks in exact integer arithmetic and raises on any violation.  Also prints,
-per n, how many distinct quadratic forms the family realizes.
+0 <= s < n^2.  Construction checks the pentagon, hexagons and normalization on
+every tuple in exact integer arithmetic and raises on any violation; the
+pentagon's n^4 tuples are decided from the n^3 residues at the generator.
+Also prints, per n, how many distinct quadratic forms the family realizes.
 """
 
 import argparse

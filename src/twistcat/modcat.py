@@ -25,12 +25,13 @@ flips, so pentagon, triangle, both hexagons, balancing and twist-duality are
 exact identities between cocycle exponents, residues mod the cocycle
 denominator at the catalog's grades; pentagon, triangle and hexagons are the
 cocycle axioms there, read from ``cocycle``'s kernels and its normalization
-slice.  The snake identities, the double braiding (whose categorical
-trace is an S entry) and naturality against sampled intertwiners stay
-matrix equations checked within a tolerance.  Nothing here takes a
-categorical trace: the S table and the categorical dimensions are read
-exactly from the cocycle by ``fusionring.s_table`` and
-``fusionring.dim_exponents``.
+slice.  A pentagon that ``cocycle`` decides holds on all of ``A^4``, from the
+slabs at the generators of ``A``, holds at the grades without reading them.
+The snake identities, the double braiding (whose categorical trace is an S
+entry) and naturality against sampled intertwiners stay matrix equations
+checked within a tolerance.  Nothing here takes a categorical trace: the S
+table and the categorical dimensions are read exactly from the cocycle by
+``fusionring.s_table`` and ``fusionring.dim_exponents``.
 
 The matrix checks are evaluated as stacks, one per dimension signature: the
 snakes once per word dim, the double braiding once per pair of word dims,
@@ -64,7 +65,7 @@ import numpy as np
 
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport, validate_cocycle
-from .cocycle import hexagon_residues, pentagon_slabs
+from .cocycle import _pentagon_holds, hexagon_residues, pentagon_slabs
 from .errors import CocycleError, StructuralError
 from .grouprep import (
     MATRIX_TOL,
@@ -294,7 +295,9 @@ class TwistedCategory:
         associators and braidings, which are unit scalars times identities and
         flips, so each is checked as an exact identity between cocycle
         exponents at the catalog's grades: pentagon and hexagons read the
-        cocycle's own residues, the triangle reads ``F(a, 0, b)``.  Twist
+        cocycle's own residues, the triangle reads ``F(a, 0, b)``.  The
+        pentagon reads the residues at the grades only when the cocycle's
+        generator slabs show that it fails somewhere on ``A^4``.  Twist
         duality is exact as well.  ``tol`` does not apply to them and a failure
         reports its deviation ``|e^{2 pi i delta} - 1|``.  The snakes,
         double-braiding and naturality are matrix equations that fail where
@@ -318,6 +321,8 @@ class TwistedCategory:
         # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
         # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
         hexagon2, hexagon1 = hexagon_residues(c)
+        # residues that vanish on all of A^4 vanish at the catalog's grades
+        pentagon = [] if _pentagon_holds(c) else (d[ix3][None] for d in pentagon_slabs(c, g))
         # the matrix checks run on the distinct words in order of dim, so the
         # words of one dim are one slice of each stack; back is the
         # permutation to first-appearance order
@@ -329,7 +334,7 @@ class TwistedCategory:
         matrix = partial(self._verdict, labels=word_labels, tol=tol)
         rows, naturality = self._naturality_errors(spans, a, seed)
         checks = [
-            exact("pentagon(matrices)", 4, (d[ix3][None] for d in pentagon_slabs(c, g))),
+            exact("pentagon(matrices)", 4, pentagon),
             exact("triangle", 2, [c.f_num[:, 0, :][ix2]]),
             exact("hexagon-1(matrices)", 3, [hexagon1[ix3]]),
             exact("hexagon-2(matrices)", 3, [hexagon2[ix3]]),

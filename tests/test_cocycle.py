@@ -16,6 +16,7 @@ from twistcat.cocycle import (
     _check_hexagons,
     _check_pentagon,
     build_cyclic,
+    pentagon_slabs,
     validate_cocycle,
 )
 from twistcat.errors import CocycleError, StructuralError
@@ -298,6 +299,40 @@ def test_pentagon_matches_per_tuple_reference(
     check = _check_pentagon(c)
     assert check.checked == m**4
     assert (check.passed, check.witness) == _reference_pentagon(c)
+
+
+@pytest.mark.parametrize(
+    "factors, j",
+    [((2, 4), 0), ((2, 4), 1), ((3, 3), 0), ((3, 3), 1), ((4, 1, 2), 0), ((4, 1, 2), 1),
+     ((4, 1, 2), 2), ((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2), ((1,), 0)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"j{v}",
+)
+def test_pentagon_failure_through_one_factor(factors, j):
+    """F pulled back along the projection onto the factor Z/n_j from a
+    normalized table on Z/n_j (a cyclic cocycle plus a normalized coboundary)
+    with one entry at nonzero arguments shifted.  Of the generator slabs only
+    the one at the unit vector e_j sees the failure.  On a factor Z/1 the
+    shifted entry is F(0, 0, 0), which every slab sees, and on the trivial
+    group slab 0 is the only one."""
+    g, n = FinAbGroup(factors), factors[j]
+    m, rng = g.order, np.random.default_rng(n * 10 + j)
+    cyc = build_cyclic(n, 1)
+    L = 2 * cyc.denom  # > 1 even on Z/1, so that the shift is nonzero mod L
+    phi, S, a = rng.integers(0, L, size=(n, n)), cyc.group.add_index_table, np.arange(n)
+    phi[0, :] = phi[:, 0] = 0
+    f = 2 * cyc.f_num + phi[None, :, :] - phi[S] + phi[a[:, None, None], S[None]] - phi[:, :, None]
+    f[tuple(rng.integers(1, n, size=3)) if n > 1 else (0, 0, 0)] += 1
+    x = np.unravel_index(np.arange(m), factors)[j]
+    c = AbelianCocycle(g, f[np.ix_(x, x, x)], np.zeros((m, m), dtype=np.int64), L)
+    reference = _reference_pentagon(c)
+    assert not reference[0]
+    check = _check_pentagon(c)
+    assert check.checked == m**4
+    assert (check.passed, check.witness) == reference
+    if n > 1:
+        gens = [prod(factors[k + 1:]) for k, n_k in enumerate(factors) if n_k > 1]
+        failing = [r for r in gens if np.count_nonzero(next(pentagon_slabs(c, [r])))]
+        assert failing == [prod(factors[j + 1:])]
 
 
 def _reference_hexagons(c):

@@ -11,9 +11,9 @@ import pytest
 
 from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog
-from twistcat.cocycle import AbelianCocycle, build_cyclic
+from twistcat.cocycle import AbelianCocycle, _pentagon_holds, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
-from twistcat import modcat
+from twistcat import cocycle, modcat
 from twistcat.fusionring import dim_exponents, fusion_table, s_table
 from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
@@ -313,6 +313,77 @@ def _reference_identities(cat):
         "balancing": (2, balancing),
         "double-braiding": (2, double_braid),
     }
+
+
+def _spy_slabs(monkeypatch, module):
+    """Patch ``module.pentagon_slabs`` to record the rows of every call."""
+    real, calls = cocycle.pentagon_slabs, []
+
+    def spy(c, rows):
+        calls.append(list(rows))
+        return real(c, calls[-1])
+
+    monkeypatch.setattr(module, "pentagon_slabs", spy)
+    return calls
+
+
+def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
+    # a passing pentagon is decided from the rank * |A|^3 residues at the
+    # generators, in validation and in the suite: a return to the |A|-slab
+    # sweep, or to the slabs at the catalog's grades, shows as more rows
+    z2, z4 = build_cyclic(2, 3), build_cyclic(4, 1)
+    x0, x1 = np.unravel_index(np.arange(8), (2, 4))
+    product_f = z2.f_num[np.ix_(x0, x0, x0)] * 2 + z4.f_num[np.ix_(x1, x1, x1)]
+    product_omega = z2.omega_num[np.ix_(x0, x0)] * 2 + z4.omega_num[np.ix_(x1, x1)]
+    cases = [
+        (build_cyclic(64, 1), [1]),
+        (AbelianCocycle(FinAbGroup((2, 4)), product_f, product_omega, 8), [4, 1]),
+        (AbelianCocycle(FinAbGroup((1,)), np.zeros((1, 1, 1)), np.zeros((1, 1)), 1), [0]),
+    ]
+    group, reps = builtin_catalog("z8")
+    z8 = build_cyclic(8, 1)
+    cat = TwistedCategory(group, z8, CentralEmbedding(z8.group, (1,)), reps)
+    calls, suite_calls = _spy_slabs(monkeypatch, cocycle), _spy_slabs(monkeypatch, modcat)
+    for c, rows in cases:
+        calls.clear()
+        report = validate_cocycle(c)
+        assert report.passed and report.checks[0].checked == c.group.order**4
+        assert calls == [rows]
+    calls.clear()
+    report = cat.coherence_suite()
+    assert report.passed and report.checks[0].checked == 8**4
+    assert (calls, suite_calls) == ([[1]], [])
+
+
+def test_suite_pentagon_is_read_at_the_catalog_grades():
+    # z4 graded by Z/4 at the central element 2 has grades {0, 2}.  F(1, 1, 1)
+    # shifted breaks the pentagon on A^4, but no residue at grades in {0, 2}
+    # reads it, so the suite's pentagon passes, as the per-tuple sweep does.
+    group, reps = builtin_catalog("z4")
+    good = build_cyclic(4, 1)
+    f_num = good.f_num.copy()
+    f_num[1, 1, 1] += 1
+    broken = AbelianCocycle(good.group, f_num, good.omega_num, good.denom)
+    assert not _pentagon_holds(broken)
+    cat = TwistedCategory(
+        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
+    )
+    k = len(cat.catalog)
+    assert {m.grade for m in cat.catalog} == {(0,), (2,)}
+    checks = {c.axiom: c for c in cat.coherence_suite().checks}
+    for axiom, (arity, identity) in _reference_identities(cat).items():
+        witness, max_err = None, 0.0
+        for objs in product(cat.catalog, repeat=arity):
+            err, exact = identity(*objs)
+            max_err = max(max_err, err)
+            if (err > modcat.MATRIX_TOL or not exact) and witness is None:
+                witness = tuple(m.label for m in objs)
+        check = checks[axiom]
+        assert check.checked == k**arity, axiom
+        assert check.witness == witness, axiom
+        assert check.passed == (witness is None), axiom
+        assert abs(check.max_error - max_err) <= 1e-12, axiom
+    assert checks["pentagon(matrices)"].passed
 
 
 @pytest.mark.parametrize("name", ["z4", "q8"])
