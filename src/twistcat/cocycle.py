@@ -6,13 +6,18 @@ that denominator; no tolerances anywhere.  ``pentagon_slabs`` and
 ``hexagon_residues`` are the only kernels of the pentagon and hexagon
 formulas.  ``validate_cocycle`` decides the pentagon on all of ``A^4`` from
 the slabs at the generators of ``A`` (``_pentagon_holds`` says why that is
-exact), scans every slab in order only to name the first witness of a
-failure, and scans the hexagon residues over all of ``A^3``.  ``modcat``'s
-coherence suite reads the same pentagon decision, and the residues at a
-catalog's grades where it fails.  The kernels run in the narrowest integer
-dtype that holds ``5 * denom``; the pentagon reads ``F(a1, a2, a3+a4)``
-through a strided window over a wrap-padded copy of ``F``, one ``|A|^3`` slab
-per first argument, and the hexagons sum transposed views of ``F`` in place.
+exact), and, once the pentagon holds, both hexagons on all of ``A^3`` from
+their rows at the generators (``_hexagon_rows_vanish``).  Only a
+failing axiom is scanned in full, to name its first witness.  ``modcat``'s
+coherence suite reads the cocycle's passing report, and the residues at a
+catalog's grades only for a category built without validation.
+``F`` is stored once, in the narrowest integer dtype that holds
+``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is; the
+pentagon reads ``F(a1, a2, a3+a4)`` through a strided window over a
+wrap-padded copy of ``F``, one ``|A|^3`` slab per first argument, and the
+hexagons sum transposed views of ``F`` in place.  ``Omega`` and ``b`` are
+only ``|A|^2`` and stay int64.  A reader that does arithmetic on ``f_num``
+keeps it within ``5 * denom`` or widens it first.
 Validation is eager at construction because every downstream formula
 assumes the axioms, and each builder keeps its report on the cocycle so that
 nothing validates twice.
@@ -23,7 +28,8 @@ Every exponent expression here, in ``modcat``'s balancing check and in
 ``b_num`` holds ``b(a1, a2) = Omega(a1, a2) + Omega(a2, a1)``, the polarization
 of ``q(a) = Omega(a, a)``, once: ``fusionring.s_table``, ``modcat``'s
 balancing and double braiding, ``branchcut``'s numerators and ``verify``'s loop
-identity read it.  Spec tables reach ``_from_exponents`` keyed by index tuples.
+identity read it.  Spec tables reach ``_from_exponents`` keyed by row-major
+flat indices into the table.
 """
 
 from __future__ import annotations
@@ -92,7 +98,11 @@ class AbelianCocycle:
     ``f_num[i, j, k]`` is the exponent numerator of ``F`` at the elements with
     enumeration indices ``(i, j, k)``; likewise ``omega_num`` for ``Omega``
     and ``b_num`` for the braiding form ``b``.  All numerators are reduced
-    mod ``denom``, and every table is read-only.
+    mod ``denom``, and every table is read-only.  ``f_num`` has the dtype
+    ``_narrow_dtype(denom)`` that the kernels read, ``omega_num`` and
+    ``b_num`` are int64.  A table given as a C-contiguous array of its
+    dtype with entries in ``[0, denom)`` is kept as it is, not copied, and
+    made read-only.
     """
 
     group: FinAbGroup
@@ -107,14 +117,14 @@ class AbelianCocycle:
 
     def __post_init__(self):
         _check_denom(self.denom)
-        m = self.group.order
-        f = np.ascontiguousarray(np.asarray(self.f_num, dtype=np.int64) % self.denom)
-        w = np.ascontiguousarray(np.asarray(self.omega_num, dtype=np.int64) % self.denom)
+        m, denom = self.group.order, self.denom
+        f, w = np.asarray(self.f_num), np.asarray(self.omega_num)
         if f.shape != (m, m, m) or w.shape != (m, m):
             raise StructuralError(
                 f"table shapes {f.shape}, {w.shape} do not match group order {m}"
             )
-        for name, table in (("f_num", f), ("omega_num", w), ("b_num", (w + w.T) % self.denom)):
+        f, w = _reduced(f, denom, _narrow_dtype(denom)), _reduced(w, denom, np.int64)
+        for name, table in (("f_num", f), ("omega_num", w), ("b_num", (w + w.T) % denom)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -124,7 +134,8 @@ class AbelianCocycle:
     def trivial(cls, group: FinAbGroup, *, name: str = "trivial") -> AbelianCocycle:
         _check_table_order(group)
         m = group.order
-        cocycle = cls(group, np.zeros((m, m, m), np.int64), np.zeros((m, m), np.int64), 1, name=name)
+        f = np.zeros((m, m, m), _narrow_dtype(1))
+        cocycle = cls(group, f, np.zeros((m, m), np.int64), 1, name=name)
         # every axiom holds on all-zero tables: the report validate_cocycle
         # would give, without running the kernels
         report = CoherenceReport((
@@ -134,6 +145,16 @@ class AbelianCocycle:
             AxiomCheck("normalization", True, m**3, detail=_NORMALIZATION_DETAIL),
         ))
         return _keep_report(cocycle, report)
+
+
+def _reduced(table: np.ndarray, denom: int, dtype: type) -> np.ndarray:
+    """``table`` mod ``denom`` as a C-contiguous array of ``dtype``.  Only a
+    table that is not integer or has an entry outside ``[0, denom)`` takes
+    the int64 ``%`` pass; one that already has the dtype and layout is
+    returned as it is."""
+    if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= denom:
+        table = np.asarray(table, dtype=np.int64) % denom
+    return np.ascontiguousarray(table, dtype=dtype)
 
 
 def _keep_report(cocycle: AbelianCocycle, report: CoherenceReport) -> AbelianCocycle:
@@ -160,7 +181,9 @@ def _check_denom(denom: int) -> None:
 def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mapping,
                     name: str) -> AbelianCocycle:
     """Build and validate a cocycle from sparse maps of ``Fraction`` exponents
-    keyed by tuples of enumeration indices; an omitted key means exponent 0.  Raises
+    keyed by row-major flat indices into the table, whose digits in base
+    ``|A|`` are the arguments' enumeration indices; an omitted key means
+    exponent 0.  Raises
     ``StructuralError`` if the common denominator exceeds ``MAX_DENOM``,
     before allocating, and ``CocycleError`` (carrying the report) if any axiom
     fails."""
@@ -188,10 +211,10 @@ def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mappin
     _check_denom(denom)
     numerators = np.array([x.numerator * (denom // x.denominator) for x in exponents], np.int64)
     m = group.order
-    f_num, omega_num = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+    f_num = np.zeros((m, m, m), dtype=_narrow_dtype(denom))
+    omega_num = np.zeros((m, m), dtype=np.int64)
     for table, entries, pos in ((f_num, f_entries, f_pos), (omega_num, omega_entries, w_pos)):
-        keys = np.array(list(entries), dtype=np.intp).reshape(-1, table.ndim)
-        table[tuple(keys.T)] = numerators[pos]
+        table.reshape(-1)[np.fromiter(entries, np.intp, len(entries))] = numerators[pos]
 
     cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
     report = validate_cocycle(cocycle)
@@ -228,8 +251,9 @@ def build_cyclic(n: int, s: int) -> AbelianCocycle:
     d = n * gcd(n, 2)
     t = s % d  # same tables, and fits int64 whatever s is
     a = np.arange(n, dtype=np.int64)
-    # F(a, b, c) = r[a] if b + c >= n else 0: the one |A|^3 allocation
-    r = t * n * a % d
+    # F(a, b, c) = r[a] if b + c >= n else 0: the one |A|^3 allocation, in
+    # the dtype the cocycle keeps
+    r = (t * n * a % d).astype(_narrow_dtype(d))
     cocycle = AbelianCocycle(
         group, r[:, None, None] * (a[:, None] + a[None, :] >= n), t * a[:, None] * a[None, :] % d,
         d, name=f"cyclic(n={n}, s={s})",
@@ -253,10 +277,12 @@ def _first_witness(mask: np.ndarray, group: FinAbGroup, offset0: int = 0) -> tup
 
 
 def _narrow_dtype(denom: int) -> type:
-    """The narrowest integer dtype that holds ``5 * denom``.
+    """The narrowest integer dtype that holds ``5 * denom``: the dtype of
+    every stored ``f_num`` and of the kernels' residues.
 
     Table entries lie in ``[0, denom)`` and every partial sum of an axiom
-    below lies in ``(-4 * denom, 3 * denom)``."""
+    below lies in ``(-4 * denom, 3 * denom)``.  A reader whose arithmetic on
+    ``f_num`` can leave ``(-5 * denom, 5 * denom)`` widens it first."""
     return np.int16 if 5 * denom < 2**15 else np.int32 if 5 * denom < 2**31 else np.int64
 
 
@@ -289,7 +315,7 @@ def pentagon_slabs(c: AbelianCocycle, rows: Iterable[int]) -> Iterator[np.ndarra
     in ``rows``, in order, the slab ``d[a2, a3, a4]``.  Every slab is the same
     buffer, overwritten by the next."""
     g, L = c.group, c.denom
-    F, S = c.f_num.astype(_narrow_dtype(L)), g.add_index_table
+    F, S = c.f_num, g.add_index_table
     V = _sum_window(F, g.factors)
     d, q = np.empty_like(F), np.empty_like(F)
     d_digits = d.reshape(V.shape[1:])  # d with a3 and a4 split into digits
@@ -308,6 +334,14 @@ def pentagon_slabs(c: AbelianCocycle, rows: Iterable[int]) -> Iterator[np.ndarra
         yield d
 
 
+def _generator_rows(group: FinAbGroup) -> list[int]:
+    """Enumeration indices of the generators of ``group``, the unit vectors
+    of its invariant factors above 1; ``[0]`` for the trivial group.  The
+    pentagon and hexagon decisions read the residues' rows there."""
+    f = group.factors
+    return [prod(f[j + 1:]) for j, n in enumerate(f) if n > 1] or [0]
+
+
 def _pentagon_holds(c: AbelianCocycle) -> bool:
     """Whether the pentagon holds on all of ``A^4``, decided from the slabs
     ``a1 = e`` at the generators ``e`` of ``A``: ``rank * |A|^3`` residues.
@@ -322,9 +356,7 @@ def _pentagon_holds(c: AbelianCocycle) -> bool:
     the slab at 0 zero, and the slab at ``x + e`` zero with the slab at
     ``x``: ``G`` vanishes everywhere.  The generators are the unit vectors of
     the invariant factors above 1; the trivial group reads its one slab."""
-    f = c.group.factors
-    rows = [prod(f[j + 1:]) for j, n in enumerate(f) if n > 1] or [0]
-    return not any(np.count_nonzero(d) for d in pentagon_slabs(c, rows))
+    return not any(np.count_nonzero(d) for d in pentagon_slabs(c, _generator_rows(c.group)))
 
 
 def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
@@ -337,43 +369,79 @@ def _check_pentagon(c: AbelianCocycle) -> AxiomCheck:
     return AxiomCheck("pentagon", False, m**4, _first_witness(d[None], g, offset0=i))
 
 
-def hexagon_residues(c: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]:
-    """Both hexagon residues mod ``denom`` over all of ``A^3``, in the narrow
-    dtype, each indexed ``[a1, a2, a3]``."""
-    m, L, S = c.group.order, c.denom, c.group.add_index_table
-    dtype = _narrow_dtype(L)
-    F, W = c.f_num.astype(dtype), c.omega_num.astype(dtype)
-    h = np.empty((2, m, m, m), dtype)
+def _hexagon_rows(c: AbelianCocycle, rows) -> np.ndarray:
+    """Both hexagon residues mod ``denom`` in the dtype of ``f_num``:
+    ``h[0]``, hexagon-1, laid out ``[a1, a2, a3]``, and ``h[1]``, hexagon-2,
+    laid out ``[a2, a3, a1]``, each at the first-axis indices ``rows`` (an
+    index list, or ``slice(None)`` for all of ``A^3``)."""
+    L, S = c.denom, c.group.add_index_table[rows]
+    F, W = c.f_num, c.omega_num.astype(c.f_num.dtype)
+    # F(a,b,c), F(c,a,b) and F(a,c,b) at the rows of a
+    Fr, Fc, Ft = F[rows], F.transpose(1, 2, 0)[rows], F.transpose(0, 2, 1)[rows]
+    h = np.empty((2, len(S)) + F.shape[1:], F.dtype)
     h1, h2 = h
-    # Each hexagon is summed in place over all of A^3, reading F and Omega
-    # through transposed and broadcast views.  The layout of each sum puts the
-    # pair of arguments that Omega reads as a sum on its two outer axes, so
-    # that term is a row gather.
+    # Each hexagon is summed in place, reading F and Omega through transposed
+    # and broadcast views (copies of the rows when rows is a list).  The
+    # layout of each sum puts the pair of arguments that Omega reads as a sum
+    # on its two outer axes, so that term is a row gather.
 
-    # F(a1,a2,a3) Omega(a1+a2,a3) F(a3,a1,a2) = Omega(a2,a3) F(a1,a3,a2) Omega(a1,a3),
-    # h1 laid out [a1, a2, a3]
+    # F(a1,a2,a3) Omega(a1+a2,a3) F(a3,a1,a2) = Omega(a2,a3) F(a1,a3,a2) Omega(a1,a3)
     np.take(W, S, axis=0, out=h1, mode="clip")  # Omega(a1+a2, a3)
-    h1 += F
-    h1 += F.transpose(1, 2, 0)  # F(a3, a1, a2)
+    h1 += Fr
+    h1 += Fc  # F(a3, a1, a2)
     h1 -= W[None, :, :]  # Omega(a2, a3)
-    h1 -= F.transpose(0, 2, 1)  # F(a1, a3, a2)
-    h1 -= W[:, None, :]  # Omega(a1, a3)
+    h1 -= Ft  # F(a1, a3, a2)
+    h1 -= W[rows][:, None, :]  # Omega(a1, a3)
 
-    # F(a1,a2,a3)^-1 Omega(a1,a2+a3) F(a2,a3,a1)^-1 = Omega(a1,a2) F(a2,a1,a3)^-1 Omega(a1,a3),
-    # h2 laid out [a2, a3, a1]
+    # F(a1,a2,a3)^-1 Omega(a1,a2+a3) F(a2,a3,a1)^-1 = Omega(a1,a2) F(a2,a1,a3)^-1 Omega(a1,a3)
     np.take(W.T, S, axis=0, out=h2, mode="clip")  # Omega(a1, a2+a3)
-    h2 -= F.transpose(1, 2, 0)  # F(a1, a2, a3)
-    h2 -= F  # F(a2, a3, a1)
-    h2 -= W.T[:, None, :]  # Omega(a1, a2)
-    h2 += F.transpose(0, 2, 1)  # F(a2, a1, a3)
+    h2 -= Fc  # F(a1, a2, a3)
+    h2 -= Fr  # F(a2, a3, a1)
+    h2 -= W.T[rows][:, None, :]  # Omega(a1, a2)
+    h2 += Ft  # F(a2, a1, a3)
     h2 -= W.T[None, :, :]  # Omega(a1, a3)
 
     _reduce(h, np.empty_like(h), L)
+    return h
+
+
+def hexagon_residues(c: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]:
+    """Both hexagon residues mod ``denom`` over all of ``A^3``, in the dtype
+    of ``f_num``, each indexed ``[a1, a2, a3]``."""
+    h1, h2 = _hexagon_rows(c, slice(None))
     return h1, h2.transpose(2, 0, 1)
 
 
-def _check_hexagons(c: AbelianCocycle) -> list[AxiomCheck]:
+def _hexagon_rows_vanish(c: AbelianCocycle) -> bool:
+    """Whether both hexagon residues vanish on the rows at the generators
+    (``_generator_rows``): ``a1`` a generator for hexagon-1, ``a2`` a
+    generator for hexagon-2, ``rank * |A|^2`` cells each.  Once the pentagon
+    holds, that decides both hexagons on all of ``A^3``.
+
+    Write ``G`` for the pentagon residue of ``pentagon_slabs``,
+    ``G(x,y,z,u) = F(x,y,z) + F(x,y+z,u) + F(y,z,u) - F(x+y,z,u) - F(x,y,z+u)``.
+    For any integer tables ``F`` and ``Omega``, normalized or not, the
+    coboundary of ``eta = h1(., ., c)`` is exactly
+    ``d eta(a, b, b') = G(a,b,b',c) - G(a,b,c,b') + G(a,c,b,b') - G(c,a,b,b')``,
+    and that of ``h2(c, ., .)`` is its negative (abelian cohomology in the
+    sense of Eilenberg and MacLane).  So where the pentagon holds, every such
+    ``eta`` is a 2-cocycle mod ``denom``: ``d eta = 0`` at ``(e, 0, y)``
+    gives ``eta(0, y) = eta(e, 0)``, and at ``(e, x, y)`` it gives
+    ``eta(e+x, y) = eta(x, y) + eta(e, x+y) - eta(e, x)``.  Zero rows at the
+    generators ``e`` then make the row at 0 zero, and the row at ``x + e``
+    zero with the row at ``x``: every row vanishes.  The trivial group has no
+    generator and reads its one row, where ``d eta = 0`` at ``(0, 0, 0)``
+    says nothing."""
+    return not np.count_nonzero(_hexagon_rows(c, _generator_rows(c.group)))
+
+
+def _check_hexagons(c: AbelianCocycle, pentagon_holds: bool = False) -> list[AxiomCheck]:
+    """Both hexagons on all of ``A^3``: passed from their rows at the
+    generators when ``pentagon_holds`` says the pentagon holds, else, or when
+    a row fails, scanned in full for the first witness of each."""
     g, m = c.group, c.group.order
+    if pentagon_holds and _hexagon_rows_vanish(c):
+        return [AxiomCheck("hexagon-1", True, m**3), AxiomCheck("hexagon-2", True, m**3)]
     h1, h2 = hexagon_residues(c)
     w1 = _first_witness(h1, g) if np.count_nonzero(h1) else None
     w2 = _first_witness(h2, g) if np.count_nonzero(h2) else None
@@ -404,10 +472,13 @@ def validate_cocycle(c: AbelianCocycle) -> CoherenceReport:
     with the lexicographically first witness tuple, never raised.  The
     pentagon holds on all of ``A^4`` exactly when it holds on the
     ``rank * |A|^3`` tuples whose first argument is a generator
-    (``_pentagon_holds``), so only a failing pentagon is scanned slab by slab
-    for its first witness; ``checked`` counts all ``|A|^4`` tuples either way.
+    (``_pentagon_holds``).  Once it holds, each hexagon holds on all of
+    ``A^3`` exactly when it holds on the ``rank * |A|^2`` tuples whose first
+    (hexagon-1) or second (hexagon-2) argument is a generator
+    (``_hexagon_rows_vanish``).  Only a failing axiom, or hexagons under a
+    failing pentagon, are scanned in full for their first witness;
+    ``checked`` counts all ``|A|^4`` or ``|A|^3`` tuples either way.
     """
-    checks = [_check_pentagon(c)]
-    checks.extend(_check_hexagons(c))
-    checks.append(_check_normalization(c))
-    return CoherenceReport(tuple(checks))
+    pentagon = _check_pentagon(c)
+    hexagons = _check_hexagons(c, pentagon.passed)
+    return CoherenceReport((pentagon, *hexagons, _check_normalization(c)))

@@ -24,9 +24,12 @@ order.  Associators and braidings are unit scalars times identities and
 flips, so pentagon, triangle, both hexagons, balancing and twist-duality are
 exact identities between cocycle exponents, residues mod the cocycle
 denominator at the catalog's grades; pentagon, triangle and hexagons are the
-cocycle axioms there, read from ``cocycle``'s kernels and its normalization
-slice.  A pentagon that ``cocycle`` decides holds on all of ``A^4``, from the
-slabs at the generators of ``A``, holds at the grades without reading them.
+cocycle axioms there, and the triangle is read from the normalization slice.
+A category keeps the passing cocycle report it checked at construction, and
+axioms proved on all of ``A`` hold at the grades, so its pentagon and
+hexagons read no residue.  Only a category built without validation reads
+them from ``cocycle``'s kernels, and its pentagon only where ``cocycle``'s
+generator slabs show that it fails somewhere on ``A^4``.
 The snake identities, the double braiding (whose categorical trace is an S
 entry) and naturality against sampled intertwiners stay matrix equations
 checked within a tolerance.  Nothing here takes a categorical trace: the S
@@ -132,6 +135,8 @@ class TwistedCategory:
         if embedding.grading != cocycle.group:
             raise StructuralError("embedding and cocycle must share the grading group")
         embedding.validate(group)
+        # the passing cocycle report this category checked, None without validation
+        self._cocycle_report: CoherenceReport | None = None
         if validate:
             cocycle_report = cocycle.report or validate_cocycle(cocycle)  # a builder's, if kept
             if not cocycle_report.passed:
@@ -140,6 +145,7 @@ class TwistedCategory:
                     f"cocycle violates the {first.axiom} axiom at {first.witness}",
                     report=cocycle_report,
                 )
+            self._cocycle_report = cocycle_report
         self.group = group
         self.cocycle = cocycle
         self.embedding = embedding
@@ -294,10 +300,12 @@ class TwistedCategory:
         Pentagon, triangle, both hexagons and balancing compose only
         associators and braidings, which are unit scalars times identities and
         flips, so each is checked as an exact identity between cocycle
-        exponents at the catalog's grades: pentagon and hexagons read the
-        cocycle's own residues, the triangle reads ``F(a, 0, b)``.  The
-        pentagon reads the residues at the grades only when the cocycle's
-        generator slabs show that it fails somewhere on ``A^4``.  Twist
+        exponents at the catalog's grades, and the triangle reads
+        ``F(a, 0, b)``.  Pentagon and hexagons pass from the passing cocycle
+        report that the category checked, without reading a residue; built
+        without validation, the category reads the cocycle's own residues at
+        the grades, the pentagon's only when the cocycle's generator slabs
+        show that it fails somewhere on ``A^4``.  Twist
         duality is exact as well.  ``tol`` does not apply to them and a failure
         reports its deviation ``|e^{2 pi i delta} - 1|``.  The snakes,
         double-braiding and naturality are matrix equations that fail where
@@ -318,11 +326,14 @@ class TwistedCategory:
         balancing = (c.b_num[ix2] + q[g][:, None] + q[g] - q[ab]) % c.denom
         # theta_{M*} == theta_M at each grade; the unit's cell is q(0), theta_1 == 1
         twist_dual = [(q[g] - q[self.grading.neg_index_table[g]]) % c.denom, q[:1]]
-        # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
-        # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
-        hexagon2, hexagon1 = hexagon_residues(c)
-        # residues that vanish on all of A^4 vanish at the catalog's grades
-        pentagon = [] if _pentagon_holds(c) else (d[ix3][None] for d in pentagon_slabs(c, g))
+        # residues that vanish on all of A vanish at the catalog's grades
+        pentagon = hexagon1 = hexagon2 = []
+        if self._cocycle_report is None:
+            # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
+            # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
+            hexagon2, hexagon1 = ([h[ix3]] for h in hexagon_residues(c))
+            if not _pentagon_holds(c):
+                pentagon = (d[ix3][None] for d in pentagon_slabs(c, g))
         # the matrix checks run on the distinct words in order of dim, so the
         # words of one dim are one slice of each stack; back is the
         # permutation to first-appearance order
@@ -336,8 +347,8 @@ class TwistedCategory:
         checks = [
             exact("pentagon(matrices)", 4, pentagon),
             exact("triangle", 2, [c.f_num[:, 0, :][ix2]]),
-            exact("hexagon-1(matrices)", 3, [hexagon1[ix3]]),
-            exact("hexagon-2(matrices)", 3, [hexagon2[ix3]]),
+            exact("hexagon-1(matrices)", 3, hexagon1),
+            exact("hexagon-2(matrices)", 3, hexagon2),
             matrix("snake", 1, [self._snake_errors(spans, a)[back]]),
             # the detail is part of verify reports, which stay byte-identical
             exact("balancing", 2, [balancing], detail="checked as matrices and as exact exponents"),

@@ -26,7 +26,8 @@ su2 mode replaces group/irreps/embedding with {"max_spin": N}, 0 <= N <= 64.
 and naming a bad field's JSON path.  Integer fields are JSON integers, matrix
 entries are strings, a ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.
 Group axioms, irreps and the embedding are checked when the category is built.
-Cocycle table keys are stored as tuples of element enumeration indices.
+Cocycle table keys are stored as row-major flat indices into the table,
+whose digits in base ``|A|`` are the elements' enumeration indices.
 """
 
 from __future__ import annotations
@@ -131,12 +132,13 @@ def _parse_exponent(value, path: str) -> Fraction:
 
 
 def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
-    """Sparse ``{index tuple: exponent}`` map of one ``cocycle.tables`` entry,
-    each key part read as the enumeration index of its element.
+    """Sparse ``{flat index: exponent}`` map of one ``cocycle.tables`` entry:
+    a key's parts are the arguments' elements, and its flat index is the
+    row-major index of their enumeration indices in an ``|A|^arity`` table.
 
     Key parts and exponent strings repeat across a table, so each distinct one
     is parsed once; a key that reduces to an earlier one overrides it."""
-    path = f"cocycle.tables.{key}"
+    path, m = f"cocycle.tables.{key}", group.order
     indices: dict[str, int] = {}
     exponents: dict = {}
     entries = {}
@@ -145,12 +147,14 @@ def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
         parts = text.split("|")
         if len(parts) != arity:
             raise StructuralError(f"spec field {where!r} must key {arity} elements joined by '|'")
+        flat = 0
         for part in parts:
             if part not in indices:
                 indices[part] = group.index(parse_element(part, group, f"spec field {where!r}"))
+            flat = flat * m + indices[part]
         if not isinstance(value, str) or value not in exponents:  # a string is parsed once
             exponents[value] = _parse_exponent(value, where)
-        entries[tuple(indices[part] for part in parts)] = exponents[value]
+        entries[flat] = exponents[value]
     return entries
 
 

@@ -10,16 +10,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
+from twistcat.branchcut import assoc_numerator
+from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import (
     MAX_DENOM,
     AbelianCocycle,
     _check_hexagons,
     _check_pentagon,
+    _narrow_dtype,
+    _pentagon_holds,
     build_cyclic,
+    hexagon_residues,
     pentagon_slabs,
     validate_cocycle,
 )
 from twistcat.errors import CocycleError, StructuralError
+from twistcat.fusionring import dim_exponents
+from twistcat.grouprep import CentralEmbedding
+from twistcat.modcat import TwistedCategory
 from twistcat.specio import CategorySpec, _parse_cocycle
 from twistcat.unitscalar import UnitScalar
 
@@ -290,7 +298,7 @@ def test_pentagon_matches_per_tuple_reference(
     f = np.zeros((m, m, m), dtype=np.int64)
     for n, s, x in zip(factors, twists, digits):
         cyc = build_cyclic(n, s)
-        f += cyc.f_num[np.ix_(x, x, x)] * (L // cyc.denom)
+        f += cyc.f_num[np.ix_(x, x, x)].astype(np.int64) * (L // cyc.denom)
     phi, S, a = rng.integers(0, L, size=(m, m)), g.add_index_table, np.arange(m)
     f += phi[None, :, :] - phi[S] + phi[a[:, None, None], S[None]] - phi[:, :, None]
     for _ in range(shifts if L > 1 else 0):
@@ -378,7 +386,7 @@ def test_hexagons_match_per_tuple_reference(
     f, w = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
     for n, s, x in zip(factors, twists, digits):
         cyc = build_cyclic(n, s)
-        f += cyc.f_num[np.ix_(x, x, x)] * (L // cyc.denom)
+        f += cyc.f_num[np.ix_(x, x, x)].astype(np.int64) * (L // cyc.denom)
         w += cyc.omega_num[np.ix_(x, x)] * (L // cyc.denom)
     for p, (n_p, x_p) in enumerate(zip(factors, digits)):
         for q, (n_q, x_q) in enumerate(zip(factors, digits)):
@@ -402,3 +410,182 @@ def test_build_cyclic_reduces_huge_twist(s):
     c, ref = build_cyclic(n, s), build_cyclic(n, s % 8)
     assert np.array_equal(c.f_num, ref.f_num) and np.array_equal(c.omega_num, ref.omega_num)
     assert c.name == f"cyclic(n={n}, s={s})"
+
+
+def _exact_residues(g, F, W):
+    """Unreduced integer pentagon residue ``G[x, y, z, u]`` and hexagon
+    residues ``h1``, ``h2`` indexed ``[a1, a2, a3]``, from the formulas."""
+    S, x = g.add_index_table, np.arange(g.order)
+    X, Y, Z, U = np.ix_(x, x, x, x)
+    G = F[X, Y, Z] + F[X, S[Y, Z], U] + F[Y, Z, U] - F[S[X, Y], Z, U] - F[X, Y, S[Z, U]]
+    A1, A2, A3 = np.ix_(x, x, x)
+    h1 = W[S[A1, A2], A3] + F[A1, A2, A3] + F[A3, A1, A2] - W[A2, A3] - F[A1, A3, A2] - W[A1, A3]
+    h2 = -F[A1, A2, A3] + W[A1, S[A2, A3]] - F[A2, A3, A1] - W[A1, A2] + F[A2, A1, A3] - W[A1, A3]
+    return G, h1, h2
+
+
+@pytest.mark.parametrize("factors", [(1,), (3,), (4,), (2, 2), (2, 3), (1, 4)])
+def test_hexagon_coboundary_is_a_sum_of_pentagon_residues(factors):
+    # d_(a,b,b') h1(., ., c) = G(a,b,b',c) - G(a,b,c,b') + G(a,c,b,b') - G(c,a,b,b')
+    # and d h2(c, ., .) is its negative, exactly, on unnormalized integer
+    # tables; the kernels give the same residues mod the denominator
+    g, rng = FinAbGroup(factors), np.random.default_rng(len(factors) * 100 + sum(factors))
+    m, S, x = g.order, g.add_index_table, np.arange(g.order)
+    F, W = rng.integers(-1000, 1000, size=(m, m, m)), rng.integers(-1000, 1000, size=(m, m))
+    G, h1, h2 = _exact_residues(g, F, W)
+    a, b, bp, c = np.ix_(x, x, x, x)
+    rhs = G[a, b, bp, c] - G[a, b, c, bp] + G[a, c, b, bp] - G[c, a, b, bp]
+    d_h1 = h1[b, bp, c] - h1[S[a, b], bp, c] + h1[a, S[b, bp], c] - h1[a, b, c]
+    d_h2 = h2[c, b, bp] - h2[c, S[a, b], bp] + h2[c, a, S[b, bp]] - h2[c, a, b]
+    assert np.array_equal(d_h1, rhs) and np.array_equal(d_h2, -rhs)
+    L = 997
+    cocycle = AbelianCocycle(g, F, W, L)
+    assert np.array_equal([d.copy() for d in pentagon_slabs(cocycle, range(m))], G % L)
+    assert all(np.array_equal(h, r % L) for h, r in zip(hexagon_residues(cocycle), (h1, h2)))
+
+
+_HEXAGON_SHAPES = [(1,), (2,), (3,), (4,), (6,), (2, 2), (2, 3), (1, 4), (4, 1, 2), (2, 2, 2)]
+
+
+def _valid_tables(g, twists, bichar, L, rng):
+    """A valid (F, Omega) over ``L``: pulled-back cyclic cocycles, a
+    bicharacter on Omega and an unnormalized coboundary."""
+    m, factors = g.order, g.factors
+    digits = np.unravel_index(np.arange(m), factors)
+    f, w = np.zeros((m, m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+    for n, s, x in zip(factors, twists, digits):
+        cyc = build_cyclic(n, s)
+        f += cyc.f_num[np.ix_(x, x, x)].astype(np.int64) * (L // cyc.denom)
+        w += cyc.omega_num[np.ix_(x, x)] * (L // cyc.denom)
+    for p, (n_p, x_p) in enumerate(zip(factors, digits)):
+        for q, (n_q, x_q) in enumerate(zip(factors, digits)):
+            w += bichar[3 * p + q] * x_p[:, None] * x_q[None, :] * (L // gcd(n_p, n_q))
+    phi, S, a = rng.integers(0, L, size=(m, m)), g.add_index_table, np.arange(m)
+    f += phi[None, :, :] - phi[S] + phi[a[:, None, None], S[None]] - phi[:, :, None]
+    return f, w + phi - phi.T
+
+
+def _pulled_back_shift(g, j, L):
+    """``psi(x_j, y_j) = x_j^2 y_j`` on the digits of factor ``j``: zero on
+    the row and column of 0, not additive in either argument mod ``L``, and
+    seen by the hexagon rows at the generator of factor ``j`` only."""
+    x = np.unravel_index(np.arange(g.order), g.factors)[j]
+    return x[:, None] ** 2 * x[None, :] % L
+
+
+@settings(max_examples=60, deadline=None)
+@example(factors=(1,), twists=[0, 0, 0], bichar=[0] * 9, mode="normalization", seed=0)
+@example(factors=(4, 1, 2), twists=[1, 0, 3], bichar=[0] * 9, mode="pulled-back", seed=1)
+@example(factors=(1, 4), twists=[0, 1, 0], bichar=[0] * 9, mode="pulled-back", seed=2)
+@given(
+    factors=st.sampled_from(_HEXAGON_SHAPES),
+    twists=st.lists(st.integers(0, 287), min_size=3, max_size=3),
+    bichar=st.lists(st.integers(0, 11), min_size=9, max_size=9),
+    mode=st.sampled_from(["valid", "omega-shift", "pulled-back", "normalization", "f-shift"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hexagon_certificate_matches_full_scan(factors, twists, bichar, mode, seed):
+    """The hexagons decided from the generator rows under a passing
+    pentagon, against the full scan and the per-tuple reference, on valid
+    tables and on tables with Omega shifted, Omega shifted by a pulled-back
+    table on one factor, the normalization of Omega broken, or F shifted."""
+    g, rng = FinAbGroup(factors), np.random.default_rng(seed)
+    m = g.order
+    L = 2 * lcm(*(n * gcd(n, 2) for n in factors))  # > 1, so that shifts are nonzero
+    f, w = _valid_tables(g, twists, bichar, L, rng)
+    if mode == "omega-shift":
+        w[tuple(rng.integers(0, m, size=2))] += rng.integers(1, L)
+    elif mode == "pulled-back":
+        w += _pulled_back_shift(g, int(rng.integers(len(factors))), L)
+    elif mode == "normalization":
+        w[(0, int(rng.integers(m)))[:: rng.choice([1, -1])]] += rng.integers(1, L)
+    elif mode == "f-shift":
+        f[tuple(rng.integers(0, m, size=3))] += rng.integers(1, L)
+    c = AbelianCocycle(g, f, w, L)
+    certified = _check_hexagons(c, _pentagon_holds(c))
+    assert certified == _check_hexagons(c)
+    assert [check.checked for check in certified] == [m**3, m**3]
+    assert [(check.passed, check.witness) for check in certified] == _reference_hexagons(c)
+
+
+@pytest.mark.parametrize(
+    "factors, j",
+    [((1,), None), ((2,), 0), ((1, 4), 1), ((4, 1, 2), 0), ((4, 1, 2), 2), ((2, 2, 2), 0),
+     ((2, 2, 2), 1), ((2, 2, 2), 2)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"j{v}",
+)
+def test_hexagon_certificate_reads_every_generator_row(factors, j):
+    # F = 0, so the pentagon holds.  On the trivial group Omega(0, 0) = 1
+    # fails both hexagons at (0, 0, 0), the one row there is.  Otherwise
+    # Omega is the pulled-back shift on factor j, which only the rows at the
+    # generator of factor j see: a certificate that skips a row passes there.
+    g = FinAbGroup(factors)
+    m, L = g.order, 4 * max(factors)
+    w = np.ones((1, 1), np.int64) if j is None else _pulled_back_shift(g, j, L)
+    c = AbelianCocycle(g, np.zeros((m, m, m), np.int64), w, L)
+    assert _pentagon_holds(c)
+    checks = _check_hexagons(c, True)
+    assert [(check.passed, check.witness) for check in checks] == _reference_hexagons(c)
+    assert not any(check.passed for check in checks)
+
+
+def test_builders_store_f_in_the_kernel_dtype():
+    g = FinAbGroup((3,))
+    f, omega = _coboundary_tables(g, MAX_DENOM)
+    cocycles = [
+        build_cyclic(2, 3),
+        build_cyclic(64, 1),
+        AbelianCocycle.trivial(FinAbGroup((2, 4))),
+        _spec_cocycle(FinAbGroup((2,)), {"f": {"1|1|1": "1/2"}, "omega": {"1|1": "1/4"}}),
+        _spec_cocycle(g, {"f": _table(f), "omega": _table(omega)}),
+        AbelianCocycle(g, np.full((3, 3, 3), -1), np.zeros((3, 3), np.int64), 2**20),
+    ]
+    assert [c.f_num.dtype for c in cocycles] == [
+        np.int16, np.int16, np.int16, np.int16, np.int64, np.int32
+    ]
+    for c in cocycles:
+        assert c.f_num.dtype == _narrow_dtype(c.denom)
+        assert c.omega_num.dtype == c.b_num.dtype == np.int64
+        assert not any(t.flags.writeable for t in (c.f_num, c.omega_num, c.b_num))
+        assert c.f_num.min() >= 0 and c.f_num.max() < c.denom
+    assert (cocycles[-1].f_num == 2**20 - 1).all()
+
+
+@pytest.mark.parametrize(
+    "L", [bound for bound, _ in DENOM_BOUNDS], ids=["small", "int16", "int32-low", "int32", "int64"]
+)
+def test_narrow_f_readers_match_fraction_references(L):
+    """``assoc_numerator``, ``dim_exponents`` and the category's scalars on
+    tables whose entries sit near the top of ``[0, L)``, for ``5 * L`` just
+    inside or just past the int16 and int32 bounds."""
+    g, rng = FinAbGroup((4,)), np.random.default_rng(L)
+    m, neg, x = 4, g.neg_index_table, np.arange(4)
+    c = AbelianCocycle(
+        g, rng.integers(L // 2, L, size=(m, m, m)), rng.integers(L // 2, L, size=(m, m)), L
+    )
+    assert c.f_num.dtype == _narrow_dtype(L)
+    F, W = c.f_num.tolist(), c.omega_num.tolist()
+
+    def e(num):  # an exponent numerator as a Fraction mod 1
+        return Fraction(int(num), L) % 1
+
+    def unit(num):  # e^{2 pi i num / L} through the reduced Fraction num / L
+        return UnitScalar(Fraction(num, L)).to_complex()
+
+    for p12, p2 in product([-1, 0, 1], repeat=2):
+        nums = assoc_numerator(c, p12, p2, x[:, None, None], x[None, :, None], x[None, None, :])
+        for i, j, k in product(range(m), repeat=3):
+            want = e(-p12 * (W[i][j] + W[j][i]) + p2 * (W[i][k] + W[k][i]) - F[i][j][k])
+            assert e(nums[i, j, k]) == e(assoc_numerator(c, p12, p2, i, j, k)) == want
+    assert [e(v) for v in dim_exponents(c)] == [
+        e(-(W[a][a] + W[a][neg[a]] + F[a][neg[a]][a])) for a in range(m)
+    ]
+    group, reps = builtin_catalog("z4")
+    cat = TwistedCategory(group, c, CentralEmbedding(g, (1,)), reps, validate=False)
+    for i, j, k in product(range(m), repeat=3):
+        assert cat._f_inv(i, j, k) == unit(-F[i][j][k])
+    assert np.array_equal(cat._f_inv(x, neg, x), [unit(-F[a][neg[a]][a]) for a in range(m)])
+    assert np.array_equal(cat._unit(c.f_num[x, neg, x]), [unit(F[a][neg[a]][a]) for a in range(m)])
+    for member in cat.catalog:
+        a = g.index(member.grade)
+        assert cat.twist(member) == UnitScalar(Fraction(-W[a][a], L))

@@ -5,6 +5,7 @@ import types
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from twistcat import cocycle, modcat
 from twistcat.fusionring import dim_exponents, fusion_table, s_table
 from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
+from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
 
 import oracles
@@ -329,8 +331,9 @@ def _spy_slabs(monkeypatch, module):
 
 def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
     # a passing pentagon is decided from the rank * |A|^3 residues at the
-    # generators, in validation and in the suite: a return to the |A|-slab
-    # sweep, or to the slabs at the catalog's grades, shows as more rows
+    # generators in validation, and the suite of a validated category reads
+    # the kept report: a return to the |A|-slab sweep, or to any slab in the
+    # suite, shows as more rows
     z2, z4 = build_cyclic(2, 3), build_cyclic(4, 1)
     x0, x1 = np.unravel_index(np.arange(8), (2, 4))
     product_f = z2.f_num[np.ix_(x0, x0, x0)] * 2 + z4.f_num[np.ix_(x1, x1, x1)]
@@ -352,7 +355,22 @@ def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
     calls.clear()
     report = cat.coherence_suite()
     assert report.passed and report.checks[0].checked == 8**4
-    assert (calls, suite_calls) == ([[1]], [])
+    assert (calls, suite_calls) == ([], [])
+
+
+def test_kept_report_and_residues_give_equal_verdicts(categories):
+    # a validated category reads pentagon and hexagons from the cocycle
+    # report it kept; the same category built without validation reads the
+    # residues at its grades, and every verdict agrees
+    golden = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+    for cat in [*categories.values(), *(load_spec(path).build_category() for path in golden)]:
+        assert cat._cocycle_report is not None and cat._cocycle_report.passed
+        irreps = {m.label: m.rep for m in cat.catalog}
+        bare = TwistedCategory(
+            cat.group, cat.cocycle, cat.embedding, irreps, complete=cat.complete, validate=False
+        )
+        assert bare._cocycle_report is None
+        assert bare.coherence_suite() == cat.coherence_suite()
 
 
 def test_suite_pentagon_is_read_at_the_catalog_grades():
