@@ -11,13 +11,15 @@ puts ``1 - z2/z1`` in the right half plane).  Path winding is normalized so
 that the clockwise unit loop has winding +1, which makes the transport
 scalar ``(Omega(a1,a2) Omega(a2,a1))^{-p}`` of that loop equal the composite
 of the two braidings, the loop identity that fixes the sign convention.
-Both integers are exact sign tests on the float coordinates, with no tolerance.
+Every sign is decided exactly, with no tolerance, on the float coordinates
+scaled by one power of two to Python ints (``_integers``): no overflow, no tie.
 ``_branch`` decides every branch integer, and ``branch_integers`` is the one
 path to both integers of the nested region; the numerators read ``b_num``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +32,6 @@ from .errors import DomainError, StructuralError
 from .unitscalar import UnitScalar
 
 _BELOW_TWO_PI = math.nextafter(2 * math.pi, 0.0)
-#: Relative gap under which two rounded moduli may be out of exact order.
-_NEAR_TIE = 8 * math.ulp(1.0)
 
 
 def cut_arg(z: complex) -> float:
@@ -52,69 +52,52 @@ def plog(z: complex) -> complex:
     return complex(math.log(abs(z)), cut_arg(z))
 
 
+def _integers(a: float, b: float, c: float, d: float) -> tuple[int, int, int, int]:
+    """The four finite coordinates times one power of two, as exact ints: each
+    is ``n / 2^k``, so the largest ``2^k`` clears every denominator."""
+    (a, p), (b, q) = a.as_integer_ratio(), b.as_integer_ratio()
+    (c, r), (d, s) = c.as_integer_ratio(), d.as_integer_ratio()
+    t = max(p, q, r, s)
+    return a * (t // p), b * (t // q), c * (t // r), d * (t // s)
+
+
 def _cross_sign(a: complex, b: complex) -> int:
     """Exact sign of ``Re a Im b - Im a Re b``, or of ``Im(b/a)``, for finite a, b."""
-    x, y = a.real * b.imag, a.imag * b.real
-    if x != y:
-        # rounding is monotone, so unequal rounded products order as the exact ones
-        return 1 if x > y else -1
-    if (a.real == 0 or b.imag == 0) and (a.imag == 0 or b.real == 0):
-        return 0
-    exact = Fraction(a.real) * Fraction(b.imag) - Fraction(a.imag) * Fraction(b.real)
-    return (exact > 0) - (exact < 0)
+    ax, ay, bx, by = _integers(a.real, a.imag, b.real, b.imag)
+    cross = ax * by - ay * bx
+    return (cross > 0) - (cross < 0)
 
 
-def _moduli(*points: complex) -> list[float]:
-    """``|z|`` of each finite point, all at half scale when one passes the
-    float range, so they compare without overflow.  Halving can take a
-    subnormal modulus to 0: test a point for 0 on the point itself."""
-    moduli = [math.hypot(z.real, z.imag) for z in points]
-    if math.inf in moduli:
-        moduli = [math.hypot(0.5 * z.real, 0.5 * z.imag) for z in points]
-    return moduli
-
-
-def _branch(z1: complex, z2: complex, first_below: bool, diff_below: bool) -> int:
-    """The branch integer of a pair with the cross sign of ``(z1, z2)``: ``1`` if it is
-    positive, the difference is below the cut and the first point is not, ``-1`` in the
+def _branch(cross: int, first_below: bool, diff_below: bool) -> int:
+    """The branch integer of a pair with cross sign ``cross``: ``1`` if it is positive,
+    the difference is below the cut and the first point is not, ``-1`` in the
     mirrored case, else ``0``."""
     if diff_below and not first_below:
-        return int(_cross_sign(z1, z2) > 0)
+        return int(cross > 0)
     if first_below and not diff_below:
-        return -int(_cross_sign(z1, z2) < 0)
+        return -int(cross < 0)
     return 0
 
 
 def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
     """``(p(z1, z2), p(z2, z2 - z1))`` on the region ``|z1| > |z2| > |z1 - z2| > 0``.
 
-    The region is decided on the float moduli where each compared pair is
-    apart by more than their rounding error, and otherwise exactly, on the
-    squared moduli of the float points and their exact difference.
-    Neither the region test nor the second integer rounds ``z1 - z2``: when
-    that difference passes the float range the moduli are compared at half
-    scale, and ``p(z2, z2 - z1)`` is decided on ``z1`` and ``z2`` alone.  Its
-    cross sign ``Im(conj(z2) (z2 - z1))`` equals that of ``(z1, z2)``, its
-    second point is not below the cut exactly when ``z2`` is not, and the
-    difference of its points, ``z1``, is below exactly when ``Im z1 < 0``.
+    Decided on the coordinates of ``z1`` and ``z2`` as exact ints, so ``z1 - z2``
+    is never rounded; an inf or nan coordinate is outside the region.  The
+    cross sign of ``p(z2, z2 - z1)``, ``Im(conj(z2) (z2 - z1))``, equals that of
+    ``(z1, z2)``; its second point is not below the cut exactly when ``z2`` is
+    not, and the difference of its points, ``z1``, is below exactly when
+    ``Im z1 < 0``.
     """
-    diff = z1 - z2
-    if math.isinf(diff.real) or math.isinf(diff.imag):
-        # each point then has a coordinate above 1e292 in magnitude, so
-        # halving a subnormal one cannot move a modulus
-        m1, m2, m12 = _moduli(0.5 * z1, 0.5 * z2, 0.5 * z1 - 0.5 * z2)
-    else:
-        m1, m2, m12 = _moduli(z1, z2, diff)
-    inside = m1 > m2 > m12
-    # a rounded modulus is within a few ulps of the exact one, so a finite
-    # near tie is decided on the exact squared moduli of the float points
-    if math.isfinite(m1) and any(abs(x - y) <= _NEAR_TIE * x for x, y in ((m1, m2), (m2, m12))):
-        x1, y1, x2, y2 = (Fraction(v) for v in (z1.real, z1.imag, z2.real, z2.imag))
-        inside = x1 * x1 + y1 * y1 > x2 * x2 + y2 * y2 > (x1 - x2) ** 2 + (y1 - y2) ** 2
-    if not inside:
+    try:
+        x1, y1, x2, y2 = _integers(z1.real, z1.imag, z2.real, z2.imag)
+    except (OverflowError, ValueError):  # inf or nan has no integer ratio; 0 fails the region
+        x1 = y1 = x2 = y2 = 0
+    dx, dy = x1 - x2, y1 - y2
+    if not x1 * x1 + y1 * y1 > x2 * x2 + y2 * y2 > dx * dx + dy * dy > 0:
         raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
-    p12 = _branch(z1, z2, z1.imag < 0, z1.imag < z2.imag)
-    return p12, _branch(z1, z2, z2.imag < 0, z1.imag < 0)
+    cross = x1 * y2 - y1 * x2
+    return _branch(cross, y1 < 0, dy < 0), _branch(cross, y2 < 0, y1 < 0)
 
 
 def assoc_scalar(
@@ -162,6 +145,8 @@ class PathPolyline:
         pts = tuple(complex(w) for w in self.waypoints)
         if not pts:
             raise StructuralError("a path needs at least one waypoint")
+        if not all(cmath.isfinite(w) for w in pts):
+            raise StructuralError("waypoints must be finite")
         if any(w == 0 for w in pts):
             raise StructuralError("waypoints must avoid the origin")
         for a, b in zip(pts, pts[1:]):
@@ -174,8 +159,8 @@ def _segment_hits_origin(a: complex, b: complex) -> bool:
     """Whether the segment from ``a`` to ``b`` passes through 0, decided
     exactly on the float coordinates: ``a`` and ``b`` are collinear with 0
     and not on one ray from it."""
-    # the dot product of a and b is the cross product of a and i b
-    return _cross_sign(a, b) == 0 and _cross_sign(a, complex(-b.imag, b.real)) <= 0
+    ax, ay, bx, by = _integers(a.real, a.imag, b.real, b.imag)
+    return ax * by == ay * bx and ax * bx + ay * by <= 0
 
 
 def winding(path: PathPolyline) -> int:

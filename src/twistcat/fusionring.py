@@ -61,16 +61,27 @@ class FusionTable:
             )
 
     def check_associativity(self) -> int:
-        """Exhaustive ``sum_e N^e_ab N^d_ec == sum_f N^d_af N^f_bc``; returns tuples checked."""
-        coeff = self.coefficients
-        lhs = np.einsum("abe,ecd->abcd", coeff, coeff)
-        rhs = np.einsum("afd,bcf->abcd", coeff, coeff)
-        if not np.array_equal(lhs, rhs):
-            a, b, c, d = map(int, np.argwhere(lhs != rhs)[0])
-            raise ConsistencyError(
-                f"fusion associativity fails at {(self.labels[a], self.labels[b], self.labels[c], self.labels[d])}"
-            )
-        return int(coeff.shape[0] ** 4)
+        """Exhaustive ``sum_e N^e_ab N^d_ec == sum_f N^d_af N^f_bc``; returns tuples checked.
+
+        Checked one ``a`` slab at a time, ``k^3`` entries each, as float64
+        matmuls: ``N[a] @ N.reshape(k, k*k)`` holds the left side at ``(b, c, d)``
+        and ``N.reshape(k*k, k) @ N[a]`` the right.  This is exact: every partial
+        sum is a small nonnegative integer (at most ``d_a d_b d_c`` once the
+        dimension rule holds, as ``fusion_table`` checks first), far below 2^53,
+        so no order of summation rounds.  The first mismatch of the first
+        failing slab, in C order, is the first failing ``(a, b, c, d)``.
+        """
+        k = len(self.labels)
+        n = self.coefficients.astype(np.float64)
+        for a in range(k):
+            lhs = (n[a] @ n.reshape(k, k * k)).reshape(k, k, k)
+            rhs = (n.reshape(k * k, k) @ n[a]).reshape(k, k, k)
+            if not np.array_equal(lhs, rhs):
+                b, c, d = map(int, np.argwhere(lhs != rhs)[0])
+                raise ConsistencyError(
+                    f"fusion associativity fails at {(self.labels[a], self.labels[b], self.labels[c], self.labels[d])}"
+                )
+        return k**4
 
     def to_dict(self) -> dict:
         out: dict[str, dict] = {}

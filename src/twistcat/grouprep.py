@@ -35,7 +35,7 @@ INTEGER_TOL = 1e-6
 INTERTWINER_TOL = 1e-8
 #: Largest finite group built, checked before any order-sized table exists.
 #: An abelian group of this order has as many irreps, and the fusion
-#: associativity check holds two ``k^4`` int64 arrays for ``k`` irreps.
+#: associativity check holds ``k^3`` float64 slabs for ``k`` irreps.
 MAX_GROUP_ORDER = 64
 
 

@@ -60,6 +60,16 @@ def omega(cocycle, a1, a2) -> Fraction:
     return Fraction(int(cocycle.omega_num[g.index(a1), g.index(a2)]), cocycle.denom)
 
 
+def first_nonassociative(coeff):
+    """The first ``(a, b, c, d)`` in C order where ``sum_e N^e_ab N^d_ec`` and
+    ``sum_f N^d_af N^f_bc`` differ, from both sides as whole ``k^4`` int64
+    sums; ``None`` when the coefficients are associative."""
+    lhs = np.einsum("abe,ecd->abcd", coeff, coeff)
+    rhs = np.einsum("afd,bcf->abcd", coeff, coeff)
+    bad = np.argwhere(lhs != rhs)
+    return tuple(map(int, bad[0])) if len(bad) else None
+
+
 def dual_rep(m):
     """The contragredient representation ``g -> rho(g^-1)^T``."""
     group = m.group

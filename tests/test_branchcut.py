@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -89,7 +90,14 @@ def test_p_int_examples():
 
 
 def test_p_int_region_errors():
-    for z1, z2 in [(1, 2), (1, 0), (3, 1)]:
+    for z1, z2 in [
+        (1, 2),
+        (1, 0),
+        (3, 1),
+        (complex(math.inf, 0), 1.0),
+        (complex(math.nan, 0), 1.0),
+        (2.0, complex(1, math.inf)),
+    ]:
         with pytest.raises(DomainError, match=r"region \|z1\| > \|z2\| > \|z1 - z2\| > 0"):
             branch_integers(z1, z2)
 
@@ -149,6 +157,29 @@ def _in_region(z1, z2):
     coordinates, the region ``branch_integers`` decides."""
     x1, y1, x2, y2 = (Fraction(v) for v in (z1.real, z1.imag, z2.real, z2.imag))
     return x1 * x1 + y1 * y1 > x2 * x2 + y2 * y2 > (x1 - x2) ** 2 + (y1 - y2) ** 2 > 0
+
+
+def _branch_reference(z1, z2):
+    """Both branch integers from their sign rule, in exact arithmetic on the
+    float coordinates: ``p(u, v)`` is ``1`` when ``Im(v/u) > 0``, ``u`` is not
+    below the cut and ``u - v`` is, ``-1`` in the mirrored case, else ``0``."""
+    def p(ux, uy, vx, vy):
+        cross = ux * vy - uy * vx
+        first, diff = uy < 0, uy - vy < 0
+        return int(cross > 0 and diff and not first) - int(cross < 0 and first and not diff)
+
+    x1, y1, x2, y2 = (Fraction(v) for v in (z1.real, z1.imag, z2.real, z2.imag))
+    return p(x1, y1, x2, y2), p(x2, y2, x2 - x1, y2 - y1)
+
+
+def _winding_segment_reference(a, b):
+    """The winding of the segment ``a -> b`` in exact arithmetic on the float
+    coordinates, or ``None`` when it passes through 0."""
+    ax, ay, bx, by = (Fraction(v) for v in (a.real, a.imag, b.real, b.imag))
+    cross = ax * by - ay * bx
+    if cross == 0 and ax * bx + ay * by <= 0:
+        return None
+    return int(by < 0 <= ay and cross < 0) - int(ay < 0 <= by and cross > 0)
 
 
 _POINTS = st.builds(
@@ -248,6 +279,13 @@ def test_path_through_origin_rejected():
         PathPolyline((1, -1))
     with pytest.raises(StructuralError):
         PathPolyline((1, 0, 1j))
+
+
+def test_non_finite_waypoints_rejected():
+    # both paths had winding 1 before the check
+    for points in [(complex(math.inf, 1), 1 - 1j), (1 + 1j, complex(math.nan, -1))]:
+        with pytest.raises(StructuralError, match="waypoints must be finite"):
+            PathPolyline(points)
 
 
 def test_diagonal_path_through_origin_rejected():
@@ -414,3 +452,56 @@ def test_transport_numerator_exact_for_large_windings(p):
     exact = [[(-p * (int(w[i, j]) + int(w[j, i]))) % q for j in range(3)] for i in range(3)]
     assert table.tolist() == exact
     assert int(transport_numerator(cocycle, p, 1, 2)) == 0
+
+
+_TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300)
+
+
+def _nudged(x, rng):
+    """``x`` moved by up to 3 ``nextafter`` steps either way."""
+    steps = rng.randint(-3, 3)
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _boundary_pairs(rng, count):
+    """Seeded pairs within a few ulps of the region's two boundaries and of the
+    cut, at scales from 1e-300 to 1e300."""
+    for i in range(count):
+        scale = 10.0 ** rng.uniform(-300, 300)
+        if i % 3 == 2:  # both points within 1e-300 of the real axis
+            z1 = complex(rng.choice((-scale, scale)), rng.choice(_TINY))
+            u = rng.choice((0.5, 1.0, rng.uniform(0.5, 1.0)))
+            z2 = complex(z1.real * u, rng.choice(_TINY))
+        else:
+            z1 = scale * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            if i % 3 == 0:
+                z2 = z1 * complex(0.5, rng.uniform(-0.87, 0.87))  # |z2| ~ |z1 - z2|
+            else:
+                z2 = z1 * cmath.exp(1j * rng.uniform(-1.04, 1.04))  # |z1| ~ |z2|
+        yield tuple(complex(_nudged(z.real, rng), _nudged(z.imag, rng)) for z in (z1, z2))
+
+
+def test_integer_decision_matches_exact_reference_at_the_boundaries():
+    rng = random.Random(0)
+    seen_p, seen_w, outside = set(), set(), 0
+    for z1, z2 in _boundary_pairs(rng, 3000):
+        if _in_region(z1, z2):
+            want = _branch_reference(z1, z2)
+            assert branch_integers(z1, z2) == want, (z1, z2)
+            seen_p.add(want)
+        else:
+            with pytest.raises(DomainError, match="region"):
+                branch_integers(z1, z2)
+            outside += 1
+        want = _winding_segment_reference(z1, z2)
+        if want is None:
+            with pytest.raises(StructuralError, match="origin"):
+                PathPolyline((z1, z2))
+        else:
+            assert winding(PathPolyline((z1, z2))) == want, (z1, z2)
+            seen_w.add(want)
+    assert seen_p == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert seen_w == {-1, 0, 1}
+    assert 0 < outside < 3000

@@ -80,6 +80,25 @@ def test_fusion_associativity(categories):
         assert table.check_associativity() == len(table.labels) ** 4
 
 
+@pytest.mark.parametrize("name", ["s3-trivial-grading", "q8-z2", "super-on-z4"])
+def test_fusion_associativity_failure_names_the_first_tuple(categories, name):
+    # one coefficient raised by 1 breaks associativity; the slabbed check must
+    # name the same first tuple as the whole-table einsum reference
+    table = fusion_table(categories[name])
+    k = len(table.labels)
+    assert oracles.first_nonassociative(table.coefficients) is None
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        coeff = table.coefficients.copy()
+        coeff[tuple(rng.integers(k, size=3))] += 1
+        want = oracles.first_nonassociative(coeff)
+        assert want is not None
+        labels = tuple(table.labels[i] for i in want)
+        with pytest.raises(ConsistencyError) as err:
+            FusionTable(table.labels, table.dims, coeff).check_associativity()
+        assert str(err.value) == f"fusion associativity fails at {labels}"
+
+
 def test_dimension_rule_failure_detected():
     labels = ("1", "x")
     dims = (1, 2)
