@@ -12,12 +12,12 @@ failing axiom is scanned in full, to name its first witness.  ``modcat``'s
 coherence suite reads the cocycle's passing report, and the residues at a
 catalog's grades only for a category built without validation.
 ``F`` is stored once, in the narrowest integer dtype that holds
-``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is; the
-pentagon reads ``F(a1, a2, a3+a4)`` through a strided window over a
-wrap-padded copy of ``F``, one ``|A|^3`` slab per first argument, and the
-hexagons sum transposed views of ``F`` in place.  ``Omega`` and ``b`` are
-only ``|A|^2`` and stay int64.  A reader that does arithmetic on ``f_num``
-keeps it within ``5 * denom`` or widens it first.
+``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is: every
+argument that is a sum, such as ``a3+a4``, is a row gather through
+``add_index_table``, the pentagon builds one ``|A|^3`` slab per first
+argument, and the hexagons sum transposed views of ``F`` in place.
+``Omega`` and ``b`` are only ``|A|^2`` and stay int64.  A reader that does
+arithmetic on ``f_num`` keeps it within ``5 * denom`` or widens it first.
 Validation is eager at construction because every downstream formula
 assumes the axioms, and each builder keeps its report on the cocycle so that
 nothing validates twice.
@@ -28,8 +28,7 @@ Every exponent expression here, in ``modcat``'s balancing check and in
 ``b_num`` holds ``b(a1, a2) = Omega(a1, a2) + Omega(a2, a1)``, the polarization
 of ``q(a) = Omega(a, a)``, once: ``fusionring.s_table``, ``modcat``'s
 balancing and double braiding, ``branchcut``'s numerators and ``verify``'s loop
-identity read it.  Spec tables reach ``_from_exponents`` keyed by row-major
-flat indices into the table.
+identity read it.
 """
 
 from __future__ import annotations
@@ -40,14 +39,14 @@ from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .abgroup import FinAbGroup, GroupElt
 from .errors import CocycleError, StructuralError
 
 MAX_TABLE_ORDER = 256  # every table, residue array and pentagon slab is O(|A|^3)
-# the kernels give each invariant factor its own array axes, and numpy allows
-# 64; no group of order at most MAX_TABLE_ORDER needs more than 8 factors above 1
+# factors of 1 count too: FinAbGroup.add_index_table's ravel_multi_index raises
+# a bare ValueError at 64 factors; no group of order at most MAX_TABLE_ORDER
+# needs more than 8 factors above 1
 MAX_TABLE_FACTORS = 8
 MAX_DENOM = 2**60  # 5 * MAX_DENOM < 2**63: exponent sums cannot overflow int64
 _NORMALIZATION_DETAIL = "F on identity slices and Omega(.,0), Omega(0,.)"
@@ -178,43 +177,27 @@ def _check_denom(denom: int) -> None:
         raise StructuralError(f"cocycle denominator {denom} exceeds the cap MAX_DENOM = 2**60")
 
 
-def _from_exponents(group: FinAbGroup, f_entries: Mapping, omega_entries: Mapping,
-                    name: str) -> AbelianCocycle:
-    """Build and validate a cocycle from sparse maps of ``Fraction`` exponents
-    keyed by row-major flat indices into the table, whose digits in base
-    ``|A|`` are the arguments' enumeration indices; an omitted key means
-    exponent 0.  Raises
-    ``StructuralError`` if the common denominator exceeds ``MAX_DENOM``,
-    before allocating, and ``CocycleError`` (carrying the report) if any axiom
+def _from_exponents(group: FinAbGroup, f_ids: Mapping[int, int], omega_ids: Mapping[int, int],
+                    exponents: list[Fraction], name: str) -> AbelianCocycle:
+    """Build and validate a cocycle from sparse ``{flat index: exponent id}``
+    maps: a flat index is row-major into the table, its digits in base ``|A|``
+    the arguments' enumeration indices, and an id indexes ``exponents``; an
+    omitted key means exponent 0.  Raises ``StructuralError`` if the common
+    denominator of the exponents used exceeds ``MAX_DENOM``, before
+    allocating, and ``CocycleError`` (carrying the report) if any axiom
     fails."""
     _check_table_order(group)
-    # Values repeat across a table: each distinct one is reduced mod 1 once,
-    # and each entry keeps the position of its exponent in `exponents`.  The
-    # memo is keyed by identity, because a parsed spec holds one Fraction per
-    # distinct exponent and hashing a Fraction costs about as much as reducing
-    # it; the memo holds each value, so no other value can take its id.
-    memo: dict[int, tuple] = {}
-    exponents: list[Fraction] = []
-
-    def positions(entries: Mapping) -> np.ndarray:
-        out = []
-        for value in entries.values():
-            hit = memo.get(id(value))
-            if hit is None:
-                hit = memo[id(value)] = (len(exponents), value)
-                exponents.append(value % 1)
-            out.append(hit[0])
-        return np.array(out, dtype=np.intp)
-
-    f_pos, w_pos = positions(f_entries), positions(omega_entries)
-    denom = lcm(1, *{x.denominator for x in exponents})
+    used = {*f_ids.values(), *omega_ids.values()}
+    denom = lcm(1, *{exponents[i].denominator for i in used})
     _check_denom(denom)
-    numerators = np.array([x.numerator * (denom // x.denominator) for x in exponents], np.int64)
+    numerators = np.array([x.numerator % x.denominator * (denom // x.denominator) if i in used
+                           else 0 for i, x in enumerate(exponents)], np.int64)
     m = group.order
     f_num = np.zeros((m, m, m), dtype=_narrow_dtype(denom))
     omega_num = np.zeros((m, m), dtype=np.int64)
-    for table, entries, pos in ((f_num, f_entries, f_pos), (omega_num, omega_entries, w_pos)):
-        table.reshape(-1)[np.fromiter(entries, np.intp, len(entries))] = numerators[pos]
+    for table, ids in ((f_num, f_ids), (omega_num, omega_ids)):
+        flat = np.fromiter(ids, np.intp, len(ids))
+        table.reshape(-1)[flat] = numerators[np.fromiter(ids.values(), np.intp, len(ids))]
 
     cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
     report = validate_cocycle(cocycle)
@@ -294,41 +277,22 @@ def _reduce(d: np.ndarray, q: np.ndarray, L: int) -> None:
     d -= q
 
 
-def _sum_window(F: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
-    """Read-only view ``V`` with ``V[i, j, b, c] = F[i, j, b + c]``.
-
-    ``b`` and ``c`` are each spelled as one axis per invariant factor.  Each
-    factor axis of ``F``'s last argument is wrap-padded by ``n - 1``, so that
-    the digit ``b_k + c_k`` of the sum sits at ``b_k + c_k`` without a ``mod``;
-    ``b_k`` and ``c_k`` then step along the same padded axis."""
-    m = F.shape[0]
-    P = F.reshape((m, m) + factors)
-    for axis, n in enumerate(factors, start=2):
-        if n > 1:
-            head = (slice(None),) * axis + (slice(n - 1),)
-            P = np.concatenate([P, P[head]], axis=axis)
-    return as_strided(P, (m, m) + factors + factors, P.strides + P.strides[2:], writeable=False)
-
-
 def pentagon_slabs(c: AbelianCocycle, rows: Iterable[int]) -> Iterator[np.ndarray]:
     """The pentagon residue mod ``denom`` in the narrow dtype: for each ``a1``
     in ``rows``, in order, the slab ``d[a2, a3, a4]``.  Every slab is the same
     buffer, overwritten by the next."""
-    g, L = c.group, c.denom
-    F, S = c.f_num, g.add_index_table
-    V = _sum_window(F, g.factors)
+    L, F, S = c.denom, c.f_num, c.group.add_index_table
     d, q = np.empty_like(F), np.empty_like(F)
-    d_digits = d.reshape(V.shape[1:])  # d with a3 and a4 split into digits
     # F(a1,a2,a3) F(a1,a2+a3,a4) F(a2,a3,a4) = F(a1+a2,a3,a4) F(a1,a2,a3+a4).
-    # Every term is a row gather, a broadcast or the window V.  np.take with
-    # mode="raise" writes through a temporary copy of out; the indices are in
-    # range, so mode="clip" changes no value.
+    # Every term is a row gather or a broadcast.  np.take with mode="raise"
+    # writes through a temporary copy of out; the indices are in range, so
+    # mode="clip" changes no value.
     for i in rows:
         G = F[i]
         np.take(G, S, axis=0, out=d, mode="clip")  # F(i, a2+a3, a4)
         d += G[:, :, None]  # F(i, a2, a3)
         d += F  # F(a2, a3, a4)
-        d_digits -= V[i]  # F(i, a2, a3+a4)
+        d -= np.take(G, S, axis=1, out=q, mode="clip")  # F(i, a2, a3+a4)
         d -= np.take(F, S[i], axis=0, out=q, mode="clip")  # F(i+a2, a3, a4)
         _reduce(d, q, L)
         yield d

@@ -27,7 +27,10 @@ and naming a bad field's JSON path.  Integer fields are JSON integers, matrix
 entries are strings, a ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.
 Group axioms, irreps and the embedding are checked when the category is built.
 Cocycle table keys are stored as row-major flat indices into the table,
-whose digits in base ``|A|`` are the elements' enumeration indices.
+whose digits in base ``|A|`` are the elements' enumeration indices.  A spec
+file is at most ``MAX_SPEC_BYTES`` long, checked before it is read: a dense
+``F`` table fits up to about ``|A| = 73``, and larger grading groups need
+sparse tables or a builder.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .modcat import TwistedCategory
 from .unitscalar import UnitScalar
 
 SCHEMA_VERSION = 1
+# a table spec just under the cap (every F entry on Z/79, 7.9 MiB) loads in
+# about 1 s and peaks at 130 MiB on 2 vCPUs
+MAX_SPEC_BYTES = 8 * 2**20
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 BUNDLED_FIXTURES = (
     "z2-lattice-on-z4",
@@ -131,35 +137,45 @@ def _parse_exponent(value, path: str) -> Fraction:
         raise _bad(path, "a rational exponent", value) from None
 
 
-def _parse_table(tables: dict, key: str, group: FinAbGroup, arity: int) -> dict:
-    """Sparse ``{flat index: exponent}`` map of one ``cocycle.tables`` entry:
-    a key's parts are the arguments' elements, and its flat index is the
-    row-major index of their enumeration indices in an ``|A|^arity`` table.
+def _parse_tables(tables: dict, group: FinAbGroup) -> tuple:
+    """``(f, omega, exponents)`` from ``cocycle.tables``: a sparse ``{flat
+    index: exponent id}`` map per table, a key's parts being the arguments'
+    elements, and the exponents that the ids of both tables index.
 
-    Key parts and exponent strings repeat across a table, so each distinct one
-    is parsed once; a key that reduces to an earlier one overrides it."""
-    path, m = f"cocycle.tables.{key}", group.order
+    Key parts and exponent strings repeat across the tables, so each distinct
+    one is parsed once; a JSON integer is parsed at every entry, so ``true``
+    is refused even after ``1``.  A key that reduces to an earlier one
+    overrides it."""
+    m = group.order
     indices: dict[str, int] = {}
-    exponents: dict = {}
-    entries = {}
-    for text, value in _typed(tables.get(key, {}), dict, path).items():
-        where = f"{path}.{text}"
-        parts = text.split("|")
-        if len(parts) != arity:
-            raise StructuralError(f"spec field {where!r} must key {arity} elements joined by '|'")
-        flat = 0
-        for part in parts:
-            if part not in indices:
-                indices[part] = group.index(parse_element(part, group, f"spec field {where!r}"))
-            flat = flat * m + indices[part]
-        if not isinstance(value, str) or value not in exponents:  # a string is parsed once
-            exponents[value] = _parse_exponent(value, where)
-        entries[flat] = exponents[value]
-    return entries
+    ids: dict = {}  # exponent -> position in exponents; only strings are looked up
+    exponents: list[Fraction] = []
+    maps = []
+    for key, arity in (("f", 3), ("omega", 2)):
+        path, entries = f"cocycle.tables.{key}", {}
+        for text, value in _typed(tables.get(key, {}), dict, path).items():
+            where = f"{path}.{text}"
+            parts = text.split("|")
+            if len(parts) != arity:
+                raise StructuralError(
+                    f"spec field {where!r} must key {arity} elements joined by '|'"
+                )
+            flat = 0
+            for part in parts:
+                if part not in indices:
+                    indices[part] = group.index(parse_element(part, group, f"spec field {where!r}"))
+                flat = flat * m + indices[part]
+            if not isinstance(value, str) or value not in ids:  # a string is parsed once
+                exponents.append(_parse_exponent(value, where))
+                ids[value] = len(exponents) - 1
+            entries[flat] = ids[value]
+        maps.append(entries)
+    return (*maps, exponents)
 
 
 def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
-    """``("cyclic", n, s)``, ``("trivial",)`` or ``("tables", f, omega)``."""
+    """``("cyclic", n, s)``, ``("trivial",)`` or ``("tables", f, omega,
+    exponents)``, the arguments of ``cocycle._from_exponents``."""
     config = _typed(config, dict, "cocycle")
     if "builder" in config:
         builder = config["builder"]
@@ -171,8 +187,7 @@ def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
         raise _bad("cocycle.builder", "'cyclic' or 'trivial'", builder)
     if "tables" in config:
         tables = _typed(config["tables"], dict, "cocycle.tables")
-        f = _parse_table(tables, "f", grading, 3)
-        return "tables", f, _parse_table(tables, "omega", grading, 2)
+        return ("tables", *_parse_tables(tables, grading))
     raise _bad("cocycle", "an object with 'builder' or 'tables'", config)
 
 
@@ -309,6 +324,11 @@ def resolve_spec_path(spec: str | Path) -> Path:
 def load_spec(spec: str | Path) -> CategorySpec:
     """Read a spec file, checking each field's type and shape once."""
     path = resolve_spec_path(spec)
+    size = path.stat().st_size
+    if size > MAX_SPEC_BYTES:
+        raise StructuralError(
+            f"spec file {path} is {size} bytes, over MAX_SPEC_BYTES = {MAX_SPEC_BYTES}"
+        )
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge or deep literals

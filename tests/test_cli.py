@@ -62,6 +62,26 @@ def test_unreadable_spec_is_parse_error(data, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: spec file ")
 
 
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+def test_spec_file_over_the_byte_cap_is_refused_before_parsing(over, tmp_path, capsys,
+                                                               monkeypatch):
+    # the cap is lowered to the fixture's size, so no large file is written
+    path = tmp_path / "spec.json"
+    path.write_bytes(fixture_path("z2-lattice-on-z4").read_bytes())
+    size = path.stat().st_size
+    monkeypatch.setattr(specio, "MAX_SPEC_BYTES", size - over)
+    parsed, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    code = run_cli("verify", "--spec", str(path))
+    if not over:
+        assert code == cli.EXIT_OK and len(parsed) == 1
+        return
+    assert code == cli.EXIT_PARSE and not parsed
+    assert capsys.readouterr().err == (
+        f"error: spec file {path} is {size} bytes, over MAX_SPEC_BYTES = {size - 1}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -612,6 +632,17 @@ def test_table_exponent_boolean_or_float_is_parse_error(table, key, value, tmp_p
     field = f"cocycle.tables.{table}.{key}"
     assert capsys.readouterr().err == (
         f"error: spec field {field!r} must be a rational exponent, got {value!r}\n"
+    )
+
+
+def test_table_boolean_after_equal_integer_is_parse_error(tmp_path, capsys):
+    # true == 1 with the same hash, so a memo keyed by value would read it as 1
+    spec = {"schema_version": 1, "mode": "su2", "grading_group": [2]}
+    spec["cocycle"] = {"tables": {"f": {"1|1|1": 1, "1|1|0": True}}}
+    assert _run_spec("smatrix", spec, tmp_path)[0] == cli.EXIT_PARSE
+    field = "cocycle.tables.f.1|1|0"
+    assert capsys.readouterr().err == (
+        f"error: spec field {field!r} must be a rational exponent, got True\n"
     )
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -424,7 +425,7 @@ def _exact_residues(g, F, W):
     return G, h1, h2
 
 
-@pytest.mark.parametrize("factors", [(1,), (3,), (4,), (2, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("factors", [(1,), (3,), (4,), (2, 2), (2, 3), (1, 4), (2, 2, 2)])
 def test_hexagon_coboundary_is_a_sum_of_pentagon_residues(factors):
     # d_(a,b,b') h1(., ., c) = G(a,b,b',c) - G(a,b,c,b') + G(a,c,b,b') - G(c,a,b,b')
     # and d h2(c, ., .) is its negative, exactly, on unnormalized integer
@@ -442,6 +443,26 @@ def test_hexagon_coboundary_is_a_sum_of_pentagon_residues(factors):
     cocycle = AbelianCocycle(g, F, W, L)
     assert np.array_equal([d.copy() for d in pentagon_slabs(cocycle, range(m))], G % L)
     assert all(np.array_equal(h, r % L) for h, r in zip(hexagon_residues(cocycle), (h1, h2)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(build_cyclic, 64, 1), partial(AbelianCocycle.trivial, FinAbGroup((2,) * 6))],
+    ids=["cyclic-64", "trivial-2^6"],
+)
+def test_pentagon_decision_allocates_two_slabs(make):
+    # pentagon_slabs holds two buffers the size of F and gathers every sum
+    # argument into them; any copy of F on top of that breaks the bound
+    c = make()
+    c.group.add_index_table  # cached on the group, built before tracing
+    nbytes = c.f_num.nbytes
+    tracemalloc.start()
+    try:
+        assert _pentagon_holds(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * nbytes
 
 
 _HEXAGON_SHAPES = [(1,), (2,), (3,), (4,), (6,), (2, 2), (2, 3), (1, 4), (4, 1, 2), (2, 2, 2)]
