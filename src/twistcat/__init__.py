@@ -38,7 +38,6 @@ from .grouprep import (
     GradedIrrep,
     MatrixRep,
     grade_of,
-    hom_dim,
     intertwiner_basis,
     rep_from_generators,
     validate_irrep,
@@ -78,7 +77,6 @@ __all__ = [
     "flip_matrix",
     "fusion_table",
     "grade_of",
-    "hom_dim",
     "intertwiner_basis",
     "load_spec",
     "plog",

@@ -58,10 +58,6 @@ class FinAbGroup:
             raise StructuralError(f"{a} is not a reduced element of {self}")
         return a
 
-    def neg(self, a: GroupElt) -> GroupElt:
-        self.check(a)
-        return tuple((-x) % n for x, n in zip(a, self.factors))
-
     def elements(self):
         """All elements in lexicographic order (the canonical enumeration)."""
         return (tuple(t) for t in product(*(range(n) for n in self.factors)))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -86,10 +85,6 @@ class Report:
             f"{total} checks, all passed" if n_fail == 0 else f"{total} checks, {n_fail} FAILED"
         )
         return "\n".join(lines)
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _fusion_table(cat: TwistedCategory) -> dict:
@@ -262,7 +257,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise StructuralError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     spec = load_spec(args.spec)
-    report = Report(spec.name, _digest(spec.path), args.seed)
+    report = Report(spec.name, spec.digest, args.seed)
     if spec.mode == "su2":
         _verify_su2(spec, report, args.seed)
     else:
@@ -273,7 +268,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fusion(args) -> int:
     spec = load_spec(args.spec)
-    report = Report(spec.name, _digest(spec.path), args.seed)
+    report = Report(spec.name, spec.digest, args.seed)
     if spec.mode == "su2":
         report.tables["fusion"] = _su2_fusion_table(product(range(spec.max_spin + 1), repeat=2))
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")
@@ -300,7 +295,7 @@ def cmd_smatrix(args) -> int:
     else:
         spec = load_spec(args.spec)
         cocycle, max_spin = spec.build_cocycle(), spec.max_spin
-        report = Report(spec.name, _digest(spec.path), args.seed)
+        report = Report(spec.name, spec.digest, args.seed)
     if args.su2 or spec.mode == "su2":
         report.tables["smatrix"] = _su2_smatrix_table(cocycle, max_spin)[0]
         report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
@@ -331,7 +326,7 @@ def _parse_grades(text: str, spec: CategorySpec, count: int):
 def cmd_monodromy(args) -> int:
     spec = load_spec(args.spec)
     cocycle = spec.build_cocycle()
-    report = Report(spec.name, _digest(spec.path), args.seed)
+    report = Report(spec.name, spec.digest, args.seed)
     try:
         if args.path:
             waypoints = tuple(

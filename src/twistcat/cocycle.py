@@ -18,9 +18,9 @@ argument that is a sum, such as ``a3+a4``, is a row gather through
 argument, and the hexagons sum transposed views of ``F`` in place.
 ``Omega`` and ``b`` are only ``|A|^2`` and stay int64.  A reader that does
 arithmetic on ``f_num`` keeps it within ``5 * denom`` or widens it first.
-Validation is eager at construction because every downstream formula
-assumes the axioms, and each builder keeps its report on the cocycle so that
-nothing validates twice.
+A cocycle's ``report`` is ``validate_cocycle`` of it, computed once, on
+first read: the cyclic and table builders and each validating category
+read it, as every downstream formula assumes the axioms.
 Every exponent expression here, in ``modcat``'s balancing check and in
 ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
 ``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
@@ -49,7 +50,6 @@ MAX_TABLE_ORDER = 256  # every table, residue array and pentagon slab is O(|A|^3
 # needs more than 8 factors above 1
 MAX_TABLE_FACTORS = 8
 MAX_DENOM = 2**60  # 5 * MAX_DENOM < 2**63: exponent sums cannot overflow int64
-_NORMALIZATION_DETAIL = "F on identity slices and Omega(.,0), Omega(0,.)"
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ class AbelianCocycle:
     ``_narrow_dtype(denom)`` that the kernels read, ``omega_num`` and
     ``b_num`` are int64.  A table given as a C-contiguous array of its
     dtype with entries in ``[0, denom)`` is kept as it is, not copied, and
-    made read-only.
+    made read-only.  ``report`` is the cocycle's ``validate_cocycle``
+    report, computed on first read.
     """
 
     group: FinAbGroup
@@ -109,8 +110,6 @@ class AbelianCocycle:
     omega_num: np.ndarray
     denom: int
     name: str = field(default="", compare=False)
-    #: the builder's validation report, so that no later reader validates again
-    report: CoherenceReport | None = field(default=None, init=False, compare=False, repr=False)
     #: numerators of b(a1, a2) = Omega(a1, a2) + Omega(a2, a1)
     b_num: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -127,6 +126,10 @@ class AbelianCocycle:
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
+    @cached_property
+    def report(self) -> CoherenceReport:
+        return validate_cocycle(self)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -134,16 +137,7 @@ class AbelianCocycle:
         _check_table_order(group)
         m = group.order
         f = np.zeros((m, m, m), _narrow_dtype(1))
-        cocycle = cls(group, f, np.zeros((m, m), np.int64), 1, name=name)
-        # every axiom holds on all-zero tables: the report validate_cocycle
-        # would give, without running the kernels
-        report = CoherenceReport((
-            AxiomCheck("pentagon", True, m**4),
-            AxiomCheck("hexagon-1", True, m**3),
-            AxiomCheck("hexagon-2", True, m**3),
-            AxiomCheck("normalization", True, m**3, detail=_NORMALIZATION_DETAIL),
-        ))
-        return _keep_report(cocycle, report)
+        return cls(group, f, np.zeros((m, m), np.int64), 1, name=name)
 
 
 def _reduced(table: np.ndarray, denom: int, dtype: type) -> np.ndarray:
@@ -154,11 +148,6 @@ def _reduced(table: np.ndarray, denom: int, dtype: type) -> np.ndarray:
     if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= denom:
         table = np.asarray(table, dtype=np.int64) % denom
     return np.ascontiguousarray(table, dtype=dtype)
-
-
-def _keep_report(cocycle: AbelianCocycle, report: CoherenceReport) -> AbelianCocycle:
-    object.__setattr__(cocycle, "report", report)
-    return cocycle
 
 
 def _check_table_order(group: FinAbGroup) -> None:
@@ -200,13 +189,13 @@ def _from_exponents(group: FinAbGroup, f_ids: Mapping[int, int], omega_ids: Mapp
         table.reshape(-1)[flat] = numerators[np.fromiter(ids.values(), np.intp, len(ids))]
 
     cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
-    report = validate_cocycle(cocycle)
+    report = cocycle.report
     if not report.passed:
         first = report.failures()[0]
         raise CocycleError(
             f"cocycle tables violate the {first.axiom} axiom at {first.witness}", report=report
         )
-    return _keep_report(cocycle, report)
+    return cocycle
 
 
 def build_cyclic(n: int, s: int) -> AbelianCocycle:
@@ -241,12 +230,11 @@ def build_cyclic(n: int, s: int) -> AbelianCocycle:
         group, r[:, None, None] * (a[:, None] + a[None, :] >= n), t * a[:, None] * a[None, :] % d,
         d, name=f"cyclic(n={n}, s={s})",
     )
-    report = validate_cocycle(cocycle)
-    if not report.passed:  # would be an implementation bug, not bad input
+    if not cocycle.report.passed:  # would be an implementation bug, not bad input
         raise AssertionError(
-            f"build_cyclic({n}, {s}) produced an invalid cocycle:\n{report.describe()}"
+            f"build_cyclic({n}, {s}) produced an invalid cocycle:\n{cocycle.report.describe()}"
         )
-    return _keep_report(cocycle, report)
+    return cocycle
 
 
 # -- validation ----------------------------------------------------------------
@@ -399,7 +387,7 @@ def _hexagon_rows_vanish(c: AbelianCocycle) -> bool:
     return not np.count_nonzero(_hexagon_rows(c, _generator_rows(c.group)))
 
 
-def _check_hexagons(c: AbelianCocycle, pentagon_holds: bool = False) -> list[AxiomCheck]:
+def _check_hexagons(c: AbelianCocycle, pentagon_holds: bool) -> list[AxiomCheck]:
     """Both hexagons on all of ``A^3``: passed from their rows at the
     generators when ``pentagon_holds`` says the pentagon holds, else, or when
     a row fails, scanned in full for the first witness of each."""
@@ -426,7 +414,8 @@ def _check_normalization(c: AbelianCocycle) -> AxiomCheck:
         witness = (g.element_at(int(np.flatnonzero(W[:, 0])[0])), g.zero)
     elif np.count_nonzero(W[0]):
         witness = (g.zero, g.element_at(int(np.flatnonzero(W[0])[0])))
-    return AxiomCheck("normalization", witness is None, m**3, witness, detail=_NORMALIZATION_DETAIL)
+    return AxiomCheck("normalization", witness is None, m**3, witness,
+                      detail="F on identity slices and Omega(.,0), Omega(0,.)")
 
 
 def validate_cocycle(c: AbelianCocycle) -> CoherenceReport:

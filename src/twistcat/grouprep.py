@@ -2,6 +2,12 @@
 character sums, intertwiner bases, and grading by a central copy of the dual
 grading group.
 
+The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of a list of characters are
+one character-sum table, ``hom_dim_table``.  ``intertwiner_basis`` takes
+sequences of triples with the rank each must have, read from that table by
+its caller, and checks the rank of each triple's averaging projector
+against it.
+
 Numerical conventions, fixed module constants: matrix identities are enforced
 to ``MATRIX_TOL = 1e-9``, character sums are rounded to integers with
 residual at most ``INTEGER_TOL = 1e-6``, and intertwiners are checked to
@@ -143,9 +149,6 @@ class FiniteGroup:
             walk = self._walks[generators] = tuple(steps)
         return walk
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -274,31 +277,23 @@ def validate_irrep(rep: MatrixRep) -> np.ndarray:
     return chars
 
 
-def hom_dim(group: FiniteGroup, chi1: np.ndarray, chi2: np.ndarray, chi3: np.ndarray) -> int:
-    """``dim hom(M1 (x) M2, M3) = (1/|G|) sum_g chi1(g) chi2(g) conj(chi3(g))``."""
-    chi1, chi2, chi3 = (np.asarray(c, dtype=np.complex128) for c in (chi1, chi2, chi3))
-    if not chi1.shape == chi2.shape == chi3.shape == (group.num_classes,):
-        raise StructuralError("characters must be per-class vectors on the same group")
-    val = complex(np.sum(group.class_sizes * chi1 * chi2 * np.conj(chi3))) / group.order
-    rounded = float(np.rint(val.real))  # a NaN stays NaN, where round() raises
-    if not (abs(val.real - rounded) <= INTEGER_TOL and abs(val.imag) <= INTEGER_TOL) or rounded < 0:
-        raise ConsistencyError(f"character sum {val} is not a nonnegative integer")
-    return int(rounded)
-
-
 def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
     """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` for all triples of a list of
-    per-class characters, as one character sum; read-only int64.
+    per-class characters, as one character sum
+    ``(1/|G|) sum_g chi_a(g) chi_b(g) conj(chi_c(g))``; read-only int64.
 
-    Applies ``hom_dim``'s check to every cell and raises its
-    ``ConsistencyError`` for the first bad cell in C order.
+    The sum runs as one matmul of the ``(a, b)`` products, weighted by class
+    size, against the conjugate characters.  Each cell must lie within
+    ``INTEGER_TOL`` of a nonnegative integer in its real part and of 0 in
+    its imaginary part; the first cell in C order that does not raises
+    ``ConsistencyError``.
     """
-    shape = (len(characters), group.num_classes)
-    chars = np.asarray(characters if shape[0] else np.zeros(shape), dtype=np.complex128)
+    k, classes = shape = (len(characters), group.num_classes)
+    chars = np.asarray(characters if k else np.zeros(shape), dtype=np.complex128)
     if chars.shape != shape:
         raise StructuralError("characters must be per-class vectors on the same group")
-    vals = np.einsum("g,ag,bg,cg->abc", group.class_sizes, chars, chars, chars.conj())
-    vals /= group.order
+    vals = (chars[:, None] * chars * group.class_sizes).reshape(k * k, classes) @ chars.conj().T
+    vals = vals.reshape(k, k, k) / group.order
     rounded = np.round(vals.real)
     bad = ~((np.abs(vals.real - rounded) <= INTEGER_TOL) & (np.abs(vals.imag) <= INTEGER_TOL))
     bad |= rounded < 0
@@ -311,42 +306,33 @@ def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
 
 
 def intertwiner_basis(
-    m1: MatrixRep | Sequence[MatrixRep],
-    m2: MatrixRep | Sequence[MatrixRep],
-    m3: MatrixRep | Sequence[MatrixRep],
-    *,
-    expected: int | Sequence[int | None] | None = None,
+    m1: Sequence[MatrixRep], m2: Sequence[MatrixRep], m3: Sequence[MatrixRep], *,
+    expected: Sequence[int],
 ) -> list:
-    """Basis of ``hom(M1 (x) M2, M3)`` via the group-averaging projector.
+    """One basis of ``hom(M1 (x) M2, M3)`` per triple ``(m1[t], m2[t], m3[t])``,
+    via the group-averaging projector.
 
     The projector ``P(T) = (1/|G|) sum_g rho3(g) T (rho1 (x) rho2)(g^{-1})``
     acts on d3 x (d1 d2) matrices; its fixed space is the intertwiner space.
-    The rank must equal the character-sum dimension exactly.
-
-    ``m1``, ``m2`` and ``m3`` may instead be equal-length sequences of
-    representations, one triple per position, with ``expected`` ``None`` or a
-    sequence of ranks; the result is then one basis per triple.  The triples
+    Its rank must equal the triple's ``expected`` rank, the character-sum
+    dimension, exactly; ``expected`` has one rank per triple.  The triples
     that share a group and a dimension signature ``(d1, d2, d3)`` are one
     stack, evaluated by one projector sum, one batched SVD and one batched
     intertwiner check.  Each item runs the same elementwise products, ``svd``
-    and ``matmul`` kernels on the same operands as a triple on its own, so a
-    single triple is the one-item stack and its basis and errors do not
-    depend on the other triples.  A failing triple raises its first error in
-    the order the checks run for it; of several, the first triple's.
+    and ``matmul`` kernels on the same operands as a one-item stack, so a
+    triple's basis and errors do not depend on the other triples.  A failing
+    triple raises its first error in the order the checks run for it; of
+    several, the first triple's.
     """
-    if isinstance(m1, MatrixRep):
-        return intertwiner_basis([m1], [m2], [m3], expected=[expected])[0]
-    triples = list(zip(m1, m2, m3, strict=True))
-    expected = [None] * len(triples) if expected is None else list(expected)
+    items = list(zip(m1, m2, m3, expected, strict=True))
     stacks: dict[tuple, list[int]] = {}
-    for t, (r1, r2, r3) in enumerate(triples):
+    for t, (r1, r2, r3, _) in enumerate(items):
         if not (r1.group is r2.group is r3.group):
             raise StructuralError("all three representations must share one group")
         stacks.setdefault((r1.group, r1.dim, r2.dim, r3.dim), []).append(t)
-    bases: list = [None] * len(triples)
-    for items in stacks.values():
-        outcomes = _intertwiner_stack([triples[t] for t in items], [expected[t] for t in items])
-        for t, outcome in zip(items, outcomes):
+    bases: list = [None] * len(items)
+    for stack in stacks.values():
+        for t, outcome in zip(stack, _intertwiner_stack([items[t] for t in stack])):
             bases[t] = outcome
     for outcome in bases:
         if isinstance(outcome, Exception):
@@ -354,53 +340,47 @@ def intertwiner_basis(
     return bases
 
 
-def _intertwiner_stack(triples, expected) -> list:
-    """Per triple of one stack, its basis or the error it raises."""
-    group = triples[0][0].group
+def _intertwiner_stack(items) -> list:
+    """Per ``(rep1, rep2, rep3, expected rank)`` of one stack, its basis or
+    the error it raises."""
+    group = items[0][0].group
     n = group.order
-    rho1, rho2, rho3 = (np.array([t[k].matrices for t in triples]) for k in range(3))
+    rho1, rho2, rho3 = (np.array([t[k].matrices for t in items]) for k in range(3))
     d_in, d_out = rho1.shape[-1] * rho2.shape[-1], rho3.shape[-1]
     dim = d_out * d_in
-    outcomes: list = [None] * len(triples)
+    outcomes: list = [None] * len(items)
 
     # (rho1 (x) rho2)(g), elementwise Kronecker products with composite index
     # (i, j) -> i * d2 + j
-    prod = np.einsum("tnij,tnkl->tnikjl", rho1, rho2).reshape(len(triples), n, d_in, d_in)
+    prod = np.einsum("tnij,tnkl->tnikjl", rho1, rho2).reshape(len(items), n, d_in, d_in)
     # row-major vec: vec(A T B) = (A kron B^T) vec(T), and B^T = dual(g) for
     # B = (rho1 (x) rho2)(g^{-1}); all |G| Kronecker factors in one product
     dual = np.ascontiguousarray(prod[:, group.inverse].swapaxes(-1, -2))
     kron = rho3[:, :, :, None, :, None] * dual[:, :, None, :, None, :]
-    proj = kron.reshape(len(triples), n, dim, dim).sum(axis=1)
+    proj = kron.reshape(len(items), n, dim, dim).sum(axis=1)
     proj /= n
 
     idem_err = np.abs(proj @ proj - proj).max(axis=(1, 2))
     for i in np.flatnonzero(~(idem_err <= INTERTWINER_TOL)).tolist():
         outcomes[i] = ConsistencyError(f"averaging projector not idempotent: {idem_err[i]:.2e}")
         proj[i] = 0  # its SVD is not read; zeros keep the stacked SVD finite
-    for i, (r1, r2, r3) in enumerate(triples):
-        if outcomes[i] is None and expected[i] is None:
-            try:
-                chi1, chi2, chi3 = validate_irrep(r1), validate_irrep(r2), validate_irrep(r3)
-                expected[i] = hom_dim(group, chi1, chi2, chi3)
-            except (RepresentationError, ConsistencyError) as err:
-                outcomes[i] = err
 
     u, sing, _ = np.linalg.svd(proj)
     ranks = np.sum(sing > 0.5, axis=1)
     # the first r columns of u as d_out x d_in views, strided as a single
     # triple's, each checked against every group element
     r = int(ranks.max())
-    basis = u[:, :, :r].swapaxes(1, 2).reshape(len(triples), r, d_out, d_in)
+    basis = u[:, :, :r].swapaxes(1, 2).reshape(len(items), r, d_out, d_in)
     t = basis[:, :, None]
     errs = np.abs(rho3[:, None] @ t - t @ prod[:, None]).max(axis=(2, 3, 4))
     bad = ~(errs <= INTERTWINER_TOL) & (np.arange(r) < ranks[:, None])
     failing = bad.any(axis=1).tolist()
-    for i, rank in enumerate(ranks.tolist()):
+    for i, (rank, (*_, expected)) in enumerate(zip(ranks.tolist(), items)):
         if outcomes[i] is not None:
             continue
-        if rank != expected[i]:
+        if rank != expected:
             outcomes[i] = ConsistencyError(
-                f"projector rank {rank} does not match character dimension {expected[i]}"
+                f"projector rank {rank} does not match character dimension {expected}"
             )
         elif failing[i]:
             err = errs[i, np.argmax(bad[i])]

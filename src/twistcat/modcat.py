@@ -67,7 +67,7 @@ from itertools import groupby, product
 import numpy as np
 
 from .abgroup import GroupElt
-from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport, validate_cocycle
+from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport
 from .cocycle import _pentagon_holds, hexagon_residues, pentagon_slabs
 from .errors import CocycleError, StructuralError
 from .grouprep import (
@@ -115,8 +115,8 @@ def flip_matrix(d1: int, d2: int) -> np.ndarray:
 class TwistedCategory:
     """A finite group with a complete graded irrep catalog and a cocycle.
 
-    Validates everything eagerly: the cocycle axioms (through the report the
-    cocycle's builder kept, if it kept one), irreducibility and the
+    Validates everything eagerly: the cocycle axioms (through the cocycle's
+    ``report``, computed once per cocycle), irreducibility and the
     homomorphism property of every catalog member, centrality of the grading
     embedding, the declared grades, and (for complete catalogs) the
     sum-of-squares identity ``sum dim^2 = |G|``.
@@ -136,16 +136,13 @@ class TwistedCategory:
             raise StructuralError("embedding and cocycle must share the grading group")
         embedding.validate(group)
         # the passing cocycle report this category checked, None without validation
-        self._cocycle_report: CoherenceReport | None = None
-        if validate:
-            cocycle_report = cocycle.report or validate_cocycle(cocycle)  # a builder's, if kept
-            if not cocycle_report.passed:
-                first = cocycle_report.failures()[0]
-                raise CocycleError(
-                    f"cocycle violates the {first.axiom} axiom at {first.witness}",
-                    report=cocycle_report,
-                )
-            self._cocycle_report = cocycle_report
+        self._cocycle_report: CoherenceReport | None = cocycle.report if validate else None
+        if validate and not cocycle.report.passed:
+            first = cocycle.report.failures()[0]
+            raise CocycleError(
+                f"cocycle violates the {first.axiom} axiom at {first.witness}",
+                report=cocycle.report,
+            )
         self.group = group
         self.cocycle = cocycle
         self.embedding = embedding

@@ -22,10 +22,12 @@ A spec file is a UTF-8 JSON document with a versioned schema:
 
 su2 mode replaces group/irreps/embedding with {"max_spin": N}, 0 <= N <= 64.
 
-``load_spec`` alone reads the JSON, checking each field's type and shape once
-and naming a bad field's JSON path.  Integer fields are JSON integers, matrix
-entries are strings, a ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.
-Group axioms, irreps and the embedding are checked when the category is built.
+``load_spec`` alone reads the file, once: the SHA-256 of its bytes is the
+spec's ``digest``, and those bytes, decoded as UTF-8, are the JSON it parses,
+checking each field's type and shape once and naming a bad field's JSON path.
+Integer fields are JSON integers, matrix entries are strings, a
+``group.table`` has at most ``MAX_GROUP_ORDER`` rows.  Group axioms, irreps
+and the embedding are checked when the category is built.
 Cocycle table keys are stored as row-major flat indices into the table,
 whose digits in base ``|A|`` are the elements' enumeration indices.  A spec
 file is at most ``MAX_SPEC_BYTES`` long, checked before it is read: a dense
@@ -36,6 +38,7 @@ sparse tables or a builder.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -260,7 +263,7 @@ class CategorySpec:
 
     name: str
     mode: str
-    path: Path | None
+    digest: str | None  # sha256 of the spec file's bytes, the ones parsed
     grading: FinAbGroup
     cocycle_source: tuple  # what _parse_cocycle returns
     group_source: tuple = ()  # what _parse_group returns
@@ -271,7 +274,8 @@ class CategorySpec:
     _cocycle: AbelianCocycle | None = field(default=None, init=False, repr=False)
 
     def build_cocycle(self) -> AbelianCocycle:
-        """Construct (and thereby validate) the cocycle; built once per spec."""
+        """Construct the cocycle, once per spec.  The cyclic and table builders
+        validate it; a trivial one validates when its ``report`` is first read."""
         if self._cocycle is None:
             kind, *args = self.cocycle_source
             if kind == "cyclic":
@@ -329,8 +333,9 @@ def load_spec(spec: str | Path) -> CategorySpec:
         raise StructuralError(
             f"spec file {path} is {size} bytes, over MAX_SPEC_BYTES = {MAX_SPEC_BYTES}"
         )
+    data = path.read_bytes()
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(data.decode("utf-8"))  # loads(data) would take UTF-16 and UTF-32 too
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge or deep literals
         raise StructuralError(f"spec file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -343,7 +348,8 @@ def load_spec(spec: str | Path) -> CategorySpec:
         raise _bad("mode", "'finite-group' or 'su2'", mode)
     grading = FinAbGroup(_parse_ints(raw.get("grading_group"), "grading_group"))
     name = _typed(raw.get("name", path.stem), str, "name")
-    spec = CategorySpec(name, mode, path, grading, _parse_cocycle(raw.get("cocycle"), grading))
+    cocycle = _parse_cocycle(raw.get("cocycle"), grading)
+    spec = CategorySpec(name, mode, hashlib.sha256(data).hexdigest(), grading, cocycle)
     spec.max_spin = _parse_int(raw.get("max_spin", 10), "max_spin", range(0, MAX_SPIN + 1))
     if mode == "finite-group":
         spec.group_source = _parse_group(raw.get("group"))

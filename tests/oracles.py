@@ -6,7 +6,8 @@ from itertools import count
 
 import numpy as np
 
-from twistcat.grouprep import GradedIrrep, MatrixRep
+from twistcat.errors import ConsistencyError, StructuralError
+from twistcat.grouprep import INTEGER_TOL, GradedIrrep, MatrixRep
 from twistcat.unitscalar import root_of_unity
 
 
@@ -15,6 +16,13 @@ def add(group, a, b):
     elements, then residues added componentwise mod each ``n_i``."""
     group.check(a), group.check(b)
     return tuple((x + y) % n for x, y, n in zip(a, b, group.factors))
+
+
+def neg(group, a):
+    """``-a`` in ``Z/n_1 x ... x Z/n_k``: ``a`` checked as a reduced element,
+    then each residue negated mod its ``n_i``."""
+    group.check(a)
+    return tuple(-x % n for x, n in zip(a, group.factors))
 
 
 def exponent(group) -> int:
@@ -30,6 +38,20 @@ def tensor_rep(m1, m2):
     """The tensor product representation ``g -> rho1(g) kron rho2(g)``, with
     composite index ``(i, j) -> i * d2 + j``."""
     return MatrixRep(m1.group, np.array([np.kron(a, b) for a, b in zip(m1.matrices, m2.matrices)]))
+
+
+def hom_dim(group, chi1, chi2, chi3) -> int:
+    """``dim hom(M1 (x) M2, M3) = (1/|G|) sum_g chi1(g) chi2(g) conj(chi3(g))``
+    for one triple of per-class characters, raising ``ConsistencyError``
+    unless the sum is a nonnegative integer within ``INTEGER_TOL``."""
+    chi1, chi2, chi3 = (np.asarray(c, dtype=np.complex128) for c in (chi1, chi2, chi3))
+    if not chi1.shape == chi2.shape == chi3.shape == (group.num_classes,):
+        raise StructuralError("characters must be per-class vectors on the same group")
+    val = complex(np.sum(group.class_sizes * chi1 * chi2 * np.conj(chi3))) / group.order
+    rounded = float(np.rint(val.real))  # a NaN stays NaN, where round() raises
+    if not (abs(val.real - rounded) <= INTEGER_TOL and abs(val.imag) <= INTEGER_TOL) or rounded < 0:
+        raise ConsistencyError(f"character sum {val} is not a nonnegative integer")
+    return int(rounded)
 
 
 def q(cocycle, a) -> Fraction:
@@ -78,7 +100,7 @@ def dual_rep(m):
 
 def dual(cat, m):
     """The contragredient of a catalog member: grade negated, character conjugated."""
-    grade = cat.grading.neg(m.grade)
+    grade = neg(cat.grading, m.grade)
     return GradedIrrep(m.label + "*", dual_rep(m.rep), grade, np.conj(m.character))
 
 
@@ -106,6 +128,6 @@ def dim_sum(cat, x) -> complex:
     g, denom = cat.grading, cat.cocycle.denom
     return sum(
         m.dim * root_of_unity(int(x[g.index(m.grade)]), denom)
-        * m.dim * root_of_unity(int(x[g.index(g.neg(m.grade))]), denom)
+        * m.dim * root_of_unity(int(x[g.index(neg(g, m.grade))]), denom)
         for m in cat.catalog
     )

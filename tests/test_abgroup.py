@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistcat.abgroup import FinAbGroup
 from twistcat.errors import StructuralError
 
-from oracles import add, exponent, pairing
+from oracles import add, exponent, neg, pairing
 
 small_factor_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
@@ -63,8 +63,10 @@ def test_index_round_trip(factors, data):
 @given(small_factor_lists, st.data())
 def test_neg_is_inverse(factors, data):
     g = FinAbGroup(tuple(factors))
-    a = g.element_at(data.draw(st.integers(min_value=0, max_value=g.order - 1)))
-    assert add(g, a, g.neg(a)) == g.zero
+    i = data.draw(st.integers(min_value=0, max_value=g.order - 1))
+    a = g.element_at(i)
+    assert g.element_at(int(g.neg_index_table[i])) == neg(g, a)
+    assert add(g, a, neg(g, a)) == g.zero
 
 
 @pytest.mark.parametrize(

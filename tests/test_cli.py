@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -51,8 +52,11 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "data",
-    [b"\xff{}", b'{"schema_version": 1' + b"0" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
-    ids=["not-utf8", "integer-literal-too-long", "nested-too-deep"],
+    [
+        b"\xff{}", '{"schema_version": 1}'.encode("utf-16"),
+        b'{"schema_version": 1' + b"0" * 5000 + b"}", b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["not-utf8", "utf16", "integer-literal-too-long", "nested-too-deep"],
 )
 def test_unreadable_spec_is_parse_error(data, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -80,6 +84,23 @@ def test_spec_file_over_the_byte_cap_is_refused_before_parsing(over, tmp_path, c
     assert capsys.readouterr().err == (
         f"error: spec file {path} is {size} bytes, over MAX_SPEC_BYTES = {size - 1}\n"
     )
+
+
+def test_verify_reads_the_spec_file_once(tmp_path, monkeypatch):
+    # the digest is taken from the bytes that are parsed, not from a second read
+    path = tmp_path / "spec.json"
+    path.write_bytes(fixture_path("z2-lattice-on-z4").read_bytes())
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        real = getattr(Path, name)
+        monkeypatch.setattr(Path, name, lambda self, *a, _real=real, **k: (
+            reads.append(self) or _real(self, *a, **k)))
+    assert run_cli("verify", "--spec", str(path), "--out", str(tmp_path / "report.json")) == 0
+    assert reads == [path]
+    monkeypatch.undo()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_spec(path).digest == digest
+    assert json.loads((tmp_path / "report.json").read_text())["spec_digest"] == digest
 
 
 @pytest.mark.parametrize(
@@ -410,7 +431,6 @@ def test_verify_validates_cocycle_once(monkeypatch, capsys):
         return original(c)
 
     monkeypatch.setattr(cocycle, "validate_cocycle", counting)
-    monkeypatch.setattr(modcat, "validate_cocycle", counting)
     assert run_cli("verify", "--spec", "z2-lattice-on-z4") == 0
     assert len(calls) == 1
 

@@ -19,7 +19,7 @@ from twistcat.fusionring import (
     su2_spins,
     su2_tensor,
 )
-from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
+from twistcat.grouprep import CentralEmbedding, intertwiner_basis
 from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
 from twistcat.unitscalar import root_of_unity
@@ -69,8 +69,8 @@ def test_fusion_matches_projector_ranks(s3_cat, q8_cat):
         for a, ma in enumerate(members):
             for b, mb in enumerate(members):
                 for c, mc in enumerate(members):
-                    n = hom_dim(cat.group, ma.character, mb.character, mc.character)
-                    basis = intertwiner_basis(ma.rep, mb.rep, mc.rep, expected=n)
+                    n = oracles.hom_dim(cat.group, ma.character, mb.character, mc.character)
+                    basis = intertwiner_basis([ma.rep], [mb.rep], [mc.rep], expected=[n])[0]
                     assert len(basis) == int(table.coefficients[a, b, c])
 
 

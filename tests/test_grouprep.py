@@ -19,7 +19,6 @@ from twistcat.grouprep import (
     FiniteGroup,
     MatrixRep,
     grade_of,
-    hom_dim,
     hom_dim_table,
     intertwiner_basis,
     rep_from_generators,
@@ -28,7 +27,7 @@ from twistcat.grouprep import (
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar
 
-from oracles import add, dual_rep, pairing, tensor_rep
+from oracles import add, dual_rep, hom_dim, neg, pairing, tensor_rep
 
 
 @pytest.fixture(scope="module")
@@ -159,14 +158,14 @@ def test_intertwiner_check_fails_on_a_corrupted_factor(s3):
     group, reps = s3
     w, g = reps["standard"], 3
     m1, m3 = w.matrices.copy(), w.matrices.copy()
-    m1[group.inv(g)] *= 1j
+    m1[group.inverse[g]] *= 1j
     m3[g] *= -1j
-    t = intertwiner_basis(w, w, w, expected=1)[0]
+    t = intertwiner_basis([w], [w], [w], expected=[1])[0][0]
     prod = tensor_rep(MatrixRep(group, m1), w).matrices
     err = max(float(np.abs(m3[h] @ t - t @ prod[h]).max()) for h in range(group.order))
     assert err > 1e-8
     with pytest.raises(ConsistencyError, match="not an intertwiner"):
-        intertwiner_basis(MatrixRep(group, m1), w, MatrixRep(group, m3), expected=1)
+        intertwiner_basis([MatrixRep(group, m1)], [w], [MatrixRep(group, m3)], expected=[1])
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8"])
@@ -176,13 +175,15 @@ def test_intertwiner_stacks_match_single_triples(name):
     group, reps = builtin_catalog(name)
     chars = {k: validate_irrep(r) for k, r in reps.items()}
     triples = [
-        (reps[a], reps[b], reps[c]) for a, b, c in product(reps, repeat=3)
-        if hom_dim(group, chars[a], chars[b], chars[c])
+        (reps[a], reps[b], reps[c], n) for a, b, c in product(reps, repeat=3)
+        if (n := hom_dim(group, chars[a], chars[b], chars[c]))
     ]
-    assert len({(r1.dim, r2.dim, r3.dim) for r1, r2, r3 in triples}) > 1
-    stacked = intertwiner_basis(*([t[k] for t in triples] for k in range(3)))
-    for t, basis in zip(triples, stacked, strict=True):
-        single = intertwiner_basis(*t)
+    assert len({(r1.dim, r2.dim, r3.dim) for r1, r2, r3, _ in triples}) > 1
+    stacked = intertwiner_basis(
+        *([t[k] for t in triples] for k in range(3)), expected=[t[3] for t in triples]
+    )
+    for (r1, r2, r3, n), basis in zip(triples, stacked, strict=True):
+        single = intertwiner_basis([r1], [r2], [r3], expected=[n])[0]
         assert len(basis) == len(single) > 0
         assert all(np.array_equal(x, y) for x, y in zip(basis, single))
 
@@ -193,7 +194,7 @@ def test_intertwiner_stack_raises_its_first_failing_triple(s3):
     group, reps = s3
     w, g = reps["standard"], 3
     m1, m3 = w.matrices.copy(), w.matrices.copy()
-    m1[group.inv(g)] *= 1j
+    m1[group.inverse[g]] *= 1j
     m3[g] *= -1j
     corrupted = (MatrixRep(group, m1), w, MatrixRep(group, m3), 1)  # fails the intertwiner check
     wrong_rank = (w, w, reps["trivial"], 2)  # a rank-1 projector, another stack
@@ -206,7 +207,15 @@ def test_intertwiner_stack_raises_its_first_failing_triple(s3):
             intertwiner_basis(
                 *([t[k] for t in triples] for k in range(3)), expected=[t[3] for t in triples]
             )
-    assert len(intertwiner_basis(*([t[k] for t in [good, good]] for k in range(3)))) == 2
+    assert len(intertwiner_basis([w, w], [w, w], [w, w], expected=[1, 1])) == 2
+
+
+def test_intertwiner_basis_needs_one_rank_per_triple(s3):
+    _, reps = s3
+    w = reps["standard"]
+    for expected in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="zip"):
+            intertwiner_basis([w, w], [w, w], [w, w], expected=expected)
 
 
 def test_hom_dim_s3(s3):
@@ -224,9 +233,9 @@ def test_intertwiner_basis_s3(s3):
     group, reps = s3
     w = reps["standard"]
     for label, expected in [("trivial", 1), ("sign", 1), ("standard", 1)]:
-        basis = intertwiner_basis(w, w, reps[label])
+        basis = intertwiner_basis([w], [w], [reps[label]], expected=[expected])[0]
         assert len(basis) == expected
-    identity_span = intertwiner_basis(reps["trivial"], w, w)
+    identity_span = intertwiner_basis([reps["trivial"]], [w], [w], expected=[1])[0]
     assert len(identity_span) == 1
     t = identity_span[0]
     assert np.allclose(t / t[0, 0], np.eye(2))
@@ -237,7 +246,7 @@ def test_intertwiner_equivariance(q8):
     spin = reps["spin"]
     prod = tensor_rep(spin, spin)
     for label in ["trivial", "sign-i", "sign-j", "sign-k"]:
-        (t,) = intertwiner_basis(spin, spin, reps[label])
+        ((t,),) = intertwiner_basis([spin], [spin], [reps[label]], expected=[1])
         for g in range(group.order):
             assert np.abs(reps[label].matrices[g] @ t - t @ prod.matrices[g]).max() <= 1e-8
 
@@ -339,7 +348,7 @@ def test_grade_additivity_and_duality():
     g3 = grade_of(reps["chi3"], emb)
     assert grade_of(tensor_rep(reps["chi1"], reps["chi3"]), emb) == add(grading, g1, g3)
     assert grade_of(tensor_rep(reps["chi1"], reps["chi2"]), emb) == (1,)
-    assert grade_of(dual_rep(reps["chi1"]), emb) == grading.neg(g1)
+    assert grade_of(dual_rep(reps["chi1"]), emb) == neg(grading, g1)
 
 
 def test_non_unitary_rep_warns_but_validates(s3):

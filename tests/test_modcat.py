@@ -16,7 +16,7 @@ from twistcat.cocycle import AbelianCocycle, _pentagon_holds, build_cyclic, vali
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
 from twistcat import cocycle, modcat
 from twistcat.fusionring import dim_exponents, fusion_table, s_table
-from twistcat.grouprep import CentralEmbedding, hom_dim, intertwiner_basis
+from twistcat.grouprep import CentralEmbedding, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
@@ -63,14 +63,18 @@ def test_braiding_scalars(lattice_cat, s3_cat):
 
 def test_category_reuses_the_builders_report(monkeypatch):
     group, reps = builtin_catalog("z4")
-    real, calls = modcat.validate_cocycle, []
-    monkeypatch.setattr(modcat, "validate_cocycle", lambda c: calls.append(c) or real(c))
+    real, calls = cocycle.validate_cocycle, []
+    monkeypatch.setattr(cocycle, "validate_cocycle", lambda c: calls.append(c) or real(c))
     kept = build_cyclic(2, 3)
+    assert calls == [kept]
     TwistedCategory(group, kept, CentralEmbedding(kept.group, (2,)), reps)
-    assert calls == []
+    assert calls == [kept]
+    # a bare cocycle validates when the first category reads its report, once
     bare = AbelianCocycle(kept.group, kept.f_num, kept.omega_num, kept.denom)
-    TwistedCategory(group, bare, CentralEmbedding(bare.group, (2,)), reps)
-    assert calls == [bare]
+    assert calls == [kept]
+    for _ in range(2):
+        TwistedCategory(group, bare, CentralEmbedding(bare.group, (2,)), reps)
+        assert calls == [kept, bare]
 
 
 def test_braiding_super():
@@ -111,7 +115,7 @@ def test_cat_dims_equal_ordinary_dims(categories):
         x, g = dim_exponents(cat.cocycle), cat.grading
         for m in cat.catalog:
             # dimension d e^{2 pi i x / denom}: exactly d when x is 0
-            assert x[g.index(m.grade)] == 0 and x[g.index(g.neg(m.grade))] == 0
+            assert x[g.index(m.grade)] == 0 and x[g.index(oracles.neg(g, m.grade))] == 0
             value = oracles.cat_trace(cat, m, np.eye(m.dim))
             assert abs(value - m.dim) <= 1e-9
             assert abs(value.imag) <= 1e-9
@@ -231,7 +235,7 @@ def test_snake_composites_are_identity(categories):
         g = cat.grading
         for m in cat.catalog:
             d = m.dim
-            a, neg = m.grade, g.neg(m.grade)
+            a, neg = m.grade, oracles.neg(g, m.grade)
             ev = cat.evaluation(m)
             coev = cat.coevaluation(m)
             left = np.kron(np.eye(d), ev)
@@ -533,7 +537,7 @@ def _dense_reference(cat, tol, seed):
         return braid((n,), (m,)) @ braid((m,), (n,))
 
     def trace(word, f):  # e_M . R_{M,M*} . ((theta f) (x) 1) . i_M
-        a, d, neg = grade(word), dim(word), g.neg(grade(word))
+        a, d, neg = grade(word), dim(word), oracles.neg(g, grade(word))
         ev = f_inv(a, neg, a) * np.eye(d).reshape(1, d * d)
         theta_f = omega_inv(a, a) * np.asarray(f, dtype=np.complex128)
         middle = (omega_inv(a, neg) * flip_matrix(d, d)) @ np.kron(theta_f, np.eye(d))
@@ -542,7 +546,7 @@ def _dense_reference(cat, tol, seed):
     checks = {}
     witness, max_err = None, 0.0
     for m in cat.catalog:
-        a, neg, d = m.grade, g.neg(m.grade), m.dim
+        a, neg, d = m.grade, oracles.neg(g, m.grade), m.dim
         ev = f_inv(a, neg, a) * np.eye(d).reshape(1, d * d)
         coev = np.eye(d).reshape(d * d, 1)
         snake_m = UnitScalar(oracles.f(c, a, neg, a)).to_complex() * (
@@ -569,7 +573,7 @@ def _dense_reference(cat, tol, seed):
     triples = []
     for m1, m2, m3 in product(cat.catalog, repeat=3):
         if oracles.add(g, m1.grade, m2.grade) == m3.grade:
-            n = hom_dim(cat.group, m1.character, m2.character, m3.character)
+            n = oracles.hom_dim(cat.group, m1.character, m2.character, m3.character)
             if n > 0:
                 triples.append((m1, m2, m3, n))
     rng = np.random.default_rng(seed)
@@ -577,7 +581,7 @@ def _dense_reference(cat, tol, seed):
     picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
     for t in sorted(int(i) for i in picks):
         m1, m2, m3, n = triples[t]
-        f = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=n)[0]
+        f = intertwiner_basis([m1.rep], [m2.rep], [m3.rep], expected=[n])[0][0]
         for y in cat.catalog:
             checked += 1
             lhs = braid((m3,), (y,)) @ np.kron(f, np.eye(y.dim))
@@ -606,7 +610,7 @@ def _dense_reference(cat, tol, seed):
         },
         "cat_dim": {m.label: trace((m,), np.eye(m.dim)) for m in members},
         "fusion": np.array(
-            [[[hom_dim(cat.group, a.character, b.character, d.character) for d in members]
+            [[[oracles.hom_dim(cat.group, a.character, b.character, d.character) for d in members]
               for b in members] for a in members]
         ),
     }
@@ -665,7 +669,7 @@ def test_non_integral_characters_raise_like_hom_dim():
     cat.catalog = cat.catalog[:-1] + (fake,)
     with pytest.raises(ConsistencyError) as ref:
         for a, b, d in product(cat.catalog, repeat=3):
-            hom_dim(group, a.character, b.character, d.character)
+            oracles.hom_dim(group, a.character, b.character, d.character)
     for compute in (lambda: cat.hom_dims, lambda: cat.coherence_suite()):
         with pytest.raises(ConsistencyError) as got:
             compute()
@@ -722,7 +726,8 @@ def _per_tuple_self_checks(cat, tol, seed):
     cells = np.zeros((len(sampled), k))
     for row, (i, j, l) in enumerate(sampled):
         m1, m2, m3 = cat.catalog[i], cat.catalog[j], cat.catalog[l]
-        f = intertwiner_basis(m1.rep, m2.rep, m3.rep, expected=int(cat.hom_dims[i, j, l]))[0]
+        n = int(cat.hom_dims[i, j, l])
+        f = intertwiner_basis([m1.rep], [m2.rep], [m3.rep], expected=[n])[0][0]
         (a1, d1), (a2, d2), (a3, d3) = words[i], words[j], words[l]
         a12, d12 = cat._add[a1][a2], d1 * d2
         for col, (y, (ay, dy)) in enumerate(zip(cat.catalog, words)):

@@ -1,11 +1,14 @@
 """Every public function, class and method of the library is read in ``src/``
 outside its own definition: code that only tests or scripts call is deleted,
-not kept in step."""
+not kept in step.  A method is read only through an attribute access, and a
+module-level name only through a load or an import, so a local variable,
+parameter or assignment target of the same name is not a reader.  The
+package ``__init__`` re-exports names and reads none."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "twistcat"
 
 ALLOWED = {  # public names kept without a reader in src/, each with its reason
     "plog": "the fixed branch of log that the branch integers are defined against",
@@ -14,30 +17,44 @@ ALLOWED = {  # public names kept without a reader in src/, each with its reason
     "coevaluation": "a structure map the modcat docstring defines; the snakes inline it",
     "evaluation": "a structure map the modcat docstring defines; the snakes inline it and "
     "the trace oracle composes it",
+    "twist": "the ribbon structure map the modcat docstring defines; the suite checks its "
+    "exponents",
 }
 
 
 def test_every_public_name_has_a_reader_in_src():
-    defs, uses = [], []  # (module, def node); (name read, ids of the defs around the read)
+    # (module, def node, whether a method); (name read, whether as an
+    # attribute, ids of the defs around the read)
+    defs, reads = [], []
 
-    def visit(node, inside, module):  # module is None where definitions are not recorded
+    def visit(node, inside, module, in_class):  # module is None inside functions
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if module and not node.name.startswith("_"):
-                defs.append((module, node))
+                defs.append((module, node, in_class))
             inside = inside | {id(node)}
-            module = module if isinstance(node, ast.ClassDef) else None  # methods, not closures
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            uses.append((node.id if isinstance(node, ast.Name) else node.attr, inside))
+            in_class = isinstance(node, ast.ClassDef)
+            module = module if in_class else None  # methods, not closures
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, True, inside))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, False, inside))
+        elif isinstance(node, ast.alias):
+            reads.append((node.name, False, inside))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside, module)
+            visit(child, inside, module, in_class)
 
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")}
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in LIBRARY.glob("*.py") if path.name != "__init__.py"
+    }
     for path, tree in trees.items():  # the trees stay alive, so no node id is reused
-        library = path.parent.name == "twistcat" and path.name != "__init__.py"
-        visit(tree, frozenset(), path.stem if library else None)
+        visit(tree, frozenset(), path.stem, False)
     unread = sorted(
-        f"{module}.{node.name}" for module, node in defs
+        f"{module}.{node.name}" for module, node, method in defs
         if node.name not in ALLOWED
-        and not any(name == node.name and id(node) not in inside for name, inside in uses)
+        and not any(
+            name == node.name and (attribute or not method) and id(node) not in inside
+            for name, attribute, inside in reads
+        )
     )
     assert unread == []
