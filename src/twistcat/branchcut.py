@@ -14,7 +14,10 @@ of the two braidings, the loop identity that fixes the sign convention.
 Every sign is decided exactly, with no tolerance, on the float coordinates
 scaled by one power of two to Python ints (``_integers``): no overflow, no tie.
 ``_branch`` decides every branch integer, and ``branch_integers`` is the one
-path to both integers of the nested region; the numerators read ``b_num``.
+path to both integers of the nested region, for one pair or for arrays of
+pairs, each pair scaled by its own power of two; the numerators read
+``b_num``.  Paths and their segments are decided one at a time, on Python
+ints: for so few points numpy's per-call cost exceeds the work.
 """
 
 from __future__ import annotations
@@ -52,13 +55,27 @@ def plog(z: complex) -> complex:
     return complex(math.log(abs(z)), cut_arg(z))
 
 
-def _integers(a: float, b: float, c: float, d: float) -> tuple[int, int, int, int]:
+def _integers(a, b, c, d) -> tuple:
     """The four finite coordinates times one power of two, as exact ints: each
-    is ``n / 2^k``, so the largest ``2^k`` clears every denominator."""
-    (a, p), (b, q) = a.as_integer_ratio(), b.as_integer_ratio()
-    (c, r), (d, s) = c.as_integer_ratio(), d.as_integer_ratio()
-    t = max(p, q, r, s)
-    return a * (t // p), b * (t // q), c * (t // r), d * (t // s)
+    is ``n / 2^k``, so the largest ``2^k`` clears every denominator.
+
+    Python floats take ``as_integer_ratio``, which raises on inf and nan.  If
+    any argument is an array, the four broadcast to one shape of pairs and
+    come back as object arrays of Python ints, each pair scaled by its own
+    power of two: a pair with an inf or nan coordinate becomes four zeros.
+    ``frexp`` splits each float into ``m * 2^e`` with ``2^53 m`` an exact
+    int64, and each pair is shifted left by ``e`` less its smallest ``e``.
+    """
+    if not any(isinstance(v, np.ndarray) for v in (a, b, c, d)):
+        (a, p), (b, q) = a.as_integer_ratio(), b.as_integer_ratio()
+        (c, r), (d, s) = c.as_integer_ratio(), d.as_integer_ratio()
+        t = max(p, q, r, s)
+        return a * (t // p), b * (t // q), c * (t // r), d * (t // s)
+    coords = np.array(np.broadcast_arrays(a, b, c, d), dtype=np.float64)
+    coords[:, ~np.isfinite(coords).all(axis=0)] = 0.0
+    m, e = np.frexp(coords)
+    ints = np.ldexp(m, 53).astype(np.int64).astype(object)
+    return tuple(ints << (e - e.min(axis=0)).astype(object))
 
 
 def _cross_sign(a: complex, b: complex) -> int:
@@ -68,18 +85,17 @@ def _cross_sign(a: complex, b: complex) -> int:
     return (cross > 0) - (cross < 0)
 
 
-def _branch(cross: int, first_below: bool, diff_below: bool) -> int:
+def _branch(cross, first_below, diff_below):
     """The branch integer of a pair with cross sign ``cross``: ``1`` if it is positive,
     the difference is below the cut and the first point is not, ``-1`` in the
-    mirrored case, else ``0``."""
-    if diff_below and not first_below:
-        return int(cross > 0)
-    if first_below and not diff_below:
-        return -int(cross < 0)
-    return 0
+    mirrored case, else ``0``.  Ints and bools give an int; arrays of them, an
+    int array."""
+    up = (diff_below > first_below) & (cross > 0)
+    down = (first_below > diff_below) & (cross < 0)
+    return 1 * up - 1 * down  # 1 * makes a bool array an int array, as Python bools are ints
 
 
-def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
+def branch_integers(z1, z2) -> tuple:
     """``(p(z1, z2), p(z2, z2 - z1))`` on the region ``|z1| > |z2| > |z1 - z2| > 0``.
 
     Decided on the coordinates of ``z1`` and ``z2`` as exact ints, so ``z1 - z2``
@@ -88,13 +104,22 @@ def branch_integers(z1: complex, z2: complex) -> tuple[int, int]:
     ``(z1, z2)``; its second point is not below the cut exactly when ``z2`` is
     not, and the difference of its points, ``z1``, is below exactly when
     ``Im z1 < 0``.
+
+    Numbers give two ints.  Arrays of pairs (``z1`` and ``z2`` broadcast
+    together) give two int64 arrays, decided pair by pair on the same exact
+    ints; if any pair is outside the region, the first one is named.
     """
     try:
         x1, y1, x2, y2 = _integers(z1.real, z1.imag, z2.real, z2.imag)
     except (OverflowError, ValueError):  # inf or nan has no integer ratio; 0 fails the region
         x1 = y1 = x2 = y2 = 0
     dx, dy = x1 - x2, y1 - y2
-    if not x1 * x1 + y1 * y1 > x2 * x2 + y2 * y2 > dx * dx + dy * dy > 0:
+    r1, r2, rd = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, dx * dx + dy * dy
+    inside = (r1 > r2) & (r2 > rd) & (rd > 0)
+    if inside is not True and not np.all(inside):  # a Python bool skips numpy
+        if np.ndim(inside):
+            first = np.unravel_index(np.argmin(inside), inside.shape)
+            z1, z2 = (np.broadcast_to(z, inside.shape)[first] for z in (z1, z2))
         raise DomainError(f"region |z1| > |z2| > |z1 - z2| > 0 violated at z1 = {z1}, z2 = {z2}")
     cross = x1 * y2 - y1 * x2
     return _branch(cross, y1 < 0, dy < 0), _branch(cross, y2 < 0, y1 < 0)

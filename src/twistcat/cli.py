@@ -69,7 +69,8 @@ class Report:
             "verdicts": self.verdicts,
             "tables": self.tables,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # the payload is built here and holds no cycle
+        return json.dumps(payload, sort_keys=True, indent=2, check_circular=False) + "\n"
 
     def render_human(self) -> str:
         lines = [f"spec {self.spec_name} (sha256 {self.spec_digest[:12]}, seed {self.seed})"]
@@ -133,15 +134,14 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     # On positive reals p = 0, where the scalar reduces to F^-1 for every
     # cocycle: this check fails only if branch_integers leaves 0 there, or if the
     # p = 0 assoc_numerator formula differs from F^-1; it cannot detect a bad cocycle.
-    n_pairs, nonzero_p = 200, 0
+    n_pairs = 200
     # in one call, bit for bit the alternating draws of rng.uniform(0.1, 10.0)
     # for r1 and rng.uniform(0.5 * r1, r1) for r2
     u = rng.random(2 * n_pairs)
     r1s = 0.1 + (10.0 - 0.1) * u[0::2]
     r2s = 0.5 * r1s + (r1s - 0.5 * r1s) * u[1::2]
-    for r1, r2 in zip(r1s.tolist(), r2s.tolist()):
-        if branchcut.branch_integers(r1, r2) != (0, 0):
-            nonzero_p += 1
+    p12, p2 = branchcut.branch_integers(r1s, r2s)
+    nonzero_p = np.count_nonzero(p12 | p2)
     at_zero = branchcut.assoc_numerator(
         cocycle, 0, 0, idx[:, None, None], idx[None, :, None], idx[None, None, :]
     )

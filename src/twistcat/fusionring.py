@@ -84,15 +84,12 @@ class FusionTable:
         return k**4
 
     def to_dict(self) -> dict:
-        out: dict[str, dict] = {}
-        for a, la in enumerate(self.labels):
-            for b, lb in enumerate(self.labels):
-                cell = {
-                    lc: int(self.coefficients[a, b, c])
-                    for c, lc in enumerate(self.labels)
-                    if self.coefficients[a, b, c]
-                }
-                out.setdefault(la, {})[lb] = cell
+        """``{a: {b: {c: N^c_ab}}}`` over every label pair, each cell holding
+        its nonzero coefficients, filled in C order from the nonzero cells."""
+        labels, coeff = self.labels, self.coefficients
+        out = {la: {lb: {} for lb in labels} for la in labels}
+        for (a, b, c), n in zip(np.argwhere(coeff).tolist(), coeff[coeff != 0].tolist()):
+            out[labels[a]][labels[b]][labels[c]] = n
         return out
 
 

@@ -8,6 +8,13 @@ sequences of triples with the rank each must have, read from that table by
 its caller, and checks the rank of each triple's averaging projector
 against it.
 
+``validate_irrep`` and ``grade_of`` take sequences of reps, as
+``intertwiner_basis`` takes sequences of triples, and evaluate the reps
+that share a group and a dimension as one stack.  Each of the three
+returns one result per item and raises the first failing item's error;
+every stack item runs the kernels a one-item stack runs, so its result and
+its error do not depend on the other items.
+
 Numerical conventions, fixed module constants: matrix identities are enforced
 to ``MATRIX_TOL = 1e-9``, character sums are rounded to integers with
 residual at most ``INTEGER_TOL = 1e-6``, and intertwiners are checked to
@@ -27,14 +34,13 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .abgroup import FinAbGroup, GroupElt
 from .errors import ConsistencyError, GradingError, RepresentationError, StructuralError
-from .unitscalar import UnitScalar
+from .unitscalar import root_of_unity
 
 MATRIX_TOL = 1e-9
 INTEGER_TOL = 1e-6
@@ -171,6 +177,15 @@ class FiniteGroup:
         return tuple(classes)
 
     @cached_property
+    def _class_index(self) -> np.ndarray:
+        """Each element's index in ``conjugacy_classes``."""
+        out = np.empty(self.order, dtype=np.int64)
+        for c, members in enumerate(self.conjugacy_classes):
+            out[list(members)] = c
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def class_sizes(self) -> np.ndarray:
         sizes = np.array([len(c) for c in self.conjugacy_classes], dtype=np.int64)
         sizes.setflags(write=False)
@@ -234,47 +249,110 @@ def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrice
     return MatrixRep(group, mats)
 
 
-def validate_irrep(rep: MatrixRep) -> np.ndarray:
-    """Check the irrep dimension bound ``dim^2 <= |G|``, the homomorphism
-    property on all pairs in one batched product, and irreducibility.
+def _stacked(items: list, key, evaluate) -> list:
+    """Each item's outcome, in item order, from one ``evaluate`` call per stack
+    of the items that share a ``key``, taken in order of first appearance."""
+    stacks: dict = {}
+    for t, item in enumerate(items):
+        stacks.setdefault(key(item), []).append(t)
+    outcomes: list = [None] * len(items)
+    for stack in stacks.values():
+        for t, outcome in zip(stack, evaluate([items[t] for t in stack])):
+            outcomes[t] = outcome
+    return outcomes
 
-    Returns the character as a per-conjugacy-class complex vector.  Unitarity
-    is checked but only warned on.
+
+def _raise_first(outcomes: list) -> list:
+    """``outcomes``, unless one is an error: then the first error is raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def validate_irrep(reps: Sequence[MatrixRep]) -> list[np.ndarray]:
+    """Check each rep for the irrep dimension bound ``dim^2 <= |G|``, the
+    identity, the homomorphism property on all pairs in one batched product,
+    class constancy of the character, and irreducibility.
+
+    Returns one character per rep, as a per-conjugacy-class complex vector.
+    Unitarity is checked but only warned on, once per non-unitary rep in
+    order.  The reps that share a group and a dimension are one stack, and
+    each check runs once per stack; each item runs the same elementwise,
+    ``einsum`` and ``matmul`` kernels on the same operands as a one-item
+    stack, so its character and errors do not depend on the other reps.  A
+    failing rep raises its first error in the order above; of several, the
+    first rep's, after the warnings of the reps before it.
     """
-    group, mats, d = rep.group, rep.matrices, rep.dim
+    reps = list(reps)
+    characters = []
+    for outcome in _stacked(reps, lambda r: (r.group, r.dim), _irrep_stack):
+        if isinstance(outcome, Exception):
+            raise outcome
+        chars, unit_err = outcome
+        if unit_err > 1e-6:
+            warnings.warn(f"representation is not unitary (deviation {unit_err:.2e})")
+        characters.append(chars)
+    return characters
+
+
+def _irrep_stack(reps: list[MatrixRep]) -> list:
+    """Per rep of one ``(group, dim)`` stack, ``(character, unitarity
+    deviation)`` or the error it raises."""
+    group, d = reps[0].group, reps[0].dim
     # the squared dimensions of a group's irreps sum to |G|; checked before
     # the |G|^2 d^2 products below exist
     if d * d > group.order:
-        raise RepresentationError(
+        error = RepresentationError(
             f"dimension {d} is too large for an irrep: {d}^2 > |G| = {group.order}"
         )
-    if not np.array_equal(mats[group.identity], np.eye(d)):
-        raise RepresentationError("identity element is not represented by the identity matrix")
-    # [a, b] is rho(a) rho(b) - rho(ab); report the lowest failing a
-    errs = np.abs(mats[:, None] @ mats[None] - mats[group.table]).max(axis=(1, 2, 3))
-    bad = ~(errs <= MATRIX_TOL)
-    if bad.any():
-        a = int(np.argmax(bad))
-        raise RepresentationError(
-            f"not a homomorphism: |rho(a)rho(b) - rho(ab)| = {errs[a]:.2e} at a={a}"
-        )
+        return [error] * len(reps)
+    # at most |G| / d^2 reps per product, as many as a complete catalog has
+    # of this dimension: no more memory than one rep of dimension sqrt|G|
+    size = group.order // (d * d)
+    if len(reps) > size:
+        return [o for i in range(0, len(reps), size) for o in _irrep_stack(reps[i:i + size])]
+    mats = np.array([r.matrices for r in reps])
+    eye = np.eye(d)
+    not_identity = ~(mats[:, group.identity] == eye).all(axis=(1, 2))
+    # [t, a, b] is rho(a) rho(b) - rho(ab); report the lowest failing a
+    errs = np.abs(mats[:, :, None] @ mats[:, None] - mats[:, group.table]).max(axis=(2, 3, 4))
+    not_hom = ~(errs <= MATRIX_TOL)
+    a = not_hom.argmax(axis=1)
+    # a rep that is no homomorphism may hold infs, whose values below are
+    # never read: no floating-point warnings for them
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the character is each class's trace at its first member; report
+        # the lowest class where another member's trace differs
+        traces = np.einsum("tnii->tn", mats)
+        firsts = np.array([members[0] for members in group.conjugacy_classes])
+        constant = np.abs(traces - traces[:, firsts[group._class_index]]) <= MATRIX_TOL
+        c = np.where(constant, group.num_classes, group._class_index).min(axis=1)
+        chars = np.ascontiguousarray(traces[:, firsts])  # one C-contiguous row per rep
+        norm = (group.class_sizes * np.abs(chars) ** 2).sum(axis=1) / group.order
+        unit_err = np.abs(mats @ mats.conj().swapaxes(-1, -2) - eye).max(axis=(1, 2, 3))
+    unit_err = unit_err.tolist()
 
-    traces = np.einsum("nii->n", mats)
-    chars = np.empty(group.num_classes, dtype=np.complex128)
-    for c, members in enumerate(group.conjugacy_classes):
-        vals = traces[list(members)]
-        if not np.abs(vals - vals[0]).max() <= MATRIX_TOL:
-            raise RepresentationError(f"character not constant on conjugacy class {c}")
-        chars[c] = vals[0]
-
-    norm = float(np.sum(group.class_sizes * np.abs(chars) ** 2).real) / group.order
-    if not abs(norm - 1.0) <= MATRIX_TOL:
-        raise RepresentationError(f"<chi, chi> = {norm:.6f}, representation is not irreducible")
-
-    unit_err = float(np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(d)).max())
-    if unit_err > 1e-6:
-        warnings.warn(f"representation is not unitary (deviation {unit_err:.2e})")
-    return chars
+    # each rep's first failing check, in the order they run for one rep
+    checks = [
+        (not_identity, lambda i: "identity element is not represented by the identity matrix"),
+        (
+            not_hom.any(axis=1),
+            lambda i: f"not a homomorphism: |rho(a)rho(b) - rho(ab)| = {errs[i, a[i]]:.2e} "
+            f"at a={a[i]}",
+        ),
+        (c < group.num_classes, lambda i: f"character not constant on conjugacy class {c[i]}"),
+        (
+            ~(np.abs(norm - 1.0) <= MATRIX_TOL),
+            lambda i: f"<chi, chi> = {norm[i]:.6f}, representation is not irreducible",
+        ),
+    ]
+    failed = np.array([bad for bad, _ in checks])
+    first_failures = zip(failed.any(axis=0).tolist(), failed.argmax(axis=0).tolist())
+    return [
+        RepresentationError(checks[k][1](i)) if failing else (chars[i], unit_err[i])
+        for i, (failing, k) in enumerate(first_failures)
+    ]
 
 
 def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
@@ -325,19 +403,12 @@ def intertwiner_basis(
     several, the first triple's.
     """
     items = list(zip(m1, m2, m3, expected, strict=True))
-    stacks: dict[tuple, list[int]] = {}
-    for t, (r1, r2, r3, _) in enumerate(items):
-        if not (r1.group is r2.group is r3.group):
-            raise StructuralError("all three representations must share one group")
-        stacks.setdefault((r1.group, r1.dim, r2.dim, r3.dim), []).append(t)
-    bases: list = [None] * len(items)
-    for stack in stacks.values():
-        for t, outcome in zip(stack, _intertwiner_stack([items[t] for t in stack])):
-            bases[t] = outcome
-    for outcome in bases:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return bases
+    if not all(r1.group is r2.group is r3.group for r1, r2, r3, _ in items):
+        raise StructuralError("all three representations must share one group")
+    bases = _stacked(
+        items, lambda t: (t[0].group, t[0].dim, t[1].dim, t[2].dim), _intertwiner_stack
+    )
+    return _raise_first(bases)
 
 
 def _intertwiner_stack(items) -> list:
@@ -420,27 +491,46 @@ class CentralEmbedding:
                 )
 
 
-def grade_of(rep: MatrixRep, embedding: CentralEmbedding) -> GroupElt:
-    """The unique grade by which the central dual copy acts on an irreducible.
+def grade_of(reps: Sequence[MatrixRep], embedding: CentralEmbedding) -> list[GroupElt]:
+    """The unique grade by which the central dual copy acts on each irreducible.
 
     The grade ``alpha`` has ``rho(iota(chi_i)) = e^{2 pi i alpha_i / n_i} * I``
     for the i-th dual generator ``chi_i``: its residue is read off the angle
     of one diagonal entry of that image, and the whole image is checked
-    against that one scalar.
+    against that one scalar.  The reps that share a group and a dimension are
+    one stack, whose images are read and checked at once; of several reps
+    without a grade, the first one's error is raised.
     """
-    eye = np.eye(rep.dim)
-    residues = []
-    for img, n in zip(embedding.images, embedding.grading.factors):
-        image = rep.matrices[img]
-        turns = cmath.phase(image[0, 0]) * n / (2 * math.pi)
-        residue = round(turns) % n if math.isfinite(turns) else 0
-        scalar = UnitScalar(Fraction(residue, n)).to_complex()
-        if not np.abs(image - scalar * eye).max() <= MATRIX_TOL:
-            raise GradingError(
-                "central embedding acts with 0 candidate grades; expected exactly 1"
-            )
-        residues.append(residue)
-    return tuple(residues)
+    reps = list(reps)
+    grades = _stacked(reps, lambda r: (r.group, r.dim), lambda s: _grade_stack(s, embedding))
+    return _raise_first(grades)
+
+
+def _grade_stack(reps: list[MatrixRep], embedding: CentralEmbedding) -> list:
+    """Per rep of one ``(group, dim)`` stack, its grade or the error it raises."""
+    factors = embedding.grading.factors
+    images = np.array([r.matrices for r in reps])[:, list(embedding.images)]
+    grades = [
+        tuple(_residue(z, n) for z, n in zip(corners, factors))
+        for corners in images[:, :, 0, 0].tolist()
+    ]
+    scalars = np.array(
+        [[root_of_unity(r, n) for r, n in zip(grade, factors)] for grade in grades],
+        dtype=np.complex128,
+    ).reshape(len(reps), len(factors), 1, 1)
+    errs = np.abs(images - scalars * np.eye(reps[0].dim)).max(axis=(2, 3))
+    return [
+        grade if ok else GradingError(
+            "central embedding acts with 0 candidate grades; expected exactly 1"
+        )
+        for grade, ok in zip(grades, (errs <= MATRIX_TOL).all(axis=1).tolist())
+    ]
+
+
+def _residue(z: complex, n: int) -> int:
+    """The residue mod ``n`` nearest to ``n`` turns of the angle of ``z``."""
+    turns = cmath.phase(z) * n / (2 * math.pi)
+    return round(turns) % n if math.isfinite(turns) else 0
 
 
 @dataclass(frozen=True, eq=False)

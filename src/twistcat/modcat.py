@@ -116,10 +116,12 @@ class TwistedCategory:
     """A finite group with a complete graded irrep catalog and a cocycle.
 
     Validates everything eagerly: the cocycle axioms (through the cocycle's
-    ``report``, computed once per cocycle), irreducibility and the
-    homomorphism property of every catalog member, centrality of the grading
-    embedding, the declared grades, and (for complete catalogs) the
-    sum-of-squares identity ``sum dim^2 = |G|``.
+    ``report``, computed once per cocycle), centrality of the grading
+    embedding, that every catalog member lives on ``group``, irreducibility
+    and the homomorphism property of every member (one ``validate_irrep``
+    call over the catalog), the grades (one ``grade_of`` call), and (for
+    complete catalogs) the sum-of-squares identity ``sum dim^2 = |G|``.  Of
+    several failing members, validation names the first in catalog order.
     """
 
     def __init__(
@@ -156,14 +158,15 @@ class TwistedCategory:
         self._eyes: dict[int, np.ndarray] = {}
         self._flips: dict[tuple[int, int], np.ndarray] = {}
 
-        catalog = []
         for label, rep in irreps.items():
             if rep.group is not group:
                 raise StructuralError(f"irrep {label!r} lives on a different group")
-            character = validate_irrep(rep)
-            grade = grade_of(rep, embedding)
-            catalog.append(GradedIrrep(label, rep, grade, character))
-        self.catalog: tuple[GradedIrrep, ...] = tuple(catalog)
+        reps = list(irreps.values())
+        characters = validate_irrep(reps)
+        grades = grade_of(reps, embedding)
+        self.catalog: tuple[GradedIrrep, ...] = tuple(
+            map(GradedIrrep, irreps, reps, grades, characters)
+        )
         # each member's (grade index, dim) word; the distinct grades and
         # words in order of first appearance, each with its first member's label
         self.words: tuple[tuple[int, int], ...] = tuple(self._word(m) for m in self.catalog)

@@ -1,13 +1,14 @@
 """Reference values that tests compare the library against, each written
 from its definition rather than from the code under test."""
 
+import warnings
 from fractions import Fraction
 from itertools import count
 
 import numpy as np
 
-from twistcat.errors import ConsistencyError, StructuralError
-from twistcat.grouprep import INTEGER_TOL, GradedIrrep, MatrixRep
+from twistcat.errors import ConsistencyError, RepresentationError, StructuralError
+from twistcat.grouprep import INTEGER_TOL, MATRIX_TOL, GradedIrrep, MatrixRep
 from twistcat.unitscalar import root_of_unity
 
 
@@ -52,6 +53,58 @@ def hom_dim(group, chi1, chi2, chi3) -> int:
     if not (abs(val.real - rounded) <= INTEGER_TOL and abs(val.imag) <= INTEGER_TOL) or rounded < 0:
         raise ConsistencyError(f"character sum {val} is not a nonnegative integer")
     return int(rounded)
+
+
+def validate_irrep(rep):
+    """The character of one rep as a per-class vector, after its checks in
+    order: ``dim^2 <= |G|``, the identity, the homomorphism property (naming
+    the lowest failing ``a``), class constancy (naming the lowest failing
+    class) and ``<chi, chi> = 1``, each raising ``RepresentationError``;
+    a non-unitary rep is warned on."""
+    group, mats, d = rep.group, rep.matrices, rep.dim
+    if d * d > group.order:
+        raise RepresentationError(
+            f"dimension {d} is too large for an irrep: {d}^2 > |G| = {group.order}"
+        )
+    if not np.array_equal(mats[group.identity], np.eye(d)):
+        raise RepresentationError("identity element is not represented by the identity matrix")
+    errs = np.abs(mats[:, None] @ mats[None] - mats[group.table]).max(axis=(1, 2, 3))
+    bad = ~(errs <= MATRIX_TOL)
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise RepresentationError(
+            f"not a homomorphism: |rho(a)rho(b) - rho(ab)| = {errs[a]:.2e} at a={a}"
+        )
+    traces = np.einsum("nii->n", mats)
+    chars = np.empty(group.num_classes, dtype=np.complex128)
+    for c, members in enumerate(group.conjugacy_classes):
+        vals = traces[list(members)]
+        if not np.abs(vals - vals[0]).max() <= MATRIX_TOL:
+            raise RepresentationError(f"character not constant on conjugacy class {c}")
+        chars[c] = vals[0]
+    norm = float(np.sum(group.class_sizes * np.abs(chars) ** 2).real) / group.order
+    if not abs(norm - 1.0) <= MATRIX_TOL:
+        raise RepresentationError(f"<chi, chi> = {norm:.6f}, representation is not irreducible")
+    unit_err = float(np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(d)).max())
+    if unit_err > 1e-6:
+        warnings.warn(f"representation is not unitary (deviation {unit_err:.2e})")
+    return chars
+
+
+def fusion_dict(labels, coefficients) -> dict:
+    """``{a: {b: {c: N^c_ab}}}`` over every label pair, each cell holding its
+    nonzero coefficients as ints, read cell by cell."""
+    return {
+        la: {
+            lb: {
+                lc: int(coefficients[a, b, c])
+                for c, lc in enumerate(labels)
+                if coefficients[a, b, c]
+            }
+            for b, lb in enumerate(labels)
+        }
+        for a, la in enumerate(labels)
+    }
 
 
 def q(cocycle, a) -> Fraction:

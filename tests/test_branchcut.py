@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -488,16 +489,17 @@ def _boundary_pairs(rng, count):
 
 def test_integer_decision_matches_exact_reference_at_the_boundaries():
     rng = random.Random(0)
-    seen_p, seen_w, outside = set(), set(), 0
+    seen_p, seen_w, outside, inside = set(), set(), [], []
     for z1, z2 in _boundary_pairs(rng, 3000):
         if _in_region(z1, z2):
             want = _branch_reference(z1, z2)
             assert branch_integers(z1, z2) == want, (z1, z2)
             seen_p.add(want)
+            inside.append((z1, z2, want))
         else:
             with pytest.raises(DomainError, match="region"):
                 branch_integers(z1, z2)
-            outside += 1
+            outside.append((z1, z2))
         want = _winding_segment_reference(z1, z2)
         if want is None:
             with pytest.raises(StructuralError, match="origin"):
@@ -507,4 +509,14 @@ def test_integer_decision_matches_exact_reference_at_the_boundaries():
             seen_w.add(want)
     assert seen_p == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
     assert seen_w == {-1, 0, 1}
-    assert 0 < outside < 3000
+    assert 0 < len(outside) < 3000
+    # the in-region pairs again, decided in one array call
+    z1s, z2s, wants = (np.array(column) for column in zip(*inside))
+    p12, p2 = branch_integers(z1s, z2s)
+    assert np.array_equal(np.stack([p12, p2], axis=1), wants)
+    # one pair outside the region, or one inf or nan coordinate, fails the
+    # array; with only that coordinate read as 0, the last two would be inside
+    k = len(inside) // 2
+    for z1, z2 in [outside[0], (complex(5.0, math.inf), 4 + 0j), (complex(math.nan, 5.0), 4j)]:
+        with pytest.raises(DomainError, match=re.escape(f"violated at z1 = {z1}, z2 = {z2}")):
+            branch_integers(np.insert(z1s, k, z1), np.insert(z2s, k, z2))

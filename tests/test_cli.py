@@ -216,6 +216,19 @@ def test_verify_takes_branch_integers_from_the_monodromy_path(monkeypatch, capsy
     assert "1 FAILED" in out
 
 
+def test_verify_decides_the_positive_real_pairs_in_one_call(monkeypatch):
+    calls = []
+
+    def spy(z1, z2):
+        calls.append((np.shape(z1), np.shape(z2)))
+        return decide(z1, z2)
+
+    decide = branchcut.branch_integers
+    monkeypatch.setattr(branchcut, "branch_integers", spy)
+    assert run_cli("verify", "--spec", "q8-z2") == 0
+    assert calls == [((200,), (200,))]
+
+
 def test_verify_reads_categorical_dimensions_from_dim_exponents(monkeypatch, capsys):
     # both dimension verdicts of a catalog, and the su2 one, read the exact
     # exponents: a nonzero table fails them, and nothing else

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -19,7 +20,7 @@ from twistcat.fusionring import (
     su2_spins,
     su2_tensor,
 )
-from twistcat.grouprep import CentralEmbedding, intertwiner_basis
+from twistcat.grouprep import CentralEmbedding, hom_dim_table, intertwiner_basis, validate_irrep
 from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
 from twistcat.unitscalar import root_of_unity
@@ -255,3 +256,15 @@ def test_dim_exponents_read_a_shifted_f():
     # with F(1,1,1) = 3/4 it is -9 = 3 mod 4
     assert dim_exponents(build_cyclic(2, 3)).tolist() == [0, 0]
     assert dim_exponents(_lattice_with_shifted_f()).tolist() == [0, 3]
+
+
+def test_to_dict_matches_the_cell_by_cell_reference(categories):
+    tables = [fusion_table(cat) for cat in categories.values()]
+    group, reps = builtin_catalog("z64")
+    coeff = hom_dim_table(group, validate_irrep(reps.values()))
+    tables.append(FusionTable(tuple(reps), (1,) * group.order, coeff))
+    for table in tables:
+        got, want = table.to_dict(), oracles.fusion_dict(table.labels, table.coefficients)
+        assert got == want and list(got) == list(table.labels)
+        # equal as JSON too: the coefficients are ints, not numpy scalars
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

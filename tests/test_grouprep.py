@@ -1,4 +1,6 @@
+import cmath
 import re
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog, cyclic_group
+from twistcat.cocycle import build_cyclic
 from twistcat.errors import (
     ConsistencyError,
     GradingError,
@@ -24,9 +27,11 @@ from twistcat.grouprep import (
     rep_from_generators,
     validate_irrep,
 )
+from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar
 
+import oracles
 from oracles import add, dual_rep, hom_dim, neg, pairing, tensor_rep
 
 
@@ -99,13 +104,13 @@ def test_missing_identity_rejected():
 def test_trivial_rep_character():
     group, _ = cyclic_group(5)
     triv = MatrixRep(group, np.ones((5, 1, 1), dtype=complex))
-    chars = validate_irrep(triv)
+    (chars,) = validate_irrep([triv])
     assert np.allclose(chars, 1.0)
 
 
 def test_s3_standard_character(s3):
     group, reps = s3
-    chars = validate_irrep(reps["standard"])
+    (chars,) = validate_irrep([reps["standard"]])
     # classes ordered: identity, transpositions, 3-cycles
     sizes = tuple(group.class_sizes)
     assert sizes == (1, 3, 2)
@@ -116,7 +121,7 @@ def test_reducible_rejected(s3):
     group, _ = s3
     double_trivial = MatrixRep(group, np.tile(np.eye(2), (6, 1, 1)))
     with pytest.raises(RepresentationError, match="not irreducible"):
-        validate_irrep(double_trivial)
+        validate_irrep([double_trivial])
 
 
 def test_non_homomorphism_rejected(s3):
@@ -124,7 +129,7 @@ def test_non_homomorphism_rejected(s3):
     mats = reps["standard"].matrices.copy()
     mats[3] = np.eye(2)
     with pytest.raises(RepresentationError, match="not a homomorphism"):
-        validate_irrep(MatrixRep(group, mats))
+        validate_irrep([MatrixRep(group, mats)])
 
 
 def test_homomorphism_check_names_the_lowest_failing_element():
@@ -148,7 +153,7 @@ def test_homomorphism_check_names_the_lowest_failing_element():
     assert [a for a, err in enumerate(errs) if not err <= 1e-9] == [3, 4, 5]
     assert max(errs) == errs[4] > errs[3]
     with pytest.raises(RepresentationError, match=rf"= {errs[3]:.2e} at a=3$"):
-        validate_irrep(MatrixRep(group, mats))
+        validate_irrep([MatrixRep(group, mats)])
 
 
 def test_intertwiner_check_fails_on_a_corrupted_factor(s3):
@@ -173,7 +178,7 @@ def test_intertwiner_stacks_match_single_triples(name):
     # every triple with a nonzero hom space, in one call: stacks of several
     # signatures, each basis bit for bit the one-triple call's
     group, reps = builtin_catalog(name)
-    chars = {k: validate_irrep(r) for k, r in reps.items()}
+    chars = {k: validate_irrep([r])[0] for k, r in reps.items()}
     triples = [
         (reps[a], reps[b], reps[c], n) for a, b, c in product(reps, repeat=3)
         if (n := hom_dim(group, chars[a], chars[b], chars[c]))
@@ -220,7 +225,7 @@ def test_intertwiner_basis_needs_one_rank_per_triple(s3):
 
 def test_hom_dim_s3(s3):
     group, reps = s3
-    chars = {k: validate_irrep(r) for k, r in reps.items()}
+    chars = {k: validate_irrep([r])[0] for k, r in reps.items()}
     w = chars["standard"]
     assert hom_dim(group, w, w, w) == 1
     assert hom_dim(group, w, w, chars["trivial"]) == 1
@@ -256,9 +261,9 @@ def test_grade_of_z4_over_z2():
     grading = FinAbGroup((2,))
     emb = CentralEmbedding(grading, (2,))  # chi_1 -> g^2
     emb.validate(group)
-    assert grade_of(reps["chi1"], emb) == (1,)  # g -> i squares to -1
-    assert grade_of(reps["chi2"], emb) == (0,)  # g -> -1 squares to +1
-    assert grade_of(reps["chi0"], emb) == (0,)
+    assert grade_of([reps["chi1"]], emb) == [(1,)]  # g -> i squares to -1
+    assert grade_of([reps["chi2"]], emb) == [(0,)]  # g -> -1 squares to +1
+    assert grade_of([reps["chi0"]], emb) == [(0,)]
 
 
 def test_grade_of_failure():
@@ -284,11 +289,11 @@ def test_tensor_and_dual(s3):
     w = reps["standard"]
     ww = tensor_rep(w, w)
     assert ww.dim == 4
-    chars_w = validate_irrep(w)
+    (chars_w,) = validate_irrep([w])
     traces = np.einsum("nii->n", ww.matrices)
     traces_w = np.einsum("nii->n", w.matrices)
     assert np.allclose(traces, traces_w**2)  # character of tensor is the product
-    dual_chars = validate_irrep(dual_rep(w))
+    (dual_chars,) = validate_irrep([dual_rep(w)])
     assert np.allclose(dual_chars, np.conj(chars_w))
 
 
@@ -337,18 +342,18 @@ def test_grade_of_reducible_rep_fails():
     )
     # g^2 acts by diag(1, -1), which is no character scalar
     with pytest.raises(GradingError):
-        grade_of(mixed, emb)
+        grade_of([mixed], emb)
 
 
 def test_grade_additivity_and_duality():
     group, reps = cyclic_group(4)
     grading = FinAbGroup((2,))
     emb = CentralEmbedding(grading, (2,))
-    g1 = grade_of(reps["chi1"], emb)
-    g3 = grade_of(reps["chi3"], emb)
-    assert grade_of(tensor_rep(reps["chi1"], reps["chi3"]), emb) == add(grading, g1, g3)
-    assert grade_of(tensor_rep(reps["chi1"], reps["chi2"]), emb) == (1,)
-    assert grade_of(dual_rep(reps["chi1"]), emb) == neg(grading, g1)
+    (g1,) = grade_of([reps["chi1"]], emb)
+    (g3,) = grade_of([reps["chi3"]], emb)
+    assert grade_of([tensor_rep(reps["chi1"], reps["chi3"])], emb) == [add(grading, g1, g3)]
+    assert grade_of([tensor_rep(reps["chi1"], reps["chi2"])], emb) == [(1,)]
+    assert grade_of([dual_rep(reps["chi1"])], emb) == [neg(grading, g1)]
 
 
 def test_non_unitary_rep_warns_but_validates(s3):
@@ -360,7 +365,7 @@ def test_non_unitary_rep_warns_but_validates(s3):
     skewed = MatrixRep(group, mats)
     deviation = max(float(np.abs(m @ m.conj().T - np.eye(2)).max()) for m in mats)
     with pytest.warns(UserWarning, match=re.escape(f"not unitary (deviation {deviation:.2e})")):
-        chars = validate_irrep(skewed)
+        (chars,) = validate_irrep([skewed])
     assert np.allclose(chars, [2.0, 0.0, -1.0])
 
 
@@ -455,10 +460,10 @@ def _grades_by_search(rep, embedding):
 def _assert_grade_matches_search(rep, embedding):
     matches = _grades_by_search(rep, embedding)
     if len(matches) == 1:
-        assert grade_of(rep, embedding) == matches[0]
+        assert grade_of([rep], embedding) == [matches[0]]
     else:
         with pytest.raises(GradingError):
-            grade_of(rep, embedding)
+            grade_of([rep], embedding)
     return matches
 
 
@@ -517,12 +522,133 @@ def test_non_finite_entries_fail_every_check():
     mats = reps["chi1"].matrices.copy()
     mats[2] = np.nan
     with pytest.raises(RepresentationError):
-        validate_irrep(MatrixRep(group, mats))
+        validate_irrep([MatrixRep(group, mats)])
     with pytest.raises(GradingError):
-        grade_of(MatrixRep(group, mats), CentralEmbedding(FinAbGroup((2,)), (2,)))
-    chars = np.array([validate_irrep(r) for r in reps.values()])
+        grade_of([MatrixRep(group, mats)], CentralEmbedding(FinAbGroup((2,)), (2,)))
+    chars = np.array([validate_irrep([r])[0] for r in reps.values()])
     chars[1, 2] = np.nan
     with pytest.raises(ConsistencyError):
         hom_dim_table(group, chars)
     with pytest.raises(ConsistencyError):
         hom_dim(group, chars[1], chars[1], chars[2])
+
+
+def _bits(chars):
+    return np.asarray(chars).view(np.int64)
+
+
+def test_characters_equal_the_per_irrep_reference_bit_for_bit(categories):
+    builtins = [f"z{n}" for n in range(1, MAX_GROUP_ORDER + 1)] + ["s3", "d4", "q8"]
+    catalogs = [list(builtin_catalog(name)[1].values()) for name in builtins]
+    golden = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+    for cat in [*categories.values(), *(load_spec(path).build_category() for path in golden)]:
+        catalogs.append([m.rep for m in cat.catalog])
+    # more reps of one dimension than |G| / d^2, validated a chunk at a time
+    z4 = builtin_catalog("z4")[1]
+    catalogs.append([z4["chi1"], z4["chi3"]] * 5)
+    for reps in catalogs:
+        chars = validate_irrep(reps)
+        assert len(chars) == len(reps)
+        for rep, got in zip(reps, chars):
+            assert np.array_equal(_bits(got), _bits(oracles.validate_irrep(rep)))
+
+
+def _z4_faults():
+    """Z/4, its characters, and one rep of Z/4 failing each check, by the
+    words of the message it must raise."""
+    group, reps = cyclic_group(4)
+    chi1 = reps["chi1"].matrices
+    wrong_identity, not_hom = chi1.copy(), chi1.copy()
+    wrong_identity[0] = 2
+    not_hom[3] = 1
+    return group, reps, {
+        "too large": MatrixRep(group, np.tile(np.eye(3), (4, 1, 1))),
+        "identity element": MatrixRep(group, wrong_identity),
+        "not a homomorphism": MatrixRep(group, not_hom),
+        "not irreducible": MatrixRep(group, np.array([np.diag([1, m[0, 0]]) for m in chi1])),
+    }
+
+
+def _category(group, irreps):
+    cocycle = build_cyclic(2, 3)
+    embedding = CentralEmbedding(cocycle.group, (2,))
+    return TwistedCategory(group, cocycle, embedding, irreps, complete=False)
+
+
+def _reference_message(rep):
+    with pytest.raises(RepresentationError) as raised:
+        oracles.validate_irrep(rep)
+    return str(raised.value)
+
+
+def test_a_catalog_names_its_faulty_irrep_with_the_reference_message():
+    group, reps, faults = _z4_faults()
+    # Z/4 with a wrong class list, {1, 3} as one class: chi1 is a
+    # homomorphism whose trace differs on it
+    lied = FiniteGroup(group.table)
+    lied.conjugacy_classes = ((0,), (1, 3), (2,))
+    lied_reps = {k: MatrixRep(lied, r.matrices) for k, r in reps.items()}
+    cases = [(group, reps, fault, words) for words, fault in faults.items()]
+    cases.append((lied, lied_reps, lied_reps["chi1"], "not constant on conjugacy class 1"))
+    for group, reps, fault, words in cases:
+        want = _reference_message(fault)
+        assert words in want
+        with pytest.raises(RepresentationError) as raised:
+            _category(group, {"chi0": reps["chi0"], "bad": fault, "chi2": reps["chi2"]})
+        assert str(raised.value) == want
+
+
+def test_grading_names_the_rep_without_a_grade():
+    _, reps, _ = _z4_faults()
+    # g acts by i on chi1, which is no square root of 1
+    embedding = CentralEmbedding(FinAbGroup((2,)), (1,))
+    assert grade_of([reps["chi0"], reps["chi2"]], embedding) == [(0,), (1,)]
+    assert _grades_by_search(reps["chi1"], embedding) == []
+    with pytest.raises(GradingError, match="0 candidate grades"):
+        grade_of([reps["chi0"], reps["chi1"], reps["chi2"]], embedding)
+
+
+def test_the_first_faulty_irrep_in_catalog_order_is_named():
+    # the two faults sit in different dimension stacks, each order in turn
+    group, reps, faults = _z4_faults()
+    reducible, not_hom = faults["not irreducible"], faults["not a homomorphism"]
+    for first, second in [(reducible, not_hom), (not_hom, reducible)]:
+        with pytest.raises(RepresentationError) as raised:
+            _category(group, {"chi0": reps["chi0"], "a": first, "b": second})
+        assert str(raised.value) == _reference_message(first)
+    # a fault in the second chunk of the one-dimensional stack, before a
+    # fault in the two-dimensional one
+    valid = {f"chi1-{k}": reps["chi1"] for k in range(5)}
+    with pytest.raises(RepresentationError) as raised:
+        _category(group, {**valid, "a": not_hom, "b": reducible})
+    assert str(raised.value) == _reference_message(not_hom)
+
+
+def test_non_unitary_irreps_warn_once_each_in_catalog_order(s3):
+    group, reps = s3
+
+    def skewed(t):
+        conj = np.array([[1.0, t], [0.0, 1.0]])
+        mats = np.stack([conj @ m @ np.linalg.inv(conj) for m in reps["standard"].matrices])
+        mats[group.identity] = np.eye(2)
+        return MatrixRep(group, mats)
+
+    def messages(validate, catalog):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validate(catalog)
+        return [str(w.message) for w in caught]
+
+    catalog = [reps["trivial"], skewed(0.7), reps["sign"], skewed(0.3)]
+    want = messages(lambda c: [oracles.validate_irrep(r) for r in c], catalog)
+    assert len(want) == 2 and want[0] != want[1]
+    assert messages(validate_irrep, catalog) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_cyclic_characters_are_the_closed_forms_bit_for_bit(n):
+    _, reps = cyclic_group(n)
+    for k in range(n):
+        want = np.array([[[cmath.exp(2j * cmath.pi * (k * a % n) / n)]] for a in range(n)])
+        want[0] = 1.0  # exact identity
+        assert np.array_equal(reps[f"chi{k}"].matrices.view(np.int64), want.view(np.int64))
