@@ -8,9 +8,9 @@ formulas.  ``validate_cocycle`` decides the pentagon on all of ``A^4`` from
 the slabs at the generators of ``A`` (``_pentagon_holds`` says why that is
 exact), and, once the pentagon holds, both hexagons on all of ``A^3`` from
 their rows at the generators (``_hexagon_rows_vanish``).  Only a
-failing axiom is scanned in full, to name its first witness.  ``modcat``'s
-coherence suite reads the cocycle's passing report, and the residues at a
-catalog's grades only for a category built without validation.
+failing axiom is scanned in full, to name its first witness.  A ``modcat``
+category exists only over a cocycle whose report passes, so its coherence
+suite reads no residue.
 ``F`` is stored once, in the narrowest integer dtype that holds
 ``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is: every
 argument that is a sum, such as ``a3+a4``, is a row gather through
@@ -19,8 +19,8 @@ argument, and the hexagons sum transposed views of ``F`` in place.
 ``Omega`` and ``b`` are only ``|A|^2`` and stay int64.  A reader that does
 arithmetic on ``f_num`` keeps it within ``5 * denom`` or widens it first.
 A cocycle's ``report`` is ``validate_cocycle`` of it, computed once, on
-first read: the cyclic and table builders and each validating category
-read it, as every downstream formula assumes the axioms.
+first read: the cyclic and table builders and every category read it,
+as every downstream formula assumes the axioms.
 Every exponent expression here, in ``modcat``'s balancing check and in
 ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
 ``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.

@@ -228,7 +228,9 @@ class MatrixRep:
 
 def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrices) -> MatrixRep:
     """Extend matrices on generators to the whole group by shortest-word
-    products, replaying the group's walk for these generator indices."""
+    products, replaying the group's walk for these generator indices.
+    Products that overflow are kept as they come out, inf or nan, without a
+    floating-point warning; a category refuses such a rep by its label."""
     gens = tuple(int(g) for g in generator_indices)
     gen_mats = [np.asarray(m, dtype=np.complex128) for m in generator_matrices]
     if len(gens) != len(gen_mats) or not gens:
@@ -244,8 +246,9 @@ def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrice
         raise StructuralError("generator indices do not generate the group")
     mats = np.empty((group.order, d, d), dtype=np.complex128)
     mats[group.identity] = np.eye(d)
-    for b, a, k in walk:
-        np.matmul(mats[a], gen_mats[k], out=mats[b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, a, k in walk:
+            np.matmul(mats[a], gen_mats[k], out=mats[b])
     return MatrixRep(group, mats)
 
 
@@ -315,13 +318,14 @@ def _irrep_stack(reps: list[MatrixRep]) -> list:
     mats = np.array([r.matrices for r in reps])
     eye = np.eye(d)
     not_identity = ~(mats[:, group.identity] == eye).all(axis=(1, 2))
-    # [t, a, b] is rho(a) rho(b) - rho(ab); report the lowest failing a
-    errs = np.abs(mats[:, :, None] @ mats[:, None] - mats[:, group.table]).max(axis=(2, 3, 4))
-    not_hom = ~(errs <= MATRIX_TOL)
-    a = not_hom.argmax(axis=1)
-    # a rep that is no homomorphism may hold infs, whose values below are
-    # never read: no floating-point warnings for them
+    # a rep may hold entries whose products overflow, or infs: its
+    # homomorphism error is then inf or nan and fails, and the values below
+    # are never read, so no floating-point warnings for them
     with np.errstate(over="ignore", invalid="ignore"):
+        # [t, a, b] is rho(a) rho(b) - rho(ab); report the lowest failing a
+        errs = np.abs(mats[:, :, None] @ mats[:, None] - mats[:, group.table]).max(axis=(2, 3, 4))
+        not_hom = ~(errs <= MATRIX_TOL)
+        a = not_hom.argmax(axis=1)
         # the character is each class's trace at its first member; report
         # the lowest class where another member's trace differs
         traces = np.einsum("tnii->tn", mats)

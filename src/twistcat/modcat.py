@@ -25,11 +25,9 @@ flips, so pentagon, triangle, both hexagons, balancing and twist-duality are
 exact identities between cocycle exponents, residues mod the cocycle
 denominator at the catalog's grades; pentagon, triangle and hexagons are the
 cocycle axioms there, and the triangle is read from the normalization slice.
-A category keeps the passing cocycle report it checked at construction, and
-axioms proved on all of ``A`` hold at the grades, so its pentagon and
-hexagons read no residue.  Only a category built without validation reads
-them from ``cocycle``'s kernels, and its pentagon only where ``cocycle``'s
-generator slabs show that it fails somewhere on ``A^4``.
+A category exists only over a cocycle whose report passes, and axioms
+proved on all of ``A`` hold at the grades, so its pentagon and hexagons
+pass without reading a residue.
 The snake identities, the double braiding (whose categorical trace is an S
 entry) and naturality against sampled intertwiners stay matrix equations
 checked within a tolerance.  Nothing here takes a categorical trace: the S
@@ -68,8 +66,7 @@ import numpy as np
 
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport
-from .cocycle import _pentagon_holds, hexagon_residues, pentagon_slabs
-from .errors import CocycleError, StructuralError
+from .errors import CocycleError, RepresentationError, StructuralError
 from .grouprep import (
     MATRIX_TOL,
     CentralEmbedding,
@@ -117,11 +114,13 @@ class TwistedCategory:
 
     Validates everything eagerly: the cocycle axioms (through the cocycle's
     ``report``, computed once per cocycle), centrality of the grading
-    embedding, that every catalog member lives on ``group``, irreducibility
-    and the homomorphism property of every member (one ``validate_irrep``
-    call over the catalog), the grades (one ``grade_of`` call), and (for
-    complete catalogs) the sum-of-squares identity ``sum dim^2 = |G|``.  Of
-    several failing members, validation names the first in catalog order.
+    embedding, that every catalog member lives on ``group`` and has finite
+    matrices, irreducibility and the homomorphism property of every member
+    (one ``validate_irrep`` call over the catalog), the grades (one
+    ``grade_of`` call), and (for complete catalogs) the sum-of-squares
+    identity ``sum dim^2 = |G|``.  The checks run in that order, each over
+    the whole catalog (the group and finiteness checks in one pass), and a
+    failing check names its first failing member in catalog order.
     """
 
     def __init__(
@@ -132,14 +131,11 @@ class TwistedCategory:
         irreps: dict[str, MatrixRep],
         *,
         complete: bool = True,
-        validate: bool = True,
     ):
         if embedding.grading != cocycle.group:
             raise StructuralError("embedding and cocycle must share the grading group")
         embedding.validate(group)
-        # the passing cocycle report this category checked, None without validation
-        self._cocycle_report: CoherenceReport | None = cocycle.report if validate else None
-        if validate and not cocycle.report.passed:
+        if not cocycle.report.passed:
             first = cocycle.report.failures()[0]
             raise CocycleError(
                 f"cocycle violates the {first.axiom} axiom at {first.witness}",
@@ -161,6 +157,8 @@ class TwistedCategory:
         for label, rep in irreps.items():
             if rep.group is not group:
                 raise StructuralError(f"irrep {label!r} lives on a different group")
+            if not np.isfinite(rep.matrices).all():  # e.g. generated products that overflow
+                raise RepresentationError(f"irrep {label!r} has non-finite matrix entries")
         reps = list(irreps.values())
         characters = validate_irrep(reps)
         grades = grade_of(reps, embedding)
@@ -301,11 +299,8 @@ class TwistedCategory:
         associators and braidings, which are unit scalars times identities and
         flips, so each is checked as an exact identity between cocycle
         exponents at the catalog's grades, and the triangle reads
-        ``F(a, 0, b)``.  Pentagon and hexagons pass from the passing cocycle
-        report that the category checked, without reading a residue; built
-        without validation, the category reads the cocycle's own residues at
-        the grades, the pentagon's only when the cocycle's generator slabs
-        show that it fails somewhere on ``A^4``.  Twist
+        ``F(a, 0, b)``.  Pentagon and hexagons pass from the cocycle report
+        that construction required to pass, without reading a residue.  Twist
         duality is exact as well.  ``tol`` does not apply to them and a failure
         reports its deviation ``|e^{2 pi i delta} - 1|``.  The snakes,
         double-braiding and naturality are matrix equations that fail where
@@ -320,20 +315,12 @@ class TwistedCategory:
         g = np.array(list(self._grade_labels), dtype=np.intp)
         grade_labels = list(self._grade_labels.values())
         words, word_labels = list(self._word_labels), list(self._word_labels.values())
-        ix2, ix3 = np.ix_(g, g), np.ix_(g, g, g)
+        ix2 = np.ix_(g, g)
         # theta_{ab} == R_{b,a} R_{a,b} (theta_a (x) theta_b), theta_a = Omega(a,a)^-1
         q, ab = c.omega_num.diagonal(), self.grading.add_index_table[ix2]
         balancing = (c.b_num[ix2] + q[g][:, None] + q[g] - q[ab]) % c.denom
         # theta_{M*} == theta_M at each grade; the unit's cell is q(0), theta_1 == 1
         twist_dual = [(q[g] - q[self.grading.neg_index_table[g]]) % c.denom, q[:1]]
-        # residues that vanish on all of A vanish at the catalog's grades
-        pentagon = hexagon1 = hexagon2 = []
-        if self._cocycle_report is None:
-            # the suite's hexagon-1 (A_{y,z,x}^-1 R_{x,yz} A_{x,y,z}^-1 == ...) is the
-            # cocycle's hexagon-2 at (a1, a2, a3) = (x, y, z), and the other way round
-            hexagon2, hexagon1 = ([h[ix3]] for h in hexagon_residues(c))
-            if not _pentagon_holds(c):
-                pentagon = (d[ix3][None] for d in pentagon_slabs(c, g))
         # the matrix checks run on the distinct words in order of dim, so the
         # words of one dim are one slice of each stack; back is the
         # permutation to first-appearance order
@@ -345,10 +332,11 @@ class TwistedCategory:
         matrix = partial(self._verdict, labels=word_labels, tol=tol)
         rows, naturality = self._naturality_errors(spans, a, seed)
         checks = [
-            exact("pentagon(matrices)", 4, pentagon),
+            # residues that vanish on all of A vanish at the catalog's grades
+            exact("pentagon(matrices)", 4, []),
             exact("triangle", 2, [c.f_num[:, 0, :][ix2]]),
-            exact("hexagon-1(matrices)", 3, hexagon1),
-            exact("hexagon-2(matrices)", 3, hexagon2),
+            exact("hexagon-1(matrices)", 3, []),
+            exact("hexagon-2(matrices)", 3, []),
             matrix("snake", 1, [self._snake_errors(spans, a)[back]]),
             # the detail is part of verify reports, which stay byte-identical
             exact("balancing", 2, [balancing], detail="checked as matrices and as exact exponents"),

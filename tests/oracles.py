@@ -1,5 +1,7 @@
 """Reference values that tests compare the library against, each written
-from its definition rather than from the code under test."""
+from its definition rather than from the code under test, and
+``unchecked_category``, the one way for a test to put a category over tables
+that fail the cocycle axioms."""
 
 import warnings
 from fractions import Fraction
@@ -7,8 +9,10 @@ from itertools import count
 
 import numpy as np
 
+from twistcat.cocycle import AbelianCocycle
 from twistcat.errors import ConsistencyError, RepresentationError, StructuralError
 from twistcat.grouprep import INTEGER_TOL, MATRIX_TOL, GradedIrrep, MatrixRep
+from twistcat.modcat import TwistedCategory
 from twistcat.unitscalar import root_of_unity
 
 
@@ -184,3 +188,14 @@ def dim_sum(cat, x) -> complex:
         * m.dim * root_of_unity(int(x[g.index(neg(g, m.grade))]), denom)
         for m in cat.catalog
     )
+
+
+def unchecked_category(group, cocycle, embedding, irreps, **kw):
+    """A category over ``cocycle`` whether or not it passes validation, for
+    tests that read its structure maps and suite over faulty tables: built
+    over the trivial cocycle on the same grading group, then given
+    ``cocycle``.  Construction reads only the grading and the cocycle
+    report, and every scalar is read from ``cat.cocycle`` at call time."""
+    cat = TwistedCategory(group, AbelianCocycle.trivial(cocycle.group), embedding, irreps, **kw)
+    cat.cocycle = cocycle
+    return cat

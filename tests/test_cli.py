@@ -895,6 +895,27 @@ def _run_spec(command, spec, tmp_path):
     return code, (json.loads(out.read_text()) if code in (0, 1) else None), path
 
 
+def test_overflowing_irrep_matrices_fail_in_one_line(tmp_path, capsys):
+    # chi1's generator 1e200 overflows at rho(2) = 1e400; generating and
+    # validating it used to print numpy RuntimeWarnings before a nan verdict
+    spec = {
+        "schema_version": 1, "name": "z4-overflow", "mode": "finite-group",
+        "grading_group": [2], "cocycle": {"builder": "cyclic", "n": 2, "s": 3},
+        "group": {"builtin": "z4"},
+        "irreps": {"generators": [1], "list": [
+            {"label": f"chi{k}", "matrices": [[[entry]]]}
+            for k, entry in enumerate(["1", "1e200", "-1", "-i"])
+        ]},
+        "central_embedding": [2], "complete": True,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path)) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert "  FAIL  irreps-valid: irrep 'chi1' has non-finite matrix entries\n" in out
+    assert err == ""
+
+
 def _entry_exponent(entry):
     """An S entry's root-of-unity exponent in [0, 1)."""
     if isinstance(entry, int):

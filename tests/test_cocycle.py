@@ -28,7 +28,6 @@ from twistcat.cocycle import (
 from twistcat.errors import CocycleError, StructuralError
 from twistcat.fusionring import dim_exponents
 from twistcat.grouprep import CentralEmbedding
-from twistcat.modcat import TwistedCategory
 from twistcat.specio import CategorySpec, _parse_cocycle
 from twistcat.unitscalar import UnitScalar
 
@@ -605,7 +604,7 @@ def test_narrow_f_readers_match_fraction_references(L):
         e(-(W[a][a] + W[a][neg[a]] + F[a][neg[a]][a])) for a in range(m)
     ]
     group, reps = builtin_catalog("z4")
-    cat = TwistedCategory(group, c, CentralEmbedding(g, (1,)), reps, validate=False)
+    cat = oracles.unchecked_category(group, c, CentralEmbedding(g, (1,)), reps)
     for i, j, k in product(range(m), repeat=3):
         assert cat._f_inv(i, j, k) == unit(-F[i][j][k])
     assert np.array_equal(cat._f_inv(x, neg, x), [unit(-F[a][neg[a]][a]) for a in range(m)])

@@ -223,9 +223,7 @@ def _lattice_with_shifted_f():
 def _shifted_lattice_on_z4():
     group, reps = builtin_catalog("z4")
     broken = _lattice_with_shifted_f()
-    return TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
-    )
+    return oracles.unchecked_category(group, broken, CentralEmbedding(broken.group, (2,)), reps)
 
 
 @pytest.mark.parametrize(

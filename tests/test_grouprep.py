@@ -132,6 +132,20 @@ def test_non_homomorphism_rejected(s3):
         validate_irrep([MatrixRep(group, mats)])
 
 
+def test_overflowing_products_fail_without_warnings():
+    # Z/2 with rho(1) = 1e200: every generated matrix is finite, and the
+    # homomorphism product rho(1) rho(1) overflows to inf; on Z/4 the walk
+    # itself overflows at rho(2).  Tier-1 turns RuntimeWarnings into errors.
+    group, _ = cyclic_group(2)
+    with pytest.raises(RepresentationError, match=r"= inf at a=1$"):
+        validate_irrep([rep_from_generators(group, [1], [[[1e200]]])])
+    group, _ = cyclic_group(4)
+    rep = rep_from_generators(group, [1], [[[1e200]]])
+    assert np.isinf(rep.matrices[2]).all() and np.isnan(rep.matrices[3]).all()
+    with pytest.raises(RepresentationError, match="not a homomorphism"):
+        validate_irrep([rep])
+
+
 def test_homomorphism_check_names_the_lowest_failing_element():
     # Z/6 relabelled so that 2Z/6 takes indices 0..2, with a 2-dim rep
     # multiplied on the right by I + E, E nilpotent, on the odd residues:

@@ -1,11 +1,8 @@
 import dataclasses
-import inspect
 import re
-import types
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +15,9 @@ from twistcat import cocycle, modcat
 from twistcat.fusionring import dim_exponents, fusion_table, s_table
 from twistcat.grouprep import CentralEmbedding, intertwiner_basis
 from twistcat.modcat import TwistedCategory, flip_matrix
-from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
 
+import mutants
 import oracles
 
 
@@ -189,32 +186,18 @@ def test_nan_tolerance_fails_every_matrix_check(q8_cat):
     assert failing == {"snake", "double-braiding", "naturality(spot-checks)"}
 
 
-def test_coherence_suite_catches_corrupt_f():
-    # corrupt F(1,1,1) to +1 while keeping Omega: hexagons fail with a witness
-    group, reps = builtin_catalog("z4")
-    lattice = build_cyclic(2, 3)
-    f_num = lattice.f_num.copy()
-    f_num[1, 1, 1] = 0
-    broken = AbelianCocycle(lattice.group, f_num, lattice.omega_num, lattice.denom)
-    cat = TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
-    )
-    report = cat.coherence_suite()
-    assert not report.passed
-    failing = {c.axiom: c for c in report.checks if not c.passed}
-    assert any("hexagon" in axiom for axiom in failing)
-    witness = next(c.witness for a, c in failing.items() if "hexagon" in a)
-    assert witness is not None
-
-
 def test_eager_cocycle_validation_in_category():
+    # corrupt F(1,1,1) to +1 while keeping Omega: a category over it is
+    # refused with the first failing axiom and its witness
     group, reps = builtin_catalog("z4")
     lattice = build_cyclic(2, 3)
     f_num = lattice.f_num.copy()
     f_num[1, 1, 1] = 0
     broken = AbelianCocycle(lattice.group, f_num, lattice.omega_num, lattice.denom)
-    with pytest.raises(CocycleError):
+    with pytest.raises(CocycleError, match=re.escape("axiom at ((1,), (1,), (1,))")) as info:
         TwistedCategory(group, broken, CentralEmbedding(broken.group, (2,)), reps)
+    first = info.value.report.failures()[0]
+    assert "hexagon" in first.axiom and first.witness == ((1,), (1,), (1,))
 
 
 def test_incomplete_catalog_rejected():
@@ -321,23 +304,10 @@ def _reference_identities(cat):
     }
 
 
-def _spy_slabs(monkeypatch, module):
-    """Patch ``module.pentagon_slabs`` to record the rows of every call."""
-    real, calls = cocycle.pentagon_slabs, []
-
-    def spy(c, rows):
-        calls.append(list(rows))
-        return real(c, calls[-1])
-
-    monkeypatch.setattr(module, "pentagon_slabs", spy)
-    return calls
-
-
 def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
     # a passing pentagon is decided from the rank * |A|^3 residues at the
-    # generators in validation, and the suite of a validated category reads
-    # the kept report: a return to the |A|-slab sweep, or to any slab in the
-    # suite, shows as more rows
+    # generators in validation: a return to the |A|-slab sweep shows as more
+    # rows.  The suite reads the cocycle report and calls no slab kernel.
     z2, z4 = build_cyclic(2, 3), build_cyclic(4, 1)
     x0, x1 = np.unravel_index(np.arange(8), (2, 4))
     product_f = z2.f_num[np.ix_(x0, x0, x0)] * 2 + z4.f_num[np.ix_(x1, x1, x1)]
@@ -350,7 +320,13 @@ def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
     group, reps = builtin_catalog("z8")
     z8 = build_cyclic(8, 1)
     cat = TwistedCategory(group, z8, CentralEmbedding(z8.group, (1,)), reps)
-    calls, suite_calls = _spy_slabs(monkeypatch, cocycle), _spy_slabs(monkeypatch, modcat)
+    real, calls = cocycle.pentagon_slabs, []
+
+    def spy(c, rows):
+        calls.append(list(rows))
+        return real(c, calls[-1])
+
+    monkeypatch.setattr(cocycle, "pentagon_slabs", spy)
     for c, rows in cases:
         calls.clear()
         report = validate_cocycle(c)
@@ -359,41 +335,23 @@ def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
     calls.clear()
     report = cat.coherence_suite()
     assert report.passed and report.checks[0].checked == 8**4
-    assert (calls, suite_calls) == ([], [])
+    assert calls == []
 
 
-def test_kept_report_and_residues_give_equal_verdicts(categories):
-    # a validated category reads pentagon and hexagons from the cocycle
-    # report it kept; the same category built without validation reads the
-    # residues at its grades, and every verdict agrees
-    golden = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
-    for cat in [*categories.values(), *(load_spec(path).build_category() for path in golden)]:
-        assert cat._cocycle_report is not None and cat._cocycle_report.passed
-        irreps = {m.label: m.rep for m in cat.catalog}
-        bare = TwistedCategory(
-            cat.group, cat.cocycle, cat.embedding, irreps, complete=cat.complete, validate=False
-        )
-        assert bare._cocycle_report is None
-        assert bare.coherence_suite() == cat.coherence_suite()
+# the suite's verdicts that it computes itself: pentagon and hexagons come
+# from the cocycle report, which a category requires to pass
+_SUITE_COMPUTED = ("triangle", "balancing", "double-braiding")
 
 
-def test_suite_pentagon_is_read_at_the_catalog_grades():
-    # z4 graded by Z/4 at the central element 2 has grades {0, 2}.  F(1, 1, 1)
-    # shifted breaks the pentagon on A^4, but no residue at grades in {0, 2}
-    # reads it, so the suite's pentagon passes, as the per-tuple sweep does.
-    group, reps = builtin_catalog("z4")
-    good = build_cyclic(4, 1)
-    f_num = good.f_num.copy()
-    f_num[1, 1, 1] += 1
-    broken = AbelianCocycle(good.group, f_num, good.omega_num, good.denom)
-    assert not _pentagon_holds(broken)
-    cat = TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
-    )
+def _assert_suite_matches_sweep(cat, axioms, max_error_tol=0.0):
+    """The suite's verdicts on ``axioms`` equal the per-tuple sweep's:
+    ``checked``, witness and ``passed`` exactly, and the largest error within
+    ``max_error_tol``.  Returns the suite's checks by axiom."""
     k = len(cat.catalog)
-    assert {m.grade for m in cat.catalog} == {(0,), (2,)}
     checks = {c.axiom: c for c in cat.coherence_suite().checks}
-    for axiom, (arity, identity) in _reference_identities(cat).items():
+    identities = _reference_identities(cat)
+    for axiom in axioms:
+        arity, identity = identities[axiom]
         witness, max_err = None, 0.0
         for objs in product(cat.catalog, repeat=arity):
             err, exact = identity(*objs)
@@ -404,7 +362,31 @@ def test_suite_pentagon_is_read_at_the_catalog_grades():
         assert check.checked == k**arity, axiom
         assert check.witness == witness, axiom
         assert check.passed == (witness is None), axiom
-        assert abs(check.max_error - max_err) <= 1e-12, axiom
+        assert abs(check.max_error - max_err) <= max_error_tol, axiom
+    return checks
+
+
+def _assert_category_refused(group, cocycle, embedding, reps, **kw):
+    """A category over ``cocycle`` is refused with the first failure of
+    ``validate_cocycle``, the check of pentagon and hexagons on all of ``A``."""
+    with pytest.raises(CocycleError) as info:
+        TwistedCategory(group, cocycle, embedding, reps, **kw)
+    assert info.value.report.failures()[0] == validate_cocycle(cocycle).failures()[0]
+
+
+def test_suite_pentagon_is_read_at_the_catalog_grades():
+    # z4 graded by Z/4 at the central element 2 has grades {0, 2}.  F(1, 1, 1)
+    # shifted breaks the pentagon on A^4, but no identity at grades in {0, 2}
+    # reads it, so the per-tuple sweep's pentagon passes, as the suite's does.
+    group, reps = builtin_catalog("z4")
+    good = build_cyclic(4, 1)
+    f_num = good.f_num.copy()
+    f_num[1, 1, 1] += 1
+    broken = AbelianCocycle(good.group, f_num, good.omega_num, good.denom)
+    assert not _pentagon_holds(broken)
+    cat = oracles.unchecked_category(group, broken, CentralEmbedding(broken.group, (2,)), reps)
+    assert {m.grade for m in cat.catalog} == {(0,), (2,)}
+    checks = _assert_suite_matches_sweep(cat, _reference_identities(cat), 1e-12)
     assert checks["pentagon(matrices)"].passed
 
 
@@ -422,29 +404,12 @@ def test_signature_collapse_matches_per_tuple_sweep(name):
     omega_num = lattice.omega_num.copy()
     omega_num[1, 0] = 1
     broken = AbelianCocycle(lattice.group, f_num, omega_num, lattice.denom)
-    cat = TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (2,)), reps, validate=False
-    )
-    k = len(cat.catalog)
-    assert len({(m.grade, m.dim) for m in cat.catalog}) < k
-    checks = {c.axiom: c for c in cat.coherence_suite().checks}
-    for axiom, (arity, identity) in _reference_identities(cat).items():
-        witness, max_err = None, 0.0
-        for objs in product(cat.catalog, repeat=arity):
-            err, exact = identity(*objs)
-            max_err = max(max_err, err)
-            if (err > modcat.MATRIX_TOL or not exact) and witness is None:
-                witness = tuple(m.label for m in objs)
-        check = checks[axiom]
-        assert check.checked == k**arity, axiom
-        assert check.witness == witness, axiom
-        assert check.max_error == max_err, axiom
-        assert check.passed == (witness is None), axiom
-    failing = {a for a, c in checks.items() if not c.passed}
-    assert {
-        "pentagon(matrices)", "triangle", "hexagon-1(matrices)", "hexagon-2(matrices)",
-        "balancing",
-    } <= failing
+    embedding = CentralEmbedding(broken.group, (2,))
+    _assert_category_refused(group, broken, embedding, reps)
+    cat = oracles.unchecked_category(group, broken, embedding, reps)
+    assert len({(m.grade, m.dim) for m in cat.catalog}) < len(cat.catalog)
+    checks = _assert_suite_matches_sweep(cat, _SUITE_COMPUTED)
+    assert {"triangle", "balancing"} <= {a for a, c in checks.items() if not c.passed}
 
 
 @pytest.mark.parametrize(
@@ -483,26 +448,11 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(
     if corrupt_omega is not None:
         omega_num[corrupt_omega] += 1
     broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
-    cat = TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (image,)), reps,
-        complete=dropped is None, validate=False,
-    )
-    k = len(cat.catalog)
-    assert len({m.grade for m in cat.catalog}) == k
-    checks = {c.axiom: c for c in cat.coherence_suite().checks}
-    for axiom, (arity, identity) in _reference_identities(cat).items():
-        witness, max_err = None, 0.0
-        for objs in product(cat.catalog, repeat=arity):
-            err, exact = identity(*objs)
-            max_err = max(max_err, err)
-            if (err > modcat.MATRIX_TOL or not exact) and witness is None:
-                witness = tuple(m.label for m in objs)
-        check = checks[axiom]
-        assert check.checked == k**arity, axiom
-        assert check.witness == witness, axiom
-        assert check.passed == (witness is None), axiom
-        assert abs(check.max_error - max_err) <= 1e-12, axiom
-    assert not all(c.passed for c in checks.values())
+    embedding, complete = CentralEmbedding(broken.group, (image,)), dropped is None
+    _assert_category_refused(group, broken, embedding, reps, complete=complete)
+    cat = oracles.unchecked_category(group, broken, embedding, reps, complete=complete)
+    assert len({m.grade for m in cat.catalog}) == len(cat.catalog)
+    _assert_suite_matches_sweep(cat, _SUITE_COMPUTED, 1e-12)
 
 
 def _dense_reference(cat, tol, seed):
@@ -625,9 +575,7 @@ def _asymmetric_z3():
     f_num[1, 2, 1] += 1
     omega_num[1, 2] += 1
     broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
-    return TwistedCategory(
-        group, broken, CentralEmbedding(broken.group, (1,)), reps, validate=False
-    )
+    return oracles.unchecked_category(group, broken, CentralEmbedding(broken.group, (1,)), reps)
 
 
 @pytest.mark.parametrize(
@@ -912,17 +860,6 @@ def _inject(mutation, monkeypatch, module):
         )
 
 
-def _mutant_modcat(old, new):
-    """``modcat`` with one source line replaced, loaded as a fresh module of
-    the package."""
-    source = inspect.getsource(modcat)
-    assert source.count(old) == 1
-    module = types.ModuleType("twistcat._mutant_modcat")
-    module.__package__ = "twistcat"
-    exec(compile(source.replace(old, new), modcat.__file__, "exec"), module.__dict__)
-    return module
-
-
 @pytest.mark.parametrize(
     "old, new, fault, name, image, n, seed",
     [
@@ -941,7 +878,7 @@ def test_reference_catches_errors_written_to_the_wrong_stack_item(
     cocycle = _coboundary_twisted_z3() if n == 3 else None
     _inject(fault, monkeypatch, modcat)
     _assert_self_checks_match(_graded_builtin(name, image, n, cocycle), seed)  # errors that vary
-    mutant = _mutant_modcat(old, new)
+    mutant = mutants.load("modcat", old, new)
     _inject(fault, monkeypatch, mutant)
     cat = _graded_builtin(name, image, n, cocycle, category=mutant.TwistedCategory)
     with pytest.raises(AssertionError):

@@ -3,7 +3,9 @@ outside its own definition: code that only tests or scripts call is deleted,
 not kept in step.  A method is read only through an attribute access, and a
 module-level name only through a load or an import, so a local variable,
 parameter or assignment target of the same name is not a reader.  The
-package ``__init__`` re-exports names and reads none."""
+package ``__init__`` re-exports names and reads none.  And no module reads a
+private name of a sibling module, except the entries listed with their
+reasons."""
 
 import ast
 from pathlib import Path
@@ -58,3 +60,32 @@ def test_every_public_name_has_a_reader_in_src():
         )
     )
     assert unread == []
+
+
+PRIVATE_IMPORTS = {  # (module, sibling, name) kept, each with its reason
+    ("specio", "cocycle", "_from_exponents"): "the table builder behind the spec's 'tables' "
+    "cocycle, which is a spec format and not library API",
+}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a private name is its module's own: `from .sibling import _name`, or
+    # `sibling._name` after `from . import sibling`, reaches past the
+    # sibling's public surface
+    found = set()
+    for path in LIBRARY.glob("*.py"):
+        tree, siblings = ast.parse(path.read_text(encoding="utf-8")), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in siblings
+            ):
+                found.add((path.stem, node.value.id, node.attr))
+    assert found == set(PRIVATE_IMPORTS)

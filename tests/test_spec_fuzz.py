@@ -9,7 +9,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistcat import cli
@@ -19,11 +19,12 @@ SPEC_TEXTS = [fixture_path(name).read_text(encoding="utf-8") for name in BUNDLED
     path.read_text(encoding="utf-8")
     for path in sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
 ]
-# wrong types, huge and negative integers and non-finite floats; "z65" is the
-# smallest builtin above the group order cap, so a missing cap stays cheap
+# wrong types, huge and negative integers, non-finite floats and matrix
+# entries whose products overflow; "z65" is the smallest builtin above the
+# group order cap, so a missing cap stays cheap
 VALUES = [
     None, True, 3.7, float("inf"), float("nan"), "x", "2", "z65", [], {}, [[]],
-    -1, 0, 10**30, -(2**63),
+    -1, 0, 10**30, -(2**63), "1e200", "-1e300",
 ]
 
 
@@ -40,20 +41,38 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+# the d5 table spec with rho1's generator r written diag(1e200, e(4/5)):
+# rho1(r^2) overflows while the irreps are generated
+D5 = next(i for i, text in enumerate(SPEC_TEXTS) if '"d5-table-z2-s3"' in text)
+OVERFLOW = list(_paths(json.loads(SPEC_TEXTS[D5]))).index(
+    ("irreps", "list", 2, "matrices", 0, 0, 0)
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mutated_spec_ends_in_documented_exit_code(data):
-    command = data.draw(st.sampled_from(["verify", "fusion", "smatrix"]))
-    spec = json.loads(data.draw(st.sampled_from(SPEC_TEXTS)))
-    for _ in range(data.draw(st.integers(1, 2))):
-        *parents, key = data.draw(st.sampled_from(list(_paths(spec))))
+@given(
+    command=st.sampled_from(["verify", "fusion", "smatrix"]),
+    text=st.integers(0, len(SPEC_TEXTS) - 1),
+    # per edit: the index of the path it changes, whether it deletes it, and
+    # the value it writes otherwise
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.booleans(), st.sampled_from(VALUES)),
+        min_size=1, max_size=2,
+    ),
+)
+@example(command="verify", text=D5, edits=[(OVERFLOW, False, "1e200")])
+def test_mutated_spec_ends_in_documented_exit_code(command, text, edits):
+    spec = json.loads(SPEC_TEXTS[text])
+    for pick, delete, value in edits:
+        paths = list(_paths(spec))
+        *parents, key = paths[pick % len(paths)]
         node = spec
         for k in parents:
             node = node[k]
-        if data.draw(st.booleans()):
+        if delete:
             del node[key]
         else:
-            node[key] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+            node[key] = copy.deepcopy(value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
