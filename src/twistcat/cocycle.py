@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -166,27 +166,30 @@ def _check_denom(denom: int) -> None:
         raise StructuralError(f"cocycle denominator {denom} exceeds the cap MAX_DENOM = 2**60")
 
 
-def _from_exponents(group: FinAbGroup, f_ids: Mapping[int, int], omega_ids: Mapping[int, int],
-                    exponents: list[Fraction], name: str) -> AbelianCocycle:
-    """Build and validate a cocycle from sparse ``{flat index: exponent id}``
-    maps: a flat index is row-major into the table, its digits in base ``|A|``
-    the arguments' enumeration indices, and an id indexes ``exponents``; an
-    omitted key means exponent 0.  Raises ``StructuralError`` if the common
+def _from_exponents(group: FinAbGroup, f: tuple[np.ndarray, np.ndarray],
+                    omega: tuple[np.ndarray, np.ndarray], exponents: list[Fraction],
+                    name: str) -> AbelianCocycle:
+    """Build and validate a cocycle from sparse tables, each a pair of int
+    arrays ``(flat indices, exponent ids)`` with no flat index repeated: a
+    flat index is row-major into the table, its digits in base ``|A|`` the
+    arguments' enumeration indices, and an id indexes ``exponents``; an
+    omitted cell means exponent 0.  Raises ``StructuralError`` if the common
     denominator of the exponents used exceeds ``MAX_DENOM``, before
     allocating, and ``CocycleError`` (carrying the report) if any axiom
     fails."""
     _check_table_order(group)
-    used = {*f_ids.values(), *omega_ids.values()}
-    denom = lcm(1, *{exponents[i].denominator for i in used})
+    mask = np.zeros(len(exponents), bool)
+    mask[f[1]] = mask[omega[1]] = True
+    used = mask.tolist()
+    denom = lcm(1, *{x.denominator for x, u in zip(exponents, used) if u})
     _check_denom(denom)
-    numerators = np.array([x.numerator % x.denominator * (denom // x.denominator) if i in used
-                           else 0 for i, x in enumerate(exponents)], np.int64)
+    numerators = np.array([x.numerator % x.denominator * (denom // x.denominator) if u
+                           else 0 for x, u in zip(exponents, used)], np.int64)
     m = group.order
     f_num = np.zeros((m, m, m), dtype=_narrow_dtype(denom))
     omega_num = np.zeros((m, m), dtype=np.int64)
-    for table, ids in ((f_num, f_ids), (omega_num, omega_ids)):
-        flat = np.fromiter(ids, np.intp, len(ids))
-        table.reshape(-1)[flat] = numerators[np.fromiter(ids.values(), np.intp, len(ids))]
+    for table, (flat, ids) in ((f_num, f), (omega_num, omega)):
+        table.reshape(-1)[flat] = numerators[ids]
 
     cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
     report = cocycle.report

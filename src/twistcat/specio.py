@@ -29,7 +29,13 @@ Integer fields are JSON integers, matrix entries are strings, a
 ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.  Group axioms, irreps
 and the embedding are checked when the category is built.
 Cocycle table keys are stored as row-major flat indices into the table,
-whose digits in base ``|A|`` are the elements' enumeration indices.  A spec
+whose digits in base ``|A|`` are the elements' enumeration indices.  Tables
+whose keys are all canonical (each element's reduced residues, as
+``"1|0|2"`` or ``"1,0|0,1"``) and whose values are all exponent strings,
+the form the builders and generators write, are read in bulk, with no
+Python step per entry; any other table is walked entry by entry, which
+reduces residues, lets a later key for the same element win, and names the
+first bad entry of a malformed table.  Both give the same arrays.  A spec
 file is at most ``MAX_SPEC_BYTES`` long, checked before it is read: a dense
 ``F`` table fits up to about ``|A| = 73``, and larger grading groups need
 sparse tables or a builder.
@@ -43,13 +49,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .abgroup import FinAbGroup
 from .catalogs import builtin_builder, builtin_catalog
-from .cocycle import AbelianCocycle, _from_exponents, build_cyclic
+from .cocycle import MAX_TABLE_ORDER, AbelianCocycle, _from_exponents, build_cyclic
 from .errors import StructuralError
 from .fusionring import MAX_SPIN
 from .grouprep import MAX_GROUP_ORDER, CentralEmbedding, FiniteGroup, rep_from_generators
@@ -57,9 +64,10 @@ from .modcat import TwistedCategory
 from .unitscalar import UnitScalar
 
 SCHEMA_VERSION = 1
-# a table spec just under the cap (every F entry on Z/79, 7.9 MiB) loads in
-# about 1 s and peaks at 130 MiB on 2 vCPUs
+# a table spec just under the cap (every F entry on Z/79 as "0/1", 7.8 MiB)
+# loads and builds in 0.6-0.8 s and peaks at 138 MiB on 2 vCPUs
 MAX_SPEC_BYTES = 8 * 2**20
+_CHUNK_KEYS = 2**13  # table keys split at once by the bulk reader
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 BUNDLED_FIXTURES = (
     "z2-lattice-on-z4",
@@ -141,9 +149,66 @@ def _parse_exponent(value, path: str) -> Fraction:
 
 
 def _parse_tables(tables: dict, group: FinAbGroup) -> tuple:
-    """``(f, omega, exponents)`` from ``cocycle.tables``: a sparse ``{flat
-    index: exponent id}`` map per table, a key's parts being the arguments'
-    elements, and the exponents that the ids of both tables index.
+    """``(f, omega, exponents)`` from ``cocycle.tables``: per table a pair of
+    int arrays ``(flat indices, exponent ids)``, a key's parts being the
+    arguments' elements, and the exponents that the ids of both tables index.
+
+    Two readers give the same arrays.  ``_read_canonical`` reads well-formed
+    tables, the form the builders' and generated specs write, in bulk; any
+    other table, including every malformed one, goes to ``_walk_tables``,
+    which names the first bad entry and lets a key that reduces to an
+    earlier one override it."""
+    return _read_canonical(tables, group) or _walk_tables(tables, group)
+
+
+def _read_canonical(tables: dict, group: FinAbGroup) -> tuple | None:
+    """The tables in bulk, with no Python step per entry, or ``None`` unless
+    both are well-formed: every key of ``arity`` parts, each part an
+    element's canonical string (reduced residues in decimal, joined by
+    ``,``, as ``",".join(map(str, e))`` writes them), and every value an
+    exponent string.  Distinct canonical keys name distinct cells,
+    so no entry overrides another; each distinct exponent string is parsed
+    once.  Keys are split ``_CHUNK_KEYS`` at a time, so the part strings of
+    a spec at ``MAX_SPEC_BYTES`` do not raise the load's peak."""
+    if group.order > MAX_TABLE_ORDER:  # the walk reads the parts; the build refuses
+        return None
+    m = group.order
+    canonical = {",".join(map(str, e)): i for i, e in enumerate(group.elements())}
+    ids: dict[str, int] = {}  # exponent string -> position in exponents
+    exponents: list[Fraction] = []
+    arrays = []
+    for key, arity in (("f", 3), ("omega", 2)):
+        entries = tables.get(key, {})
+        if type(entries) is not dict or not set(map(type, entries.values())) <= {str}:
+            return None
+        for text in dict.fromkeys(entries.values()):
+            if text not in ids:
+                try:
+                    exponents.append(_parse_exponent(text, key))
+                except StructuralError:
+                    return None
+                ids[text] = len(exponents) - 1
+        keys, flat = iter(entries), np.empty(len(entries), np.intp)
+        for start in range(0, len(entries), _CHUNK_KEYS):
+            chunk = list(islice(keys, _CHUNK_KEYS))
+            if not set(map(str.count, chunk, repeat("|"))) <= {arity - 1}:
+                return None
+            try:
+                parts = np.fromiter(map(canonical.__getitem__, "|".join(chunk).split("|")),
+                                    np.intp, arity * len(chunk))
+            except KeyError:
+                return None
+            flat[start:start + len(chunk)] = np.ravel_multi_index(
+                parts.reshape(-1, arity).T, (m,) * arity)
+        arrays.append((flat, np.fromiter(map(ids.__getitem__, entries.values()), np.intp,
+                                         len(entries))))
+    return (*arrays, exponents)
+
+
+def _walk_tables(tables: dict, group: FinAbGroup) -> tuple:
+    """``_parse_tables`` one entry at a time, in order, for any table: a key
+    part is any residues that reduce to an element, a value a string or a
+    JSON integer, and the first bad entry is named.
 
     Key parts and exponent strings repeat across the tables, so each distinct
     one is parsed once; a JSON integer is parsed at every entry, so ``true``
@@ -153,7 +218,7 @@ def _parse_tables(tables: dict, group: FinAbGroup) -> tuple:
     indices: dict[str, int] = {}
     ids: dict = {}  # exponent -> position in exponents; only strings are looked up
     exponents: list[Fraction] = []
-    maps = []
+    arrays = []
     for key, arity in (("f", 3), ("omega", 2)):
         path, entries = f"cocycle.tables.{key}", {}
         for text, value in _typed(tables.get(key, {}), dict, path).items():
@@ -172,8 +237,9 @@ def _parse_tables(tables: dict, group: FinAbGroup) -> tuple:
                 exponents.append(_parse_exponent(value, where))
                 ids[value] = len(exponents) - 1
             entries[flat] = ids[value]
-        maps.append(entries)
-    return (*maps, exponents)
+        arrays.append((np.fromiter(entries, np.intp, len(entries)),
+                       np.fromiter(entries.values(), np.intp, len(entries))))
+    return (*arrays, exponents)
 
 
 def _parse_cocycle(config, grading: FinAbGroup) -> tuple:

@@ -16,7 +16,7 @@ def load(name, old, new):
     source = inspect.getsource(module)
     assert source.count(old) == 1, (name, old)
     mutant = types.ModuleType(f"twistcat._mutant_{name}")
-    mutant.__package__ = "twistcat"
+    mutant.__package__, mutant.__file__ = "twistcat", module.__file__
     # dataclasses read their defining module from sys.modules while the source runs
     sys.modules[mutant.__name__] = mutant
     try:

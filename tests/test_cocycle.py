@@ -552,6 +552,19 @@ def test_hexagon_certificate_reads_every_generator_row(factors, j):
     assert not any(check.passed for check in checks)
 
 
+def test_table_broken_through_the_last_factor_is_refused():
+    # F or Omega on Z/2 x Z/4 pulled back from a normalized non-cocycle on
+    # Z/4: the slabs and rows at the generator of Z/2 are zero, so a
+    # certificate that skips the last generator, or reads row 0 only, passes
+    g = FinAbGroup((2, 4))
+    f = {f"{x},1|{y},1|{z},1": "1/2" for x, y, z in product(range(2), repeat=3)}
+    omega = {f"{x},1|{y},1": "1/4" for x, y in product(range(2), repeat=2)}
+    for tables, axiom, witness in [({"f": f}, "pentagon", ((0, 1), (0, 1), (0, 1), (0, 2))),
+                                   ({"omega": omega}, "hexagon-1", ((0, 1), (0, 1), (0, 1)))]:
+        with pytest.raises(CocycleError, match=re.escape(f"the {axiom} axiom at {witness}")):
+            _spec_cocycle(g, tables)
+
+
 def test_builders_store_f_in_the_kernel_dtype():
     g = FinAbGroup((3,))
     f, omega = _coboundary_tables(g, MAX_DENOM)

@@ -1,18 +1,24 @@
-"""Property test of the spec table path: sparse exponent entries to arrays."""
+"""The spec table path: sparse exponent entries to arrays, through either
+reader of ``specio._parse_tables``."""
 
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistcat import specio
 from twistcat.abgroup import FinAbGroup
 from twistcat.cocycle import AbelianCocycle, build_cyclic, validate_cocycle
-from twistcat.errors import CocycleError
+from twistcat.errors import CocycleError, StructuralError
 from twistcat.fusionring import dim_exponents
-from twistcat.specio import CategorySpec, _parse_cocycle
+from twistcat.specio import CategorySpec, _parse_cocycle, _parse_tables
 
 import oracles
 
@@ -42,17 +48,20 @@ def _valid_tables(draw, factors):
 
 @st.composite
 def table_specs(draw):
-    """A ``cocycle.tables`` config, its group, and whether it may be broken.
+    """A ``cocycle.tables`` config, its group, whether it may be broken, and
+    whether its keys are canonical.
 
-    Entries of a valid cocycle are written with unreduced residues and
-    exponents.  Unbroken specs also carry decoy keys that reduce to a later
-    entry's element, so the later value must win.  Broken specs add decoys
-    anywhere and drop entries.
+    Entries of a valid cocycle are written with unreduced exponents.  Keys
+    are canonical (reduced residues, no decoys, the form the bulk reader
+    takes) or unreduced.  Unreduced unbroken specs also carry decoy keys
+    that reduce to a later entry's element, so the later value must win.
+    Broken specs drop entries, and unreduced ones add decoys anywhere.
     """
     factors = draw(st.sampled_from(GROUPS))
     f, w, denom = _valid_tables(draw, factors)
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # bulk choices, cheaper than draws
-    broken = draw(st.booleans())
+    broken, canonical = draw(st.booleans()), draw(st.booleans())
+    shift = 0 if canonical else 1
     elts = list(FinAbGroup(factors).elements())
 
     def key(idx, lo, hi):
@@ -71,22 +80,22 @@ def table_specs(draw):
         for idx in zip(*np.nonzero(table)):
             if broken and rnd.random() < 0.05:
                 continue  # dropped entry
-            if rnd.random() < 0.2:
+            if not canonical and rnd.random() < 0.2:
                 entries.append((key(idx, -2, -1), value(rnd.randrange(denom))))
-            entries.append((key(idx, 0, 1), value(int(table[idx]))))
-        if broken:
+            entries.append((key(idx, 0, shift), value(int(table[idx]))))
+        if broken and not canonical:
             for _ in range(rnd.randint(0, 3)):
                 idx = [rnd.randrange(len(elts)) for _ in range(table.ndim)]
                 decoy = (key(idx, -2, 2), f"{rnd.randint(-20, 20)}/{rnd.randint(1, 12)}")
                 entries.insert(rnd.randint(0, len(entries)), decoy)
         tables[name] = dict(entries)
-    return factors, tables, broken
+    return factors, tables, broken, canonical
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(table_specs())
 def test_table_spec_path_matches_given_exponents(drawn):
-    factors, tables, broken = drawn
+    factors, tables, broken, canonical = drawn
     group = FinAbGroup(factors)
     m = group.order
     # reference: the last entry per reduced key wins; omitted entries are 0
@@ -102,7 +111,11 @@ def test_table_spec_path_matches_given_exponents(drawn):
             exps[elts] = Fraction(value) % 1
     denom = lcm(1, *(x.denominator for exps in expected.values() for x in exps.values()))
 
-    spec = CategorySpec("h", "finite-group", None, group, _parse_cocycle({"tables": tables}, group))
+    read, bulk = specio._read_canonical, []
+    with mock.patch.object(specio, "_read_canonical", lambda *a: bulk.append(read(*a)) or bulk[-1]):
+        source = _parse_cocycle({"tables": tables}, group)
+    assert bulk[0] is not None or not canonical  # canonical keys take the bulk reader
+    spec = CategorySpec("h", "finite-group", None, group, source)
     try:
         c = spec.build_cocycle()
     except CocycleError as exc:
@@ -124,3 +137,95 @@ def test_table_spec_path_matches_given_exponents(drawn):
                 assert oracles.f(c, a1, a2, a3) == expected["f"].get((a1, a2, a3), 0)
     # a valid cocycle leaves every categorical dimension equal to the ordinary one
     assert not dim_exponents(c).any()
+
+
+def _tables(tables, factors=(2,)):
+    """``_parse_tables`` of ``tables``: per table the flat indices and the
+    exponents their entries read, and the exponents list."""
+    f, omega, exponents = _parse_tables(tables, FinAbGroup(factors))
+    return [(flat.tolist(), [exponents[i] for i in ids]) for flat, ids in (f, omega)], exponents
+
+
+def _refused(tables, message, factors=(2,)):
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        _parse_tables(tables, FinAbGroup(factors))
+
+
+def test_misaligned_keys_are_refused_at_the_first():
+    # 4 + 2 parts split into two 3-part keys when the keys are joined, so the
+    # bulk reader counts each key's parts before it splits them
+    message = "spec field 'cocycle.tables.f.{}' must key 3 elements joined by '|'"
+    for keys, first in [
+        (["1|1|1|1", "1|1"], "1|1|1|1"),
+        (["1|1", "1|1|1|1"], "1|1"),
+        (["1|1|1", "1|1|1|1"], "1|1|1|1"),  # a trailing extra part
+        (["0|1|1", "1|1|1|1", "1|1"], "1|1|1|1"),
+    ]:
+        _refused({"f": dict.fromkeys(keys, "1/2")}, message.format(first))
+
+
+def test_later_key_for_the_same_element_wins():
+    # canonical '1|1' and unreduced '5|1' name the same cell of Omega on Z/4
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for entries, value in [({"1|1": "1/4", "5|1": "1/2"}, half),
+                           ({"5|1": "1/2", "1|1": "1/4"}, quarter)]:
+        assert _tables({"omega": entries}, (4,))[0][1] == ([5], [value])
+
+
+def test_string_then_boolean_exponent_is_refused():
+    _refused({"f": {"1|1|1": "1", "1|1|0": True}},
+             "spec field 'cocycle.tables.f.1|1|0' must be a rational exponent, got True")
+
+
+def test_exponent_string_shared_by_both_tables_is_parsed_once():
+    (f, omega), exponents = _tables({"f": {"1|1|1": "1/2"}, "omega": {"1|1": "1/2"}})
+    assert f == ([7], [Fraction(1, 2)]) and omega == ([3], [Fraction(1, 2)])
+    assert exponents == [Fraction(1, 2)]
+
+
+def test_empty_f_table():
+    tables = {"f": {}, "omega": {"1|1": "1/2"}}
+    assert _tables(tables)[0] == [([], []), ([3], [Fraction(1, 2)])]
+    group = FinAbGroup((2,))
+    spec = CategorySpec("e", "su2", None, group, _parse_cocycle({"tables": tables}, group))
+    c = spec.build_cocycle()
+    assert c.denom == 2 and c.omega_num.tolist() == [[0, 0], [0, 1]] and not c.f_num.any()
+
+
+def test_bad_exponent_after_many_good_entries_is_named():
+    group = FinAbGroup((24,))
+    keys = ["|".join(map(str, (i // 576, i // 24 % 24, i % 24))) for i in range(10_001)]
+    tables = {"f": dict.fromkeys(keys, "1/3"), "omega": {"1|1": "1/3"}}
+    tables["f"][keys[-1]] = "1/0"
+    _refused(tables, f"spec field 'cocycle.tables.f.{keys[-1]}' must be a rational exponent, "
+             "got '1/0'", (24,))
+    del tables["f"][keys[-1]]
+    (f, omega), _ = _tables(tables, (24,))
+    assert f[0] == list(range(10_000)) and omega[0] == [25]
+    assert specio._read_canonical(tables, group) is not None
+
+
+def test_tables_above_the_order_cap_are_walked_then_refused():
+    # the bulk reader enumerates the group's elements, so it leaves a group
+    # above MAX_TABLE_ORDER to the walk, which reads only the parts it is given
+    group, tables = FinAbGroup((300,)), {"f": {"1|1|1": "1/2"}}
+    assert specio._read_canonical(tables, group) is None
+    spec = CategorySpec("cap", "su2", None, group, _parse_cocycle({"tables": tables}, group))
+    with pytest.raises(StructuralError, match="^group order 300 exceeds the table-cocycle cap"):
+        spec.build_cocycle()
+
+
+def test_bulk_reader_holds_one_chunk_of_key_parts():
+    # a dense canonical F table of several chunks: the per-entry walk peaked
+    # at 83 bytes per entry here, and splitting every key at once at 188
+    n = 40
+    group = FinAbGroup((n,))
+    tables = {"f": {f"{a}|{b}|{c}": "1/2" for a in range(n) for b in range(n) for c in range(n)}}
+    assert len(tables["f"]) > 7 * specio._CHUNK_KEYS
+    tracemalloc.start()
+    try:
+        assert specio._read_canonical(tables, group) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(tables["f"])
