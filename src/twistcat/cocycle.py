@@ -173,11 +173,11 @@ def _from_exponents(group: FinAbGroup, f: tuple[np.ndarray, np.ndarray],
     arrays ``(flat indices, exponent ids)`` with no flat index repeated: a
     flat index is row-major into the table, its digits in base ``|A|`` the
     arguments' enumeration indices, and an id indexes ``exponents``; an
-    omitted cell means exponent 0.  Raises ``StructuralError`` if the common
-    denominator of the exponents used exceeds ``MAX_DENOM``, before
-    allocating, and ``CocycleError`` (carrying the report) if any axiom
-    fails."""
-    _check_table_order(group)
+    omitted cell means exponent 0.  ``group`` is within the table caps, as
+    the spec reader checks with ``_check_table_order`` before it reads the
+    tables.  Raises ``StructuralError`` if the common denominator of the
+    exponents used exceeds ``MAX_DENOM``, before allocating, and
+    ``CocycleError`` (carrying the report) if any axiom fails."""
     mask = np.zeros(len(exponents), bool)
     mask[f[1]] = mask[omega[1]] = True
     used = mask.tolist()

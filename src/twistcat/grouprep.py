@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -279,29 +278,20 @@ def validate_irrep(reps: Sequence[MatrixRep]) -> list[np.ndarray]:
     class constancy of the character, and irreducibility.
 
     Returns one character per rep, as a per-conjugacy-class complex vector.
-    Unitarity is checked but only warned on, once per non-unitary rep in
-    order.  The reps that share a group and a dimension are one stack, and
-    each check runs once per stack; each item runs the same elementwise,
+    The reps that share a group and a dimension are one stack, and each
+    check runs once per stack; each item runs the same elementwise,
     ``einsum`` and ``matmul`` kernels on the same operands as a one-item
     stack, so its character and errors do not depend on the other reps.  A
     failing rep raises its first error in the order above; of several, the
-    first rep's, after the warnings of the reps before it.
+    first rep's.
     """
     reps = list(reps)
-    characters = []
-    for outcome in _stacked(reps, lambda r: (r.group, r.dim), _irrep_stack):
-        if isinstance(outcome, Exception):
-            raise outcome
-        chars, unit_err = outcome
-        if unit_err > 1e-6:
-            warnings.warn(f"representation is not unitary (deviation {unit_err:.2e})")
-        characters.append(chars)
-    return characters
+    return _raise_first(_stacked(reps, lambda r: (r.group, r.dim), _irrep_stack))
 
 
 def _irrep_stack(reps: list[MatrixRep]) -> list:
-    """Per rep of one ``(group, dim)`` stack, ``(character, unitarity
-    deviation)`` or the error it raises."""
+    """Per rep of one ``(group, dim)`` stack, its character or the error it
+    raises."""
     group, d = reps[0].group, reps[0].dim
     # the squared dimensions of a group's irreps sum to |G|; checked before
     # the |G|^2 d^2 products below exist
@@ -316,8 +306,7 @@ def _irrep_stack(reps: list[MatrixRep]) -> list:
     if len(reps) > size:
         return [o for i in range(0, len(reps), size) for o in _irrep_stack(reps[i:i + size])]
     mats = np.array([r.matrices for r in reps])
-    eye = np.eye(d)
-    not_identity = ~(mats[:, group.identity] == eye).all(axis=(1, 2))
+    not_identity = ~(mats[:, group.identity] == np.eye(d)).all(axis=(1, 2))
     # a rep may hold entries whose products overflow, or infs: its
     # homomorphism error is then inf or nan and fails, and the values below
     # are never read, so no floating-point warnings for them
@@ -334,8 +323,6 @@ def _irrep_stack(reps: list[MatrixRep]) -> list:
         c = np.where(constant, group.num_classes, group._class_index).min(axis=1)
         chars = np.ascontiguousarray(traces[:, firsts])  # one C-contiguous row per rep
         norm = (group.class_sizes * np.abs(chars) ** 2).sum(axis=1) / group.order
-        unit_err = np.abs(mats @ mats.conj().swapaxes(-1, -2) - eye).max(axis=(1, 2, 3))
-    unit_err = unit_err.tolist()
 
     # each rep's first failing check, in the order they run for one rep
     checks = [
@@ -354,7 +341,7 @@ def _irrep_stack(reps: list[MatrixRep]) -> list:
     failed = np.array([bad for bad, _ in checks])
     first_failures = zip(failed.any(axis=0).tolist(), failed.argmax(axis=0).tolist())
     return [
-        RepresentationError(checks[k][1](i)) if failing else (chars[i], unit_err[i])
+        RepresentationError(checks[k][1](i)) if failing else chars[i]
         for i, (failing, k) in enumerate(first_failures)
     ]
 

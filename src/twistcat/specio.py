@@ -29,13 +29,12 @@ Integer fields are JSON integers, matrix entries are strings, a
 ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.  Group axioms, irreps
 and the embedding are checked when the category is built.
 Cocycle table keys are stored as row-major flat indices into the table,
-whose digits in base ``|A|`` are the elements' enumeration indices.  Tables
-whose keys are all canonical (each element's reduced residues, as
-``"1|0|2"`` or ``"1,0|0,1"``) and whose values are all exponent strings,
-the form the builders and generators write, are read in bulk, with no
-Python step per entry; any other table is walked entry by entry, which
-reduces residues, lets a later key for the same element win, and names the
-first bad entry of a malformed table.  Both give the same arrays.  A spec
+whose digits in base ``|A|`` are the elements' enumeration indices.  One
+reader, ``_parse_tables``, reads every table in bulk, with no Python step
+per entry: it reduces unreduced residues, lets a later key for the same
+element win, and only for a chunk of entries that fails its checks walks
+that chunk to name the first bad entry (``_first_bad_entry``).  A grading
+group above the table caps is refused before its tables are read.  A spec
 file is at most ``MAX_SPEC_BYTES`` long, checked before it is read: a dense
 ``F`` table fits up to about ``|A| = 73``, and larger grading groups need
 sparse tables or a builder.
@@ -56,7 +55,7 @@ import numpy as np
 
 from .abgroup import FinAbGroup
 from .catalogs import builtin_builder, builtin_catalog
-from .cocycle import MAX_TABLE_ORDER, AbelianCocycle, _from_exponents, build_cyclic
+from .cocycle import AbelianCocycle, _check_table_order, _from_exponents, build_cyclic
 from .errors import StructuralError
 from .fusionring import MAX_SPIN
 from .grouprep import MAX_GROUP_ORDER, CentralEmbedding, FiniteGroup, rep_from_generators
@@ -148,98 +147,87 @@ def _parse_exponent(value, path: str) -> Fraction:
         raise _bad(path, "a rational exponent", value) from None
 
 
+class _Parts(dict):
+    """Key part -> enumeration index of the element it names, or -1 for a
+    part that names none.  Starts with every element's canonical string
+    (reduced residues in decimal, as ``",".join(map(str, e))`` writes them);
+    any other part is parsed once, through ``parse_element``, and sets
+    ``aliased`` if it names an element, as its key may then share a cell
+    with another key."""
+
+    def __init__(self, group: FinAbGroup):
+        super().__init__((",".join(map(str, e)), i) for i, e in enumerate(group.elements()))
+        self.group, self.aliased = group, False
+
+    def __missing__(self, part: str) -> int:
+        try:
+            index = self.group.index(parse_element(part, self.group, "a key part"))
+        except StructuralError:
+            index = -1
+        self.aliased |= index >= 0
+        self[part] = index
+        return index
+
+
 def _parse_tables(tables: dict, group: FinAbGroup) -> tuple:
     """``(f, omega, exponents)`` from ``cocycle.tables``: per table a pair of
     int arrays ``(flat indices, exponent ids)``, a key's parts being the
     arguments' elements, and the exponents that the ids of both tables index.
 
-    Two readers give the same arrays.  ``_read_canonical`` reads well-formed
-    tables, the form the builders' and generated specs write, in bulk; any
-    other table, including every malformed one, goes to ``_walk_tables``,
-    which names the first bad entry and lets a key that reduces to an
-    earlier one override it."""
-    return _read_canonical(tables, group) or _walk_tables(tables, group)
-
-
-def _read_canonical(tables: dict, group: FinAbGroup) -> tuple | None:
-    """The tables in bulk, with no Python step per entry, or ``None`` unless
-    both are well-formed: every key of ``arity`` parts, each part an
-    element's canonical string (reduced residues in decimal, joined by
-    ``,``, as ``",".join(map(str, e))`` writes them), and every value an
-    exponent string.  Distinct canonical keys name distinct cells,
-    so no entry overrides another; each distinct exponent string is parsed
-    once.  Keys are split ``_CHUNK_KEYS`` at a time, so the part strings of
-    a spec at ``MAX_SPEC_BYTES`` do not raise the load's peak."""
-    if group.order > MAX_TABLE_ORDER:  # the walk reads the parts; the build refuses
-        return None
-    m = group.order
-    canonical = {",".join(map(str, e)): i for i, e in enumerate(group.elements())}
-    ids: dict[str, int] = {}  # exponent string -> position in exponents
+    Every table is read in bulk, ``_CHUNK_KEYS`` entries at a time, with no
+    Python step per entry: a chunk's keys are counted for their arity, its
+    values checked to be strings or JSON integers, each distinct value
+    parsed once, and its keys joined, split and looked up in one ``_Parts``.
+    A chunk that fails any of these goes to ``_first_bad_entry``, which
+    names its first bad entry.  A part that is not canonical may name the
+    cell of another key; then the later key wins."""
+    m, parts = group.order, _Parts(group)
+    ids: dict = {}  # exponent string or JSON integer -> position in exponents
     exponents: list[Fraction] = []
     arrays = []
     for key, arity in (("f", 3), ("omega", 2)):
-        entries = tables.get(key, {})
-        if type(entries) is not dict or not set(map(type, entries.values())) <= {str}:
-            return None
-        for text in dict.fromkeys(entries.values()):
-            if text not in ids:
-                try:
-                    exponents.append(_parse_exponent(text, key))
-                except StructuralError:
-                    return None
-                ids[text] = len(exponents) - 1
-        keys, flat = iter(entries), np.empty(len(entries), np.intp)
+        path = f"cocycle.tables.{key}"
+        entries = _typed(tables.get(key, {}), dict, path)
+        keys, values = iter(entries), iter(entries.values())
+        flat, vid = np.empty(len(entries), np.intp), np.empty(len(entries), np.intp)
         for start in range(0, len(entries), _CHUNK_KEYS):
-            chunk = list(islice(keys, _CHUNK_KEYS))
-            if not set(map(str.count, chunk, repeat("|"))) <= {arity - 1}:
-                return None
+            ks, vs = list(islice(keys, _CHUNK_KEYS)), list(islice(values, _CHUNK_KEYS))
+            if not (set(map(str.count, ks, repeat("|"))) <= {arity - 1}
+                    and set(map(type, vs)) <= {str, int}):
+                _first_bad_entry(path, arity, ks, vs, group)
             try:
-                parts = np.fromiter(map(canonical.__getitem__, "|".join(chunk).split("|")),
-                                    np.intp, arity * len(chunk))
-            except KeyError:
-                return None
-            flat[start:start + len(chunk)] = np.ravel_multi_index(
-                parts.reshape(-1, arity).T, (m,) * arity)
-        arrays.append((flat, np.fromiter(map(ids.__getitem__, entries.values()), np.intp,
-                                         len(entries))))
+                for value in dict.fromkeys(vs):
+                    if value not in ids:
+                        exponents.append(_parse_exponent(value, path))
+                        ids[value] = len(exponents) - 1
+                cells = np.fromiter(map(parts.__getitem__, "|".join(ks).split("|")), np.intp,
+                                    arity * len(ks))
+                # ravel_multi_index refuses the -1 of a part that names no element
+                flat[start:start + len(ks)] = np.ravel_multi_index(
+                    cells.reshape(-1, arity).T, (m,) * arity)
+            except (StructuralError, ValueError):
+                _first_bad_entry(path, arity, ks, vs, group)
+            vid[start:start + len(ks)] = np.fromiter(map(ids.__getitem__, vs), np.intp, len(vs))
+        if parts.aliased:  # keep each cell's last key: its first in reversed order
+            _, last = np.unique(flat[::-1], return_index=True)
+            flat, vid = flat[::-1][last], vid[::-1][last]
+        arrays.append((flat, vid))
     return (*arrays, exponents)
 
 
-def _walk_tables(tables: dict, group: FinAbGroup) -> tuple:
-    """``_parse_tables`` one entry at a time, in order, for any table: a key
-    part is any residues that reduce to an element, a value a string or a
-    JSON integer, and the first bad entry is named.
-
-    Key parts and exponent strings repeat across the tables, so each distinct
-    one is parsed once; a JSON integer is parsed at every entry, so ``true``
-    is refused even after ``1``.  A key that reduces to an earlier one
-    overrides it."""
-    m = group.order
-    indices: dict[str, int] = {}
-    ids: dict = {}  # exponent -> position in exponents; only strings are looked up
-    exponents: list[Fraction] = []
-    arrays = []
-    for key, arity in (("f", 3), ("omega", 2)):
-        path, entries = f"cocycle.tables.{key}", {}
-        for text, value in _typed(tables.get(key, {}), dict, path).items():
-            where = f"{path}.{text}"
-            parts = text.split("|")
-            if len(parts) != arity:
-                raise StructuralError(
-                    f"spec field {where!r} must key {arity} elements joined by '|'"
-                )
-            flat = 0
-            for part in parts:
-                if part not in indices:
-                    indices[part] = group.index(parse_element(part, group, f"spec field {where!r}"))
-                flat = flat * m + indices[part]
-            if not isinstance(value, str) or value not in ids:  # a string is parsed once
-                exponents.append(_parse_exponent(value, where))
-                ids[value] = len(exponents) - 1
-            entries[flat] = ids[value]
-        arrays.append((np.fromiter(entries, np.intp, len(entries)),
-                       np.fromiter(entries.values(), np.intp, len(entries))))
-    return (*arrays, exponents)
+def _first_bad_entry(path: str, arity: int, keys: list, values: list, group: FinAbGroup):
+    """Raise the error of the first bad entry of a chunk of table ``path``
+    that failed the bulk checks, checking each entry in order as the bulk
+    pass does: its arity, then its parts, then its value.  Decodes nothing
+    and never returns."""
+    for text, value in zip(keys, values):
+        where = f"{path}.{text}"
+        if text.count("|") != arity - 1:
+            raise StructuralError(f"spec field {where!r} must key {arity} elements joined by '|'")
+        for part in text.split("|"):
+            parse_element(part, group, f"spec field {where!r}")
+        _parse_exponent(value, where)
+    raise AssertionError(f"a chunk of {path} failed the bulk checks with no bad entry")
 
 
 def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
@@ -256,6 +244,7 @@ def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
         raise _bad("cocycle.builder", "'cyclic' or 'trivial'", builder)
     if "tables" in config:
         tables = _typed(config["tables"], dict, "cocycle.tables")
+        _check_table_order(grading)  # the reader enumerates the group
         return ("tables", *_parse_tables(tables, grading))
     raise _bad("cocycle", "an object with 'builder' or 'tables'", config)
 

@@ -3,7 +3,6 @@ from its definition rather than from the code under test, and
 ``unchecked_category``, the one way for a test to put a category over tables
 that fail the cocycle axioms."""
 
-import warnings
 from fractions import Fraction
 from itertools import count
 
@@ -63,8 +62,7 @@ def validate_irrep(rep):
     """The character of one rep as a per-class vector, after its checks in
     order: ``dim^2 <= |G|``, the identity, the homomorphism property (naming
     the lowest failing ``a``), class constancy (naming the lowest failing
-    class) and ``<chi, chi> = 1``, each raising ``RepresentationError``;
-    a non-unitary rep is warned on."""
+    class) and ``<chi, chi> = 1``, each raising ``RepresentationError``."""
     group, mats, d = rep.group, rep.matrices, rep.dim
     if d * d > group.order:
         raise RepresentationError(
@@ -89,9 +87,6 @@ def validate_irrep(rep):
     norm = float(np.sum(group.class_sizes * np.abs(chars) ** 2).real) / group.order
     if not abs(norm - 1.0) <= MATRIX_TOL:
         raise RepresentationError(f"<chi, chi> = {norm:.6f}, representation is not irreducible")
-    unit_err = float(np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(d)).max())
-    if unit_err > 1e-6:
-        warnings.warn(f"representation is not unitary (deviation {unit_err:.2e})")
     return chars
 
 

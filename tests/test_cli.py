@@ -747,6 +747,21 @@ def test_more_invariant_factors_than_the_cap_is_parse_error(
     assert err == f"error: {count} invariant factors exceed the table-cocycle cap 8\n"
 
 
+@pytest.mark.parametrize("factors, message", [
+    ([2**40], "group order 1099511627776 exceeds the table-cocycle cap 256"),
+    ([2] * 9, "group order 512 exceeds the table-cocycle cap 256"),
+], ids=["order", "factors"])
+def test_table_spec_above_the_caps_is_refused_before_its_tables_are_read(
+    factors, message, tmp_path, capsys, monkeypatch
+):
+    # a table spec on Z/2^40 used to end in an OverflowError traceback, exit 1
+    monkeypatch.setattr(specio, "_parse_tables", lambda *a: pytest.fail("tables were read"))
+    spec = {"schema_version": 1, "mode": "su2", "grading_group": factors,
+            "cocycle": {"tables": {"f": {"1|1|1": "1/2"}}}}
+    assert _run_spec("smatrix", spec, tmp_path)[0] == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eight_invariant_factors_verify(tmp_path, capsys):
     spec = _z2_spec_with_factors([1] * 7 + [2], {"builder": "trivial"})
     assert _run_spec("verify", spec, tmp_path)[0] == cli.EXIT_OK
@@ -778,6 +793,17 @@ def test_nonabelian_table_spec_report_matches_golden(tmp_path, capsys):
     spec = GOLDEN_DIR / "specs" / "d5-table-z2.json"
     assert run_cli("verify", "--spec", str(spec), "--seed", "0", "--out", str(out)) == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / "d5-table-z2.json").read_bytes()
+
+
+def test_non_unitary_irrep_verifies_without_stderr(tmp_path, capsys):
+    # rho1 conjugated by diag(2, 1): nothing downstream assumes unitary
+    # matrices, and validation used to print a warning for it on exit 0
+    spec = json.loads((GOLDEN_DIR / "specs" / "d5-table-z2.json").read_text(encoding="utf-8"))
+    rho1 = next(item for item in spec["irreps"]["list"] if item["label"] == "rho1")
+    rho1["matrices"][1] = [["0", "2"], ["0.5", "0"]]
+    code, report, _ = _run_spec("verify", spec, tmp_path)
+    assert code == cli.EXIT_OK and {v["status"] for v in report["verdicts"]} == {"pass"}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name", ["d4-centre-z2", "q8-identity-z2"])

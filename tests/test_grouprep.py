@@ -1,5 +1,4 @@
 import cmath
-import re
 import warnings
 from itertools import product
 from pathlib import Path
@@ -370,15 +369,16 @@ def test_grade_additivity_and_duality():
     assert grade_of([dual_rep(reps["chi1"])], emb) == [neg(grading, g1)]
 
 
-def test_non_unitary_rep_warns_but_validates(s3):
+def test_non_unitary_rep_validates_without_warning(s3):
     group, reps = s3
     conj = np.array([[1.0, 0.7], [0.0, 1.0]])  # non-unitary change of basis
     inv = np.linalg.inv(conj)
     mats = np.stack([conj @ m @ inv for m in reps["standard"].matrices])
     mats[group.identity] = np.eye(2)
     skewed = MatrixRep(group, mats)
-    deviation = max(float(np.abs(m @ m.conj().T - np.eye(2)).max()) for m in mats)
-    with pytest.warns(UserWarning, match=re.escape(f"not unitary (deviation {deviation:.2e})")):
+    assert max(float(np.abs(m @ m.conj().T - np.eye(2)).max()) for m in mats) > 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         (chars,) = validate_irrep([skewed])
     assert np.allclose(chars, [2.0, 0.0, -1.0])
 
@@ -638,7 +638,7 @@ def test_the_first_faulty_irrep_in_catalog_order_is_named():
     assert str(raised.value) == _reference_message(not_hom)
 
 
-def test_non_unitary_irreps_warn_once_each_in_catalog_order(s3):
+def test_non_unitary_irreps_validate_without_warning_in_catalog_order(s3):
     group, reps = s3
 
     def skewed(t):
@@ -647,16 +647,14 @@ def test_non_unitary_irreps_warn_once_each_in_catalog_order(s3):
         mats[group.identity] = np.eye(2)
         return MatrixRep(group, mats)
 
-    def messages(validate, catalog):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            validate(catalog)
-        return [str(w.message) for w in caught]
-
     catalog = [reps["trivial"], skewed(0.7), reps["sign"], skewed(0.3)]
-    want = messages(lambda c: [oracles.validate_irrep(r) for r in c], catalog)
-    assert len(want) == 2 and want[0] != want[1]
-    assert messages(validate_irrep, catalog) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [oracles.validate_irrep(r) for r in catalog]
+        got = validate_irrep(catalog)
+    assert len(got) == len(want)
+    for chars, ref in zip(got, want):
+        assert np.array_equal(chars, ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])

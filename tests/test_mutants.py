@@ -65,9 +65,20 @@ TEST_ROWS = [
      test_cocycle.test_table_broken_through_the_last_factor_is_refused),
     ("cocycle", "_hexagon_rows_vanish", "_hexagon_rows(c, _generator_rows(c.group))",
      "_hexagon_rows(c, [0])", test_cocycle.test_table_broken_through_the_last_factor_is_refused),
-    # the bulk table reader's count of each key's parts
-    ("specio", "_read_canonical", 'set(map(str.count, chunk, repeat("|"))) <= {arity - 1}', "True",
+    # the table reader: its count of each key's parts, its flag for parts
+    # that may name one cell twice, and the order of an entry's checks
+    ("specio", "_parse_tables", 'set(map(str.count, ks, repeat("|"))) <= {arity - 1}', "True",
      test_specio.test_misaligned_keys_are_refused_at_the_first),
+    ("specio", "_Parts", "self.aliased |= index >= 0", "pass",
+     test_specio.test_later_key_for_the_same_element_wins),
+    ("specio", "_first_bad_entry",
+     """        for part in text.split("|"):
+            parse_element(part, group, f"spec field {where!r}")
+        _parse_exponent(value, where)""",
+     """        _parse_exponent(value, where)
+        for part in text.split("|"):
+            parse_element(part, group, f"spec field {where!r}")""",
+     test_specio.test_a_bad_part_is_named_before_a_bad_exponent_of_its_entry),
 ]
 
 

@@ -1,12 +1,11 @@
-"""The spec table path: sparse exponent entries to arrays, through either
-reader of ``specio._parse_tables``."""
+"""The spec table path: sparse exponent entries to arrays, through the one
+bulk reader ``specio._parse_tables``."""
 
 import random
 import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from twistcat.abgroup import FinAbGroup
 from twistcat.cocycle import AbelianCocycle, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, StructuralError
 from twistcat.fusionring import dim_exponents
-from twistcat.specio import CategorySpec, _parse_cocycle, _parse_tables
+from twistcat.specio import CategorySpec, _parse_cocycle
 
 import oracles
 
@@ -52,8 +51,8 @@ def table_specs(draw):
     whether its keys are canonical.
 
     Entries of a valid cocycle are written with unreduced exponents.  Keys
-    are canonical (reduced residues, no decoys, the form the bulk reader
-    takes) or unreduced.  Unreduced unbroken specs also carry decoy keys
+    are canonical (reduced residues, no decoys, the form the builders write)
+    or unreduced.  Unreduced unbroken specs also carry decoy keys
     that reduce to a later entry's element, so the later value must win.
     Broken specs drop entries, and unreduced ones add decoys anywhere.
     """
@@ -111,10 +110,7 @@ def test_table_spec_path_matches_given_exponents(drawn):
             exps[elts] = Fraction(value) % 1
     denom = lcm(1, *(x.denominator for exps in expected.values() for x in exps.values()))
 
-    read, bulk = specio._read_canonical, []
-    with mock.patch.object(specio, "_read_canonical", lambda *a: bulk.append(read(*a)) or bulk[-1]):
-        source = _parse_cocycle({"tables": tables}, group)
-    assert bulk[0] is not None or not canonical  # canonical keys take the bulk reader
+    source = _parse_cocycle({"tables": tables}, group)
     spec = CategorySpec("h", "finite-group", None, group, source)
     try:
         c = spec.build_cocycle()
@@ -142,13 +138,13 @@ def test_table_spec_path_matches_given_exponents(drawn):
 def _tables(tables, factors=(2,)):
     """``_parse_tables`` of ``tables``: per table the flat indices and the
     exponents their entries read, and the exponents list."""
-    f, omega, exponents = _parse_tables(tables, FinAbGroup(factors))
+    f, omega, exponents = specio._parse_tables(tables, FinAbGroup(factors))
     return [(flat.tolist(), [exponents[i] for i in ids]) for flat, ids in (f, omega)], exponents
 
 
 def _refused(tables, message, factors=(2,)):
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-        _parse_tables(tables, FinAbGroup(factors))
+        specio._parse_tables(tables, FinAbGroup(factors))
 
 
 def test_misaligned_keys_are_refused_at_the_first():
@@ -193,7 +189,6 @@ def test_empty_f_table():
 
 
 def test_bad_exponent_after_many_good_entries_is_named():
-    group = FinAbGroup((24,))
     keys = ["|".join(map(str, (i // 576, i // 24 % 24, i % 24))) for i in range(10_001)]
     tables = {"f": dict.fromkeys(keys, "1/3"), "omega": {"1|1": "1/3"}}
     tables["f"][keys[-1]] = "1/0"
@@ -202,30 +197,38 @@ def test_bad_exponent_after_many_good_entries_is_named():
     del tables["f"][keys[-1]]
     (f, omega), _ = _tables(tables, (24,))
     assert f[0] == list(range(10_000)) and omega[0] == [25]
-    assert specio._read_canonical(tables, group) is not None
 
 
-def test_tables_above_the_order_cap_are_walked_then_refused():
-    # the bulk reader enumerates the group's elements, so it leaves a group
-    # above MAX_TABLE_ORDER to the walk, which reads only the parts it is given
-    group, tables = FinAbGroup((300,)), {"f": {"1|1|1": "1/2"}}
-    assert specio._read_canonical(tables, group) is None
-    spec = CategorySpec("cap", "su2", None, group, _parse_cocycle({"tables": tables}, group))
-    with pytest.raises(StructuralError, match="^group order 300 exceeds the table-cocycle cap"):
-        spec.build_cocycle()
+def test_a_bad_part_is_named_before_a_bad_exponent_of_its_entry():
+    # each entry is checked as its arity, then its parts, then its value
+    _refused({"f": {"1|x|1": "1/0", "1|1|1": "1/2"}},
+             "spec field 'cocycle.tables.f.1|x|1' must be residues of Z/2 joined by ',', got 'x'")
+
+
+def test_tables_above_the_order_cap_are_refused_at_load(monkeypatch):
+    # the reader enumerates the group's elements, so the caps come first
+    monkeypatch.setattr(specio, "_parse_tables", lambda *a: pytest.fail("tables were read"))
+    for factors, message in [((300,), "group order 300 exceeds the table-cocycle cap 256"),
+                             ((1,) * 9, "9 invariant factors exceed the table-cocycle cap 8")]:
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            _parse_cocycle({"tables": {"f": {"1|1|1": "1/2"}}}, FinAbGroup(factors))
 
 
 def test_bulk_reader_holds_one_chunk_of_key_parts():
-    # a dense canonical F table of several chunks: the per-entry walk peaked
-    # at 83 bytes per entry here, and splitting every key at once at 188
+    # a dense F table of several chunks, with canonical keys and with the
+    # first part unreduced: a per-entry walk peaked at 83 and 89 bytes per
+    # entry here, and splitting every key at once at 188
     n = 40
     group = FinAbGroup((n,))
-    tables = {"f": {f"{a}|{b}|{c}": "1/2" for a in range(n) for b in range(n) for c in range(n)}}
-    assert len(tables["f"]) > 7 * specio._CHUNK_KEYS
-    tracemalloc.start()
-    try:
-        assert specio._read_canonical(tables, group) is not None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * len(tables["f"])
+    for shift in (0, n):
+        tables = {"f": {f"{a + shift}|{b}|{c}": "1/2"
+                        for a in range(n) for b in range(n) for c in range(n)}}
+        assert len(tables["f"]) > 7 * specio._CHUNK_KEYS
+        tracemalloc.start()
+        try:
+            f, _, _ = specio._parse_tables(tables, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(f[0], np.arange(n**3))
+        assert peak < 64 * len(tables["f"]), shift
