@@ -53,7 +53,7 @@ def main() -> None:
     print()
     print("sample fusion rules:")
     for m, n in [(1, 1), (2, 3), (4, 4)]:
-        spins = ", ".join(f"V({k})" for k in su2_tensor(m, n).spins)
+        spins = ", ".join(f"V({k})" for k in su2_tensor(m, n))
         print(f"  V({m}) (x) V({n}) = {spins}")
 
 

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fusionring import (
     FusionTable,
-    SU2Object,
     fusion_table,
     su2_tensor,
 )
@@ -38,7 +37,6 @@ from .grouprep import (
     GradedIrrep,
     MatrixRep,
     grade_of,
-    intertwiner_basis,
     rep_from_generators,
     validate_irrep,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "MatrixRep",
     "PathPolyline",
     "RepresentationError",
-    "SU2Object",
     "StructuralError",
     "TwistedCategory",
     "UnitScalar",
@@ -77,7 +74,6 @@ __all__ = [
     "flip_matrix",
     "fusion_table",
     "grade_of",
-    "intertwiner_basis",
     "load_spec",
     "plog",
     "rep_from_generators",

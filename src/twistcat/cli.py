@@ -122,7 +122,7 @@ def _su2_smatrix_table(cocycle: AbelianCocycle, max_spin: int) -> tuple:
 
 def _su2_fusion_table(pairs) -> dict:
     return {
-        f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n).spins]
+        f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n)]
         for m, n in pairs
     }
 
@@ -237,7 +237,8 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
 
     spins = range(max_spin + 1)
     fusion_ok = all(
-        fusionring.su2_tensor(m, n).dim == (m + 1) * (n + 1) for m, n in product(spins, spins)
+        sum(k + 1 for k in fusionring.su2_tensor(m, n)) == (m + 1) * (n + 1)
+        for m, n in product(spins, spins)
     )
     report.add("fusion-dimension-rule", fusion_ok, "Clebsch-Gordan dimensions add up")
 

@@ -113,30 +113,13 @@ def fusion_table(cat: TwistedCategory) -> FusionTable:
 # -- the symbolic Z/2-graded SU(2) ring ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SU2Object:
-    """A formal sum of irreducibles V(n), n >= 0; V(n) has dimension n + 1
-    and grade n mod 2."""
-
-    spins: tuple[int, ...]
-
-    def __post_init__(self):
-        spins = tuple(sorted(int(n) for n in self.spins))
-        if any(n < 0 for n in spins):
-            raise StructuralError("spins must be nonnegative integers")
-        object.__setattr__(self, "spins", spins)
-
-    @property
-    def dim(self) -> int:
-        return sum(n + 1 for n in self.spins)
-
-
-
-def su2_tensor(m: int, n: int) -> SU2Object:
-    """Clebsch-Gordan: ``V(m) (x) V(n) = V(|m-n|) + V(|m-n|+2) + ... + V(m+n)``."""
+def su2_tensor(m: int, n: int) -> tuple[int, ...]:
+    """Clebsch-Gordan: the spins ``k`` of ``V(m) (x) V(n) = V(|m-n|) +
+    V(|m-n|+2) + ... + V(m+n)``, ascending; ``V(k)`` has dimension ``k + 1``
+    and grade ``k mod 2``."""
     if m < 0 or n < 0:
         raise StructuralError("spins must be nonnegative")
-    return SU2Object(tuple(range(abs(m - n), m + n + 1, 2)))
+    return tuple(range(abs(m - n), m + n + 1, 2))
 
 
 def s_table(cocycle: AbelianCocycle, grades, dims) -> tuple[np.ndarray, np.ndarray]:

@@ -1,30 +1,24 @@
 """Finite groups as multiplication tables, explicit matrix representations,
-character sums, intertwiner bases, and grading by a central copy of the dual
-grading group.
+character sums, and grading by a central copy of the dual grading group.
 
 The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of a list of characters are
-one character-sum table, ``hom_dim_table``.  ``intertwiner_basis`` takes
-sequences of triples with the rank each must have, read from that table by
-its caller, and checks the rank of each triple's averaging projector
-against it.
+one character-sum table, ``hom_dim_table``.
 
-``validate_irrep`` and ``grade_of`` take sequences of reps, as
-``intertwiner_basis`` takes sequences of triples, and evaluate the reps
-that share a group and a dimension as one stack.  Each of the three
-returns one result per item and raises the first failing item's error;
-every stack item runs the kernels a one-item stack runs, so its result and
-its error do not depend on the other items.
+``validate_irrep`` and ``grade_of`` take sequences of reps and evaluate the
+reps that share a group and a dimension as one stack.  Each returns one
+result per rep and raises the first failing rep's error; every stack item
+runs the kernels a one-item stack runs, so its result and its error do not
+depend on the other items.
 
 Numerical conventions, fixed module constants: matrix identities are enforced
-to ``MATRIX_TOL = 1e-9``, character sums are rounded to integers with
-residual at most ``INTEGER_TOL = 1e-6``, and intertwiners are checked to
-``INTERTWINER_TOL = 1e-8``.  Every check is written ``not err <= tol``, so a
-NaN deviation fails it.  A representation built from generator matrices
-replays one breadth-first walk of the group per generator list.  Grades are
-read from the generator images: each dual generator's residue comes from the
-angle of one diagonal entry of its image, which must be that scalar times
-the identity.  Composite tensor indices are always row-major,
-``(i, j) -> i * d2 + j``, matching ``numpy.kron``.
+to ``MATRIX_TOL = 1e-9`` and character sums are rounded to integers with
+residual at most ``INTEGER_TOL = 1e-6``.  Every check is written
+``not err <= tol``, so a NaN deviation fails it.  A representation built
+from generator matrices replays one breadth-first walk of the group per
+generator list.  Grades are read from the generator images: each dual
+generator's residue comes from the angle of one diagonal entry of its image,
+which must be that scalar times the identity.  Composite tensor indices are
+always row-major, ``(i, j) -> i * d2 + j``, matching ``numpy.kron``.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from .unitscalar import root_of_unity
 
 MATRIX_TOL = 1e-9
 INTEGER_TOL = 1e-6
-INTERTWINER_TOL = 1e-8
 #: Largest finite group built, checked before any order-sized table exists.
 #: An abelian group of this order has as many irreps, and the fusion
 #: associativity check holds ``k^3`` float64 slabs for ``k`` irreps.
@@ -372,84 +365,6 @@ def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
     table = rounded.astype(np.int64)
     table.setflags(write=False)
     return table
-
-
-def intertwiner_basis(
-    m1: Sequence[MatrixRep], m2: Sequence[MatrixRep], m3: Sequence[MatrixRep], *,
-    expected: Sequence[int],
-) -> list:
-    """One basis of ``hom(M1 (x) M2, M3)`` per triple ``(m1[t], m2[t], m3[t])``,
-    via the group-averaging projector.
-
-    The projector ``P(T) = (1/|G|) sum_g rho3(g) T (rho1 (x) rho2)(g^{-1})``
-    acts on d3 x (d1 d2) matrices; its fixed space is the intertwiner space.
-    Its rank must equal the triple's ``expected`` rank, the character-sum
-    dimension, exactly; ``expected`` has one rank per triple.  The triples
-    that share a group and a dimension signature ``(d1, d2, d3)`` are one
-    stack, evaluated by one projector sum, one batched SVD and one batched
-    intertwiner check.  Each item runs the same elementwise products, ``svd``
-    and ``matmul`` kernels on the same operands as a one-item stack, so a
-    triple's basis and errors do not depend on the other triples.  A failing
-    triple raises its first error in the order the checks run for it; of
-    several, the first triple's.
-    """
-    items = list(zip(m1, m2, m3, expected, strict=True))
-    if not all(r1.group is r2.group is r3.group for r1, r2, r3, _ in items):
-        raise StructuralError("all three representations must share one group")
-    bases = _stacked(
-        items, lambda t: (t[0].group, t[0].dim, t[1].dim, t[2].dim), _intertwiner_stack
-    )
-    return _raise_first(bases)
-
-
-def _intertwiner_stack(items) -> list:
-    """Per ``(rep1, rep2, rep3, expected rank)`` of one stack, its basis or
-    the error it raises."""
-    group = items[0][0].group
-    n = group.order
-    rho1, rho2, rho3 = (np.array([t[k].matrices for t in items]) for k in range(3))
-    d_in, d_out = rho1.shape[-1] * rho2.shape[-1], rho3.shape[-1]
-    dim = d_out * d_in
-    outcomes: list = [None] * len(items)
-
-    # (rho1 (x) rho2)(g), elementwise Kronecker products with composite index
-    # (i, j) -> i * d2 + j
-    prod = np.einsum("tnij,tnkl->tnikjl", rho1, rho2).reshape(len(items), n, d_in, d_in)
-    # row-major vec: vec(A T B) = (A kron B^T) vec(T), and B^T = dual(g) for
-    # B = (rho1 (x) rho2)(g^{-1}); all |G| Kronecker factors in one product
-    dual = np.ascontiguousarray(prod[:, group.inverse].swapaxes(-1, -2))
-    kron = rho3[:, :, :, None, :, None] * dual[:, :, None, :, None, :]
-    proj = kron.reshape(len(items), n, dim, dim).sum(axis=1)
-    proj /= n
-
-    idem_err = np.abs(proj @ proj - proj).max(axis=(1, 2))
-    for i in np.flatnonzero(~(idem_err <= INTERTWINER_TOL)).tolist():
-        outcomes[i] = ConsistencyError(f"averaging projector not idempotent: {idem_err[i]:.2e}")
-        proj[i] = 0  # its SVD is not read; zeros keep the stacked SVD finite
-
-    u, sing, _ = np.linalg.svd(proj)
-    ranks = np.sum(sing > 0.5, axis=1)
-    # the first r columns of u as d_out x d_in views, strided as a single
-    # triple's, each checked against every group element
-    r = int(ranks.max())
-    basis = u[:, :, :r].swapaxes(1, 2).reshape(len(items), r, d_out, d_in)
-    t = basis[:, :, None]
-    errs = np.abs(rho3[:, None] @ t - t @ prod[:, None]).max(axis=(2, 3, 4))
-    bad = ~(errs <= INTERTWINER_TOL) & (np.arange(r) < ranks[:, None])
-    failing = bad.any(axis=1).tolist()
-    for i, (rank, (*_, expected)) in enumerate(zip(ranks.tolist(), items)):
-        if outcomes[i] is not None:
-            continue
-        if rank != expected:
-            outcomes[i] = ConsistencyError(
-                f"projector rank {rank} does not match character dimension {expected}"
-            )
-        elif failing[i]:
-            err = errs[i, np.argmax(bad[i])]
-            outcomes[i] = ConsistencyError(f"projector output is not an intertwiner: {err:.2e}")
-        else:
-            outcomes[i] = list(basis[i, :rank])
-    return outcomes
 
 
 @dataclass(frozen=True)

@@ -29,23 +29,25 @@ A category exists only over a cocycle whose report passes, and axioms
 proved on all of ``A`` hold at the grades, so its pentagon and hexagons
 pass without reading a residue.
 The snake identities, the double braiding (whose categorical trace is an S
-entry) and naturality against sampled intertwiners stay matrix equations
+entry) and naturality against maps of sampled triples stay matrix equations
 checked within a tolerance.  Nothing here takes a categorical trace: the S
 table and the categorical dimensions are read exactly from the cocycle by
 ``fusionring.s_table`` and ``fusionring.dim_exponents``.
 
-The matrix checks are evaluated as stacks, one per dimension signature: the
-snakes once per word dim, the double braiding once per pair of word dims,
-and naturality once per ``(d3, d1 d2)`` of the sampled triples and word dim
-``dy``, whose intertwiner bases ``grouprep.intertwiner_basis`` builds as
-one stack per ``(d1, d2, d3)``.  The suite sorts the distinct words by dim,
-so each dim's words are one slice of a stack, and reads each stack's unit
-scalars from tables filled once per suite at the catalog's grades.  A stack
-item multiplies, ``_kron``-s and ``matmul``-s the same operands in the same
-layout as a loop over words, pairs and triples would, and numpy runs every
-item of a stacked ``matmul`` or ``svd`` through the kernel it runs on the
-matrix alone, so every error, and with it every report, is bit for bit the
-one those loops give.
+The matrix checks are evaluated once per dimension signature: the snakes as
+one stack per word dim and the double braiding as one per pair of word
+dims.  The suite sorts the distinct words by dim, so each dim's words are
+one slice of a stack, and reads each stack's unit scalars from tables
+filled once per suite at the catalog's grades.  A stack item multiplies,
+``_kron``-s and ``matmul``-s the same operands in the same layout as a loop
+over words and pairs would, and numpy runs every item of a stacked
+``matmul`` through the kernel it runs on the matrix alone, so every error,
+and with it every report, is bit for bit the one those loops give.
+Naturality samples catalog triples ``(M1, M2, M3)`` with ``a1 + a2 = a3``,
+so both sides of each identity carry one unit scalar and every map
+``M1 (x) M2 -> M3`` is natural: it is evaluated once per ``(d3, d1 d2)`` of
+the sample and word dim ``dy``, on one seeded map per ``(d3, d1 d2)``, with
+the scalar dropped.
 
 Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
 complex numbers through one memo per category, keyed by the exponent
@@ -54,7 +56,8 @@ numerator mod the cocycle denominator and filled by
 scalars through it.  Identity and flip matrices are cached per category,
 read-only.  The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog
 triples come from one character-sum table, which fusion tables and the
-naturality spot checks share.
+naturality spot checks share; the spot checks cross-check each sampled
+triple's multiplicity against the trace of its averaging projector.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ import numpy as np
 
 from .abgroup import GroupElt
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport
-from .errors import CocycleError, RepresentationError, StructuralError
+from .errors import CocycleError, ConsistencyError, RepresentationError, StructuralError
 from .grouprep import (
+    INTEGER_TOL,
     MATRIX_TOL,
     CentralEmbedding,
     FiniteGroup,
@@ -75,7 +79,6 @@ from .grouprep import (
     MatrixRep,
     grade_of,
     hom_dim_table,
-    intertwiner_basis,
     validate_irrep,
 )
 from .unitscalar import UnitScalar, root_of_unity
@@ -305,12 +308,12 @@ class TwistedCategory:
         reports its deviation ``|e^{2 pi i delta} - 1|``.  The snakes,
         double-braiding and naturality are matrix equations that fail where
         ``not error <= tol`` (naturality within at least ``1e-8``), so a NaN
-        error or tolerance fails them.  Each is evaluated as one stacked
-        product per dimension signature (word dim, pair of word dims, or
-        sampled triples' ``(d3, d1 d2)`` with word dim), whose items run the
-        kernels a per-word, per-pair or per-triple loop would, so their
-        errors are that loop's bit for bit.  ``checked`` counts catalog
-        tuples."""
+        error or tolerance fails them.  Each is evaluated once per
+        dimension signature (word dim, pair of word dims, or sampled
+        triples' ``(d3, d1 d2)`` with word dim); the snakes and double
+        braiding as stacked products whose items run the kernels a per-word
+        or per-pair loop would, so their errors are that loop's bit for
+        bit.  ``checked`` counts catalog tuples."""
         c = self.cocycle
         g = np.array(list(self._grade_labels), dtype=np.intp)
         grade_labels = list(self._grade_labels.values())
@@ -330,7 +333,7 @@ class TwistedCategory:
         back = sorted(range(len(words)), key=by_dim.__getitem__)
         exact = partial(self._verdict, labels=grade_labels)
         matrix = partial(self._verdict, labels=word_labels, tol=tol)
-        rows, naturality = self._naturality_errors(spans, a, seed)
+        rows, naturality = self._naturality_errors(seed)
         checks = [
             # residues that vanish on all of A vanish at the catalog's grades
             exact("pentagon(matrices)", 4, []),
@@ -348,7 +351,7 @@ class TwistedCategory:
                 "double-braiding", 2, [self._double_braiding_errors(spans, a)[np.ix_(back, back)]]
             ),
             matrix(
-                "naturality(spot-checks)", 2, [naturality[:, back]], tol=max(tol, 1e-8), rows=rows,
+                "naturality(spot-checks)", 2, [naturality], tol=max(tol, 1e-8), rows=rows,
                 detail=f"seed={seed}",
             ),
         ]
@@ -424,11 +427,20 @@ class TwistedCategory:
             errs[s1, s2] = np.abs(braided - double[s1, s2] * self._eye(d1 * d2)).max(axis=(2, 3))
         return errs
 
-    def _naturality_errors(self, spans: list, a: np.ndarray, seed: int) -> tuple[list, np.ndarray]:
-        """Structure morphisms against intertwiners of up to 8 seeded catalog
-        triples: the triples' labels, and per triple the error at each word
-        of grade index ``a`` as the object ``Y``, one stack per span of
-        triples of one ``(d3, d1 d2)`` and span of words."""
+    def _naturality_errors(self, seed: int) -> tuple[list, np.ndarray]:
+        """Structure morphisms against a map ``f`` of up to 8 seeded catalog
+        triples ``(m1, m2, m3)``: the triples' labels, and per triple the
+        error at each distinct word as the object ``Y``.
+
+        Each sampled ``N^{m3}_{m1 m2}`` must be the rank of its triple's
+        group-averaging projector, its trace
+        ``(1/|G|) sum_g tr rho3(g) tr rho1(g^-1) tr rho2(g^-1)``, read from
+        every element's matrices; otherwise ``ConsistencyError``.  Since
+        ``a3 = a1 + a2``, both sides of each identity carry the same unit
+        scalar and any ``d3 x d1 d2`` map is natural, so after the triples
+        one seeded complex ``f`` is drawn per distinct ``(d3, d1 d2)``, in
+        order of first appearance, and the identities are evaluated once
+        per ``(d3, d1 d2, dy)``, scalars dropped."""
         rng = np.random.default_rng(seed)
         grades = np.array([g for g, _ in self.words], dtype=np.int64)
         # catalog triples (m1, m2, m3) in product order with a1 + a2 = a3 and
@@ -437,33 +449,33 @@ class TwistedCategory:
         triples = np.argwhere((sums[:, :, None] == grades) & (self.hom_dims > 0))
         picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
         chosen = triples[sorted(picks.tolist())].tolist()
-        members = [[self.catalog[x] for x in t] for t in chosen]
-        bases = intertwiner_basis(
-            *([t[k].rep for t in members] for k in range(3)),
-            expected=[int(self.hom_dims[i, j, l]) for i, j, l in chosen],
-        )
-        # the triples in order of (d3, d1 d2); a1 + a2 = a3, so M1 (x) M2
-        # braids and associates by M3's scalars
-        shape = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
-        by_shape = sorted(range(len(chosen)), key=shape.__getitem__)
-        a3 = np.array([grades[chosen[r][2]] for r in by_shape], dtype=np.intp)[:, None]
-        braid = self._omega_inv(a3, a)[..., None, None]
-        assoc = self._f_inv(a3, a, a)[..., None, None]
-        errs = np.full((len(chosen), len(a)), np.nan)  # every cell is written once
-        for (d3, d12), s in _spans([shape[r] for r in by_shape]):
-            f = np.array([bases[r][0] for r in by_shape[s]])[:, None]  # d3 x d12 each
-            for dy, w in spans:
-                eye_y = self._eye(dy)
-                # braiding naturality in the first slot:
-                # R_{M3,Y} (f (x) 1_Y) == (1_Y (x) f) R_{M1M2,Y}
-                lhs = (braid[s, w] * self._flip(d3, dy)) @ _kron(f, eye_y)
-                rhs = _kron(eye_y, f) @ (braid[s, w] * self._flip(d12, dy))
-                # associator naturality in the first slot
-                f_yy = _kron(f, self._eye(dy * dy))
-                lhs2 = (assoc[s, w] * self._eye(d3 * dy * dy)) @ f_yy
-                rhs2 = f_yy @ (assoc[s, w] * self._eye(d12 * dy * dy))
-                errs[s, w] = np.maximum(
-                    np.abs(lhs - rhs).max(axis=(2, 3)), np.abs(lhs2 - rhs2).max(axis=(2, 3))
+        traces = {x: np.trace(self.catalog[x].rep.matrices, axis1=1, axis2=2)
+                  for x in {x for t in chosen for x in t}}
+        inv = self.group.inverse
+        for i, j, l in chosen:
+            rank = (traces[l] * traces[i][inv] * traces[j][inv]).sum() / self.group.order
+            n = int(self.hom_dims[i, j, l])
+            if not abs(rank - n) <= INTEGER_TOL:
+                raise ConsistencyError(
+                    f"projector rank {round(rank.real)} does not match character dimension {n}"
                 )
+        members = [[self.catalog[x] for x in t] for t in chosen]
+        shapes = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
+        normal = rng.standard_normal
+        maps = {shape: normal(shape) + 1j * normal(shape) for shape in dict.fromkeys(shapes)}
+        dims = [d for _, d in self._word_labels]
+        errs = {}
+        for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):
+            eye_y = self._eye(dy)
+            # braiding naturality in the first slot, R_{M3,Y} (f (x) 1_Y) ==
+            # (1_Y (x) f) R_{M1M2,Y}, without the Omega(a3, ay)^-1 of both sides
+            lhs = self._flip(d3, dy) @ _kron(f, eye_y)
+            rhs = _kron(eye_y, f) @ self._flip(d12, dy)
+            # associator naturality in the first slot, without F(a3, ay, ay)^-1
+            f_yy = _kron(f, self._eye(dy * dy))
+            lhs2 = self._eye(d3 * dy * dy) @ f_yy
+            rhs2 = f_yy @ self._eye(d12 * dy * dy)
+            errs[d3, d12, dy] = np.maximum(np.abs(lhs - rhs).max(), np.abs(lhs2 - rhs2).max())
+        cells = [[errs[(*shape, dy)] for dy in dims] for shape in shapes]
         rows = [tuple(m.label for m in t) for t in members]
-        return rows, errs[sorted(range(len(chosen)), key=by_shape.__getitem__)]
+        return rows, np.array(cells, dtype=np.float64).reshape(len(rows), len(dims))

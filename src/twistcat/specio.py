@@ -79,6 +79,7 @@ BUNDLED_FIXTURES = (
 
 _ENTRY_EXP = re.compile(r"^e\((?P<frac>-?\d+(/\d+)?)\)$")
 _EXPONENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # a table exponent string
+_RESIDUE = re.compile(r"[+-]?[0-9]+")  # one residue of an element
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
@@ -99,14 +100,13 @@ def parse_matrix_entry(text: str) -> complex:
 
 
 def parse_element(text: str, group: FinAbGroup, what: str) -> tuple[int, ...]:
-    """The element of ``group`` written as residues joined by ``,``, e.g. ``"1,0"``."""
-    try:
-        residues = [int(r) for r in text.split(",")]
-    except ValueError:
-        residues = []
-    if len(residues) != group.rank:
+    """The element of ``group`` written as residues joined by ``,``, e.g.
+    ``"1,0"``.  A residue is ASCII digits with an optional sign, as an
+    exponent's numerator is: no space, underscore or other digit script."""
+    residues = text.split(",")
+    if len(residues) != group.rank or not all(map(_RESIDUE.fullmatch, residues)):
         raise StructuralError(f"{what} must be residues of {group} joined by ',', got {text!r}")
-    return group.element(residues)
+    return group.element([int(r) for r in residues])
 
 
 def _bad(path: str, expected: str, value) -> StructuralError:

@@ -1,8 +1,10 @@
 """Reference values that tests compare the library against, each written
-from its definition rather than from the code under test, and
-``unchecked_category``, the one way for a test to put a category over tables
-that fail the cocycle axioms."""
+from its definition rather than from the code under test;
+``intertwiner_basis``, bases of intertwiner spaces from the group-averaging
+projector; and ``unchecked_category``, the one way for a test to put a
+category over tables that fail the cocycle axioms."""
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import count
 
@@ -10,9 +12,18 @@ import numpy as np
 
 from twistcat.cocycle import AbelianCocycle
 from twistcat.errors import ConsistencyError, RepresentationError, StructuralError
-from twistcat.grouprep import INTEGER_TOL, MATRIX_TOL, GradedIrrep, MatrixRep
+from twistcat.grouprep import (
+    INTEGER_TOL,
+    MATRIX_TOL,
+    GradedIrrep,
+    MatrixRep,
+    _raise_first,
+    _stacked,
+)
 from twistcat.modcat import TwistedCategory
 from twistcat.unitscalar import root_of_unity
+
+INTERTWINER_TOL = 1e-8
 
 
 def add(group, a, b):
@@ -88,6 +99,84 @@ def validate_irrep(rep):
     if not abs(norm - 1.0) <= MATRIX_TOL:
         raise RepresentationError(f"<chi, chi> = {norm:.6f}, representation is not irreducible")
     return chars
+
+
+def intertwiner_basis(
+    m1: Sequence[MatrixRep], m2: Sequence[MatrixRep], m3: Sequence[MatrixRep], *,
+    expected: Sequence[int],
+) -> list:
+    """One basis of ``hom(M1 (x) M2, M3)`` per triple ``(m1[t], m2[t], m3[t])``,
+    via the group-averaging projector.
+
+    The projector ``P(T) = (1/|G|) sum_g rho3(g) T (rho1 (x) rho2)(g^{-1})``
+    acts on d3 x (d1 d2) matrices; its fixed space is the intertwiner space.
+    Its rank must equal the triple's ``expected`` rank, the character-sum
+    dimension, exactly; ``expected`` has one rank per triple.  The triples
+    that share a group and a dimension signature ``(d1, d2, d3)`` are one
+    stack, evaluated by one projector sum, one batched SVD and one batched
+    intertwiner check.  Each item runs the same elementwise products, ``svd``
+    and ``matmul`` kernels on the same operands as a one-item stack, so a
+    triple's basis and errors do not depend on the other triples.  A failing
+    triple raises its first error in the order the checks run for it; of
+    several, the first triple's.
+    """
+    items = list(zip(m1, m2, m3, expected, strict=True))
+    if not all(r1.group is r2.group is r3.group for r1, r2, r3, _ in items):
+        raise StructuralError("all three representations must share one group")
+    bases = _stacked(
+        items, lambda t: (t[0].group, t[0].dim, t[1].dim, t[2].dim), _intertwiner_stack
+    )
+    return _raise_first(bases)
+
+
+def _intertwiner_stack(items) -> list:
+    """Per ``(rep1, rep2, rep3, expected rank)`` of one stack, its basis or
+    the error it raises."""
+    group = items[0][0].group
+    n = group.order
+    rho1, rho2, rho3 = (np.array([t[k].matrices for t in items]) for k in range(3))
+    d_in, d_out = rho1.shape[-1] * rho2.shape[-1], rho3.shape[-1]
+    dim = d_out * d_in
+    outcomes: list = [None] * len(items)
+
+    # (rho1 (x) rho2)(g), elementwise Kronecker products with composite index
+    # (i, j) -> i * d2 + j
+    prod = np.einsum("tnij,tnkl->tnikjl", rho1, rho2).reshape(len(items), n, d_in, d_in)
+    # row-major vec: vec(A T B) = (A kron B^T) vec(T), and B^T = dual(g) for
+    # B = (rho1 (x) rho2)(g^{-1}); all |G| Kronecker factors in one product
+    dual = np.ascontiguousarray(prod[:, group.inverse].swapaxes(-1, -2))
+    kron = rho3[:, :, :, None, :, None] * dual[:, :, None, :, None, :]
+    proj = kron.reshape(len(items), n, dim, dim).sum(axis=1)
+    proj /= n
+
+    idem_err = np.abs(proj @ proj - proj).max(axis=(1, 2))
+    for i in np.flatnonzero(~(idem_err <= INTERTWINER_TOL)).tolist():
+        outcomes[i] = ConsistencyError(f"averaging projector not idempotent: {idem_err[i]:.2e}")
+        proj[i] = 0  # its SVD is not read; zeros keep the stacked SVD finite
+
+    u, sing, _ = np.linalg.svd(proj)
+    ranks = np.sum(sing > 0.5, axis=1)
+    # the first r columns of u as d_out x d_in views, strided as a single
+    # triple's, each checked against every group element
+    r = int(ranks.max())
+    basis = u[:, :, :r].swapaxes(1, 2).reshape(len(items), r, d_out, d_in)
+    t = basis[:, :, None]
+    errs = np.abs(rho3[:, None] @ t - t @ prod[:, None]).max(axis=(2, 3, 4))
+    bad = ~(errs <= INTERTWINER_TOL) & (np.arange(r) < ranks[:, None])
+    failing = bad.any(axis=1).tolist()
+    for i, (rank, (*_, expected)) in enumerate(zip(ranks.tolist(), items)):
+        if outcomes[i] is not None:
+            continue
+        if rank != expected:
+            outcomes[i] = ConsistencyError(
+                f"projector rank {rank} does not match character dimension {expected}"
+            )
+        elif failing[i]:
+            err = errs[i, np.argmax(bad[i])]
+            outcomes[i] = ConsistencyError(f"projector output is not an intertwiner: {err:.2e}")
+        else:
+            outcomes[i] = list(basis[i, :rank])
+    return outcomes
 
 
 def fusion_dict(labels, coefficients) -> dict:

@@ -12,7 +12,6 @@ from twistcat import cli
 from twistcat.branchcut import assoc_scalar, branch_integers, clockwise_unit_loop, transport_scalar
 from twistcat.cocycle import build_cyclic, validate_cocycle
 from twistcat.fusionring import dim_exponents, fusion_table, su2_s_table, su2_spins
-from twistcat.grouprep import intertwiner_basis
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
 
@@ -120,7 +119,7 @@ def test_criterion_6_fusion_cross_validation():
             n = oracles.hom_dim(
                 cat.group, members[a].character, members[b].character, members[c].character
             )
-            rank = len(intertwiner_basis(
+            rank = len(oracles.intertwiner_basis(
                 [members[a].rep], [members[b].rep], [members[c].rep], expected=[n]
             )[0])
             if rank != int(table.coefficients[a, b, c]):

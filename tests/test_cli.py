@@ -242,6 +242,23 @@ def test_verify_reads_categorical_dimensions_from_dim_exponents(monkeypatch, cap
     assert "FAIL  categorical-dimensions" in out and "1 FAILED" in out
 
 
+def test_verify_cross_checks_sampled_multiplicities_against_projector_ranks(
+    monkeypatch, capsys
+):
+    # the paper's hypothesis: each sampled N^c_ab is the rank (the trace)
+    # of its triple's averaging projector; a character-sum table one too
+    # high at every nonzero cell is an internal inconsistency
+    real = modcat.TwistedCategory.hom_dims.func
+    monkeypatch.setattr(
+        modcat.TwistedCategory, "hom_dims", property(lambda self: real(self) + (real(self) > 0))
+    )
+    assert run_cli("verify", "--spec", "q8-z2") == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "internal inconsistency: projector rank 1 does not match character dimension 2\n"
+    )
+
+
 def test_finite_smatrix_integral(tmp_path):
     out = tmp_path / "s.json"
     assert run_cli("smatrix", "--spec", "q8-z2", "--out", str(out)) == 0
@@ -874,6 +891,10 @@ def test_malformed_builtin_name_is_structural(name, tmp_path, capsys):
         ["monodromy", "--path", "1,0; x,1", "--grades", "1|1"],
         ["monodromy", "--path", "1,0; inf,1", "--grades", "1|1"],
         ["monodromy", "--path", "1,0; 0,1", "--grades", "1,0|1"],
+        # residues int() reads, as 3, 11 and 1
+        ["monodromy", "--z1", "3,0", "--z2", "2,0", "--grades", "\u0663|1|1"],
+        ["monodromy", "--z1", "3,0", "--z2", "2,0", "--grades", "1_1|1|1"],
+        ["monodromy", "--z1", "3,0", "--z2", "2,0", "--grades", " 1 |1|1"],
         ["verify", "--seed", "-3"],
         ["verify", "--tolerance", "-1"],
         ["verify", "--tolerance", "nan"],
@@ -881,7 +902,8 @@ def test_malformed_builtin_name_is_structural(name, tmp_path, capsys):
     ],
     ids=[
         "z1-unparseable", "grades-unparseable", "z2-nan", "path-unparseable", "path-infinite",
-        "grades-wrong-rank", "seed-negative", "tolerance-negative", "tolerance-nan",
+        "grades-wrong-rank", "grades-other-digits", "grades-underscore", "grades-spaces",
+        "seed-negative", "tolerance-negative", "tolerance-nan",
         "tolerance-infinite",
     ],
 )

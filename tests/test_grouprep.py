@@ -22,7 +22,6 @@ from twistcat.grouprep import (
     MatrixRep,
     grade_of,
     hom_dim_table,
-    intertwiner_basis,
     rep_from_generators,
     validate_irrep,
 )
@@ -178,12 +177,14 @@ def test_intertwiner_check_fails_on_a_corrupted_factor(s3):
     m1, m3 = w.matrices.copy(), w.matrices.copy()
     m1[group.inverse[g]] *= 1j
     m3[g] *= -1j
-    t = intertwiner_basis([w], [w], [w], expected=[1])[0][0]
+    t = oracles.intertwiner_basis([w], [w], [w], expected=[1])[0][0]
     prod = tensor_rep(MatrixRep(group, m1), w).matrices
     err = max(float(np.abs(m3[h] @ t - t @ prod[h]).max()) for h in range(group.order))
     assert err > 1e-8
     with pytest.raises(ConsistencyError, match="not an intertwiner"):
-        intertwiner_basis([MatrixRep(group, m1)], [w], [MatrixRep(group, m3)], expected=[1])
+        oracles.intertwiner_basis(
+            [MatrixRep(group, m1)], [w], [MatrixRep(group, m3)], expected=[1]
+        )
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8"])
@@ -197,11 +198,11 @@ def test_intertwiner_stacks_match_single_triples(name):
         if (n := hom_dim(group, chars[a], chars[b], chars[c]))
     ]
     assert len({(r1.dim, r2.dim, r3.dim) for r1, r2, r3, _ in triples}) > 1
-    stacked = intertwiner_basis(
+    stacked = oracles.intertwiner_basis(
         *([t[k] for t in triples] for k in range(3)), expected=[t[3] for t in triples]
     )
     for (r1, r2, r3, n), basis in zip(triples, stacked, strict=True):
-        single = intertwiner_basis([r1], [r2], [r3], expected=[n])[0]
+        single = oracles.intertwiner_basis([r1], [r2], [r3], expected=[n])[0]
         assert len(basis) == len(single) > 0
         assert all(np.array_equal(x, y) for x, y in zip(basis, single))
 
@@ -222,10 +223,10 @@ def test_intertwiner_stack_raises_its_first_failing_triple(s3):
         ([wrong_rank, good, corrupted], "projector rank 1 does not match character dimension 2"),
     ]:
         with pytest.raises(ConsistencyError, match=match):
-            intertwiner_basis(
+            oracles.intertwiner_basis(
                 *([t[k] for t in triples] for k in range(3)), expected=[t[3] for t in triples]
             )
-    assert len(intertwiner_basis([w, w], [w, w], [w, w], expected=[1, 1])) == 2
+    assert len(oracles.intertwiner_basis([w, w], [w, w], [w, w], expected=[1, 1])) == 2
 
 
 def test_intertwiner_basis_needs_one_rank_per_triple(s3):
@@ -233,7 +234,7 @@ def test_intertwiner_basis_needs_one_rank_per_triple(s3):
     w = reps["standard"]
     for expected in ([1], [1, 1, 1]):
         with pytest.raises(ValueError, match="zip"):
-            intertwiner_basis([w, w], [w, w], [w, w], expected=expected)
+            oracles.intertwiner_basis([w, w], [w, w], [w, w], expected=expected)
 
 
 def test_hom_dim_s3(s3):
@@ -251,9 +252,9 @@ def test_intertwiner_basis_s3(s3):
     group, reps = s3
     w = reps["standard"]
     for label, expected in [("trivial", 1), ("sign", 1), ("standard", 1)]:
-        basis = intertwiner_basis([w], [w], [reps[label]], expected=[expected])[0]
+        basis = oracles.intertwiner_basis([w], [w], [reps[label]], expected=[expected])[0]
         assert len(basis) == expected
-    identity_span = intertwiner_basis([reps["trivial"]], [w], [w], expected=[1])[0]
+    identity_span = oracles.intertwiner_basis([reps["trivial"]], [w], [w], expected=[1])[0]
     assert len(identity_span) == 1
     t = identity_span[0]
     assert np.allclose(t / t[0, 0], np.eye(2))
@@ -264,7 +265,7 @@ def test_intertwiner_equivariance(q8):
     spin = reps["spin"]
     prod = tensor_rep(spin, spin)
     for label in ["trivial", "sign-i", "sign-j", "sign-k"]:
-        ((t,),) = intertwiner_basis([spin], [spin], [reps[label]], expected=[1])
+        ((t,),) = oracles.intertwiner_basis([spin], [spin], [reps[label]], expected=[1])
         for g in range(group.order):
             assert np.abs(reps[label].matrices[g] @ t - t @ prod.matrices[g]).max() <= 1e-8
 

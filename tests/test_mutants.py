@@ -11,6 +11,7 @@ passing without it, fail its assertion."""
 import numpy as np
 import pytest
 
+from twistcat import modcat
 from twistcat.abgroup import FinAbGroup
 from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
@@ -38,10 +39,26 @@ def _rolled_neg_index_table(name, monkeypatch):
     return load_spec(name).build_category()
 
 
+def _swapped_kron(name, monkeypatch):
+    """``_kron(a, b)`` computed as ``kron(b, a)``."""
+    kron = modcat._kron
+    monkeypatch.setattr(modcat, "_kron", lambda a, b: kron(b, a))
+    return load_spec(name).build_category()
+
+
+def _transposed_flip(name, monkeypatch):
+    """``flip_matrix(d1, d2)`` transposed: the flip of ``V2 (x) V1``."""
+    flip = modcat.flip_matrix
+    monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: flip(d1, d2).T)
+    return load_spec(name).build_category()
+
+
 # (fault, the verdict it must fail, the fixtures it must fail it on)
 ROWS = [
     (_antisymmetric_b, "balancing", ["z2-lattice-on-z4", "q8-z2"]),
     (_rolled_neg_index_table, "twist-dual", ["z2-lattice-on-z4", "super-on-z4", "q8-z2"]),
+    (_swapped_kron, "naturality(spot-checks)", ["s3-trivial-grading"]),
+    (_transposed_flip, "naturality(spot-checks)", ["s3-trivial-grading"]),
 ]
 
 

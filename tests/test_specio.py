@@ -168,6 +168,16 @@ def test_later_key_for_the_same_element_wins():
         assert _tables({"omega": entries}, (4,))[0][1] == ([5], [value])
 
 
+@pytest.mark.parametrize("part", ["\u0663", "1_1", " 1 "])
+def test_a_residue_is_ascii_digits_with_an_optional_sign(part):
+    # int() reads these as 3, 11 and 1; a key part reads only the
+    # exponent's integer form, so each names its key
+    key = f"{part}|1"
+    _refused({"omega": {"1|1": "1/4", key: "1/2"}},
+             f"spec field 'cocycle.tables.omega.{key}' must be residues of Z/4 joined by ',', "
+             f"got {part!r}", (4,))
+
+
 def test_string_then_boolean_exponent_is_refused():
     _refused({"f": {"1|1|1": "1", "1|1|0": True}},
              "spec field 'cocycle.tables.f.1|1|0' must be a rational exponent, got True")
