@@ -10,7 +10,7 @@ exact), and, once the pentagon holds, both hexagons on all of ``A^3`` from
 their rows at the generators (``_hexagon_rows_vanish``).  Only a
 failing axiom is scanned in full, to name its first witness.  A ``modcat``
 category exists only over a cocycle whose report passes, so its coherence
-suite reads no residue.
+suite reads no pentagon or hexagon residue.
 ``F`` is stored once, in the narrowest integer dtype that holds
 ``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is: every
 argument that is a sum, such as ``a3+a4``, is a row gather through
@@ -21,7 +21,7 @@ arithmetic on ``f_num`` keeps it within ``5 * denom`` or widens it first.
 A cocycle's ``report`` is ``validate_cocycle`` of it, computed once, on
 first read: the cyclic and table builders and every category read it,
 as every downstream formula assumes the axioms.
-Every exponent expression here, in ``modcat``'s balancing check and in
+Every exponent expression here, in ``modcat``'s residues and in
 ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
 ``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
 

@@ -5,13 +5,18 @@ is the identity and associators are pure scalars times the identity matrix.
 Every structure map is fixed by its words' grades and dimensions alone, so a
 word reduces to ``(grade index, dim)``: grade indices are summed through the
 grading group's ``add_index_table`` and dims multiply as plain integers.
-Structure maps, returned as plain matrices:
+Each structure map is a unit scalar, read from ``f_num``/``omega_num`` by
+grade index, times a 0/1 integer layout fixed by the dims:
 
     associator   F(a1, a2, a3)^{-1} * I
     braiding     Omega(a1, a2)^{-1} * flip
-    evaluation   F(a, -a, a)^{-1} * <., .>        (on M* (x) M)
-    coevaluation sum_i e_i (x) e_i'               (into M (x) M*)
+    evaluation   F(a, -a, a)^{-1} * vec(I)^T      (on M* (x) M)
+    coevaluation vec(I)                           (into M (x) M*)
     twist        Omega(a, a)^{-1}
+
+The public maps return the scalar's ``UnitScalar.to_complex()`` times the
+layout.  Each layout (identity, flip, ``vec(I)``) has one builder, cached
+read-only per category, which the coherence suite reads too.
 
 A category records its catalog once, at construction: each member's word,
 and the distinct grades and words in order of first appearance with the
@@ -20,50 +25,36 @@ catalog tuple only through those keys, so the suite evaluates each identity
 once per tuple of distinct keys and one driver, ``_verdict``, reads the
 array of results back as a verdict over catalog tuples: ``checked`` counts
 catalog tuples and the witness is the first failing tuple in ``product``
-order.  Associators and braidings are unit scalars times identities and
-flips, so pentagon, triangle, both hexagons, balancing and twist-duality are
-exact identities between cocycle exponents, residues mod the cocycle
-denominator at the catalog's grades; pentagon, triangle and hexagons are the
-cocycle axioms there, and the triangle is read from the normalization slice.
-A category exists only over a cocycle whose report passes, and axioms
-proved on all of ``A`` hold at the grades, so its pentagon and hexagons
-pass without reading a residue.
-The snake identities, the double braiding (whose categorical trace is an S
-entry) and naturality against maps of sampled triples stay matrix equations
-checked within a tolerance.  Nothing here takes a categorical trace: the S
-table and the categorical dimensions are read exactly from the cocycle by
-``fusionring.s_table`` and ``fusionring.dim_exponents``.
-
-The matrix checks are evaluated once per dimension signature: the snakes as
-one stack per word dim and the double braiding as one per pair of word
-dims.  The suite sorts the distinct words by dim, so each dim's words are
-one slice of a stack, and reads each stack's unit scalars from tables
-filled once per suite at the catalog's grades.  A stack item multiplies,
-``_kron``-s and ``matmul``-s the same operands in the same layout as a loop
-over words and pairs would, and numpy runs every item of a stacked
-``matmul`` through the kernel it runs on the matrix alone, so every error,
-and with it every report, is bit for bit the one those loops give.
+order.  Each identity splits into two exact parts: the unit scalars on both
+sides, a residue of cocycle exponents mod the denominator at the catalog's
+grades, and the layouts, an identity between integer matrices.  Pentagon,
+triangle, both hexagons, balancing and twist-duality have no layout part;
+pentagon, triangle and hexagons are the cocycle axioms there, and the
+triangle is read from the normalization slice.  A category exists only over
+a cocycle whose report passes, and axioms proved on all of ``A`` hold at
+the grades, so its pentagon and hexagons pass without reading a residue.
+The snakes, the double braiding (whose categorical trace is an S entry) and
+naturality against maps of sampled triples each have a layout part,
+evaluated once per word dim, pair of word dims, or ``(d3, d1 d2, dy)``.
 Naturality samples catalog triples ``(M1, M2, M3)`` with ``a1 + a2 = a3``,
 so both sides of each identity carry one unit scalar and every map
-``M1 (x) M2 -> M3`` is natural: it is evaluated once per ``(d3, d1 d2)`` of
-the sample and word dim ``dy``, on one seeded map per ``(d3, d1 d2)``, with
-the scalar dropped.
+``M1 (x) M2 -> M3`` is natural: its layouts are checked on one seeded
+integer map per ``(d3, d1 d2)`` with distinct entries.  Every error is an
+exact integer or the deviation of a nonzero residue, so no check reads a
+float.  Nothing here takes a categorical trace: the S table and the
+categorical dimensions are read exactly from the cocycle by
+``fusionring.s_table`` and ``fusionring.dim_exponents``.
 
-Scalars are read from ``f_num``/``omega_num`` by grade index and turned into
-complex numbers through one memo per category, keyed by the exponent
-numerator mod the cocycle denominator and filled by
-``unitscalar.root_of_unity``; an array of numerators reads an array of
-scalars through it.  Identity and flip matrices are cached per category,
-read-only.  The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog
-triples come from one character-sum table, which fusion tables and the
-naturality spot checks share; the spot checks cross-check each sampled
-triple's multiplicity against the trace of its averaging projector.
+The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog triples come
+from one character-sum table, which fusion tables and the naturality spot
+checks share; the spot checks cross-check each sampled triple's
+multiplicity against the trace of its averaging projector.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -81,35 +72,38 @@ from .grouprep import (
     hom_dim_table,
     validate_irrep,
 )
-from .unitscalar import UnitScalar, root_of_unity
+from .unitscalar import UnitScalar
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of the last two axes of ``a`` and ``b``, over their
-    broadcast leading (stack) axes, without ``np.kron``'s n-dimensional
-    set-up: per stack item the same elementwise products in the same layout
-    as ``np.kron`` of the two matrices, so the same values bit for bit."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    """``np.kron`` of two matrices, without its n-dimensional set-up."""
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _spans(keys: list) -> list[tuple]:
-    """``(key, slice)`` for each run of equal ``keys``."""
-    spans, start = [], 0
-    for key, run in groupby(keys):
-        stop = start + len(list(run))
-        spans.append((key, slice(start, stop)))
-        start = stop
-    return spans
+def _deviation(lhs: np.ndarray, rhs: np.ndarray) -> int:
+    """The largest entry of ``|lhs - rhs|`` for two integer matrices."""
+    return int(np.abs(lhs - rhs).max(initial=0))
 
 
 def flip_matrix(d1: int, d2: int) -> np.ndarray:
-    """Permutation matrix sending coordinate (i, j) of V1 (x) V2 to (j, i)."""
+    """0/1 integer permutation matrix sending coordinate (i, j) of V1 (x) V2
+    to (j, i)."""
     cols = np.arange(d1 * d2)
     rows = (cols % d2) * d1 + cols // d2
-    out = np.zeros((d1 * d2, d1 * d2))
-    out[rows, cols] = 1.0
+    out = np.zeros((d1 * d2, d1 * d2), dtype=np.int64)
+    out[rows, cols] = 1
     return out
+
+
+def _identity(d: int) -> np.ndarray:
+    return np.eye(d, dtype=np.int64)
+
+
+def _vec_identity(d: int) -> np.ndarray:
+    """``vec(I)`` as a row, entry ``(j, i)`` equal to ``delta_ji``: the
+    evaluation's layout; its transpose is the coevaluation's."""
+    return _identity(d).reshape(1, d * d)
 
 
 class TwistedCategory:
@@ -151,11 +145,8 @@ class TwistedCategory:
         # grade indices: the zero grade has index 0 and sums go through the add table
         self._index = dict(zip(self.grading.elements(), range(self.grading.order)))
         self._add: list[list[int]] = self.grading.add_index_table.tolist()
-        # e^{2 pi i num/denom} by num mod denom, filled on first use; every
-        # structure scalar reads it.  Read-only identity and flip matrices.
-        self._units: dict[int, complex] = {}
-        self._eyes: dict[int, np.ndarray] = {}
-        self._flips: dict[tuple[int, int], np.ndarray] = {}
+        # read-only 0/1 layouts by builder and dims, built on first use
+        self._layouts: dict[tuple, np.ndarray] = {}
 
         for label, rep in irreps.items():
             if rep.group is not group:
@@ -213,75 +204,61 @@ class TwistedCategory:
             dim *= m.dim
         return grade, dim
 
-    # -- scalars and matrices by grade index --------------------------------------
+    # -- scalars and layouts by grade index and dims ------------------------------
 
-    def _unit(self, num):
-        """``e^{2 pi i num / denom}`` for an integer exponent numerator; for
-        an integer array, a complex array of the same shape, each distinct
-        numerator read through the memo."""
-        units, denom = self._units, self.cocycle.denom
-        if np.ndim(num):
-            nums = np.asarray(num) % denom
-            flat = nums.ravel().tolist()
-            for k in set(flat).difference(units):
-                self._unit(k)
-            return np.array([units[k] for k in flat], dtype=np.complex128).reshape(nums.shape)
-        num = int(num) % denom
-        value = units.get(num)
-        if value is None:
-            value = units[num] = root_of_unity(num, denom)
-        return value
+    def _scalar(self, num) -> UnitScalar:
+        """``e^{2 pi i num / denom}`` for an integer exponent numerator."""
+        return UnitScalar.from_exponent(int(num), self.cocycle.denom)
 
-    def _f_inv(self, a1, a2, a3):
-        return self._unit(-self.cocycle.f_num[a1, a2, a3])
+    def _ev_exponent(self, a):
+        """``F(a, -a, a)``, whose inverse scales the evaluation, at a grade
+        index or an array of them."""
+        return self.cocycle.f_num[a, self.grading.neg_index_table[a], a]
 
-    def _omega_inv(self, a1, a2):
-        return self._unit(-self.cocycle.omega_num[a1, a2])
+    def _layout(self, build, *dims: int) -> np.ndarray:
+        """``build(*dims)``, built once per category and read-only."""
+        layout = self._layouts.get((build, *dims))
+        if layout is None:
+            layout = self._layouts[build, *dims] = build(*dims)
+            layout.setflags(write=False)
+        return layout
 
     def _eye(self, d: int) -> np.ndarray:
-        eye = self._eyes.get(d)
-        if eye is None:
-            eye = self._eyes[d] = np.eye(d)
-            eye.setflags(write=False)
-        return eye
+        return self._layout(_identity, d)
 
     def _flip(self, d1: int, d2: int) -> np.ndarray:
-        flip = self._flips.get((d1, d2))
-        if flip is None:
-            flip = self._flips[d1, d2] = flip_matrix(d1, d2)
-            flip.setflags(write=False)
-        return flip
+        return self._layout(flip_matrix, d1, d2)
 
-    def _braid_matrix(self, a1: int, d1: int, a2: int, d2: int) -> np.ndarray:
-        return self._omega_inv(a1, a2) * self._flip(d1, d2)
+    def _pairing(self, d: int) -> np.ndarray:
+        return self._layout(_vec_identity, d)
 
     # -- structure morphisms ----------------------------------------------------
 
     def associator(self, m1, m2, m3) -> np.ndarray:
         """``F(a1,a2,a3)^{-1}`` times the identity on the flattened triple space."""
         (a1, d1), (a2, d2), (a3, d3) = self._word(m1), self._word(m2), self._word(m3)
-        return self._f_inv(a1, a2, a3) * self._eye(d1 * d2 * d3)
+        return self._scalar(-self.cocycle.f_num[a1, a2, a3]).to_complex() * self._eye(d1 * d2 * d3)
 
     def braiding(self, m1, m2) -> np.ndarray:
         """``Omega(a1,a2)^{-1}`` times the flip onto the reversed word."""
-        return self._braid_matrix(*self._word(m1), *self._word(m2))
+        (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
+        return self._scalar(-self.cocycle.omega_num[a1, a2]).to_complex() * self._flip(d1, d2)
 
     def twist(self, m) -> UnitScalar:
         """The ribbon scalar ``Omega(a, a)^{-1}`` on a grade-a object."""
         a = self._word(m)[0]
-        return UnitScalar.from_exponent(-int(self.cocycle.omega_num[a, a]), self.cocycle.denom)
+        return self._scalar(-self.cocycle.omega_num[a, a])
 
     def evaluation(self, m) -> np.ndarray:
         """Row vector on M* (x) M: ``(f', v) -> F(a,-a,a)^{-1} f'(v)``."""
         a, d = self._word(m)
-        neg = self.grading.neg_index_table[a]
-        # entry at (j, i) is delta_ji
-        return self._f_inv(a, neg, a) * self._eye(d).reshape(1, d * d)
+        return self._scalar(-self._ev_exponent(a)).to_complex() * self._pairing(d)
 
     def coevaluation(self, m) -> np.ndarray:
-        """Column vector into M (x) M*: ``1 -> sum_i e_i (x) e_i'``."""
+        """Column vector into M (x) M*: ``1 -> sum_i e_i (x) e_i'``, as a real
+        float array: its scalar is 1."""
         d = self._word(m)[1]
-        return np.eye(d).reshape(d * d, 1)
+        return self._pairing(d).T.astype(np.float64)
 
     # -- multiplicities ---------------------------------------------------------
 
@@ -295,26 +272,25 @@ class TwistedCategory:
 
     def coherence_suite(self, *, tol: float = MATRIX_TOL, seed: int = 0) -> CoherenceReport:
         """The coherence checks over all catalog tuples, each evaluated once
-        per tuple of distinct catalog grades or words and reported by
-        ``_verdict``.
+        per tuple of distinct catalog grades or words, or per dimension
+        signature, and reported by ``_verdict``.
 
-        Pentagon, triangle, both hexagons and balancing compose only
-        associators and braidings, which are unit scalars times identities and
-        flips, so each is checked as an exact identity between cocycle
-        exponents at the catalog's grades, and the triangle reads
-        ``F(a, 0, b)``.  Pentagon and hexagons pass from the cocycle report
-        that construction required to pass, without reading a residue.  Twist
-        duality is exact as well.  ``tol`` does not apply to them and a failure
-        reports its deviation ``|e^{2 pi i delta} - 1|``.  The snakes,
-        double-braiding and naturality are matrix equations that fail where
-        ``not error <= tol`` (naturality within at least ``1e-8``), so a NaN
-        error or tolerance fails them.  Each is evaluated once per
-        dimension signature (word dim, pair of word dims, or sampled
-        triples' ``(d3, d1 d2)`` with word dim); the snakes and double
-        braiding as stacked products whose items run the kernels a per-word
-        or per-pair loop would, so their errors are that loop's bit for
-        bit.  ``checked`` counts catalog tuples."""
-        c = self.cocycle
+        Every structure map is a unit scalar times a 0/1 layout, so each
+        identity splits into exact parts: a residue of cocycle exponents mod
+        the denominator at the catalog's grades, and an identity between
+        integer layouts.  Pentagon, triangle, both hexagons, balancing and
+        twist duality have no layout part; the triangle reads ``F(a, 0, b)``,
+        and pentagon and hexagons pass from the cocycle report that
+        construction required to pass, without reading a residue.  The snake
+        on ``M*`` has the residue ``F(a,-a,a) + F(-a,a,-a)`` (on ``M`` the
+        scalars cancel), the double braiding ``Omega(a,b) + Omega(b,a) -
+        b(a,b)``, and naturality none.  Their layouts are checked once per
+        word dim, pair of word dims, and sampled triples' ``(d3, d1 d2)``
+        with word dim.  A residue fails where nonzero, reporting
+        ``|e^{2 pi i r} - 1|``; a layout fails where ``not error <= tol``, so
+        an exact 0 passes every tolerance ``>= 0`` and a NaN tolerance fails.
+        ``checked`` counts catalog tuples."""
+        c, neg = self.cocycle, self.grading.neg_index_table
         g = np.array(list(self._grade_labels), dtype=np.intp)
         grade_labels = list(self._grade_labels.values())
         words, word_labels = list(self._word_labels), list(self._word_labels.values())
@@ -323,114 +299,101 @@ class TwistedCategory:
         q, ab = c.omega_num.diagonal(), self.grading.add_index_table[ix2]
         balancing = (c.b_num[ix2] + q[g][:, None] + q[g] - q[ab]) % c.denom
         # theta_{M*} == theta_M at each grade; the unit's cell is q(0), theta_1 == 1
-        twist_dual = [(q[g] - q[self.grading.neg_index_table[g]]) % c.denom, q[:1]]
-        # the matrix checks run on the distinct words in order of dim, so the
-        # words of one dim are one slice of each stack; back is the
-        # permutation to first-appearance order
-        by_dim = sorted(range(len(words)), key=lambda w: words[w][1])
-        a = np.array([words[w][0] for w in by_dim], dtype=np.intp)
-        spans = _spans([words[w][1] for w in by_dim])
-        back = sorted(range(len(words)), key=by_dim.__getitem__)
+        twist_dual = [(q[g] - q[neg[g]]) % c.denom, q[:1]]
+        # the distinct words' grade indices, and each one's dim among the distinct dims
+        a = np.array([w for w, _ in words], dtype=np.intp)
+        dims = list(dict.fromkeys(d for _, d in words))
+        at = np.array([dims.index(d) for _, d in words], dtype=np.intp)
+        # snake on M*: F(a,-a,a)^-1 from e_M, F(-a,a,-a)^-1 from A_{M*,M,M*}
+        snake = (self._ev_exponent(a) + self._ev_exponent(neg[a])) % c.denom
+        snake_layout = np.array([self._snake_layout(d) for d in dims], dtype=np.int64)
+        # R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose categorical trace is an S entry
+        w = c.omega_num[np.ix_(a, a)]
+        double = (w + w.T - c.b_num[np.ix_(a, a)]) % c.denom
+        double_layout = np.array(
+            [self._double_layout(d1, d2) for d1, d2 in product(dims, repeat=2)], dtype=np.int64
+        ).reshape(len(dims), len(dims))
         exact = partial(self._verdict, labels=grade_labels)
-        matrix = partial(self._verdict, labels=word_labels, tol=tol)
-        rows, naturality = self._naturality_errors(seed)
+        by_word = partial(self._verdict, labels=word_labels, tol=tol)
+        rows, naturality = self._naturality_layouts(seed)
         checks = [
             # residues that vanish on all of A vanish at the catalog's grades
             exact("pentagon(matrices)", 4, []),
             exact("triangle", 2, [c.f_num[:, 0, :][ix2]]),
             exact("hexagon-1(matrices)", 3, []),
             exact("hexagon-2(matrices)", 3, []),
-            matrix("snake", 1, [self._snake_errors(spans, a)[back]]),
+            by_word("snake", 1, [snake], layout=snake_layout[at]),
             # the detail is part of verify reports, which stay byte-identical
             exact("balancing", 2, [balancing], detail="checked as matrices and as exact exponents"),
             self._verdict(
                 "twist-dual", 1, twist_dual, [*grade_labels, self.unit.label],
                 detail="theta_{M*} = theta_M exactly, and theta of the unit is 1",
             ),
-            matrix(
-                "double-braiding", 2, [self._double_braiding_errors(spans, a)[np.ix_(back, back)]]
-            ),
-            matrix(
-                "naturality(spot-checks)", 2, [naturality], tol=max(tol, 1e-8), rows=rows,
+            by_word("double-braiding", 2, [double], layout=double_layout[np.ix_(at, at)]),
+            by_word(
+                "naturality(spot-checks)", 2, [], layout=naturality, rows=rows,
                 detail=f"seed={seed}",
             ),
         ]
         return CoherenceReport(tuple(checks))
 
     def _verdict(
-        self, axiom: str, arity: int, arrays, labels: list[str], *,
-        tol: float | None = None, rows: list[tuple] | None = None, detail: str = "",
+        self, axiom: str, arity: int, residues, labels: list[str], *,
+        layout: np.ndarray | None = None, tol: float = 0.0, rows: list[tuple] | None = None,
+        detail: str = "",
     ) -> AxiomCheck:
         """An identity over the catalog tuples of ``arity`` from its values
         over tuples of distinct keys (grades or words).
 
-        ``arrays`` stacked along their first axis make one array with an axis
-        per slot.  Along each axis the keys come in order of first appearance
-        and ``labels`` names the first catalog member of each, except that the
-        first axis runs over ``rows``, label tuples of sampled catalog tuples,
-        when they are given.  So the first failing cell in C order names the
-        first failing catalog tuple in ``product`` order.  With ``tol`` None a
-        cell is a residue mod the cocycle denominator, failing where nonzero
-        with error ``|e(r) - 1|``; otherwise it is a matrix error, failing
-        where ``not err <= tol``.  ``checked`` counts catalog tuples."""
-        witness, worst, defects, offset = None, 0.0, set(), 0
-        for r in arrays:
-            bad = r != 0 if tol is None else ~(r <= tol)
-            if bad.any():
-                if witness is None:
-                    i, *rest = np.unravel_index(np.argmax(bad), r.shape)
-                    head = (labels[offset + i],) if rows is None else rows[offset + i]
-                    witness = (*head, *(labels[j] for j in rest))
-                if tol is None:
-                    defects.update(np.unique(r[bad]).tolist())
-            if tol is not None and r.size:
-                worst = float(np.maximum(worst, r.max()))
-            offset += len(r)
-        if defects:
+        ``residues`` stacked along their first axis make one array of
+        exponent residues mod the cocycle denominator, with an axis per
+        slot; ``layout``, when given, is an array of integer layout errors
+        over the same cells.  Along each axis the keys come in order of
+        first appearance and ``labels`` names the first catalog member of
+        each, except that the first axis runs over ``rows``, label tuples of
+        sampled catalog tuples, when they are given.  So the first failing
+        cell in C order names the first failing catalog tuple in ``product``
+        order.  A cell fails where its residue is nonzero or where
+        ``not error <= tol``; the error reported is the largest layout error
+        or ``|e(r) - 1|`` of a nonzero residue ``r``.  ``checked`` counts
+        catalog tuples."""
+        bad, worst = np.zeros((), dtype=bool), 0.0
+        if layout is not None:
+            bad, worst = ~(layout <= tol), float(layout.max(initial=0))
+        if residues:
+            r = np.concatenate(residues)
+            bad = bad | (r != 0)
             denom = self.cocycle.denom
-            worst = max(abs(UnitScalar.from_exponent(d, denom).to_complex() - 1) for d in defects)
+            for d in np.unique(r[r != 0]).tolist():
+                worst = max(worst, abs(UnitScalar.from_exponent(d, denom).to_complex() - 1))
+        witness = None
+        if bad.any():
+            i, *rest = np.unravel_index(np.argmax(bad), bad.shape)
+            head = (labels[i],) if rows is None else rows[i]
+            witness = (*head, *(labels[j] for j in rest))
         k = len(self.catalog)
         checked = (k if rows is None else len(rows)) * k ** (arity - 1)
         return AxiomCheck(axiom, witness is None, checked, witness, worst, detail=detail)
 
-    def _snake_errors(self, spans: list, a: np.ndarray) -> np.ndarray:
-        """Deviation of both snake composites from the identity, per word of
-        grade index ``a``, one stack per span of words of one dim."""
-        neg = self.grading.neg_index_table[a]
-        ev_scalar = self._f_inv(a, neg, a)[:, None, None]
-        mid_inv = self._unit(self.cocycle.f_num[a, neg, a])[:, None, None]  # A_{M,M*,M}^{-1}
-        dual_scalar = self._f_inv(neg, a, neg)[:, None, None]
-        errs = np.full(len(a), np.nan)  # every cell is written once
-        for d, s in spans:
-            eye = self._eye(d)
-            ev = ev_scalar[s] * eye.reshape(1, d * d)  # e_M on M* (x) M
-            coev = eye.reshape(d * d, 1)  # i_M into M (x) M*
-            # snake on M:  (1_M (x) e_M) A_{M,M*,M}^{-1} (i_M (x) 1_M) == 1_M
-            snake_m = mid_inv[s] * (_kron(eye, ev) @ _kron(coev, eye))
-            # snake on M*:  (e_M (x) 1_M*) A_{M*,M,M*} (1_M* (x) i_M) == 1_M*
-            snake_dual = dual_scalar[s] * (_kron(ev, eye) @ _kron(eye, coev))
-            errs[s] = np.maximum(
-                np.abs(snake_m - eye).max(axis=(1, 2)), np.abs(snake_dual - eye).max(axis=(1, 2))
-            )
-        return errs
+    def _snake_layout(self, d: int) -> int:
+        """Layout error of both snakes on a word of dim ``d``:
+        ``(1_M (x) e_M)(i_M (x) 1_M)`` and ``(e_M (x) 1_M*)(1_M* (x) i_M)``
+        against the identity."""
+        eye, ev = self._eye(d), self._pairing(d)
+        coev = ev.T
+        return max(
+            _deviation(_kron(eye, ev) @ _kron(coev, eye), eye),
+            _deviation(_kron(ev, eye) @ _kron(eye, coev), eye),
+        )
 
-    def _double_braiding_errors(self, spans: list, a: np.ndarray) -> np.ndarray:
-        """R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose categorical trace is
-        an S entry, over pairs of words of grade index ``a``, one stack per pair
-        of spans."""
-        braid = self._omega_inv(a[:, None], a)[..., None, None]  # [i, j]: Omega(a_i, a_j)^-1
-        back = np.ascontiguousarray(braid.swapaxes(0, 1))  # [i, j]: Omega(a_j, a_i)^-1
-        double = self._unit(-self.cocycle.b_num[a[:, None], a])[..., None, None]
-        errs = np.full((len(a), len(a)), np.nan)  # every cell is written once
-        for (d1, s1), (d2, s2) in product(spans, repeat=2):
-            braided = (back[s1, s2] * self._flip(d2, d1)) @ (braid[s1, s2] * self._flip(d1, d2))
-            errs[s1, s2] = np.abs(braided - double[s1, s2] * self._eye(d1 * d2)).max(axis=(2, 3))
-        return errs
+    def _double_layout(self, d1: int, d2: int) -> int:
+        """Layout error of ``flip(d2, d1) flip(d1, d2)`` against the identity."""
+        return _deviation(self._flip(d2, d1) @ self._flip(d1, d2), self._eye(d1 * d2))
 
-    def _naturality_errors(self, seed: int) -> tuple[list, np.ndarray]:
+    def _naturality_layouts(self, seed: int) -> tuple[list, np.ndarray]:
         """Structure morphisms against a map ``f`` of up to 8 seeded catalog
         triples ``(m1, m2, m3)``: the triples' labels, and per triple the
-        error at each distinct word as the object ``Y``.
+        layout error at each distinct word as the object ``Y``.
 
         Each sampled ``N^{m3}_{m1 m2}`` must be the rank of its triple's
         group-averaging projector, its trace
@@ -438,9 +401,9 @@ class TwistedCategory:
         every element's matrices; otherwise ``ConsistencyError``.  Since
         ``a3 = a1 + a2``, both sides of each identity carry the same unit
         scalar and any ``d3 x d1 d2`` map is natural, so after the triples
-        one seeded complex ``f`` is drawn per distinct ``(d3, d1 d2)``, in
-        order of first appearance, and the identities are evaluated once
-        per ``(d3, d1 d2, dy)``, scalars dropped."""
+        one seeded integer ``f``, a permutation of ``1..d3 d1 d2``, is drawn
+        per distinct ``(d3, d1 d2)``, in order of first appearance, and the
+        layouts are compared once per ``(d3, d1 d2, dy)``."""
         rng = np.random.default_rng(seed)
         grades = np.array([g for g, _ in self.words], dtype=np.int64)
         # catalog triples (m1, m2, m3) in product order with a1 + a2 = a3 and
@@ -461,21 +424,17 @@ class TwistedCategory:
                 )
         members = [[self.catalog[x] for x in t] for t in chosen]
         shapes = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
-        normal = rng.standard_normal
-        maps = {shape: normal(shape) + 1j * normal(shape) for shape in dict.fromkeys(shapes)}
+        maps = {s: rng.permutation(s[0] * s[1]).reshape(s) + 1 for s in dict.fromkeys(shapes)}
         dims = [d for _, d in self._word_labels]
         errs = {}
         for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):
-            eye_y = self._eye(dy)
+            eye_y, f_yy = self._eye(dy), _kron(f, self._eye(dy * dy))
             # braiding naturality in the first slot, R_{M3,Y} (f (x) 1_Y) ==
             # (1_Y (x) f) R_{M1M2,Y}, without the Omega(a3, ay)^-1 of both sides
-            lhs = self._flip(d3, dy) @ _kron(f, eye_y)
-            rhs = _kron(eye_y, f) @ self._flip(d12, dy)
+            lhs, rhs = self._flip(d3, dy) @ _kron(f, eye_y), _kron(eye_y, f) @ self._flip(d12, dy)
             # associator naturality in the first slot, without F(a3, ay, ay)^-1
-            f_yy = _kron(f, self._eye(dy * dy))
-            lhs2 = self._eye(d3 * dy * dy) @ f_yy
-            rhs2 = f_yy @ self._eye(d12 * dy * dy)
-            errs[d3, d12, dy] = np.maximum(np.abs(lhs - rhs).max(), np.abs(lhs2 - rhs2).max())
+            lhs2, rhs2 = self._eye(d3 * dy * dy) @ f_yy, f_yy @ self._eye(d12 * dy * dy)
+            errs[d3, d12, dy] = max(_deviation(lhs, rhs), _deviation(lhs2, rhs2))
         cells = [[errs[(*shape, dy)] for dy in dims] for shape in shapes]
         rows = [tuple(m.label for m in t) for t in members]
-        return rows, np.array(cells, dtype=np.float64).reshape(len(rows), len(dims))
+        return rows, np.array(cells, dtype=np.int64).reshape(len(rows), len(dims))

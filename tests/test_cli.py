@@ -994,6 +994,20 @@ def test_cyclic_sweep_verifies_with_exact_s_exponents(tmp_path, capsys):
             assert [[_entry_exponent(e) for e in row] for row in entries] == want, (n, s)
 
 
+def test_exact_checks_pass_every_tolerance(tmp_path, capsys):
+    # double-braiding used to read a float deviation of 1e-16 to 1e-15 on 64
+    # of these 84 catalogs, and fail every tolerance below it
+    path = tmp_path / "spec.json"
+    for n in (3, 4, 5, 6, 7, 8, 9, 12):
+        for s in range(n * math.gcd(n, 2)):
+            path.write_text(json.dumps(_cyclic_spec(n, s)), encoding="utf-8")
+            assert run_cli("verify", "--spec", str(path), "--tolerance", "0") == cli.EXIT_OK, (n, s)
+            out = capsys.readouterr().out
+            assert "FAIL" not in out and "max deviation 0.00e+00" in out, (n, s)
+    path.write_text(json.dumps(_cyclic_spec(3, 1)), encoding="utf-8")
+    assert run_cli("verify", "--spec", str(path), "--tolerance", "1e-17") == cli.EXIT_OK
+
+
 def _table_spec(n, f_num, omega_num, denom, name):
     """Builtin Z/n graded by Z/n through 1, with the cocycle given as tables."""
     def entries(table):

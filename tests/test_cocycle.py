@@ -565,6 +565,29 @@ def test_table_broken_through_the_last_factor_is_refused():
             _spec_cocycle(g, tables)
 
 
+def test_coboundaries_at_the_kernel_dtype_bounds():
+    # denominators with 5 * L just inside and just past 2**15 and 2**31, two
+    # inside 2**16 and 2**32 but past 2**15 and 2**31, and the cap.  The
+    # coboundary of a normalized cochain L - 1 - r, with r one of the four
+    # 0/1 offsets (of 512) that do so, reaches a hexagon-2 residue of -3 L
+    # before it is reduced: past the int16 range at L = 13107, so a kernel
+    # dtype one size too small wraps it.  One perturbed entry is refused.
+    g = FinAbGroup((4,))
+    x, s = np.arange(4), g.add_index_table
+    r = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 1]])
+    for L in (6553, 6554, 13107, 429496729, 429496730, 858993458, MAX_DENOM):
+        phi = np.where((x[:, None] > 0) & (x > 0), L - 1 - r, 0)
+        f = (
+            phi[None, :, :] - phi[s[:, :, None], x] + phi[x[:, None, None], s[None, :, :]]
+            - phi[:, :, None]
+        ) % L
+        omega = (phi - phi.T) % L
+        assert AbelianCocycle(g, f, omega, L).report.passed, L
+        f = f.copy()  # the cocycle keeps a table of its kernel dtype read-only
+        f[1, 2, 3] = (f[1, 2, 3] + 1) % L
+        assert not AbelianCocycle(g, f, omega, L).report.passed, L
+
+
 def test_builders_store_f_in_the_kernel_dtype():
     g = FinAbGroup((3,))
     f, omega = _coboundary_tables(g, MAX_DENOM)
@@ -618,10 +641,15 @@ def test_narrow_f_readers_match_fraction_references(L):
     ]
     group, reps = builtin_catalog("z4")
     cat = oracles.unchecked_category(group, c, CentralEmbedding(g, (1,)), reps)
+    by_grade = {g.index(member.grade): member for member in cat.catalog}
     for i, j, k in product(range(m), repeat=3):
-        assert cat._f_inv(i, j, k) == unit(-F[i][j][k])
-    assert np.array_equal(cat._f_inv(x, neg, x), [unit(-F[a][neg[a]][a]) for a in range(m)])
-    assert np.array_equal(cat._unit(c.f_num[x, neg, x]), [unit(F[a][neg[a]][a]) for a in range(m)])
-    for member in cat.catalog:
-        a = g.index(member.grade)
+        assert cat.associator(by_grade[i], by_grade[j], by_grade[k])[0, 0] == unit(-F[i][j][k])
+    for a, member in by_grade.items():
+        assert cat.evaluation(member)[0, 0] == unit(-F[a][neg[a]][a])
         assert cat.twist(member) == UnitScalar(Fraction(-W[a][a], L))
+    # the snake on M* reads F(a, -a, a) + F(-a, a, -a) at each member's grade
+    residues = [e(F[a][neg[a]][a] + F[neg[a]][a][neg[a]]) for a in (g.index(member.grade) for member in cat.catalog)]
+    failing = [member.label for member, r in zip(cat.catalog, residues) if r]
+    snake = next(check for check in cat.coherence_suite().checks if check.axiom == "snake")
+    assert snake.witness == ((failing[0],) if failing else None)
+    assert snake.max_error == max(abs(UnitScalar(r).to_complex() - 1) for r in residues)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twistcat import grouprep
 from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog, cyclic_group
 from twistcat.cocycle import build_cyclic
@@ -246,6 +247,27 @@ def test_hom_dim_s3(s3):
     assert hom_dim(group, w, w, chars["sign"]) == 1
     assert hom_dim(group, chars["trivial"], chars["trivial"], chars["trivial"]) == 1
     assert hom_dim(group, chars["trivial"], chars["sign"], chars["trivial"]) == 0
+
+
+def test_hom_dim_table_of_known_fusion_rules():
+    # read through the module, so that a mutation table row can replace it.
+    # Z/5: chi_a (x) chi_b = chi_{a+b}, which the conjugated third character
+    # tells from chi_{-(a+b)}
+    group, reps = cyclic_group(5)
+    a = np.arange(5)
+    want = (a[:, None, None] + a[None, :, None]) % 5 == a[None, None, :]
+    table = grouprep.hom_dim_table(group, validate_irrep(list(reps.values())))
+    assert np.array_equal(table, want)
+    # S3 (trivial, sign, standard): sign (x) sign = trivial, sign (x) standard
+    # = standard, standard (x) standard = trivial + sign + standard
+    group, reps = builtin_catalog("s3")
+    assert list(reps) == ["trivial", "sign", "standard"]
+    want = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, 0, 1], [0, 0, 1], [1, 1, 1]],
+    ]
+    assert grouprep.hom_dim_table(group, validate_irrep(list(reps.values()))).tolist() == want
 
 
 def test_intertwiner_basis_s3(s3):

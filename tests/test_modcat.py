@@ -19,6 +19,7 @@ from twistcat.unitscalar import UnitScalar, root_of_unity
 
 import mutants
 import oracles
+import test_mutants
 
 
 def test_flip_matrix_moves_coordinates():
@@ -237,7 +238,8 @@ def test_word_helpers(lattice_cat):
 
 def _reference_identities(cat):
     """Each signature-collapsed identity of the suite as a plain per-tuple
-    function returning (max deviation, exact parts hold)."""
+    function returning (max deviation, exact parts hold); the double braiding
+    as its exact residue and integer layout error."""
     ax, br, eye, kron = cat.associator, cat.braiding, np.eye, np.kron
 
     def dev(lhs, rhs):
@@ -291,8 +293,12 @@ def _reference_identities(cat):
         rhs = double(m, n) * cat.twist(m).to_complex() * cat.twist(n).to_complex()
         return dev(lhs, rhs), exact
 
-    def double_braid(m, n):
-        return dev(double(m, n), UnitScalar(-b(m, n)).to_complex() * eye(m.dim * n.dim)), True
+    def double_braid(m, n):  # exact: the scalars' residue against b_num, the flips' layout
+        g, c = cat.grading, cat.cocycle
+        r = b(m, n) - Fraction(int(c.b_num[g.index(m.grade), g.index(n.grade)]), c.denom)
+        flips = flip_matrix(n.dim, m.dim) @ flip_matrix(m.dim, n.dim)
+        layout = _layout_error(flips, eye(m.dim * n.dim, dtype=np.int64))
+        return max(layout, _residue_error(r)), r % 1 == 0
 
     return {
         "pentagon(matrices)": (4, pentagon),
@@ -457,17 +463,41 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(
 
 def _seeded_maps(rng, shapes):
     """The naturality checks' maps: after the triples are sampled, one
-    seeded complex ``d3 x d1 d2`` matrix per distinct ``(d3, d1 d2)`` of
-    ``shapes``, drawn in order of first appearance."""
-    normal = rng.standard_normal
-    return {shape: normal(shape) + 1j * normal(shape) for shape in dict.fromkeys(shapes)}
+    seeded integer ``d3 x d1 d2`` matrix per distinct ``(d3, d1 d2)`` of
+    ``shapes``, a permutation of ``1..d3 d1 d2``, drawn in order of first
+    appearance."""
+    return {shape: rng.permutation(shape[0] * shape[1]).reshape(shape) + 1
+            for shape in dict.fromkeys(shapes)}
+
+
+def _residue_error(r) -> float:
+    """``|e^{2 pi i r} - 1|`` for an exponent ``r``."""
+    return abs(UnitScalar(r).to_complex() - 1)
+
+
+def _layout_error(lhs, rhs) -> int:
+    return int(np.abs(lhs - rhs).max())
+
+
+def _first_failure(cells, tol):
+    """``(checked, witness, max error)`` over ``(members, residue, layout
+    error)`` cells in catalog tuple order: a cell fails where its residue is
+    nonzero or its layout error is above ``tol``."""
+    witness, max_err = None, 0.0
+    for members, r, layout in cells:
+        max_err = max(max_err, layout, _residue_error(r))
+        if (r != 0 or layout > tol) and witness is None:
+            witness = tuple(m.label for m in members)
+    return len(cells), witness, max_err
 
 
 def _dense_reference(cat, tol, seed):
-    """The snake, double-braiding and naturality checks, S entries, categorical
-    dimensions and fusion coefficients built the dense way: words by tuple
-    arithmetic, one ``UnitScalar`` per scalar, fresh ``np.eye``/``flip_matrix``,
-    ``np.kron`` and ``hom_dim`` per triple."""
+    """The snake, double-braiding and naturality checks, the structure maps,
+    S entries, categorical dimensions and fusion coefficients built the dense
+    way: words by tuple arithmetic, each check per catalog tuple as a
+    ``Fraction`` residue and a layout error of fresh integer
+    ``np.eye``/``flip_matrix``/``np.kron`` products, each map as a
+    ``UnitScalar`` times a float layout, and ``hom_dim`` per triple."""
     g, c = cat.grading, cat.cocycle
 
     def grade(word):
@@ -479,6 +509,9 @@ def _dense_reference(cat, tol, seed):
     def dim(word):
         return int(np.prod([m.dim for m in word], initial=1))
 
+    def eye(d):
+        return np.eye(d, dtype=np.int64)
+
     def f_inv(*grades):
         return UnitScalar(-oracles.f(c, *grades)).to_complex()
 
@@ -486,47 +519,47 @@ def _dense_reference(cat, tol, seed):
         return UnitScalar(-oracles.omega(c, a1, a2)).to_complex()
 
     def braid(w1, w2):
-        return omega_inv(grade(w1), grade(w2)) * flip_matrix(dim(w1), dim(w2))
+        return omega_inv(grade(w1), grade(w2)) * flip_matrix(dim(w1), dim(w2)).astype(np.float64)
 
     def assoc(w1, w2, w3):
         return f_inv(grade(w1), grade(w2), grade(w3)) * np.eye(dim(w1) * dim(w2) * dim(w3))
+
+    def ev(word):
+        a, d = grade(word), dim(word)
+        return f_inv(a, oracles.neg(g, a), a) * np.eye(d).reshape(1, d * d)
 
     def double(m, n):
         return braid((n,), (m,)) @ braid((m,), (n,))
 
     def trace(word, f):  # e_M . R_{M,M*} . ((theta f) (x) 1) . i_M
         a, d, neg = grade(word), dim(word), oracles.neg(g, grade(word))
-        ev = f_inv(a, neg, a) * np.eye(d).reshape(1, d * d)
         theta_f = omega_inv(a, a) * np.asarray(f, dtype=np.complex128)
         middle = (omega_inv(a, neg) * flip_matrix(d, d)) @ np.kron(theta_f, np.eye(d))
-        return complex((ev @ middle @ np.eye(d).reshape(d * d, 1))[0, 0])
+        return complex((ev(word) @ middle @ np.eye(d).reshape(d * d, 1))[0, 0])
 
-    checks = {}
-    witness, max_err = None, 0.0
+    checks, cells = {}, []
     for m in cat.catalog:
         a, neg, d = m.grade, oracles.neg(g, m.grade), m.dim
-        ev = f_inv(a, neg, a) * np.eye(d).reshape(1, d * d)
-        coev = np.eye(d).reshape(d * d, 1)
-        snake_m = UnitScalar(oracles.f(c, a, neg, a)).to_complex() * (
-            np.kron(np.eye(d), ev) @ np.kron(coev, np.eye(d))
+        # snake on M: F(a,-a,a)^-1 from e_M, F(a,-a,a) from A^-1; on M*:
+        # F(a,-a,a)^-1 from e_M, F(-a,a,-a)^-1 from A
+        r = (oracles.f(c, a, neg, a) + oracles.f(c, neg, a, neg)) % 1
+        pair = eye(d).reshape(1, d * d)
+        layout = max(
+            _layout_error(np.kron(eye(d), pair) @ np.kron(pair.T, eye(d)), eye(d)),
+            _layout_error(np.kron(pair, eye(d)) @ np.kron(eye(d), pair.T), eye(d)),
         )
-        err = float(np.abs(snake_m - np.eye(d)).max())
-        snake_dual = f_inv(neg, a, neg) * (np.kron(ev, np.eye(d)) @ np.kron(np.eye(d), coev))
-        err = max(err, float(np.abs(snake_dual - np.eye(d)).max()))
-        max_err = max(max_err, err)
-        if err > tol and witness is None:
-            witness = (m.label,)
-    checks["snake"] = (len(cat.catalog), witness, max_err.hex())
+        cells.append(((m,), r, layout))
+    checks["snake"] = _first_failure(cells, tol)
 
-    witness, max_err = None, 0.0
+    cells = []
     for m, n in product(cat.catalog, repeat=2):
-        b = oracles.omega(c, m.grade, n.grade) + oracles.omega(c, n.grade, m.grade)
-        scalar = UnitScalar(-b).to_complex()
-        err = float(np.abs(double(m, n) - scalar * np.eye(m.dim * n.dim)).max())
-        max_err = max(max_err, err)
-        if err > tol and witness is None:
-            witness = (m.label, n.label)
-    checks["double-braiding"] = (len(cat.catalog) ** 2, witness, max_err.hex())
+        # R_{N,M} R_{M,N} carries Omega(b,a)^-1 Omega(a,b)^-1 against e(-b(a,b))
+        b = Fraction(int(c.b_num[g.index(m.grade), g.index(n.grade)]), c.denom)
+        r = (oracles.omega(c, m.grade, n.grade) + oracles.omega(c, n.grade, m.grade) - b) % 1
+        flips = flip_matrix(n.dim, m.dim) @ flip_matrix(m.dim, n.dim)
+        layout = _layout_error(flips, eye(m.dim * n.dim))
+        cells.append(((m, n), r, layout))
+    checks["double-braiding"] = _first_failure(cells, tol)
 
     triples = []
     for m1, m2, m3 in product(cat.catalog, repeat=3):
@@ -535,24 +568,22 @@ def _dense_reference(cat, tol, seed):
             if n > 0:
                 triples.append((m1, m2, m3, n))
     rng = np.random.default_rng(seed)
-    checked, witness, max_err = 0, None, 0.0
     picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
     sampled = [triples[t][:3] for t in sorted(int(i) for i in picks)]
     maps = _seeded_maps(rng, [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in sampled])
+    cells = []
     for m1, m2, m3 in sampled:
-        f = maps[m3.dim, m1.dim * m2.dim]
+        f, d12 = maps[m3.dim, m1.dim * m2.dim], m1.dim * m2.dim
         for y in cat.catalog:
-            checked += 1
-            lhs = braid((m3,), (y,)) @ np.kron(f, np.eye(y.dim))
-            rhs = np.kron(np.eye(y.dim), f) @ braid((m1, m2), (y,))
-            err = float(np.abs(lhs - rhs).max())
-            lhs2 = assoc((m3,), (y,), (y,)) @ np.kron(f, np.eye(y.dim * y.dim))
-            rhs2 = np.kron(f, np.eye(y.dim * y.dim)) @ assoc((m1, m2), (y,), (y,))
-            err = max(err, float(np.abs(lhs2 - rhs2).max()))
-            max_err = max(max_err, err)
-            if err > tol and witness is None:
-                witness = (m1.label, m2.label, m3.label, y.label)
-    checks["naturality(spot-checks)"] = (checked, witness, max_err.hex())
+            # the unit scalars of both sides are equal and dropped
+            lhs = flip_matrix(m3.dim, y.dim) @ np.kron(f, eye(y.dim))
+            rhs = np.kron(eye(y.dim), f) @ flip_matrix(d12, y.dim)
+            f_yy = np.kron(f, eye(y.dim * y.dim))
+            lhs2 = eye(m3.dim * y.dim * y.dim) @ f_yy
+            rhs2 = f_yy @ eye(d12 * y.dim * y.dim)
+            layout = max(_layout_error(lhs, rhs), _layout_error(lhs2, rhs2))
+            cells.append(((m1, m2, m3, y), 0, layout))
+    checks["naturality(spot-checks)"] = _first_failure(cells, tol)
 
     members = cat.catalog
     return {
@@ -564,6 +595,8 @@ def _dense_reference(cat, tol, seed):
             (m.label, n.label, y.label): assoc((m,), (n,), (y,))
             for m, n, y in product(members, repeat=3)
         },
+        "evaluation": {m.label: ev((m,)) for m in members},
+        "coevaluation": {m.label: np.eye(m.dim).reshape(m.dim**2, 1) for m in members},
         "s_trace": {
             (m.label, n.label): trace((m, n), double(m, n)) for m, n in product(members, repeat=2)
         },
@@ -573,6 +606,10 @@ def _dense_reference(cat, tol, seed):
               for b in members] for a in members]
         ),
     }
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _asymmetric_z3():
@@ -597,14 +634,17 @@ def test_index_paths_match_dense_reference(name, seed, categories):
     checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
     for axiom, expected in ref["checks"].items():
         c = checks[axiom]
-        assert (c.checked, c.witness, c.max_error.hex()) == expected, axiom
+        assert (c.checked, c.witness, c.max_error) == expected, axiom
         assert c.passed == (expected[1] is None), axiom
     by_label = {m.label: m for m in cat.catalog}
     for (a, b), matrix in ref["braiding"].items():
-        assert np.array_equal(cat.braiding(by_label[a], by_label[b]), matrix), (a, b)
+        assert _same_bits(cat.braiding(by_label[a], by_label[b]), matrix), (a, b)
     for (a, b, d), matrix in ref["associator"].items():
         got = cat.associator(by_label[a], by_label[b], by_label[d])
-        assert np.array_equal(got, matrix), (a, b, d)
+        assert _same_bits(got, matrix), (a, b, d)
+    for a, row in ref["evaluation"].items():
+        assert _same_bits(cat.evaluation(by_label[a]), row), a
+        assert _same_bits(cat.coevaluation(by_label[a]), ref["coevaluation"][a]), a
     for (a, b), value in ref["s_trace"].items():
         assert oracles.s_trace(cat, by_label[a], by_label[b]) == value, (a, b)
     x, denom = dim_exponents(cat.cocycle), cat.cocycle.denom
@@ -637,71 +677,62 @@ def test_non_integral_characters_raise_like_hom_dim():
 
 def _per_tuple_self_checks(cat, tol, seed):
     """The snake, double-braiding and naturality checks as per-tuple loops:
-    one error per member, per pair and per ``y``, through the category's own
-    helpers and ``modcat._kron`` read at call time, so a mutation of either
-    reaches both this reference and the suite.  Naturality drops the unit
-    scalar that both its sides carry, as the suite does.  Per check:
-    ``checked``, the witness, the largest error and the array of every
-    catalog tuple's error; and the catalog positions of the sampled
-    triples."""
+    one residue and one layout error per member, per pair and per ``y``,
+    read from the cocycle's tables, the category's own layout builders and
+    ``modcat._kron`` at call time, so a mutation of either reaches both this
+    reference and the suite.  Naturality drops the unit scalar that both its
+    sides carry, as the suite does.  Per check: ``checked``, the witness, the
+    largest error, and the arrays of every catalog tuple's residue (mod the
+    cocycle denominator) and layout error; and the catalog positions of the
+    sampled triples."""
     kron = lambda a, b: modcat._kron(a, b)  # noqa: E731
+    c, neg = cat.cocycle, cat.grading.neg_index_table
     words = [cat._word(m) for m in cat.catalog]
     k = len(words)
     out = {}
 
-    witness, max_err, cells = None, 0.0, np.zeros(k)
-    for x, (m, (a, d)) in enumerate(zip(cat.catalog, words)):
-        neg, eye = cat.grading.neg_index_table[a], cat._eye(d)
-        ev = cat._f_inv(a, neg, a) * eye.reshape(1, d * d)
-        coev = eye.reshape(d * d, 1)
-        snake_m = cat._unit(cat.cocycle.f_num[a, neg, a]) * (kron(eye, ev) @ kron(coev, eye))
-        err = float(np.abs(snake_m - eye).max())
-        snake_dual = cat._f_inv(neg, a, neg) * (kron(ev, eye) @ kron(eye, coev))
-        err = cells[x] = max(err, float(np.abs(snake_dual - eye).max()))
-        max_err = max(max_err, err)
-        if err > tol and witness is None:
-            witness = (m.label,)
-    out["snake"] = (k, witness, max_err, cells)
+    def check(members, residues, layouts):
+        cells = [
+            (objs, Fraction(int(r), c.denom), int(e))
+            for objs, r, e in zip(members, residues.flat, layouts.flat)
+        ]
+        return (*_first_failure(cells, tol), residues, layouts)
 
-    W, witness, max_err, cells = cat.cocycle.omega_num, None, 0.0, np.zeros((k, k))
-    for (x, (m, (a1, d1))), (z, (n, (a2, d2))) in product(
-        enumerate(zip(cat.catalog, words)), repeat=2
-    ):
-        scalar = cat._unit(-(W[a1, a2] + W[a2, a1]))
-        braided = cat._braid_matrix(a2, d2, a1, d1) @ cat._braid_matrix(a1, d1, a2, d2)
-        err = cells[x, z] = float(np.abs(braided - scalar * cat._eye(d1 * d2)).max())
-        max_err = max(max_err, err)
-        if err > tol and witness is None:
-            witness = (m.label, n.label)
-    out["double-braiding"] = (k**2, witness, max_err, cells)
+    residues, layouts = np.zeros(k, np.int64), np.zeros(k, np.int64)
+    for x, (a, d) in enumerate(words):
+        residues[x] = (int(c.f_num[a, neg[a], a]) + int(c.f_num[neg[a], a, neg[a]])) % c.denom
+        eye, pair = cat._eye(d), cat._pairing(d)
+        layouts[x] = max(
+            _layout_error(kron(eye, pair) @ kron(pair.T, eye), eye),
+            _layout_error(kron(pair, eye) @ kron(eye, pair.T), eye),
+        )
+    out["snake"] = check([(m,) for m in cat.catalog], residues, layouts)
+
+    W, B = c.omega_num, c.b_num
+    residues, layouts = np.zeros((k, k), np.int64), np.zeros((k, k), np.int64)
+    for (x, (a1, d1)), (z, (a2, d2)) in product(enumerate(words), repeat=2):
+        residues[x, z] = (int(W[a1, a2]) + int(W[a2, a1]) - int(B[a1, a2])) % c.denom
+        layouts[x, z] = _layout_error(cat._flip(d2, d1) @ cat._flip(d1, d2), cat._eye(d1 * d2))
+    out["double-braiding"] = check(list(product(cat.catalog, repeat=2)), residues, layouts)
 
     rng = np.random.default_rng(seed)
     grades = np.array([a for a, _ in words], dtype=np.int64)
     sums = cat.grading.add_index_table[np.ix_(grades, grades)]
     triples = np.argwhere((sums[:, :, None] == grades) & (cat.hom_dims > 0))
-    checked, witness, max_err = 0, None, 0.0
     picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
     sampled = [tuple(int(x) for x in triples[t]) for t in sorted(int(i) for i in picks)]
-    cells = np.zeros((len(sampled), k))
     shapes = [(words[l][1], words[i][1] * words[j][1]) for i, j, l in sampled]
     maps = _seeded_maps(rng, shapes)
+    members, layouts = [], np.zeros((len(sampled), k), np.int64)
     for row, ((i, j, l), (d3, d12)) in enumerate(zip(sampled, shapes)):
-        m1, m2, m3 = cat.catalog[i], cat.catalog[j], cat.catalog[l]
         f = maps[d3, d12]
         for col, (y, (_, dy)) in enumerate(zip(cat.catalog, words)):
-            checked += 1
-            eye_y = cat._eye(dy)
-            lhs = cat._flip(d3, dy) @ kron(f, eye_y)
-            rhs = kron(eye_y, f) @ cat._flip(d12, dy)
-            err = float(np.abs(lhs - rhs).max())
-            f_yy = kron(f, cat._eye(dy * dy))
-            lhs2 = cat._eye(d3 * dy * dy) @ f_yy
-            rhs2 = f_yy @ cat._eye(d12 * dy * dy)
-            err = cells[row, col] = max(err, float(np.abs(lhs2 - rhs2).max()))
-            max_err = max(max_err, err)
-            if err > tol and witness is None:
-                witness = (m1.label, m2.label, m3.label, y.label)
-    out["naturality(spot-checks)"] = (checked, witness, max_err, cells)
+            members.append((cat.catalog[i], cat.catalog[j], cat.catalog[l], y))
+            eye_y, f_yy = cat._eye(dy), kron(f, cat._eye(dy * dy))
+            lhs, rhs = cat._flip(d3, dy) @ kron(f, eye_y), kron(eye_y, f) @ cat._flip(d12, dy)
+            lhs2, rhs2 = cat._eye(d3 * dy * dy) @ f_yy, f_yy @ cat._eye(d12 * dy * dy)
+            layouts[row, col] = max(_layout_error(lhs, rhs), _layout_error(lhs2, rhs2))
+    out["naturality(spot-checks)"] = check(members, np.zeros_like(layouts), layouts)
     return out, sampled
 
 
@@ -754,30 +785,33 @@ def _coboundary_twisted_zn(n):
 
 def _assert_self_checks_match(cat, seed, failing=None):
     """The suite's snake, double-braiding and naturality verdicts equal the
-    per-tuple loops', and so does every error it computed, bit for bit, read
-    back per catalog tuple from its distinct words.  Returns the sampled
-    triples and the failing check's witness."""
+    per-tuple loops', and so does every residue and layout error it
+    computed, read back per catalog tuple from its distinct words.  Returns
+    the sampled triples and the failing check's witness."""
     arrays, verdict = {}, cat._verdict
 
-    def spy(axiom, arity, values, *args, **kwargs):  # the suite's arrays, per check
-        arrays[axiom] = values = list(values)
-        return verdict(axiom, arity, values, *args, **kwargs)
+    def spy(axiom, arity, residues, *args, layout=None, **kwargs):  # the suite's arrays
+        residues = list(residues)
+        arrays[axiom] = residues, layout
+        return verdict(axiom, arity, residues, *args, layout=layout, **kwargs)
 
     cat._verdict = spy
     checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
     ref, sampled = _per_tuple_self_checks(cat, modcat.MATRIX_TOL, seed)
     distinct = list(cat._word_labels)
     of = np.array([distinct.index(cat._word(m)) for m in cat.catalog], dtype=np.intp)
-    for axiom, (checked, witness, max_err, cells) in ref.items():
+    for axiom, (checked, witness, max_err, residues, layouts) in ref.items():
         c = checks[axiom]
         assert (c.checked, c.witness, c.max_error) == (checked, witness, max_err), axiom
         assert c.passed == (witness is None), axiom
-        (got,) = arrays[axiom]
-        if axiom == "naturality(spot-checks)":  # rows are sampled triples
-            got = got[:, of]
-        else:
-            got = got[np.ix_(*[of] * got.ndim)]
-        assert np.array_equal(got, cells), axiom
+        got_residues, got_layouts = arrays[axiom]
+        if axiom == "naturality(spot-checks)":  # rows are sampled triples; no residue
+            assert got_residues == []
+            assert np.array_equal(got_layouts[:, of], layouts), axiom
+            continue
+        (got,) = got_residues
+        assert np.array_equal(got[np.ix_(*[of] * got.ndim)], residues), axiom
+        assert np.array_equal(got_layouts[np.ix_(*[of] * got.ndim)], layouts), axiom
     if failing is not None:
         assert not checks[failing].passed
         return sampled, checks[failing].witness
@@ -829,69 +863,73 @@ def test_exact_s_table_matches_traces(name, image, n, make_cocycle):
     assert np.abs(exact - traced).max() <= 1e-9
 
 
+def _patch_layout_fault(fault, monkeypatch):
+    """Patch a layout fault of the mutation table into ``modcat`` for the
+    rest of a test; the fixture category its row builds is not read."""
+    fault("q8-z2", monkeypatch)
+
+
 @pytest.mark.parametrize(
-    "mutation, failing, name, image, n, seed",
+    "fault, failing, name, image, n, seed",
     [
-        ("evaluation-not-inverted", "snake", "z6", 2, 3, 0),
-        ("identity-read-as-diag(1..d)", "snake", "s3", 0, 2, 0),
-        ("rolled-flip", "double-braiding", "q8", 2, 2, 0),
-        ("rolled-flip", "double-braiding", "d4", 0, 2, 0),
-        ("transposed-flip", "naturality(spot-checks)", "q8", 2, 2, 5),
-        ("swapped-kron", "naturality(spot-checks)", "d4", 2, 2, 5),
-        ("swapped-kron", "naturality(spot-checks)", "s3", 0, 2, 0),
+        (test_mutants._diag_identity, "snake", "s3", 0, 2, 0),
+        (test_mutants._rolled_flip, "double-braiding", "q8", 2, 2, 0),
+        (test_mutants._rolled_flip, "double-braiding", "d4", 0, 2, 0),
+        (test_mutants._transposed_flip, "naturality(spot-checks)", "q8", 2, 2, 5),
+        (test_mutants._swapped_kron, "naturality(spot-checks)", "d4", 2, 2, 5),
+        (test_mutants._swapped_kron, "naturality(spot-checks)", "s3", 0, 2, 0),
+    ],
+    ids=[
+        "identity-read-as-diag(1..d)-snake-s3-0-2-0", "rolled-flip-double-braiding-q8-2-2-0",
+        "rolled-flip-double-braiding-d4-0-2-0", "transposed-flip-naturality(spot-checks)-q8-2-2-5",
+        "swapped-kron-naturality(spot-checks)-d4-2-2-5",
+        "swapped-kron-naturality(spot-checks)-s3-0-2-0",
     ],
 )
-def test_collapsed_self_checks_catch_mutations(
-    mutation, failing, name, image, n, seed, monkeypatch
-):
-    # each self-check fails on its mutation, on a catalog with repeated
-    # signatures, with the witness and error of the per-tuple loops
-    _inject(mutation, monkeypatch, modcat)
-    cat = _graded_builtin(name, image, n, _coboundary_twisted_z3() if n == 3 else None)
+def test_collapsed_self_checks_catch_mutations(fault, failing, name, image, n, seed, monkeypatch):
+    # each layout self-check fails on its mutation, on a catalog with
+    # repeated signatures, with the witness and errors of the per-tuple loops
+    _patch_layout_fault(fault, monkeypatch)
+    cat = _graded_builtin(name, image, n)
     words = [cat._word(m) for m in cat.catalog]
     assert len(set(words)) < len(words)
     assert _assert_self_checks_match(cat, seed, failing)[1] is not None
 
 
-def _inject(mutation, monkeypatch, module):
-    """Patch one fault into ``module``, a ``modcat``, for the rest of a test."""
-    flip, kron = module.flip_matrix, module._kron
-    if mutation == "rolled-flip":  # a permutation the flip back does not undo
-        monkeypatch.setattr(module, "flip_matrix", lambda d1, d2: np.roll(flip(d1, d2), 1, 0))
-    elif mutation == "transposed-flip":
-        monkeypatch.setattr(module, "flip_matrix", lambda d1, d2: flip(d1, d2).T)
-    elif mutation == "swapped-kron":
-        monkeypatch.setattr(module, "_kron", lambda a, b: kron(b, a))
-    elif mutation == "identity-read-as-diag(1..d)":  # fails on 2-dim members only
-        diag = lambda self, d: np.diag(np.arange(1.0, d + 1))  # noqa: E731
-        monkeypatch.setattr(module.TwistedCategory, "_eye", diag)
-    elif mutation == "evaluation-not-inverted":  # F(a, -a, a) where its inverse belongs
-        monkeypatch.setattr(
-            module.TwistedCategory, "_f_inv", lambda self, *a: self._unit(self.cocycle.f_num[a])
-        )
+def test_collapsed_snake_residue_matches_per_tuple_loops():
+    # z6 graded by Z/3 repeats each grade twice; F(1, 2, 1) shifted leaves the
+    # snake residue F(a,-a,a) + F(-a,a,-a) nonzero at grades 1 and 2
+    good = build_cyclic(3, 1)
+    f_num = good.f_num.copy()
+    f_num[1, 2, 1] += 1
+    broken = AbelianCocycle(good.group, f_num, good.omega_num, good.denom)
+    cat = _graded_builtin("z6", 2, 3, broken, category=oracles.unchecked_category)
+    assert len({cat._word(m) for m in cat.catalog}) < len(cat.catalog)
+    assert _assert_self_checks_match(cat, 0, "snake")[1] == ("chi1",)
 
 
 @pytest.mark.parametrize(
-    "old, new, fault, name, image, n, seed",
+    "method, old, new, fault, name, image, n, seed",
     [
         # each sampled triple's naturality errors read from the signature of
         # the triple at the mirrored position
-        ("for shape in shapes]", "for shape in shapes[::-1]]", "rolled-flip", "s3", 0, 2, 0),
-        # a snake stack's errors written to its words in reverse order
-        ("errs[s] =", "errs[s][::-1] =", "evaluation-not-inverted", "z6", 2, 3, 0),
-        # a double-braiding stack's errors written to its second words in reverse order
-        ("errs[s1, s2] =", "errs[s1, s2][:, ::-1] =", None, "z6", 2, 3, 0),
+        ("_naturality_layouts", "for shape in shapes]", "for shape in shapes[::-1]]",
+         test_mutants._rolled_flip, "s3", 0, 2, 0),
+        # the snake layouts written to the words in reverse order
+        ("coherence_suite", "layout=snake_layout[at]", "layout=snake_layout[at][::-1]",
+         test_mutants._diag_identity, "s3", 0, 2, 0),
+        # the double-braiding layouts written to the second words in reverse order
+        ("coherence_suite", "layout=double_layout[np.ix_(at, at)]",
+         "layout=double_layout[np.ix_(at, at[::-1])]", test_mutants._rolled_flip, "q8", 2, 2, 0),
     ],
     ids=["naturality-triples", "snake-words", "double-braiding-words"],
 )
 def test_reference_catches_errors_written_to_the_wrong_stack_item(
-    old, new, fault, name, image, n, seed, monkeypatch
+    method, old, new, fault, name, image, n, seed, monkeypatch
 ):
-    cocycle = _coboundary_twisted_z3() if n == 3 else None
-    _inject(fault, monkeypatch, modcat)
-    _assert_self_checks_match(_graded_builtin(name, image, n, cocycle), seed)  # errors that vary
+    _patch_layout_fault(fault, monkeypatch)
+    _assert_self_checks_match(_graded_builtin(name, image, n), seed)  # errors that vary
     mutant = mutants.load("modcat", old, new)
-    _inject(fault, monkeypatch, mutant)
-    cat = _graded_builtin(name, image, n, cocycle, category=mutant.TwistedCategory)
+    monkeypatch.setattr(TwistedCategory, method, getattr(mutant.TwistedCategory, method))
     with pytest.raises(AssertionError):
-        _assert_self_checks_match(cat, seed)
+        _assert_self_checks_match(_graded_builtin(name, image, n), seed)

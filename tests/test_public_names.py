@@ -14,11 +14,14 @@ LIBRARY = Path(__file__).resolve().parent.parent / "src" / "twistcat"
 
 ALLOWED = {  # public names kept without a reader in src/, each with its reason
     "plog": "the fixed branch of log that the branch integers are defined against",
-    "associator": "a structure map the modcat docstring defines; the suite checks its exponents",
-    "braiding": "a structure map the modcat docstring defines; an S entry traces two of them",
-    "coevaluation": "a structure map the modcat docstring defines; the snakes inline it",
-    "evaluation": "a structure map the modcat docstring defines; the snakes inline it and "
-    "the trace oracle composes it",
+    "associator": "a structure map the modcat docstring defines; the suite checks its "
+    "exponents and its identity layout",
+    "braiding": "a structure map the modcat docstring defines; the suite checks its exponent "
+    "and its flip layout, and an S entry traces two of them",
+    "coevaluation": "a structure map the modcat docstring defines; the snakes check its vec(I) "
+    "layout",
+    "evaluation": "a structure map the modcat docstring defines; the snakes check its exponent "
+    "and its vec(I) layout, and the trace oracle composes it",
     "twist": "the ribbon structure map the modcat docstring defines; the suite checks its "
     "exponents",
 }
