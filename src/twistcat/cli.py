@@ -170,7 +170,7 @@ def _checked_cocycle(spec: CategorySpec, report: Report) -> AbelianCocycle | Non
         return None
 
 
-def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) -> None:
+def _verify_finite(spec: CategorySpec, report: Report, seed: int) -> None:
     cocycle = _checked_cocycle(spec, report)
     if cocycle is None:
         return
@@ -189,7 +189,7 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int, tol: float) ->
         f"sum of dim^2 = {sum(m.dim ** 2 for m in cat.catalog)}",
     )
 
-    suite = cat.coherence_suite(tol=tol, seed=seed)
+    suite = cat.coherence_suite(seed=seed)
     for check in suite.checks:
         detail = f"{check.checked} tuples, max deviation {check.max_error:.2e}"
         if check.witness is not None:
@@ -255,14 +255,10 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise StructuralError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     spec = load_spec(args.spec)
     report = Report(spec.name, spec.digest, args.seed)
-    if spec.mode == "su2":
-        _verify_su2(spec, report, args.seed)
-    else:
-        _verify_finite(spec, report, args.seed, args.tolerance)
+    verify = _verify_su2 if spec.mode == "su2" else _verify_finite
+    verify(spec, report, args.seed)
     _emit(report, args)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -271,6 +267,8 @@ def cmd_fusion(args) -> int:
     spec = load_spec(args.spec)
     report = Report(spec.name, spec.digest, args.seed)
     if spec.mode == "su2":
+        # the ring's cocycle is refused as smatrix refuses it: invalid, or not on Z/2
+        fusionring.su2_s_table((), spec.build_cocycle())
         report.tables["fusion"] = _su2_fusion_table(product(range(spec.max_spin + 1), repeat=2))
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")
     else:
@@ -393,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all verification suites on a spec")
     _add_common(p_verify)
-    p_verify.add_argument(
-        "--tolerance", type=float, default=1e-9, help="tolerance for matrix-level checks"
-    )
 
     p_fusion = sub.add_parser("fusion", help="emit the fusion table")
     _add_common(p_fusion)

@@ -39,11 +39,13 @@ evaluated once per word dim, pair of word dims, or ``(d3, d1 d2, dy)``.
 Naturality samples catalog triples ``(M1, M2, M3)`` with ``a1 + a2 = a3``,
 so both sides of each identity carry one unit scalar and every map
 ``M1 (x) M2 -> M3`` is natural: its layouts are checked on one seeded
-integer map per ``(d3, d1 d2)`` with distinct entries.  Every error is an
-exact integer or the deviation of a nonzero residue, so no check reads a
-float.  Nothing here takes a categorical trace: the S table and the
-categorical dimensions are read exactly from the cocycle by
-``fusionring.s_table`` and ``fusionring.dim_exponents``.
+integer map per ``(d3, d1 d2)`` with distinct entries, held as float64 for
+a BLAS kernel: each layout is a permutation matrix, so every product entry
+is one entry of the map, exactly.  Every error is an exact integer or the
+deviation of a nonzero residue, so no check reads a rounded float.
+Nothing here takes a categorical trace: the S table and the categorical
+dimensions are read exactly from the cocycle by ``fusionring.s_table`` and
+``fusionring.dim_exponents``.
 
 The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog triples come
 from one character-sum table, which fusion tables and the naturality spot
@@ -63,7 +65,6 @@ from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport
 from .errors import CocycleError, ConsistencyError, RepresentationError, StructuralError
 from .grouprep import (
     INTEGER_TOL,
-    MATRIX_TOL,
     CentralEmbedding,
     FiniteGroup,
     GradedIrrep,
@@ -270,7 +271,7 @@ class TwistedCategory:
 
     # -- coherence suite -----------------------------------------------------------
 
-    def coherence_suite(self, *, tol: float = MATRIX_TOL, seed: int = 0) -> CoherenceReport:
+    def coherence_suite(self, *, seed: int = 0) -> CoherenceReport:
         """The coherence checks over all catalog tuples, each evaluated once
         per tuple of distinct catalog grades or words, or per dimension
         signature, and reported by ``_verdict``.
@@ -287,9 +288,9 @@ class TwistedCategory:
         b(a,b)``, and naturality none.  Their layouts are checked once per
         word dim, pair of word dims, and sampled triples' ``(d3, d1 d2)``
         with word dim.  A residue fails where nonzero, reporting
-        ``|e^{2 pi i r} - 1|``; a layout fails where ``not error <= tol``, so
-        an exact 0 passes every tolerance ``>= 0`` and a NaN tolerance fails.
-        ``checked`` counts catalog tuples."""
+        ``|e^{2 pi i r} - 1|``, and a layout where its integer error is
+        nonzero, reporting the largest error.  ``checked`` counts catalog
+        tuples."""
         c, neg = self.cocycle, self.grading.neg_index_table
         g = np.array(list(self._grade_labels), dtype=np.intp)
         grade_labels = list(self._grade_labels.values())
@@ -314,7 +315,7 @@ class TwistedCategory:
             [self._double_layout(d1, d2) for d1, d2 in product(dims, repeat=2)], dtype=np.int64
         ).reshape(len(dims), len(dims))
         exact = partial(self._verdict, labels=grade_labels)
-        by_word = partial(self._verdict, labels=word_labels, tol=tol)
+        by_word = partial(self._verdict, labels=word_labels)
         rows, naturality = self._naturality_layouts(seed)
         checks = [
             # residues that vanish on all of A vanish at the catalog's grades
@@ -339,8 +340,7 @@ class TwistedCategory:
 
     def _verdict(
         self, axiom: str, arity: int, residues, labels: list[str], *,
-        layout: np.ndarray | None = None, tol: float = 0.0, rows: list[tuple] | None = None,
-        detail: str = "",
+        layout: np.ndarray | None = None, rows: list[tuple] | None = None, detail: str = "",
     ) -> AxiomCheck:
         """An identity over the catalog tuples of ``arity`` from its values
         over tuples of distinct keys (grades or words).
@@ -353,13 +353,13 @@ class TwistedCategory:
         each, except that the first axis runs over ``rows``, label tuples of
         sampled catalog tuples, when they are given.  So the first failing
         cell in C order names the first failing catalog tuple in ``product``
-        order.  A cell fails where its residue is nonzero or where
-        ``not error <= tol``; the error reported is the largest layout error
-        or ``|e(r) - 1|`` of a nonzero residue ``r``.  ``checked`` counts
+        order.  A cell fails where its residue or its layout error is
+        nonzero; the error reported is the largest layout error or
+        ``|e(r) - 1|`` of a nonzero residue ``r``.  ``checked`` counts
         catalog tuples."""
         bad, worst = np.zeros((), dtype=bool), 0.0
         if layout is not None:
-            bad, worst = ~(layout <= tol), float(layout.max(initial=0))
+            bad, worst = layout != 0, float(layout.max(initial=0))
         if residues:
             r = np.concatenate(residues)
             bad = bad | (r != 0)
@@ -401,9 +401,9 @@ class TwistedCategory:
         every element's matrices; otherwise ``ConsistencyError``.  Since
         ``a3 = a1 + a2``, both sides of each identity carry the same unit
         scalar and any ``d3 x d1 d2`` map is natural, so after the triples
-        one seeded integer ``f``, a permutation of ``1..d3 d1 d2``, is drawn
-        per distinct ``(d3, d1 d2)``, in order of first appearance, and the
-        layouts are compared once per ``(d3, d1 d2, dy)``."""
+        one seeded integer ``f``, a permutation of ``1..d3 d1 d2`` held as
+        float64, is drawn per distinct ``(d3, d1 d2)``, in order of first
+        appearance, and the layouts are compared once per ``(d3, d1 d2, dy)``."""
         rng = np.random.default_rng(seed)
         grades = np.array([g for g, _ in self.words], dtype=np.int64)
         # catalog triples (m1, m2, m3) in product order with a1 + a2 = a3 and
@@ -424,7 +424,7 @@ class TwistedCategory:
                 )
         members = [[self.catalog[x] for x in t] for t in chosen]
         shapes = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
-        maps = {s: rng.permutation(s[0] * s[1]).reshape(s) + 1 for s in dict.fromkeys(shapes)}
+        maps = {s: rng.permutation(s[0] * s[1]).reshape(s) + 1.0 for s in dict.fromkeys(shapes)}
         dims = [d for _, d in self._word_labels]
         errs = {}
         for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):

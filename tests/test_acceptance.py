@@ -93,7 +93,7 @@ def test_criterion_4_categorical_dimensions():
 def test_criterion_5_matrix_coherence(tmp_path, capsys):
     ok = True
     for name in FINITE_FIXTURES:
-        report = load_spec(name).build_category().coherence_suite(tol=1e-9)
+        report = load_spec(name).build_category().coherence_suite()
         if not report.passed:
             ok = False
     su2_ok = validate_cocycle(load_spec("su2-lattice").build_cocycle()).passed
@@ -104,7 +104,7 @@ def test_criterion_5_matrix_coherence(tmp_path, capsys):
         _verdict(
             5, "matrix coherence",
             ok and su2_ok and code == 1 and witness_printed,
-            "pentagon/triangle/hexagons/snakes/balancing/twist-dual within 1e-9; "
+            "pentagon/triangle/hexagons/snakes/balancing/twist-dual hold exactly; "
             "mutated fixture fails with printed witness",
         )
 

@@ -274,6 +274,31 @@ def test_fusion_su2(tmp_path):
     assert fusion["V(2)xV(3)"] == ["V(1)", "V(3)", "V(5)"]
 
 
+@pytest.mark.parametrize(
+    "grading, cocycle_config, code, err",
+    [
+        ([2], {"tables": {"f": {}, "omega": {"1|1": "3/4"}}}, cli.EXIT_VALIDATION,
+         "validation failure: cocycle tables violate the hexagon-1 axiom at ((1,), (1,), (1,))\n"),
+        ([3], {"builder": "cyclic", "n": 3, "s": 1}, cli.EXIT_PARSE,
+         "error: the graded SU(2) ring needs a cocycle on Z/2\n"),
+    ],
+    ids=["invalid-cocycle", "graded-by-z3"],
+)
+def test_su2_fusion_refuses_the_cocycle_as_smatrix_does(
+    grading, cocycle_config, code, err, tmp_path, capsys
+):
+    # fusion used to print the Clebsch-Gordan table and exit 0 on both
+    spec = {
+        "schema_version": 1, "name": "su2-refused", "mode": "su2",
+        "grading_group": grading, "cocycle": cocycle_config, "max_spin": 3,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    for command in ("fusion", "smatrix"):
+        assert run_cli(command, "--spec", str(path)) == code, command
+        assert capsys.readouterr() == ("", err), command
+
+
 def test_monodromy_reals(capsys):
     assert (
         run_cli(
@@ -812,6 +837,16 @@ def test_nonabelian_table_spec_report_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN_DIR / "d5-table-z2.json").read_bytes()
 
 
+def test_f42_permutation_spec_report_matches_golden(tmp_path, capsys):
+    # F42 = Z/7 x| Z/6 from the permutations x+1 and 3x of Z/7, with six
+    # characters and the induced 6-dim irrep, graded by Z/2 at the identity;
+    # seed 2 samples (rho6, rho6, rho6), whose naturality cells are the largest
+    out = tmp_path / "report.json"
+    spec = GOLDEN_DIR / "specs" / "f42-z2.json"
+    assert run_cli("verify", "--spec", str(spec), "--seed", "2", "--out", str(out)) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / "f42-z2-seed2.json").read_bytes()
+
+
 def test_non_unitary_irrep_verifies_without_stderr(tmp_path, capsys):
     # rho1 conjugated by diag(2, 1): nothing downstream assumes unitary
     # matrices, and validation used to print a warning for it on exit 0
@@ -896,15 +931,11 @@ def test_malformed_builtin_name_is_structural(name, tmp_path, capsys):
         ["monodromy", "--z1", "3,0", "--z2", "2,0", "--grades", "1_1|1|1"],
         ["monodromy", "--z1", "3,0", "--z2", "2,0", "--grades", " 1 |1|1"],
         ["verify", "--seed", "-3"],
-        ["verify", "--tolerance", "-1"],
-        ["verify", "--tolerance", "nan"],
-        ["verify", "--tolerance", "inf"],
     ],
     ids=[
         "z1-unparseable", "grades-unparseable", "z2-nan", "path-unparseable", "path-infinite",
         "grades-wrong-rank", "grades-other-digits", "grades-underscore", "grades-spaces",
-        "seed-negative", "tolerance-negative", "tolerance-nan",
-        "tolerance-infinite",
+        "seed-negative",
     ],
 )
 def test_bad_cli_argument_is_parse_error(argv, capsys):
@@ -915,12 +946,16 @@ def test_bad_cli_argument_is_parse_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["smatrix"], ["fusion"], ["monodromy", "--z1=3,0", "--z2=2,0", "--grades=1|1|1"]],
-    ids=["smatrix", "fusion", "monodromy"],
+    [
+        ["verify"], ["smatrix"], ["fusion"],
+        ["monodromy", "--z1=3,0", "--z2=2,0", "--grades=1|1|1"],
+    ],
+    ids=["verify", "smatrix", "fusion", "monodromy"],
 )
-def test_tolerance_is_a_verify_option(argv, capsys):
+def test_no_subcommand_takes_tolerance(argv, capsys):
+    # every coherence check is exact, so verify has no tolerance to take either
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv, "--spec", "q8-z2", "--tolerance", "1e-9")
+        run_cli(*argv, "--spec", "q8-z2", "--tolerance", "0")
     assert exc.value.code == cli.EXIT_PARSE
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
@@ -996,16 +1031,15 @@ def test_cyclic_sweep_verifies_with_exact_s_exponents(tmp_path, capsys):
 
 def test_exact_checks_pass_every_tolerance(tmp_path, capsys):
     # double-braiding used to read a float deviation of 1e-16 to 1e-15 on 64
-    # of these 84 catalogs, and fail every tolerance below it
+    # of these 84 catalogs, and fail every tolerance below it; every
+    # deviation is exactly 0
     path = tmp_path / "spec.json"
     for n in (3, 4, 5, 6, 7, 8, 9, 12):
         for s in range(n * math.gcd(n, 2)):
             path.write_text(json.dumps(_cyclic_spec(n, s)), encoding="utf-8")
-            assert run_cli("verify", "--spec", str(path), "--tolerance", "0") == cli.EXIT_OK, (n, s)
+            assert run_cli("verify", "--spec", str(path)) == cli.EXIT_OK, (n, s)
             out = capsys.readouterr().out
             assert "FAIL" not in out and "max deviation 0.00e+00" in out, (n, s)
-    path.write_text(json.dumps(_cyclic_spec(3, 1)), encoding="utf-8")
-    assert run_cli("verify", "--spec", str(path), "--tolerance", "1e-17") == cli.EXIT_OK
 
 
 def _table_spec(n, f_num, omega_num, denom, name):

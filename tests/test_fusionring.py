@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
+from twistcat import fusionring
 from twistcat.catalogs import builtin_catalog, cyclic_group
 from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import ConsistencyError, StructuralError
@@ -113,10 +114,10 @@ def test_dimension_rule_failure_detected():
 
 
 def test_su2_tensor_examples():
-    assert su2_tensor(1, 1) == (0, 2)
-    assert su2_tensor(0, 7) == (7,)
-    assert su2_tensor(2, 3) == (1, 3, 5)
-    assert sum(k + 1 for k in su2_tensor(2, 3)) == 12
+    assert fusionring.su2_tensor(1, 1) == (0, 2)
+    assert fusionring.su2_tensor(0, 7) == (7,)
+    assert fusionring.su2_tensor(2, 3) == (1, 3, 5)
+    assert sum(k + 1 for k in fusionring.su2_tensor(2, 3)) == 12
 
 
 @given(spins, spins)
@@ -251,8 +252,8 @@ def test_dim_exponents_vanish_on_every_cyclic_class(n):
 def test_dim_exponents_read_a_shifted_f():
     # lattice: -(Omega(1,1) + Omega(1,1) + F(1,1,1)) = -(3 + 3 + 2) = 0 mod 4;
     # with F(1,1,1) = 3/4 it is -9 = 3 mod 4
-    assert dim_exponents(build_cyclic(2, 3)).tolist() == [0, 0]
-    assert dim_exponents(_lattice_with_shifted_f()).tolist() == [0, 3]
+    assert fusionring.dim_exponents(build_cyclic(2, 3)).tolist() == [0, 0]
+    assert fusionring.dim_exponents(_lattice_with_shifted_f()).tolist() == [0, 3]
 
 
 def test_to_dict_matches_the_cell_by_cell_reference(categories):

@@ -18,7 +18,9 @@ from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
 
 import mutants
+import test_branchcut
 import test_cocycle
+import test_fusionring
 import test_grouprep
 import test_specio
 
@@ -149,6 +151,16 @@ TEST_ROWS = [
         for part in text.split("|"):
             parse_element(part, group, f"spec field {where!r}")""",
      test_specio.test_a_bad_part_is_named_before_a_bad_exponent_of_its_entry),
+    # the exact branch integer and crossing sign behind p(z1, z2) and winding
+    ("branchcut", "_branch", "return 1 * up - 1 * down", "return 0",
+     test_branchcut.test_p_int_examples),
+    ("branchcut", "_cross_sign", "return (cross > 0) - (cross < 0)",
+     "return (cross < 0) - (cross > 0)", test_branchcut.test_winding_examples),
+    # the categorical dimension without F(a, -a, a), and Clebsch-Gordan without its top spin
+    ("fusionring", "dim_exponents", "-(w[a, a] + w[a, neg] + f[a, neg, a])",
+     "-(w[a, a] + w[a, neg])", test_fusionring.test_dim_exponents_read_a_shifted_f),
+    ("fusionring", "su2_tensor", "range(abs(m - n), m + n + 1, 2)", "range(abs(m - n), m + n, 2)",
+     test_fusionring.test_su2_tensor_examples),
 ]
 
 
