@@ -108,8 +108,7 @@ def _smatrix_table(labels: list[str], num: np.ndarray, mag: np.ndarray, denom: i
 
 
 def _catalog_smatrix_table(cat: TwistedCategory) -> dict:
-    grades, dims = [a for a, _ in cat.words], [d for _, d in cat.words]
-    num, mag = fusionring.s_table(cat.cocycle, grades, dims)
+    num, mag = fusionring.s_table(cat.cocycle, cat.grades, cat.dims)
     return _smatrix_table([m.label for m in cat.catalog], num, mag, cat.cocycle.denom)
 
 
@@ -197,8 +196,7 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int) -> None:
         report.add(f"coherence:{check.axiom}", check.passed, detail)
 
     # a grade-a member of dimension d has categorical dimension d e^{2 pi i x_a / denom}
-    x, denom = fusionring.dim_exponents(cat.cocycle), cat.cocycle.denom
-    grades = np.array([a for a, _ in cat.words], dtype=np.intp)
+    x, denom, grades = fusionring.dim_exponents(cat.cocycle), cat.cocycle.denom, cat.grades
     # an incomplete catalog has no order identity and no fusion table to check
     if cat.complete:
         # sum (dim M)(dim M*) is sum d^2 e^{2 pi i (x_a + x_-a) / denom}, and

@@ -242,21 +242,23 @@ def test_verify_reads_categorical_dimensions_from_dim_exponents(monkeypatch, cap
     assert "FAIL  categorical-dimensions" in out and "1 FAILED" in out
 
 
-def test_verify_cross_checks_sampled_multiplicities_against_projector_ranks(
-    monkeypatch, capsys
-):
-    # the paper's hypothesis: each sampled N^c_ab is the rank (the trace)
-    # of its triple's averaging projector; a character-sum table one too
-    # high at every nonzero cell is an internal inconsistency
-    real = modcat.TwistedCategory.hom_dims.func
-    monkeypatch.setattr(
-        modcat.TwistedCategory, "hom_dims", property(lambda self: real(self) + (real(self) > 0))
+def test_verify_cross_checks_multiplicities_against_projector_ranks(monkeypatch, capsys):
+    # the paper's hypothesis: each N^c_ab is the rank (the trace) of its
+    # triple's averaging projector; a character-sum table one too high at
+    # every nonzero cell is an internal inconsistency under verify and fusion.
+    # The table is patched where hom_dims reads it, which a mutant copy of
+    # the property reads as well
+    names = modcat.TwistedCategory.hom_dims.func.__globals__
+    real = names["hom_dim_table"]
+    monkeypatch.setitem(
+        names, "hom_dim_table", lambda group, chars: (t := real(group, chars)) + (t > 0)
     )
-    assert run_cli("verify", "--spec", "q8-z2") == 3
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "internal inconsistency: projector rank 1 does not match character dimension 2\n"
-    )
+    for command in ("verify", "fusion"):
+        assert run_cli(command, "--spec", "q8-z2") == cli.EXIT_INCONSISTENT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "internal inconsistency: projector rank 1 does not match character dimension 2\n"
+        )
 
 
 def test_finite_smatrix_integral(tmp_path):

@@ -76,6 +76,37 @@ def test_fusion_matches_projector_ranks(s3_cat, q8_cat):
                     assert len(basis) == int(table.coefficients[a, b, c])
 
 
+def _valid_categories():
+    """Every valid catalog, each category built afresh so that its
+    ``hom_dims`` runs: builtin ``z1``-``z12``, ``z64``, ``s3``, ``d4`` and
+    ``q8`` at the identity grading, the finite fixtures, and the golden
+    specs (F42 brings a 6-dim irrep)."""
+    for name in [*(f"z{n}" for n in range(1, 13)), "z64", "s3", "d4", "q8"]:
+        group, reps = builtin_catalog(name)
+        cocycle = build_cyclic(2, 3)
+        yield name, TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (0,)), reps)
+    for name in FINITE_FIXTURES:
+        yield name, load_spec(name).build_category()
+    for path in GOLDEN_SPECS:
+        yield path.stem, load_spec(path).build_category()
+
+
+def test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle():
+    for name, cat in _valid_categories():
+        try:
+            table = cat.hom_dims
+        except ConsistencyError as exc:
+            pytest.fail(f"{name}: {exc}")
+        chars, k = [m.character for m in cat.catalog], len(cat.catalog)
+        firsts = range(k) if k < 64 else [0, 1, k - 1]  # all 64^3 oracle calls take 4 s
+        want = [
+            [[oracles.hom_dim(cat.group, chars[a], chars[b], chars[c]) for c in range(k)]
+             for b in range(k)]
+            for a in firsts
+        ]
+        assert np.array_equal(table[list(firsts)], want), name
+
+
 def test_fusion_associativity(categories):
     for cat in categories.values():
         table = fusion_table(cat)

@@ -5,9 +5,13 @@ passes it, and raise no error on the way.  The suite's pentagon and
 hexagons come from the cocycle report, so these rows show that the verdicts
 it computes itself still catch faults over a cocycle that passes
 validation; a verdict without a row is listed in ``NO_ROW`` with its
-reason.  In the second, each row is one function of a library module
-replaced by its copy from a mutant module, which must make a named test,
-passing without it, fail its assertion."""
+reason.  In the second, each row is one function or class attribute of a
+library module replaced by its copy from a mutant module, which must make
+a named test, passing without it, fail its assertion."""
+
+import inspect
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from twistcat.specio import load_spec
 
 import mutants
 import test_branchcut
+import test_cli
 import test_cocycle
 import test_fusionring
 import test_grouprep
@@ -121,7 +126,8 @@ def test_mutant_fails_its_verdict(fault, verdict, name, monkeypatch, categories)
     assert not checks[verdict].passed and checks[verdict].witness is not None
 
 
-# (module, the function taken from its mutant, old, new, the test it must fail)
+# (module, the function or class attribute taken from its mutant, old, new,
+# the test it must fail)
 TEST_ROWS = [
     # the L1 certificates: the pentagon slabs and hexagon rows read at every generator
     ("cocycle", "_generator_rows",
@@ -161,14 +167,25 @@ TEST_ROWS = [
      "-(w[a, a] + w[a, neg])", test_fusionring.test_dim_exponents_read_a_shifted_f),
     ("fusionring", "su2_tensor", "range(abs(m - n), m + n + 1, 2)", "range(abs(m - n), m + n, 2)",
      test_fusionring.test_su2_tensor_examples),
+    # the projector traces without the inverse, which Z/3 and Z/4's
+    # non-real characters show; and the multiplicity cross-check disabled
+    ("modcat", "_projector_ranks", "traces[:, group.inverse]", "traces",
+     test_fusionring.test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle),
+    ("modcat", "TwistedCategory.hom_dims", "bad = ~(np.abs(ranks - table) <= INTEGER_TOL)",
+     "bad = np.zeros(table.shape, dtype=bool)",
+     test_cli.test_verify_cross_checks_multiplicities_against_projector_ranks),
 ]
 
 
 @pytest.mark.parametrize(
     "module, name, old, new, test", TEST_ROWS, ids=[row[1].lstrip("_") for row in TEST_ROWS]
 )
-def test_mutant_fails_its_test(module, name, old, new, test, monkeypatch):
+def test_mutant_fails_its_test(module, name, old, new, test, monkeypatch, capsys):
+    # a test that takes fixtures gets this test's own
+    fixtures = {"monkeypatch": monkeypatch, "capsys": capsys}
+    test = partial(test, **{p: fixtures[p] for p in inspect.signature(test).parameters})
     test()
-    monkeypatch.setattr(f"twistcat.{module}.{name}", getattr(mutants.load(module, old, new), name))
+    mutant = attrgetter(name)(mutants.load(module, old, new))
+    monkeypatch.setattr(f"twistcat.{module}.{name}", mutant)
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         test()
