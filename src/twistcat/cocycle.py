@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .abgroup import FinAbGroup, GroupElt
+from .abgroup import FinAbGroup
 from .errors import CocycleError, StructuralError
 
 MAX_TABLE_ORDER = 256  # every table, residue array and pentagon slab is O(|A|^3)

@@ -14,30 +14,29 @@ grade index, times a 0/1 integer layout fixed by the dims:
     coevaluation vec(I)                           (into M (x) M*)
     twist        Omega(a, a)^{-1}
 
-The public maps return the scalar's ``UnitScalar.to_complex()`` times the
-layout.  Each layout (identity, flip, ``vec(I)``) has one integer builder,
+The public maps return the scalar's ``unitscalar.root_of_unity`` value
+times the layout.  Each layout (identity, flip, ``vec(I)``) has one integer builder,
 cached as read-only float64 per category, which the coherence suite reads
 too.
 
 A category records its catalog once, at construction: each member's grade
-index and dim, as the arrays ``grades`` and ``dims``, and the distinct
-grades and ``(grade index, dim)`` words in order of first appearance with
-the labels of their first members.  Every coherence identity depends on a
-catalog tuple only through those keys, so the suite evaluates each identity
-once per tuple of distinct keys and one driver, ``_verdict``, reads the
-array of results back as a verdict over catalog tuples: ``checked`` counts
-catalog tuples and the witness is the first failing tuple in ``product``
-order.  Each identity splits into two exact parts: the unit scalars on both
-sides, a residue of cocycle exponents mod the denominator at the catalog's
-grades, and the layouts, an identity between integer matrices.  Pentagon,
-triangle, both hexagons, balancing and twist-duality have no layout part;
-pentagon, triangle and hexagons are the cocycle axioms there, and the
-triangle is read from the normalization slice.  A category exists only over
-a cocycle whose report passes, and axioms proved on all of ``A`` hold at
-the grades, so its pentagon and hexagons pass without reading a residue.
+index and dim, as the arrays ``grades`` and ``dims``.  The suite gathers
+each identity's residues at those grades, with an axis per slot indexing
+catalog members, and one driver, ``_verdict``, reads the array as a verdict
+over catalog tuples: ``checked`` counts catalog tuples and the witness is
+the first failing tuple in ``product`` order.  Each identity splits into
+two exact parts: the unit scalars on both sides, a residue of cocycle
+exponents mod the denominator at the catalog's grades, and the layouts,
+an identity between integer matrices.  Pentagon, triangle, both hexagons,
+balancing and twist-duality have no layout part; pentagon, triangle and
+hexagons are the cocycle axioms there, and the triangle is read from the
+normalization slice.  A category exists only over a cocycle whose report
+passes, and axioms proved on all of ``A`` hold at the grades, so its
+pentagon and hexagons pass without reading a residue.
 The snakes, the double braiding (whose categorical trace is an S entry) and
 naturality against maps of sampled triples each have a layout part,
-evaluated once per word dim, pair of word dims, or ``(d3, d1 d2, dy)``.
+evaluated once per distinct dim, pair of distinct dims, or ``(d3, d1 d2,
+dy)``, and read back per member.
 Naturality samples catalog triples ``(M1, M2, M3)`` with ``a1 + a2 = a3``,
 so both sides of each identity carry one unit scalar and every map
 ``M1 (x) M2 -> M3`` is natural: its layouts are checked on one seeded
@@ -57,7 +56,7 @@ the trace of its averaging projector before anything reads it.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -74,7 +73,7 @@ from .grouprep import (
     hom_dim_table,
     validate_irrep,
 )
-from .unitscalar import UnitScalar
+from .unitscalar import UnitScalar, root_of_unity
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,8 +126,10 @@ class TwistedCategory:
     ``report``, computed once per cocycle), centrality of the grading
     embedding, that every catalog member lives on ``group`` and has finite
     matrices, irreducibility and the homomorphism property of every member
-    (one ``validate_irrep`` call over the catalog), the grades (one
-    ``grade_of`` call), and (for complete catalogs) the sum-of-squares
+    (one ``validate_irrep`` call over the catalog), that no two members are
+    equivalent (their characters' Gram matrix, whose first off-diagonal
+    cell in C order past ``INTEGER_TOL`` names both members), the grades
+    (one ``grade_of`` call), and (for complete catalogs) the sum-of-squares
     identity ``sum dim^2 = |G|``.  The checks run in that order, each over
     the whole catalog (the group and finiteness checks in one pass), and a
     failing check names its first failing member in catalog order.
@@ -166,22 +167,24 @@ class TwistedCategory:
                 raise RepresentationError(f"irrep {label!r} has non-finite matrix entries")
         reps = list(irreps.values())
         characters = validate_irrep(reps)
+        # inequivalent irreps have orthogonal characters; equivalent ones, inner product 1
+        chars = np.array(characters).reshape(len(reps), group.num_classes)
+        gram = (chars * group.class_sizes) @ chars.conj().T / group.order
+        same = np.abs(gram) > INTEGER_TOL
+        np.fill_diagonal(same, False)
+        if same.any():
+            a, b = np.unravel_index(np.argmax(same), same.shape)
+            labels = list(irreps)
+            raise RepresentationError(f"irreps {labels[a]!r} and {labels[b]!r} are equivalent")
         grades = grade_of(reps, embedding)
         self.catalog: tuple[GradedIrrep, ...] = tuple(
             map(GradedIrrep, irreps, reps, grades, characters)
         )
-        # each member's grade index and dim, read-only; the distinct grades
-        # and (grade index, dim) words in order of first appearance, each
-        # with its first member's label
+        # each member's grade index and dim, read-only
         self.grades = np.array([self.grading.index(g) for g in grades], dtype=np.intp)
         self.dims = np.array([m.dim for m in self.catalog], dtype=np.int64)
         for vector in (self.grades, self.dims):
             vector.setflags(write=False)
-        self._grade_labels: dict[int, str] = {}
-        self._word_labels: dict[tuple[int, int], str] = {}
-        for m, word in zip(self.catalog, zip(self.grades.tolist(), self.dims.tolist())):
-            self._grade_labels.setdefault(word[0], m.label)
-            self._word_labels.setdefault(word, m.label)
         self.complete = complete
         if complete:
             total = sum(m.dim**2 for m in self.catalog)
@@ -216,10 +219,6 @@ class TwistedCategory:
 
     # -- scalars and layouts by grade index and dims ------------------------------
 
-    def _scalar(self, num) -> UnitScalar:
-        """``e^{2 pi i num / denom}`` for an integer exponent numerator."""
-        return UnitScalar.from_exponent(int(num), self.cocycle.denom)
-
     def _ev_exponent(self, a):
         """``F(a, -a, a)``, whose inverse scales the evaluation, at a grade
         index or an array of them."""
@@ -248,22 +247,24 @@ class TwistedCategory:
     def associator(self, m1, m2, m3) -> np.ndarray:
         """``F(a1,a2,a3)^{-1}`` times the identity on the flattened triple space."""
         (a1, d1), (a2, d2), (a3, d3) = self._word(m1), self._word(m2), self._word(m3)
-        return self._scalar(-self.cocycle.f_num[a1, a2, a3]).to_complex() * self._eye(d1 * d2 * d3)
+        f = int(self.cocycle.f_num[a1, a2, a3])
+        return root_of_unity(-f, self.cocycle.denom) * self._eye(d1 * d2 * d3)
 
     def braiding(self, m1, m2) -> np.ndarray:
         """``Omega(a1,a2)^{-1}`` times the flip onto the reversed word."""
         (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
-        return self._scalar(-self.cocycle.omega_num[a1, a2]).to_complex() * self._flip(d1, d2)
+        w = int(self.cocycle.omega_num[a1, a2])
+        return root_of_unity(-w, self.cocycle.denom) * self._flip(d1, d2)
 
     def twist(self, m) -> UnitScalar:
         """The ribbon scalar ``Omega(a, a)^{-1}`` on a grade-a object."""
         a = self._word(m)[0]
-        return self._scalar(-self.cocycle.omega_num[a, a])
+        return UnitScalar.from_exponent(-int(self.cocycle.omega_num[a, a]), self.cocycle.denom)
 
     def evaluation(self, m) -> np.ndarray:
         """Row vector on M* (x) M: ``(f', v) -> F(a,-a,a)^{-1} f'(v)``."""
         a, d = self._word(m)
-        return self._scalar(-self._ev_exponent(a)).to_complex() * self._pairing(d)
+        return root_of_unity(-int(self._ev_exponent(a)), self.cocycle.denom) * self._pairing(d)
 
     def coevaluation(self, m) -> np.ndarray:
         """Column vector into M (x) M*: ``1 -> sum_i e_i (x) e_i'``, as a real
@@ -295,9 +296,9 @@ class TwistedCategory:
     # -- coherence suite -----------------------------------------------------------
 
     def coherence_suite(self, *, seed: int = 0) -> CoherenceReport:
-        """The coherence checks over all catalog tuples, each evaluated once
-        per tuple of distinct catalog grades or words, or per dimension
-        signature, and reported by ``_verdict``.
+        """The coherence checks over all catalog tuples, each a residue
+        gathered at the members' grades and a layout error per member,
+        reported by ``_verdict``.
 
         Every structure map is a unit scalar times a 0/1 layout, so each
         identity splits into exact parts: a residue of cocycle exponents mod
@@ -308,82 +309,75 @@ class TwistedCategory:
         construction required to pass, without reading a residue.  The snake
         on ``M*`` has the residue ``F(a,-a,a) + F(-a,a,-a)`` (on ``M`` the
         scalars cancel), the double braiding ``Omega(a,b) + Omega(b,a) -
-        b(a,b)``, and naturality none.  Their layouts are checked once per
-        word dim, pair of word dims, and sampled triples' ``(d3, d1 d2)``
-        with word dim.  A residue fails where nonzero, reporting
-        ``|e^{2 pi i r} - 1|``, and a layout where its integer error is
-        nonzero, reporting the largest error.  ``checked`` counts catalog
-        tuples."""
-        c, neg = self.cocycle, self.grading.neg_index_table
-        g = np.array(list(self._grade_labels), dtype=np.intp)
-        grade_labels = list(self._grade_labels.values())
-        words, word_labels = list(self._word_labels), list(self._word_labels.values())
-        ix2 = np.ix_(g, g)
+        b(a,b)``, and naturality none.  Their layouts are built once per
+        distinct dim, pair of distinct dims, and sampled triples' ``(d3, d1
+        d2)`` with a distinct dim, and read back per member.  A residue fails
+        where nonzero, reporting ``|e^{2 pi i r} - 1|``, and a layout where
+        its integer error is nonzero, reporting the largest error.
+        ``checked`` counts catalog tuples."""
+        c, neg, a = self.cocycle, self.grading.neg_index_table, self.grades
+        ix2 = np.ix_(a, a)
         # theta_{ab} == R_{b,a} R_{a,b} (theta_a (x) theta_b), theta_a = Omega(a,a)^-1
         q, ab = c.omega_num.diagonal(), self.grading.add_index_table[ix2]
-        balancing = (c.b_num[ix2] + q[g][:, None] + q[g] - q[ab]) % c.denom
+        balancing = (c.b_num[ix2] + q[a][:, None] + q[a] - q[ab]) % c.denom
         # theta_{M*} == theta_M at each grade; the unit's cell is q(0), theta_1 == 1
-        twist_dual = [(q[g] - q[neg[g]]) % c.denom, q[:1]]
-        # the distinct words' grade indices, and each one's dim among the distinct dims
-        a = np.array([w for w, _ in words], dtype=np.intp)
-        dims = list(dict.fromkeys(d for _, d in words))
-        at = np.array([dims.index(d) for _, d in words], dtype=np.intp)
+        twist_dual = [(q[a] - q[neg[a]]) % c.denom, q[:1]]
+        # each member's dim among the distinct dims
+        dims, at = np.unique(self.dims, return_inverse=True)
+        dims = dims.tolist()
         # snake on M*: F(a,-a,a)^-1 from e_M, F(-a,a,-a)^-1 from A_{M*,M,M*}
         snake = (self._ev_exponent(a) + self._ev_exponent(neg[a])) % c.denom
         snake_layout = np.array([self._snake_layout(d) for d in dims], dtype=np.int64)
         # R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose categorical trace is an S entry
-        w = c.omega_num[np.ix_(a, a)]
-        double = (w + w.T - c.b_num[np.ix_(a, a)]) % c.denom
+        w = c.omega_num[ix2]
+        double = (w + w.T - c.b_num[ix2]) % c.denom
         double_layout = np.array(
             [self._double_layout(d1, d2) for d1, d2 in product(dims, repeat=2)], dtype=np.int64
         ).reshape(len(dims), len(dims))
-        exact = partial(self._verdict, labels=grade_labels)
-        by_word = partial(self._verdict, labels=word_labels)
         rows, naturality = self._naturality_layouts(seed)
         checks = [
             # residues that vanish on all of A vanish at the catalog's grades
-            exact("pentagon(matrices)", 4, []),
-            exact("triangle", 2, [c.f_num[:, 0, :][ix2]]),
-            exact("hexagon-1(matrices)", 3, []),
-            exact("hexagon-2(matrices)", 3, []),
-            by_word("snake", 1, [snake], layout=snake_layout[at]),
-            exact("balancing", 2, [balancing]),
-            self._verdict("twist-dual", 1, twist_dual, [*grade_labels, self.unit.label]),
-            by_word("double-braiding", 2, [double], layout=double_layout[np.ix_(at, at)]),
-            by_word("naturality(spot-checks)", 2, [], layout=naturality, rows=rows),
+            self._verdict("pentagon(matrices)", 4, []),
+            self._verdict("triangle", 2, [c.f_num[:, 0, :][ix2]]),
+            self._verdict("hexagon-1(matrices)", 3, []),
+            self._verdict("hexagon-2(matrices)", 3, []),
+            self._verdict("snake", 1, [snake], layout=snake_layout[at]),
+            self._verdict("balancing", 2, [balancing]),
+            self._verdict("twist-dual", 1, twist_dual),
+            self._verdict("double-braiding", 2, [double], layout=double_layout[np.ix_(at, at)]),
+            self._verdict("naturality(spot-checks)", 2, [], layout=naturality, rows=rows),
         ]
         return CoherenceReport(tuple(checks))
 
     def _verdict(
-        self, axiom: str, arity: int, residues, labels: list[str], *,
+        self, axiom: str, arity: int, residues, *,
         layout: np.ndarray | None = None, rows: list[tuple] | None = None,
     ) -> AxiomCheck:
         """An identity over the catalog tuples of ``arity`` from its values
-        over tuples of distinct keys (grades or words).
+        at every cell.
 
         ``residues`` stacked along their first axis make one array of
         exponent residues mod the cocycle denominator, with an axis per
         slot; ``layout``, when given, is an array of integer layout errors
-        over the same cells.  Along each axis the keys come in order of
-        first appearance and ``labels`` names the first catalog member of
-        each, except that the first axis runs over ``rows``, label tuples of
-        sampled catalog tuples, when they are given.  So the first failing
-        cell in C order names the first failing catalog tuple in ``product``
-        order.  A cell fails where its residue or its layout error is
-        nonzero; the error reported is the largest layout error or
-        ``|e(r) - 1|`` of a nonzero residue ``r``.  ``checked`` counts
-        catalog tuples."""
+        over the same cells.  Each axis indexes catalog members, and
+        twist-dual's cell past the members is the unit; the first axis runs
+        over ``rows``, label tuples of sampled catalog tuples, when they are
+        given.  So the first failing cell in C order is the first failing
+        catalog tuple in ``product`` order.  A cell fails where its residue
+        or its layout error is nonzero; the error reported is the largest
+        layout error or ``|e(r) - 1|`` of a nonzero residue ``r``.
+        ``checked`` counts catalog tuples."""
         bad, worst = np.zeros((), dtype=bool), 0.0
         if layout is not None:
             bad, worst = layout != 0, float(layout.max(initial=0))
         if residues:
             r = np.concatenate(residues)
             bad = bad | (r != 0)
-            denom = self.cocycle.denom
             for d in np.unique(r[r != 0]).tolist():
-                worst = max(worst, abs(UnitScalar.from_exponent(d, denom).to_complex() - 1))
+                worst = max(worst, abs(root_of_unity(d, self.cocycle.denom) - 1))
         witness = None
         if bad.any():
+            labels = [*(m.label for m in self.catalog), self.unit.label]
             i, *rest = np.unravel_index(np.argmax(bad), bad.shape)
             head = (labels[i],) if rows is None else rows[i]
             witness = (*head, *(labels[j] for j in rest))
@@ -409,7 +403,7 @@ class TwistedCategory:
     def _naturality_layouts(self, seed: int) -> tuple[list, np.ndarray]:
         """Structure morphisms against a map ``f`` of up to 8 seeded catalog
         triples ``(m1, m2, m3)``: the triples' labels, and per triple the
-        layout error at each distinct word as the object ``Y``.
+        layout error at each catalog member as the object ``Y``.
 
         Since ``a3 = a1 + a2``, both sides of each identity carry the same unit
         scalar and any ``d3 x d1 d2`` map is natural, so after the triples
@@ -426,7 +420,7 @@ class TwistedCategory:
         members = [[self.catalog[x] for x in t] for t in chosen]
         shapes = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
         maps = {s: rng.permutation(s[0] * s[1]).reshape(s) + 1.0 for s in dict.fromkeys(shapes)}
-        dims = [d for _, d in self._word_labels]
+        dims = self.dims.tolist()
         errs = {}
         for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):
             eye_y, f_yy = self._eye(dy), _kron(f, self._eye(dy * dy))

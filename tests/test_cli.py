@@ -261,6 +261,37 @@ def test_verify_cross_checks_multiplicities_against_projector_ranks(monkeypatch,
         )
 
 
+def test_equivalent_irreps_are_refused_under_every_command(tmp_path, capsys):
+    # S3 with a one-dimensional irrep listed twice, Sum d^2 = 6: with the
+    # trivial rep twice, verify and fusion exited 3 from the fusion table's
+    # unit row and smatrix passed; with the sign rep twice, verify and fusion
+    # found no unit.  Element 3 is the 3-cycle (1, 2, 0), element 2 the
+    # transposition (1, 0, 2)
+    standard = [[["e(1/3)", "0"], ["0", "e(2/3)"]], [["0", "1"], ["1", "0"]]]
+    for label, on_transposition in [("trivial", "1"), ("sign", "-1")]:
+        one, twin = [[["1"]], [[on_transposition]]], label + "'"
+        spec = {
+            "schema_version": 1, "name": "s3-twice", "mode": "finite-group",
+            "grading_group": [1], "cocycle": {"builder": "trivial"},
+            "group": {"permutation_generators": [[1, 2, 0], [1, 0, 2]]},
+            "irreps": {"generators": [3, 2], "list": [
+                {"label": label, "matrices": one}, {"label": twin, "matrices": one},
+                {"label": "standard", "matrices": standard},
+            ]},
+            "central_embedding": [0], "complete": True,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        message = f"irreps {label!r} and {twin!r} are equivalent"
+        for command in ("verify", "fusion", "smatrix"):
+            assert run_cli(command, "--spec", str(path)) == cli.EXIT_VALIDATION, command
+            out, err = capsys.readouterr()
+            if command == "verify":
+                assert f"  FAIL  irreps-valid: {message}\n" in out
+            else:
+                assert err == f"validation failure: {message}\n"
+
+
 def test_finite_smatrix_integral(tmp_path):
     out = tmp_path / "s.json"
     assert run_cli("smatrix", "--spec", "q8-z2", "--out", str(out)) == 0

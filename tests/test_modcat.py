@@ -389,10 +389,13 @@ def test_suite_pentagon_is_read_at_the_catalog_grades():
     assert checks["pentagon(matrices)"].passed
 
 
-@pytest.mark.parametrize("name", ["z4", "q8"])
-def test_signature_collapse_matches_per_tuple_sweep(name):
+@pytest.mark.parametrize(
+    "name, image", [("z4", 2), ("q8", 2), ("z16", 8)], ids=["z4", "q8", "z16"]
+)
+def test_signature_collapse_matches_per_tuple_sweep(name, image):
     # z4 and q8 graded by Z/2 at their central element 2: two (grade, dim)
-    # signatures each, all one-dimensional in z4, dims 1 and 2 in q8.
+    # signatures each, all one-dimensional in z4, dims 1 and 2 in q8; z16
+    # graded by Z/2 at element 8 has eight members per grade.
     # Corrupt F(1,1,1) (hexagons), F(1,0,1) (pentagon, triangle) and
     # Omega(1,0) (balancing) so that witnesses come from repeated signatures.
     group, reps = builtin_catalog(name)
@@ -403,7 +406,7 @@ def test_signature_collapse_matches_per_tuple_sweep(name):
     omega_num = lattice.omega_num.copy()
     omega_num[1, 0] = 1
     broken = AbelianCocycle(lattice.group, f_num, omega_num, lattice.denom)
-    embedding = CentralEmbedding(broken.group, (2,))
+    embedding = CentralEmbedding(broken.group, (image,))
     _assert_category_refused(group, broken, embedding, reps)
     cat = oracles.unchecked_category(group, broken, embedding, reps)
     assert len({(m.grade, m.dim) for m in cat.catalog}) < len(cat.catalog)
@@ -779,20 +782,18 @@ def _coboundary_twisted_zn(n):
 def _assert_self_checks_match(cat, seed, failing=None):
     """The suite's snake, double-braiding and naturality verdicts equal the
     per-tuple loops', and so does every residue and layout error it
-    computed, read back per catalog tuple from its distinct words.  Returns
-    the sampled triples and the failing check's witness."""
+    computed per catalog tuple.  Returns the sampled triples and the failing
+    check's witness."""
     arrays, verdict = {}, cat._verdict
 
-    def spy(axiom, arity, residues, *args, layout=None, **kwargs):  # the suite's arrays
+    def spy(axiom, arity, residues, *, layout=None, **kwargs):  # the suite's arrays
         residues = list(residues)
         arrays[axiom] = residues, layout
-        return verdict(axiom, arity, residues, *args, layout=layout, **kwargs)
+        return verdict(axiom, arity, residues, layout=layout, **kwargs)
 
     cat._verdict = spy
     checks = {c.axiom: c for c in cat.coherence_suite(seed=seed).checks}
     ref, sampled = _per_tuple_self_checks(cat, seed)
-    distinct = list(cat._word_labels)
-    of = np.array([distinct.index(cat._word(m)) for m in cat.catalog], dtype=np.intp)
     for axiom, (checked, witness, max_err, residues, layouts) in ref.items():
         c = checks[axiom]
         assert (c.checked, c.witness, c.max_error) == (checked, witness, max_err), axiom
@@ -800,11 +801,11 @@ def _assert_self_checks_match(cat, seed, failing=None):
         got_residues, got_layouts = arrays[axiom]
         if axiom == "naturality(spot-checks)":  # rows are sampled triples; no residue
             assert got_residues == []
-            assert np.array_equal(got_layouts[:, of], layouts), axiom
+            assert np.array_equal(got_layouts, layouts), axiom
             continue
         (got,) = got_residues
-        assert np.array_equal(got[np.ix_(*[of] * got.ndim)], residues), axiom
-        assert np.array_equal(got_layouts[np.ix_(*[of] * got.ndim)], layouts), axiom
+        assert np.array_equal(got, residues), axiom
+        assert np.array_equal(got_layouts, layouts), axiom
     if failing is not None:
         assert not checks[failing].passed
         return sampled, checks[failing].witness

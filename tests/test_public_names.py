@@ -3,9 +3,9 @@ outside its own definition: code that only tests or scripts call is deleted,
 not kept in step.  A method is read only through an attribute access, and a
 module-level name only through a load or an import, so a local variable,
 parameter or assignment target of the same name is not a reader.  The
-package ``__init__`` re-exports names and reads none.  And no module reads a
+package ``__init__`` re-exports names and reads none.  No module reads a
 private name of a sibling module, except the entries listed with their
-reasons."""
+reasons.  And every name a module imports is read in that module."""
 
 import ast
 from pathlib import Path
@@ -94,3 +94,24 @@ def test_no_module_imports_a_private_name_of_a_sibling():
             ):
                 found.add((path.stem, node.value.id, node.attr))
     assert found == set(PRIVATE_IMPORTS)
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # no linter runs here, so an import left behind by an edit shows only in
+    # this check; the package __init__ imports to re-export
+    unread = []
+    for path in LIBRARY.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree, imported = ast.parse(path.read_text(encoding="utf-8")), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.stem}.{name}" for name in imported if name not in read]
+    assert unread == []
