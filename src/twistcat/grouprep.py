@@ -38,8 +38,9 @@ from .unitscalar import root_of_unity
 MATRIX_TOL = 1e-9
 INTEGER_TOL = 1e-6
 #: Largest finite group built, checked before any order-sized table exists.
-#: An abelian group of this order has as many irreps, and the fusion
-#: associativity check holds ``k^3`` float64 slabs for ``k`` irreps.
+#: It bounds ``validate_irrep``'s ``|G|^2 d^2`` homomorphism product, the
+#: ``(k^2, |G|)`` product of projector traces in ``modcat._projector_ranks``
+#: for ``k`` irreps, and ``FiniteGroup``'s ``n^3`` gathers.
 MAX_GROUP_ORDER = 64
 
 

@@ -4,9 +4,10 @@ from its definition rather than from the code under test;
 projector; and ``unchecked_category``, the one way for a test to put a
 category over tables that fail the cocycle axioms."""
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 
 import numpy as np
 
@@ -223,14 +224,62 @@ def omega(cocycle, a1, a2) -> Fraction:
     return Fraction(int(cocycle.omega_num[g.index(a1), g.index(a2)]), cocycle.denom)
 
 
-def first_nonassociative(coeff):
+def first_nonassociative(coeff, rows=None):
     """The first ``(a, b, c, d)`` in C order where ``sum_e N^e_ab N^d_ec`` and
-    ``sum_f N^d_af N^f_bc`` differ, from both sides as whole ``k^4`` int64
-    sums; ``None`` when the coefficients are associative."""
-    lhs = np.einsum("abe,ecd->abcd", coeff, coeff)
-    rhs = np.einsum("afd,bcf->abcd", coeff, coeff)
+    ``sum_f N^d_af N^f_bc`` differ, from both sides as whole int64 sums over
+    the ``a`` in ``rows`` (all ``k`` by default, a ``k^4`` table); ``None``
+    when the coefficients are associative there."""
+    rows = np.arange(len(coeff)) if rows is None else np.asarray(rows)
+    lhs = np.einsum("abe,ecd->abcd", coeff[rows], coeff)
+    rhs = np.einsum("afd,bcf->abcd", coeff[rows], coeff)
     bad = np.argwhere(lhs != rhs)
-    return tuple(map(int, bad[0])) if len(bad) else None
+    if not len(bad):
+        return None
+    a, b, c, d = map(int, bad[0])
+    return int(rows[a]), b, c, d
+
+
+def check_invariants(coefficients, dims, unit):
+    """The ring identities of fusion coefficients ``N[a, b, c] = N^c_ab``, in
+    order, each raising ``ConsistencyError`` at its first failing cell in C
+    order: symmetry in ``(a, b)``, the row of the trivial character at index
+    ``unit`` equal to the identity delta ``N^c_{1b} = [b = c]``, and the
+    dimension rule ``sum_c N^c_ab d_c = d_a d_b``."""
+    coeff = np.asarray(coefficients, dtype=np.int64)
+    d = np.asarray(dims, dtype=np.int64)
+    for bad, what in [
+        (coeff != coeff.transpose(1, 0, 2), "fusion coefficients are not symmetric"),
+        (coeff[unit] != np.eye(len(coeff), dtype=np.int64), "unit row is not the identity delta"),
+        (coeff @ d != np.outer(d, d), "dimension rule fails"),
+    ]:
+        if bad.any():
+            raise ConsistencyError(f"{what} at {tuple(map(int, np.argwhere(bad)[0]))}")
+
+
+def coboundary(c, phi, q):
+    """``c`` twisted by the coboundary of the 2-cochain ``g = phi / q``, any
+    ``g``, normalized or not: ``F(a1, a2, a3) + g(a2, a3) - g(a1 + a2, a3)
+    + g(a1, a2 + a3) - g(a1, a2)`` and ``Omega(a1, a2) + g(a1, a2) -
+    g(a2, a1)``, as ``(f_num, omega_num, denom)`` over the lcm of ``c.denom``
+    and ``q``, read element by element.  ``phi`` is indexed by the
+    enumeration of ``c.group``."""
+    group, big = c.group, math.lcm(c.denom, q)
+    elements = list(group.elements())
+    at = {x: i for i, x in enumerate(elements)}
+    g = {(x, y): int(phi[at[x], at[y]]) * (big // q) for x in elements for y in elements}
+    n, scale = len(elements), big // c.denom
+    f_num = np.zeros((n, n, n), dtype=np.int64)
+    omega_num = np.zeros((n, n), dtype=np.int64)
+    for x, y, z in product(elements, repeat=3):
+        f_num[at[x], at[y], at[z]] = (
+            int(c.f_num[at[x], at[y], at[z]]) * scale + g[y, z]
+            - g[add(group, x, y), z] + g[x, add(group, y, z)] - g[x, y]
+        ) % big
+    for x, y in product(elements, repeat=2):
+        omega_num[at[x], at[y]] = (
+            int(c.omega_num[at[x], at[y]]) * scale + g[x, y] - g[y, x]
+        ) % big
+    return f_num, omega_num, big
 
 
 def dual_rep(m):

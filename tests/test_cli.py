@@ -1087,20 +1087,6 @@ def _table_spec(n, f_num, omega_num, denom, name):
     return spec
 
 
-def _add_coboundary(c, phi, q):
-    """Twist ``c`` by the normalized 2-cochain ``phi / q`` (zero on the row and
-    column of 0): F += phi(b,c) - phi(a+b,c) + phi(a,b+c) - phi(a,b) and
-    Omega += phi(a,b) - phi(b,a)."""
-    big = math.lcm(c.denom, q)
-    p = phi * (big // q)
-    a, s = np.arange(len(p)), c.group.add_index_table
-    f = (
-        c.f_num * (big // c.denom) + p[None, :, :] - p[s[:, :, None], a[None, None, :]]
-        + p[a[:, None, None], s[None, :, :]] - p[:, :, None]
-    )
-    return f % big, (c.omega_num * (big // c.denom) + p - p.T) % big, big
-
-
 @st.composite
 def _twisted_cyclic(draw):
     n = draw(st.integers(1, 6))
@@ -1123,13 +1109,39 @@ def test_coboundary_leaves_verdicts_and_tables_unchanged(tmp_path_factory, case)
     results = []
     for name, (f, w, denom) in [
         ("class", (base.f_num, base.omega_num, base.denom)),
-        ("twisted", _add_coboundary(base, phi, q)),
+        ("twisted", oracles.coboundary(base, phi, q)),
     ]:
         code, report, _ = _run_spec("verify", _table_spec(n, f, w, denom, name), tmp_path)
         statuses = [(v["check"], v["status"]) for v in report["verdicts"]]
         results.append((code, statuses, report["tables"]))
     assert results[0][0] == cli.EXIT_OK
     assert results[0] == results[1]
+
+
+def test_unnormalized_coboundary_fails_normalization_alone(tmp_path, capsys):
+    # a coboundary keeps the pentagon and both hexagons, whatever the cochain;
+    # g(0, 1) = 1/4 makes F(0, 0, 1) = g(0, 1) - g(0, 0) nonzero, the first
+    # cell in C order on an identity slice
+    base = cocycle.build_cyclic(4, 1)
+    phi = np.zeros((4, 4), dtype=np.int64)
+    phi[1:, 1:] = np.random.default_rng(0).integers(0, 4, size=(3, 3))
+    phi[0, 1] = 1
+    path = tmp_path / "spec.json"
+    spec = _table_spec(4, *oracles.coboundary(base, phi, 4), "z4-unnormalized")
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    witness = "((0,), (0,), (1,))"
+    for argv in (["fusion"], ["smatrix"], ["monodromy", "--z1=3,0", "--z2=2,0", "--grades=1|1|1"]):
+        assert run_cli(*argv, "--spec", str(path)) == cli.EXIT_VALIDATION, argv
+        assert capsys.readouterr().err == (
+            f"validation failure: cocycle tables violate the normalization axiom at {witness}\n"
+        ), argv
+    report = tmp_path / "report.json"
+    assert run_cli("verify", "--spec", str(path), "--out", str(report)) == cli.EXIT_VALIDATION
+    (verdict,) = json.loads(report.read_text())["verdicts"]
+    assert verdict["check"] == "cocycle-axioms" and verdict["status"] == "fail"
+    detail = verdict["detail"]
+    assert detail.startswith("FAIL  normalization: ") and f"first failing witness {witness}" in detail
+    assert "pentagon" not in detail and "hexagon" not in detail
 
 
 def test_twist_is_minus_q_and_coboundary_invariant():
@@ -1143,7 +1155,7 @@ def test_twist_is_minus_q_and_coboundary_invariant():
             base = cocycle.build_cyclic(n, s)
             phi = np.zeros((n, n), dtype=np.int64)
             phi[1:, 1:] = rng.integers(0, 12, size=(n - 1, n - 1))
-            twisted = AbelianCocycle(base.group, *_add_coboundary(base, phi, 12))
+            twisted = AbelianCocycle(base.group, *oracles.coboundary(base, phi, 12))
             for c in (base, twisted):
                 cat = modcat.TwistedCategory(group, c, CentralEmbedding(c.group, (1 % n,)), reps)
                 for m in cat.catalog:

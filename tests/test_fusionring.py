@@ -91,6 +91,17 @@ def _valid_categories():
         yield path.stem, load_spec(path).build_category()
 
 
+def _unit(cat):
+    """The catalog position of the trivial character."""
+    return next(i for i, m in enumerate(cat.catalog) if np.allclose(m.character, 1))
+
+
+def _first_rows(k):
+    """The ``a`` rows a whole-table oracle reads: all of them, or at 64 irreps
+    three, so that no ``64^4`` table is built."""
+    return range(k) if k < 64 else [0, 1, k - 1]
+
+
 def test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle():
     for name, cat in _valid_categories():
         try:
@@ -98,7 +109,7 @@ def test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle():
         except ConsistencyError as exc:
             pytest.fail(f"{name}: {exc}")
         chars, k = [m.character for m in cat.catalog], len(cat.catalog)
-        firsts = range(k) if k < 64 else [0, 1, k - 1]  # all 64^3 oracle calls take 4 s
+        firsts = _first_rows(k)  # all 64^3 oracle calls take 4 s
         want = [
             [[oracles.hom_dim(cat.group, chars[a], chars[b], chars[c]) for c in range(k)]
              for b in range(k)]
@@ -107,41 +118,44 @@ def test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle():
         assert np.array_equal(table[list(firsts)], want), name
 
 
-def test_fusion_associativity(categories):
-    for cat in categories.values():
+def test_fusion_associativity():
+    for name, cat in _valid_categories():
+        coeff = fusion_table(cat).coefficients
+        assert oracles.first_nonassociative(coeff, _first_rows(len(coeff))) is None, name
+
+
+def test_fusion_tables_satisfy_the_ring_identities():
+    for name, cat in _valid_categories():
         table = fusion_table(cat)
-        assert table.check_associativity() == len(table.labels) ** 4
+        try:
+            oracles.check_invariants(table.coefficients, table.dims, _unit(cat))
+        except ConsistencyError as exc:
+            pytest.fail(f"{name}: {exc}")
 
 
-@pytest.mark.parametrize("name", ["s3-trivial-grading", "q8-z2", "super-on-z4"])
-def test_fusion_associativity_failure_names_the_first_tuple(categories, name):
-    # one coefficient raised by 1 breaks associativity; the slabbed check must
-    # name the same first tuple as the whole-table einsum reference
-    table = fusion_table(categories[name])
-    k = len(table.labels)
-    assert oracles.first_nonassociative(table.coefficients) is None
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        coeff = table.coefficients.copy()
-        coeff[tuple(rng.integers(k, size=3))] += 1
-        want = oracles.first_nonassociative(coeff)
-        assert want is not None
-        labels = tuple(table.labels[i] for i in want)
-        with pytest.raises(ConsistencyError) as err:
-            FusionTable(table.labels, table.dims, coeff).check_associativity()
-        assert str(err.value) == f"fusion associativity fails at {labels}"
+def test_ring_oracles_catch_broken_tables(s3_cat):
+    coeff, dims, u = fusion_table(s3_cat).coefficients, s3_cat.dims, _unit(s3_cat)
+    oracles.check_invariants(coeff, dims, u)
+    assert oracles.first_nonassociative(coeff) is None
+    # one coefficient raised by 1 off the diagonal of (a, b) breaks symmetry,
+    # and on the unit's own cell the unit row; both break associativity
+    for cell, message in [((1, 2, 2), r"not symmetric at \(1, 2, 2\)"),
+                          ((u, u, u), rf"unit row is not the identity delta at \({u}, {u}\)")]:
+        raised = coeff.copy()
+        raised[cell] += 1
+        with pytest.raises(ConsistencyError, match=message):
+            oracles.check_invariants(raised, dims, u)
+        assert oracles.first_nonassociative(raised) is not None
 
 
 def test_dimension_rule_failure_detected():
-    labels = ("1", "x")
     dims = (1, 2)
     coeff = np.zeros((2, 2, 2), dtype=int)
     coeff[0] = np.eye(2, dtype=int)
     coeff[1, 0, 1] = 1
     coeff[1, 1, 0] = 1  # x (x) x = 1 only: dimension rule 1 != 4 must fail
-    table = FusionTable(labels, dims, coeff)
-    with pytest.raises(ConsistencyError, match="dimension rule"):
-        table.check_invariants("1")
+    with pytest.raises(ConsistencyError, match=r"dimension rule fails at \(1, 1\)"):
+        oracles.check_invariants(coeff, dims, 0)
 
 
 def test_su2_tensor_examples():

@@ -9,7 +9,10 @@ reason.  In the second, each row is one function or class attribute of a
 library module replaced by its copy from a mutant module, which must make
 a named test, passing without it, fail its assertion."""
 
+import importlib
 import inspect
+import sys
+from collections import Counter
 from functools import partial
 from operator import attrgetter
 
@@ -143,6 +146,15 @@ TEST_ROWS = [
     # the character sum without the conjugate of its third character
     ("grouprep", "hom_dim_table", "@ chars.conj().T", "@ chars.T",
      test_grouprep.test_hom_dim_table_of_known_fusion_rules),
+    # the character-sum table with one cell raised by 1, and with its b and c
+    # axes swapped, which the fixture's non-real Z/4 characters show: the
+    # projector cross-check is the one runtime check of the fusion table
+    ("grouprep", "hom_dim_table", "table = rounded.astype(np.int64)\n",
+     "table = rounded.astype(np.int64)\n    table[0, 0, 0] += 1\n",
+     test_cli.test_verify_good_fixture_exit_zero),
+    ("grouprep", "hom_dim_table", "table = rounded.astype(np.int64)\n",
+     "table = rounded.astype(np.int64).transpose(0, 2, 1)\n",
+     test_cli.test_verify_good_fixture_exit_zero),
     # the table reader: its count of each key's parts, its flag for parts
     # that may name one cell twice, and the order of an entry's checks
     ("specio", "_parse_tables", 'set(map(str.count, ks, repeat("|"))) <= {arity - 1}', "True",
@@ -181,15 +193,27 @@ TEST_ROWS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "module, name, old, new, test", TEST_ROWS, ids=[row[1].lstrip("_") for row in TEST_ROWS]
-)
+def _row_ids(rows):
+    """Each row's function name, numbered from its second row on."""
+    seen = Counter()
+    for row in rows:
+        name = row[1].lstrip("_")
+        seen[name] += 1
+        yield name if seen[name] == 1 else f"{name}-{seen[name]}"
+
+
+@pytest.mark.parametrize("module, name, old, new, test", TEST_ROWS, ids=list(_row_ids(TEST_ROWS)))
 def test_mutant_fails_its_test(module, name, old, new, test, monkeypatch, capsys, tmp_path):
     # a test that takes fixtures gets this test's own
     fixtures = {"monkeypatch": monkeypatch, "capsys": capsys, "tmp_path": tmp_path}
     test = partial(test, **{p: fixtures[p] for p in inspect.signature(test).parameters})
     test()
+    real = attrgetter(name)(importlib.import_module(f"twistcat.{module}"))
     mutant = attrgetter(name)(mutants.load(module, old, new))
     monkeypatch.setattr(f"twistcat.{module}.{name}", mutant)
+    # and wherever a sibling module imported the function by name
+    for sibling in [m for key, m in sys.modules.items() if key.startswith("twistcat.")]:
+        if getattr(sibling, name, None) is real:
+            monkeypatch.setattr(sibling, name, mutant)
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         test()
