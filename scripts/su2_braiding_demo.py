@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from twistcat.cocycle import build_cyclic
-from twistcat.fusionring import su2_s_table, su2_spins, su2_tensor
+from twistcat.fusionring import s_table, su2_ring, su2_tensor
 from twistcat.unitscalar import UnitScalar
 
 
@@ -21,7 +21,7 @@ def inverse_omega(cocycle, m, n):
 
 def print_smatrix(title, max_spin, cocycle):
     print(title)
-    num, mag = su2_s_table(su2_spins(max_spin), cocycle)
+    num, mag = s_table(cocycle, *su2_ring(max_spin, cocycle)[1:])
     matrix = np.where(num == 0, mag, -mag)  # a Z/2 cocycle's S entries are +-d_i d_j
     width = max(len(str(int(x))) for row in matrix for x in row)
     for row in matrix:

@@ -26,11 +26,7 @@ from .errors import (
     RepresentationError,
     StructuralError,
 )
-from .fusionring import (
-    FusionTable,
-    fusion_table,
-    su2_tensor,
-)
+from .fusionring import su2_tensor
 from .grouprep import (
     CentralEmbedding,
     FiniteGroup,
@@ -57,7 +53,6 @@ __all__ = [
     "DomainError",
     "FinAbGroup",
     "FiniteGroup",
-    "FusionTable",
     "GradedIrrep",
     "GradingError",
     "GroupElt",
@@ -72,7 +67,6 @@ __all__ = [
     "clockwise_unit_loop",
     "fixture_path",
     "flip_matrix",
-    "fusion_table",
     "grade_of",
     "load_spec",
     "plog",

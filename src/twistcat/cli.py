@@ -89,34 +89,32 @@ class Report:
 
 
 def _fusion_table(cat: TwistedCategory) -> dict:
-    table = fusionring.fusion_table(cat)
-    return {
-        "labels": list(table.labels),
-        "dims": list(table.dims),
-        "coefficients": table.to_dict(),
-    }
+    """A complete catalog's ``hom_dims`` as JSON: ``coefficients`` is
+    ``{a: {b: {c: N^c_ab}}}`` over every label pair, each cell holding its
+    nonzero coefficients, filled in C order from the nonzero cells."""
+    if not cat.complete:
+        raise StructuralError("fusion tables require a complete irrep catalog")
+    labels, coeff = [m.label for m in cat.catalog], cat.hom_dims
+    out = {la: {lb: {} for lb in labels} for la in labels}
+    for (a, b, c), n in zip(np.argwhere(coeff).tolist(), coeff[coeff != 0].tolist()):
+        out[labels[a]][labels[b]][labels[c]] = n
+    return {"labels": labels, "dims": cat.dims.tolist(), "coefficients": out}
 
 
-def _smatrix_table(labels: list[str], num: np.ndarray, mag: np.ndarray, denom: int) -> dict:
-    """An exact ``fusionring.s_table`` as JSON.  An entry whose root of unity is
-    +-1 is the plain integer ``+-d_i d_j``; any other is
+def _smatrix_table(labels: list[str], grades, dims, cocycle: AbelianCocycle) -> tuple:
+    """The exact ``fusionring.s_table`` of objects with these labels, grade
+    indices and dimensions as JSON, with its ``num`` and ``mag``.  An entry
+    whose root of unity is +-1 is the plain integer ``+-d_i d_j``; any other is
     ``{"exponent": "p/q", "magnitude": d_i d_j}`` with ``p/q`` in [0, 1)."""
+    num, mag = fusionring.s_table(cocycle, grades, dims)
     entries = np.where(num == 0, mag, -mag).tolist()
-    for i, j in np.argwhere(2 * num % denom).tolist():
-        entries[i][j] = {"exponent": str(Fraction(num[i, j], denom)), "magnitude": int(mag[i, j])}
-    return {"labels": labels, "entries": entries}
-
-
-def _catalog_smatrix_table(cat: TwistedCategory) -> dict:
-    num, mag = fusionring.s_table(cat.cocycle, cat.grades, cat.dims)
-    return _smatrix_table([m.label for m in cat.catalog], num, mag, cat.cocycle.denom)
-
-
-def _su2_smatrix_table(cocycle: AbelianCocycle, max_spin: int) -> tuple:
-    """The SU(2) ring's exact S table up to ``max_spin`` as JSON, with its ``num`` and ``mag``."""
-    num, mag = fusionring.su2_s_table(fusionring.su2_spins(max_spin), cocycle)
-    labels = [f"V({n})" for n in range(max_spin + 1)]
-    return _smatrix_table(labels, num, mag, cocycle.denom), num, mag
+    phased = 2 * num % cocycle.denom != 0  # a root of unity other than +-1
+    # one exponent string per distinct residue, not per cell
+    exponents = {r: str(Fraction(r, cocycle.denom)) for r in np.unique(num[phased]).tolist()}
+    cells = zip(np.argwhere(phased).tolist(), num[phased].tolist(), mag[phased].tolist())
+    for (i, j), r, m in cells:
+        entries[i][j] = {"exponent": exponents[r], "magnitude": m}
+    return {"labels": labels, "entries": entries}, num, mag
 
 
 def _su2_fusion_table(pairs) -> dict:
@@ -216,7 +214,8 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int) -> None:
     _verify_monodromy(cocycle, report, seed)
     if cat.complete:
         report.tables["fusion"] = _fusion_table(cat)
-    report.tables["smatrix"] = _catalog_smatrix_table(cat)
+    labels = [m.label for m in cat.catalog]
+    report.tables["smatrix"] = _smatrix_table(labels, cat.grades, cat.dims, cat.cocycle)[0]
 
 
 def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
@@ -226,7 +225,7 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
     report.add("cocycle-axioms", True, f"|A| = {cocycle.group.order}")
 
     max_spin = spec.max_spin
-    table, num, mag = _su2_smatrix_table(cocycle, max_spin)
+    table, num, mag = _smatrix_table(*fusionring.su2_ring(max_spin, cocycle), cocycle)
     sym = bool(np.array_equal(num, num.T) and np.array_equal(mag, mag.T))
     dims = np.arange(1, max_spin + 2)
     mags = bool(np.array_equal(mag, np.outer(dims, dims)))
@@ -240,7 +239,7 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
     )
     report.add("fusion-dimension-rule", fusion_ok, "Clebsch-Gordan dimensions add up")
 
-    # the cocycle is on Z/2 (su2_s_table checked it), so these are both grades
+    # the cocycle is on Z/2 (su2_ring checked it), so these are both grades
     report.add(
         "categorical-dimensions", not fusionring.dim_exponents(cocycle).any(),
         "dimension prefactor is exactly 1 on both grades",
@@ -266,7 +265,7 @@ def cmd_fusion(args) -> int:
     report = Report(spec.name, spec.digest, args.seed)
     if spec.mode == "su2":
         # the ring's cocycle is refused as smatrix refuses it: invalid, or not on Z/2
-        fusionring.su2_s_table((), spec.build_cocycle())
+        fusionring.su2_ring(spec.max_spin, spec.build_cocycle())
         report.tables["fusion"] = _su2_fusion_table(product(range(spec.max_spin + 1), repeat=2))
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")
     else:
@@ -294,11 +293,14 @@ def cmd_smatrix(args) -> int:
         cocycle, max_spin = spec.build_cocycle(), spec.max_spin
         report = Report(spec.name, spec.digest, args.seed)
     if args.su2 or spec.mode == "su2":
-        report.tables["smatrix"] = _su2_smatrix_table(cocycle, max_spin)[0]
-        report.add("smatrix", True, f"exact integer entries up to spin {max_spin}")
+        objects = fusionring.su2_ring(max_spin, cocycle)
+        detail = f"exact integer entries up to spin {max_spin}"
     else:
-        report.tables["smatrix"] = _catalog_smatrix_table(spec.build_category())
-        report.add("smatrix", True, "exact entries d_i d_j e(-b(a_i, a_j)) from the cocycle")
+        cat = spec.build_category()
+        objects = [m.label for m in cat.catalog], cat.grades, cat.dims
+        detail = "exact entries d_i d_j e(-b(a_i, a_j)) from the cocycle"
+    report.tables["smatrix"] = _smatrix_table(*objects, cocycle)[0]
+    report.add("smatrix", True, detail)
     _emit(report, args)
     return EXIT_OK
 

@@ -1,74 +1,23 @@
-"""Fusion coefficients for finite-group categories and the Z/2-graded
-SU(2) fusion ring at the Grothendieck level (labels, grades, dimensions).
+"""The Z/2-graded SU(2) fusion ring at the Grothendieck level, and the exact
+S tables and categorical dimensions of both modes.
 
-Finite-group coefficients are character sums ``N^c_ab = dim hom(Ma (x) Mb, Mc)``,
-read from the category's one character-sum table, whose every cell the
-category checks against its projector trace; that cross-check is the table's
-one runtime check, since a complete catalog implies the ring identities.  The
-SU(2) ring uses the Clebsch-Gordan rule with grade ``n mod 2``, no
-infinite-dimensional matrices anywhere.  ``s_table`` reads both S tables
-exactly from the cocycle's ``Omega`` numerators and the dimensions, with no
-float trace and no normalization factor, and ``dim_exponents`` reads the
-categorical dimensions of both the same way.
+The SU(2) ring uses the Clebsch-Gordan rule, and ``su2_ring`` gives its
+``V(n)`` grade ``n mod 2`` and dimension ``n + 1``: no infinite-dimensional
+matrices anywhere.  A finite-group category's fusion coefficients are its own
+``hom_dims``, which ``cli`` emits as they are.  ``s_table`` reads both modes'
+S tables exactly from the cocycle's ``Omega`` numerators and the dimensions,
+with no float trace and no normalization factor, and ``dim_exponents`` reads
+the categorical dimensions of both the same way.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycle import AbelianCocycle
 from .errors import StructuralError
-from .modcat import TwistedCategory
 
 MAX_SPIN = 64  # the largest spin of an su2 S-matrix or fusion table
-
-
-@dataclass(frozen=True, eq=False)
-class FusionTable:
-    """Nonnegative-integer coefficients ``N^c_ab`` over irrep labels."""
-
-    labels: tuple[str, ...]
-    dims: tuple[int, ...]
-    coefficients: np.ndarray  # indexed (a, b, c)
-
-    def __post_init__(self):
-        n = len(self.labels)
-        coeff = np.asarray(self.coefficients, dtype=np.int64)
-        if coeff.shape != (n, n, n):
-            raise StructuralError(f"coefficient array shape {coeff.shape}, expected {(n,)*3}")
-        if coeff.min() < 0:
-            raise StructuralError("fusion coefficients must be nonnegative")
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-
-    def to_dict(self) -> dict:
-        """``{a: {b: {c: N^c_ab}}}`` over every label pair, each cell holding
-        its nonzero coefficients, filled in C order from the nonzero cells."""
-        labels, coeff = self.labels, self.coefficients
-        out = {la: {lb: {} for lb in labels} for la in labels}
-        for (a, b, c), n in zip(np.argwhere(coeff).tolist(), coeff[coeff != 0].tolist()):
-            out[labels[a]][labels[b]][labels[c]] = n
-        return out
-
-
-def fusion_table(cat: TwistedCategory) -> FusionTable:
-    """All ``N^c_ab`` of a complete catalog: its ``hom_dims``, each cell
-    cross-checked against its projector trace.  The ring identities
-    (symmetry, the unit row, the dimension rule, associativity) are not
-    checked again: a complete catalog of inequivalent irreps is a full set
-    of irreps, whose characters multiply as ``chi_a chi_b = sum_c N^c_ab chi_c``,
-    and each identity is a theorem of that ring."""
-    if not cat.complete:
-        raise StructuralError("fusion tables require a complete irrep catalog")
-    members = cat.catalog
-    return FusionTable(
-        tuple(m.label for m in members), tuple(m.dim for m in members), cat.hom_dims
-    )
-
-
-# -- the symbolic Z/2-graded SU(2) ring ---------------------------------------
 
 
 def su2_tensor(m: int, n: int) -> tuple[int, ...]:
@@ -90,19 +39,15 @@ def s_table(cocycle: AbelianCocycle, grades, dims) -> tuple[np.ndarray, np.ndarr
     return num, np.outer(dims, dims).astype(np.int64)
 
 
-def su2_spins(max_spin: int) -> np.ndarray:
-    """The spins ``0 .. max_spin`` of an S-matrix."""
+def su2_ring(max_spin: int, cocycle: AbelianCocycle) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ``V(n)``, ``n`` from 0 to ``max_spin``, over a cocycle on Z/2: their
+    labels, grade indices ``n mod 2`` and dimensions ``n + 1``."""
     if not 0 <= max_spin <= MAX_SPIN:
         raise StructuralError(f"max_spin must be between 0 and {MAX_SPIN}")
-    return np.arange(max_spin + 1)
-
-
-def su2_s_table(spins, cocycle: AbelianCocycle) -> tuple[np.ndarray, np.ndarray]:
-    """``s_table`` of the ``V(n)``, ``n`` in ``spins``: grade ``n mod 2``, dimension ``n + 1``."""
     if cocycle.group.factors != (2,):
         raise StructuralError("the graded SU(2) ring needs a cocycle on Z/2")
-    spins = np.asarray(spins, dtype=np.int64)
-    return s_table(cocycle, spins % 2, spins + 1)
+    spins = np.arange(max_spin + 1)
+    return [f"V({n})" for n in range(max_spin + 1)], spins % 2, spins + 1
 
 
 def dim_exponents(cocycle: AbelianCocycle) -> np.ndarray:

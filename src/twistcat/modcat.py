@@ -34,16 +34,19 @@ normalization slice.  A category exists only over a cocycle whose report
 passes, and axioms proved on all of ``A`` hold at the grades, so its
 pentagon and hexagons pass without reading a residue.
 The snakes, the double braiding (whose categorical trace is an S entry) and
-naturality against maps of sampled triples each have a layout part,
+braiding naturality against maps of sampled triples each have a layout part,
 evaluated once per distinct dim, pair of distinct dims, or ``(d3, d1 d2,
 dy)``, and read back per member.
 Naturality samples catalog triples ``(M1, M2, M3)`` with ``a1 + a2 = a3``,
-so both sides of each identity carry one unit scalar and every map
+so both sides of the identity carry one unit scalar and every map
 ``M1 (x) M2 -> M3`` is natural: its layouts are checked on one seeded
 integer map per ``(d3, d1 d2)`` with distinct entries, held as float64 for
 a BLAS kernel: each layout is a permutation matrix, so every product entry
-is one entry of the map, exactly.  Every error is an exact integer or the
-deviation of a nonzero residue, so no check reads a rounded float.
+is one entry of the map, exactly.  Associator naturality is not checked:
+its layouts are identities on both sides of the map, so it holds exactly
+when the identity layout is the identity.  Every error is an exact
+integer or the deviation of a nonzero residue, so no check reads a rounded
+float.
 Nothing here takes a categorical trace: the S table and the categorical
 dimensions are read exactly from the cocycle by ``fusionring.s_table`` and
 ``fusionring.dim_exponents``.
@@ -401,11 +404,11 @@ class TwistedCategory:
         return _deviation(self._flip(d2, d1) @ self._flip(d1, d2), self._eye(d1 * d2))
 
     def _naturality_layouts(self, seed: int) -> tuple[list, np.ndarray]:
-        """Structure morphisms against a map ``f`` of up to 8 seeded catalog
+        """The braiding against a map ``f`` of up to 8 seeded catalog
         triples ``(m1, m2, m3)``: the triples' labels, and per triple the
         layout error at each catalog member as the object ``Y``.
 
-        Since ``a3 = a1 + a2``, both sides of each identity carry the same unit
+        Since ``a3 = a1 + a2``, both sides of the identity carry the same unit
         scalar and any ``d3 x d1 d2`` map is natural, so after the triples
         one seeded integer ``f``, a permutation of ``1..d3 d1 d2`` held as
         float64, is drawn per distinct ``(d3, d1 d2)``, in order of first
@@ -423,13 +426,11 @@ class TwistedCategory:
         dims = self.dims.tolist()
         errs = {}
         for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):
-            eye_y, f_yy = self._eye(dy), _kron(f, self._eye(dy * dy))
             # braiding naturality in the first slot, R_{M3,Y} (f (x) 1_Y) ==
             # (1_Y (x) f) R_{M1M2,Y}, without the Omega(a3, ay)^-1 of both sides
+            eye_y = self._eye(dy)
             lhs, rhs = self._flip(d3, dy) @ _kron(f, eye_y), _kron(eye_y, f) @ self._flip(d12, dy)
-            # associator naturality in the first slot, without F(a3, ay, ay)^-1
-            lhs2, rhs2 = self._eye(d3 * dy * dy) @ f_yy, f_yy @ self._eye(d12 * dy * dy)
-            errs[d3, d12, dy] = max(_deviation(lhs, rhs), _deviation(lhs2, rhs2))
+            errs[d3, d12, dy] = _deviation(lhs, rhs)
         cells = [[errs[(*shape, dy)] for dy in dims] for shape in shapes]
         rows = [tuple(m.label for m in t) for t in members]
         return rows, np.array(cells, dtype=np.int64).reshape(len(rows), len(dims))

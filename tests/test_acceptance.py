@@ -11,7 +11,7 @@ import pytest
 from twistcat import cli
 from twistcat.branchcut import assoc_scalar, branch_integers, clockwise_unit_loop, transport_scalar
 from twistcat.cocycle import build_cyclic, validate_cocycle
-from twistcat.fusionring import dim_exponents, fusion_table, su2_s_table, su2_spins
+from twistcat.fusionring import dim_exponents, s_table, su2_ring
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
 
@@ -60,7 +60,8 @@ def test_criterion_2_reference_cocycle_values():
 
 
 def test_criterion_3_su2_smatrix():
-    num, mag = su2_s_table(su2_spins(10), build_cyclic(2, 3))
+    cocycle = build_cyclic(2, 3)
+    num, mag = s_table(cocycle, *su2_ring(10, cocycle)[1:])
     s = np.where(num == 0, mag, -mag)
     ok = all(s[m, n] == (-1) ** (m * n) * (m + 1) * (n + 1) for m, n in np.ndindex(s.shape))
     _verdict(3, "S-matrix closed form", ok, "S_mn = (-1)^{mn}(m+1)(n+1) exactly, 0 <= m,n <= 10")
@@ -113,7 +114,6 @@ def test_criterion_6_fusion_cross_validation():
     ok = True
     for name in ("s3-trivial-grading", "q8-z2"):
         cat = load_spec(name).build_category()
-        table = fusion_table(cat)
         members = cat.catalog
         for a, b, c in product(range(len(members)), repeat=3):
             n = oracles.hom_dim(
@@ -122,11 +122,11 @@ def test_criterion_6_fusion_cross_validation():
             rank = len(oracles.intertwiner_basis(
                 [members[a].rep], [members[b].rep], [members[c].rep], expected=[n]
             )[0])
-            if rank != int(table.coefficients[a, b, c]):
+            if rank != int(cat.hom_dims[a, b, c]):
                 ok = False
         unit = next(i for i, m in enumerate(members) if np.allclose(m.character, 1))
-        oracles.check_invariants(table.coefficients, table.dims, unit)
-        ok = ok and oracles.first_nonassociative(table.coefficients) is None
+        oracles.check_invariants(cat.hom_dims, cat.dims, unit)
+        ok = ok and oracles.first_nonassociative(cat.hom_dims) is None
     _verdict(6, "fusion cross-validation", ok, "character sums equal projector ranks; associativity exhaustive")
 
 

@@ -482,7 +482,9 @@ def test_verify_incomplete_catalog(source, kept, dim_squares, tmp_path, capsys):
     assert "group-order-identity" not in verdicts
     assert verdicts["irreps-valid"]["detail"].endswith(f"sum of dim^2 = {dim_squares}")
     assert set(report["tables"]) == {"smatrix"}
+    capsys.readouterr()
     assert run_cli("fusion", "--spec", str(path)) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: fusion tables require a complete irrep catalog\n"
 
 
 @pytest.mark.parametrize("name", BUNDLED_FIXTURES)

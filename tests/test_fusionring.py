@@ -9,19 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twistcat.abgroup import FinAbGroup
-from twistcat import fusionring
+from twistcat import cli, fusionring
 from twistcat.catalogs import builtin_catalog, cyclic_group
 from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import ConsistencyError, StructuralError
-from twistcat.fusionring import (
-    FusionTable,
-    dim_exponents,
-    fusion_table,
-    su2_s_table,
-    su2_spins,
-    su2_tensor,
-)
-from twistcat.grouprep import CentralEmbedding, hom_dim_table, validate_irrep
+from twistcat.fusionring import dim_exponents, s_table, su2_ring, su2_tensor
+from twistcat.grouprep import CentralEmbedding
 from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
 from twistcat.unitscalar import root_of_unity
@@ -34,14 +27,15 @@ FINITE_FIXTURES = ("z2-lattice-on-z4", "super-on-z4", "s3-trivial-grading", "q8-
 spins = st.integers(min_value=0, max_value=30)
 
 
-def su2_integers(spins, cocycle):
-    """``su2_s_table`` as the integers ``+-d_i d_j``, read as ``cli`` reads a +-1 entry."""
-    num, mag = su2_s_table(spins, cocycle)
+def su2_integers(max_spin, cocycle):
+    """The ``s_table`` of ``su2_ring`` as the integers ``+-d_i d_j``, read as
+    ``cli`` reads a +-1 entry."""
+    num, mag = s_table(cocycle, *su2_ring(max_spin, cocycle)[1:])
     return np.where(num == 0, mag, -mag)
 
 
 def test_s3_fusion_table(s3_cat):
-    table = fusion_table(s3_cat).to_dict()
+    table = cli._fusion_table(s3_cat)["coefficients"]
     w = "standard"
     assert table[w][w] == {"trivial": 1, "sign": 1, w: 1}
     assert table["sign"]["sign"] == {"trivial": 1}
@@ -54,26 +48,25 @@ def test_cyclic_fusion_is_group_law():
     cat = TwistedCategory(
         group, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)), reps
     )
-    table = fusion_table(cat).to_dict()
+    table = cli._fusion_table(cat)["coefficients"]
     for a, b in product(range(5), repeat=2):
         assert table[f"chi{a}"][f"chi{b}"] == {f"chi{(a + b) % 5}": 1}
 
 
 def test_q8_fusion_spin_squared(q8_cat):
-    table = fusion_table(q8_cat).to_dict()
+    table = cli._fusion_table(q8_cat)["coefficients"]
     assert table["spin"]["spin"] == dict.fromkeys(["trivial", "sign-i", "sign-j", "sign-k"], 1)
 
 
 def test_fusion_matches_projector_ranks(s3_cat, q8_cat):
     for cat in (s3_cat, q8_cat):
-        table = fusion_table(cat)
         members = cat.catalog
         for a, ma in enumerate(members):
             for b, mb in enumerate(members):
                 for c, mc in enumerate(members):
                     n = oracles.hom_dim(cat.group, ma.character, mb.character, mc.character)
                     basis = oracles.intertwiner_basis([ma.rep], [mb.rep], [mc.rep], expected=[n])[0]
-                    assert len(basis) == int(table.coefficients[a, b, c])
+                    assert len(basis) == int(cat.hom_dims[a, b, c])
 
 
 def _valid_categories():
@@ -120,21 +113,20 @@ def test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle():
 
 def test_fusion_associativity():
     for name, cat in _valid_categories():
-        coeff = fusion_table(cat).coefficients
+        coeff = cat.hom_dims
         assert oracles.first_nonassociative(coeff, _first_rows(len(coeff))) is None, name
 
 
 def test_fusion_tables_satisfy_the_ring_identities():
     for name, cat in _valid_categories():
-        table = fusion_table(cat)
         try:
-            oracles.check_invariants(table.coefficients, table.dims, _unit(cat))
+            oracles.check_invariants(cat.hom_dims, cat.dims, _unit(cat))
         except ConsistencyError as exc:
             pytest.fail(f"{name}: {exc}")
 
 
 def test_ring_oracles_catch_broken_tables(s3_cat):
-    coeff, dims, u = fusion_table(s3_cat).coefficients, s3_cat.dims, _unit(s3_cat)
+    coeff, dims, u = s3_cat.hom_dims, s3_cat.dims, _unit(s3_cat)
     oracles.check_invariants(coeff, dims, u)
     assert oracles.first_nonassociative(coeff) is None
     # one coefficient raised by 1 off the diagonal of (a, b) breaks symmetry,
@@ -177,16 +169,17 @@ def test_su2_tensor_grades(m, n):
 
 def test_su2_smatrix_entries():
     lattice = build_cyclic(2, 3)
-    assert su2_integers([1, 1], lattice)[0, 1] == -4
-    assert su2_integers([0, 5], lattice)[0, 1] == 6
-    assert su2_integers([3, 5], lattice)[0, 1] == -24  # (-1)^{15} * 4 * 6
+    s = su2_integers(5, lattice)
+    assert s[1, 1] == -4
+    assert s[0, 5] == 6
+    assert s[3, 5] == -24  # (-1)^{15} * 4 * 6
     trivial = build_cyclic(2, 0)
-    assert su2_integers([3, 5], trivial)[0, 1] == 24
+    assert su2_integers(5, trivial)[3, 5] == 24
 
 
 def test_su2_smatrix_symmetry_and_magnitude():
     lattice = build_cyclic(2, 3)
-    s = su2_integers(su2_spins(6), lattice)
+    s = su2_integers(6, lattice)
     assert np.array_equal(s, s.T)
     for m, n in product(range(7), repeat=2):
         assert abs(int(s[m, n])) == (m + 1) * (n + 1)
@@ -194,7 +187,7 @@ def test_su2_smatrix_symmetry_and_magnitude():
 
 def test_su2_smatrix_low_spin_block():
     lattice = build_cyclic(2, 3)
-    s = su2_integers(su2_spins(3), lattice)
+    s = su2_integers(3, lattice)
     expected = [[1, 2, 3, 4], [2, -4, 6, -8], [3, 6, 9, 12], [4, -8, 12, -16]]
     assert np.array_equal(s, np.array(expected))
 
@@ -203,7 +196,7 @@ def test_su2_smatrix_low_spin_block():
 def test_su2_smatrix_matches_entrywise(max_spin):
     # b(1, 1) = s / 2 on Z/2, so S_mn = (-1)^{s m n} (m + 1)(n + 1)
     for s in range(8):
-        out = su2_integers(su2_spins(max_spin), build_cyclic(2, s))
+        out = su2_integers(max_spin, build_cyclic(2, s))
         expected = np.array(
             [[(-1) ** (s * m * n) * (m + 1) * (n + 1) for n in range(max_spin + 1)]
              for m in range(max_spin + 1)],
@@ -215,19 +208,27 @@ def test_su2_smatrix_matches_entrywise(max_spin):
 
 def test_su2_smatrix_rejects_bad_spins_and_forms():
     for max_spin in (-1, 65):
-        with pytest.raises(StructuralError, match="max_spin"):
-            su2_spins(max_spin)
+        # the spin cap is checked before the cocycle's group
+        for cocycle in (build_cyclic(2, 3), build_cyclic(3, 1)):
+            with pytest.raises(StructuralError, match="^max_spin must be between 0 and 64$"):
+                su2_ring(max_spin, cocycle)
     # Omega(1, 1) = e(1/8) gives b(1, 1) = 1/4; only odd spins reach it, as e(-1/4)
     quarter = AbelianCocycle(
         FinAbGroup((2,)), np.zeros((2, 2, 2), np.int64), np.array([[0, 0], [0, 1]]), 8
     )
-    num, mag = su2_s_table(su2_spins(1), quarter)
+    num, mag = s_table(quarter, *su2_ring(1, quarter)[1:])
     assert num.tolist() == [[0, 0], [0, 6]] and mag.tolist() == [[1, 2], [2, 4]]
 
 
+def test_su2_ring_labels_grades_and_dims():
+    labels, grades, dims = su2_ring(3, build_cyclic(2, 3))
+    assert labels == ["V(0)", "V(1)", "V(2)", "V(3)"]
+    assert grades.tolist() == [0, 1, 0, 1] and dims.tolist() == [1, 2, 3, 4]
+
+
 def test_su2_needs_z2_cocycle():
-    with pytest.raises(StructuralError):
-        su2_s_table([1, 1], build_cyclic(3, 1))
+    with pytest.raises(StructuralError, match=r"^the graded SU\(2\) ring needs a cocycle on Z/2$"):
+        su2_ring(1, build_cyclic(3, 1))
 
 
 def test_su2_dim_exponents_vanish_for_valid_cocycles():
@@ -301,13 +302,17 @@ def test_dim_exponents_read_a_shifted_f():
     assert fusionring.dim_exponents(_lattice_with_shifted_f()).tolist() == [0, 3]
 
 
-def test_to_dict_matches_the_cell_by_cell_reference(categories):
-    tables = [fusion_table(cat) for cat in categories.values()]
+def test_fusion_json_matches_the_cell_by_cell_reference(categories):
     group, reps = builtin_catalog("z64")
-    coeff = hom_dim_table(group, validate_irrep(reps.values()))
-    tables.append(FusionTable(tuple(reps), (1,) * group.order, coeff))
-    for table in tables:
-        got, want = table.to_dict(), oracles.fusion_dict(table.labels, table.coefficients)
-        assert got == want and list(got) == list(table.labels)
-        # equal as JSON too: the coefficients are ints, not numpy scalars
+    cocycle = build_cyclic(2, 3)
+    z64 = TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (0,)), reps)
+    for cat in [*categories.values(), z64]:
+        labels = [m.label for m in cat.catalog]
+        got = cli._fusion_table(cat)
+        want = {
+            "labels": labels, "dims": [m.dim for m in cat.catalog],
+            "coefficients": oracles.fusion_dict(labels, cat.hom_dims),
+        }
+        assert got == want and list(got["coefficients"]) == labels
+        # equal as JSON too: the coefficients and dims are ints, not numpy scalars
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -12,7 +12,7 @@ from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, _pentagon_holds, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
 from twistcat import cocycle, modcat
-from twistcat.fusionring import dim_exponents, fusion_table, s_table
+from twistcat.fusionring import dim_exponents, s_table
 from twistcat.grouprep import MATRIX_TOL, CentralEmbedding
 from twistcat.modcat import TwistedCategory, flip_matrix
 from twistcat.unitscalar import UnitScalar, root_of_unity
@@ -574,11 +574,7 @@ def _dense_reference(cat, seed):
             # the unit scalars of both sides are equal and dropped
             lhs = flip_matrix(m3.dim, y.dim) @ np.kron(f, eye(y.dim))
             rhs = np.kron(eye(y.dim), f) @ flip_matrix(d12, y.dim)
-            f_yy = np.kron(f, eye(y.dim * y.dim))
-            lhs2 = eye(m3.dim * y.dim * y.dim) @ f_yy
-            rhs2 = f_yy @ eye(d12 * y.dim * y.dim)
-            layout = max(_layout_error(lhs, rhs), _layout_error(lhs2, rhs2))
-            cells.append(((m1, m2, m3, y), 0, layout))
+            cells.append(((m1, m2, m3, y), 0, _layout_error(lhs, rhs)))
     checks["naturality(spot-checks)"] = _first_failure(cells)
 
     members = cat.catalog
@@ -649,7 +645,6 @@ def test_index_paths_match_dense_reference(name, seed, categories):
         exact = m.dim * root_of_unity(int(x[cat.grading.index(m.grade)]), denom)
         assert abs(exact - value) <= 1e-12, a
     assert np.array_equal(cat.hom_dims, ref["fusion"])
-    assert np.array_equal(fusion_table(cat).coefficients, ref["fusion"])
     if name == "asymmetric-z3":
         assert not checks["snake"].passed
 
@@ -724,10 +719,9 @@ def _per_tuple_self_checks(cat, seed):
         f = maps[d3, d12]
         for col, (y, (_, dy)) in enumerate(zip(cat.catalog, words)):
             members.append((cat.catalog[i], cat.catalog[j], cat.catalog[l], y))
-            eye_y, f_yy = cat._eye(dy), kron(f, cat._eye(dy * dy))
+            eye_y = cat._eye(dy)
             lhs, rhs = cat._flip(d3, dy) @ kron(f, eye_y), kron(eye_y, f) @ cat._flip(d12, dy)
-            lhs2, rhs2 = cat._eye(d3 * dy * dy) @ f_yy, f_yy @ cat._eye(d12 * dy * dy)
-            layouts[row, col] = max(_layout_error(lhs, rhs), _layout_error(lhs2, rhs2))
+            layouts[row, col] = _layout_error(lhs, rhs)
     out["naturality(spot-checks)"] = check(members, np.zeros_like(layouts), layouts)
     return out, sampled
 

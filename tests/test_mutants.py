@@ -129,6 +129,16 @@ def test_mutant_fails_its_verdict(fault, verdict, name, monkeypatch, categories)
     assert not checks[verdict].passed and checks[verdict].witness is not None
 
 
+def _associators_match_dense_reference(categories):
+    """``test_index_paths_match_dense_reference`` on s3 and q8 at seed 0:
+    their 8-dim associators are the only layouts of 8 dims the suite or the
+    public maps read."""
+    import test_modcat  # here, not at the top: test_modcat imports this module's faults
+
+    for name in ("s3-trivial-grading", "q8-z2"):
+        test_modcat.test_index_paths_match_dense_reference(name, 0, categories)
+
+
 # (module, the function or class attribute taken from its mutant, old, new,
 # the test it must fail)
 TEST_ROWS = [
@@ -186,6 +196,11 @@ TEST_ROWS = [
     ("modcat", "TwistedCategory.hom_dims", "bad = ~(np.abs(ranks - table) <= INTEGER_TOL)",
      "bad = np.zeros(table.shape, dtype=bool)",
      test_cli.test_verify_cross_checks_multiplicities_against_projector_ranks),
+    # the identity layout wrong from 8 dims on, a size no snake, double
+    # braiding or naturality check reads on s3 or q8
+    ("modcat", "_identity", "return np.eye(d, dtype=np.int64)",
+     "return np.diag(np.arange(1, d + 1)) if d >= 8 else np.eye(d, dtype=np.int64)",
+     _associators_match_dense_reference),
     # the check that no two catalog members are equivalent disabled
     ("modcat", "TwistedCategory.__init__", "same = np.abs(gram) > INTEGER_TOL",
      "same = np.zeros(gram.shape, dtype=bool)",
@@ -203,9 +218,14 @@ def _row_ids(rows):
 
 
 @pytest.mark.parametrize("module, name, old, new, test", TEST_ROWS, ids=list(_row_ids(TEST_ROWS)))
-def test_mutant_fails_its_test(module, name, old, new, test, monkeypatch, capsys, tmp_path):
+def test_mutant_fails_its_test(
+    module, name, old, new, test, monkeypatch, capsys, tmp_path, categories
+):
     # a test that takes fixtures gets this test's own
-    fixtures = {"monkeypatch": monkeypatch, "capsys": capsys, "tmp_path": tmp_path}
+    fixtures = {
+        "monkeypatch": monkeypatch, "capsys": capsys, "tmp_path": tmp_path,
+        "categories": categories,
+    }
     test = partial(test, **{p: fixtures[p] for p in inspect.signature(test).parameters})
     test()
     real = attrgetter(name)(importlib.import_module(f"twistcat.{module}"))

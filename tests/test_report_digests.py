@@ -1,7 +1,8 @@
 """A byte-identity net over the CLI's reports: the sha256 of each run's exit
 code, stdout, stderr and ``--out`` bytes, for every bundled fixture and
-golden spec under ``verify``, ``fusion`` and ``smatrix`` at three seeds,
-against the digests committed in ``golden/digests.json``.
+golden spec under ``verify``, ``fusion`` and ``smatrix`` at three seeds, and
+for ``smatrix --su2`` at three spin caps and two twist parameters, against
+the digests committed in ``golden/digests.json``.
 
 After a change that is meant to alter a report, rewrite the file with
 ``PYTHONPATH=src python tests/test_report_digests.py`` and say in the
@@ -25,27 +26,36 @@ SPECS = {
 }
 COMMANDS = ("verify", "fusion", "smatrix")
 SEEDS = (0, 3, 5)
+SU2_MAX_SPINS = (0, 13, 64)
+SU2_COCYCLE_PARAMS = (0, 3)
 
 
-def _digest(command: str, spec: str, seed: int, out: Path) -> str:
+def _digest(argv: list[str], out: Path) -> str:
     """The sha256 of one in-process run, written to ``out`` if it gets that far."""
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main([command, "--spec", spec, "--seed", str(seed), "--out", str(out)])
+        code = cli.main([*argv, "--out", str(out)])
     written = out.read_text(encoding="utf-8") if out.exists() else None
     run = json.dumps([code, stdout.getvalue(), stderr.getvalue(), written])
     return hashlib.sha256(run.encode("utf-8")).hexdigest()
 
 
 def digests() -> dict[str, str]:
-    """Every run's digest, keyed ``"<spec> <command> seed=<seed>"``."""
+    """Every run's digest, keyed ``"<spec> <command> seed=<seed>"``, or
+    ``"su2 smatrix max-spin=<n> cocycle-param=<s>"``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        return {
-            f"{name} {command} seed={seed}": _digest(command, spec, seed, out)
+        runs = {
+            f"{name} {command} seed={seed}": [command, "--spec", spec, "--seed", str(seed)]
             for name, spec in SPECS.items() for command in COMMANDS for seed in SEEDS
         }
+        runs.update(
+            (f"su2 smatrix max-spin={n} cocycle-param={s}",
+             ["smatrix", "--su2", "--max-spin", str(n), "--cocycle-param", str(s)])
+            for n in SU2_MAX_SPINS for s in SU2_COCYCLE_PARAMS
+        )
+        return {run: _digest(argv, out) for run, argv in runs.items()}
 
 
 def test_reports_match_their_digests():
