@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import branchcut, fusionring
-from .cocycle import AbelianCocycle, build_cyclic
+from .cocycle import AbelianCocycle
 from .errors import (
     CocycleError,
     ConsistencyError,
@@ -30,7 +30,7 @@ from .errors import (
     StructuralError,
 )
 from .modcat import TwistedCategory
-from .specio import CategorySpec, load_spec, parse_element
+from .specio import CategorySpec, load_spec, parse_element, su2_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,16 +94,16 @@ def _fusion_table(cat: TwistedCategory) -> dict:
     nonzero coefficients, filled in C order from the nonzero cells."""
     if not cat.complete:
         raise StructuralError("fusion tables require a complete irrep catalog")
-    labels, coeff = [m.label for m in cat.catalog], cat.hom_dims
+    labels, coeff = list(cat.labels), cat.hom_dims
     out = {la: {lb: {} for lb in labels} for la in labels}
     for (a, b, c), n in zip(np.argwhere(coeff).tolist(), coeff[coeff != 0].tolist()):
         out[labels[a]][labels[b]][labels[c]] = n
     return {"labels": labels, "dims": cat.dims.tolist(), "coefficients": out}
 
 
-def _smatrix_table(labels: list[str], grades, dims, cocycle: AbelianCocycle) -> tuple:
-    """The exact ``fusionring.s_table`` of objects with these labels, grade
-    indices and dimensions as JSON, with its ``num`` and ``mag``.  An entry
+def _smatrix_table(labels, grades, dims, cocycle: AbelianCocycle) -> tuple:
+    """The exact ``fusionring.s_table`` of graded objects, the SU(2) ring's or
+    a catalog's, as JSON, with its ``num`` and ``mag``.  An entry
     whose root of unity is +-1 is the plain integer ``+-d_i d_j``; any other is
     ``{"exponent": "p/q", "magnitude": d_i d_j}`` with ``p/q`` in [0, 1)."""
     num, mag = fusionring.s_table(cocycle, grades, dims)
@@ -114,14 +114,16 @@ def _smatrix_table(labels: list[str], grades, dims, cocycle: AbelianCocycle) -> 
     cells = zip(np.argwhere(phased).tolist(), num[phased].tolist(), mag[phased].tolist())
     for (i, j), r, m in cells:
         entries[i][j] = {"exponent": exponents[r], "magnitude": m}
-    return {"labels": labels, "entries": entries}, num, mag
+    return {"labels": list(labels), "entries": entries}, num, mag
 
 
-def _su2_fusion_table(pairs) -> dict:
-    return {
-        f"V({m})xV({n})": [f"V({k})" for k in fusionring.su2_tensor(m, n)]
-        for m, n in pairs
-    }
+def _graded_objects(spec: CategorySpec) -> tuple:
+    """``(labels, grades, dims)`` of a spec's simple objects: the ``V(n)`` of
+    the SU(2) ring on an su2 spec, the catalog of its category otherwise."""
+    if spec.mode == "su2":
+        return fusionring.su2_ring(spec.max_spin, spec.build_cocycle())
+    cat = spec.build_category()
+    return cat.labels, cat.grades, cat.dims
 
 
 def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> None:
@@ -157,20 +159,9 @@ def _verify_monodromy(cocycle: AbelianCocycle, report: Report, seed: int) -> Non
     )
 
 
-def _checked_cocycle(spec: CategorySpec, report: Report) -> AbelianCocycle | None:
-    """The spec's cocycle, or ``None`` after adding the failing ``cocycle-axioms`` verdict."""
-    try:
-        return spec.build_cocycle()
-    except CocycleError as exc:
-        detail = "; ".join(c.describe() for c in exc.report.failures()) if exc.report else str(exc)
-        report.add("cocycle-axioms", False, detail)
-        return None
-
-
-def _verify_finite(spec: CategorySpec, report: Report, seed: int) -> None:
-    cocycle = _checked_cocycle(spec, report)
-    if cocycle is None:
-        return
+def _verify_finite(spec: CategorySpec, cocycle: AbelianCocycle, report: Report, seed: int):
+    """Add the category's verdicts and fusion table to ``report``; return its
+    S table's JSON, or ``None`` when the category cannot be built."""
     counts = f"|A| = {cocycle.group.order}, pentagon tuples = {cocycle.group.order ** 4}"
     report.add("cocycle-axioms", True, counts)
 
@@ -178,7 +169,7 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int) -> None:
         cat = spec.build_category()
     except (RepresentationError, GradingError, StructuralError) as exc:
         report.add("irreps-valid", False, str(exc))
-        return
+        return None
     report.add(
         "irreps-valid",
         True,
@@ -205,27 +196,22 @@ def _verify_finite(spec: CategorySpec, report: Report, seed: int) -> None:
             "group-order-identity", ok,
             f"sum (dim)(dim*) {'=' if ok else '!='} {order}, |G| = {order}",
         )
+        report.tables["fusion"] = _fusion_table(cat)
 
     report.add(
         "categorical-dimensions", not x[grades].any(),
         "categorical trace of the identity equals the vector-space dimension",
     )
 
-    _verify_monodromy(cocycle, report, seed)
-    if cat.complete:
-        report.tables["fusion"] = _fusion_table(cat)
-    labels = [m.label for m in cat.catalog]
-    report.tables["smatrix"] = _smatrix_table(labels, cat.grades, cat.dims, cat.cocycle)[0]
+    return _smatrix_table(cat.labels, cat.grades, cat.dims, cocycle)[0]
 
 
-def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
-    cocycle = _checked_cocycle(spec, report)
-    if cocycle is None:
-        return
+def _verify_su2(spec: CategorySpec, cocycle: AbelianCocycle, report: Report, seed: int):
+    """Add the SU(2) ring's verdicts and fusion table to ``report``; return its S table's JSON."""
     report.add("cocycle-axioms", True, f"|A| = {cocycle.group.order}")
 
     max_spin = spec.max_spin
-    table, num, mag = _smatrix_table(*fusionring.su2_ring(max_spin, cocycle), cocycle)
+    table, num, mag = _smatrix_table(*_graded_objects(spec), cocycle)
     sym = bool(np.array_equal(num, num.T) and np.array_equal(mag, mag.T))
     dims = np.arange(1, max_spin + 2)
     mags = bool(np.array_equal(mag, np.outer(dims, dims)))
@@ -244,18 +230,25 @@ def _verify_su2(spec: CategorySpec, report: Report, seed: int) -> None:
         "categorical-dimensions", not fusionring.dim_exponents(cocycle).any(),
         "dimension prefactor is exactly 1 on both grades",
     )
-
-    _verify_monodromy(cocycle, report, seed)
-    report.tables["smatrix"] = table
     pairs = ((m, n) for m in range(min(max_spin, 6) + 1) for n in range(m + 1))
-    report.tables["fusion"] = _su2_fusion_table(pairs)
+    report.tables["fusion"] = fusionring.su2_fusion(pairs)
+    return table
 
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     report = Report(spec.name, spec.digest, args.seed)
-    verify = _verify_su2 if spec.mode == "su2" else _verify_finite
-    verify(spec, report, args.seed)
+    try:
+        cocycle = spec.build_cocycle()
+    except CocycleError as exc:
+        detail = "; ".join(c.describe() for c in exc.report.failures()) if exc.report else str(exc)
+        report.add("cocycle-axioms", False, detail)
+    else:
+        verify = _verify_su2 if spec.mode == "su2" else _verify_finite
+        smatrix = verify(spec, cocycle, report, args.seed)
+        if smatrix is not None:
+            _verify_monodromy(cocycle, report, args.seed)
+            report.tables["smatrix"] = smatrix
     _emit(report, args)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -265,8 +258,8 @@ def cmd_fusion(args) -> int:
     report = Report(spec.name, spec.digest, args.seed)
     if spec.mode == "su2":
         # the ring's cocycle is refused as smatrix refuses it: invalid, or not on Z/2
-        fusionring.su2_ring(spec.max_spin, spec.build_cocycle())
-        report.tables["fusion"] = _su2_fusion_table(product(range(spec.max_spin + 1), repeat=2))
+        labels = _graded_objects(spec)[0]
+        report.tables["fusion"] = fusionring.su2_fusion(product(range(len(labels)), repeat=2))
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")
     else:
         fusion = report.tables["fusion"] = _fusion_table(spec.build_category())
@@ -285,22 +278,15 @@ def cmd_smatrix(args) -> int:
     if not args.su2 and (args.max_spin is not None or args.cocycle_param is not None):
         raise StructuralError("smatrix takes --max-spin and --cocycle-param with --su2 only")
     if args.su2:
-        s = 3 if args.cocycle_param is None else args.cocycle_param
-        cocycle, max_spin = build_cyclic(2, s), args.max_spin
-        report = Report(f"su2(s={s})", "-", args.seed)
+        spec = su2_spec(args.max_spin, 3 if args.cocycle_param is None else args.cocycle_param)
     else:
         spec = load_spec(args.spec)
-        cocycle, max_spin = spec.build_cocycle(), spec.max_spin
-        report = Report(spec.name, spec.digest, args.seed)
-    if args.su2 or spec.mode == "su2":
-        objects = fusionring.su2_ring(max_spin, cocycle)
-        detail = f"exact integer entries up to spin {max_spin}"
+    report = Report(spec.name, spec.digest, args.seed)
+    report.tables["smatrix"] = _smatrix_table(*_graded_objects(spec), spec.build_cocycle())[0]
+    if spec.mode == "su2":
+        report.add("smatrix", True, f"exact integer entries up to spin {spec.max_spin}")
     else:
-        cat = spec.build_category()
-        objects = [m.label for m in cat.catalog], cat.grades, cat.dims
-        detail = "exact entries d_i d_j e(-b(a_i, a_j)) from the cocycle"
-    report.tables["smatrix"] = _smatrix_table(*objects, cocycle)[0]
-    report.add("smatrix", True, detail)
+        report.add("smatrix", True, "exact entries d_i d_j e(-b(a_i, a_j)) from the cocycle")
     _emit(report, args)
     return EXIT_OK
 

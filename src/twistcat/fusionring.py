@@ -1,8 +1,9 @@
 """The Z/2-graded SU(2) fusion ring at the Grothendieck level, and the exact
 S tables and categorical dimensions of both modes.
 
-The SU(2) ring uses the Clebsch-Gordan rule, and ``su2_ring`` gives its
-``V(n)`` grade ``n mod 2`` and dimension ``n + 1``: no infinite-dimensional
+The SU(2) ring uses the Clebsch-Gordan rule: ``su2_ring`` gives its ``V(n)``
+their labels, grade ``n mod 2`` and dimension ``n + 1``, and ``su2_fusion``
+writes its fusion rules with the same labels; no infinite-dimensional
 matrices anywhere.  A finite-group category's fusion coefficients are its own
 ``hom_dims``, which ``cli`` emits as they are.  ``s_table`` reads both modes'
 S tables exactly from the cocycle's ``Omega`` numerators and the dimensions,
@@ -29,6 +30,15 @@ def su2_tensor(m: int, n: int) -> tuple[int, ...]:
     return tuple(range(abs(m - n), m + n + 1, 2))
 
 
+_label = "V({})".format  # the label of V(n), the SU(2) irrep of spin n/2
+
+
+def su2_fusion(pairs) -> dict[str, list[str]]:
+    """Per spin pair ``(m, n)``, ``V(m)xV(n)`` -> the labels of its
+    ``su2_tensor`` spins, ascending."""
+    return {f"{_label(m)}x{_label(n)}": list(map(_label, su2_tensor(m, n))) for m, n in pairs}
+
+
 def s_table(cocycle: AbelianCocycle, grades, dims) -> tuple[np.ndarray, np.ndarray]:
     """Exact unnormalized S entries ``mag e^{2 pi i num / denom}`` of objects with
     grade indices ``grades`` and dimensions ``dims``: ``num`` is ``-b(a_i, a_j)``
@@ -47,7 +57,7 @@ def su2_ring(max_spin: int, cocycle: AbelianCocycle) -> tuple[list[str], np.ndar
     if cocycle.group.factors != (2,):
         raise StructuralError("the graded SU(2) ring needs a cocycle on Z/2")
     spins = np.arange(max_spin + 1)
-    return [f"V({n})" for n in range(max_spin + 1)], spins % 2, spins + 1
+    return list(map(_label, range(max_spin + 1))), spins % 2, spins + 1
 
 
 def dim_exponents(cocycle: AbelianCocycle) -> np.ndarray:

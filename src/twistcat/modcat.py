@@ -19,8 +19,8 @@ times the layout.  Each layout (identity, flip, ``vec(I)``) has one integer buil
 cached as read-only float64 per category, which the coherence suite reads
 too.
 
-A category records its catalog once, at construction: each member's grade
-index and dim, as the arrays ``grades`` and ``dims``.  The suite gathers
+A category records its catalog once, at construction: each member's label,
+grade index and dim, as ``labels``, ``grades`` and ``dims``.  The suite gathers
 each identity's residues at those grades, with an axis per slot indexing
 catalog members, and one driver, ``_verdict``, reads the array as a verdict
 over catalog tuples: ``checked`` counts catalog tuples and the witness is
@@ -183,7 +183,8 @@ class TwistedCategory:
         self.catalog: tuple[GradedIrrep, ...] = tuple(
             map(GradedIrrep, irreps, reps, grades, characters)
         )
-        # each member's grade index and dim, read-only
+        # each member's label, grade index and dim, read-only
+        self.labels = tuple(irreps)
         self.grades = np.array([self.grading.index(g) for g in grades], dtype=np.intp)
         self.dims = np.array([m.dim for m in self.catalog], dtype=np.int64)
         for vector in (self.grades, self.dims):
@@ -380,7 +381,7 @@ class TwistedCategory:
                 worst = max(worst, abs(root_of_unity(d, self.cocycle.denom) - 1))
         witness = None
         if bad.any():
-            labels = [*(m.label for m in self.catalog), self.unit.label]
+            labels = [*self.labels, self.unit.label]
             i, *rest = np.unravel_index(np.argmax(bad), bad.shape)
             head = (labels[i],) if rows is None else rows[i]
             witness = (*head, *(labels[j] for j in rest))
@@ -420,10 +421,9 @@ class TwistedCategory:
         triples = np.argwhere((sums[:, :, None] == grades) & (self.hom_dims > 0))
         picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
         chosen = triples[sorted(picks.tolist())].tolist()
-        members = [[self.catalog[x] for x in t] for t in chosen]
-        shapes = [(m3.dim, m1.dim * m2.dim) for m1, m2, m3 in members]
-        maps = {s: rng.permutation(s[0] * s[1]).reshape(s) + 1.0 for s in dict.fromkeys(shapes)}
         dims = self.dims.tolist()
+        shapes = [(dims[m3], dims[m1] * dims[m2]) for m1, m2, m3 in chosen]
+        maps = {s: rng.permutation(s[0] * s[1]).reshape(s) + 1.0 for s in dict.fromkeys(shapes)}
         errs = {}
         for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):
             # braiding naturality in the first slot, R_{M3,Y} (f (x) 1_Y) ==
@@ -432,5 +432,5 @@ class TwistedCategory:
             lhs, rhs = self._flip(d3, dy) @ _kron(f, eye_y), _kron(eye_y, f) @ self._flip(d12, dy)
             errs[d3, d12, dy] = _deviation(lhs, rhs)
         cells = [[errs[(*shape, dy)] for dy in dims] for shape in shapes]
-        rows = [tuple(m.label for m in t) for t in members]
+        rows = [tuple(self.labels[x] for x in t) for t in chosen]
         return rows, np.array(cells, dtype=np.int64).reshape(len(rows), len(dims))

@@ -363,6 +363,13 @@ class CategorySpec:
         return TwistedCategory(group, cocycle, embedding, irreps, complete=self.complete)
 
 
+def su2_spec(max_spin: int, s: int) -> CategorySpec:
+    """The su2 spec ``su2(s=...)``, with no file and digest ``-``, of the cyclic
+    cocycle ``s`` on Z/2 up to ``max_spin``, which ``su2_ring`` checks."""
+    cocycle = ("cyclic", 2, s)
+    return CategorySpec(f"su2(s={s})", "su2", "-", FinAbGroup((2,)), cocycle, max_spin=max_spin)
+
+
 def fixture_path(name: str) -> Path:
     path = FIXTURE_DIR / f"{name}.json"
     if not path.exists():

@@ -525,6 +525,15 @@ def test_verify_validates_cocycle_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["q8-z2", "su2-lattice"])
+def test_verify_builds_one_s_table(name, monkeypatch, capsys):
+    # the su2 matrix verdicts and the emitted table of either mode read one table
+    calls, original = [], fusionring.s_table
+    monkeypatch.setattr(fusionring, "s_table", lambda *args: calls.append(args) or original(*args))
+    assert run_cli("verify", "--spec", name) == 0
+    assert len(calls) == 1
+
+
 def test_parse_matrix_entry():
     assert parse_matrix_entry("1+0i") == 1
     assert parse_matrix_entry("-0.5+0.25i") == complex(-0.5, 0.25)

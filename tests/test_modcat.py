@@ -19,7 +19,6 @@ from twistcat.unitscalar import UnitScalar, root_of_unity
 
 import mutants
 import oracles
-import test_mutants
 
 
 def test_flip_matrix_moves_coordinates():
@@ -860,12 +859,12 @@ def _patch_layout_fault(fault, monkeypatch):
 @pytest.mark.parametrize(
     "fault, failing, name, image, n, seed",
     [
-        (test_mutants._diag_identity, "snake", "s3", 0, 2, 0),
-        (test_mutants._rolled_flip, "double-braiding", "q8", 2, 2, 0),
-        (test_mutants._rolled_flip, "double-braiding", "d4", 0, 2, 0),
-        (test_mutants._transposed_flip, "naturality(spot-checks)", "q8", 2, 2, 5),
-        (test_mutants._swapped_kron, "naturality(spot-checks)", "d4", 2, 2, 5),
-        (test_mutants._swapped_kron, "naturality(spot-checks)", "s3", 0, 2, 0),
+        (mutants._diag_identity, "snake", "s3", 0, 2, 0),
+        (mutants._rolled_flip, "double-braiding", "q8", 2, 2, 0),
+        (mutants._rolled_flip, "double-braiding", "d4", 0, 2, 0),
+        (mutants._transposed_flip, "naturality(spot-checks)", "q8", 2, 2, 5),
+        (mutants._swapped_kron, "naturality(spot-checks)", "d4", 2, 2, 5),
+        (mutants._swapped_kron, "naturality(spot-checks)", "s3", 0, 2, 0),
     ],
     ids=[
         "identity-read-as-diag(1..d)-snake-s3-0-2-0", "rolled-flip-double-braiding-q8-2-2-0",
@@ -902,13 +901,13 @@ def test_collapsed_snake_residue_matches_per_tuple_loops():
         # each sampled triple's naturality errors read from the signature of
         # the triple at the mirrored position
         ("_naturality_layouts", "for shape in shapes]", "for shape in shapes[::-1]]",
-         test_mutants._rolled_flip, "s3", 0, 2, 0),
+         mutants._rolled_flip, "s3", 0, 2, 0),
         # the snake layouts written to the words in reverse order
         ("coherence_suite", "layout=snake_layout[at]", "layout=snake_layout[at][::-1]",
-         test_mutants._diag_identity, "s3", 0, 2, 0),
+         mutants._diag_identity, "s3", 0, 2, 0),
         # the double-braiding layouts written to the second words in reverse order
         ("coherence_suite", "layout=double_layout[np.ix_(at, at)]",
-         "layout=double_layout[np.ix_(at, at[::-1])]", test_mutants._rolled_flip, "q8", 2, 2, 0),
+         "layout=double_layout[np.ix_(at, at[::-1])]", mutants._rolled_flip, "q8", 2, 2, 0),
     ],
     ids=["naturality-triples", "snake-words", "double-braiding-words"],
 )

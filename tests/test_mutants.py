@@ -1,5 +1,5 @@
-"""Mutation tables.  In the first, each row is a fault, loaded into a copy
-of one library module or patched in for one test, that must fail its named
+"""Mutation tables.  In the first, each row is a fault of ``mutants``, loaded
+into a copy of one library module or patched in for one test, that must fail its named
 verdict of the coherence suite on each listed fixture, where the fixture
 passes it, and raise no error on the way.  The suite's pentagon and
 hexagons come from the cocycle report, so these rows show that the verdicts
@@ -16,13 +16,7 @@ from collections import Counter
 from functools import partial
 from operator import attrgetter
 
-import numpy as np
 import pytest
-
-from twistcat import modcat
-from twistcat.abgroup import FinAbGroup
-from twistcat.modcat import TwistedCategory
-from twistcat.specio import load_spec
 
 import mutants
 import test_branchcut
@@ -30,75 +24,20 @@ import test_cli
 import test_cocycle
 import test_fusionring
 import test_grouprep
+import test_modcat
 import test_specio
-
-
-def _antisymmetric_b(name, monkeypatch):
-    """``b_num`` built as ``Omega(a1, a2) - Omega(a2, a1)``: a cocycle that
-    still passes validation, whose ``b`` is not the polarization of ``q``."""
-    cocycle = mutants.load("cocycle", "(w + w.T) % denom", "(w - w.T) % denom")
-    cat = load_spec(name).build_category()
-    c = cat.cocycle
-    faulty = cocycle.AbelianCocycle(c.group, c.f_num, c.omega_num, c.denom)
-    irreps = {m.label: m.rep for m in cat.catalog}
-    return TwistedCategory(cat.group, faulty, cat.embedding, irreps, complete=cat.complete)
-
-
-def _rolled_neg_index_table(name, monkeypatch):
-    """``index(-a)`` read one place off, for every grading group."""
-    real = FinAbGroup.neg_index_table.func
-    monkeypatch.setattr(FinAbGroup, "neg_index_table", property(lambda g: np.roll(real(g), 1)))
-    return load_spec(name).build_category()
-
-
-def _swapped_kron(name, monkeypatch):
-    """``_kron(a, b)`` computed as ``kron(b, a)``."""
-    kron = modcat._kron
-    monkeypatch.setattr(modcat, "_kron", lambda a, b: kron(b, a))
-    return load_spec(name).build_category()
-
-
-def _transposed_flip(name, monkeypatch):
-    """``flip_matrix(d1, d2)`` transposed: the flip of ``V2 (x) V1``."""
-    flip = modcat.flip_matrix
-    monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: flip(d1, d2).T)
-    return load_spec(name).build_category()
-
-
-def _rolled_flip(name, monkeypatch):
-    """``flip_matrix(d1, d2)`` with its rows rolled by one: a permutation
-    that the flip back does not undo."""
-    flip = modcat.flip_matrix
-    monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: np.roll(flip(d1, d2), 1, 0))
-    return load_spec(name).build_category()
-
-
-def _diag_identity(name, monkeypatch):
-    """The identity layout read as ``diag(1..d)``, which differs from the
-    identity on 2-dim words only."""
-    monkeypatch.setattr(modcat, "_identity", lambda d: np.diag(np.arange(1, d + 1)))
-    return load_spec(name).build_category()
-
-
-def _dropped_snake_term(name, monkeypatch):
-    """The snake on ``M*`` read without the ``F(-a, a, -a)`` of its
-    associator, so its residue is ``F(a, -a, a)`` alone."""
-    mutant = mutants.load(
-        "modcat", "self._ev_exponent(a) + self._ev_exponent(neg[a])", "self._ev_exponent(a)",
-    )
-    monkeypatch.setattr(TwistedCategory, "coherence_suite", mutant.TwistedCategory.coherence_suite)
-    return load_spec(name).build_category()
+import test_su2_shadows
 
 
 # (fault, the verdict it must fail, the fixtures it must fail it on)
 ROWS = [
-    (_antisymmetric_b, "balancing", ["z2-lattice-on-z4", "q8-z2"]),
-    (_rolled_neg_index_table, "twist-dual", ["z2-lattice-on-z4", "super-on-z4", "q8-z2"]),
-    (_swapped_kron, "naturality(spot-checks)", ["s3-trivial-grading"]),
-    (_transposed_flip, "naturality(spot-checks)", ["s3-trivial-grading"]),
-    (_rolled_flip, "double-braiding", ["s3-trivial-grading", "q8-z2"]),
-    (_diag_identity, "snake", ["s3-trivial-grading", "q8-z2"]),
-    (_dropped_snake_term, "snake", ["z2-lattice-on-z4", "q8-z2"]),
+    (mutants._antisymmetric_b, "balancing", ["z2-lattice-on-z4", "q8-z2"]),
+    (mutants._rolled_neg_index_table, "twist-dual", ["z2-lattice-on-z4", "super-on-z4", "q8-z2"]),
+    (mutants._swapped_kron, "naturality(spot-checks)", ["s3-trivial-grading"]),
+    (mutants._transposed_flip, "naturality(spot-checks)", ["s3-trivial-grading"]),
+    (mutants._rolled_flip, "double-braiding", ["s3-trivial-grading", "q8-z2"]),
+    (mutants._diag_identity, "snake", ["s3-trivial-grading", "q8-z2"]),
+    (mutants._dropped_snake_term, "snake", ["z2-lattice-on-z4", "q8-z2"]),
 ]
 
 # the suite's verdicts without a row, each with the reason no fault in the
@@ -133,8 +72,6 @@ def _associators_match_dense_reference(categories):
     """``test_index_paths_match_dense_reference`` on s3 and q8 at seed 0:
     their 8-dim associators are the only layouts of 8 dims the suite or the
     public maps read."""
-    import test_modcat  # here, not at the top: test_modcat imports this module's faults
-
     for name in ("s3-trivial-grading", "q8-z2"):
         test_modcat.test_index_paths_match_dense_reference(name, 0, categories)
 
@@ -189,6 +126,9 @@ TEST_ROWS = [
      "-(w[a, a] + w[a, neg])", test_fusionring.test_dim_exponents_read_a_shifted_f),
     ("fusionring", "su2_tensor", "range(abs(m - n), m + n + 1, 2)", "range(abs(m - n), m + n, 2)",
      test_fusionring.test_su2_tensor_examples),
+    # and the same fault seen through its finite shadow: V(m)xV(n) restricted to Q8
+    ("fusionring", "su2_tensor", "range(abs(m - n), m + n + 1, 2)", "range(abs(m - n), m + n, 2)",
+     test_su2_shadows.test_clebsch_gordan_restricts_to_q8_fusion),
     # the projector traces without the inverse, which Z/3 and Z/4's
     # non-real characters show; and the multiplicity cross-check disabled
     ("modcat", "_projector_ranks", "traces[:, group.inverse]", "traces",

@@ -1,8 +1,11 @@
 """A byte-identity net over the CLI's reports: the sha256 of each run's exit
-code, stdout, stderr and ``--out`` bytes, for every bundled fixture and
-golden spec under ``verify``, ``fusion`` and ``smatrix`` at three seeds, and
-for ``smatrix --su2`` at three spin caps and two twist parameters, against
-the digests committed in ``golden/digests.json``.
+code, stdout, stderr and ``--out`` bytes, for every bundled fixture, golden
+spec and su2 spec of ``SU2_SPECS`` under ``verify``, ``fusion`` and
+``smatrix`` at three seeds, and for ``smatrix --su2`` at three spin caps and
+two twist parameters and once with the default parameter, against the
+digests committed in ``golden/digests.json``.  The su2 specs are written
+here, not under ``golden/specs/``, whose specs other tests build as
+categories.
 
 After a change that is meant to alter a report, rewrite the file with
 ``PYTHONPATH=src python tests/test_report_digests.py`` and say in the
@@ -28,6 +31,11 @@ COMMANDS = ("verify", "fusion", "smatrix")
 SEEDS = (0, 3, 5)
 SU2_MAX_SPINS = (0, 13, 64)
 SU2_COCYCLE_PARAMS = (0, 3)
+SU2_SPECS = {  # name -> (max_spin, cocycle)
+    "su2-spin0-s1": (0, {"builder": "cyclic", "n": 2, "s": 1}),
+    "su2-spin64-s1": (64, {"builder": "cyclic", "n": 2, "s": 1}),
+    "su2-spin3-trivial": (3, {"builder": "trivial"}),
+}
 
 
 def _digest(argv: list[str], out: Path) -> str:
@@ -41,20 +49,36 @@ def _digest(argv: list[str], out: Path) -> str:
     return hashlib.sha256(run.encode("utf-8")).hexdigest()
 
 
+def _write_su2_specs(directory: Path) -> dict[str, str]:
+    """``SU2_SPECS`` written as spec files in ``directory``: name -> path."""
+    paths = {}
+    for name, (max_spin, cocycle) in SU2_SPECS.items():
+        spec = {"schema_version": 1, "name": name, "mode": "su2", "grading_group": [2],
+                "cocycle": cocycle, "max_spin": max_spin}
+        path = paths[f"su2/{name}"] = str(directory / f"{name}.json")
+        Path(path).write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
+    return paths
+
+
 def digests() -> dict[str, str]:
     """Every run's digest, keyed ``"<spec> <command> seed=<seed>"``, or
-    ``"su2 smatrix max-spin=<n> cocycle-param=<s>"``."""
+    ``"su2 smatrix max-spin=<n> cocycle-param=<s>"``, with ``default`` for
+    no ``--cocycle-param``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
+        specs = {**SPECS, **_write_su2_specs(Path(tmp))}
         runs = {
             f"{name} {command} seed={seed}": [command, "--spec", spec, "--seed", str(seed)]
-            for name, spec in SPECS.items() for command in COMMANDS for seed in SEEDS
+            for name, spec in specs.items() for command in COMMANDS for seed in SEEDS
         }
         runs.update(
             (f"su2 smatrix max-spin={n} cocycle-param={s}",
              ["smatrix", "--su2", "--max-spin", str(n), "--cocycle-param", str(s)])
             for n in SU2_MAX_SPINS for s in SU2_COCYCLE_PARAMS
         )
+        runs["su2 smatrix max-spin=5 cocycle-param=default"] = [
+            "smatrix", "--su2", "--max-spin", "5",
+        ]
         return {run: _digest(argv, out) for run, argv in runs.items()}
 
 
