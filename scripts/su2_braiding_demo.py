@@ -52,9 +52,11 @@ def main() -> None:
         print(f"  parity {a}: {inverse_omega(lattice, a, a)}")
     print()
     print("sample fusion rules:")
-    for m, n in [(1, 1), (2, 3), (4, 4)]:
-        spins = ", ".join(f"V({k})" for k in su2_tensor(m, n))
-        print(f"  V({m}) (x) V({n}) = {spins}")
+    pairs = [(1, 1), (2, 3), (4, 4)]
+    labels = su2_ring(max(m + n for m, n in pairs), lattice)[0]
+    for m, n in pairs:
+        spins = ", ".join(labels[k] for k in su2_tensor(m, n))
+        print(f"  {labels[m]} (x) {labels[n]} = {spins}")
 
 
 if __name__ == "__main__":

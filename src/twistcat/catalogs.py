@@ -31,13 +31,10 @@ def cyclic_group(n: int) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     group = FiniteGroup(table, element_names=[f"g^{a}" for a in range(n)])
-    roots = [cmath.exp(2j * cmath.pi * r / n) for r in range(n)]
+    roots = np.array([cmath.exp(2j * cmath.pi * r / n) for r in range(n)])
     roots[0] = 1.0  # exact identity
-    reps = {}
-    for k in range(n):
-        mats = np.array([[[roots[k * a % n]]] for a in range(n)], dtype=np.complex128)
-        reps[f"chi{k}"] = MatrixRep(group, mats)
-    return group, reps
+    chars = roots[idx[:, None] * idx % n].reshape(n, n, 1, 1)  # [k, a] is chi_k(g^a)
+    return group, {f"chi{k}": MatrixRep(group, chars[k]) for k in range(n)}
 
 
 def _generated(group: FiniteGroup, generators, irreps: dict) -> dict[str, MatrixRep]:

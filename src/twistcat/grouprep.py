@@ -1,8 +1,9 @@
 """Finite groups as multiplication tables, explicit matrix representations,
 character sums, and grading by a central copy of the dual grading group.
 
-The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of a list of characters are
-one character-sum table, ``hom_dim_table``.
+Every group fact is a gather over ``table``: the identity, the inverses,
+associativity, the classes and the centre.  The multiplicities of a list of
+characters, ``dim hom(Ma (x) Mb, Mc)``, are one table, ``hom_dim_table``.
 
 ``validate_irrep`` and ``grade_of`` take sequences of reps and evaluate the
 reps that share a group and a dimension as one stack.  Each returns one
@@ -117,10 +118,9 @@ class FiniteGroup:
         ordered = sorted(elements)
         index = {p: i for i, p in enumerate(ordered)}
         n = len(ordered)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, p in enumerate(ordered):
-            for j, q in enumerate(ordered):
-                table[i, j] = index[tuple(p[q[k]] for k in range(width))]
+        perms = np.array(ordered, dtype=np.int64).reshape(n, width)
+        products = perms[:, perms].reshape(n * n, width).tolist()  # [i, j, k] is p_i(p_j(k))
+        table = np.array([index[tuple(p)] for p in products]).reshape(n, n)
         return cls(table, element_names=ordered)
 
     def mul(self, a: int, b: int) -> int:
@@ -158,16 +158,9 @@ class FiniteGroup:
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted index tuples, ordered by smallest member."""
-        seen = np.zeros(self.order, dtype=bool)
-        classes = []
-        for a in range(self.order):
-            if seen[a]:
-                continue
-            orbit = {int(self.table[self.table[g, a], self.inverse[g]]) for g in range(self.order)}
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(sorted(orbit)))
-        return tuple(classes)
+        # [g, a] is g a g^-1: column a is the class of a, keyed by its least member
+        keys = self.table[self.table, self.inverse[:, None]].min(axis=0)
+        return tuple(tuple(np.flatnonzero(keys == k).tolist()) for k in np.unique(keys).tolist())
 
     @cached_property
     def _class_index(self) -> np.ndarray:
@@ -186,11 +179,7 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        return tuple(
-            a
-            for a in range(self.order)
-            if np.array_equal(self.table[a], self.table[:, a])
-        )
+        return tuple(np.flatnonzero((self.table == self.table.T).all(axis=1)).tolist())
 
     @property
     def num_classes(self) -> int:
@@ -385,15 +374,14 @@ class CentralEmbedding:
             raise StructuralError(
                 f"{len(self.images)} embedding images for rank {self.grading.rank}"
             )
-        center = set(group.center)
         for img, n in zip(self.images, self.grading.factors):
             if not 0 <= img < group.order:
                 raise StructuralError(f"embedding image {img} is not an element index")
-            if img not in center:
+            if img not in group.center:
                 raise StructuralError(f"embedding image {img} is not central")
-            if n % group.element_order(img) != 0:
+            if n % (order := group.element_order(img)) != 0:
                 raise StructuralError(
-                    f"embedding image {img} has order {group.element_order(img)}, "
+                    f"embedding image {img} has order {order}, "
                     f"which does not divide the invariant factor {n}"
                 )
 

@@ -1,9 +1,11 @@
 """Reference values that tests compare the library against, each written
-from its definition rather than from the code under test;
+from its definition rather than from the code under test, among them the
+group facts read element by element;
 ``intertwiner_basis``, bases of intertwiner spaces from the group-averaging
 projector; and ``unchecked_category``, the one way for a test to put a
 category over tables that fail the cocycle axioms."""
 
+import cmath
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -54,6 +56,65 @@ def tensor_rep(m1, m2):
     """The tensor product representation ``g -> rho1(g) kron rho2(g)``, with
     composite index ``(i, j) -> i * d2 + j``."""
     return MatrixRep(m1.group, np.array([np.kron(a, b) for a, b in zip(m1.matrices, m2.matrices)]))
+
+
+def conjugacy_classes(group) -> tuple[tuple[int, ...], ...]:
+    """The classes as sorted index tuples, ordered by smallest member: the
+    orbit ``{g a g^-1}`` of each element ``a`` in no earlier orbit."""
+    seen = np.zeros(group.order, dtype=bool)
+    classes = []
+    for a in range(group.order):
+        if seen[a]:
+            continue
+        orbit = {int(group.table[group.table[g, a], group.inverse[g]]) for g in range(group.order)}
+        seen[list(orbit)] = True
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def center(group) -> tuple[int, ...]:
+    """The elements whose row of the table equals their column, ascending."""
+    return tuple(
+        a for a in range(group.order) if np.array_equal(group.table[a], group.table[:, a])
+    )
+
+
+def permutation_closure(generators) -> list[tuple[int, ...]]:
+    """Every product of the permutations ``generators``, sorted
+    lexicographically: breadth-first from the identity by composing
+    ``p[g[k]]``, with no cap on the order."""
+    gens = [tuple(g) for g in generators]
+    identity = tuple(range(len(gens[0])))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        products = {tuple(p[k] for k in g) for p in frontier for g in gens}
+        frontier = list(products - elements)
+        elements |= products
+    return sorted(elements)
+
+
+def permutation_table(elements) -> np.ndarray:
+    """``[i, j]`` is the index in ``elements`` of ``p_i(p_j(k))``, the
+    permutation ``k -> p[q[k]]`` for ``p, q = elements[i], elements[j]``,
+    filled pair by pair."""
+    index = {p: i for i, p in enumerate(elements)}
+    table = np.empty((len(elements), len(elements)), dtype=np.int64)
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            table[i, j] = index[tuple(p[q[k]] for k in range(len(p)))]
+    return table
+
+
+def cyclic_characters(n: int) -> dict[str, np.ndarray]:
+    """Z/n's characters ``chi_k(g^a) = e^{2 pi i (k a mod n) / n}`` as
+    ``(n, 1, 1)`` complex stacks by label, entry by entry from one list of
+    roots, with ``chi_k(e)`` exactly 1."""
+    roots = [cmath.exp(2j * cmath.pi * r / n) for r in range(n)]
+    roots[0] = 1.0
+    return {
+        f"chi{k}": np.array([[[roots[k * a % n]]] for a in range(n)], dtype=np.complex128)
+        for k in range(n)
+    }
 
 
 def hom_dim(group, chi1, chi2, chi3) -> int:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcat import grouprep
 from twistcat.abgroup import FinAbGroup
@@ -687,3 +689,72 @@ def test_cyclic_characters_are_the_closed_forms_bit_for_bit(n):
         want = np.array([[[cmath.exp(2j * cmath.pi * (k * a % n) / n)]] for a in range(n)])
         want[0] = 1.0  # exact identity
         assert np.array_equal(reps[f"chi{k}"].matrices.view(np.int64), want.view(np.int64))
+
+
+BUILTINS = [f"z{n}" for n in range(1, MAX_GROUP_ORDER + 1)] + ["s3", "d4", "q8"]
+GOLDEN_SPECS = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+
+
+def test_classes_and_centre_match_the_loop_oracles():
+    groups = [builtin_catalog(name)[0] for name in BUILTINS]
+    groups += [load_spec(path).build_category().group for path in GOLDEN_SPECS]
+    for group in groups:
+        assert group.conjugacy_classes == oracles.conjugacy_classes(group)
+        assert group.center == oracles.center(group)
+
+
+def _assert_permutation_group_matches_the_oracles(generators):
+    group = FiniteGroup.from_permutations(generators)
+    elements = oracles.permutation_closure(generators)
+    assert group.element_names == tuple(elements)
+    assert np.array_equal(group.table, oracles.permutation_table(elements))
+    assert group.conjugacy_classes == oracles.conjugacy_classes(group)
+    assert group.center == oracles.center(group)
+
+
+def test_permutation_groups_match_the_loop_oracles():
+    # S3 as the builtin generates it, and every golden spec's permutation group
+    sources = [[(1, 2, 0), (1, 0, 2)]]
+    for path in GOLDEN_SPECS:
+        kind, value = load_spec(path).group_source
+        if kind == "permutations":
+            sources.append(value)
+    assert len(sources) > 1
+    for generators in sources:
+        _assert_permutation_group_matches_the_oracles(generators)
+
+
+@st.composite
+def _permutation_generators(draw):
+    width = draw(st.integers(1, 7))
+    return draw(st.lists(st.permutations(range(width)), min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_permutation_generators())
+def test_drawn_permutation_groups_match_the_loop_oracles(generators):
+    if len(oracles.permutation_closure(generators)) > MAX_GROUP_ORDER:
+        with pytest.raises(StructuralError) as raised:
+            FiniteGroup.from_permutations(generators)
+        assert str(raised.value) == (
+            f"permutation group has more than MAX_GROUP_ORDER = {MAX_GROUP_ORDER} elements"
+        )
+    else:
+        _assert_permutation_group_matches_the_oracles(generators)
+
+
+def test_trivial_permutation_groups_have_order_one():
+    for generators in ([()], [(0,)]):
+        group = FiniteGroup.from_permutations(generators)
+        assert group.order == 1
+        _assert_permutation_group_matches_the_oracles(generators)
+
+
+def test_cyclic_characters_match_the_loop_oracle_bit_for_bit():
+    # through builtin_catalog, which reads catalogs.cyclic_group at call time
+    for n in range(1, MAX_GROUP_ORDER + 1):
+        _, reps = builtin_catalog(f"z{n}")
+        want = oracles.cyclic_characters(n)
+        assert list(reps) == list(want)
+        for label, mats in want.items():
+            assert np.array_equal(_bits(reps[label].matrices), _bits(mats))

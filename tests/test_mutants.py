@@ -90,6 +90,17 @@ TEST_ROWS = [
     ("cocycle", "_narrow_dtype", "5 * denom < 2**15 else np.int32 if 5 * denom < 2**31",
      "5 * denom < 2**16 else np.int32 if 5 * denom < 2**32",
      test_cocycle.test_coboundaries_at_the_kernel_dtype_bounds),
+    # the group facts gathered over the table: the classes keyed by their
+    # largest member (the same sets in another order), the permutation
+    # product written p_j p_i (the opposite group's table), and the cyclic
+    # characters gathered at k + a
+    ("grouprep", "FiniteGroup.conjugacy_classes", ".min(axis=0)", ".max(axis=0)",
+     test_grouprep.test_classes_and_centre_match_the_loop_oracles),
+    ("grouprep", "FiniteGroup.from_permutations", "perms[:, perms]",
+     "perms[:, perms].transpose(1, 0, 2)",
+     test_grouprep.test_permutation_groups_match_the_loop_oracles),
+    ("catalogs", "cyclic_group", "idx[:, None] * idx % n", "(idx[:, None] + idx) % n",
+     test_grouprep.test_cyclic_characters_match_the_loop_oracle_bit_for_bit),
     # the character sum without the conjugate of its third character
     ("grouprep", "hom_dim_table", "@ chars.conj().T", "@ chars.T",
      test_grouprep.test_hom_dim_table_of_known_fusion_rules),
