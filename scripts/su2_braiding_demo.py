@@ -21,7 +21,7 @@ def inverse_omega(cocycle, m, n):
 
 def print_smatrix(title, max_spin, cocycle):
     print(title)
-    num, mag = s_table(cocycle, *su2_ring(max_spin, cocycle)[1:])
+    num, mag = s_table(cocycle, *su2_ring(max_spin)[1:])
     matrix = np.where(num == 0, mag, -mag)  # a Z/2 cocycle's S entries are +-d_i d_j
     width = max(len(str(int(x))) for row in matrix for x in row)
     for row in matrix:
@@ -53,7 +53,7 @@ def main() -> None:
     print()
     print("sample fusion rules:")
     pairs = [(1, 1), (2, 3), (4, 4)]
-    labels = su2_ring(max(m + n for m, n in pairs), lattice)[0]
+    labels = su2_ring(max(m + n for m, n in pairs))[0]
     for m, n in pairs:
         spins = ", ".join(labels[k] for k in su2_tensor(m, n))
         print(f"  {labels[m]} (x) {labels[n]} = {spins}")

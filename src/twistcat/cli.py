@@ -121,7 +121,8 @@ def _graded_objects(spec: CategorySpec) -> tuple:
     """``(labels, grades, dims)`` of a spec's simple objects: the ``V(n)`` of
     the SU(2) ring on an su2 spec, the catalog of its category otherwise."""
     if spec.mode == "su2":
-        return fusionring.su2_ring(spec.max_spin, spec.build_cocycle())
+        spec.build_cocycle()  # both modes refuse an invalid cocycle here
+        return fusionring.su2_ring(spec.max_spin)
     cat = spec.build_category()
     return cat.labels, cat.grades, cat.dims
 
@@ -225,7 +226,7 @@ def _verify_su2(spec: CategorySpec, cocycle: AbelianCocycle, report: Report, see
     )
     report.add("fusion-dimension-rule", fusion_ok, "Clebsch-Gordan dimensions add up")
 
-    # the cocycle is on Z/2 (su2_ring checked it), so these are both grades
+    # the cocycle is on Z/2 (the spec reader checked it), so these are both grades
     report.add(
         "categorical-dimensions", not fusionring.dim_exponents(cocycle).any(),
         "dimension prefactor is exactly 1 on both grades",
@@ -257,7 +258,7 @@ def cmd_fusion(args) -> int:
     spec = load_spec(args.spec)
     report = Report(spec.name, spec.digest, args.seed)
     if spec.mode == "su2":
-        # the ring's cocycle is refused as smatrix refuses it: invalid, or not on Z/2
+        # invalid cocycles are refused as smatrix refuses them; non-Z/2 gradings, by the reader
         labels = _graded_objects(spec)[0]
         report.tables["fusion"] = fusionring.su2_fusion(product(range(len(labels)), repeat=2))
         report.add("fusion-table", True, f"Clebsch-Gordan up to spin {spec.max_spin}")

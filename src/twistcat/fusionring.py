@@ -49,13 +49,9 @@ def s_table(cocycle: AbelianCocycle, grades, dims) -> tuple[np.ndarray, np.ndarr
     return num, np.outer(dims, dims).astype(np.int64)
 
 
-def su2_ring(max_spin: int, cocycle: AbelianCocycle) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The ``V(n)``, ``n`` from 0 to ``max_spin``, over a cocycle on Z/2: their
-    labels, grade indices ``n mod 2`` and dimensions ``n + 1``."""
-    if not 0 <= max_spin <= MAX_SPIN:
-        raise StructuralError(f"max_spin must be between 0 and {MAX_SPIN}")
-    if cocycle.group.factors != (2,):
-        raise StructuralError("the graded SU(2) ring needs a cocycle on Z/2")
+def su2_ring(max_spin: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ``V(n)``, ``n`` from 0 to ``max_spin`` (at most ``MAX_SPIN``, as the spec
+    reader checks): labels, grade indices ``n mod 2`` in Z/2 and dimensions ``n + 1``."""
     spins = np.arange(max_spin + 1)
     return list(map(_label, range(max_spin + 1))), spins % 2, spins + 1
 

@@ -15,9 +15,9 @@ grade index, times a 0/1 integer layout fixed by the dims:
     twist        Omega(a, a)^{-1}
 
 The public maps return the scalar's ``unitscalar.root_of_unity`` value
-times the layout.  Each layout (identity, flip, ``vec(I)``) has one integer builder,
-cached as read-only float64 per category, which the coherence suite reads
-too.
+times the layout.  Each layout (identity, flip, ``vec(I)``) has one integer
+builder; ``_layout`` caches it as read-only float64 once per process, by
+builder and dims, for every category and for the coherence suite.
 
 A category records its catalog once, at construction: each member's label,
 grade index and dim, as ``labels``, ``grades`` and ``dims``.  The suite gathers
@@ -59,7 +59,7 @@ the trace of its averaging projector before anything reads it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -108,6 +108,47 @@ def _vec_identity(d: int) -> np.ndarray:
     """``vec(I)`` as a row, entry ``(j, i)`` equal to ``delta_ji``: the
     evaluation's layout; its transpose is the coevaluation's."""
     return _identity(d).reshape(1, d * d)
+
+
+LAYOUT_CACHE_SIZE = 128  # one verify reads at most 90: under the group cap, <= 5 distinct dims
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(build, *dims: int) -> np.ndarray:
+    """``build(*dims)`` as read-only float64, once per process by builder and
+    dims: naturality's products then need no cast, and 0/1 entries are exact."""
+    layout = build(*dims).astype(np.float64)
+    layout.setflags(write=False)
+    return layout
+
+
+def _eye(d: int) -> np.ndarray:
+    return _layout(_identity, d)
+
+
+def _flip(d1: int, d2: int) -> np.ndarray:
+    return _layout(flip_matrix, d1, d2)
+
+
+def _pairing(d: int) -> np.ndarray:
+    return _layout(_vec_identity, d)
+
+
+def _snake_layout(d: int) -> int:
+    """Layout error of both snakes on a word of dim ``d``:
+    ``(1_M (x) e_M)(i_M (x) 1_M)`` and ``(e_M (x) 1_M*)(1_M* (x) i_M)``
+    against the identity."""
+    eye, ev = _eye(d), _pairing(d)
+    coev = ev.T
+    return max(
+        _deviation(_kron(eye, ev) @ _kron(coev, eye), eye),
+        _deviation(_kron(ev, eye) @ _kron(eye, coev), eye),
+    )
+
+
+def _double_layout(d1: int, d2: int) -> int:
+    """Layout error of ``flip(d2, d1) flip(d1, d2)`` against the identity."""
+    return _deviation(_flip(d2, d1) @ _flip(d1, d2), _eye(d1 * d2))
 
 
 def _projector_ranks(group: FiniteGroup, catalog) -> np.ndarray:
@@ -160,8 +201,6 @@ class TwistedCategory:
         self.cocycle = cocycle
         self.embedding = embedding
         self.grading = cocycle.group
-        # read-only float64 0/1 layouts by builder and dims, built on first use
-        self._layouts: dict[tuple, np.ndarray] = {}
 
         for label, rep in irreps.items():
             if rep.group is not group:
@@ -221,30 +260,12 @@ class TwistedCategory:
             dim *= m.dim
         return grade, dim
 
-    # -- scalars and layouts by grade index and dims ------------------------------
+    # -- scalars by grade index ---------------------------------------------------
 
     def _ev_exponent(self, a):
         """``F(a, -a, a)``, whose inverse scales the evaluation, at a grade
         index or an array of them."""
         return self.cocycle.f_num[a, self.grading.neg_index_table[a], a]
-
-    def _layout(self, build, *dims: int) -> np.ndarray:
-        """``build(*dims)`` as float64, built once per category and read-only:
-        the naturality products then need no cast, and 0/1 entries are exact."""
-        layout = self._layouts.get((build, *dims))
-        if layout is None:
-            layout = self._layouts[build, *dims] = build(*dims).astype(np.float64)
-            layout.setflags(write=False)
-        return layout
-
-    def _eye(self, d: int) -> np.ndarray:
-        return self._layout(_identity, d)
-
-    def _flip(self, d1: int, d2: int) -> np.ndarray:
-        return self._layout(flip_matrix, d1, d2)
-
-    def _pairing(self, d: int) -> np.ndarray:
-        return self._layout(_vec_identity, d)
 
     # -- structure morphisms ----------------------------------------------------
 
@@ -252,13 +273,13 @@ class TwistedCategory:
         """``F(a1,a2,a3)^{-1}`` times the identity on the flattened triple space."""
         (a1, d1), (a2, d2), (a3, d3) = self._word(m1), self._word(m2), self._word(m3)
         f = int(self.cocycle.f_num[a1, a2, a3])
-        return root_of_unity(-f, self.cocycle.denom) * self._eye(d1 * d2 * d3)
+        return root_of_unity(-f, self.cocycle.denom) * _eye(d1 * d2 * d3)
 
     def braiding(self, m1, m2) -> np.ndarray:
         """``Omega(a1,a2)^{-1}`` times the flip onto the reversed word."""
         (a1, d1), (a2, d2) = self._word(m1), self._word(m2)
         w = int(self.cocycle.omega_num[a1, a2])
-        return root_of_unity(-w, self.cocycle.denom) * self._flip(d1, d2)
+        return root_of_unity(-w, self.cocycle.denom) * _flip(d1, d2)
 
     def twist(self, m) -> UnitScalar:
         """The ribbon scalar ``Omega(a, a)^{-1}`` on a grade-a object."""
@@ -268,13 +289,13 @@ class TwistedCategory:
     def evaluation(self, m) -> np.ndarray:
         """Row vector on M* (x) M: ``(f', v) -> F(a,-a,a)^{-1} f'(v)``."""
         a, d = self._word(m)
-        return root_of_unity(-int(self._ev_exponent(a)), self.cocycle.denom) * self._pairing(d)
+        return root_of_unity(-int(self._ev_exponent(a)), self.cocycle.denom) * _pairing(d)
 
     def coevaluation(self, m) -> np.ndarray:
         """Column vector into M (x) M*: ``1 -> sum_i e_i (x) e_i'``, as a real
         float array: its scalar is 1."""
         d = self._word(m)[1]
-        return self._pairing(d).T.astype(np.float64)
+        return _pairing(d).T.astype(np.float64)
 
     # -- multiplicities ---------------------------------------------------------
 
@@ -331,12 +352,12 @@ class TwistedCategory:
         dims = dims.tolist()
         # snake on M*: F(a,-a,a)^-1 from e_M, F(-a,a,-a)^-1 from A_{M*,M,M*}
         snake = (self._ev_exponent(a) + self._ev_exponent(neg[a])) % c.denom
-        snake_layout = np.array([self._snake_layout(d) for d in dims], dtype=np.int64)
+        snake_layout = np.array([_snake_layout(d) for d in dims], dtype=np.int64)
         # R_{N,M} R_{M,N} == e^{-2 pi i b(a,b)} I, whose categorical trace is an S entry
         w = c.omega_num[ix2]
         double = (w + w.T - c.b_num[ix2]) % c.denom
         double_layout = np.array(
-            [self._double_layout(d1, d2) for d1, d2 in product(dims, repeat=2)], dtype=np.int64
+            [_double_layout(d1, d2) for d1, d2 in product(dims, repeat=2)], dtype=np.int64
         ).reshape(len(dims), len(dims))
         rows, naturality = self._naturality_layouts(seed)
         checks = [
@@ -389,21 +410,6 @@ class TwistedCategory:
         checked = (k if rows is None else len(rows)) * k ** (arity - 1)
         return AxiomCheck(axiom, witness is None, checked, witness, worst)
 
-    def _snake_layout(self, d: int) -> int:
-        """Layout error of both snakes on a word of dim ``d``:
-        ``(1_M (x) e_M)(i_M (x) 1_M)`` and ``(e_M (x) 1_M*)(1_M* (x) i_M)``
-        against the identity."""
-        eye, ev = self._eye(d), self._pairing(d)
-        coev = ev.T
-        return max(
-            _deviation(_kron(eye, ev) @ _kron(coev, eye), eye),
-            _deviation(_kron(ev, eye) @ _kron(eye, coev), eye),
-        )
-
-    def _double_layout(self, d1: int, d2: int) -> int:
-        """Layout error of ``flip(d2, d1) flip(d1, d2)`` against the identity."""
-        return _deviation(self._flip(d2, d1) @ self._flip(d1, d2), self._eye(d1 * d2))
-
     def _naturality_layouts(self, seed: int) -> tuple[list, np.ndarray]:
         """The braiding against a map ``f`` of up to 8 seeded catalog
         triples ``(m1, m2, m3)``: the triples' labels, and per triple the
@@ -428,8 +434,8 @@ class TwistedCategory:
         for ((d3, d12), f), dy in product(maps.items(), dict.fromkeys(dims)):
             # braiding naturality in the first slot, R_{M3,Y} (f (x) 1_Y) ==
             # (1_Y (x) f) R_{M1M2,Y}, without the Omega(a3, ay)^-1 of both sides
-            eye_y = self._eye(dy)
-            lhs, rhs = self._flip(d3, dy) @ _kron(f, eye_y), _kron(eye_y, f) @ self._flip(d12, dy)
+            eye_y = _eye(dy)
+            lhs, rhs = _flip(d3, dy) @ _kron(f, eye_y), _kron(eye_y, f) @ _flip(d12, dy)
             errs[d3, d12, dy] = _deviation(lhs, rhs)
         cells = [[errs[(*shape, dy)] for dy in dims] for shape in shapes]
         rows = [tuple(self.labels[x] for x in t) for t in chosen]

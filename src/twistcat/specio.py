@@ -365,7 +365,8 @@ class CategorySpec:
 
 def su2_spec(max_spin: int, s: int) -> CategorySpec:
     """The su2 spec ``su2(s=...)``, with no file and digest ``-``, of the cyclic
-    cocycle ``s`` on Z/2 up to ``max_spin``, which ``su2_ring`` checks."""
+    cocycle ``s`` on Z/2 up to ``max_spin``, checked as a spec file's is."""
+    max_spin = _parse_int(max_spin, "max_spin", range(0, MAX_SPIN + 1))
     cocycle = ("cyclic", 2, s)
     return CategorySpec(f"su2(s={s})", "su2", "-", FinAbGroup((2,)), cocycle, max_spin=max_spin)
 
@@ -411,6 +412,8 @@ def load_spec(spec: str | Path) -> CategorySpec:
     grading = FinAbGroup(_parse_ints(raw.get("grading_group"), "grading_group"))
     name = _typed(raw.get("name", path.stem), str, "name")
     cocycle = _parse_cocycle(raw.get("cocycle"), grading)
+    if mode == "su2" and grading.factors != (2,):  # the graded SU(2) ring lives on Z/2
+        raise _bad("grading_group", "[2] in su2 mode", raw["grading_group"])
     spec = CategorySpec(name, mode, hashlib.sha256(data).hexdigest(), grading, cocycle)
     spec.max_spin = _parse_int(raw.get("max_spin", 10), "max_spin", range(0, MAX_SPIN + 1))
     if mode == "finite-group":

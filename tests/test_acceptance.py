@@ -61,7 +61,7 @@ def test_criterion_2_reference_cocycle_values():
 
 def test_criterion_3_su2_smatrix():
     cocycle = build_cyclic(2, 3)
-    num, mag = s_table(cocycle, *su2_ring(10, cocycle)[1:])
+    num, mag = s_table(cocycle, *su2_ring(10)[1:])
     s = np.where(num == 0, mag, -mag)
     ok = all(s[m, n] == (-1) ** (m * n) * (m + 1) * (n + 1) for m, n in np.ndindex(s.shape))
     _verdict(3, "S-matrix closed form", ok, "S_mn = (-1)^{mn}(m+1)(n+1) exactly, 0 <= m,n <= 10")

@@ -308,28 +308,47 @@ def test_fusion_su2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grading, cocycle_config, code, err",
+    "grading, cocycle_config, code, err, commands",
     [
         ([2], {"tables": {"f": {}, "omega": {"1|1": "3/4"}}}, cli.EXIT_VALIDATION,
-         "validation failure: cocycle tables violate the hexagon-1 axiom at ((1,), (1,), (1,))\n"),
+         "validation failure: cocycle tables violate the hexagon-1 axiom at ((1,), (1,), (1,))\n",
+         ("fusion", "smatrix")),
         ([3], {"builder": "cyclic", "n": 3, "s": 1}, cli.EXIT_PARSE,
-         "error: the graded SU(2) ring needs a cocycle on Z/2\n"),
+         "error: spec field 'grading_group' must be [2] in su2 mode, got [3]\n",
+         ("verify", "fusion", "smatrix")),
     ],
     ids=["invalid-cocycle", "graded-by-z3"],
 )
 def test_su2_fusion_refuses_the_cocycle_as_smatrix_does(
-    grading, cocycle_config, code, err, tmp_path, capsys
+    grading, cocycle_config, code, err, commands, tmp_path, capsys
 ):
-    # fusion used to print the Clebsch-Gordan table and exit 0 on both
+    # fusion used to print the Clebsch-Gordan table and exit 0 on both; the
+    # Z/3 grading is refused by the spec reader, where verify used to check
+    # the cocycle first and then exit on the ring's own message
     spec = {
         "schema_version": 1, "name": "su2-refused", "mode": "su2",
         "grading_group": grading, "cocycle": cocycle_config, "max_spin": 3,
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    for command in ("fusion", "smatrix"):
+    for command in commands:
         assert run_cli(command, "--spec", str(path)) == code, command
         assert capsys.readouterr() == ("", err), command
+
+
+@pytest.mark.parametrize("max_spin", [-1, 65])
+def test_smatrix_su2_spin_cap_is_refused_as_in_a_spec_file(max_spin, tmp_path, capsys):
+    # --max-spin 65 used to print the ring's "max_spin must be between 0 and 64"
+    spec = {
+        "schema_version": 1, "name": "su2-cap", "mode": "su2", "grading_group": [2],
+        "cocycle": {"builder": "cyclic", "n": 2, "s": 3}, "max_spin": max_spin,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    err = f"error: spec field 'max_spin' must be an integer in [0, 65), got {max_spin}\n"
+    for argv in (["--su2", f"--max-spin={max_spin}"], ["--spec", str(path)]):
+        assert run_cli("smatrix", *argv) == cli.EXIT_PARSE, argv
+        assert capsys.readouterr() == ("", err), argv
 
 
 def test_monodromy_reals(capsys):

@@ -12,7 +12,7 @@ from twistcat.abgroup import FinAbGroup
 from twistcat import cli, fusionring
 from twistcat.catalogs import builtin_catalog, cyclic_group
 from twistcat.cocycle import AbelianCocycle, build_cyclic
-from twistcat.errors import ConsistencyError, StructuralError
+from twistcat.errors import ConsistencyError
 from twistcat.fusionring import dim_exponents, s_table, su2_ring, su2_tensor
 from twistcat.grouprep import CentralEmbedding
 from twistcat.modcat import TwistedCategory
@@ -30,7 +30,7 @@ spins = st.integers(min_value=0, max_value=30)
 def su2_integers(max_spin, cocycle):
     """The ``s_table`` of ``su2_ring`` as the integers ``+-d_i d_j``, read as
     ``cli`` reads a +-1 entry."""
-    num, mag = s_table(cocycle, *su2_ring(max_spin, cocycle)[1:])
+    num, mag = s_table(cocycle, *su2_ring(max_spin)[1:])
     return np.where(num == 0, mag, -mag)
 
 
@@ -206,29 +206,19 @@ def test_su2_smatrix_matches_entrywise(max_spin):
         assert np.array_equal(out, expected)
 
 
-def test_su2_smatrix_rejects_bad_spins_and_forms():
-    for max_spin in (-1, 65):
-        # the spin cap is checked before the cocycle's group
-        for cocycle in (build_cyclic(2, 3), build_cyclic(3, 1)):
-            with pytest.raises(StructuralError, match="^max_spin must be between 0 and 64$"):
-                su2_ring(max_spin, cocycle)
+def test_su2_s_table_reads_a_quarter_form():
     # Omega(1, 1) = e(1/8) gives b(1, 1) = 1/4; only odd spins reach it, as e(-1/4)
     quarter = AbelianCocycle(
         FinAbGroup((2,)), np.zeros((2, 2, 2), np.int64), np.array([[0, 0], [0, 1]]), 8
     )
-    num, mag = s_table(quarter, *su2_ring(1, quarter)[1:])
+    num, mag = s_table(quarter, *su2_ring(1)[1:])
     assert num.tolist() == [[0, 0], [0, 6]] and mag.tolist() == [[1, 2], [2, 4]]
 
 
 def test_su2_ring_labels_grades_and_dims():
-    labels, grades, dims = su2_ring(3, build_cyclic(2, 3))
+    labels, grades, dims = su2_ring(3)
     assert labels == ["V(0)", "V(1)", "V(2)", "V(3)"]
     assert grades.tolist() == [0, 1, 0, 1] and dims.tolist() == [1, 2, 3, 4]
-
-
-def test_su2_needs_z2_cocycle():
-    with pytest.raises(StructuralError, match=r"^the graded SU\(2\) ring needs a cocycle on Z/2$"):
-        su2_ring(1, build_cyclic(3, 1))
 
 
 def test_su2_dim_exponents_vanish_for_valid_cocycles():

@@ -15,6 +15,7 @@ from twistcat import cocycle, modcat
 from twistcat.fusionring import dim_exponents, s_table
 from twistcat.grouprep import MATRIX_TOL, CentralEmbedding
 from twistcat.modcat import TwistedCategory, flip_matrix
+from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
 
 import mutants
@@ -72,6 +73,38 @@ def test_category_reuses_the_builders_report(monkeypatch):
     for _ in range(2):
         TwistedCategory(group, bare, CentralEmbedding(bare.group, (2,)), reps)
         assert calls == [kept, bare]
+
+
+def test_categories_share_one_read_only_layout_per_builder_and_dims(monkeypatch, s3_cat, q8_cat):
+    # s3 and q8 both have 1- and 2-dim members, so their suites read the
+    # same keys; each key is one array for the whole process
+    real, read = modcat._layout, []
+    for cat in (s3_cat, q8_cat):
+        seen = {}
+        monkeypatch.setattr(modcat, "_layout", lambda b, *d: seen.setdefault((b, *d), real(b, *d)))
+        cat.coherence_suite()
+        read.append(seen)
+    shared = read[0].keys() & read[1].keys()
+    assert {(flip_matrix, 2, 2), (modcat._identity, 4)} <= shared
+    for key in shared:
+        assert read[0][key] is read[1][key], key
+        assert not read[0][key].flags.writeable, key
+    assert real.cache_info().maxsize == modcat.LAYOUT_CACHE_SIZE
+    # the public maps hand out products and copies, never a cached layout
+    spin = q8_cat["spin"]
+    maps = [q8_cat.associator(spin, spin, spin), q8_cat.braiding(spin, spin),
+            q8_cat.evaluation(spin), q8_cat.coevaluation(spin)]
+    assert all(m.flags.writeable for m in maps)
+
+
+def test_a_patched_layout_builder_gets_its_own_cache_entries(monkeypatch):
+    # the real flip's layouts are cached first; the rolled flip must not be
+    # served them
+    def double_braiding(cat):
+        return next(c for c in cat.coherence_suite().checks if c.axiom == "double-braiding")
+
+    assert double_braiding(load_spec("q8-z2").build_category()).passed
+    assert not double_braiding(mutants._rolled_flip("q8-z2", monkeypatch)).passed
 
 
 def test_braiding_super():
@@ -668,7 +701,7 @@ def test_non_integral_characters_raise_like_hom_dim():
 def _per_tuple_self_checks(cat, seed):
     """The snake, double-braiding and naturality checks as per-tuple loops:
     one residue and one layout error per member, per pair and per ``y``,
-    read from the cocycle's tables, the category's own layout builders and
+    read from the cocycle's tables, ``modcat``'s layout helpers and
     ``modcat._kron`` at call time, so a mutation of either reaches both this
     reference and the suite.  Naturality drops the unit scalar that both its
     sides carry, as the suite does.  Per check: ``checked``, the witness, the
@@ -691,7 +724,7 @@ def _per_tuple_self_checks(cat, seed):
     residues, layouts = np.zeros(k, np.int64), np.zeros(k, np.int64)
     for x, (a, d) in enumerate(words):
         residues[x] = (int(c.f_num[a, neg[a], a]) + int(c.f_num[neg[a], a, neg[a]])) % c.denom
-        eye, pair = cat._eye(d), cat._pairing(d)
+        eye, pair = modcat._eye(d), modcat._pairing(d)
         layouts[x] = max(
             _layout_error(kron(eye, pair) @ kron(pair.T, eye), eye),
             _layout_error(kron(pair, eye) @ kron(eye, pair.T), eye),
@@ -702,7 +735,8 @@ def _per_tuple_self_checks(cat, seed):
     residues, layouts = np.zeros((k, k), np.int64), np.zeros((k, k), np.int64)
     for (x, (a1, d1)), (z, (a2, d2)) in product(enumerate(words), repeat=2):
         residues[x, z] = (int(W[a1, a2]) + int(W[a2, a1]) - int(B[a1, a2])) % c.denom
-        layouts[x, z] = _layout_error(cat._flip(d2, d1) @ cat._flip(d1, d2), cat._eye(d1 * d2))
+        flips = modcat._flip(d2, d1) @ modcat._flip(d1, d2)
+        layouts[x, z] = _layout_error(flips, modcat._eye(d1 * d2))
     out["double-braiding"] = check(list(product(cat.catalog, repeat=2)), residues, layouts)
 
     rng = np.random.default_rng(seed)
@@ -718,8 +752,9 @@ def _per_tuple_self_checks(cat, seed):
         f = maps[d3, d12]
         for col, (y, (_, dy)) in enumerate(zip(cat.catalog, words)):
             members.append((cat.catalog[i], cat.catalog[j], cat.catalog[l], y))
-            eye_y = cat._eye(dy)
-            lhs, rhs = cat._flip(d3, dy) @ kron(f, eye_y), kron(eye_y, f) @ cat._flip(d12, dy)
+            eye_y = modcat._eye(dy)
+            lhs = modcat._flip(d3, dy) @ kron(f, eye_y)
+            rhs = kron(eye_y, f) @ modcat._flip(d12, dy)
             layouts[row, col] = _layout_error(lhs, rhs)
     out["naturality(spot-checks)"] = check(members, np.zeros_like(layouts), layouts)
     return out, sampled

@@ -27,6 +27,7 @@ import test_grouprep
 import test_modcat
 import test_specio
 import test_su2_shadows
+import test_su2_virasoro
 
 
 # (fault, the verdict it must fail, the fixtures it must fail it on)
@@ -140,6 +141,13 @@ TEST_ROWS = [
     # and the same fault seen through its finite shadow: V(m)xV(n) restricted to Q8
     ("fusionring", "su2_tensor", "range(abs(m - n), m + n + 1, 2)", "range(abs(m - n), m + n, 2)",
      test_su2_shadows.test_clebsch_gordan_restricts_to_q8_fusion),
+    # the Virasoro weights: V(n) graded by n + 1, and the S table's first
+    # axis read at the grades rolled by one
+    ("fusionring", "su2_ring", "spins % 2", "(spins + 1) % 2",
+     test_su2_virasoro.test_twists_are_the_virasoro_weights),
+    ("fusionring", "s_table", "cocycle.b_num[np.ix_(grades, grades)]",
+     "cocycle.b_num[np.ix_(np.roll(grades, 1), grades)]",
+     test_su2_virasoro.test_s_entries_are_the_virasoro_sums),
     # the projector traces without the inverse, which Z/3 and Z/4's
     # non-real characters show; and the multiplicity cross-check disabled
     ("modcat", "_projector_ranks", "traces[:, group.inverse]", "traces",

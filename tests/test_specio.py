@@ -1,6 +1,8 @@
 """The spec table path: sparse exponent entries to arrays, through the one
-bulk reader ``specio._parse_tables``."""
+bulk reader ``specio._parse_tables``; and the su2 mode's refusals, which the
+reader owns."""
 
+import json
 import random
 import re
 import tracemalloc
@@ -242,3 +244,46 @@ def test_bulk_reader_holds_one_chunk_of_key_parts():
             tracemalloc.stop()
         assert np.array_equal(f[0], np.arange(n**3))
         assert peak < 64 * len(tables["f"]), shift
+
+
+def _su2_spec_file(tmp_path, **fields):
+    """An su2 spec file of the lattice cocycle up to spin 3, ``fields`` replaced."""
+    spec = {
+        "schema_version": 1, "name": "su2", "mode": "su2", "grading_group": [2],
+        "cocycle": {"builder": "cyclic", "n": 2, "s": 3}, "max_spin": 3, **fields,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "grading, cocycle",
+    [
+        ([3], {"builder": "cyclic", "n": 3, "s": 1}),
+        ([1, 2], {"builder": "trivial"}),
+        ([4], {"tables": {"omega": {"1|1": "1/3"}}}),
+    ],
+    ids=["z3-cyclic", "z1xz2-trivial", "z4-invalid-table"],
+)
+def test_su2_spec_needs_a_z2_grading(grading, cocycle, tmp_path):
+    # su2_ring used to refuse these once the cocycle was built and
+    # validated; now the reader does, and builds no cocycle
+    path = _su2_spec_file(tmp_path, grading_group=grading, cocycle=cocycle)
+    message = f"spec field 'grading_group' must be [2] in su2 mode, got {grading}"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        specio.load_spec(path)
+    assert specio.load_spec(_su2_spec_file(tmp_path)).grading.factors == (2,)
+
+
+@pytest.mark.parametrize("max_spin", [-1, 65])
+def test_su2_spin_cap_has_one_message(max_spin, tmp_path):
+    # su2_spec, behind smatrix --su2, used to leave the cap to su2_ring's
+    # "max_spin must be between 0 and 64"
+    message = f"spec field 'max_spin' must be an integer in [0, 65), got {max_spin}"
+    path = _su2_spec_file(tmp_path, max_spin=max_spin)
+    for read in (lambda: specio.load_spec(path), lambda: specio.su2_spec(max_spin, 3)):
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            read()
+    top = _su2_spec_file(tmp_path, max_spin=64)
+    assert specio.su2_spec(64, 3).max_spin == specio.load_spec(top).max_spin == 64
