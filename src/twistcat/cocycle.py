@@ -12,10 +12,13 @@ failing axiom is scanned in full, to name its first witness.  A ``modcat``
 category exists only over a cocycle whose report passes, so its coherence
 suite reads no pentagon or hexagon residue.
 ``F`` is stored once, in the narrowest integer dtype that holds
-``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is: every
-argument that is a sum, such as ``a3+a4``, is a row gather through
-``add_index_table``, the pentagon builds one ``|A|^3`` slab per first
-argument, and the hexagons sum transposed views of ``F`` in place.
+``5 * denom`` (``_narrow_dtype``), and the kernels read it as it is.  The
+pentagon builds one ``|A|^3`` slab per first argument, and the hexagons sum
+transposed views of ``F`` in place.  On a cyclic group the kernels read
+every argument that is a sum, such as ``a3+a4``, as a shift: a strided
+window over one row of ``F``, or over ``Omega``, doubled
+(``_sum_windows``), or two slices of ``F``.  On other groups such an
+argument is a row gather through ``add_index_table``.
 ``Omega`` and ``b`` are only ``|A|^2`` and stay int64.  A reader that does
 arithmetic on ``f_num`` keeps it within ``5 * denom`` or widens it first.
 A cocycle's ``report`` is ``validate_cocycle`` of it, computed once, on
@@ -268,23 +271,54 @@ def _reduce(d: np.ndarray, q: np.ndarray, L: int) -> None:
     d -= q
 
 
+def _sum_windows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a C-contiguous ``(n, n)`` table ``V`` on ``Z/n``, the views
+    ``[x, y, z] -> V[x + y, z]`` and ``[x, y, z] -> V[x, y + z]``, sums mod
+    ``n``: strided windows over ``V`` doubled along axis 0 and along axis 1,
+    where a sum below ``2 n`` needs no mod.  ``sliding_window_view`` makes
+    the same views at a cost that shows at small ``n``."""
+    n, s = len(V), V.itemsize
+    return (np.ndarray((n, n, n), V.dtype, np.concatenate((V, V)), strides=(n * s, n * s, s)),
+            np.ndarray((n, n, n), V.dtype, np.concatenate((V, V), axis=1),
+                       strides=(2 * n * s, s, s)))
+
+
 def pentagon_slabs(c: AbelianCocycle, rows: Iterable[int]) -> Iterator[np.ndarray]:
     """The pentagon residue mod ``denom`` in the narrow dtype: for each ``a1``
     in ``rows``, in order, the slab ``d[a2, a3, a4]``.  Every slab is the same
-    buffer, overwritten by the next."""
-    L, F, S = c.denom, c.f_num, c.group.add_index_table
+    buffer, overwritten by the next.
+
+    On a cyclic group (one invariant factor) every sum of arguments is a
+    shift mod ``n``: ``F(a1, a2+a3, a4)`` and ``F(a1, a2, a3+a4)`` are the
+    ``_sum_windows`` of the row ``F[a1]``, and ``F(a1+a2, a3, a4)`` is two
+    slices of ``F``.  Other groups gather the sums through
+    ``add_index_table``.  Both paths add the same terms in the same order,
+    so their slabs are equal."""
+    L, F = c.denom, c.f_num
     d, q = np.empty_like(F), np.empty_like(F)
+    cyclic, n = c.group.rank == 1, len(F)
     # F(a1,a2,a3) F(a1,a2+a3,a4) F(a2,a3,a4) = F(a1+a2,a3,a4) F(a1,a2,a3+a4).
-    # Every term is a row gather or a broadcast.  np.take with mode="raise"
-    # writes through a temporary copy of out; the indices are in range, so
-    # mode="clip" changes no value.
+    # np.take with mode="raise" writes through a temporary copy of out; the
+    # indices are in range, so mode="clip" changes no value.
     for i in rows:
         G = F[i]
-        np.take(G, S, axis=0, out=d, mode="clip")  # F(i, a2+a3, a4)
-        d += G[:, :, None]  # F(i, a2, a3)
-        d += F  # F(a2, a3, a4)
-        d -= np.take(G, S, axis=1, out=q, mode="clip")  # F(i, a2, a3+a4)
-        d -= np.take(F, S[i], axis=0, out=q, mode="clip")  # F(i+a2, a3, a4)
+        if cyclic:
+            G0, G1 = _sum_windows(G)
+            # a copy of G0 runs as n contiguous blocks of n^2 cells; G1 and the
+            # broadcast G do not merge axes, so adding G0 to either is slower
+            np.copyto(d, G0)  # F(i, a2+a3, a4)
+            d += G[:, :, None]  # F(i, a2, a3)
+            d += F  # F(a2, a3, a4)
+            d -= G1  # F(i, a2, a3+a4)
+            d[:n - i] -= F[i:]  # F(i+a2, a3, a4) for a2 < n - i
+            d[n - i:] -= F[:i]  # and for the a2 where i + a2 wraps
+        else:
+            S = c.group.add_index_table
+            np.take(G, S, axis=0, out=d, mode="clip")  # F(i, a2+a3, a4)
+            d += G[:, :, None]  # F(i, a2, a3)
+            d += F  # F(a2, a3, a4)
+            d -= np.take(G, S, axis=1, out=q, mode="clip")  # F(i, a2, a3+a4)
+            d -= np.take(F, S[i], axis=0, out=q, mode="clip")  # F(i+a2, a3, a4)
         _reduce(d, q, L)
         yield d
 
@@ -329,19 +363,26 @@ def _hexagon_rows(c: AbelianCocycle, rows) -> np.ndarray:
     ``h[0]``, hexagon-1, laid out ``[a1, a2, a3]``, and ``h[1]``, hexagon-2,
     laid out ``[a2, a3, a1]``, each at the first-axis indices ``rows`` (an
     index list, or ``slice(None)`` for all of ``A^3``)."""
-    L, S = c.denom, c.group.add_index_table[rows]
-    F, W = c.f_num, c.omega_num.astype(c.f_num.dtype)
+    L, F, W = c.denom, c.f_num, c.omega_num.astype(c.f_num.dtype)
     # F(a,b,c), F(c,a,b) and F(a,c,b) at the rows of a
     Fr, Fc, Ft = F[rows], F.transpose(1, 2, 0)[rows], F.transpose(0, 2, 1)[rows]
-    h = np.empty((2, len(S)) + F.shape[1:], F.dtype)
+    h = np.empty((2, len(Fr)) + F.shape[1:], F.dtype)
     h1, h2 = h
     # Each hexagon is summed in place, reading F and Omega through transposed
     # and broadcast views (copies of the rows when rows is a list).  The
     # layout of each sum puts the pair of arguments that Omega reads as a sum
-    # on its two outer axes, so that term is a row gather.
+    # on its two outer axes, so that term is a window on a cyclic group, as
+    # in the pentagon, and a row gather on any other.
+    if c.group.rank == 1:
+        W0, W1 = _sum_windows(W)
+        h1[...] = W0[rows]  # Omega(a1+a2, a3)
+        h2[...] = W1.transpose(1, 2, 0)[rows]  # Omega(a1, a2+a3)
+    else:
+        S = c.group.add_index_table[rows]
+        np.take(W, S, axis=0, out=h1, mode="clip")  # Omega(a1+a2, a3)
+        np.take(W.T, S, axis=0, out=h2, mode="clip")  # Omega(a1, a2+a3)
 
     # F(a1,a2,a3) Omega(a1+a2,a3) F(a3,a1,a2) = Omega(a2,a3) F(a1,a3,a2) Omega(a1,a3)
-    np.take(W, S, axis=0, out=h1, mode="clip")  # Omega(a1+a2, a3)
     h1 += Fr
     h1 += Fc  # F(a3, a1, a2)
     h1 -= W[None, :, :]  # Omega(a2, a3)
@@ -349,7 +390,6 @@ def _hexagon_rows(c: AbelianCocycle, rows) -> np.ndarray:
     h1 -= W[rows][:, None, :]  # Omega(a1, a3)
 
     # F(a1,a2,a3)^-1 Omega(a1,a2+a3) F(a2,a3,a1)^-1 = Omega(a1,a2) F(a2,a1,a3)^-1 Omega(a1,a3)
-    np.take(W.T, S, axis=0, out=h2, mode="clip")  # Omega(a1, a2+a3)
     h2 -= Fc  # F(a1, a2, a3)
     h2 -= Fr  # F(a2, a3, a1)
     h2 -= W.T[rows][:, None, :]  # Omega(a1, a2)

@@ -78,6 +78,7 @@ BUNDLED_FIXTURES = (
 )
 
 _ENTRY_EXP = re.compile(r"^e\((?P<frac>-?\d+(/\d+)?)\)$")
+_SIGN_SPACES = re.compile(r"(?<![eE]) *([+-]) *")  # spaces beside a sign, not an exponent's
 _EXPONENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # a table exponent string
 _RESIDUE = re.compile(r"[+-]?[0-9]+")  # one residue of an element
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
@@ -85,8 +86,18 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or fal
 
 def parse_matrix_entry(text: str) -> complex:
     """Parse ``"a+bi"`` decimal entries or ``"e(p/q)"`` roots of unity; the
-    value must be finite, so ``"nan"``, ``"inf"`` and ``"1e999"`` are refused."""
-    text = text.strip().replace(" ", "")
+    value must be finite, so ``"nan"``, ``"inf"`` and ``"1e999"`` are refused.
+    A space may stand at either end or beside a ``+`` or ``-`` sign, as in
+    ``"1 + 2i"`` or ``"- 0.5"``; any other space, as in ``"1 2"`` or
+    ``"1e 5"``, is refused, not read as two numbers glued together."""
+    text = text.strip()
+    if " " in text:
+        joined = _SIGN_SPACES.sub(r"\1", text)
+        if " " in joined:
+            raise StructuralError(
+                f"matrix entry {text!r} has a space other than at its ends or beside a part's sign"
+            )
+        text = joined
     m = _ENTRY_EXP.match(text)
     try:
         if m:

@@ -560,6 +560,15 @@ def test_parse_matrix_entry():
     assert parse_matrix_entry("e(1/2)") == -1
     with pytest.raises(StructuralError):
         parse_matrix_entry("one")
+    # spaces at the ends and beside a part's sign are kept out of the number
+    assert parse_matrix_entry(" 1 + 2i ") == complex(1, 2)
+    assert parse_matrix_entry("- 0.5") == -0.5
+    assert parse_matrix_entry("-0.5  -  0.25i") == complex(-0.5, -0.25)
+    # any other space would glue two numbers together: "1 2" read as 12,
+    # "0. 5" as 0.5, "1e 5" as 1e5 and "e(1 /2)" as -1
+    for text in ["1 2", "0. 5", "1e 5", "1e +5", "e(1 /2)", "1 + 2 i"]:
+        with pytest.raises(StructuralError, match="has a space other than at its ends"):
+            parse_matrix_entry(text)
 
 
 def test_spec_with_table_group_and_exponent_entries(tmp_path, capsys):
@@ -727,6 +736,7 @@ def test_z2_table_spec_verifies(tmp_path, capsys):
         ({"group": {"builtin": "x9"}}, "group.builtin"),
         ({"group": {"builtin": "z65"}}, "group.builtin"),
         ({"group": {"builtin": "z" + "7" * 5000}}, "group.builtin"),
+        (_z2_table_irrep(matrices=[[["1 2"]]]), "irreps.list[0].matrices[0][0][0]"),
     ],
     ids=[
         "cyclic-without-n", "irreps-without-list", "grading-group-string", "zero-denominator",
@@ -744,6 +754,7 @@ def test_z2_table_spec_verifies(tmp_path, capsys):
         "group-table-above-order-cap", "max-spin-above-cap", "max-spin-negative",
         "matrix-entry-nan", "matrix-entry-inf", "matrix-entry-overflow",
         "builtin-unknown", "builtin-above-cap", "builtin-long-name",
+        "matrix-entry-inner-space",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "fusion"])

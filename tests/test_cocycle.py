@@ -453,8 +453,9 @@ def test_hexagon_coboundary_is_a_sum_of_pentagon_residues(factors):
     ids=["cyclic-64", "trivial-2^6"],
 )
 def test_pentagon_decision_allocates_two_slabs(make):
-    # pentagon_slabs holds two buffers the size of F and gathers every sum
-    # argument into them; any copy of F on top of that breaks the bound
+    # pentagon_slabs holds two buffers the size of F and reads every sum
+    # argument through a gather into them or a window over one doubled row
+    # of F; any copy of F on top of that breaks the bound
     c = make()
     c.group.add_index_table  # cached on the group, built before tracing
     nbytes = c.f_num.nbytes
@@ -563,6 +564,46 @@ def test_table_broken_through_the_last_factor_is_refused():
                                    ({"omega": omega}, "hexagon-1", ((0, 1), (0, 1), (0, 1)))]:
         with pytest.raises(CocycleError, match=re.escape(f"the {axiom} axiom at {witness}")):
             _spec_cocycle(g, tables)
+
+
+@pytest.mark.parametrize(
+    "L", [(2**15 - 1) // 5, (2**31 - 1) // 5, MAX_DENOM], ids=["int16", "int32", "int64"]
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 64])
+def test_cyclic_windows_match_the_gathers(n, L):
+    """Z/n reads the pentagon's and hexagons' sums as windows over doubled
+    rows of F and Omega and as slices of F; Z/1 x Z/n has the same
+    enumeration, add_index_table and generator row but rank 2, so it gathers
+    them.  On random unnormalized tables, valid ones, and the valid ones with
+    an entry of F or Omega shifted, in each kernel dtype, the pentagon slabs
+    are equal at every row, so are the hexagon residues, and the verdicts
+    and witnesses agree."""
+    cyclic, product = FinAbGroup((n,)), FinAbGroup((1, n))
+    rng = np.random.default_rng([n, L])
+    L_valid = L - L % (n * gcd(n, 2))
+    f_valid, w_valid = _valid_tables(cyclic, [int(rng.integers(2 * n)), 0, 0], [1] * 9, L_valid,
+                                     rng)
+    cell = tuple(rng.integers(1, n, size=3)) if n > 1 else (0, 0, 0)
+    f_shifted, w_shifted = f_valid.copy(), w_valid.copy()
+    f_shifted[cell] += 1
+    w_shifted[cell[:2]] += 1
+    random = rng.integers(0, L, size=(n, n, n)), rng.integers(0, L, size=(n, n))
+    for (f, w), denom, valid in [
+        (random, L, False), ((f_valid, w_valid), L_valid, True),
+        ((f_shifted, w_valid), L_valid, False), ((f_valid, w_shifted), L_valid, True),
+    ]:
+        a, b = (AbelianCocycle(g, f, w, denom) for g in (cyclic, product))
+        assert a.f_num.dtype == _narrow_dtype(L)
+        for x, y in zip(pentagon_slabs(a, range(n)), pentagon_slabs(b, range(n)), strict=True):
+            assert np.array_equal(x, y)
+        assert all(map(np.array_equal, hexagon_residues(a), hexagon_residues(b)))
+        checks, references = [_check_pentagon(a)], [_check_pentagon(b)]
+        assert checks[0].passed == valid
+        checks += _check_hexagons(a, valid)
+        references += _check_hexagons(b, valid)
+        for check, reference in zip(checks, references, strict=True):
+            assert check.passed == reference.passed
+            assert tuple((0, *x) for x in check.witness or ()) == (reference.witness or ())
 
 
 def test_coboundaries_at_the_kernel_dtype_bounds():

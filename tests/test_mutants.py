@@ -87,6 +87,18 @@ TEST_ROWS = [
      test_cocycle.test_table_broken_through_the_last_factor_is_refused),
     ("cocycle", "_hexagon_rows_vanish", "_hexagon_rows(c, _generator_rows(c.group))",
      "_hexagon_rows(c, [0])", test_cocycle.test_table_broken_through_the_last_factor_is_refused),
+    # the cyclic windows: F(a1, a2, a3+a4) and Omega(a1, a2+a3) read over a
+    # row doubled along axis 0, F(a1+a2, a3, a4) read as F(a2-a1, a3, a4)
+    # with the two slices swapped, and Omega(a1, a2+a3) read untransposed,
+    # as Omega(a2, a3+a1); Z/5 in int16 shows each
+    ("cocycle", "_sum_windows", "np.concatenate((V, V), axis=1)", "np.concatenate((V, V))",
+     partial(test_cocycle.test_cyclic_windows_match_the_gathers, 5, (2**15 - 1) // 5)),
+    ("cocycle", "pentagon_slabs",
+     "d[:n - i] -= F[i:]  # F(i+a2, a3, a4) for a2 < n - i\n            d[n - i:] -= F[:i]",
+     "d[:i] -= F[n - i:]\n            d[i:] -= F[:n - i]",
+     partial(test_cocycle.test_cyclic_windows_match_the_gathers, 5, (2**15 - 1) // 5)),
+    ("cocycle", "_hexagon_rows", "W1.transpose(1, 2, 0)[rows]", "W1[rows]",
+     partial(test_cocycle.test_cyclic_windows_match_the_gathers, 5, (2**15 - 1) // 5)),
     # the kernel dtype one size too small at both bounds
     ("cocycle", "_narrow_dtype", "5 * denom < 2**15 else np.int32 if 5 * denom < 2**31",
      "5 * denom < 2**16 else np.int32 if 5 * denom < 2**32",
