@@ -32,6 +32,7 @@ from .grouprep import (
     FiniteGroup,
     GradedIrrep,
     MatrixRep,
+    RepCatalog,
     grade_of,
     rep_from_generators,
     validate_irrep,
@@ -58,6 +59,7 @@ __all__ = [
     "GroupElt",
     "MatrixRep",
     "PathPolyline",
+    "RepCatalog",
     "RepresentationError",
     "StructuralError",
     "TwistedCategory",

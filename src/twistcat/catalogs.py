@@ -7,6 +7,11 @@ per generator as in spec files, and extended to the whole group by
 ``rep_from_generators``, which replays one walk of the group for all of them.
 Users supply anything else through spec files (multiplication table or
 permutation generators, plus per-generator irrep matrices).
+
+A builtin catalog is a constant of its name: ``builtin_catalog`` builds it
+as one read-only ``RepCatalog`` per builder and argument, once per process,
+so its irreps are validated and its multiplicities computed once however
+many specs grade and twist it.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import re
 import numpy as np
 
 from .errors import StructuralError
-from .grouprep import MAX_GROUP_ORDER, FiniteGroup, MatrixRep, rep_from_generators
+from .grouprep import MAX_GROUP_ORDER, FiniteGroup, MatrixRep, RepCatalog, rep_from_generators
 
 
 def cyclic_group(n: int) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
@@ -108,22 +113,29 @@ _BUILTIN_BUILDERS = {
 }
 
 
-def builtin_builder(name: str):
-    """The builder of the builtin named ``name``: ``zN`` (for example ``z4``,
-    ``1 <= N <= MAX_GROUP_ORDER``) is the cyclic family, ``s3``, ``d4`` and
-    ``q8`` the others.  Raises ``StructuralError`` for any other name."""
+def builtin_builder(name: str) -> tuple:
+    """The builder of the builtin named ``name`` and its argument, if any:
+    ``zN`` (for example ``z4``, ``1 <= N <= MAX_GROUP_ORDER``) is
+    ``(cyclic_group, N)``, and ``s3``, ``d4`` and ``q8`` are their builders
+    alone.  Raises ``StructuralError`` for any other name."""
     key = name.lower()
     # ASCII digits only, and few enough that int() is cheap
     if re.fullmatch(r"z[0-9]{1,6}", key) and 1 <= int(key[1:]) <= MAX_GROUP_ORDER:
-        return functools.partial(cyclic_group, int(key[1:]))
+        return cyclic_group, int(key[1:])
     if key not in _BUILTIN_BUILDERS:
         raise StructuralError(
             f"unknown builtin group {name[:40]!r}; use zN with 1 <= N <= {MAX_GROUP_ORDER},"
             " s3, d4 or q8"
         )
-    return _BUILTIN_BUILDERS[key]
+    return (_BUILTIN_BUILDERS[key],)
 
 
-def builtin_catalog(name: str) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
-    """Build the builtin named ``name``; see ``builtin_builder``."""
-    return builtin_builder(name)()
+def builtin_catalog(name: str) -> RepCatalog:
+    """The builtin named ``name`` (see ``builtin_builder``), shared by every
+    caller in the process: ``z4`` and ``Z04`` name one catalog."""
+    return _shared_catalog(*builtin_builder(name))
+
+
+@functools.cache  # keyed by builder and argument: at most 67 builtins
+def _shared_catalog(build, *args) -> RepCatalog:
+    return RepCatalog(*build(*args))

@@ -5,6 +5,12 @@ Every group fact is a gather over ``table``: the identity, the inverses,
 associativity, the classes and the centre.  The multiplicities of a list of
 characters, ``dim hom(Ma (x) Mb, Mc)``, are one table, ``hom_dim_table``.
 
+A ``RepCatalog`` is a group with its irreps by label: the facts of Rep G,
+which no grading or cocycle changes.  It checks its irreps and computes
+their characters, then their multiplicities cross-checked against the ranks
+of the averaging projectors, each once, when first read, and hands both out
+read-only, so that one catalog serves every category built on it.
+
 ``validate_irrep`` and ``grade_of`` take sequences of reps and evaluate the
 reps that share a group and a dimension as one stack.  Each returns one
 result per rep and raises the first failing rep's error; every stack item
@@ -26,9 +32,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,7 +47,7 @@ MATRIX_TOL = 1e-9
 INTEGER_TOL = 1e-6
 #: Largest finite group built, checked before any order-sized table exists.
 #: It bounds ``validate_irrep``'s ``|G|^2 d^2`` homomorphism product, the
-#: ``(k^2, |G|)`` product of projector traces in ``modcat._projector_ranks``
+#: ``(k^2, |G|)`` product of projector traces in ``_projector_ranks``
 #: for ``k`` irreps, and ``FiniteGroup``'s ``n^3`` gathers.
 MAX_GROUP_ORDER = 64
 
@@ -355,6 +362,82 @@ def hom_dim_table(group: FiniteGroup, characters) -> np.ndarray:
     table = rounded.astype(np.int64)
     table.setflags(write=False)
     return table
+
+
+def _projector_ranks(group: FiniteGroup, reps: Sequence[MatrixRep]) -> np.ndarray:
+    """``R[a, b, c] = (1/|G|) sum_g tr rho_c(g) tr rho_a(g^-1) tr rho_b(g^-1)``
+    over positions in ``reps``: the trace, so the rank, of the
+    group-averaging projector onto ``hom(Ma (x) Mb, Mc)``, read from every
+    element's matrices as one ``(k^2, |G|) @ (|G|, k)`` product."""
+    k, order = len(reps), group.order
+    traces = np.array([np.trace(r.matrices, axis1=1, axis2=2) for r in reps])
+    traces = traces.astype(np.complex128).reshape(k, order)
+    inv = traces[:, group.inverse]
+    return ((inv[:, None] * inv).reshape(k * k, order) @ traces.T).reshape(k, k, k) / order
+
+
+@dataclass(frozen=True, eq=False)
+class RepCatalog:
+    """A group with its irreps by label, in a fixed order, held in a
+    read-only mapping; its two facts are computed once, when first read.
+
+    ``characters`` checks, in this order, that every irrep lives on
+    ``group`` and has finite matrices (one pass), irreducibility and the
+    homomorphism property of every irrep (one ``validate_irrep`` call), and
+    that no two irreps are equivalent (their characters' Gram matrix, whose
+    first off-diagonal cell in C order past ``INTEGER_TOL`` names both); a
+    failing check names its first failing irrep in label order.  A check
+    that fails raises each time it is read.
+    """
+
+    group: FiniteGroup
+    irreps: Mapping[str, MatrixRep]
+
+    def __post_init__(self):
+        object.__setattr__(self, "irreps", MappingProxyType(dict(self.irreps)))
+
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """One per-class character per irrep, in label order, as the rows of
+        a read-only ``(k, classes)`` array."""
+        group = self.group
+        for label, rep in self.irreps.items():
+            if rep.group is not group:
+                raise StructuralError(f"irrep {label!r} lives on a different group")
+            if not np.isfinite(rep.matrices).all():  # e.g. generated products that overflow
+                raise RepresentationError(f"irrep {label!r} has non-finite matrix entries")
+        reps = list(self.irreps.values())
+        chars = np.array(validate_irrep(reps), dtype=np.complex128)
+        chars = chars.reshape(len(reps), group.num_classes)
+        # inequivalent irreps have orthogonal characters; equivalent ones, inner product 1
+        gram = (chars * group.class_sizes) @ chars.T.conj() / group.order
+        same = np.abs(gram) > INTEGER_TOL
+        np.fill_diagonal(same, False)
+        if same.any():
+            a, b = np.unravel_index(np.argmax(same), same.shape)
+            labels = list(self.irreps)
+            raise RepresentationError(f"irreps {labels[a]!r} and {labels[b]!r} are equivalent")
+        chars.setflags(write=False)
+        return chars
+
+    @cached_property
+    def hom_dims(self) -> np.ndarray:
+        """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` over label positions,
+        read-only, from one character-sum table.
+
+        Every cell must be the rank of its triple's group-averaging
+        projector, read by ``_projector_ranks``, within ``INTEGER_TOL``;
+        otherwise ``ConsistencyError`` at the first failing cell in C order."""
+        table = hom_dim_table(self.group, self.characters)
+        ranks = _projector_ranks(self.group, list(self.irreps.values()))
+        bad = ~(np.abs(ranks - table) <= INTEGER_TOL)
+        if bad.any():
+            cell = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ConsistencyError(
+                f"projector rank {round(ranks[cell].real)} does not match "
+                f"character dimension {int(table[cell])}"
+            )
+        return table
 
 
 @dataclass(frozen=True)

@@ -51,31 +51,26 @@ Nothing here takes a categorical trace: the S table and the categorical
 dimensions are read exactly from the cocycle by ``fusionring.s_table`` and
 ``fusionring.dim_exponents``.
 
-The multiplicities ``dim hom(Ma (x) Mb, Mc)`` of all catalog triples come
-from one character-sum table, which fusion tables and the naturality spot
-checks share; the table cross-checks every triple's multiplicity against
-the trace of its averaging projector before anything reads it.
+The irreps, their characters and the multiplicities ``dim hom(Ma (x) Mb,
+Mc)`` of all catalog triples are facts of Rep G, which the cocycle and the
+grading do not change.  A category reads them from its
+``grouprep.RepCatalog``, which validates the irreps and builds the one
+character-sum table, checked against the projector ranks, once per
+catalog.  A builtin catalog is built once per process
+(``catalogs.builtin_catalog``), so every category on it shares the table
+that fusion tables and the naturality spot checks read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport
-from .errors import CocycleError, ConsistencyError, RepresentationError, StructuralError
-from .grouprep import (
-    INTEGER_TOL,
-    CentralEmbedding,
-    FiniteGroup,
-    GradedIrrep,
-    MatrixRep,
-    grade_of,
-    hom_dim_table,
-    validate_irrep,
-)
+from .errors import CocycleError, StructuralError
+from .grouprep import CentralEmbedding, GradedIrrep, MatrixRep, RepCatalog, grade_of
 from .unitscalar import UnitScalar, root_of_unity
 
 
@@ -151,43 +146,29 @@ def _double_layout(d1: int, d2: int) -> int:
     return _deviation(_flip(d2, d1) @ _flip(d1, d2), _eye(d1 * d2))
 
 
-def _projector_ranks(group: FiniteGroup, catalog) -> np.ndarray:
-    """``R[a, b, c] = (1/|G|) sum_g tr rho_c(g) tr rho_a(g^-1) tr rho_b(g^-1)``
-    over catalog positions: the trace, so the rank, of the group-averaging
-    projector onto ``hom(Ma (x) Mb, Mc)``, read from every element's matrices
-    as one ``(k^2, |G|) @ (|G|, k)`` product."""
-    k, order = len(catalog), group.order
-    traces = np.array([np.trace(m.rep.matrices, axis1=1, axis2=2) for m in catalog])
-    traces = traces.astype(np.complex128).reshape(k, order)
-    inv = traces[:, group.inverse]
-    return ((inv[:, None] * inv).reshape(k * k, order) @ traces.T).reshape(k, k, k) / order
-
-
 class TwistedCategory:
-    """A finite group with a complete graded irrep catalog and a cocycle.
+    """A catalog of Rep G graded by a central embedding and twisted by a
+    cocycle.
 
     Validates everything eagerly: the cocycle axioms (through the cocycle's
     ``report``, computed once per cocycle), centrality of the grading
-    embedding, that every catalog member lives on ``group`` and has finite
-    matrices, irreducibility and the homomorphism property of every member
-    (one ``validate_irrep`` call over the catalog), that no two members are
-    equivalent (their characters' Gram matrix, whose first off-diagonal
-    cell in C order past ``INTEGER_TOL`` names both members), the grades
-    (one ``grade_of`` call), and (for complete catalogs) the sum-of-squares
-    identity ``sum dim^2 = |G|``.  The checks run in that order, each over
-    the whole catalog (the group and finiteness checks in one pass), and a
-    failing check names its first failing member in catalog order.
+    embedding, the irreps and their inequivalence (the catalog's
+    ``characters``, checked once per catalog), the grades (one ``grade_of``
+    call), and (for complete catalogs) the sum-of-squares identity ``sum
+    dim^2 = |G|``.  The checks run in that order, each over the whole
+    catalog, and a failing check names its first failing member in catalog
+    order.
     """
 
     def __init__(
         self,
-        group: FiniteGroup,
+        reps: RepCatalog,
         cocycle: AbelianCocycle,
         embedding: CentralEmbedding,
-        irreps: dict[str, MatrixRep],
         *,
         complete: bool = True,
     ):
+        group = reps.group
         if embedding.grading != cocycle.group:
             raise StructuralError("embedding and cocycle must share the grading group")
         embedding.validate(group)
@@ -198,29 +179,16 @@ class TwistedCategory:
                 report=cocycle.report,
             )
         self.group = group
+        self.rep_catalog = reps
         self.cocycle = cocycle
         self.embedding = embedding
         self.grading = cocycle.group
 
-        for label, rep in irreps.items():
-            if rep.group is not group:
-                raise StructuralError(f"irrep {label!r} lives on a different group")
-            if not np.isfinite(rep.matrices).all():  # e.g. generated products that overflow
-                raise RepresentationError(f"irrep {label!r} has non-finite matrix entries")
-        reps = list(irreps.values())
-        characters = validate_irrep(reps)
-        # inequivalent irreps have orthogonal characters; equivalent ones, inner product 1
-        chars = np.array(characters).reshape(len(reps), group.num_classes)
-        gram = (chars * group.class_sizes) @ chars.conj().T / group.order
-        same = np.abs(gram) > INTEGER_TOL
-        np.fill_diagonal(same, False)
-        if same.any():
-            a, b = np.unravel_index(np.argmax(same), same.shape)
-            labels = list(irreps)
-            raise RepresentationError(f"irreps {labels[a]!r} and {labels[b]!r} are equivalent")
-        grades = grade_of(reps, embedding)
+        characters = reps.characters
+        irreps = reps.irreps
+        grades = grade_of(list(irreps.values()), embedding)
         self.catalog: tuple[GradedIrrep, ...] = tuple(
-            map(GradedIrrep, irreps, reps, grades, characters)
+            map(GradedIrrep, irreps, irreps.values(), grades, characters)
         )
         # each member's label, grade index and dim, read-only
         self.labels = tuple(irreps)
@@ -299,24 +267,12 @@ class TwistedCategory:
 
     # -- multiplicities ---------------------------------------------------------
 
-    @cached_property
+    @property
     def hom_dims(self) -> np.ndarray:
-        """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` over catalog positions,
-        read-only, from one character-sum table.
-
-        Every cell must be the rank of its triple's group-averaging
-        projector, read by ``_projector_ranks``, within ``INTEGER_TOL``;
-        otherwise ``ConsistencyError`` at the first failing cell in C order."""
-        table = hom_dim_table(self.group, [m.character for m in self.catalog])
-        ranks = _projector_ranks(self.group, self.catalog)
-        bad = ~(np.abs(ranks - table) <= INTEGER_TOL)
-        if bad.any():
-            cell = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ConsistencyError(
-                f"projector rank {round(ranks[cell].real)} does not match "
-                f"character dimension {int(table[cell])}"
-            )
-        return table
+        """``N[a, b, c] = dim hom(Ma (x) Mb, Mc)`` over catalog positions:
+        the catalog's read-only table, cross-checked against the projector
+        ranks when the catalog first computed it."""
+        return self.rep_catalog.hom_dims
 
     # -- coherence suite -----------------------------------------------------------
 

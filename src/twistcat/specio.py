@@ -58,7 +58,13 @@ from .catalogs import builtin_builder, builtin_catalog
 from .cocycle import AbelianCocycle, _check_table_order, _from_exponents, build_cyclic
 from .errors import StructuralError
 from .fusionring import MAX_SPIN
-from .grouprep import MAX_GROUP_ORDER, CentralEmbedding, FiniteGroup, rep_from_generators
+from .grouprep import (
+    MAX_GROUP_ORDER,
+    CentralEmbedding,
+    FiniteGroup,
+    RepCatalog,
+    rep_from_generators,
+)
 from .modcat import TwistedCategory
 from .unitscalar import UnitScalar
 
@@ -360,18 +366,22 @@ class CategorySpec:
             raise StructuralError(f"spec {self.name!r} has no finite-group category")
         cocycle = self.build_cocycle()
         kind, value = self.group_source
-        if kind == "builtin":
-            group, irreps = builtin_catalog(value)
+        if kind == "builtin":  # shared by every spec in the process
+            catalog = builtin_catalog(value)
+            group = catalog.group
         else:
             build = FiniteGroup if kind == "table" else FiniteGroup.from_permutations
-            group, irreps = build(value), None
-        if self.irrep_source is not None:
+            group, catalog = build(value), None
+        if self.irrep_source is not None:  # the spec's own, never shared
+            if catalog is not None:  # nor the walks of its generators, kept on the group
+                group = FiniteGroup(group.table, group.element_names)
             gens, matrices = self.irrep_source
             irreps = {label: rep_from_generators(group, gens, m) for label, m in matrices.items()}
-        elif irreps is None:
+            catalog = RepCatalog(group, irreps)
+        elif catalog is None:
             raise StructuralError("'irreps': 'builtin' requires a builtin group")
         embedding = CentralEmbedding(self.grading, self.embedding)
-        return TwistedCategory(group, cocycle, embedding, irreps, complete=self.complete)
+        return TwistedCategory(catalog, cocycle, embedding, complete=self.complete)
 
 
 def su2_spec(max_spin: int, s: int) -> CategorySpec:

@@ -2,9 +2,18 @@ from __future__ import annotations
 
 import pytest
 
+from twistcat import catalogs
 from twistcat.specio import load_spec
 
 FINITE_FIXTURES = ("z2-lattice-on-z4", "super-on-z4", "s3-trivial-grading", "q8-z2")
+
+
+@pytest.fixture(autouse=True)
+def fresh_builtin_catalogs():
+    """Each test starts with no builtin catalog built, so a library function
+    that a test patches runs when the test builds a builtin, not only when
+    an earlier test did."""
+    catalogs._shared_catalog.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -42,8 +42,7 @@ def _antisymmetric_b(name, monkeypatch):
     cat = load_spec(name).build_category()
     c = cat.cocycle
     faulty = cocycle.AbelianCocycle(c.group, c.f_num, c.omega_num, c.denom)
-    irreps = {m.label: m.rep for m in cat.catalog}
-    return TwistedCategory(cat.group, faulty, cat.embedding, irreps, complete=cat.complete)
+    return TwistedCategory(cat.rep_catalog, faulty, cat.embedding, complete=cat.complete)
 
 
 def _rolled_neg_index_table(name, monkeypatch):

@@ -384,12 +384,12 @@ def dim_sum(cat, x) -> complex:
     )
 
 
-def unchecked_category(group, cocycle, embedding, irreps, **kw):
+def unchecked_category(reps, cocycle, embedding, **kw):
     """A category over ``cocycle`` whether or not it passes validation, for
     tests that read its structure maps and suite over faulty tables: built
     over the trivial cocycle on the same grading group, then given
     ``cocycle``.  Construction reads only the grading and the cocycle
     report, and every scalar is read from ``cat.cocycle`` at call time."""
-    cat = TwistedCategory(group, AbelianCocycle.trivial(cocycle.group), embedding, irreps, **kw)
+    cat = TwistedCategory(reps, AbelianCocycle.trivial(cocycle.group), embedding, **kw)
     cat.cocycle = cocycle
     return cat

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcat import branchcut, cli, cocycle, fusionring, modcat, specio
+from twistcat import branchcut, catalogs, cli, cocycle, fusionring, grouprep, modcat, specio
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle
 from twistcat.errors import StructuralError
@@ -145,6 +145,21 @@ def test_reports_byte_identical(tmp_path, capsys):
     assert "fusion" in payload["tables"] and "smatrix" in payload["tables"]
 
 
+def test_a_builtin_catalog_warmed_by_another_spec_writes_the_same_report(tmp_path, capsys):
+    # q8-z2 verified cold, then after q8 graded at the identity has built and
+    # checked the process's q8 catalog: the second run reuses that catalog
+    # and its fusion table, and its report is the cold run's, byte for byte
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    assert run_cli("verify", "--spec", "q8-z2", "--seed", "3", "--out", str(cold)) == 0
+    catalogs._shared_catalog.cache_clear()
+    other = Path(__file__).parent / "golden" / "specs" / "q8-identity-z2.json"
+    assert run_cli("fusion", "--spec", str(other)) == 0
+    hits = catalogs._shared_catalog.cache_info().hits
+    assert run_cli("verify", "--spec", "q8-z2", "--seed", "3", "--out", str(warm)) == 0
+    assert catalogs._shared_catalog.cache_info().hits > hits
+    assert warm.read_bytes() == cold.read_bytes()
+
+
 def test_su2_smatrix_values(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run_cli("smatrix", "--su2", "--max-spin", "3", "--out", str(out)) == 0
@@ -248,7 +263,7 @@ def test_verify_cross_checks_multiplicities_against_projector_ranks(monkeypatch,
     # every nonzero cell is an internal inconsistency under verify and fusion.
     # The table is patched where hom_dims reads it, which a mutant copy of
     # the property reads as well
-    names = modcat.TwistedCategory.hom_dims.func.__globals__
+    names = grouprep.RepCatalog.hom_dims.func.__globals__
     real = names["hom_dim_table"]
     monkeypatch.setitem(
         names, "hom_dim_table", lambda group, chars: (t := real(group, chars)) + (t > 0)
@@ -1190,7 +1205,7 @@ def test_twist_is_minus_q_and_coboundary_invariant():
     # form gives q(k) = s k^2 / d with d = n gcd(n, 2), so theta = e(-s k^2 / d)
     rng = np.random.default_rng(0)
     for n in range(1, 9):
-        group, reps = builtin_catalog(f"z{n}")
+        zn = builtin_catalog(f"z{n}")
         d = n * math.gcd(n, 2)
         for s in range(d):
             base = cocycle.build_cyclic(n, s)
@@ -1198,7 +1213,7 @@ def test_twist_is_minus_q_and_coboundary_invariant():
             phi[1:, 1:] = rng.integers(0, 12, size=(n - 1, n - 1))
             twisted = AbelianCocycle(base.group, *oracles.coboundary(base, phi, 12))
             for c in (base, twisted):
-                cat = modcat.TwistedCategory(group, c, CentralEmbedding(c.group, (1 % n,)), reps)
+                cat = modcat.TwistedCategory(zn, c, CentralEmbedding(c.group, (1 % n,)))
                 for m in cat.catalog:
                     (k,) = m.grade
                     assert cat.twist(m).exponent == Fraction(-s * k * k, d) % 1, (n, s, k)

@@ -680,8 +680,7 @@ def test_narrow_f_readers_match_fraction_references(L):
     assert [e(v) for v in dim_exponents(c)] == [
         e(-(W[a][a] + W[a][neg[a]] + F[a][neg[a]][a])) for a in range(m)
     ]
-    group, reps = builtin_catalog("z4")
-    cat = oracles.unchecked_category(group, c, CentralEmbedding(g, (1,)), reps)
+    cat = oracles.unchecked_category(builtin_catalog("z4"), c, CentralEmbedding(g, (1,)))
     by_grade = {g.index(member.grade): member for member in cat.catalog}
     for i, j, k in product(range(m), repeat=3):
         assert cat.associator(by_grade[i], by_grade[j], by_grade[k])[0, 0] == unit(-F[i][j][k])

@@ -14,7 +14,7 @@ from twistcat.catalogs import builtin_catalog, cyclic_group
 from twistcat.cocycle import AbelianCocycle, build_cyclic
 from twistcat.errors import ConsistencyError
 from twistcat.fusionring import dim_exponents, s_table, su2_ring, su2_tensor
-from twistcat.grouprep import CentralEmbedding
+from twistcat.grouprep import CentralEmbedding, RepCatalog
 from twistcat.modcat import TwistedCategory
 from twistcat.specio import load_spec
 from twistcat.unitscalar import root_of_unity
@@ -43,11 +43,9 @@ def test_s3_fusion_table(s3_cat):
 
 
 def test_cyclic_fusion_is_group_law():
-    group, reps = cyclic_group(5)
     grading = FinAbGroup((1,))
-    cat = TwistedCategory(
-        group, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)), reps
-    )
+    reps = RepCatalog(*cyclic_group(5))
+    cat = TwistedCategory(reps, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)))
     table = cli._fusion_table(cat)["coefficients"]
     for a, b in product(range(5), repeat=2):
         assert table[f"chi{a}"][f"chi{b}"] == {f"chi{(a + b) % 5}": 1}
@@ -70,14 +68,17 @@ def test_fusion_matches_projector_ranks(s3_cat, q8_cat):
 
 
 def _valid_categories():
-    """Every valid catalog, each category built afresh so that its
-    ``hom_dims`` runs: builtin ``z1``-``z12``, ``z64``, ``s3``, ``d4`` and
-    ``q8`` at the identity grading, the finite fixtures, and the golden
-    specs (F42 brings a 6-dim irrep)."""
+    """Every valid catalog, each category built afresh: builtin
+    ``z1``-``z12``, ``z64``, ``s3``, ``d4`` and ``q8`` at the identity
+    grading, the finite fixtures, and the golden specs (F42 brings a 6-dim
+    irrep).  The builtin catalogs are the process's, which the test setup
+    empties before every test, so each catalog's ``hom_dims`` runs once per
+    test."""
     for name in [*(f"z{n}" for n in range(1, 13)), "z64", "s3", "d4", "q8"]:
-        group, reps = builtin_catalog(name)
         cocycle = build_cyclic(2, 3)
-        yield name, TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (0,)), reps)
+        yield name, TwistedCategory(
+            builtin_catalog(name), cocycle, CentralEmbedding(cocycle.group, (0,))
+        )
     for name in FINITE_FIXTURES:
         yield name, load_spec(name).build_category()
     for path in GOLDEN_SPECS:
@@ -240,11 +241,9 @@ def test_group_order_identity(categories):
 
 
 def test_group_order_identity_trivial_group():
-    group, reps = cyclic_group(1)
     grading = FinAbGroup((1,))
-    cat = TwistedCategory(
-        group, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)), reps
-    )
+    reps = RepCatalog(*cyclic_group(1))
+    cat = TwistedCategory(reps, AbelianCocycle.trivial(grading), CentralEmbedding(grading, (0,)))
     assert oracles.dim_sum(cat, dim_exponents(cat.cocycle)) == 1
 
 
@@ -257,9 +256,9 @@ def _lattice_with_shifted_f():
 
 
 def _shifted_lattice_on_z4():
-    group, reps = builtin_catalog("z4")
     broken = _lattice_with_shifted_f()
-    return oracles.unchecked_category(group, broken, CentralEmbedding(broken.group, (2,)), reps)
+    embedding = CentralEmbedding(broken.group, (2,))
+    return oracles.unchecked_category(builtin_catalog("z4"), broken, embedding)
 
 
 @pytest.mark.parametrize(
@@ -293,9 +292,8 @@ def test_dim_exponents_read_a_shifted_f():
 
 
 def test_fusion_json_matches_the_cell_by_cell_reference(categories):
-    group, reps = builtin_catalog("z64")
     cocycle = build_cyclic(2, 3)
-    z64 = TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (0,)), reps)
+    z64 = TwistedCategory(builtin_catalog("z64"), cocycle, CentralEmbedding(cocycle.group, (0,)))
     for cat in [*categories.values(), z64]:
         labels = [m.label for m in cat.catalog]
         got = cli._fusion_table(cat)

@@ -23,6 +23,7 @@ from twistcat.grouprep import (
     CentralEmbedding,
     FiniteGroup,
     MatrixRep,
+    RepCatalog,
     grade_of,
     hom_dim_table,
     rep_from_generators,
@@ -36,14 +37,20 @@ import oracles
 from oracles import add, dual_rep, hom_dim, neg, pairing, tensor_rep
 
 
+def _builtin(name):
+    """A builtin's group and its irreps by label."""
+    catalog = builtin_catalog(name)
+    return catalog.group, catalog.irreps
+
+
 @pytest.fixture(scope="module")
 def s3():
-    return builtin_catalog("s3")
+    return _builtin("s3")
 
 
 @pytest.fixture(scope="module")
 def q8():
-    return builtin_catalog("q8")
+    return _builtin("q8")
 
 
 def test_z2_table():
@@ -194,7 +201,7 @@ def test_intertwiner_check_fails_on_a_corrupted_factor(s3):
 def test_intertwiner_stacks_match_single_triples(name):
     # every triple with a nonzero hom space, in one call: stacks of several
     # signatures, each basis bit for bit the one-triple call's
-    group, reps = builtin_catalog(name)
+    group, reps = _builtin(name)
     chars = {k: validate_irrep([r])[0] for k, r in reps.items()}
     triples = [
         (reps[a], reps[b], reps[c], n) for a, b, c in product(reps, repeat=3)
@@ -262,7 +269,7 @@ def test_hom_dim_table_of_known_fusion_rules():
     assert np.array_equal(table, want)
     # S3 (trivial, sign, standard): sign (x) sign = trivial, sign (x) standard
     # = standard, standard (x) standard = trivial + sign + standard
-    group, reps = builtin_catalog("s3")
+    group, reps = _builtin("s3")
     assert list(reps) == ["trivial", "sign", "standard"]
     want = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -337,7 +344,7 @@ def test_tensor_and_dual(s3):
 
 def test_column_orthogonality_builtins():
     for name in ["z4", "s3", "d4", "q8"]:
-        group, reps = builtin_catalog(name)
+        group, reps = _builtin(name)
         assert sum(r.dim**2 for r in reps.values()) == group.order
 
 
@@ -434,7 +441,7 @@ def _power(group, x, k):
 def _rs_closed_forms(name, r_name, s_name, r_mat, s_mat, signs):
     """Each element r^a s^b of a two-generator builtin with its image
     ``R^a S^b`` under the 2-dim irrep and ``u^a v^b`` under each 1-dim one."""
-    group, _ = builtin_catalog(name)
+    group = builtin_catalog(name).group
     r, s = (group.element_names.index(x) for x in (r_name, s_name))
     expected = {label: np.empty((group.order, 1, 1), dtype=complex) for label in signs}
     two_dim = np.empty((group.order, 2, 2), dtype=complex)
@@ -459,7 +466,7 @@ def _builtin_closed_forms(name):
         return {**expected, "spin": spin}
     # S3 acts on the plane by permuting the vertices v_k of a triangle: the
     # matrix M_p has M_p v_k = v_{p[k]}; the 3-cycle turns by 2 pi / 3
-    group, _ = builtin_catalog(name)
+    group = builtin_catalog(name).group
     angles = 2 * np.pi * (np.arange(3) + 1) / 3
     vertices = np.array([np.cos(angles), np.sin(angles)])
     perms = [list(p) for p in group.element_names]
@@ -472,7 +479,7 @@ def _builtin_closed_forms(name):
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8"])
 def test_builtin_irreps_match_closed_forms(name):
-    _, reps = builtin_catalog(name)
+    reps = builtin_catalog(name).irreps
     expected = _builtin_closed_forms(name)
     assert list(reps) == list(expected)
     for label, rep in reps.items():
@@ -521,7 +528,7 @@ def _builtin_embeddings(group):
 
 @pytest.mark.parametrize("name", ["z1", "z2", "z3", "z4", "z6", "z8", "s3", "d4", "q8"])
 def test_grade_of_matches_search_on_builtins(name):
-    group, reps = builtin_catalog(name)
+    group, reps = _builtin(name)
     graded = 0
     for embedding in _builtin_embeddings(group):
         for rep in reps.values():
@@ -549,7 +556,7 @@ def test_grade_of_rejects_what_search_rejects(s3):
         # a non-central image acts by diag(1, -1) on the standard irrep
         (reps["standard"], CentralEmbedding(FinAbGroup((2,)), (swap,))),
     ]
-    _, d4 = builtin_catalog("d4")
+    d4 = builtin_catalog("d4").irreps
     # a rotation by a quarter turn has zero diagonal entries
     cases.append((d4["standard"], CentralEmbedding(FinAbGroup((4,)), (1,))))
     for rep, embedding in cases:
@@ -578,12 +585,12 @@ def _bits(chars):
 
 def test_characters_equal_the_per_irrep_reference_bit_for_bit(categories):
     builtins = [f"z{n}" for n in range(1, MAX_GROUP_ORDER + 1)] + ["s3", "d4", "q8"]
-    catalogs = [list(builtin_catalog(name)[1].values()) for name in builtins]
+    catalogs = [list(builtin_catalog(name).irreps.values()) for name in builtins]
     golden = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
     for cat in [*categories.values(), *(load_spec(path).build_category() for path in golden)]:
         catalogs.append([m.rep for m in cat.catalog])
     # more reps of one dimension than |G| / d^2, validated a chunk at a time
-    z4 = builtin_catalog("z4")[1]
+    z4 = builtin_catalog("z4").irreps
     catalogs.append([z4["chi1"], z4["chi3"]] * 5)
     for reps in catalogs:
         chars = validate_irrep(reps)
@@ -611,7 +618,7 @@ def _z4_faults():
 def _category(group, irreps):
     cocycle = build_cyclic(2, 3)
     embedding = CentralEmbedding(cocycle.group, (2,))
-    return TwistedCategory(group, cocycle, embedding, irreps, complete=False)
+    return TwistedCategory(RepCatalog(group, irreps), cocycle, embedding, complete=False)
 
 
 def _reference_message(rep):
@@ -696,7 +703,7 @@ GOLDEN_SPECS = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"
 
 
 def test_classes_and_centre_match_the_loop_oracles():
-    groups = [builtin_catalog(name)[0] for name in BUILTINS]
+    groups = [builtin_catalog(name).group for name in BUILTINS]
     groups += [load_spec(path).build_category().group for path in GOLDEN_SPECS]
     for group in groups:
         assert group.conjugacy_classes == oracles.conjugacy_classes(group)
@@ -753,7 +760,7 @@ def test_trivial_permutation_groups_have_order_one():
 def test_cyclic_characters_match_the_loop_oracle_bit_for_bit():
     # through builtin_catalog, which reads catalogs.cyclic_group at call time
     for n in range(1, MAX_GROUP_ORDER + 1):
-        _, reps = builtin_catalog(f"z{n}")
+        reps = builtin_catalog(f"z{n}").irreps
         want = oracles.cyclic_characters(n)
         assert list(reps) == list(want)
         for label, mats in want.items():

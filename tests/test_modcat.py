@@ -1,8 +1,9 @@
-import dataclasses
+import json
 import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, _pentagon_holds, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
-from twistcat import cocycle, modcat
+from twistcat import catalogs, cocycle, modcat
 from twistcat.fusionring import dim_exponents, s_table
-from twistcat.grouprep import MATRIX_TOL, CentralEmbedding
+from twistcat import grouprep
+from twistcat.grouprep import MATRIX_TOL, CentralEmbedding, RepCatalog
 from twistcat.modcat import TwistedCategory, flip_matrix
 from twistcat.specio import load_spec
 from twistcat.unitscalar import UnitScalar, root_of_unity
@@ -60,18 +62,18 @@ def test_braiding_scalars(lattice_cat, s3_cat):
 
 
 def test_category_reuses_the_builders_report(monkeypatch):
-    group, reps = builtin_catalog("z4")
+    z4 = builtin_catalog("z4")
     real, calls = cocycle.validate_cocycle, []
     monkeypatch.setattr(cocycle, "validate_cocycle", lambda c: calls.append(c) or real(c))
     kept = build_cyclic(2, 3)
     assert calls == [kept]
-    TwistedCategory(group, kept, CentralEmbedding(kept.group, (2,)), reps)
+    TwistedCategory(z4, kept, CentralEmbedding(kept.group, (2,)))
     assert calls == [kept]
     # a bare cocycle validates when the first category reads its report, once
     bare = AbelianCocycle(kept.group, kept.f_num, kept.omega_num, kept.denom)
     assert calls == [kept]
     for _ in range(2):
-        TwistedCategory(group, bare, CentralEmbedding(bare.group, (2,)), reps)
+        TwistedCategory(z4, bare, CentralEmbedding(bare.group, (2,)))
         assert calls == [kept, bare]
 
 
@@ -107,10 +109,71 @@ def test_a_patched_layout_builder_gets_its_own_cache_entries(monkeypatch):
     assert not double_braiding(mutants._rolled_flip("q8-z2", monkeypatch)).passed
 
 
+def _builtin_spec(tmp_path, name, grading, cocycle, image, irreps="builtin"):
+    path = tmp_path / "spec.json"  # read once, by load_spec
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": name, "mode": "finite-group", "grading_group": grading,
+        "cocycle": cocycle, "group": {"builtin": name}, "irreps": irreps,
+        "central_embedding": image, "complete": True,
+    }), encoding="utf-8")
+    return load_spec(path)
+
+
+def test_specs_on_one_builtin_share_its_catalog_and_multiplicities(tmp_path):
+    # q8 graded by Z/2 at its centre under the lattice cocycle, and graded
+    # trivially under the trivial cocycle: two gradings, two cocycles, one Rep G
+    lattice = load_spec("q8-z2").build_category()
+    plain = _builtin_spec(tmp_path, "q8", [1], {"builder": "trivial"}, [0]).build_category()
+    assert lattice.rep_catalog is plain.rep_catalog is builtin_catalog("Q8")
+    assert lattice.hom_dims is plain.hom_dims
+    assert [m.grade for m in lattice.catalog] != [m.grade for m in plain.catalog]
+    for ours, theirs in zip(lattice.catalog, plain.catalog):
+        assert ours.rep is theirs.rep and np.shares_memory(ours.character, theirs.character)
+    # irreps a spec lists are its own, on a group of its own even for a
+    # builtin, which keeps their generators' walk; and each build of a table
+    # spec validates its own
+    listed = {"generators": [4, 1], "list": [  # j, then i
+        {"label": "trivial", "matrices": [[["1"]], [["1"]]]},
+        {"label": "sign-i", "matrices": [[["1"]], [["-1"]]]},
+    ]}
+    spec = _builtin_spec(tmp_path, "q8", [1], {"builder": "trivial"}, [0], listed)
+    spec.complete = False
+    own = spec.build_category()
+    assert own.group is not lattice.group and own.rep_catalog is not lattice.rep_catalog
+    assert np.array_equal(own.group.table, lattice.group.table)
+    assert (4, 1) in own.group._walks and (4, 1) not in lattice.group._walks
+    assert spec.build_category().rep_catalog is not own.rep_catalog
+    table = load_spec(Path(__file__).parent / "golden" / "specs" / "d5-table-z2.json")
+    assert table.build_category().rep_catalog is not table.build_category().rep_catalog
+
+
+def test_a_shared_catalog_is_read_only():
+    q8 = builtin_catalog("q8")
+    cat = load_spec("q8-z2").build_category()
+    for array in (q8.characters, cat.catalog[-1].character, cat.hom_dims, q8.hom_dims):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        q8.irreps["spin"] = q8.irreps["trivial"]
+    with pytest.raises(ValueError, match="read-only"):
+        q8.irreps["spin"].matrices[0] = 0
+    with pytest.raises(AttributeError):
+        q8.irreps = {}
+
+
+def test_a_patched_cyclic_builder_gets_its_own_catalog(monkeypatch):
+    real, calls = builtin_catalog("z4"), []
+    build = catalogs.cyclic_group
+    monkeypatch.setattr(catalogs, "cyclic_group", lambda n: calls.append(n) or build(n))
+    patched = builtin_catalog("z4")
+    assert patched is not real and builtin_catalog("z04") is patched and calls == [4]
+    monkeypatch.undo()
+    assert builtin_catalog("z4") is real
+
+
 def test_braiding_super():
-    group, reps = builtin_catalog("z4")
     cocycle = build_cyclic(2, 2)
-    cat = TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (2,)), reps)
+    cat = TwistedCategory(builtin_catalog("z4"), cocycle, CentralEmbedding(cocycle.group, (2,)))
     odd = [m for m in cat.catalog if m.grade == (1,)]
     mor = cat.braiding(odd[0], odd[1])
     assert np.allclose(mor, -flip_matrix(1, 1))
@@ -215,26 +278,23 @@ def test_coherence_suite_passes(categories):
 def test_eager_cocycle_validation_in_category():
     # corrupt F(1,1,1) to +1 while keeping Omega: a category over it is
     # refused with the first failing axiom and its witness
-    group, reps = builtin_catalog("z4")
     lattice = build_cyclic(2, 3)
     f_num = lattice.f_num.copy()
     f_num[1, 1, 1] = 0
     broken = AbelianCocycle(lattice.group, f_num, lattice.omega_num, lattice.denom)
     with pytest.raises(CocycleError, match=re.escape("axiom at ((1,), (1,), (1,))")) as info:
-        TwistedCategory(group, broken, CentralEmbedding(broken.group, (2,)), reps)
+        TwistedCategory(builtin_catalog("z4"), broken, CentralEmbedding(broken.group, (2,)))
     first = info.value.report.failures()[0]
     assert "hexagon" in first.axiom and first.witness == ((1,), (1,), (1,))
 
 
 def test_incomplete_catalog_rejected():
-    group, reps = builtin_catalog("z4")
-    partial = {k: v for k, v in reps.items() if k != "chi3"}
+    z4 = builtin_catalog("z4")
+    partial = RepCatalog(z4.group, {k: v for k, v in z4.irreps.items() if k != "chi3"})
     cocycle = build_cyclic(2, 3)
     with pytest.raises(StructuralError, match="complete"):
-        TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (2,)), partial)
-    cat = TwistedCategory(
-        group, cocycle, CentralEmbedding(cocycle.group, (2,)), partial, complete=False
-    )
+        TwistedCategory(partial, cocycle, CentralEmbedding(cocycle.group, (2,)))
+    cat = TwistedCategory(partial, cocycle, CentralEmbedding(cocycle.group, (2,)), complete=False)
     assert len(cat.catalog) == 3
 
 
@@ -348,9 +408,8 @@ def test_pentagon_reads_only_the_generator_slabs(monkeypatch):
         (AbelianCocycle(FinAbGroup((2, 4)), product_f, product_omega, 8), [4, 1]),
         (AbelianCocycle(FinAbGroup((1,)), np.zeros((1, 1, 1)), np.zeros((1, 1)), 1), [0]),
     ]
-    group, reps = builtin_catalog("z8")
     z8 = build_cyclic(8, 1)
-    cat = TwistedCategory(group, z8, CentralEmbedding(z8.group, (1,)), reps)
+    cat = TwistedCategory(builtin_catalog("z8"), z8, CentralEmbedding(z8.group, (1,)))
     real, calls = cocycle.pentagon_slabs, []
 
     def spy(c, rows):
@@ -397,11 +456,11 @@ def _assert_suite_matches_sweep(cat, axioms, max_error_tol=0.0):
     return checks
 
 
-def _assert_category_refused(group, cocycle, embedding, reps, **kw):
+def _assert_category_refused(reps, cocycle, embedding, **kw):
     """A category over ``cocycle`` is refused with the first failure of
     ``validate_cocycle``, the check of pentagon and hexagons on all of ``A``."""
     with pytest.raises(CocycleError) as info:
-        TwistedCategory(group, cocycle, embedding, reps, **kw)
+        TwistedCategory(reps, cocycle, embedding, **kw)
     assert info.value.report.failures()[0] == validate_cocycle(cocycle).failures()[0]
 
 
@@ -409,13 +468,13 @@ def test_suite_pentagon_is_read_at_the_catalog_grades():
     # z4 graded by Z/4 at the central element 2 has grades {0, 2}.  F(1, 1, 1)
     # shifted breaks the pentagon on A^4, but no identity at grades in {0, 2}
     # reads it, so the per-tuple sweep's pentagon passes, as the suite's does.
-    group, reps = builtin_catalog("z4")
     good = build_cyclic(4, 1)
     f_num = good.f_num.copy()
     f_num[1, 1, 1] += 1
     broken = AbelianCocycle(good.group, f_num, good.omega_num, good.denom)
     assert not _pentagon_holds(broken)
-    cat = oracles.unchecked_category(group, broken, CentralEmbedding(broken.group, (2,)), reps)
+    embedding = CentralEmbedding(broken.group, (2,))
+    cat = oracles.unchecked_category(builtin_catalog("z4"), broken, embedding)
     assert {m.grade for m in cat.catalog} == {(0,), (2,)}
     checks = _assert_suite_matches_sweep(cat, _reference_identities(cat), 1e-12)
     assert checks["pentagon(matrices)"].passed
@@ -430,7 +489,7 @@ def test_signature_collapse_matches_per_tuple_sweep(name, image):
     # graded by Z/2 at element 8 has eight members per grade.
     # Corrupt F(1,1,1) (hexagons), F(1,0,1) (pentagon, triangle) and
     # Omega(1,0) (balancing) so that witnesses come from repeated signatures.
-    group, reps = builtin_catalog(name)
+    reps = builtin_catalog(name)
     lattice = build_cyclic(2, 3)
     f_num = lattice.f_num.copy()
     f_num[1, 1, 1] = 0
@@ -439,8 +498,8 @@ def test_signature_collapse_matches_per_tuple_sweep(name, image):
     omega_num[1, 0] = 1
     broken = AbelianCocycle(lattice.group, f_num, omega_num, lattice.denom)
     embedding = CentralEmbedding(broken.group, (image,))
-    _assert_category_refused(group, broken, embedding, reps)
-    cat = oracles.unchecked_category(group, broken, embedding, reps)
+    _assert_category_refused(reps, broken, embedding)
+    cat = oracles.unchecked_category(reps, broken, embedding)
     assert len({(m.grade, m.dim) for m in cat.catalog}) < len(cat.catalog)
     checks = _assert_suite_matches_sweep(cat, _SUITE_COMPUTED)
     assert {"triangle", "balancing"} <= {a for a, c in checks.items() if not c.passed}
@@ -473,8 +532,8 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(
     # Z/n graded by Z/n: every irrep has its own grade, and the corrupted
     # Omega is not symmetric, so swapped Omega(x, y) / Omega(y, x) would show.
     # The dense reference rounds, so max_error agrees to 1e-12, not bit for bit.
-    group, reps = builtin_catalog(f"z{n}")
-    reps = {label: rep for label, rep in reps.items() if label != dropped}
+    zn = builtin_catalog(f"z{n}")
+    reps = RepCatalog(zn.group, {label: r for label, r in zn.irreps.items() if label != dropped})
     good = build_cyclic(n, s)
     f_num, omega_num = good.f_num.copy(), good.omega_num.copy()
     if corrupt_f is not None:
@@ -483,8 +542,8 @@ def test_exponent_checks_match_per_tuple_sweep_on_cyclic_gradings(
         omega_num[corrupt_omega] += 1
     broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
     embedding, complete = CentralEmbedding(broken.group, (image,)), dropped is None
-    _assert_category_refused(group, broken, embedding, reps, complete=complete)
-    cat = oracles.unchecked_category(group, broken, embedding, reps, complete=complete)
+    _assert_category_refused(reps, broken, embedding, complete=complete)
+    cat = oracles.unchecked_category(reps, broken, embedding, complete=complete)
     assert len({m.grade for m in cat.catalog}) == len(cat.catalog)
     _assert_suite_matches_sweep(cat, _SUITE_COMPUTED, 1e-12)
 
@@ -639,13 +698,14 @@ def _same_bits(got, want):
 def _asymmetric_z3():
     # Z/3 graded by Z/3: -a != a, so Omega(a, -a) and Omega(-a, a) differ
     # once Omega(1, 2) is shifted; F(1, 2, 1) shifted makes the snake fail
-    group, reps = builtin_catalog("z3")
     good = build_cyclic(3, 1)
     f_num, omega_num = good.f_num.copy(), good.omega_num.copy()
     f_num[1, 2, 1] += 1
     omega_num[1, 2] += 1
     broken = AbelianCocycle(good.group, f_num, omega_num, good.denom)
-    return oracles.unchecked_category(group, broken, CentralEmbedding(broken.group, (1,)), reps)
+    return oracles.unchecked_category(
+        builtin_catalog("z3"), broken, CentralEmbedding(broken.group, (1,))
+    )
 
 
 @pytest.mark.parametrize(
@@ -681,12 +741,21 @@ def test_index_paths_match_dense_reference(name, seed, categories):
         assert not checks["snake"].passed
 
 
-def test_non_integral_characters_raise_like_hom_dim():
-    group, reps = builtin_catalog("s3")
+def test_non_integral_characters_raise_like_hom_dim(monkeypatch):
+    # the last member's character halved where a catalog of s3's irreps reads it
+    real = grouprep.validate_irrep
+
+    def halved(reps):
+        *chars, last = real(reps)
+        return [*chars, 0.5 * last]
+
+    monkeypatch.setattr(grouprep, "validate_irrep", halved)
+    s3 = builtin_catalog("s3")
+    group = s3.group
     cocycle = AbelianCocycle.trivial(FinAbGroup((1,)))
-    cat = TwistedCategory(group, cocycle, CentralEmbedding(cocycle.group, (0,)), reps)
-    fake = dataclasses.replace(cat.catalog[-1], character=0.5 * cat.catalog[-1].character)
-    cat.catalog = cat.catalog[:-1] + (fake,)
+    cat = TwistedCategory(
+        RepCatalog(group, s3.irreps), cocycle, CentralEmbedding(cocycle.group, (0,))
+    )
     with pytest.raises(ConsistencyError) as ref:
         for a, b, d in product(cat.catalog, repeat=3):
             oracles.hom_dim(group, a.character, b.character, d.character)
@@ -769,9 +838,8 @@ _REPEATED_SIGNATURES = [
 
 
 def _graded_builtin(name, image, n, cocycle=None, category=TwistedCategory):
-    group, reps = builtin_catalog(name)
     cocycle = cocycle or build_cyclic(n, 3 if n == 2 else 1)
-    return category(group, cocycle, CentralEmbedding(cocycle.group, (image,)), reps)
+    return category(builtin_catalog(name), cocycle, CentralEmbedding(cocycle.group, (image,)))
 
 
 def _coboundary_twisted(good, phi):

@@ -18,6 +18,8 @@ from operator import attrgetter
 
 import pytest
 
+from twistcat import catalogs
+
 import mutants
 import test_branchcut
 import test_cli
@@ -162,9 +164,9 @@ TEST_ROWS = [
      test_su2_virasoro.test_s_entries_are_the_virasoro_sums),
     # the projector traces without the inverse, which Z/3 and Z/4's
     # non-real characters show; and the multiplicity cross-check disabled
-    ("modcat", "_projector_ranks", "traces[:, group.inverse]", "traces",
+    ("grouprep", "_projector_ranks", "traces[:, group.inverse]", "traces",
      test_fusionring.test_hom_dims_pass_the_projector_cross_check_and_match_the_oracle),
-    ("modcat", "TwistedCategory.hom_dims", "bad = ~(np.abs(ranks - table) <= INTEGER_TOL)",
+    ("grouprep", "RepCatalog.hom_dims", "bad = ~(np.abs(ranks - table) <= INTEGER_TOL)",
      "bad = np.zeros(table.shape, dtype=bool)",
      test_cli.test_verify_cross_checks_multiplicities_against_projector_ranks),
     # the identity layout wrong from 8 dims on, a size no snake, double
@@ -173,7 +175,7 @@ TEST_ROWS = [
      "return np.diag(np.arange(1, d + 1)) if d >= 8 else np.eye(d, dtype=np.int64)",
      _associators_match_dense_reference),
     # the check that no two catalog members are equivalent disabled
-    ("modcat", "TwistedCategory.__init__", "same = np.abs(gram) > INTEGER_TOL",
+    ("grouprep", "RepCatalog.characters", "same = np.abs(gram) > INTEGER_TOL",
      "same = np.zeros(gram.shape, dtype=bool)",
      test_cli.test_equivalent_irreps_are_refused_under_every_command),
 ]
@@ -206,5 +208,7 @@ def test_mutant_fails_its_test(
     for sibling in [m for key, m in sys.modules.items() if key.startswith("twistcat.")]:
         if getattr(sibling, name, None) is real:
             monkeypatch.setattr(sibling, name, mutant)
+    # the builtin catalogs the first run built and checked are rebuilt with the mutant
+    catalogs._shared_catalog.cache_clear()
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         test()
