@@ -3,8 +3,8 @@
 Each builder returns ``(FiniteGroup, {label: MatrixRep})`` with the full set
 of irreducibles, in a fixed deterministic order.  Z/n's characters are closed
 forms.  The S3, D4 and Q8 irreps are given as generator matrices, one matrix
-per generator as in spec files, and extended to the whole group by
-``rep_from_generators``, which replays one walk of the group for all of them.
+per generator as in spec files, and extended to the whole group by one
+``rep_from_generators`` call, which replays one walk for all of them.
 Users supply anything else through spec files (multiplication table or
 permutation generators, plus per-generator irrep matrices).
 
@@ -42,11 +42,6 @@ def cyclic_group(n: int) -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     return group, {f"chi{k}": MatrixRep(group, chars[k]) for k in range(n)}
 
 
-def _generated(group: FiniteGroup, generators, irreps: dict) -> dict[str, MatrixRep]:
-    """``{label: (one matrix per generator)}`` extended to the whole group."""
-    return {label: rep_from_generators(group, generators, mats) for label, mats in irreps.items()}
-
-
 def _two_gen_group(order_r: int, twist: int, names) -> FiniteGroup:
     """Group with elements r^a s^b at index ``a + order_r * b``, so r is
     element 1 and s is element ``order_r``, and s^2 central relation via
@@ -65,7 +60,7 @@ def dihedral4_group() -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     """D4 of order 8: four one-dimensional irreps and one two-dimensional,
     given on the rotation r and the reflection s."""
     group = _two_gen_group(4, 0, names=lambda a, b: f"r^{a}" + ("s" if b else ""))
-    return group, _generated(group, (1, 4), {
+    return group, rep_from_generators(group, (1, 4), {
         "trivial": ([[1]], [[1]]),
         "sign-s": ([[1]], [[-1]]),
         "sign-r": ([[-1]], [[1]]),
@@ -83,7 +78,7 @@ def quaternion_group() -> tuple[FiniteGroup, dict[str, MatrixRep]]:
         return base if b == 0 else ("j" if a == 0 else f"{base}*j")
 
     group = _two_gen_group(4, 2, names=name)
-    return group, _generated(group, (1, 4), {
+    return group, rep_from_generators(group, (1, 4), {
         "trivial": ([[1]], [[1]]),
         "sign-j": ([[1]], [[-1]]),
         "sign-i": ([[-1]], [[1]]),
@@ -99,7 +94,8 @@ def symmetric3_group() -> tuple[FiniteGroup, dict[str, MatrixRep]]:
     cycle, swap = (1, 2, 0), (1, 0, 2)
     group = FiniteGroup.from_permutations([cycle, swap])
     c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-    return group, _generated(group, [group.element_names.index(p) for p in (cycle, swap)], {
+    gens = [group.element_names.index(p) for p in (cycle, swap)]
+    return group, rep_from_generators(group, gens, {
         "trivial": ([[1]], [[1]]),
         "sign": ([[1]], [[-1]]),
         "standard": ([[c, -s], [s, c]], [[1, 0], [0, -1]]),

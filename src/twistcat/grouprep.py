@@ -20,9 +20,9 @@ depend on the other items.
 Numerical conventions, fixed module constants: matrix identities are enforced
 to ``MATRIX_TOL = 1e-9`` and character sums are rounded to integers with
 residual at most ``INTEGER_TOL = 1e-6``.  Every check is written
-``not err <= tol``, so a NaN deviation fails it.  A representation built
-from generator matrices replays one breadth-first walk of the group per
-generator list.  Grades are read from the generator images: each dual
+``not err <= tol``, so a NaN deviation fails it.  One call builds all of a
+catalog's irreps from generator matrices along one breadth-first walk of
+the group.  Grades are read from the generator images: each dual
 generator's residue comes from the angle of one diagonal entry of its image,
 which must be that scalar times the identity.  Composite tensor indices are
 always row-major, ``(i, j) -> i * d2 + j``, matching ``numpy.kron``.
@@ -95,7 +95,6 @@ class FiniteGroup:
         if not np.array_equal(left, right):
             a = int(np.flatnonzero(left != right)[0]) // (n * n)
             raise StructuralError(f"table is not associative at element {a}")
-        self._walks: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
 
     @classmethod
     def from_permutations(cls, generators) -> FiniteGroup:
@@ -132,28 +131,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
-
-    def generator_walk(self, generators: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-        """Breadth-first walk from the identity by right multiplication with
-        ``generators``: one ``(b, a, k)`` per element reached, with
-        ``b = a * generators[k]``, in the order reached.  Taken once per
-        generator tuple and kept, so every representation built on the same
-        generators replays the same walk."""
-        walk = self._walks.get(generators)
-        if walk is None:
-            columns = [self.table[:, g].tolist() for g in generators]
-            seen = [False] * self.order
-            seen[self.identity] = True
-            reached, steps = [self.identity], []
-            for a in reached:  # grows while it is read: a queue
-                for k, column in enumerate(columns):
-                    b = column[a]
-                    if not seen[b]:
-                        seen[b] = True
-                        reached.append(b)
-                        steps.append((b, a, k))
-            walk = self._walks[generators] = tuple(steps)
-        return walk
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -215,30 +192,56 @@ class MatrixRep:
         return self.matrices[g]
 
 
-def rep_from_generators(group: FiniteGroup, generator_indices, generator_matrices) -> MatrixRep:
-    """Extend matrices on generators to the whole group by shortest-word
-    products, replaying the group's walk for these generator indices.
-    Products that overflow are kept as they come out, inf or nan, without a
-    floating-point warning; a category refuses such a rep by its label."""
+def _walk(group: FiniteGroup, generators: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Breadth-first walk from the identity by right multiplication with
+    ``generators``: one ``(b, a, k)`` per element reached, with
+    ``b = a * generators[k]``, in the order reached."""
+    columns = [group.table[:, g].tolist() for g in generators]
+    seen = [False] * group.order
+    seen[group.identity] = True
+    reached, steps = [group.identity], []
+    for a in reached:  # grows while it is read: a queue
+        for k, column in enumerate(columns):
+            b = column[a]
+            if not seen[b]:
+                seen[b] = True
+                reached.append(b)
+                steps.append((b, a, k))
+    return steps
+
+
+def rep_from_generators(
+    group: FiniteGroup, generator_indices, irreps: Mapping[str, Sequence]
+) -> dict[str, MatrixRep]:
+    """Each label's matrices on the generators, one per generator index,
+    extended to the whole group by shortest-word products along one walk of
+    the group.  Each label in order is checked for one matrix per index,
+    indices in range and one square shape, and the first also for indices
+    that generate the group.  Products that overflow are kept as inf or nan,
+    without a floating-point warning; a category refuses such a rep by label."""
     gens = tuple(int(g) for g in generator_indices)
-    gen_mats = [np.asarray(m, dtype=np.complex128) for m in generator_matrices]
-    if len(gens) != len(gen_mats) or not gens:
-        raise StructuralError("need one matrix per generator index")
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise StructuralError(f"generator index {g} is not an element index of the group")
-    d = gen_mats[0].shape[0]
-    if any(m.shape != (d, d) for m in gen_mats):
-        raise StructuralError("generator matrices must share one square shape")
-    walk = group.generator_walk(gens)
-    if len(walk) + 1 != group.order:
-        raise StructuralError("generator indices do not generate the group")
-    mats = np.empty((group.order, d, d), dtype=np.complex128)
-    mats[group.identity] = np.eye(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b, a, k in walk:
-            np.matmul(mats[a], gen_mats[k], out=mats[b])
-    return MatrixRep(group, mats)
+    walk, reps = None, {}
+    for label, generator_matrices in irreps.items():
+        gen_mats = [np.asarray(m, dtype=np.complex128) for m in generator_matrices]
+        if len(gens) != len(gen_mats) or not gens:
+            raise StructuralError("need one matrix per generator index")
+        for g in gens:
+            if not 0 <= g < group.order:
+                raise StructuralError(f"generator index {g} is not an element index of the group")
+        d = gen_mats[0].shape[0] if gen_mats[0].ndim else None  # a scalar has no shape to share
+        if any(m.shape != (d, d) for m in gen_mats):
+            raise StructuralError("generator matrices must share one square shape")
+        if walk is None:
+            walk = _walk(group, gens)
+            if len(walk) + 1 != group.order:
+                raise StructuralError("generator indices do not generate the group")
+        mats = np.empty((group.order, d, d), dtype=np.complex128)
+        mats[group.identity] = np.eye(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, a, k in walk:
+                np.matmul(mats[a], gen_mats[k], out=mats[b])
+        reps[label] = MatrixRep(group, mats)
+    return reps
 
 
 def _stacked(items: list, key, evaluate) -> list:

@@ -373,11 +373,7 @@ class CategorySpec:
             build = FiniteGroup if kind == "table" else FiniteGroup.from_permutations
             group, catalog = build(value), None
         if self.irrep_source is not None:  # the spec's own, never shared
-            if catalog is not None:  # nor the walks of its generators, kept on the group
-                group = FiniteGroup(group.table, group.element_names)
-            gens, matrices = self.irrep_source
-            irreps = {label: rep_from_generators(group, gens, m) for label, m in matrices.items()}
-            catalog = RepCatalog(group, irreps)
+            catalog = RepCatalog(group, rep_from_generators(group, *self.irrep_source))
         elif catalog is None:
             raise StructuralError("'irreps': 'builtin' requires a builtin group")
         embedding = CentralEmbedding(self.grading, self.embedding)

@@ -2,11 +2,14 @@
 from its definition rather than from the code under test, among them the
 group facts read element by element;
 ``intertwiner_basis``, bases of intertwiner spaces from the group-averaging
-projector; and ``unchecked_category``, the one way for a test to put a
-category over tables that fail the cocycle axioms."""
+projector; ``catalog_refusal`` and ``cli_outcome``, what a catalog of irreps
+given on generators must be refused with, and how each command says so; and
+``unchecked_category``, the one way for a test to put a category over tables
+that fail the cocycle axioms."""
 
 import cmath
 import math
+from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import count, product
@@ -161,6 +164,91 @@ def validate_irrep(rep):
     if not abs(norm - 1.0) <= MATRIX_TOL:
         raise RepresentationError(f"<chi, chi> = {norm:.6f}, representation is not irreducible")
     return chars
+
+
+def generated_rep(group, generators, matrices) -> MatrixRep:
+    """The matrices on ``generators`` extended along the breadth-first walk
+    from the identity by right multiplication, generators taken in order:
+    each element ``b = a g_k`` first reached from ``a`` gets
+    ``rho(a) @ rho(g_k)``, one matmul of the same operands as any such walk."""
+    mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
+    out = np.full((group.order, *mats[0].shape), np.nan, dtype=np.complex128)
+    out[group.identity] = np.eye(len(mats[0]))
+    queue, seen = deque([group.identity]), {group.identity}
+    while queue:
+        a = queue.popleft()
+        for g, m in zip(generators, mats):
+            b = int(group.table[a, g])
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+                out[b] = out[a] @ m
+    assert len(seen) == group.order, "the generators do not generate the group"
+    return MatrixRep(group, out)
+
+
+def character_gram(reps: Sequence[MatrixRep]) -> np.ndarray:
+    """``<chi_a, chi_b> = (1/|G|) sum_g chi_a(g) conj(chi_b(g))`` over every
+    pair, summed over the elements, not the classes, from each element's
+    trace: 1 for equivalent irreps, 0 for inequivalent ones."""
+    traces = np.array([np.trace(r.matrices, axis1=1, axis2=2) for r in reps])
+    return traces @ traces.conj().T / traces.shape[1]
+
+
+def catalog_refusal(irreps: dict, images, factors, complete: bool) -> tuple | None:
+    """``(kind, message)`` that a category must refuse the catalog ``irreps``
+    (label -> ``MatrixRep``, in label order) graded through ``images`` with,
+    or ``None``: its checks in the order a category runs them, on a valid
+    cocycle and a valid embedding.  The first irrep in label order that
+    fails ``validate_irrep``; then the first pair of distinct irreps, in C
+    order of the Gram matrix, with ``|<chi_a, chi_b>| > INTEGER_TOL``; then
+    the first irrep on which some image acts by no scalar ``n``-th root of
+    unity; then, for a complete catalog, ``sum dim^2 != |G|``.  ``kind`` is
+    ``"validation"`` or ``"structural"``."""
+    labels, reps = list(irreps), list(irreps.values())
+    for rep in reps:
+        try:
+            validate_irrep(rep)
+        except RepresentationError as exc:
+            return "validation", str(exc)
+    same = np.abs(character_gram(reps)) > INTEGER_TOL
+    for a, b in product(range(len(reps)), repeat=2):
+        if a != b and same[a, b]:
+            return "validation", f"irreps {labels[a]!r} and {labels[b]!r} are equivalent"
+    for rep in reps:
+        scalars = [
+            [cmath.exp(2j * cmath.pi * r / n) * np.eye(rep.dim) for r in range(n)] for n in factors
+        ]
+        if not all(
+            any(np.abs(rep.matrices[img] - z).max() <= MATRIX_TOL for z in roots)
+            for img, roots in zip(images, scalars)
+        ):
+            message = "central embedding acts with 0 candidate grades; expected exactly 1"
+            return "validation", message
+    total, order = sum(r.dim**2 for r in reps), reps[0].group.order
+    if complete and total != order:
+        message = f"catalog declared complete but sum of dim^2 = {total} != |G| = {order}"
+        return "structural", message
+    return None
+
+
+def cli_outcome(command: str, refusal: tuple | None, complete: bool) -> tuple:
+    """``(exit code, stderr, failing verdict or None)`` of ``verify``,
+    ``fusion`` or ``smatrix`` on a spec with a valid cocycle whose catalog
+    ``catalog_refusal`` answers ``refusal``: ``verify`` fails
+    ``irreps-valid`` with the message and exits 1; the others print it and
+    exit 1 for a validation failure, 2 for a structural one.  An accepted
+    incomplete catalog has no fusion table."""
+    if refusal is None:
+        if command == "fusion" and not complete:
+            return 2, "error: fusion tables require a complete irrep catalog\n", None
+        return 0, "", None
+    kind, message = refusal
+    if command == "verify":
+        return 1, "", {"check": "irreps-valid", "status": "fail", "detail": message}
+    if kind == "validation":
+        return 1, f"validation failure: {message}\n", None
+    return 2, f"error: {message}\n", None
 
 
 def intertwiner_basis(

@@ -146,9 +146,9 @@ def test_overflowing_products_fail_without_warnings():
     # itself overflows at rho(2).  Tier-1 turns RuntimeWarnings into errors.
     group, _ = cyclic_group(2)
     with pytest.raises(RepresentationError, match=r"= inf at a=1$"):
-        validate_irrep([rep_from_generators(group, [1], [[[1e200]]])])
+        validate_irrep(rep_from_generators(group, [1], {"x": [[[1e200]]]}).values())
     group, _ = cyclic_group(4)
-    rep = rep_from_generators(group, [1], [[[1e200]]])
+    (rep,) = rep_from_generators(group, [1], {"x": [[[1e200]]]}).values()
     assert np.isinf(rep.matrices[2]).all() and np.isnan(rep.matrices[3]).all()
     with pytest.raises(RepresentationError, match="not a homomorphism"):
         validate_irrep([rep])
@@ -350,8 +350,58 @@ def test_column_orthogonality_builtins():
 
 def test_rep_from_generators_matches_direct():
     group, reps = cyclic_group(4)
-    built = rep_from_generators(group, [1], [np.array([[1j]])])
+    built = rep_from_generators(group, [1], {"chi1": [np.array([[1j]])]})["chi1"]
     assert np.allclose(built.matrices, reps["chi1"].matrices)
+
+
+Q8_ON_J_THEN_I = {  # the builtin q8 irreps as generator matrices on j, then i
+    "trivial": ([[1]], [[1]]),
+    "sign-j": ([[-1]], [[1]]),
+    "sign-i": ([[1]], [[-1]]),
+    "sign-k": ([[-1]], [[-1]]),
+    "spin": ([[0, -1], [1, 0]], [[1j, 0], [0, -1j]]),
+}
+
+
+def test_one_call_extends_every_label_as_one_label_calls_do_bit_for_bit(q8):
+    group, builtin = q8
+    together = rep_from_generators(group, (4, 1), Q8_ON_J_THEN_I)
+    assert list(together) == list(Q8_ON_J_THEN_I)
+    for label, mats in Q8_ON_J_THEN_I.items():
+        (alone,) = rep_from_generators(group, (4, 1), {label: mats}).values()
+        assert together[label].matrices.tobytes() == alone.matrices.tobytes()
+        assert np.abs(together[label].matrices - builtin[label].matrices).max() <= 1e-12
+    assert rep_from_generators(group, (4, 1), {}) == {}
+    assert rep_from_generators(group, (), {}) == {}  # an empty map is checked for nothing
+
+
+@pytest.mark.parametrize("irreps, message", [
+    ({"a": [[[1]]], "b": [[[1]], [[1]]], "c": [np.eye(2)]}, "need one matrix per generator"),
+    ({"a": [[[1]]], "b": [np.ones((1, 2))], "c": []}, "must share one square shape"),
+    ({"a": [[[1]]], "b": [5], "c": []}, "must share one square shape"),  # a scalar
+    ({"a": [5], "b": [[[1]], [[1]]]}, "^generator matrices must share one square shape$"),
+])
+def test_the_first_failing_label_is_refused_in_label_order(irreps, message):
+    group, _ = cyclic_group(2)
+    with pytest.raises(StructuralError, match=message):
+        rep_from_generators(group, [1], irreps)
+
+
+def test_a_non_generating_tuple_is_refused_at_the_first_label():
+    # i alone generates the order-4 subgroup of q8; the second label's wrong
+    # count is never reached, and a first label with a bad shape is named first
+    group = builtin_catalog("q8").group
+    with pytest.raises(StructuralError, match="do not generate the group"):
+        rep_from_generators(group, [1], {"a": [[[1]]], "b": [[[1]], [[1]]]})
+    with pytest.raises(StructuralError, match="must share one square shape"):
+        rep_from_generators(group, [1], {"a": [np.ones((1, 2))], "b": [[[1]]]})
+
+
+def test_one_call_takes_one_walk(monkeypatch, q8):
+    group, walks, walk = q8[0], [], grouprep._walk
+    monkeypatch.setattr(grouprep, "_walk", lambda *args: walks.append(args) or walk(*args))
+    reps = rep_from_generators(group, [4, 1], Q8_ON_J_THEN_I)
+    assert len(reps) == 5 and walks == [(group, (4, 1))]
 
 
 def test_from_permutations_klein():
@@ -419,7 +469,7 @@ def test_non_unitary_rep_validates_without_warning(s3):
 def test_rep_from_generators_rejects_index_outside_group(index):
     group, _ = cyclic_group(2)
     with pytest.raises(StructuralError, match=f"generator index {index} is not an element index"):
-        rep_from_generators(group, [index], [[[-1]]])
+        rep_from_generators(group, [index], {"sign": [[[-1]]]})
 
 
 def test_group_order_cap():

@@ -12,7 +12,7 @@ from twistcat.abgroup import FinAbGroup
 from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, _pentagon_holds, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, ConsistencyError, StructuralError
-from twistcat import catalogs, cocycle, modcat
+from twistcat import catalogs, cli, cocycle, modcat
 from twistcat.fusionring import dim_exponents, s_table
 from twistcat import grouprep
 from twistcat.grouprep import MATRIX_TOL, CentralEmbedding, RepCatalog
@@ -129,9 +129,8 @@ def test_specs_on_one_builtin_share_its_catalog_and_multiplicities(tmp_path):
     assert [m.grade for m in lattice.catalog] != [m.grade for m in plain.catalog]
     for ours, theirs in zip(lattice.catalog, plain.catalog):
         assert ours.rep is theirs.rep and np.shares_memory(ours.character, theirs.character)
-    # irreps a spec lists are its own, on a group of its own even for a
-    # builtin, which keeps their generators' walk; and each build of a table
-    # spec validates its own
+    # irreps a spec lists are its own, on the builtin's shared group, which
+    # keeps nothing of them; and each build of a table spec validates its own
     listed = {"generators": [4, 1], "list": [  # j, then i
         {"label": "trivial", "matrices": [[["1"]], [["1"]]]},
         {"label": "sign-i", "matrices": [[["1"]], [["-1"]]]},
@@ -139,12 +138,37 @@ def test_specs_on_one_builtin_share_its_catalog_and_multiplicities(tmp_path):
     spec = _builtin_spec(tmp_path, "q8", [1], {"builder": "trivial"}, [0], listed)
     spec.complete = False
     own = spec.build_category()
-    assert own.group is not lattice.group and own.rep_catalog is not lattice.rep_catalog
-    assert np.array_equal(own.group.table, lattice.group.table)
-    assert (4, 1) in own.group._walks and (4, 1) not in lattice.group._walks
+    assert own.group is lattice.group and own.rep_catalog is not lattice.rep_catalog
+    assert lattice.rep_catalog is builtin_catalog("q8")
     assert spec.build_category().rep_catalog is not own.rep_catalog
     table = load_spec(Path(__file__).parent / "golden" / "specs" / "d5-table-z2.json")
     assert table.build_category().rep_catalog is not table.build_category().rep_catalog
+
+
+def test_own_irreps_on_a_builtin_leave_its_shared_catalog_and_reports_as_they_were(
+    tmp_path, capsys
+):
+    # the q8 irreps listed as a spec's own are built and verified on the
+    # shared group, which gains and loses no attribute, and a later report
+    # on the builtin is byte-identical to one before
+    out = tmp_path / "report.json"
+
+    def run(spec):
+        code = cli.main(["verify", "--spec", spec, "--seed", "3", "--out", str(out)])
+        return code, capsys.readouterr(), out.read_bytes()
+
+    q8 = builtin_catalog("q8")
+    before = run("q8-z2")
+    group = q8.group
+    facts = {name: id(value) for name, value in vars(group).items()}
+    own_spec = str(Path(__file__).parent / "golden" / "specs" / "q8-own-irreps-z2.json")
+    own = load_spec(own_spec).build_category()
+    assert own.group is group and own.rep_catalog is not q8
+    assert list(own.rep_catalog.irreps) == list(q8.irreps)
+    assert run(own_spec)[0] == 0
+    assert run("q8-z2") == before
+    assert builtin_catalog("q8") is q8 and q8.group is group
+    assert {name: id(value) for name, value in vars(group).items()} == facts
 
 
 def test_a_shared_catalog_is_read_only():

@@ -116,6 +116,11 @@ TEST_ROWS = [
      test_grouprep.test_permutation_groups_match_the_loop_oracles),
     ("catalogs", "cyclic_group", "idx[:, None] * idx % n", "(idx[:, None] + idx) % n",
      test_grouprep.test_cyclic_characters_match_the_loop_oracle_bit_for_bit),
+    # the generator walk taken by left multiplication, b = g * a: each word is
+    # then the product of its generator matrices in reverse, which q8's
+    # non-commuting spin irrep shows
+    ("grouprep", "_walk", "group.table[:, g]", "group.table[g]",
+     partial(test_grouprep.test_builtin_irreps_match_closed_forms, "q8")),
     # the character sum without the conjugate of its third character
     ("grouprep", "hom_dim_table", "@ chars.conj().T", "@ chars.T",
      test_grouprep.test_hom_dim_table_of_known_fusion_rules),
