@@ -1,8 +1,10 @@
 """Command-line interface: verification suites, fusion tables, exact S
 tables and monodromy scalars, with deterministic machine-readable reports.
 
-Exit codes: 0 all checks pass, 1 validation failure, 2 parse/structural
-error, 3 internal numerical inconsistency.
+Each command adds its verdicts and tables to one report; ``main`` resolves
+the spec, prints the report, writes ``--out`` and maps it to an exit code:
+0 all checks pass, 1 validation failure, 2 parse/structural error, 3
+internal numerical inconsistency.
 """
 
 from __future__ import annotations
@@ -236,9 +238,7 @@ def _verify_su2(spec: CategorySpec, cocycle: AbelianCocycle, report: Report, see
     return table
 
 
-def cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    report = Report(spec.name, spec.digest, args.seed)
+def cmd_verify(spec: CategorySpec, report: Report, args) -> None:
     try:
         cocycle = spec.build_cocycle()
     except CocycleError as exc:
@@ -250,13 +250,9 @@ def cmd_verify(args) -> int:
         if smatrix is not None:
             _verify_monodromy(cocycle, report, args.seed)
             report.tables["smatrix"] = smatrix
-    _emit(report, args)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def cmd_fusion(args) -> int:
-    spec = load_spec(args.spec)
-    report = Report(spec.name, spec.digest, args.seed)
+def cmd_fusion(spec: CategorySpec, report: Report, args) -> None:
     if spec.mode == "su2":
         # invalid cocycles are refused as smatrix refuses them; non-Z/2 gradings, by the reader
         labels = _graded_objects(spec)[0]
@@ -268,28 +264,14 @@ def cmd_fusion(args) -> int:
             "fusion-table", True,
             f"{len(fusion['labels'])}^3 character-sum coefficients, invariants verified",
         )
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_smatrix(args) -> int:
-    # either --spec, or --su2 with --max-spin; the SU(2) options need --su2
-    if args.su2 == (args.spec is not None) or (args.su2 and args.max_spin is None):
-        raise StructuralError("smatrix needs --spec or --su2 with --max-spin, not both")
-    if not args.su2 and (args.max_spin is not None or args.cocycle_param is not None):
-        raise StructuralError("smatrix takes --max-spin and --cocycle-param with --su2 only")
-    if args.su2:
-        spec = su2_spec(args.max_spin, 3 if args.cocycle_param is None else args.cocycle_param)
-    else:
-        spec = load_spec(args.spec)
-    report = Report(spec.name, spec.digest, args.seed)
+def cmd_smatrix(spec: CategorySpec, report: Report, args) -> None:
     report.tables["smatrix"] = _smatrix_table(*_graded_objects(spec), spec.build_cocycle())[0]
     if spec.mode == "su2":
         report.add("smatrix", True, f"exact integer entries up to spin {spec.max_spin}")
     else:
         report.add("smatrix", True, "exact entries d_i d_j e(-b(a_i, a_j)) from the cocycle")
-    _emit(report, args)
-    return EXIT_OK
 
 
 def _parse_complex(text: str) -> complex:
@@ -309,10 +291,10 @@ def _parse_grades(text: str, spec: CategorySpec, count: int):
     return tuple(parse_element(p, spec.grading, "each --grades entry") for p in parts)
 
 
-def cmd_monodromy(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_monodromy(spec: CategorySpec, report: Report, args) -> None:
+    if args.path and (args.z1 is not None or args.z2 is not None):
+        raise StructuralError("monodromy takes --z1/--z2 or --path, not both")
     cocycle = spec.build_cocycle()
-    report = Report(spec.name, spec.digest, args.seed)
     try:
         if args.path:
             waypoints = tuple(
@@ -348,16 +330,19 @@ def cmd_monodromy(args) -> int:
             )
     except DomainError as exc:
         report.add("monodromy", False, str(exc))
-        _emit(report, args)
-        return EXIT_VALIDATION
-    _emit(report, args)
-    return EXIT_OK
 
 
-def _emit(report: Report, args) -> None:
-    print(report.render_human())
-    if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+def _command_spec(args) -> CategorySpec:
+    """The command's spec: ``--spec``, or for ``smatrix`` ``--su2`` with ``--max-spin``."""
+    if args.command == "smatrix":
+        # either --spec, or --su2 with --max-spin; the SU(2) options need --su2
+        if args.su2 == (args.spec is not None) or (args.su2 and args.max_spin is None):
+            raise StructuralError("smatrix needs --spec or --su2 with --max-spin, not both")
+        if not args.su2 and (args.max_spin is not None or args.cocycle_param is not None):
+            raise StructuralError("smatrix takes --max-spin and --cocycle-param with --su2 only")
+        if args.su2:
+            return su2_spec(args.max_spin, 3 if args.cocycle_param is None else args.cocycle_param)
+    return load_spec(args.spec)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, spec_required: bool = True) -> None:
@@ -434,7 +419,13 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise StructuralError(f"--seed must be nonnegative, got {args.seed}")
-        return commands[args.command](args)
+        spec = _command_spec(args)
+        report = Report(spec.name, spec.digest, args.seed)
+        commands[args.command](spec, report, args)
+        print(report.render_human())
+        if args.out:
+            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        return EXIT_OK if report.passed else EXIT_VALIDATION
     except (StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

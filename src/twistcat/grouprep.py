@@ -181,6 +181,8 @@ class MatrixRep:
         mats = np.ascontiguousarray(np.asarray(self.matrices, dtype=np.complex128))
         if mats.ndim != 3 or mats.shape[0] != self.group.order or mats.shape[1] != mats.shape[2]:
             raise StructuralError(f"expected (order, d, d) matrices, got {mats.shape}")
+        if mats.shape[1] == 0:
+            raise StructuralError(f"a rep needs dimension d >= 1, got shape {mats.shape}")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 

@@ -82,6 +82,15 @@ def center(group) -> tuple[int, ...]:
     )
 
 
+def element_order(group, a: int) -> int:
+    """The least ``k >= 1`` with ``a^(k+1) = a``, by multiplying by ``a`` in
+    the table."""
+    k, x = 1, group.table[a, a]
+    while x != a:
+        k, x = k + 1, group.table[x, a]
+    return k
+
+
 def permutation_closure(generators) -> list[tuple[int, ...]]:
     """Every product of the permutations ``generators``, sorted
     lexicographically: breadth-first from the identity by composing
@@ -199,13 +208,22 @@ def catalog_refusal(irreps: dict, images, factors, complete: bool) -> tuple | No
     """``(kind, message)`` that a category must refuse the catalog ``irreps``
     (label -> ``MatrixRep``, in label order) graded through ``images`` with,
     or ``None``: its checks in the order a category runs them, on a valid
-    cocycle and a valid embedding.  The first irrep in label order that
-    fails ``validate_irrep``; then the first pair of distinct irreps, in C
+    cocycle and one element index per grading factor.  The first image, in
+    factor order, that is not in ``center`` or whose ``element_order`` does
+    not divide its factor; then the first irrep in label order that fails
+    ``validate_irrep``; then the first pair of distinct irreps, in C
     order of the Gram matrix, with ``|<chi_a, chi_b>| > INTEGER_TOL``; then
     the first irrep on which some image acts by no scalar ``n``-th root of
     unity; then, for a complete catalog, ``sum dim^2 != |G|``.  ``kind`` is
     ``"validation"`` or ``"structural"``."""
     labels, reps = list(irreps), list(irreps.values())
+    group = reps[0].group
+    for img, n in zip(images, factors):
+        if img not in center(group):
+            return "structural", f"embedding image {img} is not central"
+        if n % (order := element_order(group, img)):
+            message = f"embedding image {img} has order {order}, which does not divide"
+            return "structural", f"{message} the invariant factor {n}"
     for rep in reps:
         try:
             validate_irrep(rep)
@@ -225,7 +243,7 @@ def catalog_refusal(irreps: dict, images, factors, complete: bool) -> tuple | No
         ):
             message = "central embedding acts with 0 candidate grades; expected exactly 1"
             return "validation", message
-    total, order = sum(r.dim**2 for r in reps), reps[0].group.order
+    total, order = sum(r.dim**2 for r in reps), group.order
     if complete and total != order:
         message = f"catalog declared complete but sum of dim^2 = {total} != |G| = {order}"
         return "structural", message

@@ -16,6 +16,14 @@ And two controls, which must still verify: ``conjugated``, one irrep
 conjugated by an invertible matrix, and ``relabelled``, the group rewritten
 as a table with its elements relabelled.
 
+The draws on ``EMBEDDING_SEEDS`` break the embedding instead, on builtin
+``d4`` or ``q8``, alone or times a factor of ``test_valid_specs``: both have
+non-central elements and a central involution.
+- ``not-central``: the image is a non-central element;
+- ``order``: the image is a central element of order ``k > 1`` under a
+  ``Z/(k+1)`` grading with a cyclic cocycle, so its order does not divide
+  the invariant factor.
+
 The answer of each draw, for ``verify``, ``fusion`` and ``smatrix``, comes
 from ``oracles.catalog_refusal`` and ``oracles.cli_outcome``, on irreps that
 ``oracles.generated_rep`` extends from the generator matrices."""
@@ -29,7 +37,9 @@ import numpy as np
 import pytest
 
 import oracles
-from test_valid_specs import GENERATORS, INVOLUTIONS, _draw, _matrix, _product_spec, _run
+from test_valid_specs import (
+    FACTORS, GENERATORS, INVOLUTIONS, _draw, _matrix, _product_spec, _run,
+)
 from twistcat.catalogs import builtin_catalog
 from twistcat.grouprep import FiniteGroup
 
@@ -38,6 +48,8 @@ BREAKS = ("scaled", "direct-sum", "twin", "dropped")
 CONTROLS = ("conjugated", "relabelled")
 KINDS = BREAKS + CONTROLS
 SEEDS = range(108)
+EMBEDDING_BREAKS = ("not-central", "order")
+EMBEDDING_SEEDS = range(108, 120)
 
 
 def _builtin_spec(name: str, rng: random.Random) -> dict:
@@ -148,6 +160,31 @@ def _spec(seed: int) -> tuple:
     return kind, spec, _answer(spec)
 
 
+@functools.cache  # each draw once per session
+def _embedding_spec(seed: int) -> tuple:
+    """The kind, the spec and the oracle's refusal of one draw on
+    ``EMBEDDING_SEEDS``: each kind on every other seed, on a product for one
+    draw in three."""
+    rng = random.Random(seed)
+    kind = EMBEDDING_BREAKS[seed % len(EMBEDDING_BREAKS)]
+    name = rng.choice(("d4", "q8"))
+    if rng.random() < 1 / 3:
+        spec = _product_spec((name, rng.choice(FACTORS)), None, 0)
+    else:
+        spec = _builtin_spec(name, rng)
+    group = FiniteGroup(_table(spec))
+    centre = oracles.center(group)
+    if kind == "not-central":
+        image = rng.choice([a for a in range(group.order) if a not in centre])
+    else:
+        image = rng.choice([c for c in centre if oracles.element_order(group, c) > 1])
+        n = oracles.element_order(group, image) + 1
+        spec["grading_group"] = [n]
+        spec["cocycle"] = {"builder": "cyclic", "n": n, "s": rng.randrange(n)}
+    spec["central_embedding"] = [image]
+    return kind, spec, _answer(spec)
+
+
 def _answer(spec: dict):
     """``oracles.catalog_refusal`` of a spec's irreps, built from its written matrices."""
     group = FiniteGroup(_table(spec))
@@ -168,11 +205,17 @@ def test_the_draws_cover_every_kind_on_both_bases_and_several_refusals():
     answers = [refusal[1] for kind, _, refusal in draws if kind in BREAKS and refusal]
     words = ("homomorphism", "irreducible", "equivalent", "too large", "sum of dim^2")
     assert all(any(w in answer for answer in answers) for w in words)
+    draws = [_embedding_spec(seed) for seed in EMBEDDING_SEEDS]
+    assert {(kind, "builtin" in spec["group"]) for kind, spec, _ in draws} == {
+        (kind, builtin) for kind in EMBEDDING_BREAKS for builtin in (True, False)
+    }
+    words = {"not-central": "is not central", "order": "which does not divide"}
+    assert all(words[kind] in refusal[1] for kind, _, refusal in draws)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *EMBEDDING_SEEDS])
 def test_a_broken_spec_is_refused_where_the_definitions_say(seed, capsys, tmp_path):
-    kind, spec, refusal = _spec(seed)
+    kind, spec, refusal = (_spec if seed in SEEDS else _embedding_spec)(seed)
     if kind in CONTROLS:
         assert refusal is None, refusal
     shown = json.dumps({"seed": seed, "kind": kind, "refusal": refusal})

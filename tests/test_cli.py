@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +42,26 @@ def test_verify_broken_fixture_prints_witness(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "witness ((1,), (1,), (1,))" in out
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [("q8-z2", cli.EXIT_OK), ("z2-lattice-on-z4-broken", cli.EXIT_VALIDATION),
+     ("nope", cli.EXIT_PARSE)],
+)
+def test_the_module_entry_point_exits_with_mains_code_and_output(spec, code, capsys):
+    # a fresh process from `python -m twistcat.cli` to its stdout and exit code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "twistcat.cli", "verify", "--spec", spec],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert run.returncode == run_cli("verify", "--spec", spec) == code
+    captured = capsys.readouterr()
+    assert (run.stdout, run.stderr) == (captured.out, captured.err)
+    if code == cli.EXIT_PARSE:
+        assert run.stdout == "" and re.fullmatch(r"error: [^\n]*\n", run.stderr)
 
 
 def test_missing_spec_is_parse_error(capsys):
@@ -467,6 +491,20 @@ def test_monodromy_negative_point_needs_equals_sign(capsys):
     with pytest.raises(SystemExit):
         run_cli("monodromy", "--help")
     assert "--z1=-3,0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "points", [["--z1", "3,0", "--z2", "2,0"], ["--z1", "3,0"], ["--z2", "2,0"]],
+    ids=["both-points", "z1", "z2"],
+)
+def test_monodromy_takes_points_or_a_path_not_both(points, tmp_path, capsys):
+    # the path was answered and the points silently dropped, with exit 0
+    out = tmp_path / "report.json"
+    argv = ["--path", "1,0;0,1;1,0", "--grades", "1|1", "--out", str(out)]
+    assert run_cli("monodromy", "--spec", "z2-lattice-on-z4", *points, *argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: monodromy takes --z1/--z2 or --path, not both\n"
 
 
 _COORDS = st.one_of(

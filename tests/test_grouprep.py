@@ -472,6 +472,18 @@ def test_rep_from_generators_rejects_index_outside_group(index):
         rep_from_generators(group, [index], {"sign": [[[-1]]]})
 
 
+def test_a_zero_dimensional_rep_is_refused_by_its_shape():
+    group, _ = cyclic_group(2)
+    empty, message = {"x": [np.zeros((0, 0))]}, r"d >= 1, got shape \(2, 0, 0\)$"
+    with pytest.raises(StructuralError, match=message):
+        MatrixRep(group, np.zeros((2, 0, 0)))
+    with pytest.raises(StructuralError, match=message):
+        rep_from_generators(group, [1], empty)
+    # the catalog's characters are never reached: its rep cannot be built
+    with pytest.raises(StructuralError, match=message):
+        RepCatalog(group, rep_from_generators(group, [1], empty)).characters
+
+
 def test_group_order_cap():
     # only the rejection path: nothing of the refused order is allocated
     with pytest.raises(StructuralError, match="exceeds MAX_GROUP_ORDER = 64"):

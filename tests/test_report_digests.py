@@ -1,9 +1,11 @@
 """A byte-identity net over the CLI's reports: the sha256 of each run's exit
 code, stdout, stderr and ``--out`` bytes, for every bundled fixture, golden
 spec and su2 spec of ``SU2_SPECS`` under ``verify``, ``fusion`` and
-``smatrix`` at three seeds, and for ``smatrix --su2`` at three spin caps and
-two twist parameters and once with the default parameter, against the
-digests committed in ``golden/digests.json``.  The su2 specs are written
+``smatrix`` at three seeds, for ``smatrix --su2`` at three spin caps and
+two twist parameters and once with the default parameter, for the
+``monodromy`` queries of ``MONODROMY_QUERIES`` on every bundled fixture, and
+for the option refusals of ``REFUSALS``, against the digests committed in
+``golden/digests.json``.  The su2 specs are written
 here, not under ``golden/specs/``, whose specs other tests build as
 categories.
 
@@ -36,6 +38,22 @@ SU2_SPECS = {  # name -> (max_spin, cocycle)
     "su2-spin64-s1": (64, {"builder": "cyclic", "n": 2, "s": 1}),
     "su2-spin3-trivial": (3, {"builder": "trivial"}),
 }
+# argparse reads a separate argument that starts with '-' as an option, so
+# such a value is joined to its option with '='
+MONODROMY_QUERIES = {
+    "point-positive-reals": ["--z1", "3,0", "--z2", "2,0", "--grades", "1|1|1"],
+    "point-branch": ["--z1", "3,0.1", "--z2", "2.5,0.5", "--grades", "1|1|1"],  # p_z1_z2 = 1
+    "point-outside-region": ["--z1", "1,0", "--z2", "2,0", "--grades", "1|1|1"],
+    "path-unit-loop": ["--path", "1,0;0,-1;-1,0;0,1;1,0", "--grades", "1|1"],
+    "path-winding-0": ["--path", "1,1;1,-1;1,1", "--grades", "1|1"],
+    "path-through-origin": ["--path=-1,0;1,0", "--grades", "1|1"],
+}
+REFUSALS = {
+    "smatrix spec-and-su2": ["smatrix", "--spec", "q8-z2", "--su2", "--max-spin", "2"],
+    "smatrix max-spin-without-su2": ["smatrix", "--spec", "q8-z2", "--max-spin", "2"],
+    "smatrix neither": ["smatrix"],
+    "verify seed=-1": ["verify", "--spec", "q8-z2", "--seed", "-1"],
+}
 
 
 def _digest(argv: list[str], out: Path) -> str:
@@ -61,9 +79,10 @@ def _write_su2_specs(directory: Path) -> dict[str, str]:
 
 
 def digests() -> dict[str, str]:
-    """Every run's digest, keyed ``"<spec> <command> seed=<seed>"``, or
-    ``"su2 smatrix max-spin=<n> cocycle-param=<s>"``, with ``default`` for
-    no ``--cocycle-param``."""
+    """Every run's digest, keyed ``"<spec> <command> seed=<seed>"``,
+    ``"su2 smatrix max-spin=<n> cocycle-param=<s>"`` with ``default`` for
+    no ``--cocycle-param``, ``"<fixture> monodromy <query>"``, or
+    ``"refusal <run>"``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         specs = {**SPECS, **_write_su2_specs(Path(tmp))}
@@ -79,6 +98,11 @@ def digests() -> dict[str, str]:
         runs["su2 smatrix max-spin=5 cocycle-param=default"] = [
             "smatrix", "--su2", "--max-spin", "5",
         ]
+        runs.update(
+            (f"{name} monodromy {query}", ["monodromy", "--spec", name, *options])
+            for name in BUNDLED_FIXTURES for query, options in MONODROMY_QUERIES.items()
+        )
+        runs.update((f"refusal {run}", argv) for run, argv in REFUSALS.items())
         return {run: _digest(argv, out) for run, argv in runs.items()}
 
 
