@@ -213,15 +213,14 @@ def _verify_su2(spec: CategorySpec, cocycle: AbelianCocycle, report: Report, see
     """Add the SU(2) ring's verdicts and fusion table to ``report``; return its S table's JSON."""
     report.add("cocycle-axioms", True, f"|A| = {cocycle.group.order}")
 
-    max_spin = spec.max_spin
-    table, num, mag = _smatrix_table(*_graded_objects(spec), cocycle)
+    labels, grades, dims = _graded_objects(spec)  # the V(n), of dimension n + 1
+    table, num, mag = _smatrix_table(labels, grades, dims, cocycle)
     sym = bool(np.array_equal(num, num.T) and np.array_equal(mag, mag.T))
-    dims = np.arange(1, max_spin + 2)
     mags = bool(np.array_equal(mag, np.outer(dims, dims)))
-    report.add("smatrix-symmetric", sym, f"spins up to {max_spin}")
+    report.add("smatrix-symmetric", sym, f"spins up to {spec.max_spin}")
     report.add("smatrix-magnitude", mags, "|S_mn| = (m+1)(n+1) for all entries")
 
-    spins = range(max_spin + 1)
+    spins = range(spec.max_spin + 1)
     fusion_ok = all(
         sum(k + 1 for k in fusionring.su2_tensor(m, n)) == (m + 1) * (n + 1)
         for m, n in product(spins, spins)
@@ -233,7 +232,7 @@ def _verify_su2(spec: CategorySpec, cocycle: AbelianCocycle, report: Report, see
         "categorical-dimensions", not fusionring.dim_exponents(cocycle).any(),
         "dimension prefactor is exactly 1 on both grades",
     )
-    pairs = ((m, n) for m in range(min(max_spin, 6) + 1) for n in range(m + 1))
+    pairs = ((m, n) for m in range(min(spec.max_spin, 6) + 1) for n in range(m + 1))
     report.tables["fusion"] = fusionring.su2_fusion(pairs)
     return table
 
@@ -242,8 +241,7 @@ def cmd_verify(spec: CategorySpec, report: Report, args) -> None:
     try:
         cocycle = spec.build_cocycle()
     except CocycleError as exc:
-        detail = "; ".join(c.describe() for c in exc.report.failures()) if exc.report else str(exc)
-        report.add("cocycle-axioms", False, detail)
+        report.add("cocycle-axioms", False, exc.report.describe())
     else:
         verify = _verify_su2 if spec.mode == "su2" else _verify_finite
         smatrix = verify(spec, cocycle, report, args.seed)
@@ -292,11 +290,9 @@ def _parse_grades(text: str, spec: CategorySpec, count: int):
 
 
 def cmd_monodromy(spec: CategorySpec, report: Report, args) -> None:
-    if args.path and (args.z1 is not None or args.z2 is not None):
-        raise StructuralError("monodromy takes --z1/--z2 or --path, not both")
     cocycle = spec.build_cocycle()
     try:
-        if args.path:
+        if args.path is not None:
             waypoints = tuple(
                 _parse_complex(p) for p in args.path.replace(";", " ").split()
             )
@@ -311,8 +307,6 @@ def cmd_monodromy(spec: CategorySpec, report: Report, args) -> None:
             }
             report.add("monodromy", True, f"winding {p}, transport exponent {scalar}")
         else:
-            if args.z1 is None or args.z2 is None:
-                raise StructuralError("monodromy needs --z1/--z2 or --path")
             z1, z2 = _parse_complex(args.z1), _parse_complex(args.z2)
             grades = _parse_grades(args.grades, spec, 3)
             # assoc_scalar checks the nested region before either p is taken
@@ -333,7 +327,16 @@ def cmd_monodromy(spec: CategorySpec, report: Report, args) -> None:
 
 
 def _command_spec(args) -> CategorySpec:
-    """The command's spec: ``--spec``, or for ``smatrix`` ``--su2`` with ``--max-spin``."""
+    """The command's spec: ``--spec``, or for ``smatrix`` ``--su2`` with ``--max-spin``.
+    Every command-line refusal is made here, before the spec is read; an
+    option counts as given when it is not ``None``, even when it is empty."""
+    if args.seed < 0:
+        raise StructuralError(f"--seed must be nonnegative, got {args.seed}")
+    if args.command == "monodromy":
+        if args.path is not None and (args.z1 is not None or args.z2 is not None):
+            raise StructuralError("monodromy takes --z1/--z2 or --path, not both")
+        if args.path is None and (args.z1 is None or args.z2 is None):
+            raise StructuralError("monodromy needs --z1/--z2 or --path")
     if args.command == "smatrix":
         # either --spec, or --su2 with --max-spin; the SU(2) options need --su2
         if args.su2 == (args.spec is not None) or (args.su2 and args.max_spin is None):
@@ -417,8 +420,6 @@ def main(argv=None) -> int:
         "monodromy": cmd_monodromy,
     }
     try:
-        if args.seed < 0:
-            raise StructuralError(f"--seed must be nonnegative, got {args.seed}")
         spec = _command_spec(args)
         report = Report(spec.name, spec.digest, args.seed)
         commands[args.command](spec, report, args)

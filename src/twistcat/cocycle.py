@@ -23,7 +23,8 @@ argument is a row gather through ``add_index_table``.
 arithmetic on ``f_num`` keeps it within ``5 * denom`` or widens it first.
 A cocycle's ``report`` is ``validate_cocycle`` of it, computed once, on
 first read: the cyclic and table builders and every category read it,
-as every downstream formula assumes the axioms.
+as every downstream formula assumes the axioms; ``require_valid`` alone
+refuses a cocycle whose report fails.
 Every exponent expression here, in ``modcat``'s residues and in
 ``branchcut.assoc_numerator`` has magnitude below ``5 * denom``, so
 ``denom`` is capped at ``MAX_DENOM`` to keep int64 arithmetic exact.
@@ -90,7 +91,8 @@ class CoherenceReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def describe(self) -> str:
-        return "\n".join(c.describe() for c in self.checks)
+        """The failing checks joined by ``"; "``, as ``verify``'s failing detail."""
+        return "; ".join(c.describe() for c in self.failures())
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +134,15 @@ class AbelianCocycle:
     @cached_property
     def report(self) -> CoherenceReport:
         return validate_cocycle(self)
+
+    def require_valid(self) -> AbelianCocycle:
+        """This cocycle if its ``report`` passes, else the one ``CocycleError``."""
+        if not self.report.passed:
+            first = self.report.failures()[0]
+            raise CocycleError(
+                f"cocycle tables violate the {first.axiom} axiom at {first.witness}", self.report
+            )
+        return self
 
     # -- constructors ---------------------------------------------------------
 
@@ -179,8 +190,8 @@ def _from_exponents(group: FinAbGroup, f: tuple[np.ndarray, np.ndarray],
     omitted cell means exponent 0.  ``group`` is within the table caps, as
     the spec reader checks with ``_check_table_order`` before it reads the
     tables.  Raises ``StructuralError`` if the common denominator of the
-    exponents used exceeds ``MAX_DENOM``, before allocating, and
-    ``CocycleError`` (carrying the report) if any axiom fails."""
+    exponents used exceeds ``MAX_DENOM``, before allocating, and refuses an
+    invalid cocycle through ``AbelianCocycle.require_valid``."""
     mask = np.zeros(len(exponents), bool)
     mask[f[1]] = mask[omega[1]] = True
     used = mask.tolist()
@@ -194,14 +205,7 @@ def _from_exponents(group: FinAbGroup, f: tuple[np.ndarray, np.ndarray],
     for table, (flat, ids) in ((f_num, f), (omega_num, omega)):
         table.reshape(-1)[flat] = numerators[ids]
 
-    cocycle = AbelianCocycle(group, f_num, omega_num, denom, name=name)
-    report = cocycle.report
-    if not report.passed:
-        first = report.failures()[0]
-        raise CocycleError(
-            f"cocycle tables violate the {first.axiom} axiom at {first.witness}", report=report
-        )
-    return cocycle
+    return AbelianCocycle(group, f_num, omega_num, denom, name=name).require_valid()
 
 
 def build_cyclic(n: int, s: int) -> AbelianCocycle:
@@ -219,13 +223,11 @@ def build_cyclic(n: int, s: int) -> AbelianCocycle:
     with ``s`` and ``s + d`` giving the same tables.
 
     ``build_cyclic(2, 2)`` is the fermionic sign cocycle, ``build_cyclic(2, 3)``
-    the one attached to the rank-one weight/root lattice pair.
+    the one attached to the rank-one weight/root lattice pair.  ``FinAbGroup``
+    refuses ``n < 1`` and ``_check_table_order`` an ``n`` above the table cap.
     """
-    if n < 1:
-        raise StructuralError(f"cyclic order must be >= 1, got {n}")
-    if n > MAX_TABLE_ORDER:
-        raise StructuralError(f"cyclic order {n} exceeds the table cap {MAX_TABLE_ORDER}")
     group = FinAbGroup((n,))
+    _check_table_order(group)
     d = n * gcd(n, 2)
     t = s % d  # same tables, and fits int64 whatever s is
     a = np.arange(n, dtype=np.int64)
@@ -238,7 +240,7 @@ def build_cyclic(n: int, s: int) -> AbelianCocycle:
     )
     if not cocycle.report.passed:  # would be an implementation bug, not bad input
         raise AssertionError(
-            f"build_cyclic({n}, {s}) produced an invalid cocycle:\n{cocycle.report.describe()}"
+            f"build_cyclic({n}, {s}) produced an invalid cocycle: {cocycle.report.describe()}"
         )
     return cocycle
 

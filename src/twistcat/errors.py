@@ -10,12 +10,13 @@ class RepresentationError(ValueError):
 
 
 class CocycleError(ValueError):
-    """A cocycle table failed pentagon/hexagon/normalization validation.
+    """A cocycle failed pentagon/hexagon/normalization validation.
 
-    Carries the full per-axiom report on ``self.report``.
+    Raised by ``AbelianCocycle.require_valid`` alone, with the full per-axiom
+    report on ``self.report``.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -69,7 +69,7 @@ from itertools import product
 import numpy as np
 
 from .cocycle import AbelianCocycle, AxiomCheck, CoherenceReport
-from .errors import CocycleError, StructuralError
+from .errors import StructuralError
 from .grouprep import CentralEmbedding, GradedIrrep, MatrixRep, RepCatalog, grade_of
 from .unitscalar import UnitScalar, root_of_unity
 
@@ -150,14 +150,14 @@ class TwistedCategory:
     """A catalog of Rep G graded by a central embedding and twisted by a
     cocycle.
 
-    Validates everything eagerly: the cocycle axioms (through the cocycle's
-    ``report``, computed once per cocycle), centrality of the grading
-    embedding, the irreps and their inequivalence (the catalog's
-    ``characters``, checked once per catalog), the grades (one ``grade_of``
-    call), and (for complete catalogs) the sum-of-squares identity ``sum
-    dim^2 = |G|``.  The checks run in that order, each over the whole
-    catalog, and a failing check names its first failing member in catalog
-    order.
+    Validates everything eagerly: centrality of the grading embedding, the
+    cocycle axioms (``require_valid`` of the cocycle, whose ``report`` is
+    computed once per cocycle), the irreps and their inequivalence (the
+    catalog's ``characters``, checked once per catalog), the grades (one
+    ``grade_of`` call), and (for complete catalogs) the sum-of-squares
+    identity ``sum dim^2 = |G|``.  The checks run in that order, each over
+    the whole catalog, and a failing check names its first failing member
+    in catalog order.
     """
 
     def __init__(
@@ -172,15 +172,9 @@ class TwistedCategory:
         if embedding.grading != cocycle.group:
             raise StructuralError("embedding and cocycle must share the grading group")
         embedding.validate(group)
-        if not cocycle.report.passed:
-            first = cocycle.report.failures()[0]
-            raise CocycleError(
-                f"cocycle violates the {first.axiom} axiom at {first.witness}",
-                report=cocycle.report,
-            )
         self.group = group
         self.rep_catalog = reps
-        self.cocycle = cocycle
+        self.cocycle = cocycle.require_valid()
         self.embedding = embedding
         self.grading = cocycle.group
 

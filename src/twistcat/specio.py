@@ -346,8 +346,8 @@ class CategorySpec:
     _cocycle: AbelianCocycle | None = field(default=None, init=False, repr=False)
 
     def build_cocycle(self) -> AbelianCocycle:
-        """Construct the cocycle, once per spec.  The cyclic and table builders
-        validate it; a trivial one validates when its ``report`` is first read."""
+        """Construct the cocycle, once per spec.  Every builder gives the one
+        table-cap message, and ``AbelianCocycle.require_valid`` refuses bad tables."""
         if self._cocycle is None:
             kind, *args = self.cocycle_source
             if kind == "cyclic":

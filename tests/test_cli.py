@@ -74,6 +74,13 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
     assert run_cli("verify", "--spec", str(bad)) == 2
 
 
+def test_spec_file_that_is_not_an_object_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]", encoding="utf-8")
+    assert run_cli("verify", "--spec", str(bad)) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: spec file must contain a JSON object\n")
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -507,6 +514,33 @@ def test_monodromy_takes_points_or_a_path_not_both(points, tmp_path, capsys):
     assert captured.err == "error: monodromy takes --z1/--z2 or --path, not both\n"
 
 
+_NEITHER = "monodromy needs --z1/--z2 or --path"
+
+
+@pytest.mark.parametrize(
+    "spec, query, message",
+    [
+        # an empty --path counted as no path, and the points were answered with exit 0
+        ("z2-lattice-on-z4", ["--path", "", "--z1", "3,0", "--z2", "2,0", "--grades", "1|1|1"],
+         "monodromy takes --z1/--z2 or --path, not both"),
+        ("z2-lattice-on-z4", ["--path", "", "--grades", "1|1"], "a path needs at least one waypoint"),
+        ("z2-lattice-on-z4", ["--path", " ; ", "--grades", "1|1"],
+         "a path needs at least one waypoint"),
+        ("z2-lattice-on-z4", ["--z1", "3,0", "--z2", "2,0", "--grades", "1|1"],
+         "expected 3 grades joined by '|', got '1|1'"),
+        ("z2-lattice-on-z4", ["--z1", "3,0", "--grades", "1|1|1"], _NEITHER),
+        # refused before the spec is read, or its cocycle is built
+        ("/nonexistent/path.json", ["--grades", "1|1|1"], _NEITHER),
+        ("z2-lattice-on-z4-broken", ["--grades", "1|1|1"], _NEITHER),
+    ],
+    ids=["empty-path-and-points", "empty-path", "path-of-separators", "two-grades-for-points",
+         "z1-alone", "neither-missing-spec", "neither-invalid-cocycle"],
+)
+def test_monodromy_refusals_are_one_line_parse_errors(spec, query, message, capsys):
+    assert run_cli("monodromy", "--spec", spec, *query) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 _COORDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]),
@@ -890,6 +924,19 @@ def test_trivial_builder_above_table_cap_is_parse_error(tmp_path, capsys):
     assert "exceeds the table-cocycle cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cocycle_field",
+    [{"builder": "cyclic", "n": 300, "s": 1}, {"builder": "trivial"}, {"tables": {}}],
+    ids=["cyclic", "trivial", "tables"],
+)
+def test_every_cocycle_builder_gives_the_one_table_cap_message(cocycle_field, tmp_path, capsys):
+    # the cyclic builder said "cyclic order 300 exceeds the table cap 256"
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    spec.update(grading_group=[300], cocycle=cocycle_field)
+    assert _run_spec("verify", spec, tmp_path)[0] == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: group order 300 exceeds the table-cocycle cap 256\n")
+
+
 def _z2_spec_with_factors(factors, cocycle):
     """Builtin Z/2 graded by the given invariant factors, the last through 1."""
     return {
@@ -1236,6 +1283,56 @@ def test_unnormalized_coboundary_fails_normalization_alone(tmp_path, capsys):
     detail = verdict["detail"]
     assert detail.startswith("FAIL  normalization: ") and f"first failing witness {witness}" in detail
     assert "pentagon" not in detail and "hexagon" not in detail
+
+
+@pytest.mark.parametrize("key, witness, hexagon", [
+    ("1|0", "((1,), (0,))", "hexagon-2: 8 tuples checked, first failing witness ((1,), (0,), (0,))"),
+    ("0|1", "((0,), (1,))", "hexagon-1: 8 tuples checked, first failing witness ((0,), (0,), (1,))"),
+], ids=["omega-a-0", "omega-0-a"])
+def test_omega_off_the_identity_fails_normalization_at_its_cell(
+    key, witness, hexagon, tmp_path, capsys
+):
+    # normalization's Omega(., 0) and Omega(0, .) witnesses, F being 0
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    spec["cocycle"] = {"tables": {"omega": {key: "1/2"}}}
+    code, report, _ = _run_spec("verify", spec, tmp_path)
+    assert code == cli.EXIT_VALIDATION and capsys.readouterr().err == ""
+    assert report["verdicts"] == [{
+        "check": "cocycle-axioms", "status": "fail",
+        "detail": f"FAIL  {hexagon}; FAIL  normalization: 8 tuples checked, first failing "
+        f"witness {witness} (F on identity slices and Omega(.,0), Omega(0,.))",
+    }]
+
+
+def test_builtin_irreps_on_a_table_group_is_refused_per_command(tmp_path, capsys):
+    # verify keeps the cocycle's verdict, fusion and smatrix stop, and
+    # monodromy builds no category
+    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
+    spec.update(group={"table": [[0, 1], [1, 0]]}, irreps="builtin", central_embedding=[1])
+    message = "'irreps': 'builtin' requires a builtin group"
+    code, report, path = _run_spec("verify", spec, tmp_path)
+    assert code == cli.EXIT_VALIDATION
+    verdicts = {v["check"]: v for v in report["verdicts"]}
+    assert verdicts["irreps-valid"] == {"check": "irreps-valid", "status": "fail", "detail": message}
+    capsys.readouterr()
+    for command in ("fusion", "smatrix"):
+        assert run_cli(command, "--spec", str(path)) == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    query = ["--z1", "3,0", "--z2", "2,0", "--grades", "1|1|1"]
+    assert run_cli("monodromy", "--spec", str(path), *query) == cli.EXIT_OK
+
+
+def test_a_library_fault_fails_verify_with_its_witness(monkeypatch, tmp_path, capsys):
+    # a flip whose rows are rolled by one is not undone by the flip back
+    flip = modcat.flip_matrix
+    monkeypatch.setattr(modcat, "flip_matrix", lambda d1, d2: np.roll(flip(d1, d2), 1, 0))
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--spec", "s3-trivial-grading", "--out", str(out)) == 1
+    verdicts = {v["check"]: v for v in json.loads(out.read_text())["verdicts"]}
+    assert verdicts["coherence:double-braiding"] == {
+        "check": "coherence:double-braiding", "status": "fail",
+        "detail": "9 tuples, max deviation 1.00e+00, witness ('standard', 'standard')",
+    }
 
 
 def test_twist_is_minus_q_and_coboundary_invariant():

@@ -213,6 +213,33 @@ def test_order_cap():
         build_cyclic(300, 1)
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "invariant factors must be >= 1, got (0,)"),
+    (257, "group order 257 exceeds the table-cocycle cap 256"),
+], ids=["zero", "257"])
+def test_cyclic_builder_refuses_with_the_groups_and_the_table_cap_messages(n, message):
+    # build_cyclic had its own two checks and a second cap message
+    with pytest.raises(StructuralError) as info:
+        build_cyclic(n, 1)
+    assert str(info.value) == message
+
+
+def test_require_valid_refuses_with_the_report_it_carries():
+    lattice = build_cyclic(2, 3)
+    assert lattice.require_valid() is lattice and lattice.report.describe() == ""
+    f_num = lattice.f_num.copy()
+    f_num[1, 1, 1] = 0
+    broken = AbelianCocycle(lattice.group, f_num, lattice.omega_num, lattice.denom)
+    with pytest.raises(CocycleError) as info:
+        broken.require_valid()
+    assert str(info.value) == "cocycle tables violate the hexagon-1 axiom at ((1,), (1,), (1,))"
+    assert info.value.report is broken.report
+    # the failing checks alone, as verify's cocycle-axioms detail reads them
+    failures = broken.report.failures()
+    assert len(failures) == 2 and "pass" not in broken.report.describe()
+    assert broken.report.describe() == "; ".join(c.describe() for c in failures)
+
+
 @pytest.mark.parametrize("factors", [(257,), (3, 100)], ids=["257", "3x100"])
 def test_trivial_order_cap(factors):
     with pytest.raises(StructuralError, match="exceeds the table-cocycle cap"):

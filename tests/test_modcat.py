@@ -310,6 +310,8 @@ def test_eager_cocycle_validation_in_category():
         TwistedCategory(builtin_catalog("z4"), broken, CentralEmbedding(broken.group, (2,)))
     first = info.value.report.failures()[0]
     assert "hexagon" in first.axiom and first.witness == ((1,), (1,), (1,))
+    # the table builder's message: both are AbelianCocycle.require_valid's
+    assert str(info.value) == "cocycle tables violate the hexagon-1 axiom at ((1,), (1,), (1,))"
 
 
 def test_incomplete_catalog_rejected():
