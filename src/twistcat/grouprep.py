@@ -449,19 +449,19 @@ class RepCatalog:
 class CentralEmbedding:
     """Images in G of the dual generators of the grading group's dual.
 
-    ``images[i]`` is the group-element index representing the i-th standard
-    dual generator; each image must be central with order dividing the
-    corresponding invariant factor, so the map extends to a homomorphism.
+    ``images[i]``, one per invariant factor, is the group-element index of the
+    i-th standard dual generator; ``validate`` checks that each is central with
+    order dividing its factor, so the map extends to a homomorphism.
     """
 
     grading: FinAbGroup
     images: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.images) != (rank := self.grading.rank):
+            raise StructuralError(f"{len(self.images)} embedding images for rank {rank}")
+
     def validate(self, group: FiniteGroup) -> None:
-        if len(self.images) != self.grading.rank:
-            raise StructuralError(
-                f"{len(self.images)} embedding images for rank {self.grading.rank}"
-            )
         for img, n in zip(self.images, self.grading.factors):
             if not 0 <= img < group.order:
                 raise StructuralError(f"embedding image {img} is not an element index")

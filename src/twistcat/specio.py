@@ -26,15 +26,17 @@ su2 mode replaces group/irreps/embedding with {"max_spin": N}, 0 <= N <= 64.
 spec's ``digest``, and those bytes, decoded as UTF-8, are the JSON it parses,
 checking each field's type and shape once and naming a bad field's JSON path.
 Integer fields are JSON integers, matrix entries are strings, a
-``group.table`` has at most ``MAX_GROUP_ORDER`` rows.  Group axioms, irreps
-and the embedding are checked when the category is built.
+``group.table`` has at most ``MAX_GROUP_ORDER`` rows.  It refuses every fault
+the file alone decides: the table caps for every cocycle kind, a cyclic
+builder off its grading, builtin irreps on a group not builtin, an embedding
+count other than the grading rank.  What needs the group (its axioms, the
+irreps, the embedding's images) is checked when the category is built.
 Cocycle table keys are stored as row-major flat indices into the table,
 whose digits in base ``|A|`` are the elements' enumeration indices.  One
 reader, ``_parse_tables``, reads every table in bulk, with no Python step
 per entry: it reduces unreduced residues, lets a later key for the same
 element win, and only for a chunk of entries that fails its checks walks
-that chunk to name the first bad entry (``_first_bad_entry``).  A grading
-group above the table caps is refused before its tables are read.  A spec
+that chunk to name the first bad entry (``_first_bad_entry``).  A spec
 file is at most ``MAX_SPEC_BYTES`` long, checked before it is read: a dense
 ``F`` table fits up to about ``|A| = 73``, and larger grading groups need
 sparse tables or a builder.
@@ -250,18 +252,20 @@ def _first_bad_entry(path: str, arity: int, keys: list, values: list, group: Fin
 def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
     """``("cyclic", n, s)``, ``("trivial",)`` or ``("tables", f, omega,
     exponents)``, the arguments of ``cocycle._from_exponents``."""
+    _check_table_order(grading)  # for every kind, before the tables are read
     config = _typed(config, dict, "cocycle")
     if "builder" in config:
         builder = config["builder"]
         if builder == "cyclic":
             n = _parse_int(config.get("n"), "cocycle.n")
+            if grading.factors != (n,):
+                raise StructuralError("cyclic builder requires grading_group [n]")
             return "cyclic", n, _parse_int(config.get("s"), "cocycle.s")
         if builder == "trivial":
             return ("trivial",)
         raise _bad("cocycle.builder", "'cyclic' or 'trivial'", builder)
     if "tables" in config:
         tables = _typed(config["tables"], dict, "cocycle.tables")
-        _check_table_order(grading)  # the reader enumerates the group
         return ("tables", *_parse_tables(tables, grading))
     raise _bad("cocycle", "an object with 'builder' or 'tables'", config)
 
@@ -340,19 +344,16 @@ class CategorySpec:
     cocycle_source: tuple  # what _parse_cocycle returns
     group_source: tuple = ()  # what _parse_group returns
     irrep_source: tuple | None = None  # what _parse_irreps returns
-    embedding: tuple[int, ...] = ()
+    embedding: CentralEmbedding | None = None
     complete: bool = True
     max_spin: int = 10
     _cocycle: AbelianCocycle | None = field(default=None, init=False, repr=False)
 
     def build_cocycle(self) -> AbelianCocycle:
-        """Construct the cocycle, once per spec.  Every builder gives the one
-        table-cap message, and ``AbelianCocycle.require_valid`` refuses bad tables."""
+        """Construct the cocycle once; ``AbelianCocycle.require_valid`` refuses bad tables."""
         if self._cocycle is None:
             kind, *args = self.cocycle_source
             if kind == "cyclic":
-                if self.grading.factors != (args[0],):
-                    raise StructuralError("cyclic builder requires grading_group [n]")
                 self._cocycle = build_cyclic(*args)
             elif kind == "trivial":
                 self._cocycle = AbelianCocycle.trivial(self.grading, name=self.name)
@@ -366,18 +367,15 @@ class CategorySpec:
             raise StructuralError(f"spec {self.name!r} has no finite-group category")
         cocycle = self.build_cocycle()
         kind, value = self.group_source
-        if kind == "builtin":  # shared by every spec in the process
+        if self.irrep_source is None:  # a builtin group's, shared by every spec in the process
             catalog = builtin_catalog(value)
-            group = catalog.group
-        else:
-            build = FiniteGroup if kind == "table" else FiniteGroup.from_permutations
-            group, catalog = build(value), None
-        if self.irrep_source is not None:  # the spec's own, never shared
+        else:  # the spec's own, never shared
+            if kind == "builtin":
+                group = builtin_catalog(value).group
+            else:
+                group = (FiniteGroup if kind == "table" else FiniteGroup.from_permutations)(value)
             catalog = RepCatalog(group, rep_from_generators(group, *self.irrep_source))
-        elif catalog is None:
-            raise StructuralError("'irreps': 'builtin' requires a builtin group")
-        embedding = CentralEmbedding(self.grading, self.embedding)
-        return TwistedCategory(catalog, cocycle, embedding, complete=self.complete)
+        return TwistedCategory(catalog, cocycle, self.embedding, complete=self.complete)
 
 
 def su2_spec(max_spin: int, s: int) -> CategorySpec:
@@ -406,7 +404,7 @@ def resolve_spec_path(spec: str | Path) -> Path:
 
 
 def load_spec(spec: str | Path) -> CategorySpec:
-    """Read a spec file, checking each field's type and shape once."""
+    """Read a spec file, refusing once every fault that the file alone decides."""
     path = resolve_spec_path(spec)
     size = path.stat().st_size
     if size > MAX_SPEC_BYTES:
@@ -431,11 +429,13 @@ def load_spec(spec: str | Path) -> CategorySpec:
     cocycle = _parse_cocycle(raw.get("cocycle"), grading)
     if mode == "su2" and grading.factors != (2,):  # the graded SU(2) ring lives on Z/2
         raise _bad("grading_group", "[2] in su2 mode", raw["grading_group"])
-    spec = CategorySpec(name, mode, hashlib.sha256(data).hexdigest(), grading, cocycle)
-    spec.max_spin = _parse_int(raw.get("max_spin", 10), "max_spin", range(0, MAX_SPIN + 1))
+    fields = {"max_spin": _parse_int(raw.get("max_spin", 10), "max_spin", range(MAX_SPIN + 1))}
     if mode == "finite-group":
-        spec.group_source = _parse_group(raw.get("group"))
-        spec.irrep_source = _parse_irreps(raw.get("irreps"))
-        spec.embedding = _parse_ints(raw.get("central_embedding"), "central_embedding")
-        spec.complete = _typed(raw.get("complete", True), bool, "complete")
-    return spec
+        group, irreps = _parse_group(raw.get("group")), _parse_irreps(raw.get("irreps"))
+        if irreps is None and group[0] != "builtin":
+            raise StructuralError("'irreps': 'builtin' requires a builtin group")
+        images = _parse_ints(raw.get("central_embedding"), "central_embedding")
+        fields.update(group_source=group, irrep_source=irreps,
+                      embedding=CentralEmbedding(grading, images),
+                      complete=_typed(raw.get("complete", True), bool, "complete"))
+    return CategorySpec(name, mode, hashlib.sha256(data).hexdigest(), grading, cocycle, **fields)

@@ -1304,12 +1304,61 @@ def test_omega_off_the_identity_fails_normalization_at_its_cell(
     }]
 
 
+MONODROMY_QUERY = ("--z1", "3,0", "--z2", "2,0", "--grades", "1|1|1")
+
+
+def _assert_refused_by_every_command(spec, message, tmp_path, capsys):
+    """``spec`` exits 2 under verify, fusion, smatrix and monodromy, with
+    empty stdout and the one line ``error: {message}``."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    capsys.readouterr()
+    commands = [["verify"], ["fusion"], ["smatrix"], ["monodromy", *MONODROMY_QUERY]]
+    for command, *query in commands:
+        assert run_cli(command, "--spec", str(path), *query) == cli.EXIT_PARSE, command
+        assert capsys.readouterr() == ("", f"error: {message}\n"), command
+
+
+def _fixture_spec(name, **fields):
+    spec = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    spec.update(fields)
+    return spec
+
+
 def test_builtin_irreps_on_a_table_group_is_refused_per_command(tmp_path, capsys):
-    # verify keeps the cocycle's verdict, fusion and smatrix stop, and
-    # monodromy builds no category
-    spec = json.loads(fixture_path("z2-lattice-on-z4").read_text(encoding="utf-8"))
-    spec.update(group={"table": [[0, 1], [1, 0]]}, irreps="builtin", central_embedding=[1])
+    # the reader refuses it: verify used to exit 1 with a failing
+    # irreps-valid, and monodromy, which builds no category, exit 0
+    spec = _fixture_spec(
+        "z2-lattice-on-z4", group={"table": [[0, 1], [1, 0]]}, irreps="builtin",
+        central_embedding=[1],
+    )
     message = "'irreps': 'builtin' requires a builtin group"
+    _assert_refused_by_every_command(spec, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"central_embedding": [2, 2]}, "2 embedding images for rank 1"),
+        ({"cocycle": {"builder": "cyclic", "n": 4, "s": 1}},
+         "cyclic builder requires grading_group [n]"),
+        # the grading group's cap is named before the later group field's fault
+        ({"cocycle": {"builder": "trivial"}, "grading_group": [300],
+          "group": {"builtin": "nope"}},
+         "group order 300 exceeds the table-cocycle cap 256"),
+    ],
+    ids=["embedding-count", "cyclic-off-its-grading", "cap-before-group"],
+)
+def test_a_spec_fault_is_refused_by_every_command(fields, message, tmp_path, capsys):
+    spec = _fixture_spec("q8-z2", **fields)
+    _assert_refused_by_every_command(spec, message, tmp_path, capsys)
+
+
+def test_an_embedding_image_out_of_range_needs_the_group(tmp_path, capsys):
+    # the range check needs the group's order, so the category's builders
+    # refuse it: verify reports it and monodromy, which builds none, answers
+    spec = _fixture_spec("q8-z2", central_embedding=[9])
+    message = "embedding image 9 is not an element index"
     code, report, path = _run_spec("verify", spec, tmp_path)
     assert code == cli.EXIT_VALIDATION
     verdicts = {v["check"]: v for v in report["verdicts"]}
@@ -1318,8 +1367,7 @@ def test_builtin_irreps_on_a_table_group_is_refused_per_command(tmp_path, capsys
     for command in ("fusion", "smatrix"):
         assert run_cli(command, "--spec", str(path)) == cli.EXIT_PARSE
         assert capsys.readouterr() == ("", f"error: {message}\n")
-    query = ["--z1", "3,0", "--z2", "2,0", "--grades", "1|1|1"]
-    assert run_cli("monodromy", "--spec", str(path), *query) == cli.EXIT_OK
+    assert run_cli("monodromy", "--spec", str(path), *MONODROMY_QUERY) == cli.EXIT_OK
 
 
 def test_a_library_fault_fails_verify_with_its_witness(monkeypatch, tmp_path, capsys):

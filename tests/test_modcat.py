@@ -77,6 +77,15 @@ def test_category_reuses_the_builders_report(monkeypatch):
         assert calls == [kept, bare]
 
 
+def test_embedding_and_cocycle_must_share_the_grading_group():
+    # Z/4 graded by Z/2 under the cocycle, by Z/4 under the embedding
+    message = "embedding and cocycle must share the grading group"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        TwistedCategory(
+            builtin_catalog("z4"), build_cyclic(2, 3), CentralEmbedding(FinAbGroup((4,)), (1,))
+        )
+
+
 def test_categories_share_one_read_only_layout_per_builder_and_dims(monkeypatch, s3_cat, q8_cat):
     # s3 and q8 both have 1- and 2-dim members, so their suites read the
     # same keys; each key is one array for the whole process

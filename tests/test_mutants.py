@@ -179,6 +179,19 @@ TEST_ROWS = [
     ("modcat", "_identity", "return np.eye(d, dtype=np.int64)",
      "return np.diag(np.arange(1, d + 1)) if d >= 8 else np.eye(d, dtype=np.int64)",
      _associators_match_dense_reference),
+    # the refusals a spec file alone decides, each dropped from the reader
+    ("specio", "load_spec", """        if irreps is None and group[0] != "builtin":
+            raise StructuralError("'irreps': 'builtin' requires a builtin group")
+""", "", test_specio.test_the_reader_decides_every_file_fault_without_building),
+    ("grouprep", "CentralEmbedding.__post_init__",
+     "if len(self.images) != (rank := self.grading.rank):", "if False:",
+     partial(test_cli.test_a_spec_fault_is_refused_by_every_command,
+             {"central_embedding": [2, 2]}, "2 embedding images for rank 1")),
+    ("specio", "_parse_cocycle", """            if grading.factors != (n,):
+                raise StructuralError("cyclic builder requires grading_group [n]")
+""", "", partial(test_cli.test_a_spec_fault_is_refused_by_every_command,
+                 {"cocycle": {"builder": "cyclic", "n": 4, "s": 1}},
+                 "cyclic builder requires grading_group [n]")),
     # the check that no two catalog members are equivalent disabled
     ("grouprep", "RepCatalog.characters", "same = np.abs(gram) > INTEGER_TOL",
      "same = np.zeros(gram.shape, dtype=bool)",

@@ -69,7 +69,7 @@ PRIVATE_IMPORTS = {  # (module, sibling, name) kept, each with its reason
     ("specio", "cocycle", "_from_exponents"): "the table builder behind the spec's 'tables' "
     "cocycle, which is a spec format and not library API",
     ("specio", "cocycle", "_check_table_order"): "the table caps, which the spec reader "
-    "checks before it enumerates the grading group to read the tables",
+    "checks for every cocycle kind, before it enumerates the grading group to read tables",
 }
 
 

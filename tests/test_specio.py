@@ -1,6 +1,6 @@
 """The spec table path: sparse exponent entries to arrays, through the one
-bulk reader ``specio._parse_tables``; and the su2 mode's refusals, which the
-reader owns."""
+bulk reader ``specio._parse_tables``; and the refusals the file alone
+decides, which the reader owns, the su2 mode's among them."""
 
 import json
 import random
@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from twistcat.abgroup import FinAbGroup
 from twistcat.cocycle import AbelianCocycle, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, StructuralError
 from twistcat.fusionring import dim_exponents
-from twistcat.specio import CategorySpec, _parse_cocycle
+from twistcat.specio import BUNDLED_FIXTURES, CategorySpec, _parse_cocycle, fixture_path
 
 import oracles
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
 
 GROUPS = [(n,) for n in range(1, 13)] + [
     (a, b) for a in range(2, 7) for b in range(2, 7) if a * b <= 12
@@ -287,3 +290,42 @@ def test_su2_spin_cap_has_one_message(max_spin, tmp_path):
             read()
     top = _su2_spec_file(tmp_path, max_spin=64)
     assert specio.su2_spec(64, 3).max_spin == specio.load_spec(top).max_spin == 64
+
+
+# the four faults a spec file alone decides, each on q8-z2 with one field
+# replaced, and the reader's message for it
+FILE_FAULTS = [
+    ({"grading_group": [300], "cocycle": {"builder": "trivial"}},
+     "group order 300 exceeds the table-cocycle cap 256"),
+    ({"cocycle": {"builder": "cyclic", "n": 4, "s": 1}},
+     "cyclic builder requires grading_group [n]"),
+    ({"group": {"table": [[0, 1], [1, 0]]}},
+     "'irreps': 'builtin' requires a builtin group"),
+    ({"central_embedding": [2, 2]}, "2 embedding images for rank 1"),
+]
+
+
+def test_the_reader_decides_every_file_fault_without_building(monkeypatch, tmp_path):
+    # with every builder of the group, irreps and cocycle raising, each
+    # bundled or golden spec still loads and each file fault is still refused
+    def built(*args, **kwargs):
+        raise AssertionError("load_spec built a group, catalog or cocycle")
+
+    for name in ("builtin_catalog", "FiniteGroup", "RepCatalog", "rep_from_generators",
+                 "build_cyclic", "_from_exponents"):
+        monkeypatch.setattr(specio, name, built)
+    monkeypatch.setattr(specio.AbelianCocycle, "trivial", built)
+    for path in [*map(fixture_path, BUNDLED_FIXTURES), *sorted(GOLDEN_SPECS.glob("*.json"))]:
+        specio.load_spec(path)
+    q8 = json.loads(fixture_path("q8-z2").read_text(encoding="utf-8"))
+    for fields, message in FILE_FAULTS:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**q8, **fields}), encoding="utf-8")
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            specio.load_spec(path)
+
+
+def test_an_su2_spec_has_no_category():
+    message = "spec 'su2-lattice' has no finite-group category"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        specio.load_spec("su2-lattice").build_category()
