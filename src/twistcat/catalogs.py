@@ -113,7 +113,9 @@ def builtin_builder(name: str) -> tuple:
     """The builder of the builtin named ``name`` and its argument, if any:
     ``zN`` (for example ``z4``, ``1 <= N <= MAX_GROUP_ORDER``) is
     ``(cyclic_group, N)``, and ``s3``, ``d4`` and ``q8`` are their builders
-    alone.  Raises ``StructuralError`` for any other name."""
+    alone.  Raises ``StructuralError`` for any other name, or one not a ``str``."""
+    if not isinstance(name, str):
+        raise StructuralError(f"builtin group name must be a str, got {type(name).__name__}")
     key = name.lower()
     # ASCII digits only, and few enough that int() is cheap
     if re.fullmatch(r"z[0-9]{1,6}", key) and 1 <= int(key[1:]) <= MAX_GROUP_ORDER:

@@ -29,8 +29,10 @@ Integer fields are JSON integers, matrix entries are strings, a
 ``group.table`` has at most ``MAX_GROUP_ORDER`` rows.  It refuses every fault
 the file alone decides: the table caps for every cocycle kind, a cyclic
 builder off its grading, builtin irreps on a group not builtin, an embedding
-count other than the grading rank.  What needs the group (its axioms, the
-irreps, the embedding's images) is checked when the category is built.
+count other than the grading rank.  It alone picks each constructor: a
+``CategorySpec`` holds the zero-argument calls that build its cocycle and
+catalog, and what needs the group (its axioms, the irreps, the embedding's
+images) is checked when they run.
 Cocycle table keys are stored as row-major flat indices into the table,
 whose digits in base ``|A|`` are the elements' enumeration indices.  One
 reader, ``_parse_tables``, reads every table in bulk, with no Python step
@@ -48,8 +50,10 @@ import cmath
 import hashlib
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -249,9 +253,9 @@ def _first_bad_entry(path: str, arity: int, keys: list, values: list, group: Fin
     raise AssertionError(f"a chunk of {path} failed the bulk checks with no bad entry")
 
 
-def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
-    """``("cyclic", n, s)``, ``("trivial",)`` or ``("tables", f, omega,
-    exponents)``, the arguments of ``cocycle._from_exponents``."""
+def _parse_cocycle(config, grading: FinAbGroup, name: str) -> Callable[[], AbelianCocycle]:
+    """The call that builds the cocycle: ``build_cyclic(n, s)``, the trivial
+    cocycle on ``grading``, or ``_from_exponents`` of the ``_parse_tables``."""
     _check_table_order(grading)  # for every kind, before the tables are read
     config = _typed(config, dict, "cocycle")
     if "builder" in config:
@@ -260,18 +264,19 @@ def _parse_cocycle(config, grading: FinAbGroup) -> tuple:
             n = _parse_int(config.get("n"), "cocycle.n")
             if grading.factors != (n,):
                 raise StructuralError("cyclic builder requires grading_group [n]")
-            return "cyclic", n, _parse_int(config.get("s"), "cocycle.s")
+            return partial(build_cyclic, n, _parse_int(config.get("s"), "cocycle.s"))
         if builder == "trivial":
-            return ("trivial",)
+            return partial(AbelianCocycle.trivial, grading, name=name)
         raise _bad("cocycle.builder", "'cyclic' or 'trivial'", builder)
     if "tables" in config:
         tables = _typed(config["tables"], dict, "cocycle.tables")
-        return ("tables", *_parse_tables(tables, grading))
+        return partial(_from_exponents, grading, *_parse_tables(tables, grading), name)
     raise _bad("cocycle", "an object with 'builder' or 'tables'", config)
 
 
 def _parse_group(config) -> tuple:
-    """``("builtin", name)``, ``("table", rows)`` or ``("permutations", generators)``."""
+    """The builtin's name (``None`` for a table or permutation group) and the call that
+    builds the group: the shared builtin's, ``FiniteGroup`` or its ``from_permutations``."""
     config = _typed(config, dict, "group")
     if "builtin" in config:
         name = _typed(config["builtin"], str, "group.builtin")
@@ -279,7 +284,7 @@ def _parse_group(config) -> tuple:
             builtin_builder(name)
         except StructuralError as exc:
             raise StructuralError(f"spec field 'group.builtin': {exc}") from None
-        return "builtin", name
+        return name, lambda: builtin_catalog(name).group
     if "table" in config:
         rows = _typed(config["table"], list, "group.table")
         if not 1 <= len(rows) <= MAX_GROUP_ORDER:  # the group order cap, before any allocation
@@ -289,11 +294,12 @@ def _parse_group(config) -> tuple:
             if not isinstance(row, list) or len(row) != len(rows):
                 raise _bad(f"group.table[{i}]", f"a list of {len(rows)} element indices", row)
             table.append(_parse_ints(row, f"group.table[{i}]", range(len(rows))))
-        return "table", np.array(table, dtype=np.int64)
+        return None, partial(FiniteGroup, np.array(table, dtype=np.int64))
     if "permutation_generators" in config:
         path = "group.permutation_generators"
         gens = _typed(config["permutation_generators"], list, path)
-        return "permutations", tuple(_parse_ints(g, f"{path}[{i}]") for i, g in enumerate(gens))
+        gens = tuple(_parse_ints(g, f"{path}[{i}]") for i, g in enumerate(gens))
+        return None, partial(FiniteGroup.from_permutations, gens)
     raise _bad("group", "an object with 'builtin', 'table' or 'permutation_generators'", config)
 
 
@@ -333,17 +339,23 @@ def _parse_irreps(config) -> tuple | None:
     return generators, reps
 
 
+def _own_catalog(build_group: Callable[[], FiniteGroup], generators, reps) -> RepCatalog:
+    """A catalog of a spec's own irreps, never shared, on the group ``build_group()``."""
+    group = build_group()
+    return RepCatalog(group, rep_from_generators(group, generators, reps))
+
+
 @dataclass
 class CategorySpec:
-    """The typed fields of a spec file; builds the objects they describe."""
+    """The typed fields of a spec file.  The spec reader alone picks its sources,
+    the zero-argument calls that ``build_cocycle`` and ``build_category`` make."""
 
     name: str
     mode: str
     digest: str | None  # sha256 of the spec file's bytes, the ones parsed
     grading: FinAbGroup
-    cocycle_source: tuple  # what _parse_cocycle returns
-    group_source: tuple = ()  # what _parse_group returns
-    irrep_source: tuple | None = None  # what _parse_irreps returns
+    cocycle_source: Callable[[], AbelianCocycle]  # builds the cocycle
+    catalog_source: Callable[[], RepCatalog] | None = None  # builds the catalog; None in su2 mode
     embedding: CentralEmbedding | None = None
     complete: bool = True
     max_spin: int = 10
@@ -352,13 +364,7 @@ class CategorySpec:
     def build_cocycle(self) -> AbelianCocycle:
         """Construct the cocycle once; ``AbelianCocycle.require_valid`` refuses bad tables."""
         if self._cocycle is None:
-            kind, *args = self.cocycle_source
-            if kind == "cyclic":
-                self._cocycle = build_cyclic(*args)
-            elif kind == "trivial":
-                self._cocycle = AbelianCocycle.trivial(self.grading, name=self.name)
-            else:
-                self._cocycle = _from_exponents(self.grading, *args, self.name)
+            self._cocycle = self.cocycle_source()
         return self._cocycle
 
     def build_category(self) -> TwistedCategory:
@@ -366,23 +372,15 @@ class CategorySpec:
         if self.mode != "finite-group":
             raise StructuralError(f"spec {self.name!r} has no finite-group category")
         cocycle = self.build_cocycle()
-        kind, value = self.group_source
-        if self.irrep_source is None:  # a builtin group's, shared by every spec in the process
-            catalog = builtin_catalog(value)
-        else:  # the spec's own, never shared
-            if kind == "builtin":
-                group = builtin_catalog(value).group
-            else:
-                group = (FiniteGroup if kind == "table" else FiniteGroup.from_permutations)(value)
-            catalog = RepCatalog(group, rep_from_generators(group, *self.irrep_source))
-        return TwistedCategory(catalog, cocycle, self.embedding, complete=self.complete)
+        return TwistedCategory(self.catalog_source(), cocycle, self.embedding,
+                               complete=self.complete)
 
 
 def su2_spec(max_spin: int, s: int) -> CategorySpec:
     """The su2 spec ``su2(s=...)``, with no file and digest ``-``, of the cyclic
     cocycle ``s`` on Z/2 up to ``max_spin``, checked as a spec file's is."""
     max_spin = _parse_int(max_spin, "max_spin", range(0, MAX_SPIN + 1))
-    cocycle = ("cyclic", 2, s)
+    cocycle = partial(build_cyclic, 2, s)
     return CategorySpec(f"su2(s={s})", "su2", "-", FinAbGroup((2,)), cocycle, max_spin=max_spin)
 
 
@@ -426,16 +424,17 @@ def load_spec(spec: str | Path) -> CategorySpec:
         raise _bad("mode", "'finite-group' or 'su2'", mode)
     grading = FinAbGroup(_parse_ints(raw.get("grading_group"), "grading_group"))
     name = _typed(raw.get("name", path.stem), str, "name")
-    cocycle = _parse_cocycle(raw.get("cocycle"), grading)
+    cocycle = _parse_cocycle(raw.get("cocycle"), grading, name)
     if mode == "su2" and grading.factors != (2,):  # the graded SU(2) ring lives on Z/2
         raise _bad("grading_group", "[2] in su2 mode", raw["grading_group"])
     fields = {"max_spin": _parse_int(raw.get("max_spin", 10), "max_spin", range(MAX_SPIN + 1))}
     if mode == "finite-group":
-        group, irreps = _parse_group(raw.get("group")), _parse_irreps(raw.get("irreps"))
-        if irreps is None and group[0] != "builtin":
+        (builtin, group), irreps = _parse_group(raw.get("group")), _parse_irreps(raw.get("irreps"))
+        if irreps is None and builtin is None:
             raise StructuralError("'irreps': 'builtin' requires a builtin group")
         images = _parse_ints(raw.get("central_embedding"), "central_embedding")
-        fields.update(group_source=group, irrep_source=irreps,
+        fields.update(catalog_source=partial(builtin_catalog, builtin) if irreps is None
+                      else partial(_own_catalog, group, *irreps),
                       embedding=CentralEmbedding(grading, images),
                       complete=_typed(raw.get("complete", True), bool, "complete"))
     return CategorySpec(name, mode, hashlib.sha256(data).hexdigest(), grading, cocycle, **fields)

@@ -40,8 +40,8 @@ def _table(entries):  # a cocycle.tables entry for {element tuple: exponent}
 
 def _spec_cocycle(group, tables):
     """The cocycle a spec's ``cocycle.tables`` describes, built as ``verify`` builds it."""
-    config = _parse_cocycle({"tables": tables}, group)
-    return CategorySpec("tables", "finite-group", None, group, config).build_cocycle()
+    source = _parse_cocycle({"tables": tables}, group, "tables")
+    return CategorySpec("tables", "finite-group", None, group, source).build_cocycle()
 
 
 def _b_num(c, a1, a2):  # the braiding form b(a1, a2) the library stores, in [0, 1)

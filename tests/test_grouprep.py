@@ -1,4 +1,5 @@
 import cmath
+import json
 import warnings
 from itertools import product
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from twistcat import grouprep
 from twistcat.abgroup import FinAbGroup
-from twistcat.catalogs import builtin_catalog, cyclic_group
+from twistcat.catalogs import builtin_builder, builtin_catalog, cyclic_group
 from twistcat.cocycle import build_cyclic
 from twistcat.errors import (
     ConsistencyError,
@@ -781,13 +782,20 @@ def _assert_permutation_group_matches_the_oracles(generators):
     assert group.center == oracles.center(group)
 
 
+@pytest.mark.parametrize("name", [5, None, b"z4"], ids=["int", "none", "bytes"])
+def test_a_builtin_name_not_a_str_is_structural(name):
+    with pytest.raises(StructuralError) as raised:
+        builtin_builder(name)
+    assert str(raised.value) == f"builtin group name must be a str, got {type(name).__name__}"
+
+
 def test_permutation_groups_match_the_loop_oracles():
     # S3 as the builtin generates it, and every golden spec's permutation group
     sources = [[(1, 2, 0), (1, 0, 2)]]
     for path in GOLDEN_SPECS:
-        kind, value = load_spec(path).group_source
-        if kind == "permutations":
-            sources.append(value)
+        group = json.loads(path.read_text(encoding="utf-8")).get("group", {})
+        if "permutation_generators" in group:
+            sources.append([tuple(g) for g in group["permutation_generators"]])
     assert len(sources) > 1
     for generators in sources:
         _assert_permutation_group_matches_the_oracles(generators)

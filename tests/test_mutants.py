@@ -180,7 +180,7 @@ TEST_ROWS = [
      "return np.diag(np.arange(1, d + 1)) if d >= 8 else np.eye(d, dtype=np.int64)",
      _associators_match_dense_reference),
     # the refusals a spec file alone decides, each dropped from the reader
-    ("specio", "load_spec", """        if irreps is None and group[0] != "builtin":
+    ("specio", "load_spec", """        if irreps is None and builtin is None:
             raise StructuralError("'irreps': 'builtin' requires a builtin group")
 """, "", test_specio.test_the_reader_decides_every_file_fault_without_building),
     ("grouprep", "CentralEmbedding.__post_init__",
@@ -192,6 +192,11 @@ TEST_ROWS = [
 """, "", partial(test_cli.test_a_spec_fault_is_refused_by_every_command,
                  {"cocycle": {"builder": "cyclic", "n": 4, "s": 1}},
                  "cyclic builder requires grading_group [n]")),
+    # the cyclic builder's twist read as 0, which makes S(1, 1) of Z/4 at s = 1 read 1
+    ("specio", "_parse_cocycle",
+     'partial(build_cyclic, n, _parse_int(config.get("s"), "cocycle.s"))',
+     "partial(build_cyclic, n, 0)",
+     partial(test_cli.test_non_integral_s_entries_are_emitted_exactly, "smatrix", 4, 1)),
     # the check that no two catalog members are equivalent disabled
     ("grouprep", "RepCatalog.characters", "same = np.abs(gram) > INTEGER_TOL",
      "same = np.zeros(gram.shape, dtype=bool)",

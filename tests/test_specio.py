@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from twistcat import specio
 from twistcat.abgroup import FinAbGroup
+from twistcat.catalogs import builtin_catalog
 from twistcat.cocycle import AbelianCocycle, build_cyclic, validate_cocycle
 from twistcat.errors import CocycleError, StructuralError
 from twistcat.fusionring import dim_exponents
@@ -115,7 +117,7 @@ def test_table_spec_path_matches_given_exponents(drawn):
             exps[elts] = Fraction(value) % 1
     denom = lcm(1, *(x.denominator for exps in expected.values() for x in exps.values()))
 
-    source = _parse_cocycle({"tables": tables}, group)
+    source = _parse_cocycle({"tables": tables}, group, "h")
     spec = CategorySpec("h", "finite-group", None, group, source)
     try:
         c = spec.build_cocycle()
@@ -198,7 +200,7 @@ def test_empty_f_table():
     tables = {"f": {}, "omega": {"1|1": "1/2"}}
     assert _tables(tables)[0] == [([], []), ([3], [Fraction(1, 2)])]
     group = FinAbGroup((2,))
-    spec = CategorySpec("e", "su2", None, group, _parse_cocycle({"tables": tables}, group))
+    spec = CategorySpec("e", "su2", None, group, _parse_cocycle({"tables": tables}, group, "e"))
     c = spec.build_cocycle()
     assert c.denom == 2 and c.omega_num.tolist() == [[0, 0], [0, 1]] and not c.f_num.any()
 
@@ -226,7 +228,7 @@ def test_tables_above_the_order_cap_are_refused_at_load(monkeypatch):
     for factors, message in [((300,), "group order 300 exceeds the table-cocycle cap 256"),
                              ((1,) * 9, "9 invariant factors exceed the table-cocycle cap 8")]:
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-            _parse_cocycle({"tables": {"f": {"1|1|1": "1/2"}}}, FinAbGroup(factors))
+            _parse_cocycle({"tables": {"f": {"1|1|1": "1/2"}}}, FinAbGroup(factors), "caps")
 
 
 def test_bulk_reader_holds_one_chunk_of_key_parts():
@@ -311,6 +313,7 @@ def test_the_reader_decides_every_file_fault_without_building(monkeypatch, tmp_p
     def built(*args, **kwargs):
         raise AssertionError("load_spec built a group, catalog or cocycle")
 
+    built.from_permutations = built  # the stub FiniteGroup's permutation builder
     for name in ("builtin_catalog", "FiniteGroup", "RepCatalog", "rep_from_generators",
                  "build_cyclic", "_from_exponents"):
         monkeypatch.setattr(specio, name, built)
@@ -323,6 +326,18 @@ def test_the_reader_decides_every_file_fault_without_building(monkeypatch, tmp_p
         path.write_text(json.dumps({**q8, **fields}), encoding="utf-8")
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
             specio.load_spec(path)
+
+
+def test_a_spec_on_a_builtin_catalog_call_builds_as_its_file():
+    # a CategorySpec states builtin irreps only as a call to builtin_catalog,
+    # so no spec holds them on a table or permutation group
+    spec = specio.load_spec("q8-z2")
+    by_hand = CategorySpec("q8", "finite-group", None, spec.grading, partial(build_cyclic, 2, 3),
+                           partial(builtin_catalog, "q8"), spec.embedding)
+    cat, expected = by_hand.build_category(), spec.build_category()
+    assert cat.labels == expected.labels
+    assert cat.grades.tolist() == expected.grades.tolist()
+    assert cat.dims.tolist() == expected.dims.tolist()
 
 
 def test_an_su2_spec_has_no_category():
