@@ -369,7 +369,7 @@ class CategorySpec:
 
     def build_category(self) -> TwistedCategory:
         """Construct the full twisted category; finite-group mode only."""
-        if self.mode != "finite-group":
+        if self.catalog_source is None:
             raise StructuralError(f"spec {self.name!r} has no finite-group category")
         cocycle = self.build_cocycle()
         return TwistedCategory(self.catalog_source(), cocycle, self.embedding,

@@ -344,3 +344,9 @@ def test_an_su2_spec_has_no_category():
     message = "spec 'su2-lattice' has no finite-group category"
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
         specio.load_spec("su2-lattice").build_category()
+    # A hand-built finite-group spec that names no catalog is refused the same way.
+    q8 = specio.load_spec("q8-z2")
+    bare = CategorySpec("bare", "finite-group", None, q8.grading, q8.cocycle_source,
+                        embedding=q8.embedding)
+    with pytest.raises(StructuralError, match="^spec 'bare' has no finite-group category$"):
+        bare.build_category()
